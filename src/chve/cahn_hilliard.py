@@ -15,15 +15,19 @@ unconditionally well posed and, for v = 0 and frozen coupling, strictly
 dissipative in the phase-field energy for any dt.  Advection is explicit
 (conservative flux form of phi_n) and every operator row sums to zero, so
 the cell sum of phi is conserved to rounding at every accepted step.
+
+Each Newton update is solved matrix-free (Newton-Krylov): GMRES on the
+Schur complement in phi, preconditioned by the constant-coefficient
+splitting operator, which the DCT diagonalizes exactly.  The mean (k = 0
+mode) of each update is set exactly rather than by the Krylov solve, which
+keeps the mass identity independent of the GMRES tolerance.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dctn, idctn
 
 from . import constitutive as law
 from .errors import NewtonError
@@ -33,6 +37,12 @@ from .operators import advect_scalar, laplacian_matrix, laplacian_neumann
 
 TOL_NEWTON = 1e-11
 MAX_NEWTON = 50
+# Krylov solve of each Newton update: relative tolerance (inexact Newton;
+# the Newton residual test decides convergence), restart length and number
+# of restart cycles.
+GMRES_RTOL = 1e-6
+GMRES_RESTART = 30
+GMRES_MAXITER = 5
 
 
 def elastic_coupling_term(phi: ScalarField, F: TensorField, params: ModelParams) -> np.ndarray:
@@ -61,11 +71,25 @@ def static_chemical_potential(phi: ScalarField, F: TensorField, params: ModelPar
 
 
 class CHSystem:
-    """Coupled block system in (phi_new, mu_new) for one grid/params pair.
+    """Newton-Krylov solver of the (phi_new, mu_new) step for one grid/params
+    pair.
 
-    Holds the constant Laplacian pattern and one cached Jacobian
-    factorization, reused chord-style while the step's (phi_n, dt) are
-    frozen and refreshed when the iteration stops contracting.
+    Each Newton update eliminates the mu correction and solves the n x n
+    Schur system
+
+        (I + dt L_b (eps L - D)) dphi = -r1 - dt L_b r2,
+        D = psi_plus''(phi)/eps + delta/dt,
+
+    by GMRES, then recovers dmu = -r2 - (eps L - D) dphi.  The
+    preconditioner is the same operator with D replaced by its mean and
+    L_b by (mean mobility) L: the constant-coefficient convex-splitting
+    operator, which DCT-II diagonalizes exactly on the zero-flux grid.
+
+    The mean of dphi is fixed exactly by the k = 0 row (1^T L_b = 0), and
+    the Krylov solve runs on the mean-zero complement only, so every
+    iterate conserves the cell sum of phi to rounding whatever the GMRES
+    tolerance.  Nothing is cached between calls apart from the grid's
+    Laplacian and its DCT eigenvalues.
     """
 
     def __init__(self, grid, params: ModelParams):
@@ -73,25 +97,46 @@ class CHSystem:
         self.params = params
         self.L = laplacian_matrix(grid)          # zero-flux Laplacian
         self.n = grid.nx * grid.ny
-        self.I = sp.eye(self.n, format="csr")
-        self._lu = None
-        self._lu_tag = None
+        # eigenvalues of L on the DCT-II basis, one term per axis
+        lx = -4.0 / grid.hx ** 2 * np.sin(0.5 * np.pi * np.arange(grid.nx) / grid.nx) ** 2
+        ly = -4.0 / grid.hy ** 2 * np.sin(0.5 * np.pi * np.arange(grid.ny) / grid.ny) ** 2
+        self._eig = lx[:, None] + ly[None, :]
 
-    def mobility_matrix(self, phi_n: ScalarField) -> sp.csr_matrix:
-        b = law.mobility_b(phi_n.values, self.params)
-        if self.params.mobility_profile == "constant":
-            return self.params.b0 * self.L
-        return laplacian_matrix(self.grid, b)
+    def _preconditioner(self, dt: float, b_mean: float, d_mean: float) -> spla.LinearOperator:
+        """Exact inverse of I + dt b_mean L (eps L - d_mean) on mean-zero
+        vectors; the k = 0 mode is mapped to zero."""
+        lam = self._eig
+        inv = 1.0 / (1.0 + dt * b_mean * lam * (self.params.eps * lam - d_mean))
+        inv[0, 0] = 0.0
+        shape = (self.grid.nx, self.grid.ny)
+
+        def solve(x):
+            xh = dctn(x.reshape(shape), type=2, norm="ortho")
+            return idctn(xh * inv, type=2, norm="ortho").ravel()
+
+        return spla.LinearOperator((self.n, self.n), matvec=solve, dtype=float)
 
     def step(self, phi_n: ScalarField, phi_prev: ScalarField, F: TensorField,
              v: StaggeredVectorField, dt: float,
              initial_guess: ScalarField | None = None,
              tol: float = TOL_NEWTON, max_iter: int = MAX_NEWTON):
+        """Advance (phi, mu) one step; returns (phi_new, mu_new, newton_iters).
+
+        phi_prev (the previous accepted field) only seeds the Newton warm
+        start; the viscous delta term always differences phi_new against
+        phi_n.  Raises NewtonError if max_iter iterations do not reach tol
+        or the residual turns non-finite.
+        """
         if dt <= 0.0:
             raise PreconditionError("dt must be > 0")
         p = self.params
         adv = advect_scalar(v, phi_n).values.ravel()
-        Lb = self.mobility_matrix(phi_n)
+        b = law.mobility_b(phi_n.values, p)
+        if p.mobility_profile == "constant":
+            Lb = p.b0 * self.L
+        else:
+            Lb = laplacian_matrix(self.grid, b)
+        b_mean = float(np.mean(b))
         coupling = elastic_coupling_term(phi_n, F, p).ravel()
         psi_m = law.psi_minus_prime(phi_n.values).ravel() / p.eps
         pn = phi_n.values.ravel()
@@ -104,55 +149,45 @@ class CHSystem:
         mu = (law.psi_plus_prime(phi) / p.eps + psi_m
               - p.eps * (self.L @ phi) + coupling + (p.delta / dt) * (phi - pn))
 
-        def residual(phi, mu):
+        def residual(phi, mu, iters):
             # r1 scaled by dt so both rows are O(field) in size
             r1 = (phi - pn) + dt * (adv - Lb @ mu)
             r2 = mu - (law.psi_plus_prime(phi) / p.eps + psi_m
                        - p.eps * (self.L @ phi) + coupling
                        + (p.delta / dt) * (phi - pn))
-            return r1, r2, max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+            res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+            if not np.isfinite(res):
+                raise NewtonError("phase-field Newton residual is not finite",
+                                  residual=res, iterations=iters)
+            return r1, r2, res
 
-        def factorize(at_phi):
-            dpsi = sp.diags(law.psi_plus_second(at_phi) / p.eps + p.delta / dt)
-            J = sp.bmat([
-                [self.I, -dt * Lb],
-                [p.eps * self.L - dpsi, self.I],
-            ], format="csc")
-            return spla.splu(J)
-
-        # The tag scopes factorization reuse to one step (frozen phi_n, same
-        # dt): sharing across steps would make a restarted run see a
-        # different chord Jacobian than the uninterrupted one and break
-        # bitwise reproducibility of the diagnostics.
-        tag = (dt, hashlib.blake2b(phi_n.values.tobytes(), digest_size=16).digest())
-
-        r1, r2, res = residual(phi, mu)
+        r1, r2, res = residual(phi, mu, 0)
         iters = 1
         if res > 1e-2 * tol:
-            # Convergence is judged on the post-update residual: a Newton
-            # update restores the cell sum of phi exactly (the mobility rows
-            # sum to zero), so the accepted iterate conserves mass to
-            # rounding rather than to the Newton tolerance.  The Jacobian
-            # factorization is reused chord-style across iterations (and
-            # across Picard sweeps) and refreshed whenever contraction
-            # stalls; correctness rests on the residual test alone.
-            fresh = self._lu_tag != tag
-            if fresh:
-                self._lu = factorize(phi)
-                self._lu_tag = tag
+            # Convergence is judged on the post-update residual alone.  After
+            # an update r1 equals the GMRES residual of the Schur system and
+            # r2 is the second-order remainder of psi_plus', so a loose
+            # relative Krylov tolerance gives an inexact Newton method whose
+            # outer test still enforces tol.
             for iters in range(1, max_iter + 1):
-                delta = self._lu.solve(np.concatenate([-r1, -r2]))
-                phi = phi + delta[:self.n]
-                mu = mu + delta[self.n:]
-                r1, r2, res_new = residual(phi, mu)
-                if res_new <= tol:
+                D = law.psi_plus_second(phi) / p.eps + p.delta / dt
+                op = spla.LinearOperator(
+                    (self.n, self.n), dtype=float,
+                    matvec=lambda x: x + dt * (Lb @ (p.eps * (self.L @ x) - D * x)))
+                rhs = -r1 - dt * (Lb @ r2)
+                # k = 0 row: the mean of dphi is the mean of rhs, exactly
+                m = float(np.mean(rhs))
+                rhs0 = rhs - op.matvec(np.full(self.n, m))
+                rhs0 -= np.mean(rhs0)
+                z, _ = spla.gmres(op, rhs0, rtol=GMRES_RTOL, atol=0.1 * tol,
+                                  restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
+                                  M=self._preconditioner(dt, b_mean, float(np.mean(D))))
+                dphi = m + (z - np.mean(z))
+                phi = phi + dphi
+                mu = mu - r2 - (p.eps * (self.L @ dphi) - D * dphi)
+                r1, r2, res = residual(phi, mu, iters)
+                if res <= tol:
                     break
-                if res_new > 0.3 * res and not fresh:
-                    self._lu = factorize(phi)
-                    fresh = True
-                else:
-                    fresh = False
-                res = res_new
             else:
                 raise NewtonError(
                     f"phase-field Newton stalled at residual {res:.3e} "
@@ -163,20 +198,3 @@ class CHSystem:
         return (ScalarField(g, phi.reshape(g.nx, g.ny)),
                 ScalarField(g, mu.reshape(g.nx, g.ny)),
                 iters)
-
-
-def step_cahn_hilliard(phi_n: ScalarField, phi_prev: ScalarField, F: TensorField,
-                       v: StaggeredVectorField, dt: float, params: ModelParams,
-                       initial_guess: ScalarField | None = None,
-                       system: CHSystem | None = None,
-                       tol: float = TOL_NEWTON, max_iter: int = MAX_NEWTON):
-    """Advance (phi, mu) one step; returns (phi_new, mu_new, newton_iters).
-
-    phi_prev (the previous accepted field) only seeds the Newton warm
-    start; the viscous delta term always differences phi_new against
-    phi_n.  Raises NewtonError if max_iter iterations do not reach tol.
-    """
-    if system is None:
-        system = CHSystem(phi_n.grid, params)
-    return system.step(phi_n, phi_prev, F, v, dt,
-                       initial_guess=initial_guess, tol=tol, max_iter=max_iter)

@@ -11,7 +11,8 @@ terminated early when the max change across (phi, F, v) drops below
 ``picard_tol``.
 
 Step control: a step is rejected (and dt halved) when the phase-field
-Newton fails, when the advective CFL number exceeds its bound, or when
+Newton fails, a linear solve fails, a field turns non-finite, the
+advective CFL number exceeds its bound, or when
 the total energy increases past ``energy_increase_tol * |E0|``.  After
 ``grow_after`` consecutive accepted steps dt grows by ``grow_factor``,
 clamped to [dt_min, dt_max].  A rejected step never touches the accepted
@@ -30,7 +31,7 @@ from .cahn_hilliard import CHSystem, static_chemical_potential
 from .config import ConfigSpec, TimeConfig, dump_config
 from .diagnostics import (DiagnosticsRow, dissipation, total_energy, total_mass)
 from .errors import NewtonError, RunError, SolverError
-from .grid import ScalarField, SimState, TensorField
+from .grid import PreconditionError, ScalarField, SimState, TensorField
 from .stokes import StokesSolver, assemble_force, div_residual
 from .transport import TransportSystem
 from .vtk_io import read_restart, write_restart, write_vtk
@@ -146,7 +147,9 @@ class Simulation:
 
     def coupled_step(self, state: SimState, dt: float):
         """Advance one step of size dt; returns (state_new, StepStats).
-        Raises StepRejected on Newton failure or CFL excess."""
+        Raises StepRejected on Newton failure, CFL excess, a failed linear
+        solve or a violated precondition (non-finite field, velocity not
+        solenoidal)."""
         cfg = self.cfg
         p = self.params
         g = self.grid
@@ -163,17 +166,17 @@ class Simulation:
         picard_iters = 0
 
         for sweep in range(1, cfg.coupling.picard_max + 1):
-            force = assemble_force(phi_n, mu_force, F_force, p)
             try:
-                v, q = self.stokes.solve(force)
-            except SolverError as exc:
-                raise StepRejected(f"stokes: {exc}") from exc
+                force = assemble_force(phi_n, mu_force, F_force, p)
+                try:
+                    v, q = self.stokes.solve(force)
+                except SolverError as exc:
+                    raise StepRejected(f"stokes: {exc}") from exc
 
-            cfl = dt * (np.max(np.abs(v.u)) / g.hx + np.max(np.abs(v.w)) / g.hy)
-            if cfl > cfg.time.cfl_max:
-                raise StepRejected(f"cfl {cfl:.3f} > {cfg.time.cfl_max}")
+                cfl = dt * (np.max(np.abs(v.u)) / g.hx + np.max(np.abs(v.w)) / g.hy)
+                if cfl > cfg.time.cfl_max:
+                    raise StepRejected(f"cfl {cfl:.3f} > {cfg.time.cfl_max}")
 
-            try:
                 F_new = self.transport.step(F_n, v, phi_n, dt)
                 phi_new, mu_new, n_newton = self.ch.step(
                     phi_n, state.phi_prev, F_new, v, dt, initial_guess=guess)
@@ -181,6 +184,9 @@ class Simulation:
                 raise StepRejected(f"newton: {exc}") from exc
             except SolverError as exc:
                 raise StepRejected(f"linear solve: {exc}") from exc
+            except PreconditionError as exc:
+                # a non-finite field or a velocity that is not solenoidal
+                raise StepRejected(f"precondition: {exc}") from exc
             newton_total += n_newton
             picard_iters = sweep
 

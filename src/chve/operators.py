@@ -157,49 +157,37 @@ def gradient_matrices(grid: GridSpec) -> tuple[OperatorMatrix, OperatorMatrix, O
 
 
 def laplacian_matrix(grid: GridSpec, coeff: np.ndarray | None = None) -> sp.csr_matrix:
-    """Assembled zero-flux Laplacian div(coeff grad .), rows summing to 0."""
+    """Assembled zero-flux Laplacian div(coeff grad .), rows summing to 0.
+
+    Each interior face between cells a and b carries the weight
+    w = coeff_face * scale / h^2 and adds w to (a, b) and (b, a) and -w to
+    both diagonals; boundary faces carry no flux.
+    """
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
     if coeff is None:
-        cx = np.ones((nx + 1, ny))
-        cy = np.ones((nx, ny + 1))
+        cx = np.ones((nx - 1, ny))
+        cy = np.ones((nx, ny - 1))
     else:
         if np.min(coeff) <= 0.0:
             raise PreconditionError("laplacian coefficient must be strictly positive")
-        cx = np.zeros((nx + 1, ny))
-        cy = np.zeros((nx, ny + 1))
-        cx[1:-1, :] = 0.5 * (coeff[1:, :] + coeff[:-1, :])
-        cy[:, 1:-1] = 0.5 * (coeff[:, 1:] + coeff[:, :-1])
+        cx = 0.5 * (coeff[1:, :] + coeff[:-1, :])
+        cy = 0.5 * (coeff[:, 1:] + coeff[:, :-1])
+    wx = cx * (_STENCIL_SCALE / (hx * hx))   # face between (i, j) and (i+1, j)
+    wy = cy * (_STENCIL_SCALE / (hy * hy))   # face between (i, j) and (i, j+1)
+
+    diag = np.zeros((nx, ny))
+    diag[:-1, :] -= wx
+    diag[1:, :] -= wx
+    diag[:, :-1] -= wy
+    diag[:, 1:] -= wy
 
     n = nx * ny
     idx = np.arange(n).reshape(nx, ny)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    sx = _STENCIL_SCALE / (hx * hx)
-    sy = _STENCIL_SCALE / (hy * hy)
-    for i in range(nx):
-        for j in range(ny):
-            r = idx[i, j]
-            if i + 1 < nx:
-                w = cx[i + 1, j] * sx
-                add(r, idx[i + 1, j], w)
-                add(r, r, -w)
-            if i > 0:
-                w = cx[i, j] * sx
-                add(r, idx[i - 1, j], w)
-                add(r, r, -w)
-            if j + 1 < ny:
-                w = cy[i, j + 1] * sy
-                add(r, idx[i, j + 1], w)
-                add(r, r, -w)
-            if j > 0:
-                w = cy[i, j] * sy
-                add(r, idx[i, j - 1], w)
-                add(r, r, -w)
+    rows = np.concatenate([idx[:-1, :].ravel(), idx[1:, :].ravel(),
+                           idx[:, :-1].ravel(), idx[:, 1:].ravel(), idx.ravel()])
+    cols = np.concatenate([idx[1:, :].ravel(), idx[:-1, :].ravel(),
+                           idx[:, 1:].ravel(), idx[:, :-1].ravel(), idx.ravel()])
+    vals = np.concatenate([wx.ravel(), wx.ravel(), wy.ravel(), wy.ravel(), diag.ravel()])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 

@@ -31,9 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .grid import GridSpec, ScalarField, SimState, StaggeredVectorField, TensorField
+from .grid import (GridSpec, PreconditionError, ScalarField, SimState,
+                   StaggeredVectorField, TensorField)
 
 MAGIC = b"CHVE1"
+# magic, nx, ny, lx, ly, t, dt, step_index, accept_streak, energy_scale
+_HEADER = struct.Struct("<5sqqddddqqd")
 
 
 def _fmt(x: float) -> str:
@@ -87,30 +90,34 @@ def write_restart(path: str | Path, state: SimState, accept_streak: int = 0,
                   energy_scale: float = 0.0):
     g = state.phi.grid
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<qq", g.nx, g.ny))
-        fh.write(struct.pack("<dddd", g.lx, g.ly, state.t, state.dt))
-        fh.write(struct.pack("<qq", state.step_index, accept_streak))
-        fh.write(struct.pack("<d", energy_scale))
+        fh.write(_HEADER.pack(MAGIC, g.nx, g.ny, g.lx, g.ly, state.t, state.dt,
+                              state.step_index, accept_streak, energy_scale))
         for arr in (state.phi.values, state.phi_prev.values, state.mu.values,
                     state.q.values, state.F.comps, state.v.u, state.v.w):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def read_restart(path: str | Path) -> tuple[SimState, int, float]:
+    """Load a restart file; raises ValidationError on a wrong magic, a
+    truncated file or trailing bytes."""
     raw = Path(path).read_bytes()
     if raw[:5] != MAGIC:
         raise ValidationError(f"{path}: not a restart file (bad magic)")
-    off = 5
-    nx, ny = struct.unpack_from("<qq", raw, off)
-    off += 16
-    lx, ly, t, dt = struct.unpack_from("<dddd", raw, off)
-    off += 32
-    step_index, streak = struct.unpack_from("<qq", raw, off)
-    off += 16
-    (energy_scale,) = struct.unpack_from("<d", raw, off)
-    off += 8
-    g = GridSpec(nx, ny, lx, ly)
+    if len(raw) < _HEADER.size:
+        raise ValidationError(f"{path}: truncated restart header "
+                              f"({len(raw)} of {_HEADER.size} bytes)")
+    _, nx, ny, lx, ly, t, dt, step_index, streak, energy_scale = _HEADER.unpack_from(raw)
+    try:
+        g = GridSpec(nx, ny, lx, ly)
+    except PreconditionError as exc:
+        raise ValidationError(f"{path}: bad grid in restart header: {exc}") from exc
+    expected = _HEADER.size + 8 * (8 * nx * ny + (nx + 1) * ny + nx * (ny + 1))
+    if len(raw) < expected:
+        raise ValidationError(f"{path}: truncated restart file "
+                              f"({len(raw)} of {expected} bytes for {nx} x {ny})")
+    if len(raw) > expected:
+        raise ValidationError(f"{path}: trailing bytes in restart file")
+    off = _HEADER.size
 
     def take(shape):
         nonlocal off
@@ -126,8 +133,6 @@ def read_restart(path: str | Path) -> tuple[SimState, int, float]:
     F = TensorField(g, take((nx, ny, 2, 2)))
     u = take((nx + 1, ny))
     w = take((nx, ny + 1))
-    if off != len(raw):
-        raise ValidationError(f"{path}: trailing bytes in restart file")
     state = SimState(phi=phi, phi_prev=phi_prev, mu=mu, F=F,
                      v=StaggeredVectorField(g, u, w), q=q,
                      t=t, dt=dt, step_index=step_index)

@@ -1,0 +1,77 @@
+"""Fault injection: a failure inside a step becomes a rejected step, and
+a damaged restart file becomes a validation error (CLI exit 2)."""
+
+import numpy as np
+import pytest
+
+from chve import cli, constitutive
+from chve.driver import Simulation, StepRejected
+from chve.errors import ValidationError
+from chve.vtk_io import read_restart
+
+from test_driver import spinodal_config
+
+
+def _nan_corner(fn):
+    def poisoned(*args, **kwargs):
+        out = np.array(fn(*args, **kwargs), dtype=float)
+        out.flat[0] = np.nan
+        return out
+    return poisoned
+
+
+# constitutive function -> the StepRejected reason it leads to
+FAULTS = [
+    ("psi_minus_prime", "newton:"),                # inside the CH Newton step
+    ("eulerian_elastic_stress", "precondition:"),  # inside the Stokes force
+]
+
+
+@pytest.mark.parametrize("target,reason", FAULTS)
+def test_nan_inside_a_step_is_rejected(tmp_path, monkeypatch, target, reason):
+    sim = Simulation(spinodal_config(tmp_path))
+    state = sim.initial_state()
+    monkeypatch.setattr(constitutive, target, _nan_corner(getattr(constitutive, target)))
+    with pytest.raises(StepRejected) as exc:
+        sim.coupled_step(state, 1e-4)
+    assert exc.value.reason.startswith(reason)
+
+
+@pytest.mark.parametrize("target", [target for target, _ in FAULTS])
+def test_persistent_nan_ends_run_with_dt_underflow(tmp_path, monkeypatch, target):
+    cfg = spinodal_config(tmp_path, name=target)
+    sim = Simulation(cfg)
+    setup = sim.initial_state
+
+    def setup_then_poison():
+        state = setup()
+        monkeypatch.setattr(constitutive, target,
+                            _nan_corner(getattr(constitutive, target)))
+        return state
+
+    sim.initial_state = setup_then_poison
+    summary = sim.run()
+    assert summary.termination == "dt_underflow"
+    assert summary.steps == 0
+    # 2e-4 halves 21 times before it would drop below dt_min = 1e-10
+    assert summary.rejected_steps == 21
+    out = tmp_path / target
+    assert (out / "snap_00000000.vtk").exists()
+    assert read_restart(out / "restart_00000000.chv")[0].step_index == 0
+
+
+@pytest.mark.parametrize("keep", [40, -8], ids=["inside-header", "8-bytes-short"])
+def test_truncated_restart_is_a_validation_error(tmp_path, keep):
+    cfg = spinodal_config(tmp_path, name="full", t_end=0.0)
+    Simulation(cfg).run()
+    raw = (tmp_path / "full" / "restart_00000000.chv").read_bytes()
+    cut = tmp_path / "cut.chv"
+    cut.write_bytes(raw[:keep])
+    with pytest.raises(ValidationError, match="truncated"):
+        read_restart(cut)
+
+    ini = tmp_path / "resume.ini"
+    text = (tmp_path / "full" / "run_config.ini").read_text()
+    assert "restart_file = \n" in text
+    ini.write_text(text.replace("restart_file = \n", f"restart_file = {cut}\n"))
+    assert cli.main(["run", str(ini), "--output-dir", str(tmp_path / "resumed")]) == 2

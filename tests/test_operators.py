@@ -132,6 +132,35 @@ def test_laplacian_rows_sum_to_zero(grid8, rng):
     assert np.max(np.abs(np.asarray(L.sum(axis=1)))) <= 1e-13
 
 
+def _laplacian_matrix_loop(grid, coeff):
+    """Cell-by-cell reference assembly: each neighbor adds its face weight
+    off the diagonal and subtracts it on the diagonal."""
+    nx, ny = grid.nx, grid.ny
+    L = np.zeros((nx * ny, nx * ny))
+    for i in range(nx):
+        for j in range(ny):
+            r = i * ny + j
+            for di, dj, h in ((1, 0, grid.hx), (-1, 0, grid.hx),
+                              (0, 1, grid.hy), (0, -1, grid.hy)):
+                a, b = i + di, j + dj
+                if 0 <= a < nx and 0 <= b < ny:
+                    w = 0.5 * (coeff[i, j] + coeff[a, b]) * (1.0 / (h * h))
+                    L[r, a * ny + b] += w
+                    L[r, r] -= w
+    return L
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (5, 7)])
+def test_laplacian_matrix_equals_loop_assembly(rng, shape):
+    grid = GridSpec(*shape, lx=1.0, ly=1.3)
+    coeff = 1.0 + rng.random(shape)
+    # same face weights, same diagonal summation order: equal, not close
+    assert np.array_equal(ops.laplacian_matrix(grid, coeff).toarray(),
+                          _laplacian_matrix_loop(grid, coeff))
+    assert np.array_equal(ops.laplacian_matrix(grid).toarray(),
+                          _laplacian_matrix_loop(grid, np.ones(shape)))
+
+
 # ---------------------------------------------------------------------------
 # velocity gradient
 
