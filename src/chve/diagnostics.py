@@ -25,7 +25,7 @@ import numpy as np
 from . import constitutive as law
 from .grid import (ModelParams, ScalarField, SimState, StaggeredVectorField,
                    TensorField)
-from .operators import face_average, grad_cc
+from .operators import face_average, grad_cc, node_shear_gradients
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,7 @@ def dissipation(v: StaggeredVectorField, mu: ScalarField, phi: ScalarField,
     a = g.cell_area
 
     # nu |grad v|^2 with the no-slip ghost convention of the Stokes block
-    du = np.zeros((g.nx + 1, g.ny + 1))
-    du[:, 1:-1] = (v.u[:, 1:] - v.u[:, :-1]) / g.hy
-    du[:, 0] = 2.0 * v.u[:, 0] / g.hy
-    du[:, -1] = -2.0 * v.u[:, -1] / g.hy
-    dw = np.zeros((g.nx + 1, g.ny + 1))
-    dw[1:-1, :] = (v.w[1:, :] - v.w[:-1, :]) / g.hx
-    dw[0, :] = 2.0 * v.w[0, :] / g.hx
-    dw[-1, :] = -2.0 * v.w[-1, :] / g.hx
+    du, dw = node_shear_gradients(v)
     # wall entries carry weight 1/2 so the sum reproduces <-Lap_h v, v>
     # (the exact quadratic form of the velocity block) to rounding
     visc = (float(np.sum(((v.u[1:, :] - v.u[:-1, :]) / g.hx) ** 2))

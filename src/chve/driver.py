@@ -29,7 +29,8 @@ import numpy as np
 
 from .cahn_hilliard import CHSystem, static_chemical_potential
 from .config import ConfigSpec, TimeConfig, dump_config
-from .diagnostics import (DiagnosticsRow, dissipation, total_energy, total_mass)
+from .diagnostics import (DiagnosticsRow, EnergyBreakdown, dissipation,
+                          total_energy, total_mass)
 from .errors import NewtonError, RunError, SolverError
 from .grid import PreconditionError, ScalarField, SimState, TensorField
 from .stokes import StokesSolver, assemble_force, div_residual
@@ -234,10 +235,12 @@ class Simulation:
         (outdir / "run_config.ini").write_text(dump_config(cfg), encoding="utf-8")
         csv_path = outdir / "diagnostics.csv"
         fresh = state.step_index == 0
-        csv = open(csv_path, "w" if fresh else "a", encoding="utf-8", newline="\n")
+        kept = [] if fresh else _csv_rows_through(csv_path, state.step_index)
+        csv = open(csv_path, "w", encoding="utf-8", newline="\n")
         try:
+            csv.write(DiagnosticsRow.CSV_HEADER + "\n")
+            csv.writelines(kept)
             if fresh:
-                csv.write(DiagnosticsRow.CSV_HEADER + "\n")
                 write_vtk(outdir / f"snap_{state.step_index:08d}.vtk", state)
                 write_restart(outdir / f"restart_{state.step_index:08d}.chv",
                               state.advanced(dt=dt), streak, e_scale)
@@ -261,7 +264,8 @@ class Simulation:
                         break
                     continue
 
-                e_new = total_energy(cand.phi, cand.F, self.params).total
+                eb_new = total_energy(cand.phi, cand.F, self.params)
+                e_new = eb_new.total
                 if (cfg.time.reject_on_energy
                         and e_new > e_prev + cfg.time.energy_increase_tol * e_scale):
                     rejected += 1
@@ -274,7 +278,7 @@ class Simulation:
 
                 row = self._diagnostics_row(state, cand, step_dt,
                                             stats.picard_iters,
-                                            stats.newton_iters, e_new)
+                                            stats.newton_iters, e_prev, eb_new)
                 state = cand
                 e_prev = e_new
                 accepted += 1
@@ -289,6 +293,7 @@ class Simulation:
                 if accepted % cfg.output.diagnostics_every == 0:
                     csv.write(row.csv_line() + "\n")
                 if cfg.output.snapshot_every and accepted % cfg.output.snapshot_every == 0:
+                    csv.flush()  # rows up to a restart reach the file before it
                     write_vtk(outdir / f"snap_{state.step_index:08d}.vtk", state)
                     write_restart(outdir / f"restart_{state.step_index:08d}.chv",
                                   state.advanced(dt=dt), streak, e_scale)
@@ -301,7 +306,7 @@ class Simulation:
         summary = RunSummary(
             steps=accepted, rejected_steps=rejected,
             wall_time=_time.perf_counter() - t0,
-            final_energy=total_energy(state.phi, state.F, self.params).total,
+            final_energy=e_prev,
             final_mass=total_mass(state.phi),
             termination=termination,
         )
@@ -311,15 +316,14 @@ class Simulation:
 
     def _diagnostics_row(self, state_n: SimState, state_np1: SimState, dt: float,
                          picard_iters: int, newton_iters: int,
-                         e_new: float) -> DiagnosticsRow:
-        p = self.params
-        eb = total_energy(state_np1.phi, state_np1.F, p)
+                         e_old: float, eb: EnergyBreakdown) -> DiagnosticsRow:
+        """Row for an accepted step; e_old and eb are the energies of
+        state_n and state_np1, already computed by the run loop."""
         dphi_dt = ScalarField(self.grid,
                               (state_np1.phi.values - state_n.phi.values) / dt)
         dnew = dissipation(state_np1.v, state_np1.mu, state_np1.phi,
-                           state_np1.F, dphi_dt, p)
-        e_old = total_energy(state_n.phi, state_n.F, p).total
-        budget = (e_new - e_old) / dt + dnew
+                           state_np1.F, dphi_dt, self.params)
+        budget = (eb.total - e_old) / dt + dnew
         return DiagnosticsRow(
             step=state_np1.step_index, t=state_np1.t, dt=dt,
             E_total=eb.total, E_elastic=eb.elastic, E_interface=eb.interface,
@@ -328,6 +332,20 @@ class Simulation:
             picard_iters=picard_iters, newton_iters=newton_iters,
             budget_residual=budget,
         )
+
+
+def _csv_rows_through(path: Path, step: int) -> list[str]:
+    """Complete data rows of an existing diagnostics CSV with step <= step.
+    A run resumed from the restart at `step` rewrites the file with these,
+    so no step appears twice."""
+    if not path.exists():
+        return []
+    kept = []
+    for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+        head = line.split(",", 1)[0]
+        if line.endswith("\n") and head.isdigit() and int(head) <= step:
+            kept.append(line)
+    return kept
 
 
 def run_simulation(cfg: ConfigSpec) -> RunSummary:

@@ -195,6 +195,21 @@ def laplacian_matrix(grid: GridSpec, coeff: np.ndarray | None = None) -> sp.csr_
 # velocity gradient at cell centers
 
 
+def node_shear_gradients(v: StaggeredVectorField) -> tuple[np.ndarray, np.ndarray]:
+    """du/dy and dw/dx at the (nx+1, ny+1) nodes; at walls the reflected
+    ghost (ghost value = -v) enforces v = 0, giving 2 v / h there."""
+    g = v.grid
+    dudy = np.zeros((g.nx + 1, g.ny + 1))
+    dudy[:, 1:-1] = (v.u[:, 1:] - v.u[:, :-1]) / g.hy
+    dudy[:, 0] = 2.0 * v.u[:, 0] / g.hy
+    dudy[:, -1] = -2.0 * v.u[:, -1] / g.hy
+    dwdx = np.zeros((g.nx + 1, g.ny + 1))
+    dwdx[1:-1, :] = (v.w[1:, :] - v.w[:-1, :]) / g.hx
+    dwdx[0, :] = 2.0 * v.w[0, :] / g.hx
+    dwdx[-1, :] = -2.0 * v.w[-1, :] / g.hx
+    return dudy, dwdx
+
+
 def velocity_gradient(v: StaggeredVectorField) -> TensorField:
     """All four components of grad v interpolated to cell centers.
 
@@ -208,17 +223,8 @@ def velocity_gradient(v: StaggeredVectorField) -> TensorField:
     dudx = (v.u[1:, :] - v.u[:-1, :]) / hx
     dwdy = (v.w[:, 1:] - v.w[:, :-1]) / hy
 
-    # du/dy at nodes (nx+1, ny+1); ghost u = -u across walls
-    dudy_n = np.zeros((nx + 1, ny + 1))
-    dudy_n[:, 1:-1] = (v.u[:, 1:] - v.u[:, :-1]) / hy
-    dudy_n[:, 0] = 2.0 * v.u[:, 0] / hy
-    dudy_n[:, -1] = -2.0 * v.u[:, -1] / hy
+    dudy_n, dwdx_n = node_shear_gradients(v)
     dudy = 0.25 * (dudy_n[:-1, :-1] + dudy_n[1:, :-1] + dudy_n[:-1, 1:] + dudy_n[1:, 1:])
-
-    dwdx_n = np.zeros((nx + 1, ny + 1))
-    dwdx_n[1:-1, :] = (v.w[1:, :] - v.w[:-1, :]) / hx
-    dwdx_n[0, :] = 2.0 * v.w[0, :] / hx
-    dwdx_n[-1, :] = -2.0 * v.w[-1, :] / hx
     dwdx = 0.25 * (dwdx_n[:-1, :-1] + dwdx_n[1:, :-1] + dwdx_n[:-1, 1:] + dwdx_n[1:, 1:])
 
     c = np.empty((nx, ny, 2, 2))

@@ -12,10 +12,13 @@ Discretely the saddle system couples the SPD velocity Laplacian block (MAC
 no-slip: Dirichlet on boundary-normal faces, reflected ghosts for the
 tangential component) with gradient/divergence blocks that are exact
 negative transposes of each other, so the full matrix is symmetric
-indefinite.  The pressure null space is removed by a mean-zero constraint
-row, which keeps the system symmetric at every grid size.  A sparse direct
-factorization (cached per (grid, nu)) is the default path; a MINRES
-conjugate-direction path is available for larger grids.
+indefinite.  The pressure null space (constants) is removed by pinning the
+pressure unknown of cell (0, 0) to zero, i.e. deleting its column of the
+gradient block and the matching divergence row; the matrix stays symmetric
+and keeps the sparsity of the stencils.  The deleted row is implied by the
+others, because with no-slip walls the cell divergences sum to zero.  The
+solution's pressure is then shifted to zero mean.  One sparse LU
+factorization per (grid, nu) serves every solve.
 
 No Galilean-invariance check is meaningful here: the no-slip box pins the
 velocity frame, so a uniform velocity shift is not an admissible state.
@@ -55,16 +58,17 @@ def _tridiag(n: int, h: float, wall_ghost: bool) -> sp.csr_matrix:
 
 
 class StokesSolver:
-    """Factorized MAC saddle-point solver for one (grid, nu) pair."""
+    """Factorized MAC saddle-point solver for one (grid, nu) pair.
 
-    def __init__(self, grid: GridSpec, nu: float, method: str = "direct"):
+    ``matrix`` is the symmetric system [[A, G_1], [G_1^T, 0]] where ``A`` is
+    the velocity block, ``G`` the full pressure gradient and G_1 = G without
+    the column of the pinned cell (0, 0)."""
+
+    def __init__(self, grid: GridSpec, nu: float):
         if nu <= 0.0:
             raise PreconditionError("nu must be > 0")
-        if method not in ("direct", "minres"):
-            raise PreconditionError("method must be 'direct' or 'minres'")
         self.grid = grid
         self.nu = nu
-        self.method = method
         nx, ny = grid.nx, grid.ny
         self.n_u = (nx - 1) * ny
         self.n_w = nx * (ny - 1)
@@ -104,25 +108,12 @@ class StokesSolver:
             shape=(self.n_w, self.n_p))
 
         G = sp.vstack([Gx, Gy], format="csr")
-        e = sp.csr_matrix(np.ones((self.n_p, 1)))
-        n_v = self.n_u + self.n_w
-        M = sp.bmat([
-            [A, G, None],
-            [G.T, None, e],
-            [None, e.T, None],
-        ], format="csc")
+        G1 = G[:, 1:]  # pin the pressure of cell (0, 0)
+        M = sp.bmat([[A, G1], [G1.T, None]], format="csc")
 
         self.A = A
         self.G = G
         self.matrix = M
-
-    @property
-    def velocity_block(self) -> sp.csr_matrix:
-        return self.A
-
-    @property
-    def gradient_block(self) -> sp.csr_matrix:
-        return self.G
 
     def _factorize(self):
         if self._lu is None:
@@ -137,7 +128,7 @@ class StokesSolver:
     def _pack_force(self, force: StaggeredVectorField) -> np.ndarray:
         fu = force.u[1:-1, :].ravel()
         fw = force.w[:, 1:-1].ravel()
-        return np.concatenate([fu, fw, np.zeros(self.n_p + 1)])
+        return np.concatenate([fu, fw, np.zeros(self.n_p - 1)])
 
     def _unpack(self, x: np.ndarray):
         g = self.grid
@@ -146,52 +137,33 @@ class StokesSolver:
         w = np.zeros((nx, ny + 1))
         u[1:-1, :] = x[:self.n_u].reshape(nx - 1, ny)
         w[:, 1:-1] = x[self.n_u:self.n_u + self.n_w].reshape(nx, ny - 1)
-        p = x[self.n_u + self.n_w:self.n_u + self.n_w + self.n_p].reshape(nx, ny)
+        p = np.concatenate([[0.0], x[self.n_u + self.n_w:]]).reshape(nx, ny)
         p = p - p.mean()
         return StaggeredVectorField(g, u, w), ScalarField(g, p)
 
     # -- solve ------------------------------------------------------------
 
-    def solve(self, force: StaggeredVectorField, tol: float = TOL_LIN):
+    def solve(self, force: StaggeredVectorField):
         """Solve for (v, q); v has exactly zero boundary faces and q exactly
-        zero mean.  Raises SolverError if the residual exceeds tol."""
+        zero mean.  Raises SolverError if the residual exceeds TOL_LIN."""
         b = self._pack_force(force)
-        if self.method == "direct":
-            lu = self._factorize()
-            x = lu.solve(b)
-            r = b - self.matrix @ x
-            bn = float(np.linalg.norm(b))
-            if float(np.linalg.norm(r)) > 0.01 * tol * bn:
-                x += lu.solve(r)  # one refinement pass
-        else:
-            x, info = spla.minres(self.matrix, b, rtol=max(tol * 1e-2, 1e-13),
-                                  maxiter=200 * self.matrix.shape[0])
-            if info != 0:
-                r = float(np.linalg.norm(b - self.matrix @ x))
-                raise SolverError(f"minres did not converge (info={info}, residual={r:.3e})")
-
+        lu = self._factorize()
+        x = lu.solve(b)
+        r = b - self.matrix @ x
         fscale = float(np.linalg.norm(b))
+        if float(np.linalg.norm(r)) > 0.01 * TOL_LIN * fscale:
+            x += lu.solve(r)  # one refinement pass
+
         res = float(np.linalg.norm(b - self.matrix @ x))
-        if fscale > 0.0 and res > tol * fscale:
-            raise SolverError(f"stokes residual {res:.3e} > {tol:.1e} * |f| = {tol * fscale:.3e}")
+        if fscale > 0.0 and res > TOL_LIN * fscale:
+            raise SolverError(f"stokes residual {res:.3e} > {TOL_LIN:.1e} * |f| "
+                              f"= {TOL_LIN * fscale:.3e}")
         v, q = self._unpack(x)
         vscale = max(v.max_abs(), 1.0)
         dres = float(np.max(np.abs(div_fc(v).values)))
-        if dres > tol * vscale / min(self.grid.hx, self.grid.hy):
+        if dres > TOL_LIN * vscale / min(self.grid.hx, self.grid.hy):
             raise SolverError(f"continuity residual {dres:.3e} out of tolerance")
         return v, q
-
-
-_SOLVER_CACHE: dict[tuple, StokesSolver] = {}
-
-
-def get_solver(grid: GridSpec, nu: float, method: str = "direct") -> StokesSolver:
-    key = (grid.nx, grid.ny, grid.lx, grid.ly, nu, method)
-    if key not in _SOLVER_CACHE:
-        if len(_SOLVER_CACHE) > 8:
-            _SOLVER_CACHE.clear()
-        _SOLVER_CACHE[key] = StokesSolver(grid, nu, method)
-    return _SOLVER_CACHE[key]
 
 
 def elastic_force(phi: ScalarField, F: TensorField, params: ModelParams) -> StaggeredVectorField:
@@ -238,13 +210,6 @@ def assemble_force(phi: ScalarField, mu: ScalarField, F: TensorField,
     fw[:, 0] = 0.0
     fw[:, -1] = 0.0
     return StaggeredVectorField(g, fu, fw)
-
-
-def solve_stokes(force: StaggeredVectorField, params: ModelParams,
-                 method: str = "direct", tol: float = TOL_LIN):
-    """Convenience wrapper using the per-(grid, nu) solver cache."""
-    solver = get_solver(force.grid, params.nu, method)
-    return solver.solve(force, tol=tol)
 
 
 def div_residual(v: StaggeredVectorField) -> float:

@@ -25,6 +25,7 @@ adaptation), so resuming reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -88,13 +89,23 @@ def write_vtk(path: str | Path, state: SimState):
 
 def write_restart(path: str | Path, state: SimState, accept_streak: int = 0,
                   energy_scale: float = 0.0):
+    """Write the restart file atomically: the bytes go to a temporary file in
+    the same directory, which then replaces ``path``, so a crash mid-write
+    leaves any previous file at ``path`` intact."""
+    path = Path(path)
     g = state.phi.grid
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, g.nx, g.ny, g.lx, g.ly, state.t, state.dt,
-                              state.step_index, accept_streak, energy_scale))
-        for arr in (state.phi.values, state.phi_prev.values, state.mu.values,
-                    state.q.values, state.F.comps, state.v.u, state.v.w):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, g.nx, g.ny, g.lx, g.ly, state.t, state.dt,
+                                  state.step_index, accept_streak, energy_scale))
+            for arr in (state.phi.values, state.phi_prev.values, state.mu.values,
+                        state.q.values, state.F.comps, state.v.u, state.v.w):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_restart(path: str | Path) -> tuple[SimState, int, float]:

@@ -167,6 +167,56 @@ def test_restart_reproduces_uninterrupted_run(tmp_path):
     assert np.array_equal(state_full.F.comps, state_resume.F.comps)
 
 
+def test_resume_into_own_directory_rewrites_csv_rows(tmp_path):
+    kw = dict(adaptive="true", dt_max="4e-4", t_end=1.0, snapshot_every=6)
+    simulate(spinodal_config(tmp_path, name="full", max_steps=12, **kw))
+    expected = (tmp_path / "full" / "diagnostics.csv").read_bytes()
+
+    simulate(spinodal_config(tmp_path, name="run", max_steps=12, **kw))
+    cfg = spinodal_config(tmp_path, name="run", max_steps=6, **kw)
+    from dataclasses import replace
+    restart = tmp_path / "run" / "restart_00000006.chv"
+    cfg = replace(cfg, initial=replace(cfg.initial, restart_file=str(restart)))
+    simulate(cfg)
+    assert (tmp_path / "run" / "diagnostics.csv").read_bytes() == expected
+
+
+def test_total_energy_evaluated_once_per_accepted_step(tmp_path, monkeypatch):
+    from chve import driver
+    calls = []
+    real = driver.total_energy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "total_energy", counted)
+    cfg = spinodal_config(tmp_path, max_steps=10, t_end=1.0)
+    summary, rows, state = simulate(cfg)
+    assert summary.steps == len(rows) == 10 and summary.rejected_steps == 0
+    assert len(calls) <= summary.steps + 1
+    assert summary.final_energy == real(state.phi, state.F, cfg.params).total
+
+
+def test_budget_residual_equals_reference_formula(tmp_path, monkeypatch):
+    from chve.diagnostics import energy_budget_residual
+    cfg = spinodal_config(tmp_path, max_steps=6, t_end=1.0, adaptive="true",
+                          dt_max="4e-4")
+    seen = []
+    real = Simulation._diagnostics_row
+
+    def spy(self, state_n, state_np1, dt, *rest):
+        row = real(self, state_n, state_np1, dt, *rest)
+        seen.append((row, energy_budget_residual(state_n, state_np1, dt, cfg.params)))
+        return row
+
+    monkeypatch.setattr(Simulation, "_diagnostics_row", spy)
+    _, rows, _ = simulate(cfg)
+    assert len(seen) == len(rows) == 6
+    for row, ref in seen:
+        assert row.budget_residual == ref
+
+
 def test_restart_file_roundtrip_lossless(tmp_path):
     cfg = spinodal_config(tmp_path, name="rt", max_steps=3, t_end=1.0)
     _, _, state = simulate(cfg)

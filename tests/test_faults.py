@@ -1,13 +1,14 @@
-"""Fault injection: a failure inside a step becomes a rejected step, and
-a damaged restart file becomes a validation error (CLI exit 2)."""
+"""Fault injection: a failure inside a step becomes a rejected step, a
+damaged restart file becomes a validation error (CLI exit 2), and a crash
+while writing a restart leaves the previous one intact."""
 
 import numpy as np
 import pytest
 
-from chve import cli, constitutive
+from chve import cli, constitutive, vtk_io
 from chve.driver import Simulation, StepRejected
 from chve.errors import ValidationError
-from chve.vtk_io import read_restart
+from chve.vtk_io import read_restart, write_restart
 
 from test_driver import spinodal_config
 
@@ -75,3 +76,30 @@ def test_truncated_restart_is_a_validation_error(tmp_path, keep):
     assert "restart_file = \n" in text
     ini.write_text(text.replace("restart_file = \n", f"restart_file = {cut}\n"))
     assert cli.main(["run", str(ini), "--output-dir", str(tmp_path / "resumed")]) == 2
+
+
+def test_crash_mid_restart_write_keeps_previous_file(tmp_path, monkeypatch):
+    sim = Simulation(spinodal_config(tmp_path))
+    state = sim.initial_state()
+    path = tmp_path / "restart.chv"
+    write_restart(path, state, accept_streak=2, energy_scale=1.5)
+    before = path.read_bytes()
+
+    real = np.ascontiguousarray
+    calls = []
+
+    def fail_on_fourth_array(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 4:  # header and three arrays are already written
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(vtk_io.np, "ascontiguousarray", fail_on_fourth_array)
+        with pytest.raises(OSError, match="disk full"):
+            write_restart(path, state.advanced(t=1.0), accept_streak=3)
+    assert len(calls) == 4
+    assert path.read_bytes() == before
+    loaded, streak, e_scale = read_restart(path)
+    assert (streak, e_scale, loaded.t) == (2, 1.5, state.t)
+    assert [p.name for p in tmp_path.iterdir()] == ["restart.chv"]
