@@ -33,7 +33,8 @@ from . import constitutive as law
 from .errors import NewtonError
 from .grid import (ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField, frobenius)
-from .operators import advect_scalar, laplacian_matrix, laplacian_neumann
+from .operators import (advect_scalar, laplacian_eigenvalues, laplacian_matrix,
+                        laplacian_neumann)
 
 TOL_NEWTON = 1e-11
 MAX_NEWTON = 50
@@ -97,10 +98,7 @@ class CHSystem:
         self.params = params
         self.L = laplacian_matrix(grid)          # zero-flux Laplacian
         self.n = grid.nx * grid.ny
-        # eigenvalues of L on the DCT-II basis, one term per axis
-        lx = -4.0 / grid.hx ** 2 * np.sin(0.5 * np.pi * np.arange(grid.nx) / grid.nx) ** 2
-        ly = -4.0 / grid.hy ** 2 * np.sin(0.5 * np.pi * np.arange(grid.ny) / grid.ny) ** 2
-        self._eig = lx[:, None] + ly[None, :]
+        self._eig = laplacian_eigenvalues(grid)  # L on the DCT-II basis
 
     def _preconditioner(self, dt: float, b_mean: float, d_mean: float) -> spla.LinearOperator:
         """Exact inverse of I + dt b_mean L (eps L - d_mean) on mean-zero

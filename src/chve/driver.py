@@ -33,7 +33,8 @@ from .diagnostics import (DiagnosticsRow, EnergyBreakdown, dissipation,
                           total_energy, total_mass)
 from .errors import NewtonError, RunError, SolverError
 from .grid import PreconditionError, ScalarField, SimState, TensorField
-from .stokes import StokesSolver, assemble_force, div_residual
+from .operators import solenoidal_residual
+from .stokes import StokesSolver, assemble_force
 from .transport import TransportSystem
 from .vtk_io import read_restart, write_restart, write_vtk
 
@@ -328,7 +329,7 @@ class Simulation:
             step=state_np1.step_index, t=state_np1.t, dt=dt,
             E_total=eb.total, E_elastic=eb.elastic, E_interface=eb.interface,
             E_bulk=eb.bulk, dissipation=dnew, mass=total_mass(state_np1.phi),
-            div_v_max=div_residual(state_np1.v),
+            div_v_max=solenoidal_residual(state_np1.v)[0],
             picard_iters=picard_iters, newton_iters=newton_iters,
             budget_residual=budget,
         )

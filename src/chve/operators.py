@@ -20,14 +20,13 @@ Boundary conditions baked in:
   upwind-biased face reconstruction, falling back to plain upwind on faces
   that lack the second upwind neighbor.
 
-Sparse assemblies (:func:`gradient_matrices`, :func:`laplacian_matrix`) mirror
-the matrix-free kernels one for one; ``OperatorMatrix`` tags the layouts.
+:func:`laplacian_matrix` assembles the zero-flux Laplacian that
+:func:`laplacian_neumann` applies matrix-free, and
+:func:`laplacian_eigenvalues` gives its eigenvalues on the DCT-II basis.
 Scalars are flattened C-order, index ``i * ny + j``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,19 +36,6 @@ from .grid import GridSpec, PreconditionError, ScalarField, StaggeredVectorField
 # Scale hook for the mutation spot-check in the test suite: the dense oracle
 # comparison must fail when this is perturbed away from 1.
 _STENCIL_SCALE = 1.0
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Sparse operator between field layouts, with layout tags.
-
-    Layout tags: ``cc`` cell-center scalar, ``fcx``/``fcy`` x/y faces,
-    ``fc`` both face sets stacked (u then w).
-    """
-
-    matrix: sp.spmatrix
-    row_layout: str
-    col_layout: str
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +58,18 @@ def div_fc(v: StaggeredVectorField) -> ScalarField:
     g = v.grid
     d = (v.u[1:, :] - v.u[:-1, :]) / g.hx + (v.w[:, 1:] - v.w[:, :-1]) / g.hy
     return ScalarField(g, d)
+
+
+# A velocity counts as solenoidal when max|div v| <= DIV_RTOL max(|v|, 1) / min(h):
+# the accuracy of a direct saddle solve, scaled like the divergence stencil.
+DIV_RTOL = 1e-10
+
+
+def solenoidal_residual(v: StaggeredVectorField) -> tuple[float, float]:
+    """(max |div v|, the largest value that still counts as solenoidal)."""
+    g = v.grid
+    return (float(np.max(np.abs(div_fc(v).values))),
+            DIV_RTOL * max(v.max_abs(), 1.0) / min(g.hx, g.hy))
 
 
 def face_average(phi: ScalarField):
@@ -107,55 +105,6 @@ def laplacian_neumann(phi: ScalarField, coeff: ScalarField | None = None) -> Sca
     return div_fc(flux)
 
 
-def gradient_matrices(grid: GridSpec) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """Sparse (Gx, Gy, D): cell->xfaces, cell->yfaces, faces->cells.
-
-    D acts on the stacked face vector [u.ravel(), w.ravel()] and equals
-    -[Gx; Gy]^T up to the uniform area weight, which the adjointness test
-    checks directly.
-    """
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    ncell = nx * ny
-    nu, nw = (nx + 1) * ny, nx * (ny + 1)
-
-    def cid(i, j):
-        return i * ny + j
-
-    rows, cols, vals = [], [], []
-    for i in range(1, nx):
-        for j in range(ny):
-            r = i * ny + j
-            rows += [r, r]
-            cols += [cid(i, j), cid(i - 1, j)]
-            vals += [_STENCIL_SCALE / hx, -_STENCIL_SCALE / hx]
-    Gx = sp.csr_matrix((vals, (rows, cols)), shape=(nu, ncell))
-
-    rows, cols, vals = [], [], []
-    for i in range(nx):
-        for j in range(1, ny):
-            r = i * (ny + 1) + j
-            rows += [r, r]
-            cols += [cid(i, j), cid(i, j - 1)]
-            vals += [_STENCIL_SCALE / hy, -_STENCIL_SCALE / hy]
-    Gy = sp.csr_matrix((vals, (rows, cols)), shape=(nw, ncell))
-
-    rows, cols, vals = [], [], []
-    for i in range(nx):
-        for j in range(ny):
-            r = cid(i, j)
-            rows += [r, r]
-            cols += [(i + 1) * ny + j, i * ny + j]
-            vals += [1.0 / hx, -1.0 / hx]
-            rows += [r, r]
-            cols += [nu + i * (ny + 1) + j + 1, nu + i * (ny + 1) + j]
-            vals += [1.0 / hy, -1.0 / hy]
-    D = sp.csr_matrix((vals, (rows, cols)), shape=(ncell, nu + nw))
-
-    return (OperatorMatrix(Gx, "fcx", "cc"),
-            OperatorMatrix(Gy, "fcy", "cc"),
-            OperatorMatrix(D, "cc", "fc"))
-
-
 def laplacian_matrix(grid: GridSpec, coeff: np.ndarray | None = None) -> sp.csr_matrix:
     """Assembled zero-flux Laplacian div(coeff grad .), rows summing to 0.
 
@@ -189,6 +138,15 @@ def laplacian_matrix(grid: GridSpec, coeff: np.ndarray | None = None) -> sp.csr_
                            idx[:, 1:].ravel(), idx[:, :-1].ravel(), idx.ravel()])
     vals = np.concatenate([wx.ravel(), wx.ravel(), wy.ravel(), wy.ravel(), diag.ravel()])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
+    """Eigenvalues of :func:`laplacian_matrix` (no coefficient) on the
+    DCT-II basis, shape (nx, ny): the 2-D cosine mode (k, l) has
+    -4/hx^2 sin^2(pi k / 2nx) - 4/hy^2 sin^2(pi l / 2ny)."""
+    lx = -4.0 / grid.hx ** 2 * np.sin(0.5 * np.pi * np.arange(grid.nx) / grid.nx) ** 2
+    ly = -4.0 / grid.hy ** 2 * np.sin(0.5 * np.pi * np.arange(grid.ny) / grid.ny) ** 2
+    return lx[:, None] + ly[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +195,6 @@ def velocity_gradient(v: StaggeredVectorField) -> TensorField:
 
 # ---------------------------------------------------------------------------
 # conservative upwind-biased advection
-
-_DIV_TOL = 1e-8
 
 
 def _face_reconstruct(q, vel, axis):
@@ -292,9 +248,9 @@ def _advect_stack(v: StaggeredVectorField, q: np.ndarray) -> np.ndarray:
 
 
 def _require_solenoidal(v: StaggeredVectorField):
-    r = float(np.max(np.abs(div_fc(v).values)))
-    if r > _DIV_TOL:
-        raise PreconditionError(f"advecting velocity has div residual {r:.3e} > {_DIV_TOL}")
+    r, bound = solenoidal_residual(v)
+    if not r <= bound:
+        raise PreconditionError(f"advecting velocity has div residual {r:.3e} > {bound:.3e}")
 
 
 def advect_scalar(v: StaggeredVectorField, phi: ScalarField) -> ScalarField:

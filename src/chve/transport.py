@@ -7,111 +7,103 @@ semi-implicit: advection and the stretching term (grad v) F are explicit
 (they carry no stiffness at quasi-static velocities), the lam-diffusion
 acts implicitly on G, which is the combination the energy estimate
 controls.  With phi frozen at the old time level the four tensor
-components decouple and share a single factorization
+components decouple:
 
     (I/dt - lam * L M_f) F_new = F_old/dt - advect + stretch,
 
-where L is the zero-flux Laplacian and M_f multiplies by f(phi) cellwise;
-the operator is nonsingular for dt > 0, lam >= 0, f >= f_min > 0.
+where L is the zero-flux Laplacian and M_f multiplies by f(phi) cellwise.
+In the unknown G = M_f F_new the operator D/dt - lam L, D = 1/f(phi), is
+symmetric positive definite for dt > 0, lam >= 0, f >= f_min > 0, so each
+component is solved matrix-free by preconditioned CG and F_new = G / f.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dctn, idctn
 
 from . import constitutive as law
 from .errors import SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
-from .operators import (advect_tensor, laplacian_matrix, laplacian_neumann,
+from .operators import (advect_tensor, laplacian_eigenvalues, laplacian_matrix,
                         velocity_gradient)
 
 TOL_LIN = 1e-10
+# CG on each tensor component; the residual test against TOL_LIN decides.
+CG_RTOL = 1e-12
+CG_MAXITER = 500
 
 
 class TransportSystem:
-    """Per-(grid, params) transport stepper with factorization reuse.
+    """Per-(grid, params) transport stepper.
 
-    The implicit matrix depends on (dt, lam, f(phi^n)); the factorization is
-    cached on a digest of those so Picard sweeps within one step (frozen
-    phi^n, same dt) reuse it.
+    The CG preconditioner is S (c/dt - lam L) S with c = mean(D) and
+    S = (D/c)^(1/2), inverted by one DCT-II pair.  It is exact for uniform
+    f and tends to the diagonal D/dt as lam dt / h^2 -> 0.  Nothing is
+    cached between calls apart from the grid's Laplacian and its DCT
+    eigenvalues.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams):
         self.grid = grid
         self.params = params
         self._L = laplacian_matrix(grid)
-        self._eye = sp.eye(grid.nx * grid.ny, format="csr")
-        self._key = None
-        self._lu = None
-
-    def _factor(self, phi_n: ScalarField, dt: float):
-        fvals = law.stiffness_f(phi_n.values, self.params)
-        digest = hashlib.blake2b(fvals.tobytes(), digest_size=16).hexdigest()
-        key = (dt, self.params.lam, digest)
-        if key != self._key:
-            M = self._eye / dt - self.params.lam * (self._L @ sp.diags(fvals.ravel()))
-            self._lu = spla.splu(M.tocsc())
-            self._key = key
-        return self._lu
+        self._eig = laplacian_eigenvalues(grid)
 
     def step(self, F_n: TensorField, v: StaggeredVectorField, phi_n: ScalarField,
              dt: float, grad_v: TensorField | None = None) -> TensorField:
-        """Advance F one step; see :func:`step_deformation`."""
+        """Advance the deformation gradient one time step.
+
+        Solves, per tensor component,
+
+            (F_new - F_n)/dt + advect(v, F_n) - (grad v) F_n
+                - lam * Lap( f(phi_n) F_new ) = 0
+
+        with zero-flux boundary imposed on f(phi_n) F_new.  ``grad_v``
+        overrides the discrete velocity gradient (testing hook for
+        prescribed gradients).  Raises SolverError if the residual in F
+        exceeds TOL_LIN relative to the right-hand side or is not finite.
+        """
         if dt <= 0.0:
             raise PreconditionError("dt must be > 0")
         g = self.grid
+        lam = self.params.lam
         if grad_v is None:
             grad_v = velocity_gradient(v)
         adv = advect_tensor(v, F_n)
         stretch = np.einsum("xyik,xykj->xyij", grad_v.comps, F_n.comps)
         rhs = F_n.comps / dt - adv.comps + stretch
 
-        if self.params.lam == 0.0:
+        if lam == 0.0:
             return TensorField(g, dt * rhs)
 
-        lu = self._factor(phi_n, dt)
         d = F_n.d
         n = g.nx * g.ny
-        fvals = law.stiffness_f(phi_n.values, self.params)
+        shape = (g.nx, g.ny)
+        f = law.stiffness_f(phi_n.values, self.params).ravel()
+        D = 1.0 / f
+        c = float(np.mean(D))
+        s_inv = np.sqrt(c / D)
+        inv = 1.0 / (c / dt - lam * self._eig)
+
+        def precondition(r):
+            rh = dctn((s_inv * r).reshape(shape), type=2, norm="ortho")
+            return s_inv * idctn(rh * inv, type=2, norm="ortho").ravel()
+
+        A = spla.LinearOperator((n, n), dtype=float,
+                                matvec=lambda x: D * x / dt - lam * (self._L @ x))
+        M = spla.LinearOperator((n, n), dtype=float, matvec=precondition)
         b = rhs.reshape(n, d * d)
+        G = np.empty_like(b)
+        for k in range(d * d):
+            G[:, k], _ = spla.cg(A, b[:, k], x0=f * dt * b[:, k], rtol=CG_RTOL,
+                                 atol=0.0, maxiter=CG_MAXITER, M=M)
 
-        def residual(x):
-            lap = np.stack(
-                [laplacian_neumann(ScalarField(g, fvals * x[:, k].reshape(g.nx, g.ny))
-                                   ).values.ravel() for k in range(d * d)], axis=1)
-            return b - (x / dt - self.params.lam * lap)
-
-        x = lu.solve(b)
-        r = residual(x)
-        nrm = max(float(np.linalg.norm(b)), 1e-300)
-        if float(np.linalg.norm(r)) > 0.01 * TOL_LIN * nrm:
-            x = x + lu.solve(r)  # one refinement pass
-            r = residual(x)
-            if float(np.linalg.norm(r)) > TOL_LIN * nrm:
-                raise SolverError("transport linear solve residual out of tolerance")
+        x = G / f[:, None]
+        res = float(np.linalg.norm(b - (x / dt - lam * (self._L @ (f[:, None] * x)))))
+        bound = TOL_LIN * float(np.linalg.norm(b))
+        if not res <= bound:
+            raise SolverError(f"transport residual {res:.3e} > {bound:.3e}")
         return TensorField(g, x.reshape(g.nx, g.ny, d, d))
-
-
-def step_deformation(F_n: TensorField, v: StaggeredVectorField, phi_n: ScalarField,
-                     dt: float, params: ModelParams,
-                     grad_v: TensorField | None = None,
-                     system: TransportSystem | None = None) -> TensorField:
-    """Advance the deformation gradient one time step.
-
-    Solves, per tensor component,
-
-        (F_new - F_n)/dt + advect(v, F_n) - (grad v) F_n
-            - lam * Lap( f(phi_n) F_new ) = 0
-
-    with zero-flux boundary imposed on f(phi_n) F_new.  ``grad_v`` overrides
-    the discrete velocity gradient (testing hook for prescribed gradients);
-    ``system`` supplies a factorization cache for repeated calls.
-    """
-    if system is None:
-        system = TransportSystem(F_n.grid, params)
-    return system.step(F_n, v, phi_n, dt, grad_v=grad_v)

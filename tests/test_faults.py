@@ -4,6 +4,7 @@ while writing a restart leaves the previous one intact."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from chve import cli, constitutive, vtk_io
 from chve.driver import Simulation, StepRejected
@@ -38,16 +39,29 @@ def test_nan_inside_a_step_is_rejected(tmp_path, monkeypatch, target, reason):
     assert exc.value.reason.startswith(reason)
 
 
-@pytest.mark.parametrize("target", [target for target, _ in FAULTS])
-def test_persistent_nan_ends_run_with_dt_underflow(tmp_path, monkeypatch, target):
-    cfg = spinodal_config(tmp_path, name=target)
-    sim = Simulation(cfg)
+def _stalled_cg(A, b, **kwargs):
+    """Krylov solve that stops at the zero vector, reporting no convergence."""
+    return np.zeros_like(b), 1
+
+
+def test_unconverged_transport_solve_is_rejected(tmp_path, monkeypatch):
+    sim = Simulation(spinodal_config(tmp_path))
+    state = sim.initial_state()
+    monkeypatch.setattr(spla, "cg", _stalled_cg)
+    with pytest.raises(StepRejected) as exc:
+        sim.coupled_step(state, 1e-4)
+    assert exc.value.reason.startswith("linear solve:")
+
+
+def _run_faulty(tmp_path, name, inject):
+    """Run the spinodal config with ``inject()`` applied after the initial
+    state; the persistent fault must end the run with dt underflow."""
+    sim = Simulation(spinodal_config(tmp_path, name=name))
     setup = sim.initial_state
 
     def setup_then_poison():
         state = setup()
-        monkeypatch.setattr(constitutive, target,
-                            _nan_corner(getattr(constitutive, target)))
+        inject()
         return state
 
     sim.initial_state = setup_then_poison
@@ -56,9 +70,19 @@ def test_persistent_nan_ends_run_with_dt_underflow(tmp_path, monkeypatch, target
     assert summary.steps == 0
     # 2e-4 halves 21 times before it would drop below dt_min = 1e-10
     assert summary.rejected_steps == 21
-    out = tmp_path / target
+    out = tmp_path / name
     assert (out / "snap_00000000.vtk").exists()
     assert read_restart(out / "restart_00000000.chv")[0].step_index == 0
+
+
+@pytest.mark.parametrize("target", [target for target, _ in FAULTS])
+def test_persistent_nan_ends_run_with_dt_underflow(tmp_path, monkeypatch, target):
+    _run_faulty(tmp_path, target, lambda: monkeypatch.setattr(
+        constitutive, target, _nan_corner(getattr(constitutive, target))))
+
+
+def test_persistent_transport_stall_ends_run_with_dt_underflow(tmp_path, monkeypatch):
+    _run_faulty(tmp_path, "cg", lambda: monkeypatch.setattr(spla, "cg", _stalled_cg))
 
 
 @pytest.mark.parametrize("keep", [40, -8], ids=["inside-header", "8-bytes-short"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import dct
 from scipy.integrate import solve_ivp
 
 from chve import operators as ops
@@ -108,23 +109,27 @@ def test_assembled_matrices_match_matrix_free(grid8, rng):
         scale = max(1.0, float(np.max(np.abs(b))))
         assert np.max(np.abs(a - b)) <= 1e-13 * scale
 
-    Gx, Gy, D = ops.gradient_matrices(grid8)
-    assert (Gx.row_layout, Gx.col_layout) == ("fcx", "cc")
     L = ops.laplacian_matrix(grid8)
     coeff = 1.0 + rng.random((8, 8))
     Lc = ops.laplacian_matrix(grid8, coeff)
     for _ in range(20):
         p = rng.standard_normal((8, 8))
         phi = ScalarField(grid8, p)
-        g = ops.grad_cc(phi)
-        close(Gx.matrix @ p.ravel(), g.u.ravel())
-        close(Gy.matrix @ p.ravel(), g.w.ravel())
-        v = random_noslip(grid8, rng)
-        stacked = np.concatenate([v.u.ravel(), v.w.ravel()])
-        close(D.matrix @ stacked, ops.div_fc(v).values.ravel())
         close(L @ p.ravel(), ops.laplacian_neumann(phi).values.ravel())
         close(Lc @ p.ravel(),
               ops.laplacian_neumann(phi, ScalarField(grid8, coeff)).values.ravel())
+
+
+def test_laplacian_eigenvalues_diagonalize_matrix():
+    # non-square grid with hx != hy; C is the orthonormal 2-D DCT-II in the
+    # C-order cell numbering, so C L C^T must be diag(eigenvalues)
+    grid = GridSpec(5, 7, 1.0, 1.3)
+    C = np.kron(dct(np.eye(5), type=2, norm="ortho", axis=0),
+                dct(np.eye(7), type=2, norm="ortho", axis=0))
+    eig = ops.laplacian_eigenvalues(grid)
+    dev = C @ ops.laplacian_matrix(grid).toarray() @ C.T - np.diag(eig.ravel())
+    assert eig.shape == (5, 7)
+    assert np.max(np.abs(dev)) <= 1e-12 * np.max(np.abs(eig))
 
 
 def test_laplacian_rows_sum_to_zero(grid8, rng):

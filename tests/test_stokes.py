@@ -1,10 +1,13 @@
+import types
+
 import numpy as np
 import pytest
 
 from chve import stokes
-from chve.grid import (GridSpec, ModelParams, ScalarField,
+from chve.errors import SolverError
+from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                        StaggeredVectorField, TensorField)
-from chve.operators import grad_cc
+from chve.operators import advect_scalar, grad_cc, solenoidal_residual
 from chve.verification import dense_stokes_compare, stokes_mms
 
 
@@ -69,10 +72,41 @@ def test_solver_output_divergence_free(grid16, rng, params):
     fu[1:-1, :] = rng.standard_normal((15, 16))
     fw[:, 1:-1] = rng.standard_normal((16, 15))
     v, _ = solver.solve(StaggeredVectorField(grid16, fu, fw))
-    assert stokes.div_residual(v) <= 1e-10
+    assert solenoidal_residual(v)[0] <= 1e-10
     # a gradient field is generally not divergence free
     g = grad_cc(ScalarField(grid16, rng.standard_normal((16, 16))))
-    assert stokes.div_residual(g) > 1e-3
+    assert solenoidal_residual(g)[0] > 1e-3
+
+
+@pytest.mark.parametrize("div_max,accepted", [(5e-8, True), (5e-6, False)])
+def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, accepted):
+    # |v| = 10 at 128^2: the Stokes continuity check and the advection
+    # precondition must accept or reject the same velocity
+    n = 128
+    grid = GridSpec(n, n)
+    psi = np.random.default_rng(3).standard_normal((n + 1, n + 1))
+    psi[0, :] = psi[-1, :] = psi[:, 0] = psi[:, -1] = 0.0
+    v = StaggeredVectorField.from_stream_function(grid, psi)
+    u = v.u * (10.0 / v.max_abs())
+    u[n // 2, n // 2] += div_max * grid.hx  # +-div_max in the two adjacent cells
+    v = StaggeredVectorField(grid, u, v.w * (10.0 / v.max_abs()))
+    assert v.max_abs() == pytest.approx(10.0, rel=1e-6)
+    assert solenoidal_residual(v)[0] == pytest.approx(div_max, rel=1e-4)
+
+    # a zero force gives a zero solution; the continuity check then sees v
+    solver = stokes.StokesSolver(grid, 1.0)
+    monkeypatch.setattr(solver, "_factorize",
+                        lambda: types.SimpleNamespace(solve=np.zeros_like))
+    monkeypatch.setattr(solver, "_unpack", lambda x: (v, ScalarField.uniform(grid, 0.0)))
+    phi = ScalarField.uniform(grid, 1.0)
+    if accepted:
+        solver.solve(StaggeredVectorField.zeros(grid))
+        advect_scalar(v, phi)
+    else:
+        with pytest.raises(SolverError, match="continuity"):
+            solver.solve(StaggeredVectorField.zeros(grid))
+        with pytest.raises(PreconditionError, match="div residual"):
+            advect_scalar(v, phi)
 
 
 def test_energy_consistency(grid16, rng, params):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
+from chve import constitutive as law
+from chve.errors import SolverError
 from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                        StaggeredVectorField, TensorField, determinant)
-from chve.transport import TransportSystem, step_deformation
+from chve.operators import advect_tensor, laplacian_matrix, velocity_gradient
+from chve.transport import TransportSystem
 from chve.verification import det_transport_deviation, interior_vortex
 
 
@@ -14,7 +19,7 @@ def test_uniform_state_is_exact_fixed_point(grid16):
     F0 = TensorField(grid16, np.tile(np.array([[1.1, 0.2], [-0.1, 0.9]]),
                                      (16, 16, 1, 1)))
     v = StaggeredVectorField.zeros(grid16)
-    F1 = step_deformation(F0, v, phi, dt=0.05, params=params)
+    F1 = TransportSystem(grid16, params).step(F0, v, phi, dt=0.05)
     assert np.max(np.abs(F1.comps - F0.comps)) <= 1e-12
 
 
@@ -23,7 +28,7 @@ def test_rejects_nonpositive_dt(grid16, params):
     v = StaggeredVectorField.zeros(grid16)
     phi = ScalarField.uniform(grid16, 1.0)
     with pytest.raises(PreconditionError):
-        step_deformation(F, v, phi, dt=0.0, params=params)
+        TransportSystem(grid16, params).step(F, v, phi, dt=0.0)
 
 
 def test_diffusion_decay_matches_backward_euler_symbol():
@@ -67,11 +72,12 @@ def test_stretching_matches_matrix_exponential(grid16):
     v = StaggeredVectorField.zeros(grid16)
     phi = ScalarField.uniform(grid16, 1.0)
     t_end = 0.5
+    system = TransportSystem(grid16, params)
     errs = []
     for dt in (0.01, 0.005):
         F = TensorField.identity(grid16)
         for _ in range(int(round(t_end / dt))):
-            F = step_deformation(F, v, phi, dt, params, grad_v=grad_v)
+            F = system.step(F, v, phi, dt, grad_v=grad_v)
         ref = expm(t_end * W)
         errs.append(np.max(np.abs(F.comps - ref)))
     assert 1.7 <= errs[0] / errs[1] <= 2.3  # first order in dt
@@ -92,18 +98,37 @@ def test_step_linear_in_F(grid16, rng):
     assert np.max(np.abs(combo.comps - parts)) <= 1e-12
 
 
-def test_factorization_reused_within_frozen_phi(grid16):
-    params = ModelParams(lam=1e-3)
-    system = TransportSystem(grid16, params)
+@pytest.mark.parametrize("ratio", [1e-3, 0.4, 160.0])
+def test_step_matches_direct_sparse_solve(ratio):
+    """Across the regimes of lam dt / h^2, with f spanning [f_min, 1], the
+    step equals a direct solve of (I/dt - lam L diag(f)) F_new = rhs."""
+    n, dt = 32, 1e-3
+    grid = GridSpec(n, n)
+    params = ModelParams(lam=ratio * grid.hx ** 2 / dt)
+    X, _ = grid.cell_centers()
+    phi = ScalarField(grid, np.tanh((X - 0.5 * grid.lx) / 0.05))
+    v = interior_vortex(grid, target_max=0.5)
+    F = TensorField(grid, np.random.default_rng(7).standard_normal((n, n, 2, 2)))
+
+    out = TransportSystem(grid, params).step(F, v, phi, dt)
+
+    f = law.stiffness_f(phi.values, params)
+    assert f.min() < 1.01 * params.f_min and f.max() > 0.99
+    rhs = (F.comps / dt - advect_tensor(v, F).comps
+           + np.einsum("xyik,xykj->xyij", velocity_gradient(v).comps, F.comps))
+    M = sp.eye(n * n) / dt - params.lam * (laplacian_matrix(grid) @ sp.diags(f.ravel()))
+    ref = spla.spsolve(M.tocsc(), rhs.reshape(n * n, 4)).reshape(n, n, 2, 2)
+    assert np.linalg.norm(out.comps - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan], ids=["unconverged", "nan"])
+def test_failed_krylov_solve_raises_solver_error(grid16, monkeypatch, bad):
+    system = TransportSystem(grid16, ModelParams(lam=1e-2))
     phi = ScalarField.uniform(grid16, 0.2)
     v = interior_vortex(grid16, target_max=0.5)
-    F = TensorField.identity(grid16)
-    system.step(F, v, phi, 0.01)
-    key = system._key
-    system.step(F, v, phi, 0.01)
-    assert system._key is key
-    system.step(F, v, phi, 0.02)
-    assert system._key != key
+    monkeypatch.setattr(spla, "cg", lambda A, b, **kw: (np.full_like(b, bad), 1))
+    with pytest.raises(SolverError, match="transport residual"):
+        system.step(TensorField.identity(grid16), v, phi, 0.01)
 
 
 def test_determinant_preserved_at_first_order():
