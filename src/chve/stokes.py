@@ -8,17 +8,30 @@ The momentum balance has no inertia: the velocity is slaved to the current
                            + div( c f(phi) F F^T ),
     div(v) = 0,   v = 0 on the boundary.
 
-Discretely the saddle system couples the SPD velocity Laplacian block (MAC
-no-slip: Dirichlet on boundary-normal faces, reflected ghosts for the
-tangential component) with gradient/divergence blocks that are exact
-negative transposes of each other, so the full matrix is symmetric
-indefinite.  The pressure null space (constants) is removed by pinning the
-pressure unknown of cell (0, 0) to zero, i.e. deleting its column of the
-gradient block and the matching divergence row; the matrix stays symmetric
-and keeps the sparsity of the stencils.  The deleted row is implied by the
-others, because with no-slip walls the cell divergences sum to zero.  The
-solution's pressure is then shifted to zero mean.  One sparse LU
-factorization per (grid, nu) serves every solve.
+On the MAC grid the velocity block A (Dirichlet on boundary-normal faces,
+reflected ghosts for the tangential component) and the pressure gradient G
+form the saddle system A v + G q = f, G^T v = 0, which is solved exactly
+without factorizing it:
+
+* With no-slip walls the discretely divergence-free fields are exactly the
+  curls v = C psi of stream functions on the interior nodes (psi = 0 on the
+  boundary, see StaggeredVectorField.from_stream_function), and C^T G = 0.
+  So psi solves the SPD system C^T A C psi = C^T f, where C^T f is the node
+  curl of the force and C^T A C = nu (Delta_D^2 + P) holds exactly.
+  Delta_D is the Dirichlet node Laplacian, diagonal under DST-I.  P is
+  diagonal: the reflected-ghost rows (diagonal 3/h^2) add 2/h^4 per wall
+  next to a node, so it is nonzero only on the ring of nodes along the walls.
+* The ring term is removed by the capacitance-matrix method (Buzbee, Dorr,
+  George & Golub 1971; Bjorstad 1983).  With B = Delta_D^2,
+  (B + P) psi = r is z = B^-1 r, y = K^-1 z[ring], psi = z - B^-1 y, where
+  the dense SPD capacitance K = diag(1/P_ring) + (B^-1)[ring, ring] is
+  Cholesky-factored once per (grid, nu).
+* The pressure solves G q = f - A v (the right-hand side lies in the range
+  of G) through G^T G = -L, L the zero-flux cell Laplacian, diagonal under
+  DCT-II; its constant mode is set to zero, so q has zero mean.
+
+A solve costs two DST-I pairs, one capacitance back-solve (the ring has
+2(nx-1) + 2(ny-1) - 4 nodes) and one DCT-II pair.
 
 No Galilean-invariance check is meaningful here: the no-slip box pins the
 velocity frame, so a uniform velocity shift is not an admissible state.
@@ -27,14 +40,15 @@ velocity frame, so a uniform velocity shift is not an admissible state.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.fft import dctn, dstn, idctn, idstn
 
 from . import constitutive as law
 from .errors import SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField, frobenius)
-from .operators import face_average, grad_cc, solenoidal_residual
+from .operators import face_average, grad_cc, laplacian_eigenvalues, solenoidal_residual
 
 TOL_LIN = 1e-10
 
@@ -57,112 +71,117 @@ def _tridiag(n: int, h: float, wall_ghost: bool) -> sp.csr_matrix:
     return sp.diags([off, main, off], (-1, 0, 1), format="csr")
 
 
-class StokesSolver:
-    """Factorized MAC saddle-point solver for one (grid, nu) pair.
+def _diff(n: int, h: float) -> sp.dia_matrix:
+    """Forward difference from n cells onto the n - 1 faces between them."""
+    return sp.diags([-1.0 / h, 1.0 / h], (0, 1), shape=(n - 1, n))
 
-    ``matrix`` is the symmetric system [[A, G_1], [G_1^T, 0]] where ``A`` is
-    the velocity block, ``G`` the full pressure gradient and G_1 = G without
-    the column of the pinned cell (0, 0)."""
+
+def _dst_basis(n: int, h: float):
+    """Orthonormal DST-I matrix on the n - 1 interior nodes of an axis and
+    the matching eigenvalues of the Dirichlet -d^2/dx^2."""
+    m = np.arange(1, n)
+    return (np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(m, m) / n),
+            4.0 / (h * h) * np.sin(0.5 * np.pi * m / n) ** 2)
+
+
+def _interior(v: StaggeredVectorField) -> np.ndarray:
+    """Interior-face values, in the unknown order of A and G."""
+    return np.concatenate([v.u[1:-1, :].ravel(), v.w[:, 1:-1].ravel()])
+
+
+class StokesSolver:
+    """Exact fast MAC Stokes solver for one (grid, nu) pair.
+
+    ``A`` is the sparse velocity block and ``G`` the pressure gradient onto
+    interior faces; they define the residual that every solve is checked
+    against.  The solve itself uses only fast transforms and the capacitance
+    factor built here."""
 
     def __init__(self, grid: GridSpec, nu: float):
         if nu <= 0.0:
             raise PreconditionError("nu must be > 0")
         self.grid = grid
         self.nu = nu
-        nx, ny = grid.nx, grid.ny
-        self.n_u = (nx - 1) * ny
-        self.n_w = nx * (ny - 1)
-        self.n_p = nx * ny
-        self._assemble()
-        self._lu = None
-
-    # -- assembly ---------------------------------------------------------
-
-    def _assemble(self):
-        g, nu = self.grid, self.nu
-        nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
-
+        nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
         A_u = nu * (sp.kron(_tridiag(nx - 1, hx, False), sp.eye(ny))
                     + sp.kron(sp.eye(nx - 1), _tridiag(ny, hy, True)))
         A_w = nu * (sp.kron(_tridiag(nx, hx, True), sp.eye(ny - 1))
                     + sp.kron(sp.eye(nx), _tridiag(ny - 1, hy, False)))
-        A = sp.block_diag((A_u, A_w), format="csr")
-
+        self.A = sp.block_diag((A_u, A_w), format="csr")
         # pressure gradient onto interior faces; cell index = i*ny + j
-        ii, jj = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
-        rows = ((ii - 1) * ny + jj).ravel()
-        east = (ii * ny + jj).ravel()
-        west = ((ii - 1) * ny + jj).ravel()
-        Gx = sp.csr_matrix(
-            (np.concatenate([np.full(rows.size, 1.0 / hx), np.full(rows.size, -1.0 / hx)]),
-             (np.concatenate([rows, rows]), np.concatenate([east, west]))),
-            shape=(self.n_u, self.n_p))
+        self.G = sp.vstack([sp.kron(_diff(nx, hx), sp.eye(ny)),
+                            sp.kron(sp.eye(nx), _diff(ny, hy))], format="csr")
 
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
-        rows = (ii * (ny - 1) + (jj - 1)).ravel()
-        north = (ii * ny + jj).ravel()
-        south = (ii * ny + jj - 1).ravel()
-        Gy = sp.csr_matrix(
-            (np.concatenate([np.full(rows.size, 1.0 / hy), np.full(rows.size, -1.0 / hy)]),
-             (np.concatenate([rows, rows]), np.concatenate([north, south]))),
-            shape=(self.n_w, self.n_p))
+        Sx, lam_x = _dst_basis(nx, hx)
+        Sy, lam_y = _dst_basis(ny, hy)
+        self._B_inv = W = 1.0 / (lam_x[:, None] + lam_y[None, :]) ** 2  # B^-1, DST-I basis
+        P = np.zeros((nx - 1, ny - 1))
+        P[:, [0, -1]] += 2.0 / hy ** 4  # corner nodes get both terms
+        P[[0, -1], :] += 2.0 / hx ** 4
 
-        G = sp.vstack([Gx, Gy], format="csr")
-        G1 = G[:, 1:]  # pin the pressure of cell (0, 0)
-        M = sp.bmat([[A, G1], [G1.T, None]], format="csc")
+        # (B^-1)[ring, ring] from the separable 1-D factors, one block per
+        # pair of wall-adjacent node lines (two rows, two columns); a line's
+        # nodes are the products of its x and y basis rows
+        m = ny - 1
+        lines = ([(np.arange(nx - 1) * m + j, Sx, Sy[[j]]) for j in (0, m - 1)]
+                 + [(i * m + np.arange(m), Sx[[i]], Sy) for i in (0, nx - 2)])
+        K = np.block([[np.einsum("pk,ql,kl,rk,sl->pqrs", Xa, Ya, W, Xb, Yb,
+                                 optimize=True).reshape(na.size, nb.size)
+                       for nb, Xb, Yb in lines] for na, Xa, Ya in lines])
+        self._ring, first = np.unique(np.concatenate([na for na, _, _ in lines]),
+                                      return_index=True)
+        K = K[np.ix_(first, first)] + np.diag(1.0 / P.ravel()[self._ring])
+        try:
+            self._cap = sla.cho_factor(K)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"capacitance factorization failed: {exc}") from exc
 
-        self.A = A
-        self.G = G
-        self.matrix = M
-
-    def _factorize(self):
-        if self._lu is None:
-            try:
-                self._lu = spla.splu(self.matrix)
-            except RuntimeError as exc:  # singular assembly
-                raise SolverError(f"saddle factorization failed: {exc}") from exc
-        return self._lu
-
-    # -- packing ----------------------------------------------------------
-
-    def _pack_force(self, force: StaggeredVectorField) -> np.ndarray:
-        fu = force.u[1:-1, :].ravel()
-        fw = force.w[:, 1:-1].ravel()
-        return np.concatenate([fu, fw, np.zeros(self.n_p - 1)])
-
-    def _unpack(self, x: np.ndarray):
-        g = self.grid
-        nx, ny = g.nx, g.ny
-        u = np.zeros((nx + 1, ny))
-        w = np.zeros((nx, ny + 1))
-        u[1:-1, :] = x[:self.n_u].reshape(nx - 1, ny)
-        w[:, 1:-1] = x[self.n_u:self.n_u + self.n_w].reshape(nx, ny - 1)
-        p = np.concatenate([[0.0], x[self.n_u + self.n_w:]]).reshape(nx, ny)
-        p = p - p.mean()
-        return StaggeredVectorField(g, u, w), ScalarField(g, p)
+        eig = laplacian_eigenvalues(grid)
+        eig[0, 0] = -np.inf  # the constant pressure mode is set to zero
+        self._q_inv = -1.0 / eig
 
     # -- solve ------------------------------------------------------------
 
-    def solve(self, force: StaggeredVectorField):
-        """Solve for (v, q); v has exactly zero boundary faces and q exactly
-        zero mean.  Raises SolverError if the residual exceeds TOL_LIN."""
-        b = self._pack_force(force)
-        lu = self._factorize()
-        x = lu.solve(b)
-        r = b - self.matrix @ x
-        fscale = float(np.linalg.norm(b))
-        if float(np.linalg.norm(r)) > 0.01 * TOL_LIN * fscale:
-            x += lu.solve(r)  # one refinement pass
+    def _biharmonic_inverse(self, r: np.ndarray) -> np.ndarray:
+        """B^-1 r on the interior nodes: one DST-I pair."""
+        return idstn(dstn(r, type=1, norm="ortho") * self._B_inv, type=1, norm="ortho")
 
-        res = float(np.linalg.norm(b - self.matrix @ x))
-        if fscale > 0.0 and res > TOL_LIN * fscale:
+    def _velocity(self, force: StaggeredVectorField) -> StaggeredVectorField:
+        """The curl of the stream function that solves (B + P) psi = C^T f / nu."""
+        g = self.grid
+        fu, fw = force.u, force.w
+        r = ((fu[1:-1, :-1] - fu[1:-1, 1:]) / g.hy
+             + (fw[1:, 1:-1] - fw[:-1, 1:-1]) / g.hx) / self.nu
+        z = self._biharmonic_inverse(r)
+        y = np.zeros_like(z)
+        y.flat[self._ring] = sla.cho_solve(self._cap, z.flat[self._ring], check_finite=False)
+        psi = np.zeros((g.nx + 1, g.ny + 1))
+        psi[1:-1, 1:-1] = z - self._biharmonic_inverse(y)
+        if not np.isfinite(psi).all():
+            raise SolverError("stream function is not finite")
+        return StaggeredVectorField.from_stream_function(g, psi)
+
+    def solve(self, force: StaggeredVectorField):
+        """Solve for (v, q); v has exactly zero boundary faces and q zero
+        mean.  Raises SolverError if the momentum residual exceeds TOL_LIN
+        relative to the force, or the continuity residual its bound."""
+        g = self.grid
+        v = self._velocity(force)
+        b = _interior(force)
+        r = b - self.A @ _interior(v)
+        rhs = (self.G.T @ r).reshape(g.nx, g.ny)
+        q = idctn(dctn(rhs, type=2, norm="ortho") * self._q_inv, type=2, norm="ortho")
+        q -= q.mean()
+
+        res = float(np.linalg.norm(r - self.G @ q.ravel()))
+        bound = TOL_LIN * float(np.linalg.norm(b))
+        if not res <= bound:
             raise SolverError(f"stokes residual {res:.3e} > {TOL_LIN:.1e} * |f| "
-                              f"= {TOL_LIN * fscale:.3e}")
-        v, q = self._unpack(x)
-        dres, bound = solenoidal_residual(v)
-        if not dres <= bound:
-            raise SolverError(f"continuity residual {dres:.3e} > {bound:.3e}")
-        return v, q
+                              f"= {bound:.3e}")
+        dres, dbound = solenoidal_residual(v)
+        if not dres <= dbound:
+            raise SolverError(f"continuity residual {dres:.3e} > {dbound:.3e}")
+        return v, ScalarField(g, q)
 
 
 def elastic_force(phi: ScalarField, F: TensorField, params: ModelParams) -> StaggeredVectorField:

@@ -73,7 +73,7 @@ class TransportSystem:
         if grad_v is None:
             grad_v = velocity_gradient(v)
         adv = advect_tensor(v, F_n)
-        stretch = np.einsum("xyik,xykj->xyij", grad_v.comps, F_n.comps)
+        stretch = grad_v.comps @ F_n.comps
         rhs = F_n.comps / dt - adv.comps + stretch
 
         if lam == 0.0:

@@ -4,11 +4,14 @@ while writing a restart leaves the previous one intact."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from chve import cli, constitutive, vtk_io
 from chve.driver import Simulation, StepRejected
-from chve.errors import ValidationError
+from chve.errors import SolverError, ValidationError
+from chve.grid import GridSpec
+from chve.stokes import StokesSolver
 from chve.vtk_io import read_restart, write_restart
 
 from test_driver import spinodal_config
@@ -53,6 +56,29 @@ def test_unconverged_transport_solve_is_rejected(tmp_path, monkeypatch):
     assert exc.value.reason.startswith("linear solve:")
 
 
+def _nan_back_solve(factor, b, **kwargs):
+    """Capacitance back-solve that returns NaN."""
+    return np.full_like(b, np.nan)
+
+
+def test_nan_stokes_back_solve_is_rejected(tmp_path, monkeypatch):
+    sim = Simulation(spinodal_config(tmp_path))
+    state = sim.initial_state()
+    monkeypatch.setattr(sla, "cho_solve", _nan_back_solve)
+    with pytest.raises(StepRejected) as exc:
+        sim.coupled_step(state, 1e-4)
+    assert exc.value.reason.startswith("stokes:")
+
+
+def test_failed_capacitance_factorization_is_a_solver_error(monkeypatch):
+    def not_positive_definite(K, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(sla, "cho_factor", not_positive_definite)
+    with pytest.raises(SolverError, match="capacitance"):
+        StokesSolver(GridSpec(8, 8), 1.0)
+
+
 def _run_faulty(tmp_path, name, inject):
     """Run the spinodal config with ``inject()`` applied after the initial
     state; the persistent fault must end the run with dt underflow."""
@@ -83,6 +109,10 @@ def test_persistent_nan_ends_run_with_dt_underflow(tmp_path, monkeypatch, target
 
 def test_persistent_transport_stall_ends_run_with_dt_underflow(tmp_path, monkeypatch):
     _run_faulty(tmp_path, "cg", lambda: monkeypatch.setattr(spla, "cg", _stalled_cg))
+
+
+def test_persistent_stokes_fault_ends_run_with_dt_underflow(tmp_path, monkeypatch):
+    _run_faulty(tmp_path, "stokes", lambda: monkeypatch.setattr(sla, "cho_solve", _nan_back_solve))
 
 
 @pytest.mark.parametrize("keep", [40, -8], ids=["inside-header", "8-bytes-short"])

@@ -1,13 +1,13 @@
-import types
-
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from chve import stokes
 from chve.errors import SolverError
 from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                        StaggeredVectorField, TensorField)
-from chve.operators import advect_scalar, grad_cc, solenoidal_residual
+from chve.operators import advect_scalar, div_fc, grad_cc, solenoidal_residual
 from chve.verification import dense_stokes_compare, stokes_mms
 
 
@@ -48,21 +48,73 @@ def test_pressure_is_mean_zero_and_invariant(grid16, rng, params):
 
 
 def test_velocity_block_spd_and_coupling_transpose(grid8, params):
-    solver = stokes.StokesSolver(grid8, params.nu)
+    g = grid8
+    solver = stokes.StokesSolver(g, params.nu)
     A = solver.A.toarray()
     assert np.max(np.abs(A - A.T)) <= 1e-13
     assert np.min(np.linalg.eigvalsh(A)) > 0.0
-    M = solver.matrix.toarray()
-    assert np.max(np.abs(M - M.T)) <= 1e-13
+
+    def faces(e):
+        n_u = (g.nx - 1) * g.ny
+        u = np.zeros((g.nx + 1, g.ny))
+        w = np.zeros((g.nx, g.ny + 1))
+        u[1:-1, :] = e[:n_u].reshape(g.nx - 1, g.ny)
+        w[:, 1:-1] = e[n_u:].reshape(g.nx, g.ny - 1)
+        return StaggeredVectorField(g, u, w)
+
+    # G^T is minus the face-to-cell divergence on interior faces
+    D = np.array([div_fc(faces(e)).values.ravel() for e in np.eye(A.shape[0])]).T
+    assert np.max(np.abs(solver.G.T.toarray() + D)) <= 1e-12
+
+    # the curls C of interior-node stream functions span the divergence-free
+    # space, and C^T A C is the SPD operator the stream function solves with
+    def curl(e):
+        psi = np.zeros((g.nx + 1, g.ny + 1))
+        psi[1:-1, 1:-1] = e.reshape(g.nx - 1, g.ny - 1)
+        return stokes._interior(StaggeredVectorField.from_stream_function(g, psi))
+
+    C = np.array([curl(e) for e in np.eye((g.nx - 1) * (g.ny - 1))]).T
+    assert np.max(np.abs(C.T @ solver.G.toarray())) <= 1e-12
+    B = C.T @ A @ C
+    assert np.max(np.abs(B - B.T)) <= 1e-13 * np.max(np.abs(B))
+    assert np.min(np.linalg.eigvalsh(B)) > 0.0
 
 
-@pytest.mark.parametrize("n", [8, 16])
-def test_saddle_matrix_exactly_symmetric_and_stencil_sparse(n, params):
-    # the pinned pressure keeps the 5-point velocity stencil plus two
-    # pressure couplings per row: no dense constraint row or column
-    M = stokes.StokesSolver(GridSpec(n, n), params.nu).matrix.tocsr()
-    assert (M != M.T).nnz == 0
-    assert int(np.max(np.diff(M.indptr))) <= 7
+@pytest.mark.parametrize("grid,nu", [(GridSpec(64, 64), 1.0), (GridSpec(48, 80, 2.0, 1.0), 0.7)],
+                         ids=["64x64", "48x80"])
+def test_matches_pinned_saddle_solve(grid, nu, rng):
+    # reference: sparse direct solve of [[A, G_1], [G_1^T, 0]], with G_1 = G
+    # less the column of cell (0, 0), whose pressure is pinned to zero
+    solver = stokes.StokesSolver(grid, nu)
+    A, G1 = solver.A, solver.G[:, 1:]
+    fu = np.zeros((grid.nx + 1, grid.ny))
+    fw = np.zeros((grid.nx, grid.ny + 1))
+    fu[1:-1, :] = rng.standard_normal((grid.nx - 1, grid.ny))
+    fw[:, 1:-1] = rng.standard_normal((grid.nx, grid.ny - 1))
+    force = StaggeredVectorField(grid, fu, fw)
+    b = stokes._interior(force)
+    M = sp.bmat([[A, G1], [G1.T, None]], format="csc")
+    x = spla.spsolve(M, np.concatenate([b, np.zeros(G1.shape[1])]))
+    v_ref, q_ref = x[:b.size], np.concatenate([[0.0], x[b.size:]])
+
+    v, q = solver.solve(force)
+    assert np.linalg.norm(stokes._interior(v) - v_ref) <= 1e-11 * np.linalg.norm(v_ref)
+    q_ref -= q_ref.mean()
+    assert np.linalg.norm(q.values.ravel() - q_ref) <= 1e-10 * np.linalg.norm(q_ref)
+
+
+def test_solve_needs_no_sparse_factorization(grid16, rng, monkeypatch):
+    def no_splu(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    monkeypatch.setattr(spla, "splu", no_splu)
+    solver = stokes.StokesSolver(grid16, 1.0)
+    fu = np.zeros((17, 16))
+    fw = np.zeros((16, 17))
+    fu[1:-1, :] = rng.standard_normal((15, 16))
+    fw[:, 1:-1] = rng.standard_normal((16, 15))
+    v, _ = solver.solve(StaggeredVectorField(grid16, fu, fw))
+    assert v.max_abs() > 0.0
 
 
 def test_solver_output_divergence_free(grid16, rng, params):
@@ -93,18 +145,23 @@ def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, a
     assert v.max_abs() == pytest.approx(10.0, rel=1e-6)
     assert solenoidal_residual(v)[0] == pytest.approx(div_max, rel=1e-4)
 
-    # a zero force gives a zero solution; the continuity check then sees v
+    # the solve returns v for the force A v, so the momentum residual is
+    # exactly zero and the continuity check decides
     solver = stokes.StokesSolver(grid, 1.0)
-    monkeypatch.setattr(solver, "_factorize",
-                        lambda: types.SimpleNamespace(solve=np.zeros_like))
-    monkeypatch.setattr(solver, "_unpack", lambda x: (v, ScalarField.uniform(grid, 0.0)))
+    monkeypatch.setattr(solver, "_velocity", lambda force: v)
+    Av = solver.A @ stokes._interior(v)
+    fu = np.zeros_like(v.u)
+    fw = np.zeros_like(v.w)
+    fu[1:-1, :] = Av[:(n - 1) * n].reshape(n - 1, n)
+    fw[:, 1:-1] = Av[(n - 1) * n:].reshape(n, n - 1)
+    force = StaggeredVectorField(grid, fu, fw)
     phi = ScalarField.uniform(grid, 1.0)
     if accepted:
-        solver.solve(StaggeredVectorField.zeros(grid))
+        solver.solve(force)
         advect_scalar(v, phi)
     else:
         with pytest.raises(SolverError, match="continuity"):
-            solver.solve(StaggeredVectorField.zeros(grid))
+            solver.solve(force)
         with pytest.raises(PreconditionError, match="div residual"):
             advect_scalar(v, phi)
 
@@ -185,6 +242,13 @@ def test_force_matches_dense_assembly(grid8, rng):
 
 def test_dense_stokes_oracle_match(grid8):
     rep = dense_stokes_compare(grid8)
+    assert rep["passed"], rep
+    assert rep["max_dev_pressure"] <= 1e-12, rep
+
+
+def test_dense_stokes_oracle_match_rectangular_cells():
+    # hx != hy: the two wall terms of the ring correction differ
+    rep = dense_stokes_compare(GridSpec(5, 7, 1.0, 1.3), nu=0.3)
     assert rep["passed"], rep
     assert rep["max_dev_pressure"] <= 1e-12, rep
 
