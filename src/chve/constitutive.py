@@ -36,12 +36,13 @@ def psi(s):
 
 def psi_prime(s):
     s = np.asarray(s, dtype=float)
-    return s ** 3 - s
+    return s * s * s - s
 
 
 def psi_plus(s):
     s = np.asarray(s, dtype=float)
-    return 0.25 * (s ** 4 + 1.0)
+    s2 = s * s
+    return 0.25 * (s2 * s2 + 1.0)
 
 
 def psi_minus(s):
@@ -51,7 +52,7 @@ def psi_minus(s):
 
 def psi_plus_prime(s):
     s = np.asarray(s, dtype=float)
-    return s ** 3
+    return s * s * s
 
 
 def psi_plus_second(s):
@@ -92,11 +93,6 @@ def stiffness_f_prime(s, params: ModelParams):
     return (1.0 - params.f_min) * _smoothstep_prime(x) / width
 
 
-def stiffness_lipschitz_bound(params: ModelParams) -> float:
-    """Max of |f'|: the smoothstep slope peaks at 3/2 mid-window."""
-    return 1.5 * (1.0 - params.f_min) / (params.f_hi - params.f_lo)
-
-
 def mobility_b(s, params: ModelParams):
     s = np.asarray(s, dtype=float)
     if params.mobility_profile == "constant":
@@ -128,10 +124,19 @@ def eulerian_elastic_stress(phi, F, params: ModelParams):
     """Eulerian stress c f(phi) F F^T entering the momentum balance.
 
     Symmetric positive semidefinite by construction (a scaled Gram matrix).
+    For d = 2 the Gram matrix is written out entrywise (same products and
+    sums as the einsum, so bitwise equal, and much cheaper).
     """
     F = np.asarray(F, dtype=float)
     fval = np.asarray(stiffness_f(phi, params))
-    FFt = np.einsum("...ik,...jk->...ij", F, F)
+    if F.shape[-1] == 2:
+        a, b, c, d = F[..., 0, 0], F[..., 0, 1], F[..., 1, 0], F[..., 1, 1]
+        FFt = np.empty_like(F)
+        FFt[..., 0, 0] = a * a + b * b
+        FFt[..., 0, 1] = FFt[..., 1, 0] = a * c + b * d
+        FFt[..., 1, 1] = c * c + d * d
+    else:
+        FFt = np.einsum("...ik,...jk->...ij", F, F)
     return params.c_elastic * fval[..., None, None] * FFt
 
 

@@ -168,6 +168,12 @@ def node_shear_gradients(v: StaggeredVectorField) -> tuple[np.ndarray, np.ndarra
     return dudy, dwdx
 
 
+def _corner_average(p: np.ndarray) -> np.ndarray:
+    """Mean of the four corners of each cell of a (m+1, k+1) array: nodes to
+    cells, or cells to nodes once the cell field is edge-padded."""
+    return 0.25 * (p[:-1, :-1] + p[1:, :-1] + p[:-1, 1:] + p[1:, 1:])
+
+
 def velocity_gradient(v: StaggeredVectorField) -> TensorField:
     """All four components of grad v interpolated to cell centers.
 
@@ -182,8 +188,8 @@ def velocity_gradient(v: StaggeredVectorField) -> TensorField:
     dwdy = (v.w[:, 1:] - v.w[:, :-1]) / hy
 
     dudy_n, dwdx_n = node_shear_gradients(v)
-    dudy = 0.25 * (dudy_n[:-1, :-1] + dudy_n[1:, :-1] + dudy_n[:-1, 1:] + dudy_n[1:, 1:])
-    dwdx = 0.25 * (dwdx_n[:-1, :-1] + dwdx_n[1:, :-1] + dwdx_n[:-1, 1:] + dwdx_n[1:, 1:])
+    dudy = _corner_average(dudy_n)
+    dwdx = _corner_average(dwdx_n)
 
     c = np.empty((nx, ny, 2, 2))
     c[:, :, 0, 0] = dudx
@@ -208,29 +214,22 @@ def _face_reconstruct(q, vel, axis):
     """
     q = np.moveaxis(q, axis, 0)
     vel = np.moveaxis(vel, axis, 0)
-    n = q.shape[0]
     out = np.zeros_like(vel)
 
     qc = q[:-1]      # upwind cell when vel >= 0   (faces 1..n-1)
     qd = q[1:]       # downwind cell when vel >= 0
-    pos = vel[1:-1] >= 0.0
-
-    # first-order fallback
-    lo = np.where(pos, qc, qd)
-
-    if n >= 3:
-        hi_pos = np.full_like(qc, np.nan)
-        hi_neg = np.full_like(qc, np.nan)
-        # vel >= 0: cells (W, C, D) = q[k-2], q[k-1], q[k] for face k >= 2
-        hi_pos[1:] = qc[1:] + 0.25 * ((1.0 - 1.0 / 3.0) * (qc[1:] - q[:-2])
-                                      + (1.0 + 1.0 / 3.0) * (qd[1:] - qc[1:]))
-        # vel < 0: mirrored, needs q[k+1] so face k <= n-2
-        hi_neg[:-1] = qd[:-1] + 0.25 * ((1.0 - 1.0 / 3.0) * (qd[:-1] - q[2:])
-                                        + (1.0 + 1.0 / 3.0) * (qc[:-1] - qd[:-1]))
-        hi = np.where(pos, hi_pos, hi_neg)
-        out[1:-1] = np.where(np.isnan(hi), lo, hi)
-    else:
-        out[1:-1] = lo
+    hi_pos = np.empty_like(qc)
+    hi_neg = np.empty_like(qc)
+    # vel >= 0: cells (W, C, D) = q[k-2], q[k-1], q[k] for face k >= 2;
+    # face 1 has no W and falls back to first-order upwind
+    hi_pos[0] = qc[0]
+    hi_pos[1:] = qc[1:] + 0.25 * ((1.0 - 1.0 / 3.0) * (qc[1:] - q[:-2])
+                                  + (1.0 + 1.0 / 3.0) * (qd[1:] - qc[1:]))
+    # vel < 0: mirrored, needs q[k+1] so face k <= n-2; face n-1 is upwind
+    hi_neg[-1] = qd[-1]
+    hi_neg[:-1] = qd[:-1] + 0.25 * ((1.0 - 1.0 / 3.0) * (qd[:-1] - q[2:])
+                                    + (1.0 + 1.0 / 3.0) * (qc[:-1] - qd[:-1]))
+    out[1:-1] = np.where(vel[1:-1] >= 0.0, hi_pos, hi_neg)
     return np.moveaxis(out, 0, axis)
 
 

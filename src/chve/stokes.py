@@ -48,15 +48,10 @@ from . import constitutive as law
 from .errors import SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField, frobenius)
-from .operators import face_average, grad_cc, laplacian_eigenvalues, solenoidal_residual
+from .operators import (_corner_average, face_average, grad_cc, laplacian_eigenvalues,
+                        solenoidal_residual)
 
 TOL_LIN = 1e-10
-
-
-def cell_to_node(c: np.ndarray) -> np.ndarray:
-    """Average a cell field onto nodes; one-sided at boundary nodes."""
-    p = np.pad(c, 1, mode="edge")
-    return 0.25 * (p[:-1, :-1] + p[1:, :-1] + p[:-1, 1:] + p[1:, 1:])
 
 
 def _tridiag(n: int, h: float, wall_ghost: bool) -> sp.csr_matrix:
@@ -193,7 +188,7 @@ def elastic_force(phi: ScalarField, F: TensorField, params: ModelParams) -> Stag
     """
     g = phi.grid
     S = law.eulerian_elastic_stress(phi.values, F.comps, params)
-    Sxy_n = cell_to_node(S[:, :, 0, 1])
+    Sxy_n = _corner_average(np.pad(S[:, :, 0, 1], 1, mode="edge"))
     fu = np.zeros((g.nx + 1, g.ny))
     fw = np.zeros((g.nx, g.ny + 1))
     fu[1:-1, :] = ((S[1:, :, 0, 0] - S[:-1, :, 0, 0]) / g.hx

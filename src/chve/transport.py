@@ -13,8 +13,10 @@ components decouple:
 
 where L is the zero-flux Laplacian and M_f multiplies by f(phi) cellwise.
 In the unknown G = M_f F_new the operator D/dt - lam L, D = 1/f(phi), is
-symmetric positive definite for dt > 0, lam >= 0, f >= f_min > 0, so each
-component is solved matrix-free by preconditioned CG and F_new = G / f.
+symmetric positive definite for dt > 0, lam >= 0, f >= f_min > 0.  All d^2
+components share it, so they are stacked into one block-diagonal system on
+an (n, d^2) block, where each operator product is one sparse matmul, and
+solved by a single matrix-free preconditioned CG; then F_new = G / f.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .operators import (advect_tensor, laplacian_eigenvalues, laplacian_matrix,
                         velocity_gradient)
 
 TOL_LIN = 1e-10
-# CG on each tensor component; the residual test against TOL_LIN decides.
+# One CG on the stacked tensor components; the residual test against TOL_LIN decides.
 CG_RTOL = 1e-12
 CG_MAXITER = 500
 
@@ -40,10 +42,10 @@ class TransportSystem:
     """Per-(grid, params) transport stepper.
 
     The CG preconditioner is S (c/dt - lam L) S with c = mean(D) and
-    S = (D/c)^(1/2), inverted by one DCT-II pair.  It is exact for uniform
-    f and tends to the diagonal D/dt as lam dt / h^2 -> 0.  Nothing is
-    cached between calls apart from the grid's Laplacian and its DCT
-    eigenvalues.
+    S = (D/c)^(1/2), inverted by one DCT-II pair over the grid axes of the
+    stacked components.  It is exact for uniform f and tends to the
+    diagonal D/dt as lam dt / h^2 -> 0.  Nothing is cached between calls
+    apart from the grid's Laplacian and its DCT eigenvalues.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams):
@@ -56,7 +58,7 @@ class TransportSystem:
              dt: float, grad_v: TensorField | None = None) -> TensorField:
         """Advance the deformation gradient one time step.
 
-        Solves, per tensor component,
+        Solves, for every tensor component at once,
 
             (F_new - F_n)/dt + advect(v, F_n) - (grad v) F_n
                 - lam * Lap( f(phi_n) F_new ) = 0
@@ -79,31 +81,30 @@ class TransportSystem:
         if lam == 0.0:
             return TensorField(g, dt * rhs)
 
-        d = F_n.d
-        n = g.nx * g.ny
-        shape = (g.nx, g.ny)
-        f = law.stiffness_f(phi_n.values, self.params).ravel()
+        n, k = g.nx * g.ny, F_n.d * F_n.d
+        f = law.stiffness_f(phi_n.values, self.params).reshape(n, 1)
         D = 1.0 / f
         c = float(np.mean(D))
-        s_inv = np.sqrt(c / D)
-        inv = 1.0 / (c / dt - lam * self._eig)
+        s_inv = np.sqrt(c / D).reshape(g.nx, g.ny, 1)
+        inv = (1.0 / (c / dt - lam * self._eig))[:, :, None]
 
         def precondition(r):
-            rh = dctn((s_inv * r).reshape(shape), type=2, norm="ortho")
-            return s_inv * idctn(rh * inv, type=2, norm="ortho").ravel()
+            rh = dctn(s_inv * r.reshape(g.nx, g.ny, k), type=2, axes=(0, 1), norm="ortho")
+            return (s_inv * idctn(rh * inv, type=2, axes=(0, 1), norm="ortho")).ravel()
 
-        A = spla.LinearOperator((n, n), dtype=float,
-                                matvec=lambda x: D * x / dt - lam * (self._L @ x))
-        M = spla.LinearOperator((n, n), dtype=float, matvec=precondition)
-        b = rhs.reshape(n, d * d)
-        G = np.empty_like(b)
-        for k in range(d * d):
-            G[:, k], _ = spla.cg(A, b[:, k], x0=f * dt * b[:, k], rtol=CG_RTOL,
-                                 atol=0.0, maxiter=CG_MAXITER, M=M)
+        def matvec(x):
+            X = x.reshape(n, k)
+            return (D * X / dt - lam * (self._L @ X)).ravel()
 
-        x = G / f[:, None]
-        res = float(np.linalg.norm(b - (x / dt - lam * (self._L @ (f[:, None] * x)))))
+        A = spla.LinearOperator((n * k, n * k), dtype=float, matvec=matvec)
+        M = spla.LinearOperator((n * k, n * k), dtype=float, matvec=precondition)
+        b = rhs.reshape(n, k)
+        G, _ = spla.cg(A, b.ravel(), x0=(f * dt * b).ravel(), rtol=CG_RTOL, atol=0.0,
+                       maxiter=CG_MAXITER, M=M)
+
+        x = G.reshape(n, k) / f
+        res = float(np.linalg.norm(b - (x / dt - lam * (self._L @ (f * x)))))
         bound = TOL_LIN * float(np.linalg.norm(b))
         if not res <= bound:
             raise SolverError(f"transport residual {res:.3e} > {bound:.3e}")
-        return TensorField(g, x.reshape(g.nx, g.ny, d, d))
+        return TensorField(g, x.reshape(F_n.comps.shape))

@@ -98,17 +98,27 @@ def test_step_linear_in_F(grid16, rng):
     assert np.max(np.abs(combo.comps - parts)) <= 1e-12
 
 
-@pytest.mark.parametrize("ratio", [1e-3, 0.4, 160.0])
-def test_step_matches_direct_sparse_solve(ratio):
+@pytest.mark.parametrize("ratio, offdiag", [
+    *(pytest.param(r, 1.0, id=str(r)) for r in (1e-3, 0.4, 160.0)),
+    *(pytest.param(r, 1e-6, id=f"{r}-offdiag1e-06") for r in (1e-3, 0.4, 160.0)),
+])
+def test_step_matches_direct_sparse_solve(ratio, offdiag):
     """Across the regimes of lam dt / h^2, with f spanning [f_min, 1], the
-    step equals a direct solve of (I/dt - lam L diag(f)) F_new = rhs."""
+    step equals a direct solve of (I/dt - lam L diag(f)) F_new = rhs.
+
+    All components go through one CG whose stopping test sees only the
+    global norm, so with the off-diagonal components scaled down by
+    ``offdiag`` each component is also checked against its own norm."""
     n, dt = 32, 1e-3
     grid = GridSpec(n, n)
     params = ModelParams(lam=ratio * grid.hx ** 2 / dt)
     X, _ = grid.cell_centers()
     phi = ScalarField(grid, np.tanh((X - 0.5 * grid.lx) / 0.05))
     v = interior_vortex(grid, target_max=0.5)
-    F = TensorField(grid, np.random.default_rng(7).standard_normal((n, n, 2, 2)))
+    comps = np.random.default_rng(7).standard_normal((n, n, 2, 2))
+    comps[:, :, 0, 1] *= offdiag
+    comps[:, :, 1, 0] *= offdiag
+    F = TensorField(grid, comps)
 
     out = TransportSystem(grid, params).step(F, v, phi, dt)
 
@@ -119,6 +129,10 @@ def test_step_matches_direct_sparse_solve(ratio):
     M = sp.eye(n * n) / dt - params.lam * (laplacian_matrix(grid) @ sp.diags(f.ravel()))
     ref = spla.spsolve(M.tocsc(), rhs.reshape(n * n, 4)).reshape(n, n, 2, 2)
     assert np.linalg.norm(out.comps - ref) <= 1e-10 * np.linalg.norm(ref)
+    for a in range(2):
+        for b in range(2):
+            err = np.linalg.norm(out.comps[:, :, a, b] - ref[:, :, a, b])
+            assert err <= 1e-10 * np.linalg.norm(ref[:, :, a, b]), (a, b)
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["unconverged", "nan"])
