@@ -237,14 +237,21 @@ class Simulation:
         csv_path = outdir / "diagnostics.csv"
         fresh = state.step_index == 0
         kept = [] if fresh else _csv_rows_through(csv_path, state.step_index)
+
+        def checkpoint():
+            """Snapshot and restart of the current state; the restart carries
+            the next dt, the accept streak and the energy scale."""
+            csv.flush()  # rows up to a restart reach the file before it
+            write_vtk(outdir / f"snap_{state.step_index:08d}.vtk", state)
+            write_restart(outdir / f"restart_{state.step_index:08d}.chv",
+                          state.advanced(dt=dt), streak, e_scale)
+
         csv = open(csv_path, "w", encoding="utf-8", newline="\n")
         try:
             csv.write(DiagnosticsRow.CSV_HEADER + "\n")
             csv.writelines(kept)
             if fresh:
-                write_vtk(outdir / f"snap_{state.step_index:08d}.vtk", state)
-                write_restart(outdir / f"restart_{state.step_index:08d}.chv",
-                              state.advanced(dt=dt), streak, e_scale)
+                checkpoint()
 
             while True:
                 if state.t >= cfg.time.t_end - 1e-14:
@@ -256,19 +263,12 @@ class Simulation:
                 step_dt = min(dt, cfg.time.t_end - state.t)
                 try:
                     cand, stats = self.coupled_step(state, step_dt)
+                    eb_new = total_energy(cand.phi, cand.F, self.params)
+                    e_new = eb_new.total
+                    bound = e_prev + cfg.time.energy_increase_tol * e_scale
+                    if cfg.time.reject_on_energy and e_new > bound:
+                        raise StepRejected(f"energy {e_new:.17g} > {bound:.17g}")
                 except StepRejected:
-                    rejected += 1
-                    try:
-                        dt, streak = adapt_dt(dt, cfg.time, False, streak)
-                    except RunError:
-                        termination = "dt_underflow"
-                        break
-                    continue
-
-                eb_new = total_energy(cand.phi, cand.F, self.params)
-                e_new = eb_new.total
-                if (cfg.time.reject_on_energy
-                        and e_new > e_prev + cfg.time.energy_increase_tol * e_scale):
                     rejected += 1
                     try:
                         dt, streak = adapt_dt(dt, cfg.time, False, streak)
@@ -283,27 +283,18 @@ class Simulation:
                 state = cand
                 e_prev = e_new
                 accepted += 1
-                try:
-                    dt, streak = adapt_dt(dt, cfg.time, True, streak)
-                except RunError:  # pragma: no cover - growth cannot underflow
-                    termination = "dt_underflow"
-                    break
+                dt, streak = adapt_dt(dt, cfg.time, True, streak)
 
                 if rows is not None:
                     rows.append(row)
                 if accepted % cfg.output.diagnostics_every == 0:
                     csv.write(row.csv_line() + "\n")
                 if cfg.output.snapshot_every and accepted % cfg.output.snapshot_every == 0:
-                    csv.flush()  # rows up to a restart reach the file before it
-                    write_vtk(outdir / f"snap_{state.step_index:08d}.vtk", state)
-                    write_restart(outdir / f"restart_{state.step_index:08d}.chv",
-                                  state.advanced(dt=dt), streak, e_scale)
+                    checkpoint()
+            checkpoint()
         finally:
             csv.close()
 
-        write_vtk(outdir / f"snap_{state.step_index:08d}.vtk", state)
-        write_restart(outdir / f"restart_{state.step_index:08d}.chv",
-                      state.advanced(dt=dt), streak, e_scale)
         summary = RunSummary(
             steps=accepted, rejected_steps=rejected,
             wall_time=_time.perf_counter() - t0,

@@ -209,7 +209,6 @@ class ModelParams:
     b0, b1    mobility bounds, 0 < b0 <= b1
     c2, c3    extra moduli of the compressible 3-D energy (evaluation only)
     f_lo/f_hi transition window of the stiffness smoothstep
-    d_dim     tensor dimension for constitutive evaluation (2 or 3)
     """
 
     nu: float = 1.0
@@ -224,7 +223,6 @@ class ModelParams:
     c3: float = 0.0
     f_lo: float = -1.0
     f_hi: float = 1.0
-    d_dim: int = 2
     mobility_profile: str = "constant"
 
     def __post_init__(self):
@@ -237,7 +235,6 @@ class ModelParams:
             (0.0 < self.f_min <= 1.0, "f_min must satisfy 0 < f_min <= 1"),
             (0.0 < self.b0 <= self.b1, "mobility bounds must satisfy 0 < b0 <= b1"),
             (self.f_lo < self.f_hi, "stiffness window must satisfy f_lo < f_hi"),
-            (self.d_dim in (2, 3), "d_dim must be 2 or 3"),
             (self.mobility_profile in ("constant", "smoothstep"),
              "mobility_profile must be 'constant' or 'smoothstep'"),
         ]

@@ -20,8 +20,8 @@ Boundary conditions baked in:
   upwind-biased face reconstruction, falling back to plain upwind on faces
   that lack the second upwind neighbor.
 
-:func:`laplacian_matrix` assembles the zero-flux Laplacian that
-:func:`laplacian_neumann` applies matrix-free, and
+:func:`laplacian_matrix` assembles the zero-flux Laplacian div(coeff grad .),
+which :func:`laplacian_neumann` applies matrix-free for coeff = 1, and
 :func:`laplacian_eigenvalues` gives its eigenvalues on the DCT-II basis.
 Scalars are flattened C-order, index ``i * ny + j``.
 """
@@ -87,22 +87,10 @@ def face_average(phi: ScalarField):
     return ax, ay
 
 
-def laplacian_neumann(phi: ScalarField, coeff: ScalarField | None = None) -> ScalarField:
-    """div(coeff * grad phi) with zero-flux boundary.
-
-    coeff (optional) is a strictly positive cell field, averaged onto faces
-    arithmetically.  Matrix-free twin of :func:`laplacian_matrix`.
-    """
-    g = phi.grid
-    grad = grad_cc(phi)
-    if coeff is None:
-        return div_fc(grad)
-    cvals = coeff.values
-    if np.min(cvals) <= 0.0:
-        raise PreconditionError("laplacian coefficient must be strictly positive")
-    cx, cy = face_average(coeff)
-    flux = StaggeredVectorField(g, cx * grad.u, cy * grad.w)
-    return div_fc(flux)
+def laplacian_neumann(phi: ScalarField) -> ScalarField:
+    """Zero-flux Laplacian div(grad phi); matrix-free twin of
+    :func:`laplacian_matrix` without a coefficient."""
+    return div_fc(grad_cc(phi))
 
 
 def laplacian_matrix(grid: GridSpec, coeff: np.ndarray | None = None) -> sp.csr_matrix:

@@ -1,10 +1,11 @@
 """Snapshot and restart I/O.
 
-Snapshots are VTK legacy ASCII ``STRUCTURED_POINTS`` files with cell data:
-scalars ``phi``, ``mu``, ``q``; vector ``velocity`` (face values averaged
-to cell centers, z = 0); tensor ``F`` zero-padded to 3x3.  Cell data runs
-x-fastest, matching VTK's ordering for point dimensions
-(nx+1, ny+1, 1).
+Snapshots are VTK legacy ``BINARY`` ``STRUCTURED_POINTS`` files with cell
+data: scalars ``phi``, ``mu``, ``q``; vector ``velocity`` (face values
+averaged to cell centers, z = 0); tensor ``F`` zero-padded to 3x3.  The
+header lines are ASCII; each array follows its header line as big-endian
+float64 (``>f8``, lossless), then a newline.  Cell data runs x-fastest,
+matching VTK's ordering for point dimensions (nx+1, ny+1, 1).
 
 The restart file is a lossless fixed-layout little-endian dump:
 
@@ -40,51 +41,37 @@ MAGIC = b"CHVE1"
 _HEADER = struct.Struct("<5sqqddddqqd")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_vtk(path: str | Path, state: SimState):
+    """Write the binary snapshot of ``state``; layout in the module docstring."""
     g = state.phi.grid
     nx, ny = g.nx, g.ny
-    uc = 0.5 * (state.v.u[1:, :] + state.v.u[:-1, :])
-    wc = 0.5 * (state.v.w[:, 1:] + state.v.w[:, :-1])
+    velocity = np.zeros((nx, ny, 3))
+    velocity[..., 0] = 0.5 * (state.v.u[1:, :] + state.v.u[:-1, :])
+    velocity[..., 1] = 0.5 * (state.v.w[:, 1:] + state.v.w[:, :-1])
+    F = np.zeros((nx, ny, 3, 3))
+    F[..., :2, :2] = state.F.comps
 
-    lines = [
+    header = "\n".join([
         "# vtk DataFile Version 3.0",
-        f"chve snapshot step={state.step_index} t={_fmt(state.t)}",
-        "ASCII",
+        f"chve snapshot step={state.step_index} t={state.t:.17g}",
+        "BINARY",
         "DATASET STRUCTURED_POINTS",
         f"DIMENSIONS {nx + 1} {ny + 1} 1",
         "ORIGIN 0 0 0",
-        f"SPACING {_fmt(g.hx)} {_fmt(g.hy)} 1",
+        f"SPACING {g.hx:.17g} {g.hy:.17g} 1",
         f"CELL_DATA {nx * ny}",
-    ]
+    ])
+    blocks = [(f"SCALARS {name} double 1\nLOOKUP_TABLE default", fld.values)
+              for name, fld in (("phi", state.phi), ("mu", state.mu), ("q", state.q))]
+    blocks += [("VECTORS velocity double", velocity), ("TENSORS F double", F)]
 
-    def cellwise(a):
-        # x fastest, then y
-        return (_fmt(a[i, j]) for j in range(ny) for i in range(nx))
-
-    for name, fld in (("phi", state.phi), ("mu", state.mu), ("q", state.q)):
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(cellwise(fld.values))
-
-    lines.append("VECTORS velocity double")
-    for j in range(ny):
-        for i in range(nx):
-            lines.append(f"{_fmt(uc[i, j])} {_fmt(wc[i, j])} 0")
-
-    lines.append("TENSORS F double")
-    c = state.F.comps
-    for j in range(ny):
-        for i in range(nx):
-            lines.append(f"{_fmt(c[i, j, 0, 0])} {_fmt(c[i, j, 0, 1])} 0")
-            lines.append(f"{_fmt(c[i, j, 1, 0])} {_fmt(c[i, j, 1, 1])} 0")
-            lines.append("0 0 0")
-            lines.append("")
-
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for line, a in blocks:
+            fh.write(line.encode("ascii") + b"\n")
+            # (nx, ny, ...) -> (ny, nx, ...) in C order: x runs fastest
+            fh.write(np.ascontiguousarray(np.swapaxes(a, 0, 1), dtype=">f8").tobytes())
+            fh.write(b"\n")
 
 
 def write_restart(path: str | Path, state: SimState, accept_streak: int = 0,

@@ -141,27 +141,27 @@ def test_eulerian_stress_equals_scaled_gram_einsum(params, rng):
 
 
 def test_mooney_rivlin_identity_value():
-    p = ModelParams(c2=0.0, c3=1.0, d_dim=3)
+    p = ModelParams(c2=0.0, c3=1.0)
     # first two terms vanish at the identity; h(1) = 1/2
     assert law.mooney_rivlin_w(0.0, np.eye(3), p) == pytest.approx(0.5)
 
 
 def test_mooney_rivlin_frobenius_term():
-    p = ModelParams(c_elastic=1.0, c2=0.0, c3=0.0, d_dim=3)
+    p = ModelParams(c_elastic=1.0, c2=0.0, c3=0.0)
     F = np.diag([2.0, 1.0, 1.0])
     assert law.mooney_rivlin_w(1.0, F, p) == pytest.approx(0.5 * (6 - 3))
 
 
 def test_mooney_rivlin_piola_identity_cases():
-    p1 = ModelParams(c_elastic=1.0, c2=0.0, c3=0.0, d_dim=3)
+    p1 = ModelParams(c_elastic=1.0, c2=0.0, c3=0.0)
     assert np.allclose(law.mooney_rivlin_piola(1.0, np.eye(3), p1), np.eye(3))
-    p2 = ModelParams(c_elastic=1e-30, c2=0.0, c3=1.0, d_dim=3)
+    p2 = ModelParams(c_elastic=1e-30, c2=0.0, c3=1.0)
     # chosen h has h'(1) = 0: stress-free identity
     assert np.max(np.abs(law.mooney_rivlin_piola(0.0, np.eye(3), p2))) <= 1e-12
 
 
 def test_mooney_rivlin_matches_fd_gradient(rng):
-    p = ModelParams(c_elastic=0.8, c2=0.7, c3=0.9, d_dim=3)
+    p = ModelParams(c_elastic=0.8, c2=0.7, c3=0.9)
     checked = 0
     while checked < 50:
         F = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
@@ -183,7 +183,7 @@ def test_mooney_rivlin_matches_fd_gradient(rng):
 
 
 def test_mooney_rivlin_rejects_nonpositive_det():
-    p = ModelParams(c3=1.0, d_dim=3)
+    p = ModelParams(c3=1.0)
     F = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(PreconditionError):
         law.mooney_rivlin_w(0.0, F, p)
@@ -192,7 +192,7 @@ def test_mooney_rivlin_rejects_nonpositive_det():
 
 
 def test_mooney_rivlin_reduces_to_neo_hookean(rng):
-    p = ModelParams(c_elastic=1.3, c2=0.0, c3=0.0, d_dim=3)
+    p = ModelParams(c_elastic=1.3, c2=0.0, c3=0.0)
     for _ in range(10):
         F = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
         if determinant(F) <= 0:

@@ -4,8 +4,9 @@ import pytest
 from chve.config import parse_config
 from chve.driver import Simulation, adapt_dt, run_simulation, simulate
 from chve.errors import RunError
-from chve.grid import TensorField
-from chve.vtk_io import read_restart, write_restart
+from chve.grid import (GridSpec, ScalarField, SimState, StaggeredVectorField,
+                       TensorField)
+from chve.vtk_io import read_restart, write_restart, write_vtk
 
 
 def spinodal_config(tmp_path, name="out", **kw):
@@ -282,6 +283,62 @@ def test_more_picard_sweeps_tighten_coupling(tmp_path):
     assert np.mean(res8) <= 1.05 * np.mean(res1)
 
 
+def _read_vtk(path):
+    """Parse a legacy VTK BINARY snapshot; returns the 8 header lines and
+    {name: array}, each array indexed (i, j, ...) like the state's fields."""
+    raw = path.read_bytes()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = raw.index(b"\n", pos)
+        text = raw[pos:end].decode("ascii")
+        pos = end + 1
+        return text
+
+    header = [line() for _ in range(8)]
+    nx, ny = (int(n) - 1 for n in header[4].split()[1:3])
+    arrays = {}
+    while pos < len(raw):
+        kind, name, dtype = line().split()[:3]
+        assert dtype == "double"
+        if kind == "SCALARS":
+            assert line() == "LOOKUP_TABLE default"
+        shape = (ny, nx) + {"SCALARS": (), "VECTORS": (3,), "TENSORS": (3, 3)}[kind]
+        count = int(np.prod(shape))
+        a = np.frombuffer(raw, dtype=">f8", count=count, offset=pos)
+        pos += 8 * count
+        assert raw[pos:pos + 1] == b"\n"
+        pos += 1
+        arrays[name] = np.swapaxes(a.reshape(shape), 0, 1)  # x ran fastest
+    return header, arrays
+
+
+def _check_snapshot(path, state):
+    g = state.phi.grid
+    header, arrays = _read_vtk(path)
+    assert header == [
+        "# vtk DataFile Version 3.0",
+        f"chve snapshot step={state.step_index} t={state.t:.17g}",
+        "BINARY",
+        "DATASET STRUCTURED_POINTS",
+        f"DIMENSIONS {g.nx + 1} {g.ny + 1} 1",
+        "ORIGIN 0 0 0",
+        f"SPACING {g.hx:.17g} {g.hy:.17g} 1",
+        f"CELL_DATA {g.nx * g.ny}",
+    ]
+    assert list(arrays) == ["phi", "mu", "q", "velocity", "F"]
+    for name in ("phi", "mu", "q"):
+        assert np.array_equal(arrays[name], getattr(state, name).values)
+    vel = arrays["velocity"]
+    assert np.array_equal(vel[..., 0], 0.5 * (state.v.u[1:, :] + state.v.u[:-1, :]))
+    assert np.array_equal(vel[..., 1], 0.5 * (state.v.w[:, 1:] + state.v.w[:, :-1]))
+    assert not vel[..., 2].any()
+    F = arrays["F"]
+    assert np.array_equal(F[..., :2, :2], state.F.comps)
+    assert not F[..., 2, :].any() and not F[..., :, 2].any()
+
+
 def test_snapshot_cadence(tmp_path):
     cfg = spinodal_config(tmp_path, name="snap", snapshot_every=5,
                           max_steps=10, t_end=1.0)
@@ -290,20 +347,29 @@ def test_snapshot_cadence(tmp_path):
     for step in (0, 5, 10):
         assert (out / f"snap_{step:08d}.vtk").exists()
         assert (out / f"restart_{step:08d}.chv").exists()
+        # the snapshot holds exactly the fields of the restart beside it
+        state, _, _ = read_restart(out / f"restart_{step:08d}.chv")
+        assert state.step_index == step
+        _check_snapshot(out / f"snap_{step:08d}.vtk", state)
 
 
-def test_vtk_snapshot_structure(tmp_path):
+def test_vtk_snapshot_structure(tmp_path, rng):
+    # one accepted 32^2 step, then a random state on a non-square grid,
+    # where swapping the x and y ordering cannot go unnoticed
     cfg = spinodal_config(tmp_path, name="vtk", max_steps=1, t_end=1.0)
-    run_simulation(cfg)
-    text = (tmp_path / "vtk" / "snap_00000001.vtk").read_text()
-    assert "DATASET STRUCTURED_POINTS" in text
-    assert "DIMENSIONS 33 33 1" in text
-    assert f"CELL_DATA {32 * 32}" in text
-    for name in ("SCALARS phi double 1", "SCALARS mu double 1",
-                 "SCALARS q double 1", "VECTORS velocity double",
-                 "TENSORS F double"):
-        assert name in text
-    assert "\r" not in text
+    _, _, state = simulate(cfg)
+    _check_snapshot(tmp_path / "vtk" / "snap_00000001.vtk", state)
+
+    g = GridSpec(5, 7, 1.0, 1.3)
+    phi, mu, q = (ScalarField(g, rng.standard_normal((5, 7))) for _ in range(3))
+    state = SimState(phi=phi, phi_prev=phi, mu=mu, q=q,
+                     F=TensorField(g, rng.standard_normal((5, 7, 2, 2))),
+                     v=StaggeredVectorField(  # no-slip: wall faces stay 0
+                         g, np.pad(rng.standard_normal((4, 7)), ((1, 1), (0, 0))),
+                         np.pad(rng.standard_normal((5, 6)), ((0, 0), (1, 1)))),
+                     t=0.125, dt=1e-3, step_index=3)
+    write_vtk(tmp_path / "5x7.vtk", state)
+    _check_snapshot(tmp_path / "5x7.vtk", state)
 
 
 def test_named_initial_profiles(tmp_path):

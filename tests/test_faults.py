@@ -2,12 +2,15 @@
 damaged restart file becomes a validation error (CLI exit 2), and a crash
 while writing a restart leaves the previous one intact."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from chve import cli, constitutive, vtk_io
+from chve import cli, constitutive, driver, vtk_io
 from chve.driver import Simulation, StepRejected
 from chve.errors import SolverError, ValidationError
 from chve.grid import GridSpec
@@ -113,6 +116,19 @@ def test_persistent_transport_stall_ends_run_with_dt_underflow(tmp_path, monkeyp
 
 def test_persistent_stokes_fault_ends_run_with_dt_underflow(tmp_path, monkeypatch):
     _run_faulty(tmp_path, "stokes", lambda: monkeypatch.setattr(sla, "cho_solve", _nan_back_solve))
+
+
+def test_persistent_energy_rise_ends_run_with_dt_underflow(tmp_path, monkeypatch):
+    real = driver.total_energy
+    rise = itertools.count(1)
+
+    def rising(*args, **kwargs):
+        # each evaluation lies one unit of bulk energy above the one before
+        eb = real(*args, **kwargs)
+        return dataclasses.replace(eb, bulk=eb.bulk + next(rise))
+
+    _run_faulty(tmp_path, "energy",
+                lambda: monkeypatch.setattr(driver, "total_energy", rising))
 
 
 @pytest.mark.parametrize("keep", [40, -8], ids=["inside-header", "8-bytes-short"])
