@@ -116,14 +116,13 @@ class CHSystem:
 
     def step(self, phi_n: ScalarField, phi_prev: ScalarField, F: TensorField,
              v: StaggeredVectorField, dt: float,
-             initial_guess: ScalarField | None = None,
-             tol: float = TOL_NEWTON, max_iter: int = MAX_NEWTON):
+             initial_guess: ScalarField | None = None):
         """Advance (phi, mu) one step; returns (phi_new, mu_new, newton_iters).
 
         phi_prev (the previous accepted field) only seeds the Newton warm
         start; the viscous delta term always differences phi_new against
-        phi_n.  Raises NewtonError if max_iter iterations do not reach tol
-        or the residual turns non-finite.
+        phi_n.  Raises NewtonError if MAX_NEWTON iterations do not reach
+        TOL_NEWTON or the residual turns non-finite.
         """
         if dt <= 0.0:
             raise PreconditionError("dt must be > 0")
@@ -161,13 +160,13 @@ class CHSystem:
 
         r1, r2, res = residual(phi, mu, 0)
         iters = 1
-        if res > 1e-2 * tol:
+        if res > 1e-2 * TOL_NEWTON:
             # Convergence is judged on the post-update residual alone.  After
             # an update r1 equals the GMRES residual of the Schur system and
             # r2 is the second-order remainder of psi_plus', so a loose
             # relative Krylov tolerance gives an inexact Newton method whose
-            # outer test still enforces tol.
-            for iters in range(1, max_iter + 1):
+            # outer test still enforces TOL_NEWTON.
+            for iters in range(1, MAX_NEWTON + 1):
                 D = law.psi_plus_second(phi) / p.eps + p.delta / dt
                 op = spla.LinearOperator(
                     (self.n, self.n), dtype=float,
@@ -177,20 +176,20 @@ class CHSystem:
                 m = float(np.mean(rhs))
                 rhs0 = rhs - op.matvec(np.full(self.n, m))
                 rhs0 -= np.mean(rhs0)
-                z, _ = spla.gmres(op, rhs0, rtol=GMRES_RTOL, atol=0.1 * tol,
+                z, _ = spla.gmres(op, rhs0, rtol=GMRES_RTOL, atol=0.1 * TOL_NEWTON,
                                   restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
                                   M=self._preconditioner(dt, b_mean, float(np.mean(D))))
                 dphi = m + (z - np.mean(z))
                 phi = phi + dphi
                 mu = mu - r2 - (p.eps * (self.L @ dphi) - D * dphi)
                 r1, r2, res = residual(phi, mu, iters)
-                if res <= tol:
+                if res <= TOL_NEWTON:
                     break
             else:
                 raise NewtonError(
                     f"phase-field Newton stalled at residual {res:.3e} "
-                    f"after {max_iter} iterations",
-                    residual=res, iterations=max_iter)
+                    f"after {MAX_NEWTON} iterations",
+                    residual=res, iterations=MAX_NEWTON)
 
         g = self.grid
         return (ScalarField(g, phi.reshape(g.nx, g.ny)),

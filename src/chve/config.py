@@ -1,19 +1,32 @@
 """Run-description parsing and validation.
 
 Config files are line-oriented UTF-8 ``key = value`` text with ``[section]``
-headers.  Unknown sections or keys are hard errors, as are values outside
-the admissible ranges of the model (positive viscosity, stiffness bounded
-in (0, 1], mobility bounds ordered, ...).
+headers.  Each section is one frozen dataclass whose fields are its keys
+(``[grid]`` is GridSpec, ``[params]`` is ModelParams with the file keys
+``lambda``, ``f_window_lo``, ``f_window_hi`` for ``lam``, ``f_lo``,
+``f_hi``).  Each dataclass checks the admissible ranges of the model in
+``__post_init__`` (positive viscosity, stiffness bounded in (0, 1], mobility
+bounds ordered, ...), so file values, CLI overrides and ``replace`` are
+checked alike.  Unknown sections or keys are hard errors.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ValidationError
 from .grid import GridSpec, ModelParams, PreconditionError
+
+_PHI_PROFILES = ("uniform", "random-uniform", "tanh-x", "tanh-y")
+_F_PROFILES = ("identity", "cosine-stretch")
+
+
+def _require(checks):
+    for ok, msg in checks:
+        if not ok:
+            raise ValidationError(msg)
 
 
 @dataclass(frozen=True)
@@ -30,11 +43,30 @@ class TimeConfig:
     energy_increase_tol: float = 1e-8
     max_steps: int = 1_000_000
 
+    def __post_init__(self):
+        _require([
+            (self.t_end >= 0.0, "t_end must be >= 0"),
+            (self.dt_min > 0.0, "dt_min must be > 0"),
+            (self.dt_min <= self.dt0 <= self.dt_max,
+             "time steps must satisfy dt_min <= dt0 <= dt_max"),
+            (self.grow_factor >= 1.0, "grow_factor must be >= 1"),
+            (self.grow_after >= 1, "grow_after must be >= 1"),
+            (self.cfl_max > 0.0, "cfl_max must be > 0"),
+            (self.energy_increase_tol >= 0.0, "energy_increase_tol must be >= 0"),
+            (self.max_steps >= 0, "max_steps must be >= 0"),
+        ])
+
 
 @dataclass(frozen=True)
 class CouplingConfig:
     picard_max: int = 2
     picard_tol: float = 1e-8
+
+    def __post_init__(self):
+        _require([
+            (self.picard_max >= 1, "picard_max must be >= 1"),
+            (self.picard_tol > 0.0, "picard_tol must be > 0"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -48,12 +80,26 @@ class InitialConfig:
     F_amplitude: float = 0.0
     restart_file: str = ""
 
+    def __post_init__(self):
+        _require([
+            (self.phi in _PHI_PROFILES,
+             f"initial phi profile must be one of {_PHI_PROFILES}"),
+            (self.F in _F_PROFILES, f"initial F profile must be one of {_F_PROFILES}"),
+            (self.phi_width > 0.0, "phi_width must be > 0"),
+        ])
+
 
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
     snapshot_every: int = 0       # 0: initial and final snapshot only
     diagnostics_every: int = 1
+
+    def __post_init__(self):
+        _require([
+            (self.snapshot_every >= 0, "snapshot_every must be >= 0"),
+            (self.diagnostics_every >= 1, "diagnostics_every must be >= 1"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -66,32 +112,19 @@ class ConfigSpec:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_SCHEMA = {
-    "grid": {"nx": int, "ny": int, "lx": float, "ly": float},
-    "params": {"nu": float, "lambda": float, "delta": float, "eps": float,
-               "c_elastic": float, "f_min": float, "b0": float, "b1": float,
-               "c2": float, "c3": float, "f_window_lo": float,
-               "f_window_hi": float, "mobility_profile": str},
-    "time": {"t_end": float, "dt0": float, "dt_min": float, "dt_max": float,
-             "grow_factor": float, "grow_after": int, "cfl_max": float,
-             "adaptive": bool, "reject_on_energy": bool,
-             "energy_increase_tol": float, "max_steps": int},
-    "coupling": {"picard_max": int, "picard_tol": float},
-    "initial": {"phi": str, "phi_value": float, "phi_amplitude": float,
-                "phi_width": float, "seed": int, "F": str,
-                "F_amplitude": float, "restart_file": str},
-    "output": {"directory": str, "snapshot_every": int,
-               "diagnostics_every": int},
-}
-
-_PARAM_KEYMAP = {"lambda": "lam", "f_window_lo": "f_lo", "f_window_hi": "f_hi"}
-
-_PHI_PROFILES = ("uniform", "random-uniform", "tanh-x", "tanh-y")
-_F_PROFILES = ("identity", "cosine-stretch")
+_SECTIONS = {"grid": GridSpec, "params": ModelParams, "time": TimeConfig,
+             "coupling": CouplingConfig, "initial": InitialConfig,
+             "output": OutputConfig}
+# the [params] fields whose file key differs from the field name
+_RENAMED = {"lam": "lambda", "f_lo": "f_window_lo", "f_hi": "f_window_hi"}
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+# section -> file key -> (field name, type), in field order; built once
+_KEYS = {section: {_RENAMED.get(f.name, f.name): (f.name, _TYPES[f.type])
+                   for f in fields(cls)}
+         for section, cls in _SECTIONS.items()}
 
 
-def _coerce(section: str, key: str, raw: str):
-    typ = _SCHEMA[section][key]
+def _coerce(section: str, key: str, typ: type, raw: str):
     try:
         if typ is bool:
             low = raw.strip().lower()
@@ -116,64 +149,25 @@ def parse_config(text: str) -> ConfigSpec:
 
     values: dict[str, dict] = {}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ValidationError(f"unknown config section [{section}]")
-        values[section] = {}
+        body = values[section] = {}
         for key, raw in cp[section].items():
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ValidationError(f"unknown key {key!r} in section [{section}]")
-            values[section][key] = _coerce(section, key, raw)
+            name, typ = _KEYS[section][key]
+            body[name] = _coerce(section, key, typ, raw)
 
     if "grid" not in values:
         raise ValidationError("config must contain a [grid] section")
 
-    try:
-        grid = GridSpec(**{k: values["grid"][k] for k in values["grid"]})
-    except (PreconditionError, TypeError) as exc:
-        raise ValidationError(f"[grid]: {exc}") from exc
-
-    raw_params = values.get("params", {})
-    kwargs = {_PARAM_KEYMAP.get(k, k): v for k, v in raw_params.items()}
-    try:
-        params = ModelParams(**kwargs)
-    except PreconditionError as exc:
-        raise ValidationError(f"[params]: {exc}") from exc
-
-    time = TimeConfig(**values.get("time", {}))
-    coupling = CouplingConfig(**values.get("coupling", {}))
-    initial = InitialConfig(**values.get("initial", {}))
-    output = OutputConfig(**values.get("output", {}))
-
-    cfg = ConfigSpec(grid=grid, params=params, time=time, coupling=coupling,
-                     initial=initial, output=output)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ConfigSpec):
-    t = cfg.time
-    checks = [
-        (t.t_end >= 0.0, "t_end must be >= 0"),
-        (t.dt_min > 0.0, "dt_min must be > 0"),
-        (t.dt_min <= t.dt0 <= t.dt_max, "time steps must satisfy dt_min <= dt0 <= dt_max"),
-        (t.grow_factor >= 1.0, "grow_factor must be >= 1"),
-        (t.grow_after >= 1, "grow_after must be >= 1"),
-        (t.cfl_max > 0.0, "cfl_max must be > 0"),
-        (t.energy_increase_tol >= 0.0, "energy_increase_tol must be >= 0"),
-        (t.max_steps >= 0, "max_steps must be >= 0"),
-        (cfg.coupling.picard_max >= 1, "picard_max must be >= 1"),
-        (cfg.coupling.picard_tol > 0.0, "picard_tol must be > 0"),
-        (cfg.initial.phi in _PHI_PROFILES,
-         f"initial phi profile must be one of {_PHI_PROFILES}"),
-        (cfg.initial.F in _F_PROFILES,
-         f"initial F profile must be one of {_F_PROFILES}"),
-        (cfg.initial.phi_width > 0.0, "phi_width must be > 0"),
-        (cfg.output.snapshot_every >= 0, "snapshot_every must be >= 0"),
-        (cfg.output.diagnostics_every >= 1, "diagnostics_every must be >= 1"),
-    ]
-    for ok, msg in checks:
-        if not ok:
-            raise ValidationError(msg)
+    parts = {}
+    for section, cls in _SECTIONS.items():
+        try:
+            parts[section] = cls(**values.get(section, {}))
+        except (PreconditionError, TypeError) as exc:
+            raise ValidationError(f"[{section}]: {exc}") from exc
+    return ConfigSpec(**parts)
 
 
 def load_config(path: str | Path) -> ConfigSpec:
@@ -186,24 +180,12 @@ def dump_config(cfg: ConfigSpec) -> str:
     The driver drops this next to the diagnostics so a run records the
     grid, every model constant and the seed that produced it.
     """
-    p = cfg.params
-    sections = {
-        "grid": {"nx": cfg.grid.nx, "ny": cfg.grid.ny,
-                 "lx": cfg.grid.lx, "ly": cfg.grid.ly},
-        "params": {"nu": p.nu, "lambda": p.lam, "delta": p.delta,
-                   "eps": p.eps, "c_elastic": p.c_elastic, "f_min": p.f_min,
-                   "b0": p.b0, "b1": p.b1, "c2": p.c2, "c3": p.c3,
-                   "f_window_lo": p.f_lo, "f_window_hi": p.f_hi,
-                   "mobility_profile": p.mobility_profile},
-        "time": {k: getattr(cfg.time, k) for k in _SCHEMA["time"]},
-        "coupling": {k: getattr(cfg.coupling, k) for k in _SCHEMA["coupling"]},
-        "initial": {k: getattr(cfg.initial, k) for k in _SCHEMA["initial"]},
-        "output": {k: getattr(cfg.output, k) for k in _SCHEMA["output"]},
-    }
     lines = []
-    for name, body in sections.items():
-        lines.append(f"[{name}]")
-        for key, val in body.items():
+    for section, keys in _KEYS.items():
+        body = getattr(cfg, section)
+        lines.append(f"[{section}]")
+        for key, (name, _) in keys.items():
+            val = getattr(body, name)
             if isinstance(val, bool):
                 val = "true" if val else "false"
             elif isinstance(val, float):
@@ -216,7 +198,7 @@ def dump_config(cfg: ConfigSpec) -> str:
 def with_overrides(cfg: ConfigSpec, output_dir: str | None = None,
                    seed: int | None = None,
                    max_steps: int | None = None) -> ConfigSpec:
-    """CLI-flag overrides on top of a parsed config."""
+    """CLI-flag overrides on top of a parsed config, checked like file values."""
     if output_dir is not None:
         cfg = replace(cfg, output=replace(cfg.output, directory=output_dir))
     if seed is not None:

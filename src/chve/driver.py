@@ -237,10 +237,13 @@ class Simulation:
         csv_path = outdir / "diagnostics.csv"
         fresh = state.step_index == 0
         kept = [] if fresh else _csv_rows_through(csv_path, state.step_index)
+        written = None  # (step, dt, streak) of the last checkpoint
 
         def checkpoint():
             """Snapshot and restart of the current state; the restart carries
             the next dt, the accept streak and the energy scale."""
+            nonlocal written
+            written = (state.step_index, dt, streak)
             csv.flush()  # rows up to a restart reach the file before it
             write_vtk(outdir / f"snap_{state.step_index:08d}.vtk", state)
             write_restart(outdir / f"restart_{state.step_index:08d}.chv",
@@ -291,7 +294,8 @@ class Simulation:
                     csv.write(row.csv_line() + "\n")
                 if cfg.output.snapshot_every and accepted % cfg.output.snapshot_every == 0:
                     checkpoint()
-            checkpoint()
+            if written != (state.step_index, dt, streak):
+                checkpoint()
         finally:
             csv.close()
 

@@ -201,7 +201,7 @@ class ModelParams:
 
     nu        viscosity of the quasi-static Stokes balance, > 0
     lam       elliptic regularization of the deformation transport, >= 0
-              (the time-stepped solver expects lam > 0)
+              (lam = 0 makes the transport step fully explicit)
     delta     viscous regularization of the chemical potential, >= 0
     eps       interface parameter of the phase-field energy, > 0
     c_elastic elastic modulus, > 0

@@ -33,10 +33,6 @@ import scipy.sparse as sp
 
 from .grid import GridSpec, PreconditionError, ScalarField, StaggeredVectorField, TensorField
 
-# Scale hook for the mutation spot-check in the test suite: the dense oracle
-# comparison must fail when this is perturbed away from 1.
-_STENCIL_SCALE = 1.0
-
 
 # ---------------------------------------------------------------------------
 # gradient / divergence / Laplacian
@@ -48,8 +44,8 @@ def grad_cc(phi: ScalarField) -> StaggeredVectorField:
     p = phi.values
     gu = np.zeros((g.nx + 1, g.ny))
     gw = np.zeros((g.nx, g.ny + 1))
-    gu[1:-1, :] = _STENCIL_SCALE * (p[1:, :] - p[:-1, :]) / g.hx
-    gw[:, 1:-1] = _STENCIL_SCALE * (p[:, 1:] - p[:, :-1]) / g.hy
+    gu[1:-1, :] = (p[1:, :] - p[:-1, :]) / g.hx
+    gw[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / g.hy
     return StaggeredVectorField(g, gu, gw)
 
 
@@ -97,7 +93,7 @@ def laplacian_matrix(grid: GridSpec, coeff: np.ndarray | None = None) -> sp.csr_
     """Assembled zero-flux Laplacian div(coeff grad .), rows summing to 0.
 
     Each interior face between cells a and b carries the weight
-    w = coeff_face * scale / h^2 and adds w to (a, b) and (b, a) and -w to
+    w = coeff_face / h^2 and adds w to (a, b) and (b, a) and -w to
     both diagonals; boundary faces carry no flux.
     """
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
@@ -109,8 +105,8 @@ def laplacian_matrix(grid: GridSpec, coeff: np.ndarray | None = None) -> sp.csr_
             raise PreconditionError("laplacian coefficient must be strictly positive")
         cx = 0.5 * (coeff[1:, :] + coeff[:-1, :])
         cy = 0.5 * (coeff[:, 1:] + coeff[:, :-1])
-    wx = cx * (_STENCIL_SCALE / (hx * hx))   # face between (i, j) and (i+1, j)
-    wy = cy * (_STENCIL_SCALE / (hy * hy))   # face between (i, j) and (i, j+1)
+    wx = cx * (1.0 / (hx * hx))   # face between (i, j) and (i+1, j)
+    wy = cy * (1.0 / (hy * hy))   # face between (i, j) and (i, j+1)
 
     diag = np.zeros((nx, ny))
     diag[:-1, :] -= wx

@@ -55,7 +55,7 @@ class TransportSystem:
         self._eig = laplacian_eigenvalues(grid)
 
     def step(self, F_n: TensorField, v: StaggeredVectorField, phi_n: ScalarField,
-             dt: float, grad_v: TensorField | None = None) -> TensorField:
+             dt: float) -> TensorField:
         """Advance the deformation gradient one time step.
 
         Solves, for every tensor component at once,
@@ -63,19 +63,16 @@ class TransportSystem:
             (F_new - F_n)/dt + advect(v, F_n) - (grad v) F_n
                 - lam * Lap( f(phi_n) F_new ) = 0
 
-        with zero-flux boundary imposed on f(phi_n) F_new.  ``grad_v``
-        overrides the discrete velocity gradient (testing hook for
-        prescribed gradients).  Raises SolverError if the residual in F
-        exceeds TOL_LIN relative to the right-hand side or is not finite.
+        with zero-flux boundary imposed on f(phi_n) F_new.  Raises
+        SolverError if the residual in F exceeds TOL_LIN relative to the
+        right-hand side or is not finite.
         """
         if dt <= 0.0:
             raise PreconditionError("dt must be > 0")
         g = self.grid
         lam = self.params.lam
-        if grad_v is None:
-            grad_v = velocity_gradient(v)
         adv = advect_tensor(v, F_n)
-        stretch = grad_v.comps @ F_n.comps
+        stretch = velocity_gradient(v).comps @ F_n.comps
         rhs = F_n.comps / dt - adv.comps + stretch
 
         if lam == 0.0:

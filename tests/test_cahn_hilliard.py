@@ -116,14 +116,15 @@ def test_decoupled_energy_never_increases(dt, rng):
         e = e_new
 
 
-def test_newton_error_carries_residual(grid16, rng):
+def test_newton_error_carries_residual(grid16, rng, monkeypatch):
     params = ModelParams(eps=0.05, b0=1.0, b1=1.0)
     phi = ScalarField(grid16, rng.uniform(-0.5, 0.5, (16, 16)))
     F = TensorField.identity(grid16)
     v = StaggeredVectorField.zeros(grid16)
+    monkeypatch.setattr(ch, "TOL_NEWTON", 1e-14)
+    monkeypatch.setattr(ch, "MAX_NEWTON", 1)
     with pytest.raises(NewtonError) as exc:
-        ch.CHSystem(grid16, params).step(phi, phi, F, v, dt=1.0,
-                                         max_iter=1, tol=1e-14)
+        ch.CHSystem(grid16, params).step(phi, phi, F, v, dt=1.0)
     assert exc.value.residual > 0.0
     assert exc.value.iterations == 1
 
@@ -136,7 +137,7 @@ def test_rejects_nonpositive_dt(grid16, params):
 
 
 @pytest.mark.parametrize("profile", ["constant", "smoothstep"])
-def test_mass_exact_with_loose_newton_tolerance(grid16, rng, profile):
+def test_mass_exact_with_loose_newton_tolerance(grid16, rng, monkeypatch, profile):
     """A loose tol accepts an early, sloppy Newton iterate; the cell sum of
     phi must still be conserved to rounding, not to the solver tolerance,
     also from a warm start whose cell sum is off."""
@@ -149,10 +150,10 @@ def test_mass_exact_with_loose_newton_tolerance(grid16, rng, profile):
     v = StaggeredVectorField.from_stream_function(grid16, 0.1 * psi)
     system = ch.CHSystem(grid16, params)
     shifted = ScalarField(grid16, phi.values + 0.05)
+    monkeypatch.setattr(ch, "TOL_NEWTON", 1e-4)
     for dt in (1e-3, 1e-1):
         for guess in (None, shifted):
-            phi1, _, _ = system.step(phi, phi, F, v, dt=dt, initial_guess=guess,
-                                     tol=1e-4)
+            phi1, _, _ = system.step(phi, phi, F, v, dt=dt, initial_guess=guess)
             drift = abs(np.sum(phi1.values) - np.sum(phi.values))
             assert drift <= 1e-13 * np.sum(np.abs(phi.values))
 

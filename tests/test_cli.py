@@ -59,6 +59,15 @@ def test_run_invalid_config_exit_2(tmp_path, capsys):
     assert "f_min" in capsys.readouterr().err
 
 
+def test_run_invalid_override_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("PLACEHOLDER", str(tmp_path / "out")))
+    assert main(["run", str(cfg), "--max-steps", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "max_steps must be >= 0" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_missing_file_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini")]) == 2
 

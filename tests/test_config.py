@@ -1,6 +1,10 @@
+import configparser
+from pathlib import Path
+
 import pytest
 
-from chve.config import ConfigSpec, load_config, parse_config, with_overrides
+from chve.config import (ConfigSpec, dump_config, load_config, parse_config,
+                         with_overrides)
 from chve.errors import ValidationError
 
 GOOD = """
@@ -130,3 +134,63 @@ def test_dump_config_roundtrip():
     from chve.config import dump_config
     cfg = parse_config(GOOD)
     assert parse_config(dump_config(cfg)) == cfg
+
+
+def test_overrides_are_validated():
+    cfg = parse_config(GOOD)
+    with pytest.raises(ValidationError, match="max_steps must be >= 0"):
+        with_overrides(cfg, max_steps=-1)
+    with pytest.raises(ValidationError, match="snapshot_every must be >= 0"):
+        parse_config(GOOD.replace("snapshot_every = 10", "snapshot_every = -1"))
+    cfg2 = with_overrides(cfg, output_dir="elsewhere", seed=99, max_steps=0)
+    assert parse_config(dump_config(cfg2)) == cfg2
+
+
+# a valid value other than the default for every key of every section
+NON_DEFAULT = {
+    "grid": {"nx": "9", "ny": "11", "lx": "2.5", "ly": "0.75"},
+    "params": {"nu": "2.5", "lambda": "0.0", "delta": "0.01", "eps": "0.3",
+               "c_elastic": "1.5", "f_min": "0.2", "b0": "0.5", "b1": "2.0",
+               "c2": "0.1", "c3": "0.2", "f_window_lo": "-0.5",
+               "f_window_hi": "0.5", "mobility_profile": "smoothstep"},
+    "time": {"t_end": "0.5", "dt0": "1e-3", "dt_min": "1e-12", "dt_max": "0.02",
+             "grow_factor": "1.5", "grow_after": "3", "cfl_max": "0.25",
+             "adaptive": "false", "reject_on_energy": "no",
+             "energy_increase_tol": "0.0", "max_steps": "7"},
+    "coupling": {"picard_max": "4", "picard_tol": "1e-6"},
+    "initial": {"phi": "tanh-y", "phi_value": "0.25", "phi_amplitude": "0.5",
+                "phi_width": "0.05", "seed": "42", "F": "cosine-stretch",
+                "F_amplitude": "0.1", "restart_file": "r.chv"},
+    "output": {"directory": "elsewhere", "snapshot_every": "3",
+               "diagnostics_every": "2"},
+}
+MINIMAL = "[grid]\nnx = 8\nny = 8\n"
+
+
+def test_non_default_table_covers_every_key():
+    dumped = configparser.ConfigParser(interpolation=None)
+    dumped.optionxform = str
+    dumped.read_string(dump_config(parse_config(MINIMAL)))
+    assert {s: set(dumped[s]) for s in dumped.sections()} == \
+        {s: set(keys) for s, keys in NON_DEFAULT.items()}
+
+
+@pytest.mark.parametrize("section,key", [(s, k) for s, keys in NON_DEFAULT.items()
+                                         for k in keys])
+def test_every_key_round_trips(section, key):
+    sections = {"grid": {"nx": "8", "ny": "8"}}
+    sections.setdefault(section, {})[key] = NON_DEFAULT[section][key]
+    text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                   for s, body in sections.items())
+    cfg = parse_config(text)
+    assert cfg != parse_config(MINIMAL)
+    assert parse_config(dump_config(cfg)) == cfg
+
+
+def test_readme_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    assert cfg.grid.nx == 64
+    assert cfg.params.lam == 1e-3 and cfg.params.eps == 0.05
+    assert cfg.initial.phi == "random-uniform"

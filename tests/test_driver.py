@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from chve.config import parse_config
-from chve.driver import Simulation, adapt_dt, run_simulation, simulate
+from chve.driver import (Simulation, StepRejected, adapt_dt, run_simulation,
+                         simulate)
 from chve.errors import RunError
 from chve.grid import (GridSpec, ScalarField, SimState, StaggeredVectorField,
                        TensorField)
@@ -351,6 +352,58 @@ def test_snapshot_cadence(tmp_path):
         state, _, _ = read_restart(out / f"restart_{step:08d}.chv")
         assert state.step_index == step
         _check_snapshot(out / f"snap_{step:08d}.vtk", state)
+
+
+def _record_checkpoints(monkeypatch):
+    """Record the step of every snapshot and the (step, next dt) of every
+    restart the driver writes."""
+    from chve import driver
+    snaps, restarts = [], []
+    real_vtk, real_restart = driver.write_vtk, driver.write_restart
+
+    def vtk(path, state):
+        snaps.append(state.step_index)
+        real_vtk(path, state)
+
+    def restart(path, state, *args):
+        restarts.append((state.step_index, state.dt))
+        real_restart(path, state, *args)
+
+    monkeypatch.setattr(driver, "write_vtk", vtk)
+    monkeypatch.setattr(driver, "write_restart", restart)
+    return snaps, restarts
+
+
+@pytest.mark.parametrize("kw,steps", [
+    (dict(t_end=0.0), [0]),
+    (dict(snapshot_every=5, max_steps=10, t_end=1.0), [0, 5, 10]),
+    (dict(snapshot_every=5, max_steps=7, t_end=1.0), [0, 5, 7]),
+], ids=["t_end-0", "final-on-cadence", "final-off-cadence"])
+def test_each_state_checkpointed_once(tmp_path, monkeypatch, kw, steps):
+    snaps, restarts = _record_checkpoints(monkeypatch)
+    run_simulation(spinodal_config(tmp_path, **kw))
+    assert snaps == steps
+    assert [step for step, _ in restarts] == steps
+
+
+def test_final_checkpoint_after_dt_underflow_carries_halved_dt(tmp_path, monkeypatch):
+    snaps, restarts = _record_checkpoints(monkeypatch)
+    sim = Simulation(spinodal_config(tmp_path, snapshot_every=1, t_end=1.0))
+    real_step = sim.coupled_step
+
+    def rejected_after_two(state, dt):
+        if state.step_index >= 2:
+            raise StepRejected("injected")
+        return real_step(state, dt)
+
+    sim.coupled_step = rejected_after_two
+    summary = sim.run()
+    assert summary.termination == "dt_underflow"
+    assert snaps == [0, 1, 2, 2]
+    # 2e-4 halves 20 times, the 21st rejection would drop it below dt_min
+    assert restarts[-2:] == [(2, 2e-4), (2, 2e-4 / 2**20)]
+    state, _, _ = read_restart(tmp_path / "out" / "restart_00000002.chv")
+    assert state.dt == 2e-4 / 2**20
 
 
 def test_vtk_snapshot_structure(tmp_path, rng):

@@ -3,7 +3,8 @@ import pytest
 
 import chve.operators
 from chve import verification as ver
-from chve.grid import GridSpec, ModelParams, ScalarField, TensorField
+from chve.grid import (GridSpec, ModelParams, ScalarField, StaggeredVectorField,
+                       TensorField)
 
 
 def test_dense_oracle_grid_limit():
@@ -29,7 +30,13 @@ def test_dense_oracle_nonsquare():
 def test_mutation_is_caught_by_dense_oracle(grid8, monkeypatch):
     """Perturbing a stencil coefficient in the production kernels must fail
     the dense comparison: the oracle is genuinely independent."""
-    monkeypatch.setattr(chve.operators, "_STENCIL_SCALE", 1.0 + 1e-6)
+    real = chve.operators.grad_cc
+
+    def scaled(phi):
+        g = real(phi)
+        return StaggeredVectorField(g.grid, (1.0 + 1e-6) * g.u, (1.0 + 1e-6) * g.w)
+
+    monkeypatch.setattr(chve.operators, "grad_cc", scaled)
     rep = ver.dense_oracle_compare(grid8)
     assert not rep["passed"]
 
