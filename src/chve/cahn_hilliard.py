@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.fft import dctn, idctn
 
 from . import constitutive as law
 from .errors import NewtonError
 from .grid import (ModelParams, PreconditionError, ScalarField,
-                   StaggeredVectorField, TensorField, frobenius)
-from .operators import (advect_scalar, laplacian_eigenvalues, laplacian_matrix,
-                        laplacian_neumann)
+                   StaggeredVectorField, TensorField)
+from .operators import (advect_scalar, dct_diagonal, laplacian_eigenvalues,
+                        laplacian_matrix, laplacian_neumann)
 
 TOL_NEWTON = 1e-11
 MAX_NEWTON = 50
@@ -44,12 +43,6 @@ MAX_NEWTON = 50
 GMRES_RTOL = 1e-6
 GMRES_RESTART = 30
 GMRES_MAXITER = 5
-
-
-def elastic_coupling_term(phi: ScalarField, F: TensorField, params: ModelParams) -> np.ndarray:
-    """(c/2) f'(phi) (F:F - d) at cell centers."""
-    return (0.5 * params.c_elastic * law.stiffness_f_prime(phi.values, params)
-            * (frobenius(F.comps, F.comps) - F.d))
 
 
 def static_chemical_potential(phi: ScalarField, F: TensorField, params: ModelParams,
@@ -65,7 +58,7 @@ def static_chemical_potential(phi: ScalarField, F: TensorField, params: ModelPar
     """
     vals = (law.psi_prime(phi.values) / params.eps
             - params.eps * laplacian_neumann(phi).values
-            + elastic_coupling_term(phi, F, params))
+            + law.neo_hookean_dphi(phi.values, F.comps, params))
     if dphi_dt is not None and params.delta > 0.0:
         vals = vals + params.delta * dphi_dt.values
     return ScalarField(phi.grid, vals)
@@ -107,12 +100,8 @@ class CHSystem:
         inv = 1.0 / (1.0 + dt * b_mean * lam * (self.params.eps * lam - d_mean))
         inv[0, 0] = 0.0
         shape = (self.grid.nx, self.grid.ny)
-
-        def solve(x):
-            xh = dctn(x.reshape(shape), type=2, norm="ortho")
-            return idctn(xh * inv, type=2, norm="ortho").ravel()
-
-        return spla.LinearOperator((self.n, self.n), matvec=solve, dtype=float)
+        return spla.LinearOperator((self.n, self.n), dtype=float,
+                                   matvec=lambda x: dct_diagonal(x.reshape(shape), inv).ravel())
 
     def step(self, phi_n: ScalarField, phi_prev: ScalarField, F: TensorField,
              v: StaggeredVectorField, dt: float,
@@ -134,7 +123,7 @@ class CHSystem:
         else:
             Lb = laplacian_matrix(self.grid, b)
         b_mean = float(np.mean(b))
-        coupling = elastic_coupling_term(phi_n, F, p).ravel()
+        coupling = law.neo_hookean_dphi(phi_n.values, F.comps, p).ravel()
         psi_m = law.psi_minus_prime(phi_n.values).ravel() / p.eps
         pn = phi_n.values.ravel()
 
@@ -143,15 +132,18 @@ class CHSystem:
             phi = initial_guess.values.ravel().copy()
         else:
             phi = (2.0 * phi_n.values - phi_prev.values).ravel()
-        mu = (law.psi_plus_prime(phi) / p.eps + psi_m
-              - p.eps * (self.L @ phi) + coupling + (p.delta / dt) * (phi - pn))
+
+        def split_mu(phi):
+            # the convex-splitting chemical potential of the step at phi_new = phi
+            return (law.psi_plus_prime(phi) / p.eps + psi_m
+                    - p.eps * (self.L @ phi) + coupling + (p.delta / dt) * (phi - pn))
+
+        mu = split_mu(phi)
 
         def residual(phi, mu, iters):
             # r1 scaled by dt so both rows are O(field) in size
             r1 = (phi - pn) + dt * (adv - Lb @ mu)
-            r2 = mu - (law.psi_plus_prime(phi) / p.eps + psi_m
-                       - p.eps * (self.L @ phi) + coupling
-                       + (p.delta / dt) * (phi - pn))
+            r2 = mu - split_mu(phi)
             res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
             if not np.isfinite(res):
                 raise NewtonError("phase-field Newton residual is not finite",

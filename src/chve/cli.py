@@ -21,7 +21,7 @@ import numpy as np
 
 from . import verification as ver
 from .config import load_config, with_overrides
-from .driver import run_simulation
+from .driver import Simulation
 from .errors import ValidationError
 from .grid import GridSpec, ModelParams, ScalarField, TensorField
 
@@ -34,7 +34,7 @@ def _cmd_run(args) -> int:
     except (ValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    summary = run_simulation(cfg)
+    summary = Simulation(cfg).run()
     print(f"steps={summary.steps} rejected={summary.rejected_steps} "
           f"wall={summary.wall_time:.2f}s E={summary.final_energy:.6g} "
           f"mass={summary.final_mass:.12g} termination={summary.termination}")

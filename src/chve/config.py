@@ -13,6 +13,7 @@ checked alike.  Unknown sections or keys are hard errors.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -86,6 +87,9 @@ class InitialConfig:
              f"initial phi profile must be one of {_PHI_PROFILES}"),
             (self.F in _F_PROFILES, f"initial F profile must be one of {_F_PROFILES}"),
             (self.phi_width > 0.0, "phi_width must be > 0"),
+            (all(math.isfinite(x) for x in
+                 (self.phi_value, self.phi_amplitude, self.F_amplitude)),
+             "phi_value, phi_amplitude and F_amplitude must be finite"),
         ])
 
 

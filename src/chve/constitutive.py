@@ -13,9 +13,11 @@ through :class:`~chve.grid.ModelParams` so alternates can be swapped in:
   between b0 and b1.
 
 The elastic energies: the phase-coupled Neo-Hookean density
-w = (c/2) f(phi) (F:F - d) drives the 2-D solver; the Mooney-Rivlin
-density (with cofactor and determinant terms) and its first Piola stress
-are evaluation/test utilities for d = 3.
+w = (c/2) f(phi) (F:F - d) drives the 2-D solver, and its derivatives
+dw/dF and dw/dphi are the only copies of those formulas; the Mooney-Rivlin
+density (the Neo-Hookean one plus cofactor and determinant terms, with
+their moduli passed in) and its first Piola stress are evaluation/test
+utilities for d = 3.
 """
 
 from __future__ import annotations
@@ -80,25 +82,27 @@ def _smoothstep_prime(x):
     return np.where(inside, 6.0 * x * (1.0 - x), 0.0)
 
 
+def _window(s, params: ModelParams):
+    """(s - f_lo)/(f_hi - f_lo), the position of s in the window, and its width."""
+    width = params.f_hi - params.f_lo
+    return (np.asarray(s, dtype=float) - params.f_lo) / width, width
+
+
 def stiffness_f(s, params: ModelParams):
     """Stiffness profile, f_min <= f <= 1, clamped outside the window."""
-    width = params.f_hi - params.f_lo
-    x = (np.asarray(s, dtype=float) - params.f_lo) / width
+    x, _ = _window(s, params)
     return params.f_min + (1.0 - params.f_min) * _smoothstep(x)
 
 
 def stiffness_f_prime(s, params: ModelParams):
-    width = params.f_hi - params.f_lo
-    x = (np.asarray(s, dtype=float) - params.f_lo) / width
+    x, width = _window(s, params)
     return (1.0 - params.f_min) * _smoothstep_prime(x) / width
 
 
 def mobility_b(s, params: ModelParams):
-    s = np.asarray(s, dtype=float)
     if params.mobility_profile == "constant":
-        return np.full_like(s, params.b0)
-    width = params.f_hi - params.f_lo
-    x = (s - params.f_lo) / width
+        return np.full_like(np.asarray(s, dtype=float), params.b0)
+    x, _ = _window(s, params)
     return params.b0 + (params.b1 - params.b0) * _smoothstep(x)
 
 
@@ -118,6 +122,14 @@ def neo_hookean_piola(phi, F, params: ModelParams):
     F = np.asarray(F, dtype=float)
     fval = np.asarray(stiffness_f(phi, params))
     return params.c_elastic * fval[..., None, None] * F
+
+
+def neo_hookean_dphi(phi, F, params: ModelParams):
+    """dw/dphi for the Neo-Hookean density: (c/2) f'(phi) (F:F - d), the
+    elastic term of the chemical potential and of the momentum force."""
+    F = np.asarray(F, dtype=float)
+    d = F.shape[-1]
+    return 0.5 * params.c_elastic * stiffness_f_prime(phi, params) * (frobenius(F, F) - d)
 
 
 def eulerian_elastic_stress(phi, F, params: ModelParams):
@@ -149,49 +161,44 @@ def _h_compress_prime(J):
     return J - 1.0 / J
 
 
-def mooney_rivlin_w(phi, F, params: ModelParams):
-    """Mooney-Rivlin density with cofactor and determinant terms (d = 3).
+def _require_3d_invertible(F, name):
+    F = np.asarray(F, dtype=float)
+    if F.shape[-1] != 3:
+        raise PreconditionError(f"{name} is defined for d = 3")
+    J = determinant(F)
+    if np.any(J <= 0.0):
+        raise PreconditionError(f"{name} needs det F > 0")
+    return F, J
 
-    w = (c/2)  f(phi) (F:F - 3)
-      + (c2/2) f(phi) (cofF:cofF - 3)
-      + c3 h(det F),       h(J) = J^2/2 - ln J.
+
+def mooney_rivlin_w(phi, F, params: ModelParams, c2: float, c3: float):
+    """Mooney-Rivlin density with cofactor and determinant terms (d = 3):
+    the Neo-Hookean density plus
+
+      (c2/2) f(phi) (cofF:cofF - 3) + c3 h(det F),   h(J) = J^2/2 - ln J.
 
     The cofactor modulus reuses the stiffness profile f for its phase
     dependence.  Raises on det F <= 0 where h is singular.
     """
-    F = np.asarray(F, dtype=float)
-    if F.shape[-1] != 3:
-        raise PreconditionError("mooney_rivlin_w is defined for d = 3")
-    J = determinant(F)
-    if np.any(J <= 0.0):
-        raise PreconditionError("mooney_rivlin_w needs det F > 0")
-    fval = stiffness_f(phi, params)
+    F, J = _require_3d_invertible(F, "mooney_rivlin_w")
     C = cofactor(F)
-    return (0.5 * params.c_elastic * fval * (frobenius(F, F) - 3.0)
-            + 0.5 * params.c2 * fval * (frobenius(C, C) - 3.0)
-            + params.c3 * _h_compress(J))
+    return (neo_hookean_w(phi, F, params)
+            + 0.5 * c2 * stiffness_f(phi, params) * (frobenius(C, C) - 3.0)
+            + c3 * _h_compress(J))
 
 
-def mooney_rivlin_piola(phi, F, params: ModelParams):
-    """First Piola stress of the Mooney-Rivlin density, term by term:
+def mooney_rivlin_piola(phi, F, params: ModelParams, c2: float, c3: float):
+    """First Piola stress of the Mooney-Rivlin density, term by term: the
+    Neo-Hookean c f F plus
 
-    c f F + c2 f [ (cofF:cofF) F^{-T} - cofF (cofF)^T F^{-T} ]
-          + c3 h'(det F) det F F^{-T}.
+    c2 f [ (cofF:cofF) F^{-T} - cofF (cofF)^T F^{-T} ] + c3 h'(det F) det F F^{-T}.
     """
-    F = np.asarray(F, dtype=float)
-    if F.shape[-1] != 3:
-        raise PreconditionError("mooney_rivlin_piola is defined for d = 3")
-    J = determinant(F)
-    if np.any(J <= 0.0):
-        raise PreconditionError("mooney_rivlin_piola needs det F > 0")
-    fval = np.asarray(stiffness_f(phi, params))
+    F, J = _require_3d_invertible(F, "mooney_rivlin_piola")
     C = cofactor(F)
     Finv_T = np.swapaxes(np.linalg.inv(F), -1, -2)
-    CC = np.asarray(frobenius(C, C))
-    term1 = params.c_elastic * fval[..., None, None] * F
-    term2 = params.c2 * fval[..., None, None] * (
-        CC[..., None, None] * Finv_T
+    cof_term = c2 * np.asarray(stiffness_f(phi, params))[..., None, None] * (
+        np.asarray(frobenius(C, C))[..., None, None] * Finv_T
         - np.einsum("...ik,...jk,...jl->...il", C, C, Finv_T)
     )
-    term3 = (params.c3 * _h_compress_prime(J) * J)[..., None, None] * Finv_T
-    return term1 + term2 + term3
+    det_term = (c3 * _h_compress_prime(J) * J)[..., None, None] * Finv_T
+    return neo_hookean_piola(phi, F, params) + cof_term + det_term

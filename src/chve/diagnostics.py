@@ -61,8 +61,7 @@ class DiagnosticsRow:
     def csv_line(self) -> str:
         floats = [self.t, self.dt, self.E_total, self.E_elastic, self.E_interface,
                   self.E_bulk, self.dissipation, self.mass, self.div_v_max]
-        tail = [f"{x:.17g}" for x in floats]
-        return ",".join([str(self.step)] + tail[:9]
+        return ",".join([str(self.step)] + [f"{x:.17g}" for x in floats]
                         + [str(self.picard_iters), str(self.newton_iters),
                            f"{self.budget_residual:.17g}"])
 

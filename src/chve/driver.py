@@ -22,7 +22,7 @@ state, so a retry reruns identical arithmetic.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,11 +94,9 @@ def initial_phi(cfg: ConfigSpec) -> ScalarField:
     elif ini.phi == "tanh-x":
         vals = ini.phi_value + ini.phi_amplitude * np.tanh(
             (X - 0.5 * g.lx) / ini.phi_width)
-    elif ini.phi == "tanh-y":
+    else:  # "tanh-y", the last profile InitialConfig admits
         vals = ini.phi_value + ini.phi_amplitude * np.tanh(
             (Y - 0.5 * g.ly) / ini.phi_width)
-    else:  # pragma: no cover - guarded by config validation
-        raise RunError(f"unknown phi profile {ini.phi!r}")
     return ScalarField(g, vals)
 
 
@@ -247,7 +245,7 @@ class Simulation:
             csv.flush()  # rows up to a restart reach the file before it
             write_vtk(outdir / f"snap_{state.step_index:08d}.vtk", state)
             write_restart(outdir / f"restart_{state.step_index:08d}.chv",
-                          state.advanced(dt=dt), streak, e_scale)
+                          replace(state, dt=dt), streak, e_scale)
 
         csv = open(csv_path, "w", encoding="utf-8", newline="\n")
         try:
@@ -342,12 +340,6 @@ def _csv_rows_through(path: Path, step: int) -> list[str]:
         if line.endswith("\n") and head.isdigit() and int(head) <= step:
             kept.append(line)
     return kept
-
-
-def run_simulation(cfg: ConfigSpec) -> RunSummary:
-    """Run to completion, emitting diagnostics and snapshots; never raises
-    for runtime failures (the summary carries the termination reason)."""
-    return Simulation(cfg).run()
 
 
 def simulate(cfg: ConfigSpec):

@@ -22,7 +22,8 @@ d = 2, 3 independently of the spatial dimension of the PDE solver, so the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,8 +52,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise PreconditionError("grid needs nx, ny >= 4")
-        if self.lx <= 0.0 or self.ly <= 0.0:
-            raise PreconditionError("domain lengths must be positive")
+        if not (0.0 < self.lx < math.inf and 0.0 < self.ly < math.inf):
+            raise PreconditionError("domain lengths must be finite and positive")
 
     @property
     def hx(self) -> float:
@@ -162,9 +163,7 @@ class StaggeredVectorField:
         return cls(grid, u, w)
 
     def max_abs(self) -> float:
-        m_u = float(np.max(np.abs(self.u))) if self.u.size else 0.0
-        m_w = float(np.max(np.abs(self.w))) if self.w.size else 0.0
-        return max(m_u, m_w)
+        return max(float(np.max(np.abs(self.u))), float(np.max(np.abs(self.w))))
 
 
 @dataclass(frozen=True)
@@ -207,8 +206,9 @@ class ModelParams:
     c_elastic elastic modulus, > 0
     f_min     lower bound of the stiffness profile, in (0, 1]
     b0, b1    mobility bounds, 0 < b0 <= b1
-    c2, c3    extra moduli of the compressible 3-D energy (evaluation only)
     f_lo/f_hi transition window of the stiffness smoothstep
+
+    Every number must be finite.
     """
 
     nu: float = 1.0
@@ -219,14 +219,15 @@ class ModelParams:
     f_min: float = 0.05
     b0: float = 1.0
     b1: float = 1.0
-    c2: float = 0.0
-    c3: float = 0.0
     f_lo: float = -1.0
     f_hi: float = 1.0
     mobility_profile: str = "constant"
 
     def __post_init__(self):
+        nonfinite = [f.name for f in fields(self)
+                     if f.type == "float" and not math.isfinite(getattr(self, f.name))]
         checks = [
+            (not nonfinite, f"model parameters must be finite: {', '.join(nonfinite)}"),
             (self.nu > 0.0, "nu must be > 0"),
             (self.lam >= 0.0, "lambda must be >= 0"),
             (self.delta >= 0.0, "delta must be >= 0"),
@@ -264,9 +265,6 @@ class SimState:
     def __post_init__(self):
         if self.t < 0.0:
             raise PreconditionError("time must be >= 0")
-
-    def advanced(self, **kwargs) -> "SimState":
-        return replace(self, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ Boundary conditions baked in:
   that lack the second upwind neighbor.
 
 :func:`laplacian_matrix` assembles the zero-flux Laplacian div(coeff grad .),
-which :func:`laplacian_neumann` applies matrix-free for coeff = 1, and
-:func:`laplacian_eigenvalues` gives its eigenvalues on the DCT-II basis.
+which :func:`laplacian_neumann` applies matrix-free for coeff = 1,
+:func:`laplacian_eigenvalues` gives its eigenvalues on the DCT-II basis, and
+:func:`dct_diagonal` applies any function of them (the constant-coefficient
+solves of the Cahn-Hilliard, transport and pressure steps).
 Scalars are flattened C-order, index ``i * ny + j``.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import dctn, idctn
 
 from .grid import GridSpec, PreconditionError, ScalarField, StaggeredVectorField, TensorField
 
@@ -93,20 +96,17 @@ def laplacian_matrix(grid: GridSpec, coeff: np.ndarray | None = None) -> sp.csr_
     """Assembled zero-flux Laplacian div(coeff grad .), rows summing to 0.
 
     Each interior face between cells a and b carries the weight
-    w = coeff_face / h^2 and adds w to (a, b) and (b, a) and -w to
-    both diagonals; boundary faces carry no flux.
+    w = coeff_face / h^2, coeff_face from :func:`face_average`, and adds w
+    to (a, b) and (b, a) and -w to both diagonals; boundary faces carry no
+    flux.  coeff must be finite and positive.
     """
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    if coeff is None:
-        cx = np.ones((nx - 1, ny))
-        cy = np.ones((nx, ny - 1))
-    else:
-        if np.min(coeff) <= 0.0:
-            raise PreconditionError("laplacian coefficient must be strictly positive")
-        cx = 0.5 * (coeff[1:, :] + coeff[:-1, :])
-        cy = 0.5 * (coeff[:, 1:] + coeff[:, :-1])
-    wx = cx * (1.0 / (hx * hx))   # face between (i, j) and (i+1, j)
-    wy = cy * (1.0 / (hy * hy))   # face between (i, j) and (i, j+1)
+    coeff = ScalarField(grid, np.ones((nx, ny)) if coeff is None else coeff)
+    if np.min(coeff.values) <= 0.0:
+        raise PreconditionError("laplacian coefficient must be strictly positive")
+    ax, ay = face_average(coeff)
+    wx = ax[1:-1, :] * (1.0 / (hx * hx))   # face between (i, j) and (i+1, j)
+    wy = ay[:, 1:-1] * (1.0 / (hy * hy))   # face between (i, j) and (i, j+1)
 
     diag = np.zeros((nx, ny))
     diag[:-1, :] -= wx
@@ -131,6 +131,14 @@ def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     lx = -4.0 / grid.hx ** 2 * np.sin(0.5 * np.pi * np.arange(grid.nx) / grid.nx) ** 2
     ly = -4.0 / grid.hy ** 2 * np.sin(0.5 * np.pi * np.arange(grid.ny) / grid.ny) ** 2
     return lx[:, None] + ly[None, :]
+
+
+def dct_diagonal(r: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Apply the operator with the given symbol on the orthonormal DCT-II
+    basis of :func:`laplacian_eigenvalues` to r, over axes (0, 1); symbol
+    broadcasts against the transform of r."""
+    rh = dctn(r, type=2, axes=(0, 1), norm="ortho")
+    return idctn(rh * symbol, type=2, axes=(0, 1), norm="ortho")
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.fft import dctn, dstn, idctn, idstn
+from scipy.fft import dstn, idstn
 
 from . import constitutive as law
 from .errors import SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
-                   StaggeredVectorField, TensorField, frobenius)
-from .operators import (_corner_average, face_average, grad_cc, laplacian_eigenvalues,
-                        solenoidal_residual)
+                   StaggeredVectorField, TensorField)
+from .operators import (_corner_average, dct_diagonal, face_average, grad_cc,
+                        laplacian_eigenvalues, solenoidal_residual)
 
 TOL_LIN = 1e-10
 
@@ -165,7 +165,7 @@ class StokesSolver:
         b = _interior(force)
         r = b - self.A @ _interior(v)
         rhs = (self.G.T @ r).reshape(g.nx, g.ny)
-        q = idctn(dctn(rhs, type=2, norm="ortho") * self._q_inv, type=2, norm="ortho")
+        q = dct_diagonal(rhs, self._q_inv)
         q -= q.mean()
 
         res = float(np.linalg.norm(r - self.G @ q.ravel()))
@@ -210,10 +210,8 @@ def assemble_force(phi: ScalarField, mu: ScalarField, F: TensorField,
     if not (phi.grid == mu.grid == F.grid):
         raise PreconditionError("force inputs must share one grid")
     g = phi.grid
-    d = F.d
     gphi = grad_cc(phi)
-    coupling = mu.values - 0.5 * params.c_elastic * law.stiffness_f_prime(
-        phi.values, params) * (frobenius(F.comps, F.comps) - d)
+    coupling = mu.values - law.neo_hookean_dphi(phi.values, F.comps, params)
     cx, cy = face_average(ScalarField(g, coupling))
     el = elastic_force(phi, F, params)
     fu = cx * gphi.u + el.u

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.fft import dctn, idctn
 
 from . import constitutive as law
 from .errors import SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
-from .operators import (advect_tensor, laplacian_eigenvalues, laplacian_matrix,
-                        velocity_gradient)
+from .operators import (advect_tensor, dct_diagonal, laplacian_eigenvalues,
+                        laplacian_matrix, velocity_gradient)
 
 TOL_LIN = 1e-10
 # One CG on the stacked tensor components; the residual test against TOL_LIN decides.
@@ -86,8 +85,7 @@ class TransportSystem:
         inv = (1.0 / (c / dt - lam * self._eig))[:, :, None]
 
         def precondition(r):
-            rh = dctn(s_inv * r.reshape(g.nx, g.ny, k), type=2, axes=(0, 1), norm="ortho")
-            return (s_inv * idctn(rh * inv, type=2, axes=(0, 1), norm="ortho")).ravel()
+            return (s_inv * dct_diagonal(s_inv * r.reshape(g.nx, g.ny, k), inv)).ravel()
 
         def matvec(x):
             X = x.reshape(n, k)

@@ -1,3 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import chve
 from chve.cli import main
 
 CONFIG = """
@@ -66,6 +74,36 @@ def test_run_invalid_override_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "max_steps must be >= 0" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("grid", "lx", "nan"),
+    ("params", "nu", "inf"),
+    ("params", "eps", "inf"),
+    ("params", "c_elastic", "inf"),
+    ("params", "lambda", "inf"),
+    ("initial", "phi_amplitude", "nan"),
+    ("initial", "F_amplitude", "inf"),
+])
+def test_run_nonfinite_value_exit_2(tmp_path, capsys, section, key, value):
+    text = CONFIG.replace("PLACEHOLDER", str(tmp_path / "out"))
+    lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} = ")]
+    lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # the CLI runs simulations without the symbolic MMS oracle's sympy
+    code = "import sys, chve.cli; print('sympy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(chve.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_run_missing_file_exit_2(tmp_path):

@@ -115,6 +115,16 @@ def test_neo_hookean_fd_gradient(params, rng):
                 assert fd == pytest.approx(P[a, b], rel=1e-7, abs=1e-9)
 
 
+def test_neo_hookean_dphi_matches_central_difference(params, rng):
+    # phi inside and outside the stiffness window, d = 2 and 3
+    for d in (2, 3):
+        F = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+        for phi in (-1.3, -0.4, 0.2, 0.7, 1.2):
+            fd = central(lambda s: law.neo_hookean_w(s, F, params), phi)
+            assert fd == pytest.approx(law.neo_hookean_dphi(phi, F, params),
+                                       rel=1e-7, abs=1e-9)
+
+
 def test_eulerian_stress_symmetric_psd(params, rng):
     for _ in range(20):
         F = rng.standard_normal((2, 2))
@@ -141,27 +151,27 @@ def test_eulerian_stress_equals_scaled_gram_einsum(params, rng):
 
 
 def test_mooney_rivlin_identity_value():
-    p = ModelParams(c2=0.0, c3=1.0)
+    p = ModelParams()
     # first two terms vanish at the identity; h(1) = 1/2
-    assert law.mooney_rivlin_w(0.0, np.eye(3), p) == pytest.approx(0.5)
+    assert law.mooney_rivlin_w(0.0, np.eye(3), p, 0.0, 1.0) == pytest.approx(0.5)
 
 
 def test_mooney_rivlin_frobenius_term():
-    p = ModelParams(c_elastic=1.0, c2=0.0, c3=0.0)
+    p = ModelParams(c_elastic=1.0)
     F = np.diag([2.0, 1.0, 1.0])
-    assert law.mooney_rivlin_w(1.0, F, p) == pytest.approx(0.5 * (6 - 3))
+    assert law.mooney_rivlin_w(1.0, F, p, 0.0, 0.0) == pytest.approx(0.5 * (6 - 3))
 
 
 def test_mooney_rivlin_piola_identity_cases():
-    p1 = ModelParams(c_elastic=1.0, c2=0.0, c3=0.0)
-    assert np.allclose(law.mooney_rivlin_piola(1.0, np.eye(3), p1), np.eye(3))
-    p2 = ModelParams(c_elastic=1e-30, c2=0.0, c3=1.0)
+    p1 = ModelParams(c_elastic=1.0)
+    assert np.allclose(law.mooney_rivlin_piola(1.0, np.eye(3), p1, 0.0, 0.0), np.eye(3))
+    p2 = ModelParams(c_elastic=1e-30)
     # chosen h has h'(1) = 0: stress-free identity
-    assert np.max(np.abs(law.mooney_rivlin_piola(0.0, np.eye(3), p2))) <= 1e-12
+    assert np.max(np.abs(law.mooney_rivlin_piola(0.0, np.eye(3), p2, 0.0, 1.0))) <= 1e-12
 
 
 def test_mooney_rivlin_matches_fd_gradient(rng):
-    p = ModelParams(c_elastic=0.8, c2=0.7, c3=0.9)
+    p, c2, c3 = ModelParams(c_elastic=0.8), 0.7, 0.9
     checked = 0
     while checked < 50:
         F = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
@@ -169,33 +179,33 @@ def test_mooney_rivlin_matches_fd_gradient(rng):
         if not 0.5 <= J <= 2.0:
             continue
         checked += 1
-        P = law.mooney_rivlin_piola(0.3, F, p)
+        P = law.mooney_rivlin_piola(0.3, F, p, c2, c3)
         h = 1e-5
         fd = np.zeros((3, 3))
         for a in range(3):
             for b in range(3):
                 E = np.zeros((3, 3))
                 E[a, b] = h
-                fd[a, b] = (law.mooney_rivlin_w(0.3, F + E, p)
-                            - law.mooney_rivlin_w(0.3, F - E, p)) / (2 * h)
+                fd[a, b] = (law.mooney_rivlin_w(0.3, F + E, p, c2, c3)
+                            - law.mooney_rivlin_w(0.3, F - E, p, c2, c3)) / (2 * h)
         rel = np.max(np.abs(P - fd)) / np.max(np.abs(P))
         assert rel <= 1e-6
 
 
 def test_mooney_rivlin_rejects_nonpositive_det():
-    p = ModelParams(c3=1.0)
+    p = ModelParams()
     F = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(PreconditionError):
-        law.mooney_rivlin_w(0.0, F, p)
+        law.mooney_rivlin_w(0.0, F, p, 0.0, 1.0)
     with pytest.raises(PreconditionError):
-        law.mooney_rivlin_piola(0.0, F, p)
+        law.mooney_rivlin_piola(0.0, F, p, 0.0, 1.0)
 
 
 def test_mooney_rivlin_reduces_to_neo_hookean(rng):
-    p = ModelParams(c_elastic=1.3, c2=0.0, c3=0.0)
+    p = ModelParams(c_elastic=1.3)
     for _ in range(10):
         F = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
         if determinant(F) <= 0:
             continue
-        assert np.allclose(law.mooney_rivlin_piola(0.4, F, p),
+        assert np.allclose(law.mooney_rivlin_piola(0.4, F, p, 0.0, 0.0),
                            law.neo_hookean_piola(0.4, F, p), atol=1e-12)

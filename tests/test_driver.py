@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from chve.config import parse_config
-from chve.driver import (Simulation, StepRejected, adapt_dt, run_simulation,
-                         simulate)
+from chve.driver import Simulation, StepRejected, adapt_dt, simulate
 from chve.errors import RunError
 from chve.grid import (GridSpec, ScalarField, SimState, StaggeredVectorField,
                        TensorField)
@@ -122,7 +121,7 @@ directory = {tmp_path / 'well'}
 
 def test_zero_t_end_writes_initial_snapshot_only(tmp_path):
     cfg = spinodal_config(tmp_path, t_end=0.0)
-    summary = run_simulation(cfg)
+    summary = Simulation(cfg).run()
     assert summary.steps == 0
     assert summary.termination == "t_end"
     out = tmp_path / "out"
@@ -343,7 +342,7 @@ def _check_snapshot(path, state):
 def test_snapshot_cadence(tmp_path):
     cfg = spinodal_config(tmp_path, name="snap", snapshot_every=5,
                           max_steps=10, t_end=1.0)
-    run_simulation(cfg)
+    Simulation(cfg).run()
     out = tmp_path / "snap"
     for step in (0, 5, 10):
         assert (out / f"snap_{step:08d}.vtk").exists()
@@ -381,7 +380,7 @@ def _record_checkpoints(monkeypatch):
 ], ids=["t_end-0", "final-on-cadence", "final-off-cadence"])
 def test_each_state_checkpointed_once(tmp_path, monkeypatch, kw, steps):
     snaps, restarts = _record_checkpoints(monkeypatch)
-    run_simulation(spinodal_config(tmp_path, **kw))
+    Simulation(spinodal_config(tmp_path, **kw)).run()
     assert snaps == steps
     assert [step for step, _ in restarts] == steps
 

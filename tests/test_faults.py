@@ -167,7 +167,7 @@ def test_crash_mid_restart_write_keeps_previous_file(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(vtk_io.np, "ascontiguousarray", fail_on_fourth_array)
         with pytest.raises(OSError, match="disk full"):
-            write_restart(path, state.advanced(t=1.0), accept_streak=3)
+            write_restart(path, dataclasses.replace(state, t=1.0), accept_streak=3)
     assert len(calls) == 4
     assert path.read_bytes() == before
     loaded, streak, e_scale = read_restart(path)

@@ -91,10 +91,12 @@ def test_laplacian_symmetry(grid16, rng):
 
 
 def test_laplacian_rejects_nonpositive_coefficient(grid8):
-    coeff = np.ones((8, 8))
-    coeff[2, 2] = 0.0
-    with pytest.raises(PreconditionError):
-        ops.laplacian_matrix(grid8, coeff)
+    # non-finite entries are rejected too (np.min of a NaN array is NaN)
+    for bad in (0.0, np.nan, np.inf):
+        coeff = np.ones((8, 8))
+        coeff[2, 2] = bad
+        with pytest.raises(PreconditionError):
+            ops.laplacian_matrix(grid8, coeff)
 
 
 def test_assembled_matrices_match_matrix_free(grid8, rng):
@@ -120,6 +122,21 @@ def test_laplacian_eigenvalues_diagonalize_matrix():
     dev = C @ ops.laplacian_matrix(grid).toarray() @ C.T - np.diag(eig.ravel())
     assert eig.shape == (5, 7)
     assert np.max(np.abs(dev)) <= 1e-12 * np.max(np.abs(eig))
+
+
+def test_dct_diagonal_with_eigenvalues_applies_laplacian(rng):
+    # a scalar field and a stack of three, on a non-square grid
+    grid = GridSpec(5, 7, 1.0, 1.3)
+    L = ops.laplacian_matrix(grid)
+    eig = ops.laplacian_eigenvalues(grid)
+    r = rng.standard_normal((5, 7))
+    np.testing.assert_allclose(ops.dct_diagonal(r, eig).ravel(), L @ r.ravel(),
+                               rtol=0.0, atol=1e-12 * np.max(np.abs(eig)))
+    stack = rng.standard_normal((5, 7, 3))
+    out = ops.dct_diagonal(stack, eig[:, :, None])
+    for k in range(3):
+        np.testing.assert_allclose(out[:, :, k].ravel(), L @ stack[:, :, k].ravel(),
+                                   rtol=0.0, atol=1e-12 * np.max(np.abs(eig)))
 
 
 def test_laplacian_rows_sum_to_zero(grid8, rng):

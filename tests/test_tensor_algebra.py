@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,7 +130,7 @@ def test_sim_state_replace(grid8):
     phi = ScalarField.uniform(grid8, 0.0)
     s = SimState(phi=phi, phi_prev=phi, mu=phi, F=TensorField.identity(grid8),
                  v=StaggeredVectorField.zeros(grid8), q=phi, t=0.0, dt=0.1)
-    s2 = s.advanced(t=0.1, step_index=1)
+    s2 = replace(s, t=0.1, step_index=1)
     assert s2.t == 0.1 and s2.step_index == 1 and s2.phi is s.phi
     with pytest.raises(PreconditionError):
         SimState(phi=phi, phi_prev=phi, mu=phi, F=TensorField.identity(grid8),
