@@ -2,32 +2,27 @@
 
 Config files are line-oriented UTF-8 ``key = value`` text with ``[section]``
 headers.  Each section is one frozen dataclass whose fields are its keys
-(``[grid]`` is GridSpec, ``[params]`` is ModelParams with the file keys
-``lambda``, ``f_window_lo``, ``f_window_hi`` for ``lam``, ``f_lo``,
-``f_hi``).  Each dataclass checks the admissible ranges of the model in
-``__post_init__`` (positive viscosity, stiffness bounded in (0, 1], mobility
-bounds ordered, ...), so file values, CLI overrides and ``replace`` are
-checked alike.  Unknown sections or keys are hard errors.
+(``[grid]`` is GridSpec, ``[params]`` is ModelParams, whose fields ``lam``,
+``f_lo``, ``f_hi`` carry the file keys ``lambda``, ``f_window_lo``,
+``f_window_hi`` as ``key`` metadata).  Each dataclass checks in
+``__post_init__`` that its numbers are finite (:func:`~chve.grid.finite_check`)
+and lie in the admissible ranges of the model (positive viscosity,
+stiffness bounded in (0, 1], mobility bounds ordered, ...), so file values,
+CLI overrides and ``replace`` are checked alike; every error names its
+section as ``[section]: ...``.  Unknown sections or keys are hard errors.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ValidationError
-from .grid import GridSpec, ModelParams, PreconditionError
+from .grid import GridSpec, ModelParams, PreconditionError, finite_check, require
 
 _PHI_PROFILES = ("uniform", "random-uniform", "tanh-x", "tanh-y")
 _F_PROFILES = ("identity", "cosine-stretch")
-
-
-def _require(checks):
-    for ok, msg in checks:
-        if not ok:
-            raise ValidationError(msg)
 
 
 @dataclass(frozen=True)
@@ -45,7 +40,8 @@ class TimeConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        _require([
+        require([
+            finite_check(self),
             (self.t_end >= 0.0, "t_end must be >= 0"),
             (self.dt_min > 0.0, "dt_min must be > 0"),
             (self.dt_min <= self.dt0 <= self.dt_max,
@@ -55,7 +51,7 @@ class TimeConfig:
             (self.cfl_max > 0.0, "cfl_max must be > 0"),
             (self.energy_increase_tol >= 0.0, "energy_increase_tol must be >= 0"),
             (self.max_steps >= 0, "max_steps must be >= 0"),
-        ])
+        ], ValidationError)
 
 
 @dataclass(frozen=True)
@@ -64,10 +60,11 @@ class CouplingConfig:
     picard_tol: float = 1e-8
 
     def __post_init__(self):
-        _require([
+        require([
+            finite_check(self),
             (self.picard_max >= 1, "picard_max must be >= 1"),
             (self.picard_tol > 0.0, "picard_tol must be > 0"),
-        ])
+        ], ValidationError)
 
 
 @dataclass(frozen=True)
@@ -82,15 +79,13 @@ class InitialConfig:
     restart_file: str = ""
 
     def __post_init__(self):
-        _require([
+        require([
+            finite_check(self),
             (self.phi in _PHI_PROFILES,
              f"initial phi profile must be one of {_PHI_PROFILES}"),
             (self.F in _F_PROFILES, f"initial F profile must be one of {_F_PROFILES}"),
             (self.phi_width > 0.0, "phi_width must be > 0"),
-            (all(math.isfinite(x) for x in
-                 (self.phi_value, self.phi_amplitude, self.F_amplitude)),
-             "phi_value, phi_amplitude and F_amplitude must be finite"),
-        ])
+        ], ValidationError)
 
 
 @dataclass(frozen=True)
@@ -100,10 +95,11 @@ class OutputConfig:
     diagnostics_every: int = 1
 
     def __post_init__(self):
-        _require([
+        require([
+            finite_check(self),
             (self.snapshot_every >= 0, "snapshot_every must be >= 0"),
             (self.diagnostics_every >= 1, "diagnostics_every must be >= 1"),
-        ])
+        ], ValidationError)
 
 
 @dataclass(frozen=True)
@@ -119,11 +115,9 @@ class ConfigSpec:
 _SECTIONS = {"grid": GridSpec, "params": ModelParams, "time": TimeConfig,
              "coupling": CouplingConfig, "initial": InitialConfig,
              "output": OutputConfig}
-# the [params] fields whose file key differs from the field name
-_RENAMED = {"lam": "lambda", "f_lo": "f_window_lo", "f_hi": "f_window_hi"}
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 # section -> file key -> (field name, type), in field order; built once
-_KEYS = {section: {_RENAMED.get(f.name, f.name): (f.name, _TYPES[f.type])
+_KEYS = {section: {f.metadata.get("key", f.name): (f.name, _TYPES[f.type])
                    for f in fields(cls)}
          for section, cls in _SECTIONS.items()}
 
@@ -139,8 +133,17 @@ def _coerce(section: str, key: str, typ: type, raw: str):
             raise ValueError(raw)
         return typ(raw)
     except ValueError as exc:
-        raise ValidationError(f"[{section}] {key}: cannot parse {raw!r} as "
+        raise ValidationError(f"[{section}]: {key}: cannot parse {raw!r} as "
                               f"{typ.__name__}") from exc
+
+
+def _section(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs) for one config section; any error it raises
+    becomes a ValidationError that names the section."""
+    try:
+        return build(*args, **kwargs)
+    except (PreconditionError, ValidationError, TypeError) as exc:
+        raise ValidationError(f"[{section}]: {exc}") from exc
 
 
 def parse_config(text: str) -> ConfigSpec:
@@ -158,20 +161,15 @@ def parse_config(text: str) -> ConfigSpec:
         body = values[section] = {}
         for key, raw in cp[section].items():
             if key not in _KEYS[section]:
-                raise ValidationError(f"unknown key {key!r} in section [{section}]")
+                raise ValidationError(f"[{section}]: unknown key {key!r}")
             name, typ = _KEYS[section][key]
             body[name] = _coerce(section, key, typ, raw)
 
     if "grid" not in values:
         raise ValidationError("config must contain a [grid] section")
 
-    parts = {}
-    for section, cls in _SECTIONS.items():
-        try:
-            parts[section] = cls(**values.get(section, {}))
-        except (PreconditionError, TypeError) as exc:
-            raise ValidationError(f"[{section}]: {exc}") from exc
-    return ConfigSpec(**parts)
+    return ConfigSpec(**{section: _section(section, cls, **values.get(section, {}))
+                         for section, cls in _SECTIONS.items()})
 
 
 def load_config(path: str | Path) -> ConfigSpec:
@@ -203,10 +201,10 @@ def with_overrides(cfg: ConfigSpec, output_dir: str | None = None,
                    seed: int | None = None,
                    max_steps: int | None = None) -> ConfigSpec:
     """CLI-flag overrides on top of a parsed config, checked like file values."""
-    if output_dir is not None:
-        cfg = replace(cfg, output=replace(cfg.output, directory=output_dir))
-    if seed is not None:
-        cfg = replace(cfg, initial=replace(cfg.initial, seed=seed))
-    if max_steps is not None:
-        cfg = replace(cfg, time=replace(cfg.time, max_steps=max_steps))
+    for section, name, value in (("output", "directory", output_dir),
+                                 ("initial", "seed", seed),
+                                 ("time", "max_steps", max_steps)):
+        if value is not None:
+            body = _section(section, replace, getattr(cfg, section), **{name: value})
+            cfg = replace(cfg, **{section: body})
     return cfg

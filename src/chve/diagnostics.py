@@ -66,20 +66,18 @@ class DiagnosticsRow:
                            f"{self.budget_residual:.17g}"])
 
 
+def _grad_energy(field: ScalarField) -> float:
+    gf = grad_cc(field)
+    return float(np.sum(gf.u ** 2)) + float(np.sum(gf.w ** 2))
+
+
 def total_energy(phi: ScalarField, F: TensorField, params: ModelParams) -> EnergyBreakdown:
     g = phi.grid
     a = g.cell_area
     elastic = float(np.sum(law.neo_hookean_w(phi.values, F.comps, params))) * a
-    gphi = grad_cc(phi)
-    interface = 0.5 * params.eps * (float(np.sum(gphi.u ** 2))
-                                    + float(np.sum(gphi.w ** 2))) * a
+    interface = 0.5 * params.eps * _grad_energy(phi) * a
     bulk = float(np.sum(law.psi(phi.values))) / params.eps * a
     return EnergyBreakdown(elastic=elastic, interface=interface, bulk=bulk)
-
-
-def _grad_energy(field: ScalarField) -> float:
-    gf = grad_cc(field)
-    return float(np.sum(gf.u ** 2)) + float(np.sum(gf.w ** 2))
 
 
 def dissipation(v: StaggeredVectorField, mu: ScalarField, phi: ScalarField,
@@ -92,8 +90,9 @@ def dissipation(v: StaggeredVectorField, mu: ScalarField, phi: ScalarField,
 
     # nu |grad v|^2 with the no-slip ghost convention of the Stokes block
     du, dw = node_shear_gradients(v)
-    # wall entries carry weight 1/2 so the sum reproduces <-Lap_h v, v>
-    # (the exact quadratic form of the velocity block) to rounding
+    # wall entries carry weight 1/2 so the sum reproduces -<Lap_h v, v>,
+    # Lap_h = vector_laplacian (the quadratic form of the velocity block),
+    # to rounding
     visc = (float(np.sum(((v.u[1:, :] - v.u[:-1, :]) / g.hx) ** 2))
             + float(np.sum(((v.w[:, 1:] - v.w[:, :-1]) / g.hy) ** 2))
             + float(np.sum(du[:, 1:-1] ** 2))

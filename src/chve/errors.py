@@ -1,8 +1,12 @@
 """Exception types shared across the solver modules."""
 
 
+# Relative residual every linear solve must reach (Stokes momentum, transport).
+TOL_LIN = 1e-10
+
+
 class SolverError(RuntimeError):
-    """A linear solve failed or did not reach the requested residual."""
+    """A linear solve failed or did not reach TOL_LIN."""
 
 
 class NewtonError(RuntimeError):

@@ -23,13 +23,28 @@ d = 2, 3 independently of the spatial dimension of the PDE solver, so the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 
 class PreconditionError(ValueError):
     """An operation was called with inputs violating its contract."""
+
+
+def require(checks, error: type[Exception] = PreconditionError) -> None:
+    """Raise error(message) for the first (ok, message) pair that is not ok."""
+    for ok, msg in checks:
+        if not ok:
+            raise error(msg)
+
+
+def finite_check(obj) -> tuple[bool, str]:
+    """(ok, message): every float field of the dataclass obj is finite; the
+    message names each offender by its ``key`` metadata, else its name."""
+    bad = [f.metadata.get("key", f.name) for f in fields(obj)
+           if f.type == "float" and not math.isfinite(getattr(obj, f.name))]
+    return not bad, f"values must be finite: {', '.join(bad)}"
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -50,10 +65,11 @@ class GridSpec:
     ly: float = 1.0
 
     def __post_init__(self):
-        if self.nx < 4 or self.ny < 4:
-            raise PreconditionError("grid needs nx, ny >= 4")
-        if not (0.0 < self.lx < math.inf and 0.0 < self.ly < math.inf):
-            raise PreconditionError("domain lengths must be finite and positive")
+        require([
+            finite_check(self),
+            (self.nx >= 4 and self.ny >= 4, "grid needs nx, ny >= 4"),
+            (self.lx > 0.0 and self.ly > 0.0, "domain lengths must be positive"),
+        ])
 
     @property
     def hx(self) -> float:
@@ -107,7 +123,7 @@ class ScalarField:
             raise PreconditionError(
                 f"scalar field shape {v.shape} != {(self.grid.nx, self.grid.ny)}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise PreconditionError("scalar field has non-finite entries")
         object.__setattr__(self, "values", v)
 
@@ -130,10 +146,9 @@ class StaggeredVectorField:
         w = _frozen(self.w)
         if u.shape != (nx + 1, ny) or w.shape != (nx, ny + 1):
             raise PreconditionError("staggered field has wrong face shapes")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
+        if not (np.isfinite(u).all() and np.isfinite(w).all()):
             raise PreconditionError("staggered field has non-finite entries")
-        if np.any(u[0, :] != 0.0) or np.any(u[-1, :] != 0.0) \
-                or np.any(w[:, 0] != 0.0) or np.any(w[:, -1] != 0.0):
+        if u[0, :].any() or u[-1, :].any() or w[:, 0].any() or w[:, -1].any():
             raise PreconditionError("no-slip: boundary faces must be exactly 0")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "w", w)
@@ -178,7 +193,7 @@ class TensorField:
         nx, ny = self.grid.nx, self.grid.ny
         if c.ndim != 4 or c.shape[:2] != (nx, ny) or c.shape[2] != c.shape[3]:
             raise PreconditionError("tensor field must have shape (nx, ny, d, d)")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise PreconditionError("tensor field has non-finite entries")
         object.__setattr__(self, "comps", c)
 
@@ -208,26 +223,25 @@ class ModelParams:
     b0, b1    mobility bounds, 0 < b0 <= b1
     f_lo/f_hi transition window of the stiffness smoothstep
 
-    Every number must be finite.
+    Every number must be finite.  A field's ``key`` metadata is its
+    config-file key where that differs from its name.
     """
 
     nu: float = 1.0
-    lam: float = 1e-3
+    lam: float = field(default=1e-3, metadata={"key": "lambda"})
     delta: float = 0.0
     eps: float = 1.0
     c_elastic: float = 1.0
     f_min: float = 0.05
     b0: float = 1.0
     b1: float = 1.0
-    f_lo: float = -1.0
-    f_hi: float = 1.0
+    f_lo: float = field(default=-1.0, metadata={"key": "f_window_lo"})
+    f_hi: float = field(default=1.0, metadata={"key": "f_window_hi"})
     mobility_profile: str = "constant"
 
     def __post_init__(self):
-        nonfinite = [f.name for f in fields(self)
-                     if f.type == "float" and not math.isfinite(getattr(self, f.name))]
-        checks = [
-            (not nonfinite, f"model parameters must be finite: {', '.join(nonfinite)}"),
+        require([
+            finite_check(self),
             (self.nu > 0.0, "nu must be > 0"),
             (self.lam >= 0.0, "lambda must be >= 0"),
             (self.delta >= 0.0, "delta must be >= 0"),
@@ -238,10 +252,7 @@ class ModelParams:
             (self.f_lo < self.f_hi, "stiffness window must satisfy f_lo < f_hi"),
             (self.mobility_profile in ("constant", "smoothstep"),
              "mobility_profile must be 'constant' or 'smoothstep'"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise PreconditionError(msg)
+        ])
 
 
 @dataclass(frozen=True)

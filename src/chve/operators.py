@@ -15,7 +15,8 @@ Boundary conditions baked in:
 
 * ``grad_cc`` puts 0 on boundary-normal faces (homogeneous Neumann);
 * ``laplacian_neumann`` is a conservative flux form; assembled rows sum to 0;
-* ``velocity_gradient`` uses reflected ghost values (v = 0 on walls);
+* ``node_shear_gradients``, and through it ``velocity_gradient`` and
+  ``vector_laplacian``, use reflected ghost values (v = 0 on walls);
 * the advection operators use a conservative flux form with a kappa = 1/3
   upwind-biased face reconstruction, falling back to plain upwind on faces
   that lack the second upwind neighbor.
@@ -142,7 +143,7 @@ def dct_diagonal(r: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# velocity gradient at cell centers
+# velocity gradient and vector Laplacian
 
 
 def node_shear_gradients(v: StaggeredVectorField) -> tuple[np.ndarray, np.ndarray]:
@@ -158,6 +159,22 @@ def node_shear_gradients(v: StaggeredVectorField) -> tuple[np.ndarray, np.ndarra
     dwdx[0, :] = 2.0 * v.w[0, :] / g.hx
     dwdx[-1, :] = -2.0 * v.w[-1, :] / g.hx
     return dudy, dwdx
+
+
+def vector_laplacian(v: StaggeredVectorField):
+    """MAC vector Laplacian of a no-slip face field, as (on_xfaces,
+    on_yfaces) with boundary faces 0: Dirichlet along each component's own
+    axis, the reflected wall ghost of :func:`node_shear_gradients` (diagonal
+    3/h^2) across it.  -nu times this is the Stokes velocity block."""
+    g = v.grid
+    dudy, dwdx = node_shear_gradients(v)
+    dudx = (v.u[1:, :] - v.u[:-1, :]) / g.hx
+    dwdy = (v.w[:, 1:] - v.w[:, :-1]) / g.hy
+    lu = np.zeros((g.nx + 1, g.ny))
+    lw = np.zeros((g.nx, g.ny + 1))
+    lu[1:-1, :] = (dudx[1:, :] - dudx[:-1, :]) / g.hx + (dudy[1:-1, 1:] - dudy[1:-1, :-1]) / g.hy
+    lw[:, 1:-1] = (dwdx[1:, 1:-1] - dwdx[:-1, 1:-1]) / g.hx + (dwdy[:, 1:] - dwdy[:, :-1]) / g.hy
+    return lu, lw
 
 
 def _corner_average(p: np.ndarray) -> np.ndarray:

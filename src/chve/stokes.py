@@ -8,10 +8,11 @@ The momentum balance has no inertia: the velocity is slaved to the current
                            + div( c f(phi) F F^T ),
     div(v) = 0,   v = 0 on the boundary.
 
-On the MAC grid the velocity block A (Dirichlet on boundary-normal faces,
-reflected ghosts for the tangential component) and the pressure gradient G
-form the saddle system A v + G q = f, G^T v = 0, which is solved exactly
-without factorizing it:
+On the MAC grid the velocity block is A = -nu Delta_h, Delta_h the vector
+Laplacian of :mod:`chve.operators` (Dirichlet on boundary-normal faces,
+reflected ghosts for the tangential component), and the pressure gradient
+is G = grad_cc (G^T = -div_fc).  Every stencil comes from there; this
+module solves A v + G q = f, G^T v = 0 exactly, assembling nothing:
 
 * With no-slip walls the discretely divergence-free fields are exactly the
   curls v = C psi of stream functions on the interior nodes (psi = 0 on the
@@ -26,12 +27,12 @@ without factorizing it:
   (B + P) psi = r is z = B^-1 r, y = K^-1 z[ring], psi = z - B^-1 y, where
   the dense SPD capacitance K = diag(1/P_ring) + (B^-1)[ring, ring] is
   Cholesky-factored once per (grid, nu).
-* The pressure solves G q = f - A v (the right-hand side lies in the range
-  of G) through G^T G = -L, L the zero-flux cell Laplacian, diagonal under
+* The pressure solves G q = r, r = f + nu Delta_h v (r lies in the range
+  of G), through G^T G = -L, L the zero-flux cell Laplacian, diagonal under
   DCT-II; its constant mode is set to zero, so q has zero mean.
 
 A solve costs two DST-I pairs, one capacitance back-solve (the ring has
-2(nx-1) + 2(ny-1) - 4 nodes) and one DCT-II pair.
+2(nx-1) + 2(ny-1) - 4 nodes), one DCT-II pair and the residual check.
 
 No Galilean-invariance check is meaningful here: the no-slip box pins the
 velocity frame, so a uniform velocity shift is not an admissible state.
@@ -41,34 +42,15 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.fft import dstn, idstn
 
 from . import constitutive as law
-from .errors import SolverError
+from .errors import TOL_LIN, SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
-from .operators import (_corner_average, dct_diagonal, face_average, grad_cc,
-                        laplacian_eigenvalues, solenoidal_residual)
-
-TOL_LIN = 1e-10
-
-
-def _tridiag(n: int, h: float, wall_ghost: bool) -> sp.csr_matrix:
-    """1-D -d^2/dx^2 on n points; ends see a Dirichlet value (0) or a
-    reflected ghost (diagonal 3/h^2) depending on wall_ghost."""
-    s = 1.0 / (h * h)
-    main = np.full(n, 2.0 * s)
-    if wall_ghost:
-        main[0] = 3.0 * s
-        main[-1] = 3.0 * s
-    off = np.full(n - 1, -s)
-    return sp.diags([off, main, off], (-1, 0, 1), format="csr")
-
-
-def _diff(n: int, h: float) -> sp.dia_matrix:
-    """Forward difference from n cells onto the n - 1 faces between them."""
-    return sp.diags([-1.0 / h, 1.0 / h], (0, 1), shape=(n - 1, n))
+from .operators import (_corner_average, dct_diagonal, div_fc, face_average, grad_cc,
+                        laplacian_eigenvalues, node_shear_gradients,
+                        solenoidal_residual, vector_laplacian)
 
 
 def _dst_basis(n: int, h: float):
@@ -79,18 +61,18 @@ def _dst_basis(n: int, h: float):
             4.0 / (h * h) * np.sin(0.5 * np.pi * m / n) ** 2)
 
 
-def _interior(v: StaggeredVectorField) -> np.ndarray:
-    """Interior-face values, in the unknown order of A and G."""
-    return np.concatenate([v.u[1:-1, :].ravel(), v.w[:, 1:-1].ravel()])
+def _norm(u: np.ndarray, w: np.ndarray) -> float:
+    """Euclidean norm of a face field given by its two face arrays."""
+    return float(np.hypot(np.linalg.norm(u), np.linalg.norm(w)))
 
 
 class StokesSolver:
     """Exact fast MAC Stokes solver for one (grid, nu) pair.
 
-    ``A`` is the sparse velocity block and ``G`` the pressure gradient onto
-    interior faces; they define the residual that every solve is checked
-    against.  The solve itself uses only fast transforms and the capacitance
-    factor built here."""
+    ``__init__`` builds the DST-I biharmonic symbol, the Cholesky factor of
+    the ring capacitance and the DCT-II pressure symbol; a solve applies
+    only fast transforms, that factor and the stencils of
+    :mod:`chve.operators`, and checks its own momentum residual."""
 
     def __init__(self, grid: GridSpec, nu: float):
         if nu <= 0.0:
@@ -98,14 +80,6 @@ class StokesSolver:
         self.grid = grid
         self.nu = nu
         nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-        A_u = nu * (sp.kron(_tridiag(nx - 1, hx, False), sp.eye(ny))
-                    + sp.kron(sp.eye(nx - 1), _tridiag(ny, hy, True)))
-        A_w = nu * (sp.kron(_tridiag(nx, hx, True), sp.eye(ny - 1))
-                    + sp.kron(sp.eye(nx), _tridiag(ny - 1, hy, False)))
-        self.A = sp.block_diag((A_u, A_w), format="csr")
-        # pressure gradient onto interior faces; cell index = i*ny + j
-        self.G = sp.vstack([sp.kron(_diff(nx, hx), sp.eye(ny)),
-                            sp.kron(sp.eye(nx), _diff(ny, hy))], format="csr")
 
         Sx, lam_x = _dst_basis(nx, hx)
         Sy, lam_y = _dst_basis(ny, hy)
@@ -144,10 +118,8 @@ class StokesSolver:
     def _velocity(self, force: StaggeredVectorField) -> StaggeredVectorField:
         """The curl of the stream function that solves (B + P) psi = C^T f / nu."""
         g = self.grid
-        fu, fw = force.u, force.w
-        r = ((fu[1:-1, :-1] - fu[1:-1, 1:]) / g.hy
-             + (fw[1:, 1:-1] - fw[:-1, 1:-1]) / g.hx) / self.nu
-        z = self._biharmonic_inverse(r)
+        dudy, dwdx = node_shear_gradients(force)
+        z = self._biharmonic_inverse((dwdx - dudy)[1:-1, 1:-1] / self.nu)
         y = np.zeros_like(z)
         y.flat[self._ring] = sla.cho_solve(self._cap, z.flat[self._ring], check_finite=False)
         psi = np.zeros((g.nx + 1, g.ny + 1))
@@ -162,21 +134,21 @@ class StokesSolver:
         relative to the force, or the continuity residual its bound."""
         g = self.grid
         v = self._velocity(force)
-        b = _interior(force)
-        r = b - self.A @ _interior(v)
-        rhs = (self.G.T @ r).reshape(g.nx, g.ny)
-        q = dct_diagonal(rhs, self._q_inv)
-        q -= q.mean()
+        lu, lw = vector_laplacian(v)
+        r = StaggeredVectorField(g, force.u + self.nu * lu, force.w + self.nu * lw)
+        q = dct_diagonal(-div_fc(r).values, self._q_inv)
+        q = ScalarField(g, q - q.mean())
 
-        res = float(np.linalg.norm(r - self.G @ q.ravel()))
-        bound = TOL_LIN * float(np.linalg.norm(b))
+        gq = grad_cc(q)
+        res = _norm(r.u - gq.u, r.w - gq.w)
+        bound = TOL_LIN * _norm(force.u, force.w)
         if not res <= bound:
             raise SolverError(f"stokes residual {res:.3e} > {TOL_LIN:.1e} * |f| "
                               f"= {bound:.3e}")
         dres, dbound = solenoidal_residual(v)
         if not dres <= dbound:
             raise SolverError(f"continuity residual {dres:.3e} > {dbound:.3e}")
-        return v, ScalarField(g, q)
+        return v, q
 
 
 def elastic_force(phi: ScalarField, F: TensorField, params: ModelParams) -> StaggeredVectorField:
@@ -205,7 +177,8 @@ def assemble_force(phi: ScalarField, mu: ScalarField, F: TensorField,
     The capillary part mu grad(phi) and the coupling part
     -(c/2) f'(phi)(F:F-d) grad(phi) multiply face-averaged cell scalars
     with grad_cc(phi); the elastic part is the conservative divergence of
-    the cell-centered stress.  Boundary faces carry 0.
+    the cell-centered stress.  Boundary faces carry 0, because
+    face_average, grad_cc and elastic_force all leave them at 0.
     """
     if not (phi.grid == mu.grid == F.grid):
         raise PreconditionError("force inputs must share one grid")
@@ -214,10 +187,4 @@ def assemble_force(phi: ScalarField, mu: ScalarField, F: TensorField,
     coupling = mu.values - law.neo_hookean_dphi(phi.values, F.comps, params)
     cx, cy = face_average(ScalarField(g, coupling))
     el = elastic_force(phi, F, params)
-    fu = cx * gphi.u + el.u
-    fw = cy * gphi.w + el.w
-    fu[0, :] = 0.0
-    fu[-1, :] = 0.0
-    fw[:, 0] = 0.0
-    fw[:, -1] = 0.0
-    return StaggeredVectorField(g, fu, fw)
+    return StaggeredVectorField(g, cx * gphi.u + el.u, cy * gphi.w + el.w)

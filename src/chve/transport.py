@@ -25,13 +25,12 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import constitutive as law
-from .errors import SolverError
+from .errors import TOL_LIN, SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
 from .operators import (advect_tensor, dct_diagonal, laplacian_eigenvalues,
                         laplacian_matrix, velocity_gradient)
 
-TOL_LIN = 1e-10
 # One CG on the stacked tensor components; the residual test against TOL_LIN decides.
 CG_RTOL = 1e-12
 CG_MAXITER = 500

@@ -7,6 +7,7 @@ import pytest
 
 import chve
 from chve.cli import main
+from chve.config import _KEYS
 
 CONFIG = """
 [grid]
@@ -72,28 +73,46 @@ def test_run_invalid_override_exit_2(tmp_path, capsys):
     cfg.write_text(CONFIG.replace("PLACEHOLDER", str(tmp_path / "out")))
     assert main(["run", str(cfg), "--max-steps", "-1"]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "max_steps must be >= 0" in err
+    assert "config error: [time]: max_steps must be >= 0" in err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("section,key,value", [
-    ("grid", "lx", "nan"),
-    ("params", "nu", "inf"),
-    ("params", "eps", "inf"),
-    ("params", "c_elastic", "inf"),
-    ("params", "lambda", "inf"),
-    ("initial", "phi_amplitude", "nan"),
-    ("initial", "F_amplitude", "inf"),
-])
-def test_run_nonfinite_value_exit_2(tmp_path, capsys, section, key, value):
+def _run_with(tmp_path, section, key, value):
+    """chve run on CONFIG with `key = value` set in [section]."""
     text = CONFIG.replace("PLACEHOLDER", str(tmp_path / "out"))
     lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} = ")]
+    if f"[{section}]" not in lines:
+        lines.append(f"[{section}]")
     lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
     cfg = tmp_path / "run.ini"
     cfg.write_text("\n".join(lines) + "\n")
-    assert main(["run", str(cfg)]) == 2
+    return main(["run", str(cfg)])
+
+
+FLOAT_KEYS = [(section, key) for section, keys in _KEYS.items()
+              for key, (_, typ) in keys.items() if typ is float]
+
+
+@pytest.mark.parametrize("section,key,value",
+                         [(s, k, v) for s, k in FLOAT_KEYS for v in ("inf", "nan")])
+def test_run_nonfinite_value_exit_2(tmp_path, capsys, section, key, value):
+    assert _run_with(tmp_path, section, key, value) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "finite" in err
+    assert f"config error: [{section}]: values must be finite: {key}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("grid", "nx", "2", "grid needs nx, ny >= 4"),
+    ("params", "lambda", "-1.0", "lambda must be >= 0"),
+    ("time", "cfl_max", "0.0", "cfl_max must be > 0"),
+    ("coupling", "picard_max", "0", "picard_max must be >= 1"),
+    ("initial", "phi_width", "0.0", "phi_width must be > 0"),
+    ("output", "diagnostics_every", "0", "diagnostics_every must be >= 1"),
+])
+def test_run_config_error_names_section(tmp_path, capsys, section, key, value, message):
+    assert _run_with(tmp_path, section, key, value) == 2
+    assert f"config error: [{section}]: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -4,11 +4,64 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from chve import stokes
+from chve.diagnostics import dissipation
 from chve.errors import SolverError
 from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                        StaggeredVectorField, TensorField)
-from chve.operators import advect_scalar, div_fc, grad_cc, solenoidal_residual
-from chve.verification import dense_stokes_compare, stokes_mms
+from chve.operators import (advect_scalar, div_fc, grad_cc, solenoidal_residual,
+                            vector_laplacian)
+from chve.verification import DenseOracle, dense_stokes_compare, stokes_mms
+
+
+def _interior(v):
+    """Interior-face values: u faces (i, j), i = 1..nx-1, then w faces."""
+    return np.concatenate([v.u[1:-1, :].ravel(), v.w[:, 1:-1].ravel()])
+
+
+def _faces(g, x):
+    """The no-slip face field whose interior-face values are x."""
+    n_u = (g.nx - 1) * g.ny
+    u = np.zeros((g.nx + 1, g.ny))
+    w = np.zeros((g.nx, g.ny + 1))
+    u[1:-1, :] = x[:n_u].reshape(g.nx - 1, g.ny)
+    w[:, 1:-1] = x[n_u:].reshape(g.nx, g.ny - 1)
+    return StaggeredVectorField(g, u, w)
+
+
+def _lap(v):
+    return StaggeredVectorField(v.grid, *vector_laplacian(v))
+
+
+def _random_force(g, rng):
+    return _faces(g, rng.standard_normal((g.nx - 1) * g.ny + g.nx * (g.ny - 1)))
+
+
+def _sparse_velocity_block(g, nu):
+    """-nu Lap_h on interior faces, assembled from 1-D second differences:
+    Dirichlet (0) ends along a component's own axis, reflected-ghost ends
+    (diagonal 3/h^2) across it."""
+    def tridiag(n, h, wall_ghost):
+        s = 1.0 / (h * h)
+        main = np.full(n, 2.0 * s)
+        if wall_ghost:
+            main[[0, -1]] = 3.0 * s
+        return sp.diags([np.full(n - 1, -s), main, np.full(n - 1, -s)], (-1, 0, 1))
+
+    nx, ny = g.nx, g.ny
+    A_u = sp.kron(tridiag(nx - 1, g.hx, False), sp.eye(ny)) \
+        + sp.kron(sp.eye(nx - 1), tridiag(ny, g.hy, True))
+    A_w = sp.kron(tridiag(nx, g.hx, True), sp.eye(ny - 1)) \
+        + sp.kron(sp.eye(nx), tridiag(ny - 1, g.hy, False))
+    return nu * sp.block_diag((A_u, A_w), format="csr")
+
+
+def _sparse_gradient(g):
+    """grad_cc from cells (index i*ny + j) onto interior faces."""
+    def diff(n, h):
+        return sp.diags([-1.0 / h, 1.0 / h], (0, 1), shape=(n - 1, n))
+
+    return sp.vstack([sp.kron(diff(g.nx, g.hx), sp.eye(g.ny)),
+                      sp.kron(sp.eye(g.nx), diff(g.ny, g.hy))], format="csr")
 
 
 def test_zero_force_gives_zero_fields(grid16, params):
@@ -31,53 +84,52 @@ def test_gradient_forcing_absorbed_into_pressure():
 
 def test_pressure_is_mean_zero_and_invariant(grid16, rng, params):
     solver = stokes.StokesSolver(grid16, params.nu)
-    fu = np.zeros((17, 16))
-    fw = np.zeros((16, 17))
-    fu[1:-1, :] = rng.standard_normal((15, 16))
-    fw[:, 1:-1] = rng.standard_normal((16, 15))
-    force = StaggeredVectorField(grid16, fu, fw)
+    force = _random_force(grid16, rng)
     v, q = solver.solve(force)
     assert abs(np.mean(q.values)) <= 1e-14
     # shifting q by a constant leaves the momentum residual unchanged
-    A, G = solver.A, solver.G
-    vv = np.concatenate([v.u[1:-1, :].ravel(), v.w[:, 1:-1].ravel()])
-    b = np.concatenate([fu[1:-1, :].ravel(), fw[:, 1:-1].ravel()])
-    r0 = A @ vv + G @ q.values.ravel() - b
-    r1 = A @ vv + G @ (q.values.ravel() + 3.14) - b
+    lap = _lap(v)
+
+    def residual(qv):
+        gq = grad_cc(ScalarField(grid16, qv))
+        return np.concatenate([(-params.nu * lap.u + gq.u - force.u).ravel(),
+                               (-params.nu * lap.w + gq.w - force.w).ravel()])
+
+    r0 = residual(q.values)
+    r1 = residual(q.values + 3.14)
     assert np.max(np.abs(r1 - r0)) <= 1e-11
 
 
-def test_velocity_block_spd_and_coupling_transpose(grid8, params):
-    g = grid8
-    solver = stokes.StokesSolver(g, params.nu)
-    A = solver.A.toarray()
-    assert np.max(np.abs(A - A.T)) <= 1e-13
-    assert np.min(np.linalg.eigvalsh(A)) > 0.0
+def test_velocity_block_spd_and_coupling_transpose(params):
+    nu = params.nu
+    for g in (GridSpec(8, 8), GridSpec(5, 7, 1.0, 1.3)):
+        n_v = (g.nx - 1) * g.ny + g.nx * (g.ny - 1)
+        # the columns of -nu Lap_h are the A block of the oracle's saddle matrix
+        A = np.array([-nu * _interior(_lap(_faces(g, e))) for e in np.eye(n_v)]).T
+        A_ref = DenseOracle(g).stokes_matrix(nu)[:n_v, :n_v]
+        assert np.max(np.abs(A - A_ref)) <= 1e-14 * np.max(np.abs(A_ref))
+        assert np.max(np.abs(A - A.T)) <= 1e-13
+        assert np.min(np.linalg.eigvalsh(A)) > 0.0
 
-    def faces(e):
-        n_u = (g.nx - 1) * g.ny
-        u = np.zeros((g.nx + 1, g.ny))
-        w = np.zeros((g.nx, g.ny + 1))
-        u[1:-1, :] = e[:n_u].reshape(g.nx - 1, g.ny)
-        w[:, 1:-1] = e[n_u:].reshape(g.nx, g.ny - 1)
-        return StaggeredVectorField(g, u, w)
+        # grad_cc onto interior faces is minus the transpose of div_fc
+        cells = np.eye(g.nx * g.ny)
+        G = np.array([_interior(grad_cc(ScalarField(g, e.reshape(g.nx, g.ny))))
+                      for e in cells]).T
+        D = np.array([div_fc(_faces(g, e)).values.ravel() for e in np.eye(n_v)]).T
+        assert np.max(np.abs(G.T + D)) <= 1e-12
 
-    # G^T is minus the face-to-cell divergence on interior faces
-    D = np.array([div_fc(faces(e)).values.ravel() for e in np.eye(A.shape[0])]).T
-    assert np.max(np.abs(solver.G.T.toarray() + D)) <= 1e-12
+        # the curls C of interior-node stream functions span the divergence-free
+        # space, and C^T A C is the SPD operator the stream function solves with
+        def curl(e):
+            psi = np.zeros((g.nx + 1, g.ny + 1))
+            psi[1:-1, 1:-1] = e.reshape(g.nx - 1, g.ny - 1)
+            return _interior(StaggeredVectorField.from_stream_function(g, psi))
 
-    # the curls C of interior-node stream functions span the divergence-free
-    # space, and C^T A C is the SPD operator the stream function solves with
-    def curl(e):
-        psi = np.zeros((g.nx + 1, g.ny + 1))
-        psi[1:-1, 1:-1] = e.reshape(g.nx - 1, g.ny - 1)
-        return stokes._interior(StaggeredVectorField.from_stream_function(g, psi))
-
-    C = np.array([curl(e) for e in np.eye((g.nx - 1) * (g.ny - 1))]).T
-    assert np.max(np.abs(C.T @ solver.G.toarray())) <= 1e-12
-    B = C.T @ A @ C
-    assert np.max(np.abs(B - B.T)) <= 1e-13 * np.max(np.abs(B))
-    assert np.min(np.linalg.eigvalsh(B)) > 0.0
+        C = np.array([curl(e) for e in np.eye((g.nx - 1) * (g.ny - 1))]).T
+        assert np.max(np.abs(C.T @ G)) <= 1e-12
+        B = C.T @ A @ C
+        assert np.max(np.abs(B - B.T)) <= 1e-13 * np.max(np.abs(B))
+        assert np.min(np.linalg.eigvalsh(B)) > 0.0
 
 
 @pytest.mark.parametrize("grid,nu", [(GridSpec(64, 64), 1.0), (GridSpec(48, 80, 2.0, 1.0), 0.7)],
@@ -85,20 +137,15 @@ def test_velocity_block_spd_and_coupling_transpose(grid8, params):
 def test_matches_pinned_saddle_solve(grid, nu, rng):
     # reference: sparse direct solve of [[A, G_1], [G_1^T, 0]], with G_1 = G
     # less the column of cell (0, 0), whose pressure is pinned to zero
-    solver = stokes.StokesSolver(grid, nu)
-    A, G1 = solver.A, solver.G[:, 1:]
-    fu = np.zeros((grid.nx + 1, grid.ny))
-    fw = np.zeros((grid.nx, grid.ny + 1))
-    fu[1:-1, :] = rng.standard_normal((grid.nx - 1, grid.ny))
-    fw[:, 1:-1] = rng.standard_normal((grid.nx, grid.ny - 1))
-    force = StaggeredVectorField(grid, fu, fw)
-    b = stokes._interior(force)
+    A, G1 = _sparse_velocity_block(grid, nu), _sparse_gradient(grid)[:, 1:]
+    force = _random_force(grid, rng)
+    b = _interior(force)
     M = sp.bmat([[A, G1], [G1.T, None]], format="csc")
     x = spla.spsolve(M, np.concatenate([b, np.zeros(G1.shape[1])]))
     v_ref, q_ref = x[:b.size], np.concatenate([[0.0], x[b.size:]])
 
-    v, q = solver.solve(force)
-    assert np.linalg.norm(stokes._interior(v) - v_ref) <= 1e-11 * np.linalg.norm(v_ref)
+    v, q = stokes.StokesSolver(grid, nu).solve(force)
+    assert np.linalg.norm(_interior(v) - v_ref) <= 1e-11 * np.linalg.norm(v_ref)
     q_ref -= q_ref.mean()
     assert np.linalg.norm(q.values.ravel() - q_ref) <= 1e-10 * np.linalg.norm(q_ref)
 
@@ -145,16 +192,13 @@ def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, a
     assert v.max_abs() == pytest.approx(10.0, rel=1e-6)
     assert solenoidal_residual(v)[0] == pytest.approx(div_max, rel=1e-4)
 
-    # the solve returns v for the force A v, so the momentum residual is
-    # exactly zero and the continuity check decides
-    solver = stokes.StokesSolver(grid, 1.0)
+    # the solve returns v for the force -nu Lap_h v, so the momentum residual
+    # is exactly zero and the continuity check decides
+    nu = 1.0
+    solver = stokes.StokesSolver(grid, nu)
     monkeypatch.setattr(solver, "_velocity", lambda force: v)
-    Av = solver.A @ stokes._interior(v)
-    fu = np.zeros_like(v.u)
-    fw = np.zeros_like(v.w)
-    fu[1:-1, :] = Av[:(n - 1) * n].reshape(n - 1, n)
-    fw[:, 1:-1] = Av[(n - 1) * n:].reshape(n, n - 1)
-    force = StaggeredVectorField(grid, fu, fw)
+    lap = _lap(v)
+    force = StaggeredVectorField(grid, -nu * lap.u, -nu * lap.w)
     phi = ScalarField.uniform(grid, 1.0)
     if accepted:
         solver.solve(force)
@@ -175,13 +219,26 @@ def test_energy_consistency(grid16, rng, params):
     fw[:, 1:-1] = rng.standard_normal((16, 15))
     force = StaggeredVectorField(grid16, fu, fw)
     v, q = solver.solve(force)
-    from chve.diagnostics import dissipation
     phi = ScalarField.uniform(grid16, 1.0)
     visc = dissipation(v, ScalarField.uniform(grid16, 0.0), phi,
                        TensorField.identity(grid16), None,
                        ModelParams(nu=params.nu, lam=0.0))
     work = (np.sum(force.u * v.u) + np.sum(force.w * v.w)) * grid16.cell_area
     assert visc == pytest.approx(work, rel=1e-8)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(5, 7, 1.0, 1.3)],
+                         ids=["16x16", "5x7"])
+def test_viscous_dissipation_is_velocity_block_form(grid, rng):
+    # the viscous part of dissipation is the quadratic form of the Stokes
+    # velocity block: nu |grad v|^2 = -nu <Lap_h v, v> hx hy
+    nu = 0.7
+    v = _random_force(grid, rng)
+    visc = dissipation(v, ScalarField.uniform(grid, 0.0), ScalarField.uniform(grid, 1.0),
+                       TensorField.identity(grid), None, ModelParams(nu=nu, lam=0.0))
+    lap = _lap(v)
+    form = -nu * (np.sum(lap.u * v.u) + np.sum(lap.w * v.w)) * grid.hx * grid.hy
+    assert visc == pytest.approx(form, rel=1e-12)
 
 
 def test_force_assembly_uniform_state_is_zero(grid16, params):
