@@ -12,8 +12,8 @@ for the gradient part.  The dissipation functional
 
 reuses the exact quadratic forms of the discrete step operators, so
 (E_new - E_old)/dt + D_new measures the splitting defect of the scheme and
-nothing else.  The defect is O(dt + h^2) and is reported, not enforced; the
-driver reacts to sign violations by rejecting the step.
+nothing else.  The defect is O(dt + h^2) and is reported, not enforced; no
+step is rejected on its value or sign.
 """
 
 from __future__ import annotations
@@ -121,13 +121,12 @@ def total_mass(phi: ScalarField) -> float:
     return float(np.sum(phi.values)) * phi.grid.cell_area
 
 
-def energy_budget_residual(state_n: SimState, state_np1: SimState, dt: float,
-                           params: ModelParams) -> float:
-    """(E_new - E_old)/dt + D_new with end-of-step fields in D."""
-    e_old = total_energy(state_n.phi, state_n.F, params).total
-    e_new = total_energy(state_np1.phi, state_np1.F, params).total
+def energy_budget(state_n: SimState, state_np1: SimState, dt: float,
+                  e_old: float, e_new: float, params: ModelParams) -> tuple[float, float]:
+    """(D_new, (E_new - E_old)/dt + D_new) with end-of-step fields and
+    dphi/dt = (phi_new - phi_old)/dt in D; e_old, e_new are the two energies."""
     dphi_dt = ScalarField(state_n.phi.grid,
                           (state_np1.phi.values - state_n.phi.values) / dt)
     d_new = dissipation(state_np1.v, state_np1.mu, state_np1.phi, state_np1.F,
                         dphi_dt, params)
-    return (e_new - e_old) / dt + d_new
+    return d_new, (e_new - e_old) / dt + d_new

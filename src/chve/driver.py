@@ -29,7 +29,7 @@ import numpy as np
 
 from .cahn_hilliard import CHSystem, static_chemical_potential
 from .config import ConfigSpec, TimeConfig, dump_config
-from .diagnostics import (DiagnosticsRow, EnergyBreakdown, dissipation,
+from .diagnostics import (DiagnosticsRow, EnergyBreakdown, energy_budget,
                           total_energy, total_mass)
 from .errors import NewtonError, RunError, SolverError
 from .grid import PreconditionError, ScalarField, SimState, TensorField
@@ -222,10 +222,10 @@ class Simulation:
         outdir.mkdir(parents=True, exist_ok=True)
 
         state = self.initial_state()
-        streak = getattr(self, "_streak0", 0)
+        streak = self._streak0
         dt = min(max(state.dt, cfg.time.dt_min), cfg.time.dt_max)
         e_prev = total_energy(state.phi, state.F, self.params).total
-        e_scale = getattr(self, "_e_scale0", None) or max(abs(e_prev), 1e-30)
+        e_scale = self._e_scale0 or max(abs(e_prev), 1e-30)
         rejected = 0
         accepted = 0
         rows = [] if collect_rows else None
@@ -313,11 +313,8 @@ class Simulation:
                          e_old: float, eb: EnergyBreakdown) -> DiagnosticsRow:
         """Row for an accepted step; e_old and eb are the energies of
         state_n and state_np1, already computed by the run loop."""
-        dphi_dt = ScalarField(self.grid,
-                              (state_np1.phi.values - state_n.phi.values) / dt)
-        dnew = dissipation(state_np1.v, state_np1.mu, state_np1.phi,
-                           state_np1.F, dphi_dt, self.params)
-        budget = (eb.total - e_old) / dt + dnew
+        dnew, budget = energy_budget(state_n, state_np1, dt, e_old, eb.total,
+                                     self.params)
         return DiagnosticsRow(
             step=state_np1.step_index, t=state_np1.t, dt=dt,
             E_total=eb.total, E_elastic=eb.elastic, E_interface=eb.interface,

@@ -7,7 +7,7 @@ deliberately separate computation:
   tiny grids (no code shared with the sparse assemblies);
 * finite-difference functional derivatives for the chemical potential and
   the elastic stresses;
-* a manufactured Stokes solution differentiated symbolically;
+* a manufactured Stokes solution with closed-form forces;
 * the capillary-force identity check (potential form vs. stress form);
 * determinant transport under a prescribed interior vortex.
 
@@ -389,21 +389,23 @@ def fd_check_det_derivative(seed: int = 11) -> dict:
 # manufactured Stokes solution
 
 
+def stokes_mms_fields(nu: float = 1.0) -> dict:
+    """Manufactured no-slip Stokes solution on the unit square from the stream
+    function psi = sin^2(pi x) sin^2(pi y): callables of (x, y) for u = dpsi/dy,
+    w = -dpsi/dx, q = sin(pi x) sin(pi y) and fu, fw of f = -nu Lap v + grad q."""
+    pi, sin, cos = np.pi, np.sin, np.cos
+    return {"u": lambda x, y: pi * sin(pi * x) ** 2 * sin(2 * pi * y),
+            "w": lambda x, y: -pi * sin(2 * pi * x) * sin(pi * y) ** 2,
+            "q": lambda x, y: sin(pi * x) * sin(pi * y),
+            "fu": lambda x, y: (2 * nu * pi ** 3 * sin(2 * pi * y) * (4 * sin(pi * x) ** 2 - 1)
+                                + pi * cos(pi * x) * sin(pi * y)),
+            "fw": lambda x, y: (-2 * nu * pi ** 3 * sin(2 * pi * x) * (4 * sin(pi * y) ** 2 - 1)
+                                + pi * sin(pi * x) * cos(pi * y))}
+
+
 def stokes_mms(levels=(32, 64, 128), nu: float = 1.0) -> dict:
-    """Convergence of the Stokes solve against a symbolically differentiated
-    stream-function solution with no-slip boundary."""
-    import sympy  # only this oracle needs it; keeps `import chve.cli` light
-
-    x, y = sympy.symbols("x y", real=True)
-    psi_s = sympy.sin(sympy.pi * x) ** 2 * sympy.sin(sympy.pi * y) ** 2
-    u_s = sympy.diff(psi_s, y)
-    w_s = -sympy.diff(psi_s, x)
-    q_s = sympy.sin(sympy.pi * x) * sympy.sin(sympy.pi * y)
-    fu_s = -nu * (sympy.diff(u_s, x, 2) + sympy.diff(u_s, y, 2)) + sympy.diff(q_s, x)
-    fw_s = -nu * (sympy.diff(w_s, x, 2) + sympy.diff(w_s, y, 2)) + sympy.diff(q_s, y)
-    fns = {k: sympy.lambdify((x, y), e, "numpy")
-           for k, e in (("u", u_s), ("w", w_s), ("q", q_s), ("fu", fu_s), ("fw", fw_s))}
-
+    """Convergence of the Stokes solve against :func:`stokes_mms_fields`."""
+    fns = stokes_mms_fields(nu)
     err_v, err_q = [], []
     for n in levels:
         g = GridSpec(n, n)

@@ -1,5 +1,5 @@
-import os
-import subprocess
+import ast
+import re
 import sys
 from pathlib import Path
 
@@ -116,13 +116,23 @@ def test_run_config_error_names_section(tmp_path, capsys, section, key, value, m
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_import_leaves_sympy_unloaded():
-    # the CLI runs simulations without the symbolic MMS oracle's sympy
-    code = "import sys, chve.cli; print('sympy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(chve.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+def test_package_imports_only_declared_dependencies():
+    # every import in the package, function-local ones included, against
+    # the [project] dependencies of pyproject.toml
+    tomllib = pytest.importorskip("tomllib")
+    pkg = Path(chve.__file__).parent
+    project = tomllib.loads((pkg.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0]
+                for d in project["dependencies"]}
+    imported = set()
+    for path in pkg.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert declared == {"numpy", "scipy"}
+    assert imported - set(sys.stdlib_module_names) - {"chve"} == declared
 
 
 def test_run_missing_file_exit_2(tmp_path):

@@ -59,6 +59,20 @@ def test_unconverged_transport_solve_is_rejected(tmp_path, monkeypatch):
     assert exc.value.reason.startswith("linear solve:")
 
 
+def _nan_gmres(A, b, **kwargs):
+    """Krylov solve of the phase-field Newton update that returns NaN."""
+    return np.full_like(b, np.nan), 0
+
+
+def test_nan_phase_field_krylov_solve_is_rejected(tmp_path, monkeypatch):
+    sim = Simulation(spinodal_config(tmp_path))
+    state = sim.initial_state()
+    monkeypatch.setattr(spla, "gmres", _nan_gmres)
+    with pytest.raises(StepRejected) as exc:
+        sim.coupled_step(state, 1e-4)
+    assert exc.value.reason.startswith("newton:")
+
+
 def _nan_back_solve(factor, b, **kwargs):
     """Capacitance back-solve that returns NaN."""
     return np.full_like(b, np.nan)
@@ -112,6 +126,10 @@ def test_persistent_nan_ends_run_with_dt_underflow(tmp_path, monkeypatch, target
 
 def test_persistent_transport_stall_ends_run_with_dt_underflow(tmp_path, monkeypatch):
     _run_faulty(tmp_path, "cg", lambda: monkeypatch.setattr(spla, "cg", _stalled_cg))
+
+
+def test_persistent_phase_field_krylov_fault_ends_run_with_dt_underflow(tmp_path, monkeypatch):
+    _run_faulty(tmp_path, "gmres", lambda: monkeypatch.setattr(spla, "gmres", _nan_gmres))
 
 
 def test_persistent_stokes_fault_ends_run_with_dt_underflow(tmp_path, monkeypatch):

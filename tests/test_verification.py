@@ -130,3 +130,42 @@ def test_stokes_mms_table_shape():
     rep = ver.stokes_mms(levels=(16, 32))
     assert len(rep["err_v"]) == 2 and len(rep["order_v"]) == 1
     assert rep["order_v"][0] >= 1.9
+
+
+def test_stokes_mms_fields_match_central_differences():
+    """The hand-written u, w, fu, fw against central differences of psi and q
+    at random interior points.  The k-th derivative of sin^2(pi s) is bounded
+    by (2 pi)^k / 2, so with step h the first differences err by less than
+    (2 pi)^3 h^2 and the nested ones (fifth derivatives of psi) by less than
+    (2 pi)^5 h^2 for nu <= 1; rounding adds about 1e-7 at h = 1e-3."""
+    nu, h = 0.7, 1e-3
+    fns = ver.stokes_mms_fields(nu)
+
+    def psi(x, y):
+        return np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2
+
+    def q(x, y):
+        return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+    def dx(f):
+        return lambda x, y: (f(x + h, y) - f(x - h, y)) / (2 * h)
+
+    def dy(f):
+        return lambda x, y: (f(x, y + h) - f(x, y - h)) / (2 * h)
+
+    def lap(f):
+        return lambda x, y: (f(x + h, y) + f(x - h, y) + f(x, y + h) + f(x, y - h)
+                             - 4 * f(x, y)) / h ** 2
+
+    u = dy(psi)
+
+    def w(x, y):
+        return -dx(psi)(x, y)
+
+    x, y = np.random.default_rng(5).uniform(0.02, 0.98, (2, 200))
+    assert np.array_equal(fns["q"](x, y), q(x, y))
+    tol1, tol2 = (2 * np.pi) ** 3 * h ** 2, (2 * np.pi) ** 5 * h ** 2
+    assert np.max(np.abs(fns["u"](x, y) - u(x, y))) <= tol1
+    assert np.max(np.abs(fns["w"](x, y) - w(x, y))) <= tol1
+    assert np.max(np.abs(fns["fu"](x, y) - (-nu * lap(u)(x, y) + dx(q)(x, y)))) <= tol2
+    assert np.max(np.abs(fns["fw"](x, y) - (-nu * lap(w)(x, y) + dy(q)(x, y)))) <= tol2
