@@ -16,19 +16,21 @@ dissipative in the phase-field energy for any dt.  Advection is explicit
 (conservative flux form of phi_n) and every operator row sums to zero, so
 the cell sum of phi is conserved to rounding at every accepted step.
 
-Each Newton update is solved matrix-free (Newton-Krylov): GMRES on the
-Schur complement in phi, preconditioned by the constant-coefficient
-splitting operator, which the DCT diagonalizes exactly.  The mean (k = 0
-mode) of each update is set exactly rather than by the Krylov solve, which
-keeps the mass identity independent of the GMRES tolerance.
+Each Newton update is solved matrix-free (Newton-Krylov): right-
+preconditioned flexible GMRES (:func:`chve.krylov.gmres`) on the Schur
+complement in phi, preconditioned by the constant-coefficient splitting
+operator, which the DCT diagonalizes exactly, so each GMRES iteration costs
+one DCT pair.  The mean (k = 0 mode) of each update is set exactly rather
+than by the Krylov solve, which keeps the mass identity independent of the
+GMRES tolerance.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import constitutive as law
+from . import krylov
 from .errors import NewtonError
 from .grid import (ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
@@ -74,34 +76,25 @@ class CHSystem:
         (I + dt L_b (eps L - D)) dphi = -r1 - dt L_b r2,
         D = psi_plus''(phi)/eps + delta/dt,
 
-    by GMRES, then recovers dmu = -r2 - (eps L - D) dphi.  The
-    preconditioner is the same operator with D replaced by its mean and
-    L_b by (mean mobility) L: the constant-coefficient convex-splitting
-    operator, which DCT-II diagonalizes exactly on the zero-flux grid.
+    by GMRES, then recovers dmu = -r2 - (eps L - D) dphi.  GMRES is
+    preconditioned on the right by the same operator with D replaced by its
+    mean and L_b by (mean mobility) L: the constant-coefficient
+    convex-splitting operator, which DCT-II diagonalizes exactly on the
+    zero-flux grid, applied once per GMRES iteration.
 
     The mean of dphi is fixed exactly by the k = 0 row (1^T L_b = 0), and
     the Krylov solve runs on the mean-zero complement only, so every
     iterate conserves the cell sum of phi to rounding whatever the GMRES
-    tolerance.  Nothing is cached between calls apart from the grid's
-    Laplacian and its DCT eigenvalues.
+    tolerance.  Nothing is cached between calls; the grid's Laplacian, its
+    DCT eigenvalues and, for constant mobility, b0 L are built once.
     """
 
     def __init__(self, grid, params: ModelParams):
         self.grid = grid
         self.params = params
         self.L = laplacian_matrix(grid)          # zero-flux Laplacian
-        self.n = grid.nx * grid.ny
         self._eig = laplacian_eigenvalues(grid)  # L on the DCT-II basis
-
-    def _preconditioner(self, dt: float, b_mean: float, d_mean: float) -> spla.LinearOperator:
-        """Exact inverse of I + dt b_mean L (eps L - d_mean) on mean-zero
-        vectors; the k = 0 mode is mapped to zero."""
-        lam = self._eig
-        inv = 1.0 / (1.0 + dt * b_mean * lam * (self.params.eps * lam - d_mean))
-        inv[0, 0] = 0.0
-        shape = (self.grid.nx, self.grid.ny)
-        return spla.LinearOperator((self.n, self.n), dtype=float,
-                                   matvec=lambda x: dct_diagonal(x.reshape(shape), inv).ravel())
+        self._Lb = params.b0 * self.L if params.mobility_profile == "constant" else None
 
     def step(self, phi_n: ScalarField, phi_prev: ScalarField, F: TensorField,
              v: StaggeredVectorField, dt: float,
@@ -118,10 +111,7 @@ class CHSystem:
         p = self.params
         adv = advect_scalar(v, phi_n).values.ravel()
         b = law.mobility_b(phi_n.values, p)
-        if p.mobility_profile == "constant":
-            Lb = p.b0 * self.L
-        else:
-            Lb = laplacian_matrix(self.grid, b)
+        Lb = self._Lb if self._Lb is not None else laplacian_matrix(self.grid, b)
         b_mean = float(np.mean(b))
         coupling = law.neo_hookean_dphi(phi_n.values, F.comps, p).ravel()
         psi_m = law.psi_minus_prime(phi_n.values).ravel() / p.eps
@@ -158,19 +148,24 @@ class CHSystem:
             # r2 is the second-order remainder of psi_plus', so a loose
             # relative Krylov tolerance gives an inexact Newton method whose
             # outer test still enforces TOL_NEWTON.
+            shape, eig = (self.grid.nx, self.grid.ny), self._eig
             for iters in range(1, MAX_NEWTON + 1):
                 D = law.psi_plus_second(phi) / p.eps + p.delta / dt
-                op = spla.LinearOperator(
-                    (self.n, self.n), dtype=float,
-                    matvec=lambda x: x + dt * (Lb @ (p.eps * (self.L @ x) - D * x)))
+                # exact inverse of I + dt b_mean L (eps L - mean(D)) on
+                # mean-zero vectors; the k = 0 mode is mapped to zero
+                inv = 1.0 / (1.0 + dt * b_mean * eig * (p.eps * eig - float(np.mean(D))))
+                inv[0, 0] = 0.0
                 rhs = -r1 - dt * (Lb @ r2)
-                # k = 0 row: the mean of dphi is the mean of rhs, exactly
+                # k = 0 row: the mean of dphi is the mean of rhs, exactly;
+                # the operator maps the constant m to m - dt m L_b D, as L 1 = 0
                 m = float(np.mean(rhs))
-                rhs0 = rhs - op.matvec(np.full(self.n, m))
+                rhs0 = rhs - (m - dt * m * (Lb @ D))
                 rhs0 -= np.mean(rhs0)
-                z, _ = spla.gmres(op, rhs0, rtol=GMRES_RTOL, atol=0.1 * TOL_NEWTON,
-                                  restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
-                                  M=self._preconditioner(dt, b_mean, float(np.mean(D))))
+                z, _ = krylov.gmres(
+                    lambda x: x + dt * (Lb @ (p.eps * (self.L @ x) - D * x)), rhs0,
+                    M=lambda x: dct_diagonal(x.reshape(shape), inv).ravel(),
+                    rtol=GMRES_RTOL, atol=0.1 * TOL_NEWTON,
+                    restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
                 dphi = m + (z - np.mean(z))
                 phi = phi + dphi
                 mu = mu - r2 - (p.eps * (self.L @ dphi) - D * dphi)

@@ -16,15 +16,16 @@ In the unknown G = M_f F_new the operator D/dt - lam L, D = 1/f(phi), is
 symmetric positive definite for dt > 0, lam >= 0, f >= f_min > 0.  All d^2
 components share it, so they are stacked into one block-diagonal system on
 an (n, d^2) block, where each operator product is one sparse matmul, and
-solved by a single matrix-free preconditioned CG; then F_new = G / f.
+solved by one matrix-free preconditioned CG (:func:`chve.krylov.pcg`) on
+that block; then F_new = G / f.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import constitutive as law
+from . import krylov
 from .errors import TOL_LIN, SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
@@ -84,19 +85,16 @@ class TransportSystem:
         inv = (1.0 / (c / dt - lam * self._eig))[:, :, None]
 
         def precondition(r):
-            return (s_inv * dct_diagonal(s_inv * r.reshape(g.nx, g.ny, k), inv)).ravel()
+            return (s_inv * dct_diagonal(s_inv * r.reshape(g.nx, g.ny, k), inv)).reshape(n, k)
 
-        def matvec(x):
-            X = x.reshape(n, k)
-            return (D * X / dt - lam * (self._L @ X)).ravel()
+        def matvec(X):
+            return D * X / dt - lam * (self._L @ X)
 
-        A = spla.LinearOperator((n * k, n * k), dtype=float, matvec=matvec)
-        M = spla.LinearOperator((n * k, n * k), dtype=float, matvec=precondition)
         b = rhs.reshape(n, k)
-        G, _ = spla.cg(A, b.ravel(), x0=(f * dt * b).ravel(), rtol=CG_RTOL, atol=0.0,
-                       maxiter=CG_MAXITER, M=M)
+        G, _ = krylov.pcg(matvec, b, x0=f * dt * b, M=precondition, rtol=CG_RTOL,
+                          atol=0.0, maxiter=CG_MAXITER)
 
-        x = G.reshape(n, k) / f
+        x = G / f
         res = float(np.linalg.norm(b - (x / dt - lam * (self._L @ (f * x)))))
         bound = TOL_LIN * float(np.linalg.norm(b))
         if not res <= bound:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chve import cahn_hilliard as ch
+from chve import krylov
 from chve.diagnostics import total_energy
 from chve.errors import NewtonError
 from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
@@ -175,3 +176,28 @@ def test_nonfinite_residual_fails_at_once(grid16, rng, monkeypatch):
     assert not np.isfinite(exc.value.residual)
     assert exc.value.iterations == 0
     assert calls == []  # no Newton update was attempted
+
+
+def test_one_dct_pair_per_gmres_iteration(grid16, rng, monkeypatch):
+    """Each GMRES iteration applies the DCT preconditioner once, and nothing
+    else in the step does: not to the right-hand side, not to the result."""
+    from chve import krylov
+
+    dct_calls, matvecs = [], []
+    real_dct, real_gmres = ch.dct_diagonal, krylov.gmres
+
+    def counted_gmres(A, b, **kwargs):
+        return real_gmres(lambda x: matvecs.append(1) or A(x), b, **kwargs)
+
+    monkeypatch.setattr(ch, "dct_diagonal",
+                        lambda *a: dct_calls.append(1) or real_dct(*a))
+    monkeypatch.setattr(krylov, "gmres", counted_gmres)
+    params = ModelParams(eps=0.05, b0=0.1, b1=0.1, c_elastic=0.25)
+    phi = ScalarField(grid16, rng.uniform(-0.5, 0.5, (16, 16)))
+    F = TensorField(grid16, np.eye(2) + 0.1 * rng.standard_normal((16, 16, 2, 2)))
+    _, _, iters = ch.CHSystem(grid16, params).step(
+        phi, phi, F, StaggeredVectorField.zeros(grid16), dt=1e-3)
+    # no restart at this size, so every operator product is one iteration
+    assert iters >= 2
+    assert len(matvecs) > iters
+    assert len(dct_calls) == len(matvecs)

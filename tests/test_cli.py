@@ -135,6 +135,20 @@ def test_package_imports_only_declared_dependencies():
     assert imported - set(sys.stdlib_module_names) - {"chve"} == declared
 
 
+def test_package_imports_no_scipy_sparse_linalg():
+    # the Krylov loops live in chve.krylov; scipy's solvers stay test oracles
+    pkg = Path(chve.__file__).parent
+    for path in pkg.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any(n.startswith("scipy.sparse.linalg") for n in names), path.name
+
+
 def test_run_missing_file_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini")]) == 2
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from chve.config import parse_config
 from chve.diagnostics import dissipation, energy_budget, total_energy
@@ -181,6 +182,18 @@ def test_resume_into_own_directory_rewrites_csv_rows(tmp_path):
     cfg = replace(cfg, initial=replace(cfg.initial, restart_file=str(restart)))
     simulate(cfg)
     assert (tmp_path / "run" / "diagnostics.csv").read_bytes() == expected
+
+
+def test_coupled_step_needs_no_scipy_krylov(tmp_path, monkeypatch):
+    def no_scipy_krylov(*args, **kwargs):
+        raise AssertionError("scipy Krylov solver called")
+
+    monkeypatch.setattr(spla, "gmres", no_scipy_krylov)
+    monkeypatch.setattr(spla, "cg", no_scipy_krylov)
+    sim = Simulation(spinodal_config(tmp_path))
+    state = sim.initial_state()
+    new, _ = sim.coupled_step(state, 1e-4)
+    assert new.t == pytest.approx(1e-4)
 
 
 def test_total_energy_evaluated_once_per_accepted_step(tmp_path, monkeypatch):

@@ -8,9 +8,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
-from chve import cli, constitutive, driver, vtk_io
+from chve import cli, constitutive, driver, krylov, vtk_io
 from chve.driver import Simulation, StepRejected
 from chve.errors import SolverError, ValidationError
 from chve.grid import GridSpec
@@ -53,7 +52,7 @@ def _stalled_cg(A, b, **kwargs):
 def test_unconverged_transport_solve_is_rejected(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
     state = sim.initial_state()
-    monkeypatch.setattr(spla, "cg", _stalled_cg)
+    monkeypatch.setattr(krylov, "pcg", _stalled_cg)
     with pytest.raises(StepRejected) as exc:
         sim.coupled_step(state, 1e-4)
     assert exc.value.reason.startswith("linear solve:")
@@ -67,7 +66,7 @@ def _nan_gmres(A, b, **kwargs):
 def test_nan_phase_field_krylov_solve_is_rejected(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
     state = sim.initial_state()
-    monkeypatch.setattr(spla, "gmres", _nan_gmres)
+    monkeypatch.setattr(krylov, "gmres", _nan_gmres)
     with pytest.raises(StepRejected) as exc:
         sim.coupled_step(state, 1e-4)
     assert exc.value.reason.startswith("newton:")
@@ -125,11 +124,11 @@ def test_persistent_nan_ends_run_with_dt_underflow(tmp_path, monkeypatch, target
 
 
 def test_persistent_transport_stall_ends_run_with_dt_underflow(tmp_path, monkeypatch):
-    _run_faulty(tmp_path, "cg", lambda: monkeypatch.setattr(spla, "cg", _stalled_cg))
+    _run_faulty(tmp_path, "cg", lambda: monkeypatch.setattr(krylov, "pcg", _stalled_cg))
 
 
 def test_persistent_phase_field_krylov_fault_ends_run_with_dt_underflow(tmp_path, monkeypatch):
-    _run_faulty(tmp_path, "gmres", lambda: monkeypatch.setattr(spla, "gmres", _nan_gmres))
+    _run_faulty(tmp_path, "gmres", lambda: monkeypatch.setattr(krylov, "gmres", _nan_gmres))
 
 
 def test_persistent_stokes_fault_ends_run_with_dt_underflow(tmp_path, monkeypatch):

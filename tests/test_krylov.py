@@ -1,0 +1,115 @@
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+
+from chve import constitutive as law
+from chve import krylov
+from chve.grid import GridSpec, ModelParams
+from chve.operators import dct_diagonal, laplacian_eigenvalues, laplacian_matrix
+
+
+def _counted(fn, calls):
+    def counted(x):
+        calls.append(1)
+        return fn(x)
+    return counted
+
+
+def _ch_schur(grid, phi, dt, eps=0.05, b0=0.1):
+    """Dense CH Newton-update operator I + dt b0 L (eps L - D), D =
+    psi_plus''(phi)/eps, and the DCT preconditioner of CHSystem: the same
+    operator with D replaced by its mean, inverted on mean-zero vectors."""
+    L = laplacian_matrix(grid).toarray()
+    D = law.psi_plus_second(phi.ravel()) / eps
+    A = np.eye(L.shape[0]) + dt * b0 * L @ (eps * L - np.diag(D))
+    eig = laplacian_eigenvalues(grid)
+    inv = 1.0 / (1.0 + dt * b0 * eig * (eps * eig - np.mean(D)))
+    inv[0, 0] = 0.0
+    shape = (grid.nx, grid.ny)
+    return A, lambda x: dct_diagonal(x.reshape(shape), inv).ravel()
+
+
+def _mean_zero(rng, n):
+    b = rng.standard_normal(n)
+    return b - np.mean(b)
+
+
+@pytest.mark.parametrize("restart", [30, 2])
+def test_gmres_matches_dense_solve(rng, restart):
+    grid = GridSpec(8, 8)
+    A, M = _ch_schur(grid, rng.uniform(-1.0, 1.0, (8, 8)), dt=0.05)
+    assert np.max(np.abs(A - A.T)) > 1.0  # not symmetric
+    b = _mean_zero(rng, 64)
+    calls = []
+    x, info = krylov.gmres(_counted(lambda x: A @ x, calls), b, M=M, rtol=1e-12,
+                           atol=0.0, restart=restart, maxiter=50)
+    assert info == 0
+    ref = np.linalg.solve(A, b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    if restart == 2:
+        assert len(calls) > 2 * restart  # more than one restart cycle ran
+
+
+def test_gmres_exact_preconditioner_takes_one_iteration(rng):
+    grid = GridSpec(8, 8)
+    A, M = _ch_schur(grid, np.full((8, 8), 0.4), dt=0.05)
+    b = _mean_zero(rng, 64)
+    calls = []
+    with np.errstate(divide="raise", invalid="raise"):
+        x, info = krylov.gmres(lambda x: A @ x, b, M=_counted(M, calls), rtol=1e-6,
+                               atol=0.0, restart=30, maxiter=5)
+    assert info == 0
+    assert len(calls) == 1
+    ref = np.linalg.solve(A, b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_gmres_nan_rhs_returns_nonfinite_without_hanging(rng):
+    grid = GridSpec(8, 8)
+    A, M = _ch_schur(grid, rng.uniform(-1.0, 1.0, (8, 8)), dt=0.05)
+    b = _mean_zero(rng, 64)
+    b[3] = np.nan
+    calls = []
+    with np.errstate(invalid="ignore"):
+        x, info = krylov.gmres(lambda x: A @ x, b, M=_counted(M, calls), rtol=1e-6,
+                               atol=1e-12, restart=30, maxiter=5)
+    assert not np.all(np.isfinite(x))
+    assert info > 0
+    assert 1 <= len(calls) <= 30 * 5
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["warm-start", "zero-start"])
+def test_pcg_is_bitwise_scipy_cg(warm):
+    """The transport system of TransportSystem.step on 16^2, with f spanning
+    [f_min, 1] and lam dt / h^2 = 160 so that CG needs several iterations."""
+    grid = GridSpec(16, 16)
+    n, k, dt = 256, 4, 1e-3
+    params = ModelParams(lam=160.0 * grid.hx ** 2 / dt)
+    X, _ = grid.cell_centers()
+    f = law.stiffness_f(np.tanh((X - 0.5 * grid.lx) / 0.05), params).reshape(n, 1)
+    D = 1.0 / f
+    c = float(np.mean(D))
+    s_inv = np.sqrt(c / D).reshape(16, 16, 1)
+    inv = (1.0 / (c / dt - params.lam * laplacian_eigenvalues(grid)))[:, :, None]
+    L = laplacian_matrix(grid)
+
+    def matvec(X):
+        return D * X / dt - params.lam * (L @ X)
+
+    def precondition(r):
+        return (s_inv * dct_diagonal(s_inv * r.reshape(16, 16, k), inv)).reshape(n, k)
+
+    b = np.random.default_rng(3).standard_normal((n, k))
+    x0 = f * dt * b if warm else np.zeros((n, k))
+    calls = []
+    x, info = krylov.pcg(matvec, b, x0=x0, M=_counted(precondition, calls),
+                         rtol=1e-12, atol=0.0, maxiter=500)
+    ref, ref_info = spla.cg(
+        spla.LinearOperator((n * k, n * k), dtype=float,
+                            matvec=lambda x: matvec(x.reshape(n, k)).ravel()),
+        b.ravel(), x0=x0.ravel(), rtol=1e-12, atol=0.0, maxiter=500,
+        M=spla.LinearOperator((n * k, n * k), dtype=float,
+                              matvec=lambda r: precondition(r).ravel()))
+    assert len(calls) > 3
+    assert info == ref_info == 0
+    assert np.array_equal(x.ravel(), ref)

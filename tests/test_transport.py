@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
 from chve import constitutive as law
-from chve import transport
+from chve import krylov, transport
 from chve.errors import SolverError
 from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                        StaggeredVectorField, TensorField, determinant)
@@ -142,7 +142,7 @@ def test_failed_krylov_solve_raises_solver_error(grid16, monkeypatch, bad):
     system = TransportSystem(grid16, ModelParams(lam=1e-2))
     phi = ScalarField.uniform(grid16, 0.2)
     v = interior_vortex(grid16, target_max=0.5)
-    monkeypatch.setattr(spla, "cg", lambda A, b, **kw: (np.full_like(b, bad), 1))
+    monkeypatch.setattr(krylov, "pcg", lambda A, b, **kw: (np.full_like(b, bad), 1))
     with pytest.raises(SolverError, match="transport residual"):
         system.step(TensorField.identity(grid16), v, phi, 0.01)
 
