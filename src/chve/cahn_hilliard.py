@@ -9,16 +9,17 @@ One step solves the coupled pair
              + (c/2) f'(phi_n) (F:F - d)
              + delta * (phi_new - phi_n)/dt
 
-by Newton on the psi_plus' nonlinearity.  Treating the convex part of the
-double well implicitly and the concave part explicitly makes the step
+mu_new is a function of phi_new alone, so Newton runs on phi_new only, with
+the first equation as its residual.  Treating the convex part of the double
+well implicitly and the concave part explicitly makes the step
 unconditionally well posed and, for v = 0 and frozen coupling, strictly
 dissipative in the phase-field energy for any dt.  Advection is explicit
 (conservative flux form of phi_n) and every operator row sums to zero, so
 the cell sum of phi is conserved to rounding at every accepted step.
 
 Each Newton update is solved matrix-free (Newton-Krylov): right-
-preconditioned flexible GMRES (:func:`chve.krylov.gmres`) on the Schur
-complement in phi, preconditioned by the constant-coefficient splitting
+preconditioned flexible GMRES (:func:`chve.krylov.gmres`) on the Jacobian
+of the residual, preconditioned by the constant-coefficient splitting
 operator, which the DCT diagonalizes exactly, so each GMRES iteration costs
 one DCT pair.  The mean (k = 0 mode) of each update is set exactly rather
 than by the Krylov solve, which keeps the mass identity independent of the
@@ -67,16 +68,16 @@ def static_chemical_potential(phi: ScalarField, F: TensorField, params: ModelPar
 
 
 class CHSystem:
-    """Newton-Krylov solver of the (phi_new, mu_new) step for one grid/params
-    pair.
+    """Newton-Krylov solver of the Cahn-Hilliard step, on phi_new alone, for
+    one grid/params pair.
 
-    Each Newton update eliminates the mu correction and solves the n x n
-    Schur system
+    mu is kept on the split formula of the current iterate, and Newton
+    drives r = (phi - phi_n) + dt (advect(v, phi_n) - L_b mu) to zero.
+    Each update solves
 
-        (I + dt L_b (eps L - D)) dphi = -r1 - dt L_b r2,
-        D = psi_plus''(phi)/eps + delta/dt,
+        (I + dt L_b (eps L - D)) dphi = -r,   D = psi_plus''(phi)/eps + delta/dt,
 
-    by GMRES, then recovers dmu = -r2 - (eps L - D) dphi.  GMRES is
+    by GMRES, and mu then moves by its exact increment.  GMRES is
     preconditioned on the right by the same operator with D replaced by its
     mean and L_b by (mean mobility) L: the constant-coefficient
     convex-splitting operator, which DCT-II diagonalizes exactly on the
@@ -103,7 +104,8 @@ class CHSystem:
 
         phi_prev (the previous accepted field) only seeds the Newton warm
         start; the viscous delta term always differences phi_new against
-        phi_n.  Raises NewtonError if MAX_NEWTON iterations do not reach
+        phi_n.  newton_iters counts the Newton updates, and is 1 when none is
+        needed.  Raises NewtonError if MAX_NEWTON iterations do not reach
         TOL_NEWTON or the residual turns non-finite.
         """
         if dt <= 0.0:
@@ -114,8 +116,8 @@ class CHSystem:
         Lb = self._Lb if self._Lb is not None else laplacian_matrix(self.grid, b)
         b_mean = float(np.mean(b))
         coupling = law.neo_hookean_dphi(phi_n.values, F.comps, p).ravel()
-        psi_m = law.psi_minus_prime(phi_n.values).ravel() / p.eps
         pn = phi_n.values.ravel()
+        shape, eig = phi_n.values.shape, self._eig
 
         # warm start: linear extrapolation through the two accepted states
         if initial_guess is not None:
@@ -123,62 +125,50 @@ class CHSystem:
         else:
             phi = (2.0 * phi_n.values - phi_prev.values).ravel()
 
-        def split_mu(phi):
-            # the convex-splitting chemical potential of the step at phi_new = phi
-            return (law.psi_plus_prime(phi) / p.eps + psi_m
-                    - p.eps * (self.L @ phi) + coupling + (p.delta / dt) * (phi - pn))
+        # the split chemical potential at phi_new = phi, formed once here and
+        # then moved by its exact increment, so it holds at every iterate
+        pp = law.psi_plus_prime(phi)
+        mu = (pp / p.eps + law.psi_minus_prime(phi_n.values).ravel() / p.eps
+              - p.eps * (self.L @ phi) + coupling + (p.delta / dt) * (phi - pn))
 
-        mu = split_mu(phi)
-
-        def residual(phi, mu, iters):
-            # r1 scaled by dt so both rows are O(field) in size
-            r1 = (phi - pn) + dt * (adv - Lb @ mu)
-            r2 = mu - split_mu(phi)
-            res = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+        # After an update r is the GMRES residual of the Newton system plus
+        # dt L_b times the second-order remainder of psi_plus', so a loose
+        # relative Krylov tolerance gives an inexact Newton method whose
+        # outer test still enforces TOL_NEWTON.
+        for iters in range(MAX_NEWTON + 1):
+            # the mass-balance residual, scaled by dt so it is O(field) in size
+            r = (phi - pn) + dt * (adv - Lb @ mu)
+            res = float(np.max(np.abs(r)))
             if not np.isfinite(res):
                 raise NewtonError("phase-field Newton residual is not finite",
                                   residual=res, iterations=iters)
-            return r1, r2, res
-
-        r1, r2, res = residual(phi, mu, 0)
-        iters = 1
-        if res > 1e-2 * TOL_NEWTON:
-            # Convergence is judged on the post-update residual alone.  After
-            # an update r1 equals the GMRES residual of the Schur system and
-            # r2 is the second-order remainder of psi_plus', so a loose
-            # relative Krylov tolerance gives an inexact Newton method whose
-            # outer test still enforces TOL_NEWTON.
-            shape, eig = (self.grid.nx, self.grid.ny), self._eig
-            for iters in range(1, MAX_NEWTON + 1):
-                D = law.psi_plus_second(phi) / p.eps + p.delta / dt
-                # exact inverse of I + dt b_mean L (eps L - mean(D)) on
-                # mean-zero vectors; the k = 0 mode is mapped to zero
-                inv = 1.0 / (1.0 + dt * b_mean * eig * (p.eps * eig - float(np.mean(D))))
-                inv[0, 0] = 0.0
-                rhs = -r1 - dt * (Lb @ r2)
-                # k = 0 row: the mean of dphi is the mean of rhs, exactly;
-                # the operator maps the constant m to m - dt m L_b D, as L 1 = 0
-                m = float(np.mean(rhs))
-                rhs0 = rhs - (m - dt * m * (Lb @ D))
-                rhs0 -= np.mean(rhs0)
-                z, _ = krylov.gmres(
-                    lambda x: x + dt * (Lb @ (p.eps * (self.L @ x) - D * x)), rhs0,
-                    M=lambda x: dct_diagonal(x.reshape(shape), inv).ravel(),
-                    rtol=GMRES_RTOL, atol=0.1 * TOL_NEWTON,
-                    restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
-                dphi = m + (z - np.mean(z))
-                phi = phi + dphi
-                mu = mu - r2 - (p.eps * (self.L @ dphi) - D * dphi)
-                r1, r2, res = residual(phi, mu, iters)
-                if res <= TOL_NEWTON:
-                    break
-            else:
+            if res <= (TOL_NEWTON if iters else 1e-2 * TOL_NEWTON):
+                break
+            if iters == MAX_NEWTON:
                 raise NewtonError(
                     f"phase-field Newton stalled at residual {res:.3e} "
                     f"after {MAX_NEWTON} iterations",
                     residual=res, iterations=MAX_NEWTON)
+            D = law.psi_plus_second(phi) / p.eps + p.delta / dt
+            # exact inverse of I + dt b_mean L (eps L - mean(D)) on
+            # mean-zero vectors; the k = 0 mode is mapped to zero
+            inv = 1.0 / (1.0 + dt * b_mean * eig * (p.eps * eig - float(np.mean(D))))
+            inv[0, 0] = 0.0
+            # k = 0 row: the mean of dphi is the mean of -r, exactly;
+            # the operator maps the constant m to m - dt m L_b D, as L 1 = 0
+            m = -float(np.mean(r))
+            rhs0 = -r - (m - dt * m * (Lb @ D))
+            rhs0 -= np.mean(rhs0)
+            z, _ = krylov.gmres(
+                lambda x: x + dt * (Lb @ (p.eps * (self.L @ x) - D * x)), rhs0,
+                M=lambda x: dct_diagonal(x.reshape(shape), inv).ravel(),
+                rtol=GMRES_RTOL, atol=0.1 * TOL_NEWTON,
+                restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
+            dphi = m + (z - np.mean(z))
+            phi = phi + dphi
+            pp, pp_old = law.psi_plus_prime(phi), pp
+            mu += ((pp - pp_old) / p.eps - p.eps * (self.L @ dphi)
+                   + (p.delta / dt) * dphi)
 
-        g = self.grid
-        return (ScalarField(g, phi.reshape(g.nx, g.ny)),
-                ScalarField(g, mu.reshape(g.nx, g.ny)),
-                iters)
+        return (ScalarField(self.grid, phi.reshape(shape)),
+                ScalarField(self.grid, mu.reshape(shape)), max(iters, 1))

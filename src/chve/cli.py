@@ -100,9 +100,16 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 3
 
 
+def _grid_sizes(text: str) -> tuple[int, ...]:
+    """argparse type of ``--levels``: comma-separated grid sizes, each >= 4."""
+    sizes = tuple(int(s) if s.strip().isdecimal() else 0 for s in text.split(","))
+    if min(sizes) < 4:
+        raise argparse.ArgumentTypeError(f"want integers >= 4, got {text!r}")
+    return sizes
+
+
 def _cmd_stokes_mms(args) -> int:
-    levels = tuple(int(s) for s in args.levels.split(","))
-    rep = ver.stokes_mms(levels=levels)
+    rep = ver.stokes_mms(levels=args.levels)
     print("n      L2(v)          order    L2(q)          order")
     for k, n in enumerate(rep["levels"]):
         ov = f"{rep['order_v'][k - 1]:.2f}" if k else "  -  "
@@ -112,25 +119,26 @@ def _cmd_stokes_mms(args) -> int:
 
 
 def _cmd_energy_report(args) -> int:
+    columns = ("t", "E_total", "mass", "div_v_max", "budget_residual")
     try:
         with open(args.csv, newline="") as fh:
-            rows = list(_csv.DictReader(fh))
-    except OSError as exc:
+            reader = _csv.DictReader(fh, restval="")  # a short row fails float()
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"no column {', '.join(missing)} in the header")
+            rows = [[float(r[c]) for c in columns] for r in reader]
+    except (OSError, ValueError) as exc:
         print(f"cannot read {args.csv}: {exc}", file=sys.stderr)
         return 2
     if not rows:
         print("no accepted steps in file")
         return 0
-    E = np.array([float(r["E_total"]) for r in rows])
-    mass = np.array([float(r["mass"]) for r in rows])
-    div = np.array([float(r["div_v_max"]) for r in rows])
-    budget = np.array([float(r["budget_residual"]) for r in rows])
+    t, E, mass, div, budget = np.array(rows).T
     increases = np.diff(E)
-    n_up = int(np.sum(increases > 0.0))
     print(f"rows:                {len(rows)}")
-    print(f"t range:             [{rows[0]['t']}, {rows[-1]['t']}]")
+    print(f"t range:             [{t[0]:.17g}, {t[-1]:.17g}]")
     print(f"energy:              {E[0]:.8g} -> {E[-1]:.8g}")
-    print(f"energy increases:    {n_up} steps, max increase "
+    print(f"energy increases:    {int(np.sum(increases > 0.0))} steps, max increase "
           f"{increases.max() if len(increases) else 0.0:.3e}")
     print(f"mass drift:          {abs(mass[-1] - mass[0]):.3e}")
     print(f"max div residual:    {div.max():.3e}")
@@ -157,7 +165,7 @@ def main(argv=None) -> int:
     p_ver.set_defaults(func=_cmd_verify)
 
     p_mms = sub.add_parser("stokes-mms", help="manufactured-solution table")
-    p_mms.add_argument("--levels", default="32,64,128")
+    p_mms.add_argument("--levels", type=_grid_sizes, default="32,64,128")
     p_mms.set_defaults(func=_cmd_stokes_mms)
 
     p_er = sub.add_parser("energy-report", help="summarize a diagnostics CSV")

@@ -3,8 +3,8 @@
 Each test implements one numbered acceptance criterion with its tolerance
 pinned in the assertion, and prints a PASS line (visible with
 ``pytest -s``).  The long spinodal runs are shared through session
-fixtures; every other criterion runs standalone.  Expected total runtime
-is around ten minutes on a desktop machine.
+fixtures; every other criterion runs standalone.  The file runs in under
+two minutes on a 2-vCPU machine (98 s measured).
 """
 
 import time

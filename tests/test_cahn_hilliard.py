@@ -178,16 +178,35 @@ def test_nonfinite_residual_fails_at_once(grid16, rng, monkeypatch):
     assert calls == []  # no Newton update was attempted
 
 
+class _CountedMatrix:
+    """A sparse matrix that counts its products with a vector."""
+
+    def __init__(self, A, calls):
+        self.A, self.calls = A, calls
+
+    def __matmul__(self, x):
+        self.calls.append(1)
+        return self.A @ x
+
+
 def test_one_dct_pair_per_gmres_iteration(grid16, rng, monkeypatch):
     """Each GMRES iteration applies the DCT preconditioner once, and nothing
-    else in the step does: not to the right-hand side, not to the result."""
+    else in the step does: not to the right-hand side, not to the result.
+    Outside GMRES a step costs two sparse products to set up (eps L phi in
+    mu, L_b mu in r) and three per Newton update (L_b D for the k = 0 row,
+    eps L dphi for the mu increment, L_b mu for the new residual)."""
     from chve import krylov
 
-    dct_calls, matvecs = [], []
+    dct_calls, matvecs, sparse = [], [], []
     real_dct, real_gmres = ch.dct_diagonal, krylov.gmres
 
     def counted_gmres(A, b, **kwargs):
-        return real_gmres(lambda x: matvecs.append(1) or A(x), b, **kwargs)
+        matvecs.append(0)
+
+        def counted_A(x):
+            matvecs[-1] += 1
+            return A(x)
+        return real_gmres(counted_A, b, **kwargs)
 
     monkeypatch.setattr(ch, "dct_diagonal",
                         lambda *a: dct_calls.append(1) or real_dct(*a))
@@ -195,9 +214,15 @@ def test_one_dct_pair_per_gmres_iteration(grid16, rng, monkeypatch):
     params = ModelParams(eps=0.05, b0=0.1, b1=0.1, c_elastic=0.25)
     phi = ScalarField(grid16, rng.uniform(-0.5, 0.5, (16, 16)))
     F = TensorField(grid16, np.eye(2) + 0.1 * rng.standard_normal((16, 16, 2, 2)))
-    _, _, iters = ch.CHSystem(grid16, params).step(
+    system = ch.CHSystem(grid16, params)
+    system.L = _CountedMatrix(system.L, sparse)
+    system._Lb = _CountedMatrix(system._Lb, sparse)
+    _, _, iters = system.step(
         phi, phi, F, StaggeredVectorField.zeros(grid16), dt=1e-3)
     # no restart at this size, so every operator product is one iteration
     assert iters >= 2
-    assert len(matvecs) > iters
-    assert len(dct_calls) == len(matvecs)
+    assert len(matvecs) == iters
+    assert sum(matvecs) > iters
+    assert len(dct_calls) == sum(matvecs)
+    # each operator product is eps L x, then L_b of the result
+    assert len(sparse) == 2 + sum(2 * a + 3 for a in matvecs)

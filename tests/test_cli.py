@@ -174,6 +174,16 @@ def test_stokes_mms_subcommand(capsys):
     assert "16" in out and "32" in out
 
 
+@pytest.mark.parametrize("levels", ["3,x", "2"])
+def test_stokes_mms_bad_levels_exit_2(capsys, levels):
+    with pytest.raises(SystemExit) as exc:
+        main(["stokes-mms", "--levels", levels])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument --levels: want integers >= 4, got '{levels}'" in err
+
+
 def test_energy_report(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG.replace("PLACEHOLDER", str(tmp_path / "er")))
@@ -187,3 +197,16 @@ def test_energy_report(tmp_path, capsys):
 
 def test_energy_report_missing_file(tmp_path):
     assert main(["energy-report", str(tmp_path / "nope.csv")]) == 2
+
+
+@pytest.mark.parametrize("header,row,message", [
+    ("step,t,E_total,div_v_max,budget_residual", "0,0,1.5,0,0", ": no column mass"),
+    ("step,t,E_total,mass,div_v_max,budget_residual", "0,0,1.5,oops,0,0", "'oops'"),
+    ("step,t,E_total,mass,div_v_max,budget_residual", "0,0,1.5", "float: ''"),
+], ids=["missing-column", "not-a-number", "short-row"])
+def test_energy_report_bad_csv_exit_2(tmp_path, capsys, header, row, message):
+    path = tmp_path / "diagnostics.csv"
+    path.write_text(f"{header}\n{row}\n")
+    assert main(["energy-report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {path}:") and message in err
