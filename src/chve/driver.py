@@ -3,17 +3,18 @@ with optional Picard sweeps, adaptive step control and file output.
 
 One sweep of :meth:`Simulation.coupled_step` solves the quasi-static
 momentum balance with forcing assembled from the freshest available
-(mu, F), transports F with the new velocity, then advances the phase
-field with the new velocity and the new F.  Repeating the sweep while
-refreshing mu and F tightens the coupling to a fixed point of the fully
-implicit splitting; the sweep count is capped by ``picard_max`` and
-terminated early when the max change across (phi, F, v) drops below
-``picard_tol``.
+(mu, F), admits the velocity (div v within the solenoidal bound, then
+CFL; nothing downstream measures it again), transports F with it, then
+advances the phase field with the new velocity and the new F.  Repeating
+the sweep while refreshing mu and F tightens the coupling to a fixed
+point of the fully implicit splitting; the sweep count is capped by
+``picard_max`` and terminated early when the max change across
+(phi, F, v) drops below ``picard_tol``.
 
 Step control: a step is rejected (and dt halved) when the phase-field
 Newton fails, a linear solve fails, a field turns non-finite, the
-advective CFL number exceeds its bound, or when
-the total energy increases past ``energy_increase_tol * |E0|``.  After
+velocity is not solenoidal, the advective CFL number exceeds its bound,
+or the total energy increases past ``energy_increase_tol * |E0|``.  After
 ``grow_after`` consecutive accepted steps dt grows by ``grow_factor``,
 clamped to [dt_min, dt_max].  A rejected step never touches the accepted
 state, so a retry reruns identical arithmetic.
@@ -50,6 +51,7 @@ class StepStats:
     picard_iters: int
     newton_iters: int
     picard_gap: float  # max change across (phi, F, v) in the last sweep
+    div_v_max: float  # max|div v| of the accepted velocity
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ def adapt_dt(dt: float, rules: TimeConfig, accepted: bool, streak: int):
     """
     if not accepted:
         dt_new = 0.5 * dt
-        if dt_new < rules.dt_min:
+        if not dt_new >= rules.dt_min:  # a NaN dt ends the run too
             raise RunError(f"dt underflow: {dt_new:.3e} < dt_min {rules.dt_min:.3e}")
         return dt_new, 0
     streak += 1
@@ -147,9 +149,10 @@ class Simulation:
 
     def coupled_step(self, state: SimState, dt: float):
         """Advance one step of size dt; returns (state_new, StepStats).
-        Raises StepRejected on Newton failure, CFL excess, a failed linear
-        solve or a violated precondition (non-finite field, velocity not
-        solenoidal)."""
+        Each sweep admits its Stokes velocity here and only here: div v
+        within the solenoidal bound, then CFL.  Raises StepRejected on
+        either failure, Newton failure, a failed linear solve or a
+        non-finite field."""
         cfg = self.cfg
         p = self.params
         g = self.grid
@@ -173,6 +176,9 @@ class Simulation:
                 except SolverError as exc:
                     raise StepRejected(f"stokes: {exc}") from exc
 
+                div_v, div_bound = solenoidal_residual(v)
+                if not div_v <= div_bound:
+                    raise StepRejected(f"div residual {div_v:.3e} > {div_bound:.3e}")
                 cfl = dt * (np.max(np.abs(v.u)) / g.hx + np.max(np.abs(v.w)) / g.hy)
                 if cfl > cfg.time.cfl_max:
                     raise StepRejected(f"cfl {cfl:.3f} > {cfg.time.cfl_max}")
@@ -184,8 +190,7 @@ class Simulation:
                 raise StepRejected(f"newton: {exc}") from exc
             except SolverError as exc:
                 raise StepRejected(f"linear solve: {exc}") from exc
-            except PreconditionError as exc:
-                # a non-finite field or a velocity that is not solenoidal
+            except PreconditionError as exc:  # a non-finite field
                 raise StepRejected(f"precondition: {exc}") from exc
             newton_total += n_newton
             picard_iters = sweep
@@ -210,7 +215,8 @@ class Simulation:
                              v=v, q=q, t=state.t + dt, dt=dt,
                              step_index=state.step_index + 1)
         stats = StepStats(picard_iters=picard_iters, newton_iters=newton_total,
-                          picard_gap=float(change) if np.isfinite(change) else -1.0)
+                          picard_gap=float(change) if np.isfinite(change) else -1.0,
+                          div_v_max=div_v)
         return new_state, stats
 
     # -- the run loop ----------------------------------------------------------
@@ -278,9 +284,8 @@ class Simulation:
                         break
                     continue
 
-                row = self._diagnostics_row(state, cand, step_dt,
-                                            stats.picard_iters,
-                                            stats.newton_iters, e_prev, eb_new)
+                row = self._diagnostics_row(state, cand, step_dt, stats,
+                                            e_prev, eb_new)
                 state = cand
                 e_prev = e_new
                 accepted += 1
@@ -309,18 +314,18 @@ class Simulation:
         return summary
 
     def _diagnostics_row(self, state_n: SimState, state_np1: SimState, dt: float,
-                         picard_iters: int, newton_iters: int,
-                         e_old: float, eb: EnergyBreakdown) -> DiagnosticsRow:
-        """Row for an accepted step; e_old and eb are the energies of
-        state_n and state_np1, already computed by the run loop."""
+                         stats: StepStats, e_old: float,
+                         eb: EnergyBreakdown) -> DiagnosticsRow:
+        """Row for an accepted step from the step's stats and the energies
+        e_old, eb of state_n, state_np1 that the run loop already holds."""
         dnew, budget = energy_budget(state_n, state_np1, dt, e_old, eb.total,
                                      self.params)
         return DiagnosticsRow(
             step=state_np1.step_index, t=state_np1.t, dt=dt,
             E_total=eb.total, E_elastic=eb.elastic, E_interface=eb.interface,
             E_bulk=eb.bulk, dissipation=dnew, mass=total_mass(state_np1.phi),
-            div_v_max=solenoidal_residual(state_np1.v)[0],
-            picard_iters=picard_iters, newton_iters=newton_iters,
+            div_v_max=stats.div_v_max,
+            picard_iters=stats.picard_iters, newton_iters=stats.newton_iters,
             budget_residual=budget,
         )
 

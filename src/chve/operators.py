@@ -19,7 +19,8 @@ Boundary conditions baked in:
   ``vector_laplacian``, use reflected ghost values (v = 0 on walls);
 * the advection operators use a conservative flux form with a kappa = 1/3
   upwind-biased face reconstruction, falling back to plain upwind on faces
-  that lack the second upwind neighbor.
+  that lack the second upwind neighbor.  They assume a solenoidal v and do
+  not check it: the driver admits each velocity by :func:`solenoidal_residual`.
 
 :func:`laplacian_matrix` assembles the zero-flux Laplacian div(coeff grad .),
 which :func:`laplacian_neumann` applies matrix-free for coeff = 1,
@@ -255,24 +256,16 @@ def _advect_stack(v: StaggeredVectorField, q: np.ndarray) -> np.ndarray:
     return (fx[1:, :] - fx[:-1, :]) / g.hx + (fy[:, 1:] - fy[:, :-1]) / g.hy
 
 
-def _require_solenoidal(v: StaggeredVectorField):
-    r, bound = solenoidal_residual(v)
-    if not r <= bound:
-        raise PreconditionError(f"advecting velocity has div residual {r:.3e} > {bound:.3e}")
-
-
 def advect_scalar(v: StaggeredVectorField, phi: ScalarField) -> ScalarField:
     """Conservative approximation of v . grad(phi) for solenoidal v.
 
-    Flux form div(v phi); the cell-area sum of the output telescopes to
-    the (zero) boundary flux for any no-slip v, regardless of the face
-    reconstruction.
+    Flux form div(v phi), equal to v . grad(phi) only if div v = 0 (not
+    checked here); its cell-area sum telescopes to the (zero) boundary
+    flux for any no-slip v, regardless of the face reconstruction.
     """
-    _require_solenoidal(v)
     return ScalarField(v.grid, _advect_stack(v, phi.values))
 
 
 def advect_tensor(v: StaggeredVectorField, F: TensorField) -> TensorField:
-    """Componentwise conservative transport term div(v F)."""
-    _require_solenoidal(v)
+    """Componentwise div(v F), i.e. (v . grad) F for solenoidal v (unchecked)."""
     return TensorField(v.grid, _advect_stack(v, F.comps))

@@ -97,7 +97,7 @@ def write_restart(path: str | Path, state: SimState, accept_streak: int = 0,
 
 def read_restart(path: str | Path) -> tuple[SimState, int, float]:
     """Load a restart file; raises ValidationError on a wrong magic, a
-    truncated file or trailing bytes."""
+    truncated file, trailing bytes or a header value out of range."""
     raw = Path(path).read_bytes()
     if raw[:5] != MAGIC:
         raise ValidationError(f"{path}: not a restart file (bad magic)")
@@ -109,6 +109,10 @@ def read_restart(path: str | Path) -> tuple[SimState, int, float]:
         g = GridSpec(nx, ny, lx, ly)
     except PreconditionError as exc:
         raise ValidationError(f"{path}: bad grid in restart header: {exc}") from exc
+    if not (0.0 <= t < np.inf and 0.0 < dt < np.inf and 0.0 <= energy_scale < np.inf
+            and step_index >= 0 and streak >= 0):  # NaN fails every comparison
+        raise ValidationError(f"{path}: restart header needs finite t >= 0, dt > 0, "
+                              "energy_scale >= 0 and step_index, accept_streak >= 0")
     expected = _HEADER.size + 8 * (8 * nx * ny + (nx + 1) * ny + nx * (ny + 1))
     if len(raw) < expected:
         raise ValidationError(f"{path}: truncated restart file "

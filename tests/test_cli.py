@@ -135,6 +135,24 @@ def test_package_imports_only_declared_dependencies():
     assert imported - set(sys.stdlib_module_names) - {"chve"} == declared
 
 
+def test_package_has_no_unused_imports():
+    # every name a module imports is used in it or re-exported by __all__
+    pkg = Path(chve.__file__).parent
+    for path in pkg.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        exported = {v for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for v in ast.literal_eval(node.value)}
+        assert imported - used - exported == set(), path.name
+
+
 def test_package_imports_no_scipy_sparse_linalg():
     # the Krylov loops live in chve.krylov; scipy's solvers stay test oracles
     pkg = Path(chve.__file__).parent

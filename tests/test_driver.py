@@ -81,6 +81,8 @@ def test_adapt_underflow_raises():
     rules = TimeConfig(dt0=1e-3, dt_min=1e-3, dt_max=1e-2)
     with pytest.raises(RunError):
         adapt_dt(1e-3, rules, False, 0)
+    with pytest.raises(RunError):  # a NaN dt must not halve forever
+        adapt_dt(np.nan, rules, False, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +213,37 @@ def test_total_energy_evaluated_once_per_accepted_step(tmp_path, monkeypatch):
     assert summary.steps == len(rows) == 10 and summary.rejected_steps == 0
     assert len(calls) <= summary.steps + 1
     assert summary.final_energy == real(state.phi, state.F, cfg.params).total
+
+
+def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
+    # div v is measured once per sweep, in coupled_step, and the CSV column
+    # reuses that measurement; Stokes and advection do not measure it again
+    from chve import cahn_hilliard, driver, operators, stokes, transport
+    real = operators.solenoidal_residual
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return real(v)
+
+    for mod in (driver, operators, stokes, transport, cahn_hilliard):
+        if hasattr(mod, "solenoidal_residual"):
+            monkeypatch.setattr(mod, "solenoidal_residual", counted)
+    accepted_v = []
+    real_step = Simulation.coupled_step
+
+    def spy(self, state, dt):
+        new_state, stats = real_step(self, state, dt)
+        accepted_v.append(new_state.v)
+        return new_state, stats
+
+    monkeypatch.setattr(Simulation, "coupled_step", spy)
+    summary, rows, _ = simulate(spinodal_config(tmp_path, max_steps=10, t_end=1.0))
+    assert summary.steps == len(rows) == len(accepted_v) == 10
+    assert summary.rejected_steps == 0
+    assert len(calls) == sum(r.picard_iters for r in rows) > len(rows)
+    for row, v in zip(rows, accepted_v):
+        assert row.div_v_max == real(v)[0]
 
 
 def test_budget_residual_equals_reference_formula(tmp_path, monkeypatch):

@@ -165,6 +165,40 @@ def test_truncated_restart_is_a_validation_error(tmp_path, keep):
     assert cli.main(["run", str(ini), "--output-dir", str(tmp_path / "resumed")]) == 2
 
 
+def _restart_with(tmp_path, **header):
+    """A valid restart file of a fresh 32^2 run with some header fields
+    replaced; returns (path, the run's config file)."""
+    cfg = spinodal_config(tmp_path, name="full", t_end=0.0, max_steps=3)
+    Simulation(cfg).run()
+    raw = (tmp_path / "full" / "restart_00000000.chv").read_bytes()
+    names = ("magic", "nx", "ny", "lx", "ly", "t", "dt", "step_index",
+             "accept_streak", "energy_scale")
+    fields = dict(zip(names, vtk_io._HEADER.unpack_from(raw)))
+    fields.update(header)
+    path = tmp_path / "bad.chv"
+    path.write_bytes(vtk_io._HEADER.pack(*fields.values()) + raw[vtk_io._HEADER.size:])
+    return path, tmp_path / "full" / "run_config.ini"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("t", np.nan), ("t", -1.0), ("t", np.inf), ("dt", np.nan), ("dt", -1.0),
+    ("dt", 0.0), ("dt", np.inf), ("energy_scale", np.nan), ("energy_scale", -1.0),
+    ("step_index", -1), ("accept_streak", -1)])
+def test_bad_restart_header_is_a_validation_error(tmp_path, field, value):
+    # a NaN dt would reject every step forever, a NaN t never reach t_end
+    path, _ = _restart_with(tmp_path, **{field: value})
+    with pytest.raises(ValidationError, match="restart header needs"):
+        read_restart(path)
+
+
+def test_nan_time_in_restart_exits_2(tmp_path):
+    path, ini = _restart_with(tmp_path, t=np.nan)
+    text = ini.read_text()
+    assert "restart_file = \n" in text
+    ini.write_text(text.replace("restart_file = \n", f"restart_file = {path}\n"))
+    assert cli.main(["run", str(ini), "--output-dir", str(tmp_path / "resumed")]) == 2
+
+
 def test_crash_mid_restart_write_keeps_previous_file(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
     state = sim.initial_state()

@@ -247,12 +247,6 @@ def test_advect_conserves_cell_sum(grid16, rng):
         assert abs(total) <= 1e-12
 
 
-def test_advect_requires_solenoidal_velocity(grid16, rng):
-    v = ops.grad_cc(ScalarField(grid16, rng.standard_normal((16, 16))))
-    with pytest.raises(PreconditionError):
-        ops.advect_scalar(v, ScalarField.uniform(grid16, 1.0))
-
-
 def test_advect_tensor_matches_scalar_per_component(grid16, rng):
     v = random_solenoidal(grid16, rng)
     comps = rng.standard_normal((16, 16, 2, 2))

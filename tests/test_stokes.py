@@ -5,10 +5,10 @@ import scipy.sparse.linalg as spla
 
 from chve import stokes
 from chve.diagnostics import dissipation
-from chve.errors import SolverError
-from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
-                       StaggeredVectorField, TensorField)
-from chve.operators import (advect_scalar, div_fc, grad_cc, solenoidal_residual,
+from chve.config import ConfigSpec
+from chve.driver import Simulation, StepRejected
+from chve.grid import GridSpec, ModelParams, ScalarField, StaggeredVectorField, TensorField
+from chve.operators import (div_fc, grad_cc, solenoidal_residual,
                             vector_laplacian)
 from chve.verification import DenseOracle, dense_stokes_compare, stokes_mms
 
@@ -179,8 +179,8 @@ def test_solver_output_divergence_free(grid16, rng, params):
 
 @pytest.mark.parametrize("div_max,accepted", [(5e-8, True), (5e-6, False)])
 def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, accepted):
-    # |v| = 10 at 128^2: the Stokes continuity check and the advection
-    # precondition must accept or reject the same velocity
+    # |v| = 10 at 128^2: the Picard sweep admits a Stokes velocity by the one
+    # solenoidal bound before transport and Cahn-Hilliard advect with it
     n = 128
     grid = GridSpec(n, n)
     psi = np.random.default_rng(3).standard_normal((n + 1, n + 1))
@@ -192,22 +192,18 @@ def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, a
     assert v.max_abs() == pytest.approx(10.0, rel=1e-6)
     assert solenoidal_residual(v)[0] == pytest.approx(div_max, rel=1e-4)
 
-    # the solve returns v for the force -nu Lap_h v, so the momentum residual
-    # is exactly zero and the continuity check decides
-    nu = 1.0
-    solver = stokes.StokesSolver(grid, nu)
-    monkeypatch.setattr(solver, "_velocity", lambda force: v)
-    lap = _lap(v)
-    force = StaggeredVectorField(grid, -nu * lap.u, -nu * lap.w)
-    phi = ScalarField.uniform(grid, 1.0)
+    sim = Simulation(ConfigSpec(grid=grid, params=ModelParams()))
+    state = sim.initial_state()
+    monkeypatch.setattr(sim.stokes, "solve",
+                        lambda force: (v, ScalarField.uniform(grid, 0.0)))
+    dt = 1e-5  # CFL 0.026
     if accepted:
-        solver.solve(force)
-        advect_scalar(v, phi)
+        new_state, stats = sim.coupled_step(state, dt)
+        assert new_state.v is v
+        assert stats.div_v_max == solenoidal_residual(v)[0]
     else:
-        with pytest.raises(SolverError, match="continuity"):
-            solver.solve(force)
-        with pytest.raises(PreconditionError, match="div residual"):
-            advect_scalar(v, phi)
+        with pytest.raises(StepRejected, match="^div residual"):
+            sim.coupled_step(state, dt)
 
 
 def test_energy_consistency(grid16, rng, params):

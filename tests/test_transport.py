@@ -8,7 +8,7 @@ from chve import constitutive as law
 from chve import krylov, transport
 from chve.errors import SolverError
 from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
-                       StaggeredVectorField, TensorField, determinant)
+                       StaggeredVectorField, TensorField)
 from chve.operators import advect_tensor, laplacian_matrix, velocity_gradient
 from chve.transport import TransportSystem
 from chve.verification import det_transport_deviation, interior_vortex
