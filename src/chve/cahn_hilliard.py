@@ -24,19 +24,28 @@ operator, which the DCT diagonalizes exactly, so each GMRES iteration costs
 one DCT pair.  The mean (k = 0 mode) of each update is set exactly rather
 than by the Krylov solve, which keeps the mass identity independent of the
 GMRES tolerance.
+
+Within a time step phi_n and phi_prev are fixed, so :meth:`CHSystem.prepare`
+builds the mobility operator, the warm start and the explicit concave part
+of mu once per step.  Each Picard sweep's :meth:`CHSystem.step` takes that
+level with the sweep's advect(v, phi_n) and dw/dphi(phi_n, F_new), which
+the driver forms once per sweep and shares with transport and with the
+next sweep's force.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.sparse as sp
 
 from . import constitutive as law
 from . import krylov
 from .errors import NewtonError
-from .grid import (ModelParams, PreconditionError, ScalarField,
-                   StaggeredVectorField, TensorField)
-from .operators import (advect_scalar, dct_diagonal, laplacian_eigenvalues,
-                        laplacian_matrix, laplacian_neumann)
+from .grid import ModelParams, PreconditionError, ScalarField
+from .operators import (dct_diagonal, laplacian_eigenvalues, laplacian_matrix,
+                        laplacian_neumann)
 
 TOL_NEWTON = 1e-11
 MAX_NEWTON = 50
@@ -48,23 +57,39 @@ GMRES_RESTART = 30
 GMRES_MAXITER = 5
 
 
-def static_chemical_potential(phi: ScalarField, F: TensorField, params: ModelParams,
+def static_chemical_potential(phi: ScalarField, dw_dphi: np.ndarray, params: ModelParams,
                               dphi_dt: ScalarField | None = None) -> ScalarField:
     """Chemical potential evaluated on given fields (no time stepping):
 
-        psi'(phi)/eps - eps Lap(phi) + (c/2) f'(phi)(F:F-d) + delta dphi_dt.
+        psi'(phi)/eps - eps Lap(phi) + dw/dphi + delta dphi_dt,
 
-    This is the exact gradient of the discrete free energy with respect to
-    the cell values (scaled by the cell area), plus the optional viscous
-    term; the finite-difference check in the verification module leans on
-    that exactness.
+    with dw_dphi = (c/2) f'(phi)(F:F-d) of the deformation F at hand
+    (:func:`chve.constitutive.neo_hookean_dphi`), which the caller shares
+    with the momentum force.  This is the exact gradient of the discrete
+    free energy with respect to the cell values (scaled by the cell area),
+    plus the optional viscous term; the finite-difference check in the
+    verification module leans on that exactness.
     """
     vals = (law.psi_prime(phi.values) / params.eps
             - params.eps * laplacian_neumann(phi).values
-            + law.neo_hookean_dphi(phi.values, F.comps, params))
+            + dw_dphi)
     if dphi_dt is not None and params.delta > 0.0:
         vals = vals + params.delta * dphi_dt.values
     return ScalarField(phi.grid, vals)
+
+
+@dataclass(frozen=True)
+class CHLevel:
+    """The old time level of one Cahn-Hilliard step, from
+    :meth:`CHSystem.prepare`, flattened: phi_n, the warm start
+    2 phi_n - phi_prev, the explicit concave part psi_minus'(phi_n)/eps of
+    mu, the mobility operator L_b of b(phi_n) and the mean of b, and dt."""
+    phi_n: np.ndarray
+    warm: np.ndarray
+    mu_minus: np.ndarray
+    Lb: sp.csr_matrix
+    b_mean: float
+    dt: float
 
 
 class CHSystem:
@@ -86,8 +111,10 @@ class CHSystem:
     The mean of dphi is fixed exactly by the k = 0 row (1^T L_b = 0), and
     the Krylov solve runs on the mean-zero complement only, so every
     iterate conserves the cell sum of phi to rounding whatever the GMRES
-    tolerance.  Nothing is cached between calls; the grid's Laplacian, its
-    DCT eigenvalues and, for constant mobility, b0 L are built once.
+    tolerance.  What depends on (phi_n, phi_prev, dt) alone is built once
+    per time step by :meth:`prepare` and reused by each Picard sweep's
+    :meth:`step`; apart from that the grid's Laplacian, its DCT eigenvalues
+    and, for constant mobility, b0 L are built once.
     """
 
     def __init__(self, grid, params: ModelParams):
@@ -97,38 +124,43 @@ class CHSystem:
         self._eig = laplacian_eigenvalues(grid)  # L on the DCT-II basis
         self._Lb = params.b0 * self.L if params.mobility_profile == "constant" else None
 
-    def step(self, phi_n: ScalarField, phi_prev: ScalarField, F: TensorField,
-             v: StaggeredVectorField, dt: float,
-             initial_guess: ScalarField | None = None):
-        """Advance (phi, mu) one step; returns (phi_new, mu_new, newton_iters).
-
+    def prepare(self, phi_n: ScalarField, phi_prev: ScalarField, dt: float) -> CHLevel:
+        """The parts of a step that no velocity or deformation changes.
         phi_prev (the previous accepted field) only seeds the Newton warm
-        start; the viscous delta term always differences phi_new against
-        phi_n.  newton_iters counts the Newton updates, and is 1 when none is
-        needed.  Raises NewtonError if MAX_NEWTON iterations do not reach
-        TOL_NEWTON or the residual turns non-finite.
-        """
+        start, a linear extrapolation through the two accepted states."""
         if dt <= 0.0:
             raise PreconditionError("dt must be > 0")
         p = self.params
-        adv = advect_scalar(v, phi_n).values.ravel()
         b = law.mobility_b(phi_n.values, p)
         Lb = self._Lb if self._Lb is not None else laplacian_matrix(self.grid, b)
-        b_mean = float(np.mean(b))
-        coupling = law.neo_hookean_dphi(phi_n.values, F.comps, p).ravel()
-        pn = phi_n.values.ravel()
-        shape, eig = phi_n.values.shape, self._eig
+        return CHLevel(phi_n=phi_n.values.ravel(),
+                       warm=(2.0 * phi_n.values - phi_prev.values).ravel(),
+                       mu_minus=law.psi_minus_prime(phi_n.values).ravel() / p.eps,
+                       Lb=Lb, b_mean=float(np.mean(b)), dt=dt)
 
-        # warm start: linear extrapolation through the two accepted states
-        if initial_guess is not None:
-            phi = initial_guess.values.ravel().copy()
-        else:
-            phi = (2.0 * phi_n.values - phi_prev.values).ravel()
+    def step(self, level: CHLevel, dw_dphi: np.ndarray, adv: np.ndarray,
+             initial_guess: ScalarField | None = None):
+        """Advance (phi, mu) one step; returns (phi_new, mu_new, newton_iters).
+
+        dw_dphi is dw/dphi(phi_n, F) of this sweep's deformation F and adv
+        is advect(v, phi_n), both cell arrays.  The Newton iteration starts
+        from initial_guess, else from the level's warm start; the viscous
+        delta term always differences phi_new against phi_n.  newton_iters
+        counts the Newton updates, and is 1 when none is needed.  Raises
+        NewtonError if MAX_NEWTON iterations do not reach TOL_NEWTON or the
+        residual turns non-finite.
+        """
+        p = self.params
+        dt, pn, Lb, b_mean = level.dt, level.phi_n, level.Lb, level.b_mean
+        adv = adv.ravel()
+        coupling = dw_dphi.ravel()
+        shape, eig = (self.grid.nx, self.grid.ny), self._eig
+        phi = level.warm if initial_guess is None else initial_guess.values.ravel()
 
         # the split chemical potential at phi_new = phi, formed once here and
         # then moved by its exact increment, so it holds at every iterate
         pp = law.psi_plus_prime(phi)
-        mu = (pp / p.eps + law.psi_minus_prime(phi_n.values).ravel() / p.eps
+        mu = (pp / p.eps + level.mu_minus
               - p.eps * (self.L @ phi) + coupling + (p.delta / dt) * (phi - pn))
 
         # After an update r is the GMRES residual of the Newton system plus

@@ -11,6 +11,16 @@ point of the fully implicit splitting; the sweep count is capped by
 ``picard_max`` and terminated early when the max change across
 (phi, F, v) drops below ``picard_tol``.
 
+Advection is explicit in the old level (phi_n, F_n), so everything that
+depends on (phi_n, F_n, dt) alone is prepared once per step, before the
+first sweep: the upwind face candidates of the stacked (F_n, phi_n)
+(:func:`old_level_faces`), grad phi_n, the transport and Cahn-Hilliard
+levels, and dw/dphi at F_n, shared by the static chemical potential and
+the first force.  A sweep redoes only what its velocity changes: one face
+selection, flux and divergence for all five fields
+(:func:`sweep_advection`), shared by transport and Cahn-Hilliard, and
+dw/dphi at its new F, shared by its CH step and the next sweep's force.
+
 Step control: a step is rejected (and dt halved) when the phase-field
 Newton fails, a linear solve fails, a field turns non-finite, the
 velocity is not solenoidal, the advective CFL number exceeds its bound,
@@ -28,13 +38,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import constitutive as law
 from .cahn_hilliard import CHSystem, static_chemical_potential
 from .config import ConfigSpec, TimeConfig, dump_config
 from .diagnostics import (DiagnosticsRow, EnergyBreakdown, energy_budget,
                           total_energy, total_mass)
 from .errors import NewtonError, RunError, SolverError
-from .grid import PreconditionError, ScalarField, SimState, TensorField
-from .operators import solenoidal_residual
+from .grid import (PreconditionError, ScalarField, SimState,
+                   StaggeredVectorField, TensorField)
+from .operators import (advect_upwind, grad_cc, solenoidal_residual,
+                        upwind_candidates)
 from .stokes import StokesSolver, assemble_force
 from .transport import TransportSystem
 from .vtk_io import read_restart, write_restart, write_vtk
@@ -113,6 +126,27 @@ def initial_F(cfg: ConfigSpec) -> TensorField:
     return F
 
 
+def old_level_faces(F_n: TensorField, phi_n: ScalarField):
+    """The upwind face candidates (:func:`chve.operators.upwind_candidates`)
+    of the cell fields one velocity carries through a step: the d^2
+    components of F_n, then phi_n, stacked (nx, ny, d^2 + 1)."""
+    nx, ny = phi_n.values.shape
+    return upwind_candidates(np.concatenate(
+        (F_n.comps.reshape(nx, ny, -1), phi_n.values[..., None]), axis=2))
+
+
+def sweep_advection(v: StaggeredVectorField, faces, d: int):
+    """(advect(v, F_n), advect(v, phi_n)) from :func:`old_level_faces`, in
+    one selection, flux and divergence for all components, each bitwise
+    equal to advect_tensor and advect_scalar.  Raises PreconditionError if
+    the result is not finite."""
+    adv = advect_upwind(v, faces)
+    if not np.isfinite(adv).all():
+        raise PreconditionError("advection term is not finite")
+    nx, ny = adv.shape[:2]
+    return adv[..., :-1].reshape(nx, ny, d, d), adv[..., -1]
+
+
 class Simulation:
     """Owns the per-run solver instances and the output writers."""
 
@@ -139,8 +173,9 @@ class Simulation:
         self._e_scale0 = None
         phi = initial_phi(cfg)
         F = initial_F(cfg)
-        mu = static_chemical_potential(phi, F, self.params)
-        force = assemble_force(phi, mu, F, self.params)
+        dw_dphi = law.neo_hookean_dphi(phi.values, F.comps, self.params)
+        mu = static_chemical_potential(phi, dw_dphi, self.params)
+        force = assemble_force(phi, grad_cc(phi), mu, dw_dphi, F, self.params)
         v, q = self.stokes.solve(force)
         return SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q,
                         t=0.0, dt=cfg.time.dt0, step_index=0)
@@ -149,28 +184,36 @@ class Simulation:
 
     def coupled_step(self, state: SimState, dt: float):
         """Advance one step of size dt; returns (state_new, StepStats).
-        Each sweep admits its Stokes velocity here and only here: div v
-        within the solenoidal bound, then CFL.  Raises StepRejected on
-        either failure, Newton failure, a failed linear solve or a
-        non-finite field."""
+
+        The old level is prepared once, before the first sweep, and
+        dw/dphi(phi_n, F) is evaluated once per F (see the module
+        docstring).  Each sweep admits its Stokes velocity here and only
+        here: div v within the solenoidal bound, then CFL.  Raises
+        StepRejected on either failure, Newton failure, a failed linear
+        solve or a non-finite field."""
         cfg = self.cfg
         p = self.params
         g = self.grid
         phi_n, F_n = state.phi, state.F
-
-        dphi_dt = None
-        if p.delta > 0.0:
-            dphi_dt = ScalarField(g, (phi_n.values - state.phi_prev.values) / dt)
-        mu_force = static_chemical_potential(phi_n, F_n, p, dphi_dt=dphi_dt)
-        F_force = F_n
         guess = None
         prev = None
         newton_total = 0
         picard_iters = 0
 
-        for sweep in range(1, cfg.coupling.picard_max + 1):
-            try:
-                force = assemble_force(phi_n, mu_force, F_force, p)
+        try:
+            faces = old_level_faces(F_n, phi_n)
+            grad_phi = grad_cc(phi_n)
+            transport_level = self.transport.prepare(F_n, phi_n, dt)
+            ch_level = self.ch.prepare(phi_n, state.phi_prev, dt)
+            dw_dphi = law.neo_hookean_dphi(phi_n.values, F_n.comps, p)
+            dphi_dt = None
+            if p.delta > 0.0:
+                dphi_dt = ScalarField(g, (phi_n.values - state.phi_prev.values) / dt)
+            mu_force = static_chemical_potential(phi_n, dw_dphi, p, dphi_dt=dphi_dt)
+            F_force = F_n
+
+            for sweep in range(1, cfg.coupling.picard_max + 1):
+                force = assemble_force(phi_n, grad_phi, mu_force, dw_dphi, F_force, p)
                 try:
                     v, q = self.stokes.solve(force)
                 except SolverError as exc:
@@ -183,33 +226,35 @@ class Simulation:
                 if cfl > cfg.time.cfl_max:
                     raise StepRejected(f"cfl {cfl:.3f} > {cfg.time.cfl_max}")
 
-                F_new = self.transport.step(F_n, v, phi_n, dt)
+                adv_F, adv_phi = sweep_advection(v, faces, F_n.d)
+                F_new = self.transport.step(transport_level, v, adv_F)
+                dw_dphi = law.neo_hookean_dphi(phi_n.values, F_new.comps, p)
                 phi_new, mu_new, n_newton = self.ch.step(
-                    phi_n, state.phi_prev, F_new, v, dt, initial_guess=guess)
-            except NewtonError as exc:
-                raise StepRejected(f"newton: {exc}") from exc
-            except SolverError as exc:
-                raise StepRejected(f"linear solve: {exc}") from exc
-            except PreconditionError as exc:  # a non-finite field
-                raise StepRejected(f"precondition: {exc}") from exc
-            newton_total += n_newton
-            picard_iters = sweep
+                    ch_level, dw_dphi, adv_phi, initial_guess=guess)
+                newton_total += n_newton
+                picard_iters = sweep
 
-            if prev is not None:
-                change = max(
-                    float(np.max(np.abs(phi_new.values - prev[0].values))),
-                    float(np.max(np.abs(F_new.comps - prev[1].comps))),
-                    float(np.max(np.abs(v.u - prev[2].u))),
-                    float(np.max(np.abs(v.w - prev[2].w))),
-                )
-            else:
-                change = np.inf
-            prev = (phi_new, F_new, v)
-            mu_force = mu_new
-            F_force = F_new
-            guess = phi_new
-            if change <= cfg.coupling.picard_tol:
-                break
+                if prev is not None:
+                    change = max(
+                        float(np.max(np.abs(phi_new.values - prev[0].values))),
+                        float(np.max(np.abs(F_new.comps - prev[1].comps))),
+                        float(np.max(np.abs(v.u - prev[2].u))),
+                        float(np.max(np.abs(v.w - prev[2].w))),
+                    )
+                else:
+                    change = np.inf
+                prev = (phi_new, F_new, v)
+                mu_force = mu_new
+                F_force = F_new
+                guess = phi_new
+                if change <= cfg.coupling.picard_tol:
+                    break
+        except NewtonError as exc:
+            raise StepRejected(f"newton: {exc}") from exc
+        except SolverError as exc:
+            raise StepRejected(f"linear solve: {exc}") from exc
+        except PreconditionError as exc:  # a non-finite field
+            raise StepRejected(f"precondition: {exc}") from exc
 
         new_state = SimState(phi=phi_new, phi_prev=phi_n, mu=mu_new, F=F_new,
                              v=v, q=q, t=state.t + dt, dt=dt,

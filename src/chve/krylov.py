@@ -92,7 +92,9 @@ def pcg(A, b: np.ndarray, x0: np.ndarray, *, M, rtol: float, atol: float,
     Repeats ``scipy.sparse.linalg.cg`` operation for operation, so for the
     same operator, preconditioner and starting guess the result is bitwise
     the same as scipy's on ``b.ravel()``.  x0 is not modified.  ``info`` is
-    ``maxiter`` when the loop ran out.
+    ``maxiter`` when the loop ran out.  Unlike scipy's, a non-finite
+    residual ends the solve after the iteration that meets it, with a
+    non-finite x and ``info`` the number of iterations done.
     """
     bnrm2 = np.linalg.norm(b)
     atol = max(float(atol), float(rtol) * float(bnrm2))
@@ -102,7 +104,8 @@ def pcg(A, b: np.ndarray, x0: np.ndarray, *, M, rtol: float, atol: float,
     r = b - A(x) if x.any() else b.copy()
     rho_prev, p = None, None
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        rnorm = np.linalg.norm(r)
+        if rnorm < atol:
             return x, 0
         z = M(r)
         rho_cur = np.vdot(r, z)
@@ -116,4 +119,6 @@ def pcg(A, b: np.ndarray, x0: np.ndarray, *, M, rtol: float, atol: float,
         x += alpha * p
         r -= alpha * q
         rho_prev = rho_cur
+        if not np.isfinite(rnorm):  # NaN never meets the test above
+            return x, iteration + 1
     return x, maxiter

@@ -19,7 +19,13 @@ Boundary conditions baked in:
   ``vector_laplacian``, use reflected ghost values (v = 0 on walls);
 * the advection operators use a conservative flux form with a kappa = 1/3
   upwind-biased face reconstruction, falling back to plain upwind on faces
-  that lack the second upwind neighbor.  They assume a solenoidal v and do
+  that lack the second upwind neighbor.  The reconstruction is split in
+  two: :func:`upwind_candidates` builds the face values for either sign of
+  the face velocity from the cell data alone, and :func:`advect_upwind`
+  selects by the sign of v and forms the flux divergence, so a stack of
+  fields advected by several velocities (the Picard sweeps of one step)
+  builds its candidates once.  :func:`advect_scalar` and
+  :func:`advect_tensor` are that pair.  They assume a solenoidal v and do
   not check it: the driver admits each velocity by :func:`solenoidal_residual`.
 
 :func:`laplacian_matrix` assembles the zero-flux Laplacian div(coeff grad .),
@@ -43,15 +49,19 @@ from .grid import GridSpec, PreconditionError, ScalarField, StaggeredVectorField
 # gradient / divergence / Laplacian
 
 
+def face_gradient(p: np.ndarray, grid: GridSpec):
+    """Two-point gradient of cell data p onto faces as (on_xfaces,
+    on_yfaces), boundary faces 0."""
+    gu = np.zeros((grid.nx + 1, grid.ny))
+    gw = np.zeros((grid.nx, grid.ny + 1))
+    gu[1:-1, :] = (p[1:, :] - p[:-1, :]) / grid.hx
+    gw[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / grid.hy
+    return gu, gw
+
+
 def grad_cc(phi: ScalarField) -> StaggeredVectorField:
     """Two-point gradient of a cell field onto faces; boundary faces get 0."""
-    g = phi.grid
-    p = phi.values
-    gu = np.zeros((g.nx + 1, g.ny))
-    gw = np.zeros((g.nx, g.ny + 1))
-    gu[1:-1, :] = (p[1:, :] - p[:-1, :]) / g.hx
-    gw[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / g.hy
-    return StaggeredVectorField(g, gu, gw)
+    return StaggeredVectorField(phi.grid, *face_gradient(phi.values, phi.grid))
 
 
 def div_fc(v: StaggeredVectorField) -> ScalarField:
@@ -213,47 +223,75 @@ def velocity_gradient(v: StaggeredVectorField) -> TensorField:
 # conservative upwind-biased advection
 
 
-def _face_reconstruct(q, vel, axis):
-    """kappa = 1/3 upwind-biased face values of cell data q along axis.
+def _kappa_third(out, c, w, d, tmp):
+    """out = c + 0.25 ((1 - 1/3)(c - w) + (1 + 1/3)(d - c)), the kappa = 1/3
+    face value between the upwind cell c and the downwind cell d, with w
+    the cell upwind of c; formed in place, in that order, using tmp."""
+    np.subtract(c, w, out=out)
+    out *= 1.0 - 1.0 / 3.0
+    np.subtract(d, c, out=tmp)
+    tmp *= 1.0 + 1.0 / 3.0
+    out += tmp
+    out *= 0.25
+    out += c
 
-    q has cells on ``axis`` (length n); returns values on the n+1 faces of
-    that axis, zero on the two boundary faces (where the normal velocity
-    vanishes anyway).  Faces whose far upwind neighbor would leave the grid
-    fall back to first-order upwind.  vel carries the face normal velocity
-    and only its sign is used.
+
+def _face_candidates(q, axis):
+    """kappa = 1/3 upwind-biased values of cell data q on the n - 1 interior
+    faces of ``axis`` (q has n cells there), as (for vel >= 0, for vel < 0).
+
+    They depend on q alone, so one pair serves every velocity.  Faces whose
+    far upwind neighbor would leave the grid fall back to first-order
+    upwind.
     """
-    q = np.moveaxis(q, axis, 0)
-    vel = np.moveaxis(vel, axis, 0)
-    out = np.zeros_like(vel)
-
+    shape = list(q.shape)
+    shape[axis] -= 1
+    hi_pos, hi_neg = np.empty(shape), np.empty(shape)
+    pos, neg, q = (np.moveaxis(a, axis, 0) for a in (hi_pos, hi_neg, q))
     qc = q[:-1]      # upwind cell when vel >= 0   (faces 1..n-1)
     qd = q[1:]       # downwind cell when vel >= 0
-    hi_pos = np.empty_like(qc)
-    hi_neg = np.empty_like(qc)
+    tmp = np.empty_like(pos[1:])
     # vel >= 0: cells (W, C, D) = q[k-2], q[k-1], q[k] for face k >= 2;
     # face 1 has no W and falls back to first-order upwind
-    hi_pos[0] = qc[0]
-    hi_pos[1:] = qc[1:] + 0.25 * ((1.0 - 1.0 / 3.0) * (qc[1:] - q[:-2])
-                                  + (1.0 + 1.0 / 3.0) * (qd[1:] - qc[1:]))
+    pos[0] = qc[0]
+    _kappa_third(pos[1:], qc[1:], q[:-2], qd[1:], tmp)
     # vel < 0: mirrored, needs q[k+1] so face k <= n-2; face n-1 is upwind
-    hi_neg[-1] = qd[-1]
-    hi_neg[:-1] = qd[:-1] + 0.25 * ((1.0 - 1.0 / 3.0) * (qd[:-1] - q[2:])
-                                    + (1.0 + 1.0 / 3.0) * (qc[:-1] - qd[:-1]))
-    out[1:-1] = np.where(vel[1:-1] >= 0.0, hi_pos, hi_neg)
-    return np.moveaxis(out, 0, axis)
+    neg[-1] = qd[-1]
+    _kappa_third(neg[:-1], qd[:-1], q[2:], qc[:-1], tmp)
+    return hi_pos, hi_neg
 
 
-def _advect_stack(v: StaggeredVectorField, q: np.ndarray) -> np.ndarray:
-    """div(v q) for a stack of cell fields q with shape (nx, ny, ...)."""
+def upwind_candidates(q: np.ndarray):
+    """The face candidates of :func:`advect_upwind` for a stack of cell
+    fields q, shape (nx, ny, ...): ``(x-faces, y-faces)``, each the pair
+    of :func:`_face_candidates` along that axis."""
+    return _face_candidates(q, 0), _face_candidates(q, 1)
+
+
+def advect_upwind(v: StaggeredVectorField, faces) -> np.ndarray:
+    """div(v q) for the stack q of :func:`upwind_candidates` ``faces``.
+
+    On each interior face the sign of the normal velocity selects the
+    candidate (``>=`` takes the vel >= 0 one, for -0.0 too); the two
+    boundary faces carry 0, where the normal velocity vanishes anyway.
+    """
     g = v.grid
-    extra = q.shape[2:]
+    (xp, xm), (yp, ym) = faces
+    extra = xp.shape[2:]
     u = v.u.reshape(v.u.shape + (1,) * len(extra))
     w = v.w.reshape(v.w.shape + (1,) * len(extra))
-    qx = _face_reconstruct(q, np.broadcast_to(u, (g.nx + 1, g.ny) + extra), axis=0)
-    qy = _face_reconstruct(q, np.broadcast_to(w, (g.nx, g.ny + 1) + extra), axis=1)
-    fx = u * qx
-    fy = w * qy
-    return (fx[1:, :] - fx[:-1, :]) / g.hx + (fy[:, 1:] - fy[:, :-1]) / g.hy
+    fx = np.zeros((g.nx + 1, g.ny) + extra)
+    fy = np.zeros((g.nx, g.ny + 1) + extra)
+    fx[1:-1] = np.where(u[1:-1] >= 0.0, xp, xm)
+    fy[:, 1:-1] = np.where(w[:, 1:-1] >= 0.0, yp, ym)
+    fx *= u          # face values to fluxes, in place
+    fy *= w
+    out = np.subtract(fx[1:, :], fx[:-1, :])
+    out /= g.hx
+    dy = np.subtract(fy[:, 1:], fy[:, :-1])
+    dy /= g.hy
+    out += dy
+    return out
 
 
 def advect_scalar(v: StaggeredVectorField, phi: ScalarField) -> ScalarField:
@@ -263,9 +301,9 @@ def advect_scalar(v: StaggeredVectorField, phi: ScalarField) -> ScalarField:
     checked here); its cell-area sum telescopes to the (zero) boundary
     flux for any no-slip v, regardless of the face reconstruction.
     """
-    return ScalarField(v.grid, _advect_stack(v, phi.values))
+    return ScalarField(v.grid, advect_upwind(v, upwind_candidates(phi.values)))
 
 
 def advect_tensor(v: StaggeredVectorField, F: TensorField) -> TensorField:
     """Componentwise div(v F), i.e. (v . grad) F for solenoidal v (unchecked)."""
-    return TensorField(v.grid, _advect_stack(v, F.comps))
+    return TensorField(v.grid, advect_upwind(v, upwind_candidates(F.comps)))

@@ -166,21 +166,24 @@ def elastic_force(phi: ScalarField, F: TensorField, params: ModelParams) -> Stag
     return StaggeredVectorField(g, fu, fw)
 
 
-def assemble_force(phi: ScalarField, mu: ScalarField, F: TensorField,
+def assemble_force(phi: ScalarField, grad_phi: StaggeredVectorField, mu: ScalarField,
+                   dw_dphi: np.ndarray, F: TensorField,
                    params: ModelParams) -> StaggeredVectorField:
     """Right-hand side of the momentum balance sampled on faces.
 
     The capillary part mu grad(phi) and the coupling part
     -(c/2) f'(phi)(F:F-d) grad(phi) multiply face-averaged cell scalars
-    with grad_cc(phi); the elastic part is the conservative divergence of
-    the cell-centered stress.  Boundary faces carry 0, because
-    face_average, grad_cc and elastic_force all leave them at 0.
+    with grad_phi = grad_cc(phi); dw_dphi is (c/2) f'(phi)(F:F-d)
+    (:func:`chve.constitutive.neo_hookean_dphi`).  The caller computes both
+    once and shares them: grad_phi with every force of a step, dw_dphi
+    with the chemical potential of the same F.  The elastic part is the
+    conservative divergence of the cell-centered stress.  Boundary faces
+    carry 0, because face_average, grad_cc and elastic_force all leave
+    them at 0.
     """
-    if not (phi.grid == mu.grid == F.grid):
+    if not (phi.grid == grad_phi.grid == mu.grid == F.grid):
         raise PreconditionError("force inputs must share one grid")
     g = phi.grid
-    gphi = grad_cc(phi)
-    coupling = mu.values - law.neo_hookean_dphi(phi.values, F.comps, params)
-    cx, cy = face_average(ScalarField(g, coupling))
+    cx, cy = face_average(ScalarField(g, mu.values - dw_dphi))
     el = elastic_force(phi, F, params)
-    return StaggeredVectorField(g, cx * gphi.u + el.u, cy * gphi.w + el.w)
+    return StaggeredVectorField(g, cx * grad_phi.u + el.u, cy * grad_phi.w + el.w)

@@ -18,9 +18,17 @@ components share it, so they are stacked into one block-diagonal system on
 an (n, d^2) block, where each operator product is one sparse matmul, and
 solved by one matrix-free preconditioned CG (:func:`chve.krylov.pcg`) on
 that block; then F_new = G / f.
+
+phi_n and F_n are fixed within a time step, so :meth:`TransportSystem.prepare`
+builds f(phi_n), D, the preconditioner scaling and symbol, and F_n/dt once
+per step; each Picard sweep's :meth:`TransportSystem.step` takes that level,
+the sweep's velocity and advect(v, F_n), which the driver forms once per
+sweep together with advect(v, phi_n).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +37,27 @@ from . import krylov
 from .errors import TOL_LIN, SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
-from .operators import (advect_tensor, dct_diagonal, laplacian_eigenvalues,
-                        laplacian_matrix, velocity_gradient)
+from .operators import (dct_diagonal, laplacian_eigenvalues, laplacian_matrix,
+                        velocity_gradient)
 
 # One CG on the stacked tensor components; the residual test against TOL_LIN decides.
 CG_RTOL = 1e-12
 CG_MAXITER = 500
+
+
+@dataclass(frozen=True)
+class TransportLevel:
+    """The old time level of one transport step, from
+    :meth:`TransportSystem.prepare`: F_n, dt, F_n / dt, the stiffness
+    f(phi_n) and D = 1/f as (n, 1) columns, and the preconditioner scaling
+    s_inv with its DCT symbol inv."""
+    F_n: TensorField
+    dt: float
+    F_dt: np.ndarray
+    f: np.ndarray
+    D: np.ndarray
+    s_inv: np.ndarray
+    inv: np.ndarray
 
 
 class TransportSystem:
@@ -43,8 +66,10 @@ class TransportSystem:
     The CG preconditioner is S (c/dt - lam L) S with c = mean(D) and
     S = (D/c)^(1/2), inverted by one DCT-II pair over the grid axes of the
     stacked components.  It is exact for uniform f and tends to the
-    diagonal D/dt as lam dt / h^2 -> 0.  Nothing is cached between calls
-    apart from the grid's Laplacian and its DCT eigenvalues.
+    diagonal D/dt as lam dt / h^2 -> 0.  Everything that depends on
+    (F_n, phi_n, dt) alone is built once per time step by :meth:`prepare`,
+    and each Picard sweep's :meth:`step` reuses it; apart from that only
+    the grid's Laplacian and its DCT eigenvalues are kept.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams):
@@ -53,11 +78,24 @@ class TransportSystem:
         self._L = laplacian_matrix(grid)
         self._eig = laplacian_eigenvalues(grid)
 
-    def step(self, F_n: TensorField, v: StaggeredVectorField, phi_n: ScalarField,
-             dt: float) -> TensorField:
+    def prepare(self, F_n: TensorField, phi_n: ScalarField, dt: float) -> TransportLevel:
+        """The parts of a step that no velocity changes."""
+        if dt <= 0.0:
+            raise PreconditionError("dt must be > 0")
+        g = self.grid
+        f = law.stiffness_f(phi_n.values, self.params).reshape(g.nx * g.ny, 1)
+        D = 1.0 / f
+        c = float(np.mean(D))
+        s_inv = np.sqrt(c / D).reshape(g.nx, g.ny, 1)
+        inv = (1.0 / (c / dt - self.params.lam * self._eig))[:, :, None]
+        return TransportLevel(F_n, dt, F_n.comps / dt, f, D, s_inv, inv)
+
+    def step(self, level: TransportLevel, v: StaggeredVectorField,
+             adv: np.ndarray) -> TensorField:
         """Advance the deformation gradient one time step.
 
-        Solves, for every tensor component at once,
+        adv is advect(v, F_n), shaped like F_n.comps.  Solves, for every
+        tensor component at once,
 
             (F_new - F_n)/dt + advect(v, F_n) - (grad v) F_n
                 - lam * Lap( f(phi_n) F_new ) = 0
@@ -66,23 +104,17 @@ class TransportSystem:
         SolverError if the residual in F exceeds TOL_LIN relative to the
         right-hand side or is not finite.
         """
-        if dt <= 0.0:
-            raise PreconditionError("dt must be > 0")
         g = self.grid
         lam = self.params.lam
-        adv = advect_tensor(v, F_n)
+        F_n, dt = level.F_n, level.dt
         stretch = velocity_gradient(v).comps @ F_n.comps
-        rhs = F_n.comps / dt - adv.comps + stretch
+        rhs = level.F_dt - adv + stretch
 
         if lam == 0.0:
             return TensorField(g, dt * rhs)
 
         n, k = g.nx * g.ny, F_n.d * F_n.d
-        f = law.stiffness_f(phi_n.values, self.params).reshape(n, 1)
-        D = 1.0 / f
-        c = float(np.mean(D))
-        s_inv = np.sqrt(c / D).reshape(g.nx, g.ny, 1)
-        inv = (1.0 / (c / dt - lam * self._eig))[:, :, None]
+        f, D, s_inv, inv = level.f, level.D, level.s_inv, level.inv
 
         def precondition(r):
             return (s_inv * dct_diagonal(s_inv * r.reshape(g.nx, g.ny, k), inv)).reshape(n, k)

@@ -283,7 +283,8 @@ def fd_check_chemical_potential(phi: ScalarField, F: TensorField,
     if eta is None:
         X, Y = g.cell_centers()
         eta = np.cos(np.pi * X / g.lx) * np.cos(np.pi * Y / g.ly)
-    mu = static_chemical_potential(phi, F, params)
+    mu = static_chemical_potential(phi, law.neo_hookean_dphi(phi.values, F.comps, params),
+                                   params)
     pairing = float(np.sum(mu.values * eta)) * g.cell_area
 
     def energy_at(s):
@@ -472,8 +473,9 @@ def korteweg_identity_check(phi: ScalarField, F: TensorField,
     force; report the velocity difference and how well the pressure
     difference matches the discrete potential."""
     g = phi.grid
-    mu = static_chemical_potential(phi, F, params)
-    f_mu = assemble_force(phi, mu, F, params)
+    dw_dphi = law.neo_hookean_dphi(phi.values, F.comps, params)
+    mu = static_chemical_potential(phi, dw_dphi, params)
+    f_mu = assemble_force(phi, ops.grad_cc(phi), mu, dw_dphi, F, params)
     el = elastic_force(phi, F, params)
     kw = korteweg_force(phi, params)
     f_kw = StaggeredVectorField(g, kw.u + el.u, kw.w + el.w)
@@ -533,7 +535,7 @@ def det_transport_deviation(n: int, dt: float, t_end: float, lam: float,
     system = TransportSystem(g, p)
     nsteps = int(round(t_end / dt))
     for _ in range(nsteps):
-        F = system.step(F, v, phi, dt)
+        F = system.step(system.prepare(F, phi, dt), v, ops.advect_tensor(v, F).comps)
     return float(np.max(np.abs(determinant(F.comps) - 1.0)))
 
 

@@ -2,25 +2,40 @@ import numpy as np
 import pytest
 
 from chve import cahn_hilliard as ch
+from chve import constitutive as law
 from chve import krylov
 from chve.diagnostics import total_energy
 from chve.errors import NewtonError
 from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                        StaggeredVectorField, TensorField)
+from chve.operators import advect_scalar
+
+
+def _mu(phi, F, params, **kw):
+    return ch.static_chemical_potential(
+        phi, law.neo_hookean_dphi(phi.values, F.comps, params), params, **kw)
+
+
+def _step(system, phi, F, v, dt, initial_guess=None):
+    """One CH step from phi_n = phi_prev = phi as a Picard sweep takes it:
+    the level of (phi, dt), dw/dphi at F and the advection of phi."""
+    return system.step(system.prepare(phi, phi, dt),
+                       law.neo_hookean_dphi(phi.values, F.comps, system.params),
+                       advect_scalar(v, phi).values, initial_guess=initial_guess)
 
 
 def test_static_mu_vanishes_at_well(grid16, params):
     phi = ScalarField.uniform(grid16, 1.0)
-    mu = ch.static_chemical_potential(phi, TensorField.identity(grid16), params)
+    mu = _mu(phi, TensorField.identity(grid16), params)
     assert np.max(np.abs(mu.values)) == 0.0
 
 
 def test_static_mu_uniform_values(grid16):
     params = ModelParams(eps=1.0)
     F = TensorField.identity(grid16)
-    mu0 = ch.static_chemical_potential(ScalarField.uniform(grid16, 0.0), F, params)
+    mu0 = _mu(ScalarField.uniform(grid16, 0.0), F, params)
     assert np.max(np.abs(mu0.values)) == 0.0  # psi'(0) = 0
-    mu5 = ch.static_chemical_potential(ScalarField.uniform(grid16, 0.5), F, params)
+    mu5 = _mu(ScalarField.uniform(grid16, 0.5), F, params)
     assert np.allclose(mu5.values, 0.5 ** 3 - 0.5)
 
 
@@ -28,8 +43,7 @@ def test_static_mu_includes_viscous_term(grid16):
     params = ModelParams(delta=0.3)
     F = TensorField.identity(grid16)
     rate = ScalarField.uniform(grid16, 2.0)
-    mu = ch.static_chemical_potential(ScalarField.uniform(grid16, 1.0), F,
-                                      params, dphi_dt=rate)
+    mu = _mu(ScalarField.uniform(grid16, 1.0), F, params, dphi_dt=rate)
     assert np.allclose(mu.values, 0.3 * 2.0)
 
 
@@ -38,7 +52,7 @@ def test_static_mu_is_discrete_energy_gradient(grid16, rng):
     params = ModelParams(eps=0.7, c_elastic=0.9)
     phi = ScalarField(grid16, 0.3 * rng.standard_normal((16, 16)))
     F = TensorField(grid16, np.eye(2) + 0.2 * rng.standard_normal((16, 16, 2, 2)))
-    mu = ch.static_chemical_potential(phi, F, params)
+    mu = _mu(phi, F, params)
     a = grid16.cell_area
     for _ in range(5):
         eta = rng.standard_normal((16, 16))
@@ -54,7 +68,7 @@ def test_well_state_fixed_point_single_iteration(grid16, params):
     phi = ScalarField.uniform(grid16, 1.0)
     F = TensorField.identity(grid16)
     v = StaggeredVectorField.zeros(grid16)
-    phi1, mu1, iters = ch.CHSystem(grid16, params).step(phi, phi, F, v, dt=0.1)
+    phi1, mu1, iters = _step(ch.CHSystem(grid16, params), phi, F, v, 0.1)
     assert iters == 1
     assert np.array_equal(phi1.values, phi.values)
     assert np.max(np.abs(mu1.values)) == 0.0
@@ -69,7 +83,7 @@ def test_mass_conserved_per_step(grid16, rng):
     v = StaggeredVectorField.from_stream_function(grid16, 0.1 * psi)
     area = grid16.cell_area * grid16.nx * grid16.ny
     for dt in (1e-3, 1e-2):
-        phi1, _, _ = ch.CHSystem(grid16, params).step(phi, phi, F, v, dt=dt)
+        phi1, _, _ = _step(ch.CHSystem(grid16, params), phi, F, v, dt)
         drift = abs(np.sum(phi1.values) - np.sum(phi.values)) * grid16.cell_area
         assert drift <= 1e-12 * area
 
@@ -92,7 +106,7 @@ def test_linearized_amplification_matches_backward_euler_symbol():
     F = TensorField.identity(grid)
     v = StaggeredVectorField.zeros(grid)
 
-    phi1, _, _ = ch.CHSystem(grid, params).step(phi, phi, F, v, dt=dt)
+    phi1, _, _ = _step(ch.CHSystem(grid, params), phi, F, v, dt)
     measured = float(np.sum(phi1.values * mode) / np.sum(mode * mode)) / amp0
     expected = (1.0 + dt * params.b0 * k ** 2) / (1.0 + dt * params.b0 * k ** 4)
     assert measured == pytest.approx(expected, rel=1e-3)
@@ -111,7 +125,7 @@ def test_decoupled_energy_never_increases(dt, rng):
     system = ch.CHSystem(grid, params)
     e = total_energy(phi, F, params).total
     for _ in range(25):
-        phi, _, _ = system.step(phi, phi, F, v, dt)
+        phi, _, _ = _step(system, phi, F, v, dt)
         e_new = total_energy(phi, F, params).total
         assert e_new <= e + 1e-10 * abs(e)
         e = e_new
@@ -125,7 +139,7 @@ def test_newton_error_carries_residual(grid16, rng, monkeypatch):
     monkeypatch.setattr(ch, "TOL_NEWTON", 1e-14)
     monkeypatch.setattr(ch, "MAX_NEWTON", 1)
     with pytest.raises(NewtonError) as exc:
-        ch.CHSystem(grid16, params).step(phi, phi, F, v, dt=1.0)
+        _step(ch.CHSystem(grid16, params), phi, F, v, 1.0)
     assert exc.value.residual > 0.0
     assert exc.value.iterations == 1
 
@@ -133,8 +147,7 @@ def test_newton_error_carries_residual(grid16, rng, monkeypatch):
 def test_rejects_nonpositive_dt(grid16, params):
     phi = ScalarField.uniform(grid16, 0.0)
     with pytest.raises(PreconditionError):
-        ch.CHSystem(grid16, params).step(phi, phi, TensorField.identity(grid16),
-                                         StaggeredVectorField.zeros(grid16), dt=-0.1)
+        ch.CHSystem(grid16, params).prepare(phi, phi, dt=-0.1)
 
 
 @pytest.mark.parametrize("profile", ["constant", "smoothstep"])
@@ -154,7 +167,7 @@ def test_mass_exact_with_loose_newton_tolerance(grid16, rng, monkeypatch, profil
     monkeypatch.setattr(ch, "TOL_NEWTON", 1e-4)
     for dt in (1e-3, 1e-1):
         for guess in (None, shifted):
-            phi1, _, _ = system.step(phi, phi, F, v, dt=dt, initial_guess=guess)
+            phi1, _, _ = _step(system, phi, F, v, dt, initial_guess=guess)
             drift = abs(np.sum(phi1.values) - np.sum(phi.values))
             assert drift <= 1e-13 * np.sum(np.abs(phi.values))
 
@@ -170,9 +183,8 @@ def test_nonfinite_residual_fails_at_once(grid16, rng, monkeypatch):
                         lambda s: calls.append(1) or real_second(s))
     phi = ScalarField(grid16, rng.uniform(-0.5, 0.5, (16, 16)))
     with pytest.raises(NewtonError) as exc:
-        ch.CHSystem(grid16, ModelParams()).step(
-            phi, phi, TensorField.identity(grid16),
-            StaggeredVectorField.zeros(grid16), dt=1e-3)
+        _step(ch.CHSystem(grid16, ModelParams()), phi, TensorField.identity(grid16),
+              StaggeredVectorField.zeros(grid16), 1e-3)
     assert not np.isfinite(exc.value.residual)
     assert exc.value.iterations == 0
     assert calls == []  # no Newton update was attempted
@@ -217,8 +229,7 @@ def test_one_dct_pair_per_gmres_iteration(grid16, rng, monkeypatch):
     system = ch.CHSystem(grid16, params)
     system.L = _CountedMatrix(system.L, sparse)
     system._Lb = _CountedMatrix(system._Lb, sparse)
-    _, _, iters = system.step(
-        phi, phi, F, StaggeredVectorField.zeros(grid16), dt=1e-3)
+    _, _, iters = _step(system, phi, F, StaggeredVectorField.zeros(grid16), 1e-3)
     # no restart at this size, so every operator product is one iteration
     assert iters >= 2
     assert len(matvecs) == iters

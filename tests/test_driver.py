@@ -4,10 +4,12 @@ import scipy.sparse.linalg as spla
 
 from chve.config import parse_config
 from chve.diagnostics import dissipation, energy_budget, total_energy
-from chve.driver import Simulation, StepRejected, adapt_dt, simulate
+from chve.driver import (Simulation, StepRejected, adapt_dt, old_level_faces,
+                         simulate, sweep_advection)
 from chve.errors import RunError
 from chve.grid import (GridSpec, ScalarField, SimState, StaggeredVectorField,
                        TensorField)
+from chve.operators import advect_scalar, advect_tensor
 from chve.vtk_io import read_restart, write_restart, write_vtk
 
 
@@ -36,7 +38,7 @@ max_steps = {kw.get('max_steps', 1000000)}
 
 [coupling]
 picard_max = {kw.get('picard_max', 2)}
-picard_tol = 1e-9
+picard_tol = {kw.get('picard_tol', 1e-9)}
 
 [initial]
 phi = random-uniform
@@ -244,6 +246,95 @@ def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
     assert len(calls) == sum(r.picard_iters for r in rows) > len(rows)
     for row, v in zip(rows, accepted_v):
         assert row.div_v_max == real(v)[0]
+
+
+def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
+    # over 10 PICARD8-style steps: the upwind face candidates of (F_n, phi_n)
+    # are built once per step, the sweep advection runs once per sweep, and
+    # dw/dphi once at F_n plus once per sweep at its F_new
+    from chve import constitutive, driver
+    counts = dict.fromkeys(("faces", "advect", "dw_dphi"), 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(driver, "upwind_candidates",
+                        counting("faces", driver.upwind_candidates))
+    monkeypatch.setattr(driver, "advect_upwind", counting("advect", driver.advect_upwind))
+    monkeypatch.setattr(constitutive, "neo_hookean_dphi",
+                        counting("dw_dphi", constitutive.neo_hookean_dphi))
+    per_step = []
+    real_step = Simulation.coupled_step
+
+    def spy(self, state, dt):
+        before = dict(counts)
+        new_state, stats = real_step(self, state, dt)
+        per_step.append((stats.picard_iters,
+                         {k: counts[k] - before[k] for k in counts}))
+        return new_state, stats
+
+    monkeypatch.setattr(Simulation, "coupled_step", spy)
+    cfg = spinodal_config(tmp_path, max_steps=10, t_end=1.0, picard_max=8,
+                          picard_tol=1e-10)
+    summary, rows, _ = simulate(cfg)
+    assert summary.steps == len(rows) == len(per_step) == 10
+    assert summary.rejected_steps == 0
+    assert [k for k, _ in per_step] == [r.picard_iters for r in rows]
+    assert max(r.picard_iters for r in rows) > 2
+    for sweeps, n in per_step:
+        assert n == {"faces": 1, "advect": sweeps, "dw_dphi": sweeps + 1}
+
+
+def _signed_zero_faces_velocity(grid, rng):
+    """Random stream-function velocity whose interior faces include exact
+    0.0 and -0.0 normal velocities, on both axes."""
+    psi = rng.standard_normal((grid.nx + 1, grid.ny + 1))
+    psi[[0, -1], :] = psi[:, [0, -1]] = 0.0
+    psi[1:3, 1:3] = 0.0   # u[1, 1] = +0.0 and w[1, 1] = -(+0.0) = -0.0
+    psi[2, 3] = -0.0      # u[2, 2] = (-0.0 - 0.0) / hy = -0.0
+    psi[3, 2] = -0.0      # w[2, 2] = -(-0.0 - 0.0) / hx = +0.0
+    v = StaggeredVectorField.from_stream_function(grid, psi)
+    for a in (v.u[1:-1, :], v.w[:, 1:-1]):
+        zeros = a[a == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    return v
+
+
+@pytest.mark.parametrize("nx, ny, ly", [(16, 16, 1.0), (5, 7, 1.3)],
+                         ids=["16x16", "5x7"])
+def test_sweep_advection_is_bitwise_advect_tensor_and_scalar(nx, ny, ly):
+    grid = GridSpec(nx, ny, 1.0, ly)
+    rng = np.random.default_rng(nx * ny)
+    v = _signed_zero_faces_velocity(grid, rng)
+    phi = ScalarField(grid, rng.uniform(-1.0, 1.0, (nx, ny)))
+    F = TensorField(grid, rng.standard_normal((nx, ny, 2, 2)))
+    adv_F, adv_phi = sweep_advection(v, old_level_faces(F, phi), F.d)
+    ref_F, ref_phi = advect_tensor(v, F).comps, advect_scalar(v, phi).values
+    assert adv_F.shape == ref_F.shape and adv_phi.shape == ref_phi.shape
+    for a in range(2):
+        for b in range(2):
+            assert (np.ascontiguousarray(adv_F[:, :, a, b]).tobytes()
+                    == np.ascontiguousarray(ref_F[:, :, a, b]).tobytes()), (a, b)
+    assert np.ascontiguousarray(adv_phi).tobytes() == ref_phi.tobytes()
+
+
+def test_nonfinite_sweep_advection_rejects_the_step(tmp_path, monkeypatch):
+    from chve import driver
+    sim = Simulation(spinodal_config(tmp_path))
+    state = sim.initial_state()
+    real = driver.advect_upwind
+
+    def poisoned(v, faces):
+        out = real(v, faces)
+        out[0, 0, -1] = np.inf
+        return out
+
+    monkeypatch.setattr(driver, "advect_upwind", poisoned)
+    with pytest.raises(StepRejected, match="^precondition: advection term"):
+        sim.coupled_step(state, 1e-4)
 
 
 def test_budget_residual_equals_reference_formula(tmp_path, monkeypatch):

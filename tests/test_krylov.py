@@ -78,10 +78,10 @@ def test_gmres_nan_rhs_returns_nonfinite_without_hanging(rng):
     assert 1 <= len(calls) <= 30 * 5
 
 
-@pytest.mark.parametrize("warm", [True, False], ids=["warm-start", "zero-start"])
-def test_pcg_is_bitwise_scipy_cg(warm):
+def _transport_system():
     """The transport system of TransportSystem.step on 16^2, with f spanning
-    [f_min, 1] and lam dt / h^2 = 160 so that CG needs several iterations."""
+    [f_min, 1] and lam dt / h^2 = 160 so that CG needs several iterations:
+    (operator, preconditioner, f dt as the warm-start scale, n, k)."""
     grid = GridSpec(16, 16)
     n, k, dt = 256, 4, 1e-3
     params = ModelParams(lam=160.0 * grid.hx ** 2 / dt)
@@ -99,8 +99,14 @@ def test_pcg_is_bitwise_scipy_cg(warm):
     def precondition(r):
         return (s_inv * dct_diagonal(s_inv * r.reshape(16, 16, k), inv)).reshape(n, k)
 
+    return matvec, precondition, f * dt, n, k
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["warm-start", "zero-start"])
+def test_pcg_is_bitwise_scipy_cg(warm):
+    matvec, precondition, fdt, n, k = _transport_system()
     b = np.random.default_rng(3).standard_normal((n, k))
-    x0 = f * dt * b if warm else np.zeros((n, k))
+    x0 = fdt * b if warm else np.zeros((n, k))
     calls = []
     x, info = krylov.pcg(matvec, b, x0=x0, M=_counted(precondition, calls),
                          rtol=1e-12, atol=0.0, maxiter=500)
@@ -113,3 +119,17 @@ def test_pcg_is_bitwise_scipy_cg(warm):
     assert len(calls) > 3
     assert info == ref_info == 0
     assert np.array_equal(x.ravel(), ref)
+
+
+def test_pcg_nan_rhs_returns_nonfinite_without_hanging():
+    matvec, precondition, fdt, n, k = _transport_system()
+    b = np.random.default_rng(3).standard_normal((n, k))
+    b[3, 1] = np.nan
+    for x0 in (fdt * b, np.zeros((n, k))):  # the transport's warm start, and none
+        calls = []
+        with np.errstate(invalid="ignore"):
+            x, info = krylov.pcg(matvec, b, x0=x0, M=_counted(precondition, calls),
+                                 rtol=1e-12, atol=0.0, maxiter=500)
+        assert not np.all(np.isfinite(x))
+        assert info > 0
+        assert len(calls) <= 2

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from chve import constitutive as law
 from chve import stokes
 from chve.diagnostics import dissipation
 from chve.config import ConfigSpec
@@ -241,7 +242,9 @@ def test_force_assembly_uniform_state_is_zero(grid16, params):
     phi = ScalarField.uniform(grid16, 0.4)
     mu = ScalarField.uniform(grid16, 1.3)
     F = TensorField.identity(grid16)
-    force = stokes.assemble_force(phi, mu, F, params)
+    force = stokes.assemble_force(phi, grad_cc(phi), mu,
+                                  law.neo_hookean_dphi(phi.values, F.comps, params),
+                                  F, params)
     assert force.max_abs() <= 1e-12
 
 
@@ -251,7 +254,6 @@ def test_force_identity_stress_is_discrete_gradient(grid16, params, rng):
     phi = ScalarField(grid16, 0.3 * rng.standard_normal((16, 16)))
     F = TensorField.identity(grid16)
     el = stokes.elastic_force(phi, F, params)
-    from chve import constitutive as law
     ref = grad_cc(ScalarField(grid16, params.c_elastic
                               * law.stiffness_f(phi.values, params)))
     assert np.max(np.abs(el.u - ref.u)) <= 1e-12
@@ -261,13 +263,14 @@ def test_force_identity_stress_is_discrete_gradient(grid16, params, rng):
 def test_force_matches_dense_assembly(grid8, rng):
     """Face-by-face reassembly of the force with plain loops."""
     params = ModelParams(c_elastic=0.8, eps=0.7)
-    from chve import constitutive as law
     from chve.grid import frobenius
     g = grid8
     phi = ScalarField(g, 0.4 * rng.standard_normal((8, 8)))
     mu = ScalarField(g, rng.standard_normal((8, 8)))
     F = TensorField(g, np.eye(2) + 0.2 * rng.standard_normal((8, 8, 2, 2)))
-    force = stokes.assemble_force(phi, mu, F, params)
+    force = stokes.assemble_force(phi, grad_cc(phi), mu,
+                                  law.neo_hookean_dphi(phi.values, F.comps, params),
+                                  F, params)
 
     p = phi.values
     m = mu.values - 0.5 * params.c_elastic * law.stiffness_f_prime(p, params) \

@@ -14,13 +14,19 @@ from chve.transport import TransportSystem
 from chve.verification import det_transport_deviation, interior_vortex
 
 
+def _step(system, F, v, phi, dt):
+    """One transport step as a Picard sweep takes it: the level of (F, phi,
+    dt), the advection of F, then the step."""
+    return system.step(system.prepare(F, phi, dt), v, advect_tensor(v, F).comps)
+
+
 def test_uniform_state_is_exact_fixed_point(grid16):
     params = ModelParams(lam=0.05)
     phi = ScalarField.uniform(grid16, 0.3)
     F0 = TensorField(grid16, np.tile(np.array([[1.1, 0.2], [-0.1, 0.9]]),
                                      (16, 16, 1, 1)))
     v = StaggeredVectorField.zeros(grid16)
-    F1 = TransportSystem(grid16, params).step(F0, v, phi, dt=0.05)
+    F1 = _step(TransportSystem(grid16, params), F0, v, phi, 0.05)
     assert np.max(np.abs(F1.comps - F0.comps)) <= 1e-12
 
 
@@ -29,7 +35,7 @@ def test_rejects_nonpositive_dt(grid16, params):
     v = StaggeredVectorField.zeros(grid16)
     phi = ScalarField.uniform(grid16, 1.0)
     with pytest.raises(PreconditionError):
-        TransportSystem(grid16, params).step(F, v, phi, dt=0.0)
+        TransportSystem(grid16, params).prepare(F, phi, dt=0.0)
 
 
 def test_diffusion_decay_matches_backward_euler_symbol():
@@ -57,7 +63,7 @@ def test_diffusion_decay_matches_backward_euler_symbol():
     expected = 1.0 / (1.0 + lam * 1.0 * k ** 2 * dt)
     a0 = amplitude(F)
     for _ in range(3):
-        F1 = system.step(F, v, phi, dt)
+        F1 = _step(system, F, v, phi, dt)
         ratio = amplitude(F1) / amplitude(F)
         assert ratio == pytest.approx(expected, rel=1e-3)
         F = F1
@@ -79,7 +85,7 @@ def test_stretching_matches_matrix_exponential(grid16, monkeypatch):
     for dt in (0.01, 0.005):
         F = TensorField.identity(grid16)
         for _ in range(int(round(t_end / dt))):
-            F = system.step(F, v, phi, dt)
+            F = _step(system, F, v, phi, dt)
         ref = expm(t_end * W)
         errs.append(np.max(np.abs(F.comps - ref)))
     assert 1.7 <= errs[0] / errs[1] <= 2.3  # first order in dt
@@ -93,10 +99,10 @@ def test_step_linear_in_F(grid16, rng):
     B = TensorField(grid16, rng.standard_normal((16, 16, 2, 2)))
     a, b = 1.7, -0.4
     system = TransportSystem(grid16, params)
-    combo = system.step(TensorField(grid16, a * A.comps + b * B.comps),
-                        v, phi, 0.01)
-    parts = (a * system.step(A, v, phi, 0.01).comps
-             + b * system.step(B, v, phi, 0.01).comps)
+    combo = _step(system, TensorField(grid16, a * A.comps + b * B.comps),
+                  v, phi, 0.01)
+    parts = (a * _step(system, A, v, phi, 0.01).comps
+             + b * _step(system, B, v, phi, 0.01).comps)
     assert np.max(np.abs(combo.comps - parts)) <= 1e-12
 
 
@@ -122,7 +128,7 @@ def test_step_matches_direct_sparse_solve(ratio, offdiag):
     comps[:, :, 1, 0] *= offdiag
     F = TensorField(grid, comps)
 
-    out = TransportSystem(grid, params).step(F, v, phi, dt)
+    out = _step(TransportSystem(grid, params), F, v, phi, dt)
 
     f = law.stiffness_f(phi.values, params)
     assert f.min() < 1.01 * params.f_min and f.max() > 0.99
@@ -144,7 +150,7 @@ def test_failed_krylov_solve_raises_solver_error(grid16, monkeypatch, bad):
     v = interior_vortex(grid16, target_max=0.5)
     monkeypatch.setattr(krylov, "pcg", lambda A, b, **kw: (np.full_like(b, bad), 1))
     with pytest.raises(SolverError, match="transport residual"):
-        system.step(TensorField.identity(grid16), v, phi, 0.01)
+        _step(system, TensorField.identity(grid16), v, phi, 0.01)
 
 
 def test_determinant_preserved_at_first_order():
