@@ -132,15 +132,16 @@ def neo_hookean_dphi(phi, F, params: ModelParams):
     return 0.5 * params.c_elastic * stiffness_f_prime(phi, params) * (frobenius(F, F) - d)
 
 
-def eulerian_elastic_stress(phi, F, params: ModelParams):
-    """Eulerian stress c f(phi) F F^T entering the momentum balance.
+def eulerian_elastic_stress(f, F, params: ModelParams):
+    """Eulerian stress c f F F^T entering the momentum balance, f the
+    stiffness f(phi), which the caller evaluates once per time step.
 
     Symmetric positive semidefinite by construction (a scaled Gram matrix).
     For d = 2 the Gram matrix is written out entrywise (same products and
     sums as the einsum, so bitwise equal, and much cheaper).
     """
     F = np.asarray(F, dtype=float)
-    fval = np.asarray(stiffness_f(phi, params))
+    fval = np.asarray(f, dtype=float)
     if F.shape[-1] == 2:
         a, b, c, d = F[..., 0, 0], F[..., 0, 1], F[..., 1, 0], F[..., 1, 1]
         FFt = np.empty_like(F)

@@ -15,11 +15,12 @@ Advection is explicit in the old level (phi_n, F_n), so everything that
 depends on (phi_n, F_n, dt) alone is prepared once per step, before the
 first sweep: the upwind face candidates of the stacked (F_n, phi_n)
 (:func:`old_level_faces`), grad phi_n, the transport and Cahn-Hilliard
-levels, and dw/dphi at F_n, shared by the static chemical potential and
-the first force.  A sweep redoes only what its velocity changes: one face
-selection, flux and divergence for all five fields
-(:func:`sweep_advection`), shared by transport and Cahn-Hilliard, and
-dw/dphi at its new F, shared by its CH step and the next sweep's force.
+levels (the transport level's f(phi_n) also serves every force), and
+dw/dphi at F_n, shared by the static chemical potential and the first
+force.  A sweep redoes only what its velocity changes: one face selection,
+flux and divergence for all five fields (:func:`sweep_advection`), shared
+by transport and Cahn-Hilliard, and dw/dphi at its new F, shared by its
+CH step and the next sweep's force.
 
 Step control: a step is rejected (and dt halved) when the phase-field
 Newton fails, a linear solve fails, a field turns non-finite, the
@@ -175,7 +176,8 @@ class Simulation:
         F = initial_F(cfg)
         dw_dphi = law.neo_hookean_dphi(phi.values, F.comps, self.params)
         mu = static_chemical_potential(phi, dw_dphi, self.params)
-        force = assemble_force(phi, grad_cc(phi), mu, dw_dphi, F, self.params)
+        force = assemble_force(law.stiffness_f(phi.values, self.params), grad_cc(phi),
+                               mu, dw_dphi, F, self.params)
         v, q = self.stokes.solve(force)
         return SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q,
                         t=0.0, dt=cfg.time.dt0, step_index=0)
@@ -204,6 +206,7 @@ class Simulation:
             faces = old_level_faces(F_n, phi_n)
             grad_phi = grad_cc(phi_n)
             transport_level = self.transport.prepare(F_n, phi_n, dt)
+            f_n = transport_level.f.reshape(g.nx, g.ny)
             ch_level = self.ch.prepare(phi_n, state.phi_prev, dt)
             dw_dphi = law.neo_hookean_dphi(phi_n.values, F_n.comps, p)
             dphi_dt = None
@@ -213,7 +216,7 @@ class Simulation:
             F_force = F_n
 
             for sweep in range(1, cfg.coupling.picard_max + 1):
-                force = assemble_force(phi_n, grad_phi, mu_force, dw_dphi, F_force, p)
+                force = assemble_force(f_n, grad_phi, mu_force, dw_dphi, F_force, p)
                 try:
                     v, q = self.stokes.solve(force)
                 except SolverError as exc:

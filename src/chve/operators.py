@@ -31,8 +31,8 @@ Boundary conditions baked in:
 :func:`laplacian_matrix` assembles the zero-flux Laplacian div(coeff grad .),
 which :func:`laplacian_neumann` applies matrix-free for coeff = 1,
 :func:`laplacian_eigenvalues` gives its eigenvalues on the DCT-II basis, and
-:func:`dct_diagonal` applies any function of them (the constant-coefficient
-solves of the Cahn-Hilliard, transport and pressure steps).
+:func:`dct_diagonal` applies any function of them (the Cahn-Hilliard
+preconditioner and the pressure solve).
 Scalars are flattened C-order, index ``i * ny + j``.
 """
 

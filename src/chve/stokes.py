@@ -147,15 +147,15 @@ class StokesSolver:
         return v, q
 
 
-def elastic_force(phi: ScalarField, F: TensorField, params: ModelParams) -> StaggeredVectorField:
-    """Conservative face divergence of the cell stress c f(phi) F F^T.
+def elastic_force(f: np.ndarray, F: TensorField, params: ModelParams) -> StaggeredVectorField:
+    """Conservative face divergence of the cell stress c f F F^T, f = f(phi).
 
     Diagonal stress components difference natively onto faces; the shear
     component is averaged to nodes first (one-sided at walls) so that the
     divergence telescopes.
     """
-    g = phi.grid
-    S = law.eulerian_elastic_stress(phi.values, F.comps, params)
+    g = F.grid
+    S = law.eulerian_elastic_stress(f, F.comps, params)
     Sxy_n = _corner_average(np.pad(S[:, :, 0, 1], 1, mode="edge"))
     fu = np.zeros((g.nx + 1, g.ny))
     fw = np.zeros((g.nx, g.ny + 1))
@@ -166,7 +166,7 @@ def elastic_force(phi: ScalarField, F: TensorField, params: ModelParams) -> Stag
     return StaggeredVectorField(g, fu, fw)
 
 
-def assemble_force(phi: ScalarField, grad_phi: StaggeredVectorField, mu: ScalarField,
+def assemble_force(f: np.ndarray, grad_phi: StaggeredVectorField, mu: ScalarField,
                    dw_dphi: np.ndarray, F: TensorField,
                    params: ModelParams) -> StaggeredVectorField:
     """Right-hand side of the momentum balance sampled on faces.
@@ -174,16 +174,16 @@ def assemble_force(phi: ScalarField, grad_phi: StaggeredVectorField, mu: ScalarF
     The capillary part mu grad(phi) and the coupling part
     -(c/2) f'(phi)(F:F-d) grad(phi) multiply face-averaged cell scalars
     with grad_phi = grad_cc(phi); dw_dphi is (c/2) f'(phi)(F:F-d)
-    (:func:`chve.constitutive.neo_hookean_dphi`).  The caller computes both
-    once and shares them: grad_phi with every force of a step, dw_dphi
-    with the chemical potential of the same F.  The elastic part is the
-    conservative divergence of the cell-centered stress.  Boundary faces
-    carry 0, because face_average, grad_cc and elastic_force all leave
-    them at 0.
+    (:func:`chve.constitutive.neo_hookean_dphi`).  The elastic part is the
+    conservative divergence of the cell stress c f F F^T, f = f(phi).  The
+    caller computes grad_phi, f and dw_dphi once and shares them: grad_phi
+    and f with every force of a step, dw_dphi with the chemical potential
+    of the same F.  Boundary faces carry 0, because face_average, grad_cc
+    and elastic_force all leave them at 0.
     """
-    if not (phi.grid == grad_phi.grid == mu.grid == F.grid):
+    if not (grad_phi.grid == mu.grid == F.grid):
         raise PreconditionError("force inputs must share one grid")
-    g = phi.grid
+    g = mu.grid
     cx, cy = face_average(ScalarField(g, mu.values - dw_dphi))
-    el = elastic_force(phi, F, params)
+    el = elastic_force(f, F, params)
     return StaggeredVectorField(g, cx * grad_phi.u + el.u, cy * grad_phi.w + el.w)

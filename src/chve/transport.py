@@ -16,14 +16,14 @@ In the unknown G = M_f F_new the operator D/dt - lam L, D = 1/f(phi), is
 symmetric positive definite for dt > 0, lam >= 0, f >= f_min > 0.  All d^2
 components share it, so they are stacked into one block-diagonal system on
 an (n, d^2) block, where each operator product is one sparse matmul, and
-solved by one matrix-free preconditioned CG (:func:`chve.krylov.pcg`) on
-that block; then F_new = G / f.
+solved by one matrix-free CG (:func:`chve.krylov.pcg`) on that block,
+preconditioned by the operator's own diagonal; then F_new = G / f.
 
 phi_n and F_n are fixed within a time step, so :meth:`TransportSystem.prepare`
-builds f(phi_n), D, the preconditioner scaling and symbol, and F_n/dt once
-per step; each Picard sweep's :meth:`TransportSystem.step` takes that level,
-the sweep's velocity and advect(v, F_n), which the driver forms once per
-sweep together with advect(v, phi_n).
+builds f(phi_n), D, that diagonal and F_n/dt once per step; each Picard
+sweep's :meth:`TransportSystem.step` takes that level, the sweep's velocity
+and advect(v, F_n), which the driver forms once per sweep together with
+advect(v, phi_n).
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from . import krylov
 from .errors import TOL_LIN, SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
-from .operators import (dct_diagonal, laplacian_eigenvalues, laplacian_matrix,
-                        velocity_gradient)
+from .operators import laplacian_matrix, velocity_gradient
 
 # One CG on the stacked tensor components; the residual test against TOL_LIN decides.
 CG_RTOL = 1e-12
@@ -48,35 +47,32 @@ CG_MAXITER = 500
 @dataclass(frozen=True)
 class TransportLevel:
     """The old time level of one transport step, from
-    :meth:`TransportSystem.prepare`: F_n, dt, F_n / dt, the stiffness
-    f(phi_n) and D = 1/f as (n, 1) columns, and the preconditioner scaling
-    s_inv with its DCT symbol inv."""
+    :meth:`TransportSystem.prepare`: F_n, dt, F_n / dt, and as (n, 1)
+    columns the stiffness f(phi_n), D = 1/f and the diagonal
+    D/dt - lam diag(L) of the CG operator."""
     F_n: TensorField
     dt: float
     F_dt: np.ndarray
     f: np.ndarray
     D: np.ndarray
-    s_inv: np.ndarray
-    inv: np.ndarray
+    diag: np.ndarray
 
 
 class TransportSystem:
-    """Per-(grid, params) transport stepper.
+    """Per-(grid, params) transport stepper; it keeps the grid's Laplacian
+    L and its diagonal.
 
-    The CG preconditioner is S (c/dt - lam L) S with c = mean(D) and
-    S = (D/c)^(1/2), inverted by one DCT-II pair over the grid axes of the
-    stacked components.  It is exact for uniform f and tends to the
-    diagonal D/dt as lam dt / h^2 -> 0.  Everything that depends on
-    (F_n, phi_n, dt) alone is built once per time step by :meth:`prepare`,
-    and each Picard sweep's :meth:`step` reuses it; apart from that only
-    the grid's Laplacian and its DCT eigenvalues are kept.
+    The CG preconditioner divides by the diagonal of D/dt - lam L.  Where
+    lam dt / h^2 is small the operator is diagonally dominant and CG takes
+    few iterations; their number grows with lam dt / h^2, and a solve that
+    runs out of them fails the residual test, which rejects the step.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams):
         self.grid = grid
         self.params = params
         self._L = laplacian_matrix(grid)
-        self._eig = laplacian_eigenvalues(grid)
+        self._diag_L = self._L.diagonal().reshape(-1, 1)
 
     def prepare(self, F_n: TensorField, phi_n: ScalarField, dt: float) -> TransportLevel:
         """The parts of a step that no velocity changes."""
@@ -85,10 +81,8 @@ class TransportSystem:
         g = self.grid
         f = law.stiffness_f(phi_n.values, self.params).reshape(g.nx * g.ny, 1)
         D = 1.0 / f
-        c = float(np.mean(D))
-        s_inv = np.sqrt(c / D).reshape(g.nx, g.ny, 1)
-        inv = (1.0 / (c / dt - self.params.lam * self._eig))[:, :, None]
-        return TransportLevel(F_n, dt, F_n.comps / dt, f, D, s_inv, inv)
+        diag = D / dt - self.params.lam * self._diag_L
+        return TransportLevel(F_n, dt, F_n.comps / dt, f, D, diag)
 
     def step(self, level: TransportLevel, v: StaggeredVectorField,
              adv: np.ndarray) -> TensorField:
@@ -102,7 +96,8 @@ class TransportSystem:
 
         with zero-flux boundary imposed on f(phi_n) F_new.  Raises
         SolverError if the residual in F exceeds TOL_LIN relative to the
-        right-hand side or is not finite.
+        right-hand side or is not finite; the message carries the CG info
+        when CG did not converge.
         """
         g = self.grid
         lam = self.params.lam
@@ -114,21 +109,19 @@ class TransportSystem:
             return TensorField(g, dt * rhs)
 
         n, k = g.nx * g.ny, F_n.d * F_n.d
-        f, D, s_inv, inv = level.f, level.D, level.s_inv, level.inv
-
-        def precondition(r):
-            return (s_inv * dct_diagonal(s_inv * r.reshape(g.nx, g.ny, k), inv)).reshape(n, k)
+        f, D, diag = level.f, level.D, level.diag
 
         def matvec(X):
             return D * X / dt - lam * (self._L @ X)
 
         b = rhs.reshape(n, k)
-        G, _ = krylov.pcg(matvec, b, x0=f * dt * b, M=precondition, rtol=CG_RTOL,
-                          atol=0.0, maxiter=CG_MAXITER)
+        G, info = krylov.pcg(matvec, b, x0=f * dt * b, M=lambda r: r / diag,
+                             rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER)
 
         x = G / f
         res = float(np.linalg.norm(b - (x / dt - lam * (self._L @ (f * x)))))
         bound = TOL_LIN * float(np.linalg.norm(b))
         if not res <= bound:
-            raise SolverError(f"transport residual {res:.3e} > {bound:.3e}")
+            why = f", CG did not converge (info {info})" if info else ""
+            raise SolverError(f"transport residual {res:.3e} > {bound:.3e}{why}")
         return TensorField(g, x.reshape(F_n.comps.shape))

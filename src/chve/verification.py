@@ -475,8 +475,9 @@ def korteweg_identity_check(phi: ScalarField, F: TensorField,
     g = phi.grid
     dw_dphi = law.neo_hookean_dphi(phi.values, F.comps, params)
     mu = static_chemical_potential(phi, dw_dphi, params)
-    f_mu = assemble_force(phi, ops.grad_cc(phi), mu, dw_dphi, F, params)
-    el = elastic_force(phi, F, params)
+    f = law.stiffness_f(phi.values, params)
+    f_mu = assemble_force(f, ops.grad_cc(phi), mu, dw_dphi, F, params)
+    el = elastic_force(f, F, params)
     kw = korteweg_force(phi, params)
     f_kw = StaggeredVectorField(g, kw.u + el.u, kw.w + el.w)
 

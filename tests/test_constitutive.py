@@ -128,10 +128,11 @@ def test_neo_hookean_dphi_matches_central_difference(params, rng):
 def test_eulerian_stress_symmetric_psd(params, rng):
     for _ in range(20):
         F = rng.standard_normal((2, 2))
-        S = law.eulerian_elastic_stress(0.1, F, params)
+        S = law.eulerian_elastic_stress(law.stiffness_f(0.1, params), F, params)
         assert np.allclose(S, S.T, atol=1e-14)
         assert np.all(np.linalg.eigvalsh(S) >= -1e-13)
-    S = law.eulerian_elastic_stress(0.5, np.eye(2), ModelParams(c_elastic=1.0))
+    S = law.eulerian_elastic_stress(law.stiffness_f(0.5, params), np.eye(2),
+                                    ModelParams(c_elastic=1.0))
     assert np.allclose(S, law.stiffness_f(0.5, params) * np.eye(2))
 
 
@@ -141,9 +142,9 @@ def test_eulerian_stress_equals_scaled_gram_einsum(params, rng):
     for shape in [(64, 64, 2, 2), (5, 3, 3)]:
         F = rng.standard_normal(shape)
         phi = rng.uniform(-1.5, 1.5, shape[:-2])
-        ref = (params.c_elastic * law.stiffness_f(phi, params)[..., None, None]
-               * np.einsum("...ik,...jk->...ij", F, F))
-        S = law.eulerian_elastic_stress(phi, F, params)
+        f = law.stiffness_f(phi, params)
+        ref = params.c_elastic * f[..., None, None] * np.einsum("...ik,...jk->...ij", F, F)
+        S = law.eulerian_elastic_stress(f, F, params)
         if shape[-1] == 2:
             assert np.array_equal(S, ref)
         else:

@@ -55,7 +55,8 @@ def test_unconverged_transport_solve_is_rejected(tmp_path, monkeypatch):
     monkeypatch.setattr(krylov, "pcg", _stalled_cg)
     with pytest.raises(StepRejected) as exc:
         sim.coupled_step(state, 1e-4)
-    assert exc.value.reason.startswith("linear solve:")
+    assert exc.value.reason.startswith("linear solve: transport residual")
+    assert exc.value.reason.endswith("CG did not converge (info 1)")
 
 
 def _nan_gmres(A, b, **kwargs):

@@ -4,8 +4,9 @@ import scipy.sparse.linalg as spla
 
 from chve import constitutive as law
 from chve import krylov
-from chve.grid import GridSpec, ModelParams
+from chve.grid import GridSpec, ModelParams, ScalarField, TensorField
 from chve.operators import dct_diagonal, laplacian_eigenvalues, laplacian_matrix
+from chve.transport import TransportSystem
 
 
 def _counted(fn, calls):
@@ -81,25 +82,23 @@ def test_gmres_nan_rhs_returns_nonfinite_without_hanging(rng):
 def _transport_system():
     """The transport system of TransportSystem.step on 16^2, with f spanning
     [f_min, 1] and lam dt / h^2 = 160 so that CG needs several iterations:
-    (operator, preconditioner, f dt as the warm-start scale, n, k)."""
+    (operator, the shipped diagonal preconditioner, f dt as the warm-start
+    scale, n, k)."""
     grid = GridSpec(16, 16)
     n, k, dt = 256, 4, 1e-3
     params = ModelParams(lam=160.0 * grid.hx ** 2 / dt)
     X, _ = grid.cell_centers()
-    f = law.stiffness_f(np.tanh((X - 0.5 * grid.lx) / 0.05), params).reshape(n, 1)
-    D = 1.0 / f
-    c = float(np.mean(D))
-    s_inv = np.sqrt(c / D).reshape(16, 16, 1)
-    inv = (1.0 / (c / dt - params.lam * laplacian_eigenvalues(grid)))[:, :, None]
+    phi = ScalarField(grid, np.tanh((X - 0.5 * grid.lx) / 0.05))
+    level = TransportSystem(grid, params).prepare(TensorField.identity(grid), phi, dt)
     L = laplacian_matrix(grid)
 
     def matvec(X):
-        return D * X / dt - params.lam * (L @ X)
+        return level.D * X / dt - params.lam * (L @ X)
 
     def precondition(r):
-        return (s_inv * dct_diagonal(s_inv * r.reshape(16, 16, k), inv)).reshape(n, k)
+        return r.reshape(n, k) / level.diag
 
-    return matvec, precondition, f * dt, n, k
+    return matvec, precondition, level.f * dt, n, k
 
 
 @pytest.mark.parametrize("warm", [True, False], ids=["warm-start", "zero-start"])

@@ -165,3 +165,32 @@ def test_regularization_breaks_determinant_transport():
     dev0 = det_transport_deviation(64, dt=2e-3, t_end=0.25, lam=0.0)
     dev_lam = det_transport_deviation(64, dt=2e-3, t_end=0.25, lam=1e-2)
     assert dev_lam > 1.5 * dev0
+
+
+@pytest.mark.parametrize("profile, measured", [("tanh", 98), ("random", 59)])
+def test_jacobi_cg_converges_at_largest_tested_lam_dt(monkeypatch, profile, measured):
+    """The worst case of the diagonal preconditioner in the tested range:
+    256^2, lam = 1e-2 (the lambda sweep's largest) and dt = 1e-2 (the
+    default dt_max), so lam dt / h^2 = 6.6.  CG must converge, within 1.5
+    times the preconditioner calls measured when this test was written."""
+    grid = GridSpec(256, 256)
+    X, _ = grid.cell_centers()
+    rng = np.random.default_rng(1)
+    phi = ScalarField(grid, np.tanh((X - 0.5 * grid.lx) / 0.05) if profile == "tanh"
+                      else rng.standard_normal((256, 256)))
+    F = TensorField(grid, rng.standard_normal((256, 256, 2, 2)))
+    runs = []
+    real_pcg = krylov.pcg
+
+    def recorded_pcg(A, b, x0, *, M, **kwargs):
+        calls = []
+        x, info = real_pcg(A, b, x0, M=lambda r: calls.append(1) or M(r), **kwargs)
+        runs.append((info, len(calls)))
+        return x, info
+
+    monkeypatch.setattr(krylov, "pcg", recorded_pcg)
+    _step(TransportSystem(grid, ModelParams(lam=1e-2)), F,
+          StaggeredVectorField.zeros(grid), phi, 1e-2)
+    [(info, calls)] = runs
+    assert info == 0
+    assert calls <= 1.5 * measured
