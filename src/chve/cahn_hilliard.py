@@ -44,8 +44,8 @@ from . import constitutive as law
 from . import krylov
 from .errors import NewtonError
 from .grid import ModelParams, PreconditionError, ScalarField
-from .operators import (dct_diagonal, laplacian_eigenvalues, laplacian_matrix,
-                        laplacian_neumann)
+from .operators import (dct_diagonal, div_fc, grad_cc, laplacian_eigenvalues,
+                        laplacian_matrix)
 
 TOL_NEWTON = 1e-11
 MAX_NEWTON = 50
@@ -71,7 +71,7 @@ def static_chemical_potential(phi: ScalarField, dw_dphi: np.ndarray, params: Mod
     verification module leans on that exactness.
     """
     vals = (law.psi_prime(phi.values) / params.eps
-            - params.eps * laplacian_neumann(phi).values
+            - params.eps * div_fc(grad_cc(phi)).values
             + dw_dphi)
     if dphi_dt is not None and params.delta > 0.0:
         vals = vals + params.delta * dphi_dt.values
@@ -147,8 +147,8 @@ class CHSystem:
         from initial_guess, else from the level's warm start; the viscous
         delta term always differences phi_new against phi_n.  newton_iters
         counts the Newton updates, and is 1 when none is needed.  Raises
-        NewtonError if MAX_NEWTON iterations do not reach TOL_NEWTON or the
-        residual turns non-finite.
+        NewtonError if MAX_NEWTON iterations do not reach TOL_NEWTON (naming
+        the last GMRES info if it is not 0) or the residual turns non-finite.
         """
         p = self.params
         dt, pn, Lb, b_mean = level.dt, level.phi_n, level.Lb, level.b_mean
@@ -167,6 +167,7 @@ class CHSystem:
         # dt L_b times the second-order remainder of psi_plus', so a loose
         # relative Krylov tolerance gives an inexact Newton method whose
         # outer test still enforces TOL_NEWTON.
+        info = 0  # the last GMRES solve's; named if Newton stalls
         for iters in range(MAX_NEWTON + 1):
             # the mass-balance residual, scaled by dt so it is O(field) in size
             r = (phi - pn) + dt * (adv - Lb @ mu)
@@ -177,9 +178,10 @@ class CHSystem:
             if res <= (TOL_NEWTON if iters else 1e-2 * TOL_NEWTON):
                 break
             if iters == MAX_NEWTON:
+                why = f", GMRES did not converge (info {info})" if info else ""
                 raise NewtonError(
                     f"phase-field Newton stalled at residual {res:.3e} "
-                    f"after {MAX_NEWTON} iterations",
+                    f"after {MAX_NEWTON} iterations{why}",
                     residual=res, iterations=MAX_NEWTON)
             D = law.psi_plus_second(phi) / p.eps + p.delta / dt
             # exact inverse of I + dt b_mean L (eps L - mean(D)) on
@@ -191,7 +193,7 @@ class CHSystem:
             m = -float(np.mean(r))
             rhs0 = -r - (m - dt * m * (Lb @ D))
             rhs0 -= np.mean(rhs0)
-            z, _ = krylov.gmres(
+            z, info = krylov.gmres(
                 lambda x: x + dt * (Lb @ (p.eps * (self.L @ x) - D * x)), rhs0,
                 M=lambda x: dct_diagonal(x.reshape(shape), inv).ravel(),
                 rtol=GMRES_RTOL, atol=0.1 * TOL_NEWTON,

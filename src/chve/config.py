@@ -125,14 +125,9 @@ _KEYS = {section: {f.metadata.get("key", f.name): (f.name, _TYPES[f.type])
 def _coerce(section: str, key: str, typ: type, raw: str):
     try:
         if typ is bool:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return typ(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ValidationError(f"[{section}]: {key}: cannot parse {raw!r} as "
                               f"{typ.__name__}") from exc
 
@@ -189,7 +184,7 @@ def dump_config(cfg: ConfigSpec) -> str:
         for key, (name, _) in keys.items():
             val = getattr(body, name)
             if isinstance(val, bool):
-                val = "true" if val else "false"
+                val = str(val).lower()
             elif isinstance(val, float):
                 val = repr(val)
             lines.append(f"{key} = {val}")

@@ -18,7 +18,7 @@ step is rejected on its value or sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,8 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
+    """One row of ``diagnostics.csv``: the fields are its columns, in order,
+    and ``CSV_HEADER`` (set below the class) joins their names."""
     step: int
     t: float
     dt: float
@@ -55,15 +57,13 @@ class DiagnosticsRow:
     newton_iters: int
     budget_residual: float
 
-    CSV_HEADER = ("step,t,dt,E_total,E_elastic,E_interface,E_bulk,dissipation,"
-                  "mass,div_v_max,picard_iters,newton_iters,budget_residual")
-
     def csv_line(self) -> str:
-        floats = [self.t, self.dt, self.E_total, self.E_elastic, self.E_interface,
-                  self.E_bulk, self.dissipation, self.mass, self.div_v_max]
-        return ",".join([str(self.step)] + [f"{x:.17g}" for x in floats]
-                        + [str(self.picard_iters), str(self.newton_iters),
-                           f"{self.budget_residual:.17g}"])
+        """The row in field order: ints as written, floats lossless."""
+        return ",".join(str(getattr(self, f.name)) if f.type == "int"
+                        else f"{getattr(self, f.name):.17g}" for f in fields(self))
+
+
+DiagnosticsRow.CSV_HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 
 
 def _grad_energy(q: np.ndarray, grid: GridSpec) -> float:

@@ -14,7 +14,7 @@ reduction here keeps a fixed summation order.
 Boundary conditions baked in:
 
 * ``grad_cc`` puts 0 on boundary-normal faces (homogeneous Neumann);
-* ``laplacian_neumann`` is a conservative flux form; assembled rows sum to 0;
+* ``laplacian_matrix`` is a conservative flux form; its rows sum to 0;
 * ``node_shear_gradients``, and through it ``velocity_gradient`` and
   ``vector_laplacian``, use reflected ghost values (v = 0 on walls);
 * the advection operators use a conservative flux form with a kappa = 1/3
@@ -29,7 +29,7 @@ Boundary conditions baked in:
   not check it: the driver admits each velocity by :func:`solenoidal_residual`.
 
 :func:`laplacian_matrix` assembles the zero-flux Laplacian div(coeff grad .),
-which :func:`laplacian_neumann` applies matrix-free for coeff = 1,
+which for coeff = 1 is ``div_fc(grad_cc(.))``,
 :func:`laplacian_eigenvalues` gives its eigenvalues on the DCT-II basis, and
 :func:`dct_diagonal` applies any function of them (the Cahn-Hilliard
 preconditioner and the pressure solve).
@@ -96,12 +96,6 @@ def face_average(phi: ScalarField):
     ax[1:-1, :] = 0.5 * (p[1:, :] + p[:-1, :])
     ay[:, 1:-1] = 0.5 * (p[:, 1:] + p[:, :-1])
     return ax, ay
-
-
-def laplacian_neumann(phi: ScalarField) -> ScalarField:
-    """Zero-flux Laplacian div(grad phi); matrix-free twin of
-    :func:`laplacian_matrix` without a coefficient."""
-    return div_fc(grad_cc(phi))
 
 
 def laplacian_matrix(grid: GridSpec, coeff: np.ndarray | None = None) -> sp.csr_matrix:

@@ -212,7 +212,7 @@ def dense_oracle_compare(grid: GridSpec, n_fields: int = 50, seed: int = 0) -> d
         dev_div = max(dev_div, float(np.max(np.abs(ops.div_fc(v).values.ravel() - ref))))
 
         dev_lap = max(dev_lap, float(np.max(np.abs(
-            ops.laplacian_neumann(phi).values.ravel() - oracle.L @ p.ravel()))))
+            ops.div_fc(gv).values.ravel() - oracle.L @ p.ravel()))))
         coeff = 1.0 + rng.random((nx, ny))
         Lc = oracle.laplacian_with_coeff(coeff)
         dev_lapc = max(dev_lapc, float(np.max(np.abs(

@@ -113,29 +113,20 @@ def read_restart(path: str | Path) -> tuple[SimState, int, float]:
             and step_index >= 0 and streak >= 0):  # NaN fails every comparison
         raise ValidationError(f"{path}: restart header needs finite t >= 0, dt > 0, "
                               "energy_scale >= 0 and step_index, accept_streak >= 0")
-    expected = _HEADER.size + 8 * (8 * nx * ny + (nx + 1) * ny + nx * (ny + 1))
+    # phi, phi_prev, mu, q, F, u, w: the arrays in file order
+    shapes = [(nx, ny)] * 4 + [(nx, ny, 2, 2), (nx + 1, ny), (nx, ny + 1)]
+    sizes = [int(np.prod(s)) for s in shapes]
+    expected = _HEADER.size + 8 * sum(sizes)
     if len(raw) < expected:
         raise ValidationError(f"{path}: truncated restart file "
                               f"({len(raw)} of {expected} bytes for {nx} x {ny})")
     if len(raw) > expected:
         raise ValidationError(f"{path}: trailing bytes in restart file")
-    off = _HEADER.size
-
-    def take(shape):
-        nonlocal off
-        n = int(np.prod(shape))
-        a = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape)
-        off += 8 * n
-        return a.copy()
-
-    phi = ScalarField(g, take((nx, ny)))
-    phi_prev = ScalarField(g, take((nx, ny)))
-    mu = ScalarField(g, take((nx, ny)))
-    q = ScalarField(g, take((nx, ny)))
-    F = TensorField(g, take((nx, ny, 2, 2)))
-    u = take((nx + 1, ny))
-    w = take((nx, ny + 1))
-    state = SimState(phi=phi, phi_prev=phi_prev, mu=mu, F=F,
-                     v=StaggeredVectorField(g, u, w), q=q,
+    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    phi, phi_prev, mu, q, F, u, w = (
+        a.reshape(s).copy() for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
+    state = SimState(phi=ScalarField(g, phi), phi_prev=ScalarField(g, phi_prev),
+                     mu=ScalarField(g, mu), F=TensorField(g, F),
+                     v=StaggeredVectorField(g, u, w), q=ScalarField(g, q),
                      t=t, dt=dt, step_index=step_index)
     return state, streak, energy_scale

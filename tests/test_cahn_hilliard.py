@@ -144,6 +144,18 @@ def test_newton_error_carries_residual(grid16, rng, monkeypatch):
     assert exc.value.iterations == 1
 
 
+def test_newton_stall_names_unconverged_gmres(grid16, rng, monkeypatch):
+    # one GMRES iteration cannot reach rtol 1e-15, so the solve ends with info 1
+    params = ModelParams(eps=0.05, b0=1.0, b1=1.0)
+    phi = ScalarField(grid16, rng.uniform(-0.5, 0.5, (16, 16)))
+    for name, value in (("GMRES_RTOL", 1e-15), ("GMRES_RESTART", 1), ("GMRES_MAXITER", 1),
+                        ("MAX_NEWTON", 1), ("TOL_NEWTON", 1e-14)):
+        monkeypatch.setattr(ch, name, value)
+    with pytest.raises(NewtonError, match=r", GMRES did not converge \(info 1\)$"):
+        _step(ch.CHSystem(grid16, params), phi, TensorField.identity(grid16),
+              StaggeredVectorField.zeros(grid16), 1.0)
+
+
 def test_rejects_nonpositive_dt(grid16, params):
     phi = ScalarField.uniform(grid16, 0.0)
     with pytest.raises(PreconditionError):

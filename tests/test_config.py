@@ -77,6 +77,21 @@ def test_unparseable_value_rejected():
         parse_config("[grid]\nnx = eight\nny = 8\n")
 
 
+@pytest.mark.parametrize("case", [str.lower, str.upper])
+@pytest.mark.parametrize("raw, value", [("true", True), ("yes", True), ("on", True),
+                                        ("1", True), ("false", False), ("no", False),
+                                        ("off", False), ("0", False)])
+def test_boolean_spellings(raw, value, case):
+    cfg = parse_config(f"[grid]\nnx = 8\nny = 8\n[time]\nadaptive = {case(raw)}\n")
+    assert cfg.time.adaptive is value
+
+
+@pytest.mark.parametrize("raw", ["maybe", "2", "t", ""])
+def test_bad_boolean_rejected(raw):
+    with pytest.raises(ValidationError, match="adaptive: cannot parse .* as bool"):
+        parse_config(f"[grid]\nnx = 8\nny = 8\n[time]\nadaptive = {raw}\n")
+
+
 def test_missing_grid_rejected():
     with pytest.raises(ValidationError, match="grid"):
         parse_config("[params]\nnu = 1.0\n")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,15 @@ def test_budget_residual_zero_on_stationary_state(grid16, params):
     s = make_state(grid16, phi, F)
     e = diag.total_energy(phi, F, params).total
     assert diag.energy_budget(s, s, 0.1, e, e, params) == (0.0, 0.0)
+
+
+def test_csv_header_is_the_row_fields_in_order():
+    names = [f.name for f in fields(diag.DiagnosticsRow)]
+    assert diag.DiagnosticsRow.CSV_HEADER == ",".join(names)
+    # the columns that `chve energy-report` and the benchmark read by name
+    assert names == ["step", "t", "dt", "E_total", "E_elastic", "E_interface",
+                     "E_bulk", "dissipation", "mass", "div_v_max", "picard_iters",
+                     "newton_iters", "budget_residual"]
 
 
 def test_csv_line_full_precision(grid16):

@@ -26,6 +26,7 @@ eps = 0.05
 c_elastic = 0.25
 b0 = 0.1
 b1 = 0.1
+delta = {kw.get('delta', 0.0)}
 
 [time]
 t_end = {kw.get('t_end', 0.004)}
@@ -149,29 +150,30 @@ def test_deterministic_diagnostics(tmp_path):
 
 
 def test_restart_reproduces_uninterrupted_run(tmp_path):
-    cfg_full = spinodal_config(tmp_path, name="full", max_steps=12,
-                               adaptive="true", dt_max="4e-4", t_end=1.0)
-    _, rows_full, state_full = simulate(cfg_full)
-    assert len(rows_full) == 12
-
-    cfg_half = spinodal_config(tmp_path, name="half", max_steps=6,
-                               adaptive="true", dt_max="4e-4", t_end=1.0)
-    simulate(cfg_half)
-    restart = tmp_path / "half" / "restart_00000006.chv"
-    assert restart.exists()
-
-    cfg_resume = spinodal_config(tmp_path, name="resume", max_steps=6,
-                                 adaptive="true", dt_max="4e-4", t_end=1.0)
     from dataclasses import replace
-    cfg_resume = replace(cfg_resume,
-                         initial=replace(cfg_resume.initial,
-                                         restart_file=str(restart)))
-    _, rows_resume, state_resume = simulate(cfg_resume)
-    assert len(rows_resume) == 6
-    for ra, rb in zip(rows_full[6:], rows_resume):
-        assert ra.csv_line() == rb.csv_line()
-    assert np.array_equal(state_full.phi.values, state_resume.phi.values)
-    assert np.array_equal(state_full.F.comps, state_resume.F.comps)
+    # delta > 0 runs the force's dphi/dt term across the restart while dt grows
+    for delta in (0.0, 0.05):
+        tmp = tmp_path / f"delta{delta}"
+        kw = dict(adaptive="true", dt_max="4e-4", t_end=1.0, delta=delta)
+        _, rows_full, state_full = simulate(
+            spinodal_config(tmp, name="full", max_steps=12, **kw))
+        assert len(rows_full) == 12
+        assert len({r.dt for r in rows_full}) > 1
+
+        simulate(spinodal_config(tmp, name="half", max_steps=6, **kw))
+        restart = tmp / "half" / "restart_00000006.chv"
+        assert restart.exists()
+
+        cfg_resume = spinodal_config(tmp, name="resume", max_steps=6, **kw)
+        cfg_resume = replace(cfg_resume,
+                             initial=replace(cfg_resume.initial,
+                                             restart_file=str(restart)))
+        _, rows_resume, state_resume = simulate(cfg_resume)
+        assert len(rows_resume) == 6
+        for ra, rb in zip(rows_full[6:], rows_resume):
+            assert ra.csv_line() == rb.csv_line()
+        assert np.array_equal(state_full.phi.values, state_resume.phi.values)
+        assert np.array_equal(state_full.F.comps, state_resume.F.comps)
 
 
 def test_resume_into_own_directory_rewrites_csv_rows(tmp_path):

@@ -10,7 +10,7 @@ from chve.config import ConfigSpec
 from chve.driver import Simulation, StepRejected
 from chve.grid import GridSpec, ModelParams, ScalarField, StaggeredVectorField, TensorField
 from chve.operators import (div_fc, grad_cc, solenoidal_residual,
-                            vector_laplacian)
+                            vector_laplacian, velocity_gradient)
 from chve.verification import DenseOracle, dense_stokes_compare, stokes_mms
 
 
@@ -295,6 +295,26 @@ def test_force_matches_dense_assembly(grid8, rng):
             el = ((node_stress(i + 1, j) - node_stress(i, j)) / g.hx
                   + (S[i, j, 1, 1] - S[i, j - 1, 1, 1]) / g.hy)
             assert force.w[i, j] == pytest.approx(cap + el, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [(16, 16, 1.0, 1.0), (32, 32, 1.0, 1.0),
+                                            (64, 64, 1.0, 1.0), (24, 40, 2.0, 1.3)])
+def test_elastic_force_pairs_with_velocity_gradient(nx, ny, lx, ly, rng):
+    """<elastic_force(f, F), v> = -<c f F F^T, velocity_gradient(v)> for any
+    no-slip v: the Stokes stress term and the transport stretch term
+    (grad_h v) F are discrete adjoints, the elastic pairing of the energy law."""
+    g = GridSpec(nx, ny, lx, ly)
+    params = ModelParams(c_elastic=0.8)
+    f = rng.uniform(0.1, 1.0, (nx, ny))
+    F = TensorField(g, rng.standard_normal((nx, ny, 2, 2)))
+    v = _random_force(g, rng)
+    force = stokes.elastic_force(f, F, params)
+    power = (np.sum(force.u * v.u) + np.sum(force.w * v.w)) * g.cell_area
+    stress = law.eulerian_elastic_stress(f, F.comps, params)
+    work = -np.sum(stress * velocity_gradient(v).comps) * g.cell_area
+    scale = np.sqrt(np.sum(force.u ** 2) + np.sum(force.w ** 2)) \
+        * np.sqrt(np.sum(v.u ** 2) + np.sum(v.w ** 2)) * g.cell_area
+    assert abs(power - work) <= 1e-13 * scale
 
 
 def test_dense_stokes_oracle_match(grid8):
