@@ -113,14 +113,16 @@ class CHSystem:
     iterate conserves the cell sum of phi to rounding whatever the GMRES
     tolerance.  What depends on (phi_n, phi_prev, dt) alone is built once
     per time step by :meth:`prepare` and reused by each Picard sweep's
-    :meth:`step`; apart from that the grid's Laplacian, its DCT eigenvalues
-    and, for constant mobility, b0 L are built once.
+    :meth:`step`; apart from that its DCT eigenvalues and, for constant
+    mobility, b0 L are built once.  L is the grid's zero-flux Laplacian
+    (:func:`chve.operators.laplacian_matrix`), which the caller assembles
+    and shares with the transport system.
     """
 
-    def __init__(self, grid, params: ModelParams):
+    def __init__(self, grid, params: ModelParams, L: sp.csr_matrix):
         self.grid = grid
         self.params = params
-        self.L = laplacian_matrix(grid)          # zero-flux Laplacian
+        self.L = L
         self._eig = laplacian_eigenvalues(grid)  # L on the DCT-II basis
         self._Lb = params.b0 * self.L if params.mobility_profile == "constant" else None
 

@@ -44,11 +44,11 @@ from .cahn_hilliard import CHSystem, static_chemical_potential
 from .config import ConfigSpec, TimeConfig, dump_config
 from .diagnostics import (DiagnosticsRow, EnergyBreakdown, energy_budget,
                           total_energy, total_mass)
-from .errors import NewtonError, RunError, SolverError
+from .errors import NewtonError, RunError, SolverError, ValidationError
 from .grid import (PreconditionError, ScalarField, SimState,
                    StaggeredVectorField, TensorField)
-from .operators import (advect_upwind, grad_cc, solenoidal_residual,
-                        upwind_candidates)
+from .operators import (advect_upwind, grad_cc, laplacian_matrix,
+                        solenoidal_residual, upwind_candidates)
 from .stokes import StokesSolver, assemble_force
 from .transport import TransportSystem
 from .vtk_io import read_restart, write_restart, write_vtk
@@ -149,15 +149,17 @@ def sweep_advection(v: StaggeredVectorField, faces, d: int):
 
 
 class Simulation:
-    """Owns the per-run solver instances and the output writers."""
+    """Owns the per-run solver instances and the output writers.  The
+    transport and Cahn-Hilliard systems share one zero-flux Laplacian."""
 
     def __init__(self, cfg: ConfigSpec):
         self.cfg = cfg
         self.grid = cfg.grid
         self.params = cfg.params
         self.stokes = StokesSolver(self.grid, cfg.params.nu)
-        self.transport = TransportSystem(self.grid, cfg.params)
-        self.ch = CHSystem(self.grid, cfg.params)
+        L = laplacian_matrix(self.grid)
+        self.transport = TransportSystem(self.grid, cfg.params, L)
+        self.ch = CHSystem(self.grid, cfg.params, L)
 
     # -- state construction -------------------------------------------------
 
@@ -166,7 +168,8 @@ class Simulation:
         if cfg.initial.restart_file:
             state, streak, e_scale = read_restart(cfg.initial.restart_file)
             if state.phi.grid != self.grid:
-                raise RunError("restart grid does not match the configured grid")
+                raise ValidationError(f"restart grid {state.phi.grid} does not match "
+                                      f"the configured grid {self.grid}")
             self._streak0 = streak
             self._e_scale0 = e_scale
             return state

@@ -26,7 +26,10 @@ module solves A v + G q = f, G^T v = 0 exactly, assembling nothing:
   George & Golub 1971; Bjorstad 1983).  With B = Delta_D^2,
   (B + P) psi = r is z = B^-1 r, y = K^-1 z[ring], psi = z - B^-1 y, where
   the dense SPD capacitance K = diag(1/P_ring) + (B^-1)[ring, ring] is
-  Cholesky-factored once per (grid, nu).
+  Cholesky-factored once per (grid, nu).  The ring is four node lines, and
+  B^-1 between two lines is a closed-form product of the separable 1-D
+  DST-I factors (:func:`_ring_capacitance`): O(n^3) flops for all of K,
+  with no einsum over the 2-D basis.
 * The pressure solves G q = r, r = f + nu Delta_h v (r lies in the range
   of G), through G^T G = -L, L the zero-flux cell Laplacian, diagonal under
   DCT-II; its constant mode is set to zero, so q has zero mean.
@@ -60,6 +63,51 @@ def _dst_basis(n: int, h: float):
             4.0 / (h * h) * np.sin(0.5 * np.pi * m / n) ** 2)
 
 
+def _ring_capacitance(Sx: np.ndarray, Sy: np.ndarray, W: np.ndarray,
+                      hx: float, hy: float):
+    """(ring, K): the flat indices i*(ny-1) + j of the interior nodes next to
+    a wall, and the capacitance K = diag(1/P_ring) + (B^-1)[ring, ring].
+
+    Sx, Sy are the DST-I matrices of :func:`_dst_basis` and W = B^-1 on
+    their basis.  The ring is four node lines: the rows j = 0, ny-2 and the
+    columns i = 0, nx-2.  A line's nodes are products of one basis row of
+    one axis with the whole basis of the other, so each block of (B^-1)
+    between two lines is a product of 1-D factors, O(n^3) flops:
+
+        row j, row j':       (Sx * (W @ (Sy[j] * Sy[j']))) @ Sx
+        column i, column i': (Sy * ((Sx[i] * Sx[i']) @ W)) @ Sy
+        row j, column i:     ((Sx * Sx[i]) @ (W * Sy[j])) @ Sy
+
+    and a column-row block is the transpose of its row-column block.
+    """
+    nx, m = Sx.shape[0] + 1, Sy.shape[0]
+    P = np.zeros((nx - 1, m))
+    P[:, [0, -1]] += 2.0 / hy ** 4  # corner nodes get both terms
+    P[[0, -1], :] += 2.0 / hx ** 4
+
+    # (x factor, y factor) of each line; None stands for the whole basis
+    factors = ([(None, Sy[j]) for j in (0, m - 1)]
+               + [(Sx[i], None) for i in (0, nx - 2)])
+
+    def block(a, b):
+        (xa, ya), (xb, yb) = factors[a], factors[b]
+        if xa is None and xb is None:
+            return (Sx * (W @ (ya * yb))) @ Sx
+        if ya is None and yb is None:
+            return (Sy * ((xa * xb) @ W)) @ Sy
+        return ((Sx * xb) @ (W * ya)) @ Sy  # a is a row, b a column
+
+    blocks = [[None] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(4):  # lines 0, 1 are the rows, 2, 3 the columns
+            blocks[a][b] = blocks[b][a].T if b < 2 <= a else block(a, b)
+    K = np.block(blocks)
+    lines = ([np.arange(nx - 1) * m + j for j in (0, m - 1)]
+             + [i * m + np.arange(m) for i in (0, nx - 2)])
+    ring, first = np.unique(np.concatenate(lines), return_index=True)
+    return ring, K[np.ix_(first, first)] + np.diag(1.0 / P.ravel()[ring])
+
+
 def _norm(u: np.ndarray, w: np.ndarray) -> float:
     """Euclidean norm of a face field given by its two face arrays."""
     return float(np.hypot(np.linalg.norm(u), np.linalg.norm(w)))
@@ -69,8 +117,9 @@ class StokesSolver:
     """Exact fast MAC Stokes solver for one (grid, nu) pair.
 
     ``__init__`` builds the DST-I biharmonic symbol, the Cholesky factor of
-    the ring capacitance and the DCT-II pressure symbol; a solve applies
-    only fast transforms, that factor and the stencils of
+    the ring capacitance (whose blocks are separable products of the 1-D
+    DST-I factors, O(n^3) flops, no einsum) and the DCT-II pressure symbol;
+    a solve applies only fast transforms, that factor and the stencils of
     :mod:`chve.operators`, and checks its own momentum residual."""
 
     def __init__(self, grid: GridSpec, nu: float):
@@ -83,22 +132,7 @@ class StokesSolver:
         Sx, lam_x = _dst_basis(nx, hx)
         Sy, lam_y = _dst_basis(ny, hy)
         self._B_inv = W = 1.0 / (lam_x[:, None] + lam_y[None, :]) ** 2  # B^-1, DST-I basis
-        P = np.zeros((nx - 1, ny - 1))
-        P[:, [0, -1]] += 2.0 / hy ** 4  # corner nodes get both terms
-        P[[0, -1], :] += 2.0 / hx ** 4
-
-        # (B^-1)[ring, ring] from the separable 1-D factors, one block per
-        # pair of wall-adjacent node lines (two rows, two columns); a line's
-        # nodes are the products of its x and y basis rows
-        m = ny - 1
-        lines = ([(np.arange(nx - 1) * m + j, Sx, Sy[[j]]) for j in (0, m - 1)]
-                 + [(i * m + np.arange(m), Sx[[i]], Sy) for i in (0, nx - 2)])
-        K = np.block([[np.einsum("pk,ql,kl,rk,sl->pqrs", Xa, Ya, W, Xb, Yb,
-                                 optimize=True).reshape(na.size, nb.size)
-                       for nb, Xb, Yb in lines] for na, Xa, Ya in lines])
-        self._ring, first = np.unique(np.concatenate([na for na, _, _ in lines]),
-                                      return_index=True)
-        K = K[np.ix_(first, first)] + np.diag(1.0 / P.ravel()[self._ring])
+        self._ring, K = _ring_capacitance(Sx, Sy, W, hx, hy)
         try:
             self._cap = sla.cho_factor(K)
         except np.linalg.LinAlgError as exc:

@@ -31,13 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import constitutive as law
 from . import krylov
 from .errors import TOL_LIN, SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
-from .operators import laplacian_matrix, velocity_gradient
+from .operators import velocity_gradient
 
 # One CG on the stacked tensor components; the residual test against TOL_LIN decides.
 CG_RTOL = 1e-12
@@ -59,8 +60,9 @@ class TransportLevel:
 
 
 class TransportSystem:
-    """Per-(grid, params) transport stepper; it keeps the grid's Laplacian
-    L and its diagonal.
+    """Per-(grid, params) transport stepper; it keeps the grid's zero-flux
+    Laplacian L (:func:`chve.operators.laplacian_matrix`, shared with the
+    Cahn-Hilliard system) and its diagonal.
 
     The CG preconditioner divides by the diagonal of D/dt - lam L.  Where
     lam dt / h^2 is small the operator is diagonally dominant and CG takes
@@ -68,10 +70,10 @@ class TransportSystem:
     runs out of them fails the residual test, which rejects the step.
     """
 
-    def __init__(self, grid: GridSpec, params: ModelParams):
+    def __init__(self, grid: GridSpec, params: ModelParams, L: sp.csr_matrix):
         self.grid = grid
         self.params = params
-        self._L = laplacian_matrix(grid)
+        self._L = L
         self._diag_L = self._L.diagonal().reshape(-1, 1)
 
     def prepare(self, F_n: TensorField, phi_n: ScalarField, dt: float) -> TransportLevel:

@@ -533,7 +533,7 @@ def det_transport_deviation(n: int, dt: float, t_end: float, lam: float,
     v = interior_vortex(g)
     phi = ScalarField.uniform(g, 1.0)
     F = TensorField.identity(g)
-    system = TransportSystem(g, p)
+    system = TransportSystem(g, p, ops.laplacian_matrix(g))
     nsteps = int(round(t_end / dt))
     for _ in range(nsteps):
         F = system.step(system.prepare(F, phi, dt), v, ops.advect_tensor(v, F).comps)

@@ -96,9 +96,14 @@ def write_restart(path: str | Path, state: SimState, accept_streak: int = 0,
 
 
 def read_restart(path: str | Path) -> tuple[SimState, int, float]:
-    """Load a restart file; raises ValidationError on a wrong magic, a
-    truncated file, trailing bytes or a header value out of range."""
-    raw = Path(path).read_bytes()
+    """Load a restart file; raises ValidationError on a file that cannot be
+    read, a wrong magic, a truncated file, trailing bytes or a header value
+    out of range."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read restart file: "
+                              f"{exc.strerror or exc}") from exc
     if raw[:5] != MAGIC:
         raise ValidationError(f"{path}: not a restart file (bad magic)")
     if len(raw) < _HEADER.size:

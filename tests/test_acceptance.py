@@ -21,7 +21,7 @@ from chve.diagnostics import total_energy
 from chve.driver import simulate
 from chve.grid import (GridSpec, ModelParams, ScalarField,
                        StaggeredVectorField, TensorField)
-from chve.operators import advect_scalar
+from chve.operators import advect_scalar, laplacian_matrix
 
 SPINODAL = """
 [grid]
@@ -177,7 +177,7 @@ def test_criterion_06_energy_dissipation(picard8_run):
         phi = ScalarField(grid, rng.uniform(-0.8, 0.8, (32, 32)))
         F = TensorField.identity(grid)
         v0 = StaggeredVectorField.zeros(grid)
-        system = CHSystem(grid, params)
+        system = CHSystem(grid, params, laplacian_matrix(grid))
         e = total_energy(phi, F, params).total
         for _ in range(25):
             phi, _, _ = system.step(system.prepare(phi, phi, dt),

@@ -8,7 +8,7 @@ from chve.diagnostics import total_energy
 from chve.errors import NewtonError
 from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                        StaggeredVectorField, TensorField)
-from chve.operators import advect_scalar
+from chve.operators import advect_scalar, laplacian_matrix
 
 
 def _mu(phi, F, params, **kw):
@@ -68,7 +68,8 @@ def test_well_state_fixed_point_single_iteration(grid16, params):
     phi = ScalarField.uniform(grid16, 1.0)
     F = TensorField.identity(grid16)
     v = StaggeredVectorField.zeros(grid16)
-    phi1, mu1, iters = _step(ch.CHSystem(grid16, params), phi, F, v, 0.1)
+    phi1, mu1, iters = _step(ch.CHSystem(grid16, params, laplacian_matrix(grid16)),
+                             phi, F, v, 0.1)
     assert iters == 1
     assert np.array_equal(phi1.values, phi.values)
     assert np.max(np.abs(mu1.values)) == 0.0
@@ -83,7 +84,7 @@ def test_mass_conserved_per_step(grid16, rng):
     v = StaggeredVectorField.from_stream_function(grid16, 0.1 * psi)
     area = grid16.cell_area * grid16.nx * grid16.ny
     for dt in (1e-3, 1e-2):
-        phi1, _, _ = _step(ch.CHSystem(grid16, params), phi, F, v, dt)
+        phi1, _, _ = _step(ch.CHSystem(grid16, params, laplacian_matrix(grid16)), phi, F, v, dt)
         drift = abs(np.sum(phi1.values) - np.sum(phi.values)) * grid16.cell_area
         assert drift <= 1e-12 * area
 
@@ -106,7 +107,7 @@ def test_linearized_amplification_matches_backward_euler_symbol():
     F = TensorField.identity(grid)
     v = StaggeredVectorField.zeros(grid)
 
-    phi1, _, _ = _step(ch.CHSystem(grid, params), phi, F, v, dt)
+    phi1, _, _ = _step(ch.CHSystem(grid, params, laplacian_matrix(grid)), phi, F, v, dt)
     measured = float(np.sum(phi1.values * mode) / np.sum(mode * mode)) / amp0
     expected = (1.0 + dt * params.b0 * k ** 2) / (1.0 + dt * params.b0 * k ** 4)
     assert measured == pytest.approx(expected, rel=1e-3)
@@ -122,7 +123,7 @@ def test_decoupled_energy_never_increases(dt, rng):
     phi = ScalarField(grid, rng.uniform(-0.8, 0.8, (32, 32)))
     F = TensorField.identity(grid)
     v = StaggeredVectorField.zeros(grid)
-    system = ch.CHSystem(grid, params)
+    system = ch.CHSystem(grid, params, laplacian_matrix(grid))
     e = total_energy(phi, F, params).total
     for _ in range(25):
         phi, _, _ = _step(system, phi, F, v, dt)
@@ -139,7 +140,7 @@ def test_newton_error_carries_residual(grid16, rng, monkeypatch):
     monkeypatch.setattr(ch, "TOL_NEWTON", 1e-14)
     monkeypatch.setattr(ch, "MAX_NEWTON", 1)
     with pytest.raises(NewtonError) as exc:
-        _step(ch.CHSystem(grid16, params), phi, F, v, 1.0)
+        _step(ch.CHSystem(grid16, params, laplacian_matrix(grid16)), phi, F, v, 1.0)
     assert exc.value.residual > 0.0
     assert exc.value.iterations == 1
 
@@ -152,14 +153,14 @@ def test_newton_stall_names_unconverged_gmres(grid16, rng, monkeypatch):
                         ("MAX_NEWTON", 1), ("TOL_NEWTON", 1e-14)):
         monkeypatch.setattr(ch, name, value)
     with pytest.raises(NewtonError, match=r", GMRES did not converge \(info 1\)$"):
-        _step(ch.CHSystem(grid16, params), phi, TensorField.identity(grid16),
-              StaggeredVectorField.zeros(grid16), 1.0)
+        _step(ch.CHSystem(grid16, params, laplacian_matrix(grid16)), phi,
+              TensorField.identity(grid16), StaggeredVectorField.zeros(grid16), 1.0)
 
 
 def test_rejects_nonpositive_dt(grid16, params):
     phi = ScalarField.uniform(grid16, 0.0)
     with pytest.raises(PreconditionError):
-        ch.CHSystem(grid16, params).prepare(phi, phi, dt=-0.1)
+        ch.CHSystem(grid16, params, laplacian_matrix(grid16)).prepare(phi, phi, dt=-0.1)
 
 
 @pytest.mark.parametrize("profile", ["constant", "smoothstep"])
@@ -174,7 +175,7 @@ def test_mass_exact_with_loose_newton_tolerance(grid16, rng, monkeypatch, profil
     psi = rng.standard_normal((17, 17))
     psi[0, :] = psi[-1, :] = psi[:, 0] = psi[:, -1] = 0.0
     v = StaggeredVectorField.from_stream_function(grid16, 0.1 * psi)
-    system = ch.CHSystem(grid16, params)
+    system = ch.CHSystem(grid16, params, laplacian_matrix(grid16))
     shifted = ScalarField(grid16, phi.values + 0.05)
     monkeypatch.setattr(ch, "TOL_NEWTON", 1e-4)
     for dt in (1e-3, 1e-1):
@@ -195,8 +196,8 @@ def test_nonfinite_residual_fails_at_once(grid16, rng, monkeypatch):
                         lambda s: calls.append(1) or real_second(s))
     phi = ScalarField(grid16, rng.uniform(-0.5, 0.5, (16, 16)))
     with pytest.raises(NewtonError) as exc:
-        _step(ch.CHSystem(grid16, ModelParams()), phi, TensorField.identity(grid16),
-              StaggeredVectorField.zeros(grid16), 1e-3)
+        _step(ch.CHSystem(grid16, ModelParams(), laplacian_matrix(grid16)), phi,
+              TensorField.identity(grid16), StaggeredVectorField.zeros(grid16), 1e-3)
     assert not np.isfinite(exc.value.residual)
     assert exc.value.iterations == 0
     assert calls == []  # no Newton update was attempted
@@ -238,7 +239,7 @@ def test_one_dct_pair_per_gmres_iteration(grid16, rng, monkeypatch):
     params = ModelParams(eps=0.05, b0=0.1, b1=0.1, c_elastic=0.25)
     phi = ScalarField(grid16, rng.uniform(-0.5, 0.5, (16, 16)))
     F = TensorField(grid16, np.eye(2) + 0.1 * rng.standard_normal((16, 16, 2, 2)))
-    system = ch.CHSystem(grid16, params)
+    system = ch.CHSystem(grid16, params, laplacian_matrix(grid16))
     system.L = _CountedMatrix(system.L, sparse)
     system._Lb = _CountedMatrix(system._Lb, sparse)
     _, _, iters = _step(system, phi, F, StaggeredVectorField.zeros(grid16), 1e-3)

@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -169,6 +171,16 @@ def test_package_imports_no_scipy_sparse_linalg():
 
 def test_run_missing_file_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini")]) == 2
+
+
+def test_module_runs_without_installing():
+    # python -m chve from the source tree, with the package not installed
+    src = Path(chve.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "chve", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: chve")
 
 
 def test_verify_operators_suite(capsys):

@@ -202,6 +202,23 @@ def test_coupled_step_needs_no_scipy_krylov(tmp_path, monkeypatch):
     assert new.t == pytest.approx(1e-4)
 
 
+def test_simulation_assembles_one_laplacian(tmp_path, monkeypatch):
+    # transport and Cahn-Hilliard share the run's zero-flux Laplacian
+    from chve import cahn_hilliard, driver, operators, transport
+    real = operators.laplacian_matrix
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    for mod in (driver, transport, cahn_hilliard):
+        monkeypatch.setattr(mod, "laplacian_matrix", counted, raising=False)
+    sim = Simulation(spinodal_config(tmp_path))
+    assert len(built) == 1
+    assert sim.transport._L is built[0] and sim.ch.L is built[0]
+
+
 def test_total_energy_evaluated_once_per_accepted_step(tmp_path, monkeypatch):
     from chve import driver
     calls = []

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg as sla
 
 from chve import cli, constitutive, driver, krylov, vtk_io
+from chve.config import dump_config
 from chve.driver import Simulation, StepRejected
 from chve.errors import SolverError, ValidationError
 from chve.grid import GridSpec
@@ -198,6 +199,34 @@ def test_nan_time_in_restart_exits_2(tmp_path):
     assert "restart_file = \n" in text
     ini.write_text(text.replace("restart_file = \n", f"restart_file = {path}\n"))
     assert cli.main(["run", str(ini), "--output-dir", str(tmp_path / "resumed")]) == 2
+
+
+def _resume_config(tmp_path, restart, nx=32):
+    """The test config on an nx x 32 grid resuming from the restart file at
+    ``restart``; returns the config file's path."""
+    text = dump_config(spinodal_config(tmp_path, name="resumed"))
+    assert "restart_file = \n" in text and "\nnx = 32\n" in text
+    text = text.replace("restart_file = \n", f"restart_file = {restart}\n")
+    text = text.replace("\nnx = 32\n", f"\nnx = {nx}\n")
+    ini = tmp_path / "resume.ini"
+    ini.write_text(text)
+    return ini
+
+
+def test_missing_restart_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.chv"
+    assert cli.main(["run", str(_resume_config(tmp_path, missing))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and str(missing) in err
+
+
+def test_restart_on_another_grid_exits_2(tmp_path, capsys):
+    Simulation(spinodal_config(tmp_path, name="full", t_end=0.0)).run()
+    restart = tmp_path / "full" / "restart_00000000.chv"
+    assert cli.main(["run", str(_resume_config(tmp_path, restart, nx=16))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: restart grid GridSpec(nx=32, ny=32")
+    assert "configured grid GridSpec(nx=16, ny=32" in err
 
 
 def test_crash_mid_restart_write_keeps_previous_file(tmp_path, monkeypatch):

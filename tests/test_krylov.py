@@ -89,8 +89,8 @@ def _transport_system():
     params = ModelParams(lam=160.0 * grid.hx ** 2 / dt)
     X, _ = grid.cell_centers()
     phi = ScalarField(grid, np.tanh((X - 0.5 * grid.lx) / 0.05))
-    level = TransportSystem(grid, params).prepare(TensorField.identity(grid), phi, dt)
     L = laplacian_matrix(grid)
+    level = TransportSystem(grid, params, L).prepare(TensorField.identity(grid), phi, dt)
 
     def matvec(X):
         return level.D * X / dt - params.lam * (L @ X)

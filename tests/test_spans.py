@@ -13,6 +13,7 @@ from chve import driver, krylov, stokes
 from chve.cahn_hilliard import CHSystem
 from chve.driver import Simulation
 from chve.grid import ModelParams, ScalarField, TensorField
+from chve.operators import laplacian_matrix
 
 from test_driver import spinodal_config
 
@@ -49,7 +50,7 @@ def test_ch_step_result_2_is_the_newton_count(grid16, rng, monkeypatch):
     params = ModelParams(eps=0.05, b0=0.1, b1=0.1, c_elastic=0.25)
     phi = ScalarField(grid16, rng.uniform(-0.5, 0.5, (16, 16)))
     F = TensorField(grid16, np.eye(2) + 0.1 * rng.standard_normal((16, 16, 2, 2)))
-    system = CHSystem(grid16, params)
+    system = CHSystem(grid16, params, laplacian_matrix(grid16))
     result = system.step(system.prepare(phi, phi, 1e-3),
                          law.neo_hookean_dphi(phi.values, F.comps, params),
                          np.zeros((16, 16)))

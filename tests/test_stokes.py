@@ -165,6 +165,50 @@ def test_solve_needs_no_sparse_factorization(grid16, rng, monkeypatch):
     assert v.max_abs() > 0.0
 
 
+def _einsum_capacitance(Sx, Sy, W, hx, hy):
+    """Reference (ring, K) of stokes._ring_capacitance: each block of
+    (B^-1)[ring, ring] between two wall lines is one five-operand einsum
+    over the line's x and y basis rows."""
+    nx, m = Sx.shape[0] + 1, Sy.shape[0]
+    P = np.zeros((nx - 1, m))
+    P[:, [0, -1]] += 2.0 / hy ** 4
+    P[[0, -1], :] += 2.0 / hx ** 4
+    lines = ([(np.arange(nx - 1) * m + j, Sx, Sy[[j]]) for j in (0, m - 1)]
+             + [(i * m + np.arange(m), Sx[[i]], Sy) for i in (0, nx - 2)])
+    K = np.block([[np.einsum("pk,ql,kl,rk,sl->pqrs", Xa, Ya, W, Xb, Yb,
+                             optimize=True).reshape(na.size, nb.size)
+                   for nb, Xb, Yb in lines] for na, Xa, Ya in lines])
+    ring, first = np.unique(np.concatenate([na for na, _, _ in lines]), return_index=True)
+    return ring, K[np.ix_(first, first)] + np.diag(1.0 / P.ravel()[ring])
+
+
+@pytest.mark.parametrize("grid", [GridSpec(4, 4), GridSpec(5, 7), GridSpec(16, 16),
+                                  GridSpec(24, 40, 2.0, 1.3), GridSpec(64, 64)],
+                         ids=["4x4", "5x7", "16x16", "24x40", "64x64"])
+def test_ring_capacitance_matches_einsum_blocks(grid):
+    solver = stokes.StokesSolver(grid, 1.0)
+    Sx, _ = stokes._dst_basis(grid.nx, grid.hx)
+    Sy, _ = stokes._dst_basis(grid.ny, grid.hy)
+    args = (Sx, Sy, solver._B_inv, grid.hx, grid.hy)
+    ring, K = stokes._ring_capacitance(*args)
+    ring_ref, K_ref = _einsum_capacitance(*args)
+
+    wall = np.zeros((grid.nx - 1, grid.ny - 1), dtype=bool)
+    wall[[0, -1], :] = wall[:, [0, -1]] = True
+    assert np.array_equal(ring, ring_ref)
+    assert np.array_equal(ring, np.flatnonzero(wall))
+    assert np.array_equal(solver._ring, ring)
+    assert np.max(np.abs(K - K_ref)) <= 1e-14 * np.max(np.abs(K_ref))
+
+
+def test_solver_setup_calls_no_einsum(monkeypatch):
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    stokes.StokesSolver(GridSpec(24, 40, 2.0, 1.3), 1.0)
+
+
 def test_solver_output_divergence_free(grid16, rng, params):
     solver = stokes.StokesSolver(grid16, params.nu)
     fu = np.zeros((17, 16))

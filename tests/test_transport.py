@@ -26,7 +26,7 @@ def test_uniform_state_is_exact_fixed_point(grid16):
     F0 = TensorField(grid16, np.tile(np.array([[1.1, 0.2], [-0.1, 0.9]]),
                                      (16, 16, 1, 1)))
     v = StaggeredVectorField.zeros(grid16)
-    F1 = _step(TransportSystem(grid16, params), F0, v, phi, 0.05)
+    F1 = _step(TransportSystem(grid16, params, laplacian_matrix(grid16)), F0, v, phi, 0.05)
     assert np.max(np.abs(F1.comps - F0.comps)) <= 1e-12
 
 
@@ -35,7 +35,7 @@ def test_rejects_nonpositive_dt(grid16, params):
     v = StaggeredVectorField.zeros(grid16)
     phi = ScalarField.uniform(grid16, 1.0)
     with pytest.raises(PreconditionError):
-        TransportSystem(grid16, params).prepare(F, phi, dt=0.0)
+        TransportSystem(grid16, params, laplacian_matrix(grid16)).prepare(F, phi, dt=0.0)
 
 
 def test_diffusion_decay_matches_backward_euler_symbol():
@@ -54,7 +54,7 @@ def test_diffusion_decay_matches_backward_euler_symbol():
     F = TensorField(grid, comps)
     phi = ScalarField.uniform(grid, 1.0)
     v = StaggeredVectorField.zeros(grid)
-    system = TransportSystem(grid, params)
+    system = TransportSystem(grid, params, laplacian_matrix(grid))
 
     def amplitude(field):
         dev = field.comps[:, :, 0, 0] - 1.0
@@ -80,7 +80,7 @@ def test_stretching_matches_matrix_exponential(grid16, monkeypatch):
     v = StaggeredVectorField.zeros(grid16)
     phi = ScalarField.uniform(grid16, 1.0)
     t_end = 0.5
-    system = TransportSystem(grid16, params)
+    system = TransportSystem(grid16, params, laplacian_matrix(grid16))
     errs = []
     for dt in (0.01, 0.005):
         F = TensorField.identity(grid16)
@@ -98,7 +98,7 @@ def test_step_linear_in_F(grid16, rng):
     A = TensorField(grid16, rng.standard_normal((16, 16, 2, 2)))
     B = TensorField(grid16, rng.standard_normal((16, 16, 2, 2)))
     a, b = 1.7, -0.4
-    system = TransportSystem(grid16, params)
+    system = TransportSystem(grid16, params, laplacian_matrix(grid16))
     combo = _step(system, TensorField(grid16, a * A.comps + b * B.comps),
                   v, phi, 0.01)
     parts = (a * _step(system, A, v, phi, 0.01).comps
@@ -128,7 +128,7 @@ def test_step_matches_direct_sparse_solve(ratio, offdiag):
     comps[:, :, 1, 0] *= offdiag
     F = TensorField(grid, comps)
 
-    out = _step(TransportSystem(grid, params), F, v, phi, dt)
+    out = _step(TransportSystem(grid, params, laplacian_matrix(grid)), F, v, phi, dt)
 
     f = law.stiffness_f(phi.values, params)
     assert f.min() < 1.01 * params.f_min and f.max() > 0.99
@@ -145,7 +145,7 @@ def test_step_matches_direct_sparse_solve(ratio, offdiag):
 
 @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["unconverged", "nan"])
 def test_failed_krylov_solve_raises_solver_error(grid16, monkeypatch, bad):
-    system = TransportSystem(grid16, ModelParams(lam=1e-2))
+    system = TransportSystem(grid16, ModelParams(lam=1e-2), laplacian_matrix(grid16))
     phi = ScalarField.uniform(grid16, 0.2)
     v = interior_vortex(grid16, target_max=0.5)
     monkeypatch.setattr(krylov, "pcg", lambda A, b, **kw: (np.full_like(b, bad), 1))
@@ -189,7 +189,7 @@ def test_jacobi_cg_converges_at_largest_tested_lam_dt(monkeypatch, profile, meas
         return x, info
 
     monkeypatch.setattr(krylov, "pcg", recorded_pcg)
-    _step(TransportSystem(grid, ModelParams(lam=1e-2)), F,
+    _step(TransportSystem(grid, ModelParams(lam=1e-2), laplacian_matrix(grid)), F,
           StaggeredVectorField.zeros(grid), phi, 1e-2)
     [(info, calls)] = runs
     assert info == 0
