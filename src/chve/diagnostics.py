@@ -25,7 +25,7 @@ import numpy as np
 from . import constitutive as law
 from .grid import (GridSpec, ModelParams, ScalarField, SimState,
                    StaggeredVectorField, TensorField)
-from .operators import face_average, face_gradient, grad_cc, node_shear_gradients
+from .operators import face_average, face_gradient, node_shear_gradients
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ DiagnosticsRow.CSV_HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 
 
 def _grad_energy(q: np.ndarray, grid: GridSpec) -> float:
-    """Face sum of |grad_cc q|^2 for cell data q, with no field built."""
+    """Face sum of |face_gradient q|^2 for cell data q."""
     gu, gw = face_gradient(q, grid)
     return float(np.sum(gu ** 2)) + float(np.sum(gw ** 2))
 
@@ -82,7 +82,7 @@ def total_energy(phi: ScalarField, F: TensorField, params: ModelParams) -> Energ
 
 
 def dissipation(v: StaggeredVectorField, mu: ScalarField, phi: ScalarField,
-                F: TensorField, dphi_dt: ScalarField | None,
+                F: TensorField, dphi_dt: np.ndarray | None,
                 params: ModelParams) -> float:
     """Sum of the four quadratic dissipation forms, each built from the same
     discrete operators the corresponding step uses."""
@@ -108,12 +108,12 @@ def dissipation(v: StaggeredVectorField, mu: ScalarField, phi: ScalarField,
             for j in range(F.d):
                 out += params.lam * _grad_energy(fvals * F.comps[:, :, i, j], g) * a
 
-    bx, by = face_average(ScalarField(g, law.mobility_b(phi.values, params)))
-    gmu = grad_cc(mu)
-    out += (float(np.sum(bx * gmu.u ** 2)) + float(np.sum(by * gmu.w ** 2))) * a
+    bx, by = face_average(law.mobility_b(phi.values, params), g)
+    gu, gw = face_gradient(mu.values, g)
+    out += (float(np.sum(bx * gu ** 2)) + float(np.sum(by * gw ** 2))) * a
 
     if dphi_dt is not None and params.delta > 0.0:
-        out += params.delta * float(np.sum(dphi_dt.values ** 2)) * a
+        out += params.delta * float(np.sum(dphi_dt ** 2)) * a
     return out
 
 
@@ -125,8 +125,7 @@ def energy_budget(state_n: SimState, state_np1: SimState, dt: float,
                   e_old: float, e_new: float, params: ModelParams) -> tuple[float, float]:
     """(D_new, (E_new - E_old)/dt + D_new) with end-of-step fields and
     dphi/dt = (phi_new - phi_old)/dt in D; e_old, e_new are the two energies."""
-    dphi_dt = ScalarField(state_n.phi.grid,
-                          (state_np1.phi.values - state_n.phi.values) / dt)
+    dphi_dt = (state_np1.phi.values - state_n.phi.values) / dt
     d_new = dissipation(state_np1.v, state_np1.mu, state_np1.phi, state_np1.F,
                         dphi_dt, params)
     return d_new, (e_new - e_old) / dt + d_new

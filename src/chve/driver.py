@@ -47,7 +47,7 @@ from .diagnostics import (DiagnosticsRow, EnergyBreakdown, energy_budget,
 from .errors import NewtonError, RunError, SolverError, ValidationError
 from .grid import (PreconditionError, ScalarField, SimState,
                    StaggeredVectorField, TensorField)
-from .operators import (advect_upwind, grad_cc, laplacian_matrix,
+from .operators import (advect_upwind, face_gradient, laplacian_matrix,
                         solenoidal_residual, upwind_candidates)
 from .stokes import StokesSolver, assemble_force
 from .transport import TransportSystem
@@ -179,7 +179,8 @@ class Simulation:
         F = initial_F(cfg)
         dw_dphi = law.neo_hookean_dphi(phi.values, F.comps, self.params)
         mu = static_chemical_potential(phi, dw_dphi, self.params)
-        force = assemble_force(law.stiffness_f(phi.values, self.params), grad_cc(phi),
+        force = assemble_force(law.stiffness_f(phi.values, self.params),
+                               face_gradient(phi.values, self.grid),
                                mu, dw_dphi, F, self.params)
         v, q = self.stokes.solve(force)
         return SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q,
@@ -207,14 +208,14 @@ class Simulation:
 
         try:
             faces = old_level_faces(F_n, phi_n)
-            grad_phi = grad_cc(phi_n)
+            grad_phi = face_gradient(phi_n.values, g)
             transport_level = self.transport.prepare(F_n, phi_n, dt)
             f_n = transport_level.f.reshape(g.nx, g.ny)
             ch_level = self.ch.prepare(phi_n, state.phi_prev, dt)
             dw_dphi = law.neo_hookean_dphi(phi_n.values, F_n.comps, p)
             dphi_dt = None
             if p.delta > 0.0:
-                dphi_dt = ScalarField(g, (phi_n.values - state.phi_prev.values) / dt)
+                dphi_dt = (phi_n.values - state.phi_prev.values) / dt
             mu_force = static_chemical_potential(phi_n, dw_dphi, p, dphi_dt=dphi_dt)
             F_force = F_n
 
@@ -276,7 +277,10 @@ class Simulation:
         cfg = self.cfg
         t0 = _time.perf_counter()
         outdir = Path(cfg.output.directory)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot create output directory {outdir}: {exc}") from exc
 
         state = self.initial_state()
         streak = self._streak0
@@ -344,9 +348,9 @@ class Simulation:
 
                 if rows is not None:
                     rows.append(row)
-                if accepted % cfg.output.diagnostics_every == 0:
+                if state.step_index % cfg.output.diagnostics_every == 0:
                     csv.write(row.csv_line() + "\n")
-                if cfg.output.snapshot_every and accepted % cfg.output.snapshot_every == 0:
+                if cfg.output.snapshot_every and state.step_index % cfg.output.snapshot_every == 0:
                     checkpoint()
             if written != (state.step_index, dt, streak):
                 checkpoint()

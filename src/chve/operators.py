@@ -1,19 +1,20 @@
 """Staggered-grid finite-difference operators with the solver's boundary
 conditions.
 
-Layout conventions follow :mod:`chve.grid`.  The operators are built so the
-discrete adjointness
+Layout conventions follow :mod:`chve.grid`.  The operators trade plain arrays
+(face data as an ``(on_xfaces, on_yfaces)`` pair) and take a velocity, which
+is state, as its field.  The discrete adjointness
 
-    <grad_cc(phi), v>_faces = -<phi, div_fc(v)>_cells
+    <face_gradient(p), (u, w)>_faces = -<p, face_divergence(u, w)>_cells
 
-holds exactly (to rounding) for any phi and any no-slip v, with both inner
+holds exactly (to rounding) for any p and no-slip (u, w), with both inner
 products weighted by the cell area hx*hy.  That identity is what turns the
 telescoping flux sums into exact mass conservation downstream, so every
 reduction here keeps a fixed summation order.
 
 Boundary conditions baked in:
 
-* ``grad_cc`` puts 0 on boundary-normal faces (homogeneous Neumann);
+* ``face_gradient`` puts 0 on boundary-normal faces (homogeneous Neumann);
 * ``laplacian_matrix`` is a conservative flux form; its rows sum to 0;
 * ``node_shear_gradients``, and through it ``velocity_gradient`` and
   ``vector_laplacian``, use reflected ghost values (v = 0 on walls);
@@ -29,7 +30,7 @@ Boundary conditions baked in:
   not check it: the driver admits each velocity by :func:`solenoidal_residual`.
 
 :func:`laplacian_matrix` assembles the zero-flux Laplacian div(coeff grad .),
-which for coeff = 1 is ``div_fc(grad_cc(.))``,
+which for coeff = 1 is ``face_divergence(*face_gradient(.))``,
 :func:`laplacian_eigenvalues` gives its eigenvalues on the DCT-II basis, and
 :func:`dct_diagonal` applies any function of them (the Cahn-Hilliard
 preconditioner and the pressure solve).
@@ -42,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dctn, idctn
 
-from .grid import GridSpec, PreconditionError, ScalarField, StaggeredVectorField, TensorField
+from .grid import GridSpec, PreconditionError, ScalarField, StaggeredVectorField
 
 
 # ---------------------------------------------------------------------------
@@ -59,16 +60,9 @@ def face_gradient(p: np.ndarray, grid: GridSpec):
     return gu, gw
 
 
-def grad_cc(phi: ScalarField) -> StaggeredVectorField:
-    """Two-point gradient of a cell field onto faces; boundary faces get 0."""
-    return StaggeredVectorField(phi.grid, *face_gradient(phi.values, phi.grid))
-
-
-def div_fc(v: StaggeredVectorField) -> ScalarField:
-    """Conservative flux divergence of a face field onto cells."""
-    g = v.grid
-    d = (v.u[1:, :] - v.u[:-1, :]) / g.hx + (v.w[:, 1:] - v.w[:, :-1]) / g.hy
-    return ScalarField(g, d)
+def face_divergence(fx: np.ndarray, fy: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Conservative flux divergence onto cells of face data (fx, fy)."""
+    return (fx[1:, :] - fx[:-1, :]) / grid.hx + (fy[:, 1:] - fy[:, :-1]) / grid.hy
 
 
 # A velocity counts as solenoidal when max|div v| <= DIV_RTOL max(|v|, 1) / min(h):
@@ -79,20 +73,18 @@ DIV_RTOL = 1e-10
 def solenoidal_residual(v: StaggeredVectorField) -> tuple[float, float]:
     """(max |div v|, the largest value that still counts as solenoidal)."""
     g = v.grid
-    return (float(np.max(np.abs(div_fc(v).values))),
+    return (float(np.max(np.abs(face_divergence(v.u, v.w, g)))),
             DIV_RTOL * max(v.max_abs(), 1.0) / min(g.hx, g.hy))
 
 
-def face_average(phi: ScalarField):
-    """Arithmetic average of a cell scalar onto interior faces.
+def face_average(p: np.ndarray, grid: GridSpec):
+    """Arithmetic average of cell data p onto interior faces.
 
     Returns (on_xfaces, on_yfaces) with boundary faces set to 0; used for
     variable coefficients and for face-sampling scalar prefactors.
     """
-    g = phi.grid
-    p = phi.values
-    ax = np.zeros((g.nx + 1, g.ny))
-    ay = np.zeros((g.nx, g.ny + 1))
+    ax = np.zeros((grid.nx + 1, grid.ny))
+    ay = np.zeros((grid.nx, grid.ny + 1))
     ax[1:-1, :] = 0.5 * (p[1:, :] + p[:-1, :])
     ay[:, 1:-1] = 0.5 * (p[:, 1:] + p[:, :-1])
     return ax, ay
@@ -110,7 +102,7 @@ def laplacian_matrix(grid: GridSpec, coeff: np.ndarray | None = None) -> sp.csr_
     coeff = ScalarField(grid, np.ones((nx, ny)) if coeff is None else coeff)
     if np.min(coeff.values) <= 0.0:
         raise PreconditionError("laplacian coefficient must be strictly positive")
-    ax, ay = face_average(coeff)
+    ax, ay = face_average(coeff.values, grid)
     wx = ax[1:-1, :] * (1.0 / (hx * hx))   # face between (i, j) and (i+1, j)
     wy = ay[:, 1:-1] * (1.0 / (hy * hy))   # face between (i, j) and (i, j+1)
 
@@ -188,13 +180,14 @@ def _corner_average(p: np.ndarray) -> np.ndarray:
     return 0.25 * (p[:-1, :-1] + p[1:, :-1] + p[:-1, 1:] + p[1:, 1:])
 
 
-def velocity_gradient(v: StaggeredVectorField) -> TensorField:
-    """All four components of grad v interpolated to cell centers.
+def velocity_gradient(v: StaggeredVectorField) -> np.ndarray:
+    """All four components of grad v interpolated to cell centers, shape
+    (nx, ny, 2, 2).
 
     Diagonal entries are native face differences; off-diagonal entries are
     corner (node) differences averaged to the cell, with reflected ghost
-    values enforcing v = 0 on the walls.  trace(output) equals div_fc(v)
-    exactly.
+    values enforcing v = 0 on the walls.  trace(output) equals
+    face_divergence(v.u, v.w) exactly.
     """
     g = v.grid
     nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
@@ -205,12 +198,7 @@ def velocity_gradient(v: StaggeredVectorField) -> TensorField:
     dudy = _corner_average(dudy_n)
     dwdx = _corner_average(dwdx_n)
 
-    c = np.empty((nx, ny, 2, 2))
-    c[:, :, 0, 0] = dudx
-    c[:, :, 0, 1] = dudy
-    c[:, :, 1, 0] = dwdx
-    c[:, :, 1, 1] = dwdy
-    return TensorField(g, c)
+    return np.stack((dudx, dudy, dwdx, dwdy), axis=-1).reshape(nx, ny, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +276,18 @@ def advect_upwind(v: StaggeredVectorField, faces) -> np.ndarray:
     return out
 
 
-def advect_scalar(v: StaggeredVectorField, phi: ScalarField) -> ScalarField:
-    """Conservative approximation of v . grad(phi) for solenoidal v.
+def advect_scalar(v: StaggeredVectorField, phi: np.ndarray) -> np.ndarray:
+    """Conservative approximation of v . grad(phi) for solenoidal v and
+    cell data phi.
 
     Flux form div(v phi), equal to v . grad(phi) only if div v = 0 (not
     checked here); its cell-area sum telescopes to the (zero) boundary
     flux for any no-slip v, regardless of the face reconstruction.
     """
-    return ScalarField(v.grid, advect_upwind(v, upwind_candidates(phi.values)))
+    return advect_upwind(v, upwind_candidates(phi))
 
 
-def advect_tensor(v: StaggeredVectorField, F: TensorField) -> TensorField:
-    """Componentwise div(v F), i.e. (v . grad) F for solenoidal v (unchecked)."""
-    return TensorField(v.grid, advect_upwind(v, upwind_candidates(F.comps)))
+def advect_tensor(v: StaggeredVectorField, F: np.ndarray) -> np.ndarray:
+    """Componentwise div(v F) of cell tensors F, shape (nx, ny, d, d), i.e.
+    (v . grad) F for solenoidal v (unchecked)."""
+    return advect_upwind(v, upwind_candidates(F))

@@ -11,8 +11,9 @@ The momentum balance has no inertia: the velocity is slaved to the current
 On the MAC grid the velocity block is A = -nu Delta_h, Delta_h the vector
 Laplacian of :mod:`chve.operators` (Dirichlet on boundary-normal faces,
 reflected ghosts for the tangential component), and the pressure gradient
-is G = grad_cc (G^T = -div_fc).  Every stencil comes from there; this
-module solves A v + G q = f, G^T v = 0 exactly, assembling nothing:
+is G = face_gradient (G^T = -face_divergence).  Every stencil comes from
+there; this module solves A v + G q = f, G^T v = 0 exactly on face arrays,
+assembling nothing:
 
 * With no-slip walls the discretely divergence-free fields are exactly the
   curls v = C psi of stream functions on the interior nodes (psi = 0 on the
@@ -51,8 +52,9 @@ from . import constitutive as law
 from .errors import TOL_LIN, SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
-from .operators import (_corner_average, dct_diagonal, div_fc, face_average, grad_cc,
-                        laplacian_eigenvalues, node_shear_gradients, vector_laplacian)
+from .operators import (_corner_average, dct_diagonal, face_average, face_divergence,
+                        face_gradient, laplacian_eigenvalues, node_shear_gradients,
+                        vector_laplacian)
 
 
 def _dst_basis(n: int, h: float):
@@ -168,12 +170,12 @@ class StokesSolver:
         g = self.grid
         v = self._velocity(force)
         lu, lw = vector_laplacian(v)
-        r = StaggeredVectorField(g, force.u + self.nu * lu, force.w + self.nu * lw)
-        q = dct_diagonal(-div_fc(r).values, self._q_inv)
+        ru, rw = force.u + self.nu * lu, force.w + self.nu * lw
+        q = dct_diagonal(-face_divergence(ru, rw, g), self._q_inv)
         q = ScalarField(g, q - q.mean())
 
-        gq = grad_cc(q)
-        res = _norm(r.u - gq.u, r.w - gq.w)
+        gu, gw = face_gradient(q.values, g)
+        res = _norm(ru - gu, rw - gw)
         bound = TOL_LIN * _norm(force.u, force.w)
         if not res <= bound:
             raise SolverError(f"stokes residual {res:.3e} > {TOL_LIN:.1e} * |f| "
@@ -181,8 +183,9 @@ class StokesSolver:
         return v, q
 
 
-def elastic_force(f: np.ndarray, F: TensorField, params: ModelParams) -> StaggeredVectorField:
-    """Conservative face divergence of the cell stress c f F F^T, f = f(phi).
+def elastic_force(f: np.ndarray, F: TensorField, params: ModelParams):
+    """Conservative face divergence of the cell stress c f F F^T, f = f(phi),
+    as (on_xfaces, on_yfaces) with boundary faces 0.
 
     Diagonal stress components difference natively onto faces; the shear
     component is averaged to nodes first (one-sided at walls) so that the
@@ -197,27 +200,29 @@ def elastic_force(f: np.ndarray, F: TensorField, params: ModelParams) -> Stagger
                    + (Sxy_n[1:-1, 1:] - Sxy_n[1:-1, :-1]) / g.hy)
     fw[:, 1:-1] = ((Sxy_n[1:, 1:-1] - Sxy_n[:-1, 1:-1]) / g.hx
                    + (S[:, 1:, 1, 1] - S[:, :-1, 1, 1]) / g.hy)
-    return StaggeredVectorField(g, fu, fw)
+    return fu, fw
 
 
-def assemble_force(f: np.ndarray, grad_phi: StaggeredVectorField, mu: ScalarField,
+def assemble_force(f: np.ndarray, grad_phi, mu: ScalarField,
                    dw_dphi: np.ndarray, F: TensorField,
                    params: ModelParams) -> StaggeredVectorField:
     """Right-hand side of the momentum balance sampled on faces.
 
     The capillary part mu grad(phi) and the coupling part
     -(c/2) f'(phi)(F:F-d) grad(phi) multiply face-averaged cell scalars
-    with grad_phi = grad_cc(phi); dw_dphi is (c/2) f'(phi)(F:F-d)
-    (:func:`chve.constitutive.neo_hookean_dphi`).  The elastic part is the
-    conservative divergence of the cell stress c f F F^T, f = f(phi).  The
-    caller computes grad_phi, f and dw_dphi once and shares them: grad_phi
-    and f with every force of a step, dw_dphi with the chemical potential
-    of the same F.  Boundary faces carry 0, because face_average, grad_cc
-    and elastic_force all leave them at 0.
+    with the face pair grad_phi = face_gradient(phi); dw_dphi is
+    (c/2) f'(phi)(F:F-d) (:func:`chve.constitutive.neo_hookean_dphi`).
+    The elastic part is the conservative divergence of the cell stress
+    c f F F^T, f = f(phi).  The caller computes grad_phi, f and dw_dphi
+    once and shares them: grad_phi and f with every force of a step,
+    dw_dphi with the chemical potential of the same F.  Boundary faces
+    carry 0, because face_average, face_gradient and elastic_force all
+    leave them at 0.  The returned field is the one check that the force
+    is finite.
     """
-    if not (grad_phi.grid == mu.grid == F.grid):
+    if mu.grid != F.grid:
         raise PreconditionError("force inputs must share one grid")
     g = mu.grid
-    cx, cy = face_average(ScalarField(g, mu.values - dw_dphi))
-    el = elastic_force(f, F, params)
-    return StaggeredVectorField(g, cx * grad_phi.u + el.u, cy * grad_phi.w + el.w)
+    cx, cy = face_average(mu.values - dw_dphi, g)
+    eu, ew = elastic_force(f, F, params)
+    return StaggeredVectorField(g, cx * grad_phi[0] + eu, cy * grad_phi[1] + ew)

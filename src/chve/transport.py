@@ -104,7 +104,7 @@ class TransportSystem:
         g = self.grid
         lam = self.params.lam
         F_n, dt = level.F_n, level.dt
-        stretch = velocity_gradient(v).comps @ F_n.comps
+        stretch = velocity_gradient(v) @ F_n.comps
         rhs = level.F_dt - adv + stretch
 
         if lam == 0.0:

@@ -196,31 +196,30 @@ def dense_oracle_compare(grid: GridSpec, n_fields: int = 50, seed: int = 0) -> d
     dev_grad = dev_div = dev_lap = dev_lapc = adj = 0.0
     for _ in range(n_fields):
         p = rng.standard_normal((nx, ny))
-        phi = ScalarField(grid, p)
-        gv = ops.grad_cc(phi)
+        gu, gw = ops.face_gradient(p, grid)
         ref = oracle.Gx @ p.ravel()
-        dev_grad = max(dev_grad, float(np.max(np.abs(gv.u.ravel() - ref))))
+        dev_grad = max(dev_grad, float(np.max(np.abs(gu.ravel() - ref))))
         ref = oracle.Gy @ p.ravel()
-        dev_grad = max(dev_grad, float(np.max(np.abs(gv.w.ravel() - ref))))
+        dev_grad = max(dev_grad, float(np.max(np.abs(gw.ravel() - ref))))
 
         u = np.zeros((nx + 1, ny))
         w = np.zeros((nx, ny + 1))
         u[1:-1, :] = rng.standard_normal((nx - 1, ny))
         w[:, 1:-1] = rng.standard_normal((nx, ny - 1))
-        v = StaggeredVectorField(grid, u, w)
+        div = ops.face_divergence(u, w, grid)
         ref = oracle.D @ np.concatenate([u.ravel(), w.ravel()])
-        dev_div = max(dev_div, float(np.max(np.abs(ops.div_fc(v).values.ravel() - ref))))
+        dev_div = max(dev_div, float(np.max(np.abs(div.ravel() - ref))))
 
         dev_lap = max(dev_lap, float(np.max(np.abs(
-            ops.div_fc(gv).values.ravel() - oracle.L @ p.ravel()))))
+            ops.face_divergence(gu, gw, grid).ravel() - oracle.L @ p.ravel()))))
         coeff = 1.0 + rng.random((nx, ny))
         Lc = oracle.laplacian_with_coeff(coeff)
         dev_lapc = max(dev_lapc, float(np.max(np.abs(
             ops.laplacian_matrix(grid, coeff) @ p.ravel() - Lc @ p.ravel()))))
 
         # adjointness <grad p, v> = -<p, div v>
-        lhs = float(np.sum(gv.u * u) + np.sum(gv.w * w)) * grid.cell_area
-        rhs = -float(np.sum(p * ops.div_fc(v).values)) * grid.cell_area
+        lhs = float(np.sum(gu * u) + np.sum(gw * w)) * grid.cell_area
+        rhs = -float(np.sum(p * div)) * grid.cell_area
         adj = max(adj, abs(lhs - rhs))
 
     evals = np.linalg.eigvalsh(0.5 * (oracle.L + oracle.L.T))
@@ -438,24 +437,25 @@ def stokes_mms(levels=(32, 64, 128), nu: float = 1.0) -> dict:
 # capillary-force identity
 
 
-def korteweg_force(phi: ScalarField, params: ModelParams) -> StaggeredVectorField:
-    """Stress form -eps * div(grad phi x grad phi) on faces.
+def korteweg_force(phi: ScalarField, params: ModelParams):
+    """Stress form -eps * div(grad phi x grad phi) on faces, as (on_xfaces,
+    on_yfaces).
 
     Tensor components are reconstructed from face gradients: diagonal
     entries as two-face averages at cells, the off-diagonal entry at nodes.
     """
     g = phi.grid
-    gp = ops.grad_cc(phi)
-    txx = 0.5 * (gp.u[1:, :] ** 2 + gp.u[:-1, :] ** 2)
-    tyy = 0.5 * (gp.w[:, 1:] ** 2 + gp.w[:, :-1] ** 2)
+    gu, gw = ops.face_gradient(phi.values, g)
+    txx = 0.5 * (gu[1:, :] ** 2 + gu[:-1, :] ** 2)
+    tyy = 0.5 * (gw[:, 1:] ** 2 + gw[:, :-1] ** 2)
     gu_n = np.zeros((g.nx + 1, g.ny + 1))
-    gu_n[:, 1:-1] = 0.5 * (gp.u[:, 1:] + gp.u[:, :-1])
-    gu_n[:, 0] = gp.u[:, 0]
-    gu_n[:, -1] = gp.u[:, -1]
+    gu_n[:, 1:-1] = 0.5 * (gu[:, 1:] + gu[:, :-1])
+    gu_n[:, 0] = gu[:, 0]
+    gu_n[:, -1] = gu[:, -1]
     gw_n = np.zeros((g.nx + 1, g.ny + 1))
-    gw_n[1:-1, :] = 0.5 * (gp.w[1:, :] + gp.w[:-1, :])
-    gw_n[0, :] = gp.w[0, :]
-    gw_n[-1, :] = gp.w[-1, :]
+    gw_n[1:-1, :] = 0.5 * (gw[1:, :] + gw[:-1, :])
+    gw_n[0, :] = gw[0, :]
+    gw_n[-1, :] = gw[-1, :]
     txy_n = gu_n * gw_n
 
     fu = np.zeros((g.nx + 1, g.ny))
@@ -464,7 +464,7 @@ def korteweg_force(phi: ScalarField, params: ModelParams) -> StaggeredVectorFiel
                                  + (txy_n[1:-1, 1:] - txy_n[1:-1, :-1]) / g.hy)
     fw[:, 1:-1] = -params.eps * ((txy_n[1:, 1:-1] - txy_n[:-1, 1:-1]) / g.hx
                                  + (tyy[:, 1:] - tyy[:, :-1]) / g.hy)
-    return StaggeredVectorField(g, fu, fw)
+    return fu, fw
 
 
 def korteweg_identity_check(phi: ScalarField, F: TensorField,
@@ -476,10 +476,11 @@ def korteweg_identity_check(phi: ScalarField, F: TensorField,
     dw_dphi = law.neo_hookean_dphi(phi.values, F.comps, params)
     mu = static_chemical_potential(phi, dw_dphi, params)
     f = law.stiffness_f(phi.values, params)
-    f_mu = assemble_force(f, ops.grad_cc(phi), mu, dw_dphi, F, params)
-    el = elastic_force(f, F, params)
-    kw = korteweg_force(phi, params)
-    f_kw = StaggeredVectorField(g, kw.u + el.u, kw.w + el.w)
+    gu, gw = ops.face_gradient(phi.values, g)
+    f_mu = assemble_force(f, (gu, gw), mu, dw_dphi, F, params)
+    eu, ew = elastic_force(f, F, params)
+    ku, kw = korteweg_force(phi, params)
+    f_kw = StaggeredVectorField(g, ku + eu, kw + ew)
 
     solver = StokesSolver(g, params.nu)
     v_mu, q_mu = solver.solve(f_mu)
@@ -487,9 +488,8 @@ def korteweg_identity_check(phi: ScalarField, F: TensorField,
     v_diff = max(float(np.max(np.abs(v_mu.u - v_kw.u))),
                  float(np.max(np.abs(v_mu.w - v_kw.w))))
 
-    gp = ops.grad_cc(phi)
-    eta = (0.5 * (gp.u[1:, :] ** 2 + gp.u[:-1, :] ** 2)
-           + 0.5 * (gp.w[:, 1:] ** 2 + gp.w[:, :-1] ** 2))
+    eta = (0.5 * (gu[1:, :] ** 2 + gu[:-1, :] ** 2)
+           + 0.5 * (gw[:, 1:] ** 2 + gw[:, :-1] ** 2))
     potential = (0.5 * params.eps * eta + law.psi(phi.values) / params.eps
                  + law.neo_hookean_w(phi.values, F.comps, params))
     potential = potential - potential.mean()
@@ -536,7 +536,7 @@ def det_transport_deviation(n: int, dt: float, t_end: float, lam: float,
     system = TransportSystem(g, p, ops.laplacian_matrix(g))
     nsteps = int(round(t_end / dt))
     for _ in range(nsteps):
-        F = system.step(system.prepare(F, phi, dt), v, ops.advect_tensor(v, F).comps)
+        F = system.step(system.prepare(F, phi, dt), v, ops.advect_tensor(v, F.comps))
     return float(np.max(np.abs(determinant(F.comps) - 1.0)))
 
 

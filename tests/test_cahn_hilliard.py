@@ -21,7 +21,7 @@ def _step(system, phi, F, v, dt, initial_guess=None):
     the level of (phi, dt), dw/dphi at F and the advection of phi."""
     return system.step(system.prepare(phi, phi, dt),
                        law.neo_hookean_dphi(phi.values, F.comps, system.params),
-                       advect_scalar(v, phi).values, initial_guess=initial_guess)
+                       advect_scalar(v, phi.values), initial_guess=initial_guess)
 
 
 def test_static_mu_vanishes_at_well(grid16, params):
@@ -42,7 +42,7 @@ def test_static_mu_uniform_values(grid16):
 def test_static_mu_includes_viscous_term(grid16):
     params = ModelParams(delta=0.3)
     F = TensorField.identity(grid16)
-    rate = ScalarField.uniform(grid16, 2.0)
+    rate = np.full((16, 16), 2.0)
     mu = _mu(ScalarField.uniform(grid16, 1.0), F, params, dphi_dt=rate)
     assert np.allclose(mu.values, 0.3 * 2.0)
 

@@ -79,6 +79,17 @@ def test_run_invalid_override_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_uncreatable_output_dir_exit_2(tmp_path, capsys):
+    # a regular file where a parent directory should be is invalid input
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("PLACEHOLDER", str(tmp_path / "out")))
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    assert main(["run", str(cfg), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"validation error: cannot create output directory {out}" in err
+
+
 def _run_with(tmp_path, section, key, value):
     """chve run on CONFIG with `key = value` set in [section]."""
     text = CONFIG.replace("PLACEHOLDER", str(tmp_path / "out"))

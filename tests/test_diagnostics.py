@@ -53,7 +53,7 @@ def test_dissipation_zero_on_uniform_state(grid16, params):
                            ScalarField.uniform(grid16, 0.7),
                            ScalarField.uniform(grid16, 0.2),
                            TensorField.identity(grid16),
-                           ScalarField.uniform(grid16, 0.0), params)
+                           np.zeros((16, 16)), params)
     assert out == 0.0
 
 
@@ -66,7 +66,7 @@ def test_dissipation_nonnegative_random(grid16, rng, params):
             v, ScalarField(grid16, rng.standard_normal((16, 16))),
             ScalarField(grid16, rng.uniform(-1, 1, (16, 16))),
             TensorField(grid16, rng.standard_normal((16, 16, 2, 2))),
-            ScalarField(grid16, rng.standard_normal((16, 16))),
+            rng.standard_normal((16, 16)),
             ModelParams(lam=0.01, delta=0.1))
         assert out >= 0.0
 

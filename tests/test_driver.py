@@ -307,6 +307,28 @@ def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
         assert n == {"faces": 1, "advect": sweeps, "dw_dphi": sweeps + 1}
 
 
+def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):
+    # over 10 PICARD8-style steps each sweep builds six fields (the force
+    # that the Stokes solve validates, v, q, F_new, phi_new and mu_new) and
+    # the first sweep's static mu one more; every stencil trades arrays
+    built = []
+    for cls in (ScalarField, StaggeredVectorField, TensorField):
+        def counted(self, real=cls.__post_init__):
+            built.append(type(self).__name__)
+            real(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    cfg = spinodal_config(tmp_path, picard_max=8, picard_tol=1e-10)
+    sim = Simulation(cfg)
+    state = sim.initial_state()
+    sweeps = []
+    for _ in range(10):
+        built.clear()
+        state, stats = sim.coupled_step(state, cfg.time.dt0)
+        assert len(built) == 6 * stats.picard_iters + 1, built
+        sweeps.append(stats.picard_iters)
+    assert max(sweeps) > 2
+
+
 def _signed_zero_faces_velocity(grid, rng):
     """Random stream-function velocity whose interior faces include exact
     0.0 and -0.0 normal velocities, on both axes."""
@@ -331,7 +353,7 @@ def test_sweep_advection_is_bitwise_advect_tensor_and_scalar(nx, ny, ly):
     phi = ScalarField(grid, rng.uniform(-1.0, 1.0, (nx, ny)))
     F = TensorField(grid, rng.standard_normal((nx, ny, 2, 2)))
     adv_F, adv_phi = sweep_advection(v, old_level_faces(F, phi), F.d)
-    ref_F, ref_phi = advect_tensor(v, F).comps, advect_scalar(v, phi).values
+    ref_F, ref_phi = advect_tensor(v, F.comps), advect_scalar(v, phi.values)
     assert adv_F.shape == ref_F.shape and adv_phi.shape == ref_phi.shape
     for a in range(2):
         for b in range(2):
@@ -367,7 +389,7 @@ def test_budget_residual_equals_reference_formula(tmp_path, monkeypatch):
         # the budget written out inline, with both energies evaluated afresh
         e_old = total_energy(state_n.phi, state_n.F, cfg.params).total
         e_new = total_energy(state_np1.phi, state_np1.F, cfg.params).total
-        dphi_dt = ScalarField(cfg.grid, (state_np1.phi.values - state_n.phi.values) / dt)
+        dphi_dt = (state_np1.phi.values - state_n.phi.values) / dt
         d_new = dissipation(state_np1.v, state_np1.mu, state_np1.phi, state_np1.F,
                             dphi_dt, cfg.params)
         ref = (d_new, (e_new - e_old) / dt + d_new)
@@ -552,6 +574,30 @@ def test_each_state_checkpointed_once(tmp_path, monkeypatch, kw, steps):
     Simulation(spinodal_config(tmp_path, **kw)).run()
     assert snaps == steps
     assert [step for step, _ in restarts] == steps
+
+
+def test_resumed_run_keeps_the_output_cadences(tmp_path, monkeypatch):
+    # diagnostics_every and snapshot_every count step indices, so a run
+    # stopped at step 6 and resumed into its own directory writes its rows
+    # and snapshots at the steps of the uninterrupted run
+    from dataclasses import replace
+
+    def config(name, **kw):
+        cfg = spinodal_config(tmp_path, name=name, t_end=0.0024, snapshot_every=4, **kw)
+        return replace(cfg, output=replace(cfg.output, diagnostics_every=4))
+
+    snaps, _ = _record_checkpoints(monkeypatch)
+    simulate(config("full"))
+    assert snaps == [0, 4, 8, 12]
+    simulate(config("run", max_steps=6))
+    cfg = config("run")
+    restart = str(tmp_path / "run" / "restart_00000006.chv")
+    snaps.clear()
+    simulate(replace(cfg, initial=replace(cfg.initial, restart_file=restart)))
+    assert snaps == [8, 12]
+    csv = (tmp_path / "run" / "diagnostics.csv").read_bytes()
+    assert csv == (tmp_path / "full" / "diagnostics.csv").read_bytes()
+    assert [line.split(b",")[0] for line in csv.splitlines()[1:]] == [b"4", b"8", b"12"]
 
 
 def test_final_checkpoint_after_dt_underflow_carries_halved_dt(tmp_path, monkeypatch):

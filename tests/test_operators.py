@@ -4,8 +4,7 @@ from scipy.fft import dct
 from scipy.integrate import solve_ivp
 
 from chve import operators as ops
-from chve.grid import (GridSpec, PreconditionError, ScalarField,
-                       StaggeredVectorField, TensorField)
+from chve.grid import GridSpec, PreconditionError, StaggeredVectorField
 
 
 def random_noslip(grid, rng):
@@ -26,39 +25,42 @@ def random_solenoidal(grid, rng):
 # gradient / divergence
 
 
+def laplacian(p, grid):
+    return ops.face_divergence(*ops.face_gradient(p, grid), grid)
+
+
 def test_grad_of_constant_is_zero(grid8):
-    g = ops.grad_cc(ScalarField.uniform(grid8, 3.7))
-    assert np.all(g.u == 0.0) and np.all(g.w == 0.0)
+    gu, gw = ops.face_gradient(np.full((8, 8), 3.7), grid8)
+    assert np.all(gu == 0.0) and np.all(gw == 0.0)
 
 
 def test_grad_exact_on_linear_interior():
     grid = GridSpec(8, 8, 2.0, 1.0)
     X, _ = grid.cell_centers()
-    g = ops.grad_cc(ScalarField(grid, X))
-    assert np.allclose(g.u[1:-1, :], 1.0, atol=1e-13)
-    assert np.all(g.w == 0.0)
+    gu, gw = ops.face_gradient(X, grid)
+    assert np.allclose(gu[1:-1, :], 1.0, atol=1e-13)
+    assert np.all(gw == 0.0)
 
 
 def test_div_of_grad_constant(grid8):
-    v = ops.grad_cc(ScalarField.uniform(grid8, 1.0))
-    assert np.all(ops.div_fc(v).values == 0.0)
+    assert np.all(laplacian(np.ones((8, 8)), grid8) == 0.0)
 
 
 def test_adjointness_exact(grid16, rng):
     a = grid16.cell_area
     for _ in range(20):
-        phi = ScalarField(grid16, rng.standard_normal((16, 16)))
+        p = rng.standard_normal((16, 16))
         v = random_noslip(grid16, rng)
-        g = ops.grad_cc(phi)
-        lhs = (np.sum(g.u * v.u) + np.sum(g.w * v.w)) * a
-        rhs = -np.sum(phi.values * ops.div_fc(v).values) * a
+        gu, gw = ops.face_gradient(p, grid16)
+        lhs = (np.sum(gu * v.u) + np.sum(gw * v.w)) * a
+        rhs = -np.sum(p * ops.face_divergence(v.u, v.w, grid16)) * a
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
 
 def test_divergence_sums_to_zero(grid16, rng):
     for _ in range(10):
         v = random_noslip(grid16, rng)
-        total = np.sum(ops.div_fc(v).values) * grid16.cell_area
+        total = np.sum(ops.face_divergence(v.u, v.w, grid16)) * grid16.cell_area
         assert abs(total) <= 1e-13
 
 
@@ -67,8 +69,8 @@ def test_divergence_sums_to_zero(grid16, rng):
 
 
 def test_laplacian_constant(grid8):
-    out = ops.div_fc(ops.grad_cc(ScalarField.uniform(grid8, 2.0)))
-    assert np.max(np.abs(out.values)) <= 1e-12
+    out = laplacian(np.full((8, 8), 2.0), grid8)
+    assert np.max(np.abs(out)) <= 1e-12
 
 
 def test_laplacian_cosine_richardson():
@@ -78,7 +80,7 @@ def test_laplacian_cosine_richardson():
         grid = GridSpec(n, n, 2.0, 1.0)
         X, _ = grid.cell_centers()
         phi = np.cos(np.pi * X / grid.lx)
-        out = ops.div_fc(ops.grad_cc(ScalarField(grid, phi))).values
+        out = laplacian(phi, grid)
         ref = -(np.pi / grid.lx) ** 2 * phi
         errs.append(np.max(np.abs(out - ref)))
     assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -108,8 +110,7 @@ def test_assembled_matrices_match_matrix_free(grid8, rng):
     L = ops.laplacian_matrix(grid8)
     for _ in range(20):
         p = rng.standard_normal((8, 8))
-        phi = ScalarField(grid8, p)
-        close(L @ p.ravel(), ops.div_fc(ops.grad_cc(phi)).values.ravel())
+        close(L @ p.ravel(), laplacian(p, grid8).ravel())
 
 
 def test_laplacian_eigenvalues_diagonalize_matrix():
@@ -179,7 +180,7 @@ def test_laplacian_matrix_equals_loop_assembly(rng, shape):
 
 def test_velocity_gradient_zero(grid8):
     gv = ops.velocity_gradient(StaggeredVectorField.zeros(grid8))
-    assert np.all(gv.comps == 0.0)
+    assert gv.shape == (8, 8, 2, 2) and np.all(gv == 0.0)
 
 
 def test_velocity_gradient_interior_shear_constant():
@@ -191,7 +192,7 @@ def test_velocity_gradient_interior_shear_constant():
     u[0, :] = u[-1, :] = 0.0
     v = StaggeredVectorField(grid, u, np.zeros((32, 33)))
     gv = ops.velocity_gradient(v)
-    core = gv.comps[4:-4, 14:18]
+    core = gv[4:-4, 14:18]
     assert np.max(np.abs(core[:, :, 0, 1] - 2.0)) <= 1e-12
     assert np.max(np.abs(core[:, :, 0, 0])) <= 1e-12
     assert np.max(np.abs(core[:, :, 1, 0])) <= 1e-12
@@ -216,8 +217,8 @@ def test_velocity_gradient_smooth_convergence():
         v = StaggeredVectorField(grid, u, np.zeros((n, n + 1)))
         gv = ops.velocity_gradient(v)
         Xc, Yc = grid.cell_centers()
-        e = max(np.max(np.abs(gv.comps[:, :, 0, 0] - bump_prime(Xc) * bump(Yc))),
-                np.max(np.abs(gv.comps[:, :, 0, 1] - bump(Xc) * bump_prime(Yc))))
+        e = max(np.max(np.abs(gv[:, :, 0, 0] - bump_prime(Xc) * bump(Yc))),
+                np.max(np.abs(gv[:, :, 0, 1] - bump(Xc) * bump_prime(Yc))))
         errs.append(e)
     assert errs[0] / errs[1] >= 3.0  # second order
 
@@ -225,8 +226,8 @@ def test_velocity_gradient_smooth_convergence():
 def test_velocity_gradient_trace_equals_divergence(grid16, rng):
     v = random_noslip(grid16, rng)
     gv = ops.velocity_gradient(v)
-    tr = gv.comps[:, :, 0, 0] + gv.comps[:, :, 1, 1]
-    assert np.max(np.abs(tr - ops.div_fc(v).values)) <= 1e-12
+    tr = gv[:, :, 0, 0] + gv[:, :, 1, 1]
+    assert np.max(np.abs(tr - ops.face_divergence(v.u, v.w, grid16))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -235,27 +236,26 @@ def test_velocity_gradient_trace_equals_divergence(grid16, rng):
 
 def test_advect_constant_field_is_zero(grid16, rng):
     v = random_solenoidal(grid16, rng)
-    out = ops.advect_scalar(v, ScalarField.uniform(grid16, 0.8))
-    assert np.max(np.abs(out.values)) <= 1e-12
+    out = ops.advect_scalar(v, np.full((16, 16), 0.8))
+    assert np.max(np.abs(out)) <= 1e-12
 
 
 def test_advect_conserves_cell_sum(grid16, rng):
     for _ in range(10):
         v = random_solenoidal(grid16, rng)
-        phi = ScalarField(grid16, rng.standard_normal((16, 16)))
-        total = np.sum(ops.advect_scalar(v, phi).values) * grid16.cell_area
+        phi = rng.standard_normal((16, 16))
+        total = np.sum(ops.advect_scalar(v, phi)) * grid16.cell_area
         assert abs(total) <= 1e-12
 
 
 def test_advect_tensor_matches_scalar_per_component(grid16, rng):
     v = random_solenoidal(grid16, rng)
     comps = rng.standard_normal((16, 16, 2, 2))
-    F = TensorField(grid16, comps)
-    out = ops.advect_tensor(v, F)
+    out = ops.advect_tensor(v, comps)
     for a in range(2):
         for b in range(2):
-            ref = ops.advect_scalar(v, ScalarField(grid16, comps[:, :, a, b]))
-            assert np.allclose(out.comps[:, :, a, b], ref.values, atol=1e-13)
+            ref = ops.advect_scalar(v, comps[:, :, a, b])
+            assert np.allclose(out[:, :, a, b], ref, atol=1e-13)
 
 
 def _face_values_loop(q, vel):
@@ -298,13 +298,12 @@ def test_advection_matches_loop_reference(grid, rng):
     comps = rng.standard_normal((grid.nx, grid.ny, 2, 2))
     # the loop repeats the vectorized arithmetic operation for operation, so
     # the results match exactly, not just to rounding
-    out = ops.advect_tensor(v, TensorField(grid, comps)).comps
+    out = ops.advect_tensor(v, comps)
     for a in range(2):
         for b in range(2):
             ref = _advect_loop(v, comps[:, :, a, b])
             assert np.array_equal(out[:, :, a, b], ref)
-            scalar = ops.advect_scalar(v, ScalarField(grid, comps[:, :, a, b]))
-            assert np.array_equal(scalar.values, ref)
+            assert np.array_equal(ops.advect_scalar(v, comps[:, :, a, b]), ref)
 
 
 def _vortex_velocity(a=0.25, b=0.75, peak=1.0):
@@ -356,9 +355,9 @@ def test_advection_convergence_against_characteristics():
         nsteps = int(np.ceil(T * vmax / (0.4 * grid.hx)))
         dt = T / nsteps
         for _ in range(nsteps):
-            k1 = ops.advect_scalar(v, ScalarField(grid, phi)).values
+            k1 = ops.advect_scalar(v, phi)
             mid = phi - 0.5 * dt * k1
-            k2 = ops.advect_scalar(v, ScalarField(grid, mid)).values
+            k2 = ops.advect_scalar(v, mid)
             phi = phi - dt * k2
 
         # oracle: integrate cell centers backward along the flow
@@ -384,13 +383,13 @@ def test_face_product_rule(nx, ny, lx, ly, rng):
     # face_average(mu) grad(phi) + face_average(phi) grad(mu) = grad(mu phi)
     # on interior faces, to rounding; boundary faces are 0 in all three
     grid = GridSpec(nx, ny, lx, ly)
-    mu = ScalarField(grid, rng.standard_normal((nx, ny)))
-    phi = ScalarField(grid, rng.standard_normal((nx, ny)))
-    (mx, my), (px, py) = ops.face_average(mu), ops.face_average(phi)
-    gmu, gphi = ops.grad_cc(mu), ops.grad_cc(phi)
-    gprod = ops.grad_cc(ScalarField(grid, mu.values * phi.values))
-    for lhs, rhs in ((mx * gphi.u + px * gmu.u, gprod.u),
-                     (my * gphi.w + py * gmu.w, gprod.w)):
+    mu = rng.standard_normal((nx, ny))
+    phi = rng.standard_normal((nx, ny))
+    (mx, my), (px, py) = ops.face_average(mu, grid), ops.face_average(phi, grid)
+    (gmu_x, gmu_y), (gphi_x, gphi_y) = ops.face_gradient(mu, grid), ops.face_gradient(phi, grid)
+    gprod_x, gprod_y = ops.face_gradient(mu * phi, grid)
+    for lhs, rhs in ((mx * gphi_x + px * gmu_x, gprod_x),
+                     (my * gphi_y + py * gmu_y, gprod_y)):
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
 
@@ -398,11 +397,9 @@ def test_operators_are_linear(grid16, rng):
     a, b = 1.3, -0.7
     p1 = rng.standard_normal((16, 16))
     p2 = rng.standard_normal((16, 16))
-    combo = ops.div_fc(ops.grad_cc(ScalarField(grid16, a * p1 + b * p2))).values
-    parts = (a * ops.div_fc(ops.grad_cc(ScalarField(grid16, p1))).values
-             + b * ops.div_fc(ops.grad_cc(ScalarField(grid16, p2))).values)
+    combo = laplacian(a * p1 + b * p2, grid16)
+    parts = a * laplacian(p1, grid16) + b * laplacian(p2, grid16)
     assert np.max(np.abs(combo - parts)) <= 1e-11
-    g = ops.grad_cc(ScalarField(grid16, a * p1 + b * p2))
-    gp = (a * ops.grad_cc(ScalarField(grid16, p1)).u
-          + b * ops.grad_cc(ScalarField(grid16, p2)).u)
-    assert np.max(np.abs(g.u - gp)) <= 1e-12
+    gu, _ = ops.face_gradient(a * p1 + b * p2, grid16)
+    gp = a * ops.face_gradient(p1, grid16)[0] + b * ops.face_gradient(p2, grid16)[0]
+    assert np.max(np.abs(gu - gp)) <= 1e-12

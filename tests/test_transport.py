@@ -17,7 +17,7 @@ from chve.verification import det_transport_deviation, interior_vortex
 def _step(system, F, v, phi, dt):
     """One transport step as a Picard sweep takes it: the level of (F, phi,
     dt), the advection of F, then the step."""
-    return system.step(system.prepare(F, phi, dt), v, advect_tensor(v, F).comps)
+    return system.step(system.prepare(F, phi, dt), v, advect_tensor(v, F.comps))
 
 
 def test_uniform_state_is_exact_fixed_point(grid16):
@@ -75,7 +75,7 @@ def test_stretching_matches_matrix_exponential(grid16, monkeypatch):
     N explicit steps give (I + dt W)^N F0, first-order close to expm(tW)."""
     params = ModelParams(lam=0.0)
     W = np.array([[0.0, 0.8], [-0.8, 0.0]])
-    grad_v = TensorField(grid16, np.tile(W, (16, 16, 1, 1)))
+    grad_v = np.tile(W, (16, 16, 1, 1))
     monkeypatch.setattr(transport, "velocity_gradient", lambda v: grad_v)
     v = StaggeredVectorField.zeros(grid16)
     phi = ScalarField.uniform(grid16, 1.0)
@@ -132,8 +132,8 @@ def test_step_matches_direct_sparse_solve(ratio, offdiag):
 
     f = law.stiffness_f(phi.values, params)
     assert f.min() < 1.01 * params.f_min and f.max() > 0.99
-    rhs = (F.comps / dt - advect_tensor(v, F).comps
-           + np.einsum("xyik,xykj->xyij", velocity_gradient(v).comps, F.comps))
+    rhs = (F.comps / dt - advect_tensor(v, F.comps)
+           + np.einsum("xyik,xykj->xyij", velocity_gradient(v), F.comps))
     M = sp.eye(n * n) / dt - params.lam * (laplacian_matrix(grid) @ sp.diags(f.ravel()))
     ref = spla.spsolve(M.tocsc(), rhs.reshape(n * n, 4)).reshape(n, n, 2, 2)
     assert np.linalg.norm(out.comps - ref) <= 1e-10 * np.linalg.norm(ref)

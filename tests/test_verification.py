@@ -3,8 +3,7 @@ import pytest
 
 import chve.operators
 from chve import verification as ver
-from chve.grid import (GridSpec, ModelParams, ScalarField, StaggeredVectorField,
-                       TensorField)
+from chve.grid import GridSpec, ModelParams, ScalarField, TensorField
 
 
 def test_dense_oracle_grid_limit():
@@ -27,16 +26,19 @@ def test_dense_oracle_nonsquare():
     assert rep["passed"], rep
 
 
-def test_mutation_is_caught_by_dense_oracle(grid8, monkeypatch):
-    """Perturbing a stencil coefficient in the production kernels must fail
+@pytest.mark.parametrize("kernel", ["face_gradient", "face_divergence"])
+def test_mutation_is_caught_by_dense_oracle(grid8, monkeypatch, kernel):
+    """Perturbing a stencil coefficient in a kernel the step calls must fail
     the dense comparison: the oracle is genuinely independent."""
-    real = chve.operators.grad_cc
+    real = getattr(chve.operators, kernel)
 
-    def scaled(phi):
-        g = real(phi)
-        return StaggeredVectorField(g.grid, (1.0 + 1e-6) * g.u, (1.0 + 1e-6) * g.w)
+    def scaled(*args):
+        out = real(*args)
+        if isinstance(out, tuple):
+            return tuple((1.0 + 1e-6) * a for a in out)
+        return (1.0 + 1e-6) * out
 
-    monkeypatch.setattr(chve.operators, "grad_cc", scaled)
+    monkeypatch.setattr(chve.operators, kernel, scaled)
     rep = ver.dense_oracle_compare(grid8)
     assert not rep["passed"]
 
@@ -81,10 +83,10 @@ def test_fd_det_derivative_report():
 
 
 def test_interior_vortex_properties(grid16):
-    from chve.operators import div_fc
+    from chve.operators import face_divergence
     v = ver.interior_vortex(grid16, target_max=2.0)
     assert v.max_abs() == pytest.approx(2.0, rel=1e-12)
-    assert np.max(np.abs(div_fc(v).values)) <= 1e-12
+    assert np.max(np.abs(face_divergence(v.u, v.w, grid16))) <= 1e-12
     # support stays away from the walls
     assert np.all(v.u[:2, :] == 0.0) and np.all(v.u[-2:, :] == 0.0)
     assert np.all(v.w[:, :2] == 0.0) and np.all(v.w[:, -2:] == 0.0)
