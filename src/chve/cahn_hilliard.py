@@ -115,9 +115,9 @@ class CHSystem:
     tolerance.  What depends on (phi_n, phi_prev, dt) alone is built once
     per time step by :meth:`prepare` and reused by each Picard sweep's
     :meth:`step`; apart from that its DCT eigenvalues and, for constant
-    mobility, b0 L are built once.  L is the grid's zero-flux Laplacian
-    (:func:`chve.operators.laplacian_matrix`), which the caller assembles
-    and shares with the transport system.
+    mobility (b0 == b1), b0 L are built once.  L is the grid's zero-flux
+    Laplacian (:func:`chve.operators.laplacian_matrix`), which the caller
+    assembles and shares with the transport system.
     """
 
     def __init__(self, grid, params: ModelParams, L: sp.csr_matrix):
@@ -125,7 +125,7 @@ class CHSystem:
         self.params = params
         self.L = L
         self._eig = laplacian_eigenvalues(grid)  # L on the DCT-II basis
-        self._Lb = params.b0 * self.L if params.mobility_profile == "constant" else None
+        self._Lb = params.b0 * self.L if params.b0 == params.b1 else None
 
     def prepare(self, phi_n: ScalarField, phi_prev: ScalarField, dt: float) -> CHLevel:
         """The parts of a step that no velocity or deformation changes.

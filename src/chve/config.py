@@ -22,7 +22,6 @@ from .errors import ValidationError
 from .grid import GridSpec, ModelParams, PreconditionError, finite_check, require
 
 _PHI_PROFILES = ("uniform", "random-uniform", "tanh-x", "tanh-y")
-_F_PROFILES = ("identity", "cosine-stretch")
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,13 @@ class CouplingConfig:
 
 @dataclass(frozen=True)
 class InitialConfig:
+    """Initial phi profile, or the restart file to read; the initial deformation
+    is F0 = I + F_amplitude cos(pi x / lx) e1 (x) e1, the identity by default."""
     phi: str = "uniform"          # uniform | random-uniform | tanh-x | tanh-y
     phi_value: float = 0.0
     phi_amplitude: float = 0.05
     phi_width: float = 0.1
     seed: int = 0
-    F: str = "identity"           # identity | cosine-stretch
     F_amplitude: float = 0.0
     restart_file: str = ""
 
@@ -83,8 +83,8 @@ class InitialConfig:
             finite_check(self),
             (self.phi in _PHI_PROFILES,
              f"initial phi profile must be one of {_PHI_PROFILES}"),
-            (self.F in _F_PROFILES, f"initial F profile must be one of {_F_PROFILES}"),
             (self.phi_width > 0.0, "phi_width must be > 0"),
+            (self.seed >= 0, "seed must be >= 0"),
         ], ValidationError)
 
 
@@ -168,7 +168,10 @@ def parse_config(text: str) -> ConfigSpec:
 
 
 def load_config(path: str | Path) -> ConfigSpec:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path} is not UTF-8 text: {exc}") from exc
 
 
 def dump_config(cfg: ConfigSpec) -> str:

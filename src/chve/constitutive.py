@@ -9,8 +9,8 @@ through :class:`~chve.grid.ModelParams` so alternates can be swapped in:
 * stiffness    f(s) = f_min + (1-f_min) * S((s-f_lo)/(f_hi-f_lo)) with S the
   clamped cubic smoothstep, so f is C^{1,1}, bounded in [f_min, 1] and
   f' vanishes outside the window;
-* mobility     constant b0 by default, optionally the same smoothstep ramp
-  between b0 and b1.
+* mobility     b(s) = b0 + (b1-b0) * S(same argument), a ramp from b0 to b1
+  over the stiffness window; b1 = b0 gives the constant mobility b0 exactly.
 
 The elastic energies: the phase-coupled Neo-Hookean density
 w = (c/2) f(phi) (F:F - d) drives the 2-D solver, and its derivatives
@@ -88,10 +88,15 @@ def _window(s, params: ModelParams):
     return (np.asarray(s, dtype=float) - params.f_lo) / width, width
 
 
+def _ramp(s, lo: float, hi: float, params: ModelParams):
+    """lo + (hi - lo) S over the stiffness window; exactly lo if hi == lo."""
+    x, _ = _window(s, params)
+    return lo + (hi - lo) * _smoothstep(x)
+
+
 def stiffness_f(s, params: ModelParams):
     """Stiffness profile, f_min <= f <= 1, clamped outside the window."""
-    x, _ = _window(s, params)
-    return params.f_min + (1.0 - params.f_min) * _smoothstep(x)
+    return _ramp(s, params.f_min, 1.0, params)
 
 
 def stiffness_f_prime(s, params: ModelParams):
@@ -100,10 +105,8 @@ def stiffness_f_prime(s, params: ModelParams):
 
 
 def mobility_b(s, params: ModelParams):
-    if params.mobility_profile == "constant":
-        return np.full_like(np.asarray(s, dtype=float), params.b0)
-    x, _ = _window(s, params)
-    return params.b0 + (params.b1 - params.b0) * _smoothstep(x)
+    """Mobility profile, b0 <= b <= b1, the stiffness ramp between b0 and b1."""
+    return _ramp(s, params.b0, params.b1, params)
 
 
 # ---------------------------------------------------------------------------

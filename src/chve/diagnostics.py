@@ -102,11 +102,10 @@ def dissipation(v: StaggeredVectorField, mu: ScalarField, phi: ScalarField,
             + 0.5 * (float(np.sum(dw[0, :] ** 2)) + float(np.sum(dw[-1, :] ** 2))))
     out = params.nu * visc * a
 
-    if params.lam > 0.0:
-        fvals = law.stiffness_f(phi.values, params)
-        for i in range(F.d):
-            for j in range(F.d):
-                out += params.lam * _grad_energy(fvals * F.comps[:, :, i, j], g) * a
+    fvals = law.stiffness_f(phi.values, params)
+    for i in range(F.d):
+        for j in range(F.d):
+            out += params.lam * _grad_energy(fvals * F.comps[:, :, i, j], g) * a
 
     bx, by = face_average(law.mobility_b(phi.values, params), g)
     gu, gw = face_gradient(mu.values, g)

@@ -117,14 +117,12 @@ def initial_phi(cfg: ConfigSpec) -> ScalarField:
 
 
 def initial_F(cfg: ConfigSpec) -> TensorField:
-    g, ini = cfg.grid, cfg.initial
-    F = TensorField.identity(g)
-    if ini.F == "cosine-stretch" and ini.F_amplitude != 0.0:
-        X, _ = g.cell_centers()
-        c = F.comps.copy()
-        c[:, :, 0, 0] += ini.F_amplitude * np.cos(np.pi * X / g.lx)
-        F = TensorField(g, c)
-    return F
+    """F0 = I + F_amplitude cos(pi x / lx) e1 (x) e1, the identity at amplitude 0."""
+    g = cfg.grid
+    X, _ = g.cell_centers()
+    c = TensorField.identity(g).comps.copy()
+    c[:, :, 0, 0] += cfg.initial.F_amplitude * np.cos(np.pi * X / g.lx)
+    return TensorField(g, c)
 
 
 def old_level_faces(F_n: TensorField, phi_n: ScalarField):

@@ -215,13 +215,13 @@ class ModelParams:
 
     nu        viscosity of the quasi-static Stokes balance, > 0
     lam       elliptic regularization of the deformation transport, >= 0
-              (lam = 0 makes the transport step fully explicit)
     delta     viscous regularization of the chemical potential, >= 0
     eps       interface parameter of the phase-field energy, > 0
     c_elastic elastic modulus, > 0
     f_min     lower bound of the stiffness profile, in (0, 1]
-    b0, b1    mobility bounds, 0 < b0 <= b1
-    f_lo/f_hi transition window of the stiffness smoothstep
+    b0, b1    mobility bounds, 0 < b0 <= b1: b ramps from b0 to b1 over the
+              stiffness window, and b1 = b0 gives constant mobility
+    f_lo/f_hi transition window of the stiffness and mobility smoothstep
 
     Every number must be finite.  A field's ``key`` metadata is its
     config-file key where that differs from its name.
@@ -237,7 +237,6 @@ class ModelParams:
     b1: float = 1.0
     f_lo: float = field(default=-1.0, metadata={"key": "f_window_lo"})
     f_hi: float = field(default=1.0, metadata={"key": "f_window_hi"})
-    mobility_profile: str = "constant"
 
     def __post_init__(self):
         require([
@@ -250,8 +249,6 @@ class ModelParams:
             (0.0 < self.f_min <= 1.0, "f_min must satisfy 0 < f_min <= 1"),
             (0.0 < self.b0 <= self.b1, "mobility bounds must satisfy 0 < b0 <= b1"),
             (self.f_lo < self.f_hi, "stiffness window must satisfy f_lo < f_hi"),
-            (self.mobility_profile in ("constant", "smoothstep"),
-             "mobility_profile must be 'constant' or 'smoothstep'"),
         ])
 
 

@@ -17,7 +17,9 @@ symmetric positive definite for dt > 0, lam >= 0, f >= f_min > 0.  All d^2
 components share it, so they are stacked into one block-diagonal system on
 an (n, d^2) block, where each operator product is one sparse matmul, and
 solved by one matrix-free CG (:func:`chve.krylov.pcg`) on that block,
-preconditioned by the operator's own diagonal; then F_new = G / f.
+preconditioned by the operator's own diagonal; then F_new = G / f.  At
+lam = 0 that diagonal is the operator and the start G = f dt rhs is the
+solution, so CG returns at its first residual test: the step is explicit.
 
 phi_n and F_n are fixed within a time step, so :meth:`TransportSystem.prepare`
 builds f(phi_n), D, that diagonal and F_n/dt once per step; each Picard
@@ -106,10 +108,6 @@ class TransportSystem:
         F_n, dt = level.F_n, level.dt
         stretch = velocity_gradient(v) @ F_n.comps
         rhs = level.F_dt - adv + stretch
-
-        if lam == 0.0:
-            return TensorField(g, dt * rhs)
-
         n, k = g.nx * g.ny, F_n.d * F_n.d
         f, D, diag = level.f, level.D, level.diag
 

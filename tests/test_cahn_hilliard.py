@@ -163,13 +163,13 @@ def test_rejects_nonpositive_dt(grid16, params):
         ch.CHSystem(grid16, params, laplacian_matrix(grid16)).prepare(phi, phi, dt=-0.1)
 
 
-@pytest.mark.parametrize("profile", ["constant", "smoothstep"])
-def test_mass_exact_with_loose_newton_tolerance(grid16, rng, monkeypatch, profile):
+@pytest.mark.parametrize("b1", [0.1, 1.0])
+def test_mass_exact_with_loose_newton_tolerance(grid16, rng, monkeypatch, b1):
     """A loose tol accepts an early, sloppy Newton iterate; the cell sum of
     phi must still be conserved to rounding, not to the solver tolerance,
-    also from a warm start whose cell sum is off."""
-    params = ModelParams(eps=0.05, b0=0.1, b1=1.0, c_elastic=0.3, delta=0.01,
-                         mobility_profile=profile)
+    also from a warm start whose cell sum is off.  b1 = b0 is constant
+    mobility, b1 > b0 a ramp."""
+    params = ModelParams(eps=0.05, b0=0.1, b1=b1, c_elastic=0.3, delta=0.01)
     phi = ScalarField(grid16, rng.uniform(-0.9, 0.9, (16, 16)))
     F = TensorField(grid16, np.eye(2) + 0.1 * rng.standard_normal((16, 16, 2, 2)))
     psi = rng.standard_normal((17, 17))
@@ -183,6 +183,25 @@ def test_mass_exact_with_loose_newton_tolerance(grid16, rng, monkeypatch, profil
             phi1, _, _ = _step(system, phi, F, v, dt, initial_guess=guess)
             drift = abs(np.sum(phi1.values) - np.sum(phi.values))
             assert drift <= 1e-13 * np.sum(np.abs(phi.values))
+
+
+@pytest.mark.parametrize("b1, assembled", [(0.1, 0), (0.7, 1)])
+def test_prepare_assembles_mobility_operator_only_when_it_varies(
+        grid16, rng, monkeypatch, b1, assembled):
+    """b0 == b1 reuses b0 L, built once with the system; b0 < b1 assembles
+    L_b of b(phi_n) in each prepare."""
+    calls = []
+    real = ch.laplacian_matrix
+    monkeypatch.setattr(ch, "laplacian_matrix",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    params = ModelParams(eps=0.05, b0=0.1, b1=b1)
+    system = ch.CHSystem(grid16, params, laplacian_matrix(grid16))
+    phi = ScalarField(grid16, rng.uniform(-0.9, 0.9, (16, 16)))
+    level = system.prepare(phi, phi, 1e-3)
+    assert len(calls) == assembled
+    b = law.mobility_b(phi.values, params)
+    ref = laplacian_matrix(grid16, b) if assembled else 0.1 * laplacian_matrix(grid16)
+    assert abs(level.Lb - ref).max() == 0.0
 
 
 def test_nonfinite_residual_fails_at_once(grid16, rng, monkeypatch):

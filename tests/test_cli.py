@@ -121,11 +121,40 @@ def test_run_nonfinite_value_exit_2(tmp_path, capsys, section, key, value):
     ("time", "cfl_max", "0.0", "cfl_max must be > 0"),
     ("coupling", "picard_max", "0", "picard_max must be >= 1"),
     ("initial", "phi_width", "0.0", "phi_width must be > 0"),
+    ("initial", "seed", "-1", "seed must be >= 0"),
     ("output", "diagnostics_every", "0", "diagnostics_every must be >= 1"),
 ])
 def test_run_config_error_names_section(tmp_path, capsys, section, key, value, message):
     assert _run_with(tmp_path, section, key, value) == 2
     assert f"config error: [{section}]: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_negative_seed_override_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("PLACEHOLDER", str(tmp_path / "out")))
+    assert main(["run", str(cfg), "--seed", "-1"]) == 2
+    assert "config error: [initial]: seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("params", "mobility_profile", "constant"),  # constant mobility: b1 = b0
+    ("initial", "F", "identity"),                # the identity: F_amplitude = 0
+])
+def test_run_retired_key_exit_2(tmp_path, capsys, section, key, value):
+    assert _run_with(tmp_path, section, key, value) == 2
+    assert f"config error: [{section}]: unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_config_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    text = CONFIG.replace("PLACEHOLDER", str(tmp_path / "out"))
+    cfg.write_bytes(b"\xff\xfe" + text.encode())
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: config {cfg} is not UTF-8 text" in err
     assert not (tmp_path / "out").exists()
 
 

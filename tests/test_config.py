@@ -166,16 +166,15 @@ NON_DEFAULT = {
     "grid": {"nx": "9", "ny": "11", "lx": "2.5", "ly": "0.75"},
     "params": {"nu": "2.5", "lambda": "0.0", "delta": "0.01", "eps": "0.3",
                "c_elastic": "1.5", "f_min": "0.2", "b0": "0.5", "b1": "2.0",
-               "f_window_lo": "-0.5", "f_window_hi": "0.5",
-               "mobility_profile": "smoothstep"},
+               "f_window_lo": "-0.5", "f_window_hi": "0.5"},
     "time": {"t_end": "0.5", "dt0": "1e-3", "dt_min": "1e-12", "dt_max": "0.02",
              "grow_factor": "1.5", "grow_after": "3", "cfl_max": "0.25",
              "adaptive": "false", "reject_on_energy": "no",
              "energy_increase_tol": "0.0", "max_steps": "7"},
     "coupling": {"picard_max": "4", "picard_tol": "1e-6"},
     "initial": {"phi": "tanh-y", "phi_value": "0.25", "phi_amplitude": "0.5",
-                "phi_width": "0.05", "seed": "42", "F": "cosine-stretch",
-                "F_amplitude": "0.1", "restart_file": "r.chv"},
+                "phi_width": "0.05", "seed": "42", "F_amplitude": "0.1",
+                "restart_file": "r.chv"},
     "output": {"directory": "elsewhere", "snapshot_every": "3",
                "diagnostics_every": "2"},
 }

@@ -79,13 +79,18 @@ def test_stiffness_derivative_matches_central_difference(params, rng):
 
 
 def test_mobility_profiles(rng):
-    const = ModelParams(b0=0.3, b1=0.7)
+    # b1 = b0 is constant mobility, exactly b0 everywhere
+    const = ModelParams(b0=0.3, b1=0.3)
     s = rng.uniform(-4, 4, 10_000)
     assert np.all(law.mobility_b(s, const) == 0.3)
-    ramp = ModelParams(b0=0.3, b1=0.7, mobility_profile="smoothstep")
+    # b0 < b1 ramps over the stiffness window, with no profile key
+    ramp = ModelParams(b0=0.3, b1=0.7)
     b = law.mobility_b(s, ramp)
+    assert law.mobility_b(ramp.f_lo, ramp) == 0.3
     assert law.mobility_b(ramp.f_hi, ramp) == pytest.approx(0.7)
+    assert law.mobility_b(0.5 * (ramp.f_lo + ramp.f_hi), ramp) == pytest.approx(0.5)
     assert np.min(b) >= 0.3 - 1e-15 and np.max(b) <= 0.7 + 1e-15
+    assert np.ptp(b) > 0.39
 
 
 def test_neo_hookean_identity_is_stress_free(params):

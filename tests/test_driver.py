@@ -651,7 +651,6 @@ ny = 16
 phi = tanh-y
 phi_amplitude = 0.8
 phi_width = 0.2
-F = cosine-stretch
 F_amplitude = 0.3
 
 [output]

@@ -91,6 +91,32 @@ def test_stretching_matches_matrix_exponential(grid16, monkeypatch):
     assert 1.7 <= errs[0] / errs[1] <= 2.3  # first order in dt
 
 
+def test_lambda_zero_step_is_explicit(grid16, rng, monkeypatch):
+    """At lam = 0 the step goes through the same CG, which returns at its
+    first residual test with no preconditioner call: its start f dt rhs is
+    the solution, and F_new = dt (F_n/dt - adv + stretch) to a few ulp."""
+    runs = []
+    real_pcg = krylov.pcg
+
+    def recorded_pcg(A, b, x0, *, M, **kwargs):
+        calls = []
+        x, info = real_pcg(A, b, x0, M=lambda r: calls.append(1) or M(r), **kwargs)
+        runs.append((info, len(calls)))
+        return x, info
+
+    monkeypatch.setattr(krylov, "pcg", recorded_pcg)
+    params = ModelParams(lam=0.0)
+    phi = ScalarField(grid16, rng.uniform(-1.5, 1.5, (16, 16)))
+    F = TensorField(grid16, np.eye(2) + 0.3 * rng.standard_normal((16, 16, 2, 2)))
+    v = interior_vortex(grid16, target_max=0.5)
+    dt = 1e-2
+    out = _step(TransportSystem(grid16, params, laplacian_matrix(grid16)), F, v, phi, dt)
+    assert runs == [(0, 0)]
+    ref = dt * (F.comps / dt - advect_tensor(v, F.comps)
+                + velocity_gradient(v) @ F.comps)
+    assert np.max(np.abs(out.comps - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
 def test_step_linear_in_F(grid16, rng):
     params = ModelParams(lam=1e-2)
     phi = ScalarField(grid16, 0.2 * rng.standard_normal((16, 16)))
