@@ -7,12 +7,12 @@ incompressibility are testable discrete identities."""
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    SimState, StaggeredVectorField, TensorField, cofactor,
                    determinant, frobenius)
-from .errors import NewtonError, RunError, SolverError, ValidationError
+from .errors import NewtonError, SolverError, ValidationError
 
 __all__ = [
     "GridSpec", "ModelParams", "PreconditionError", "ScalarField", "SimState",
     "StaggeredVectorField", "TensorField", "cofactor", "determinant",
-    "frobenius", "NewtonError", "RunError", "SolverError", "ValidationError",
+    "frobenius", "NewtonError", "SolverError", "ValidationError",
 ]
 
 __version__ = "0.1.0"

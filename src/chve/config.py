@@ -54,6 +54,26 @@ class TimeConfig:
 
 
 @dataclass(frozen=True)
+class StepControl:
+    """The step-size rule's state between steps, which a restart carries:
+    the next dt and the count of accepted steps since dt last changed."""
+    dt: float
+    streak: int = 0
+
+    def after(self, accepted: bool, rules: TimeConfig) -> StepControl | None:
+        """Halve dt on a rejection (None below dt_min, a NaN dt included, ends
+        the run); grow it by grow_factor, up to dt_max, after grow_after
+        accepted steps in a row when adaptive."""
+        if not accepted:
+            dt = 0.5 * self.dt
+            return StepControl(dt) if dt >= rules.dt_min else None
+        streak = self.streak + 1
+        if rules.adaptive and streak >= rules.grow_after:
+            return StepControl(min(self.dt * rules.grow_factor, rules.dt_max))
+        return StepControl(self.dt, streak)
+
+
+@dataclass(frozen=True)
 class CouplingConfig:
     picard_max: int = 2
     picard_tol: float = 1e-8

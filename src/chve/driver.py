@@ -22,29 +22,30 @@ flux and divergence for all five fields (:func:`sweep_advection`), shared
 by transport and Cahn-Hilliard, and dw/dphi at its new F, shared by its
 CH step and the next sweep's force.
 
-Step control: a step is rejected (and dt halved) when the phase-field
-Newton fails, a linear solve fails, a field turns non-finite, the
-velocity is not solenoidal, the advective CFL number exceeds its bound,
-or the total energy increases past ``energy_increase_tol * |E0|``.  After
-``grow_after`` consecutive accepted steps dt grows by ``grow_factor``,
-clamped to [dt_min, dt_max].  A rejected step never touches the accepted
-state, so a retry reruns identical arithmetic.
+Step control: a step is rejected when the phase-field Newton fails, a
+linear solve fails, a field turns non-finite, the velocity is not
+solenoidal, the advective CFL number exceeds its bound, or the total
+energy increases past ``energy_increase_tol * |E0|``.  The run's
+:class:`~chve.config.StepControl` (the next dt and the accept streak)
+then halves dt, and grows it after ``grow_after`` accepted steps in a
+row; a restart file carries it.  A rejected step never touches the
+accepted state, so a retry reruns identical arithmetic.
 """
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import constitutive as law
 from .cahn_hilliard import CHSystem, static_chemical_potential
-from .config import ConfigSpec, TimeConfig, dump_config
+from .config import ConfigSpec, StepControl, dump_config
 from .diagnostics import (DiagnosticsRow, EnergyBreakdown, energy_budget,
                           total_energy, total_mass)
-from .errors import NewtonError, RunError, SolverError, ValidationError
+from .errors import NewtonError, SolverError, ValidationError
 from .grid import (PreconditionError, ScalarField, SimState,
                    StaggeredVectorField, TensorField)
 from .operators import (advect_upwind, face_gradient, laplacian_matrix,
@@ -76,22 +77,6 @@ class RunSummary:
     final_energy: float
     final_mass: float
     termination: str
-
-
-def adapt_dt(dt: float, rules: TimeConfig, accepted: bool, streak: int):
-    """Step-size update; returns (dt_new, streak_new).
-
-    Raises RunError when a rejection would push dt below dt_min.
-    """
-    if not accepted:
-        dt_new = 0.5 * dt
-        if not dt_new >= rules.dt_min:  # a NaN dt ends the run too
-            raise RunError(f"dt underflow: {dt_new:.3e} < dt_min {rules.dt_min:.3e}")
-        return dt_new, 0
-    streak += 1
-    if rules.adaptive and streak >= rules.grow_after:
-        return min(dt * rules.grow_factor, rules.dt_max), 0
-    return dt, streak
 
 
 def initial_phi(cfg: ConfigSpec) -> ScalarField:
@@ -161,18 +146,18 @@ class Simulation:
 
     # -- state construction -------------------------------------------------
 
-    def initial_state(self) -> SimState:
+    def initial_state(self) -> tuple[SimState, StepControl, float | None]:
+        """(state, step control, energy scale) to start the run from: read
+        from the restart file, with dt clamped to [dt_min, dt_max], or built
+        from the config, with no energy scale yet (the run takes |E0|)."""
         cfg = self.cfg
         if cfg.initial.restart_file:
-            state, streak, e_scale = read_restart(cfg.initial.restart_file)
+            state, control, e_scale = read_restart(cfg.initial.restart_file)
             if state.phi.grid != self.grid:
                 raise ValidationError(f"restart grid {state.phi.grid} does not match "
                                       f"the configured grid {self.grid}")
-            self._streak0 = streak
-            self._e_scale0 = e_scale
-            return state
-        self._streak0 = 0
-        self._e_scale0 = None
+            dt = min(max(control.dt, cfg.time.dt_min), cfg.time.dt_max)
+            return state, StepControl(dt, control.streak), e_scale
         phi = initial_phi(cfg)
         F = initial_F(cfg)
         dw_dphi = law.neo_hookean_dphi(phi.values, F.comps, self.params)
@@ -181,8 +166,8 @@ class Simulation:
                                face_gradient(phi.values, self.grid),
                                mu, dw_dphi, F, self.params)
         v, q = self.stokes.solve(force)
-        return SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q,
-                        t=0.0, dt=cfg.time.dt0, step_index=0)
+        return (SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q),
+                StepControl(cfg.time.dt0), None)
 
     # -- one coupled step ----------------------------------------------------
 
@@ -262,7 +247,7 @@ class Simulation:
             raise StepRejected(f"precondition: {exc}") from exc
 
         new_state = SimState(phi=phi_new, phi_prev=phi_n, mu=mu_new, F=F_new,
-                             v=v, q=q, t=state.t + dt, dt=dt,
+                             v=v, q=q, t=state.t + dt,
                              step_index=state.step_index + 1)
         stats = StepStats(picard_iters=picard_iters, newton_iters=newton_total,
                           picard_gap=float(change) if np.isfinite(change) else -1.0,
@@ -280,11 +265,9 @@ class Simulation:
         except OSError as exc:
             raise ValidationError(f"cannot create output directory {outdir}: {exc}") from exc
 
-        state = self.initial_state()
-        streak = self._streak0
-        dt = min(max(state.dt, cfg.time.dt_min), cfg.time.dt_max)
+        state, control, e_scale = self.initial_state()
         e_prev = total_energy(state.phi, state.F, self.params).total
-        e_scale = self._e_scale0 or max(abs(e_prev), 1e-30)
+        e_scale = e_scale or max(abs(e_prev), 1e-30)
         rejected = 0
         accepted = 0
         rows = [] if collect_rows else None
@@ -294,17 +277,17 @@ class Simulation:
         csv_path = outdir / "diagnostics.csv"
         fresh = state.step_index == 0
         kept = [] if fresh else _csv_rows_through(csv_path, state.step_index)
-        written = None  # (step, dt, streak) of the last checkpoint
+        written = None  # (step, step control) of the last checkpoint
 
         def checkpoint():
             """Snapshot and restart of the current state; the restart carries
-            the next dt, the accept streak and the energy scale."""
+            the step control and the energy scale."""
             nonlocal written
-            written = (state.step_index, dt, streak)
+            written = (state.step_index, control)
             csv.flush()  # rows up to a restart reach the file before it
             write_vtk(outdir / f"snap_{state.step_index:08d}.vtk", state)
             write_restart(outdir / f"restart_{state.step_index:08d}.chv",
-                          replace(state, dt=dt), streak, e_scale)
+                          state, control, e_scale)
 
         csv = open(csv_path, "w", encoding="utf-8", newline="\n")
         try:
@@ -320,7 +303,7 @@ class Simulation:
                 if accepted >= cfg.time.max_steps:
                     termination = "max_steps"
                     break
-                step_dt = min(dt, cfg.time.t_end - state.t)
+                step_dt = min(control.dt, cfg.time.t_end - state.t)
                 try:
                     cand, stats = self.coupled_step(state, step_dt)
                     eb_new = total_energy(cand.phi, cand.F, self.params)
@@ -330,11 +313,10 @@ class Simulation:
                         raise StepRejected(f"energy {e_new:.17g} > {bound:.17g}")
                 except StepRejected:
                     rejected += 1
-                    try:
-                        dt, streak = adapt_dt(dt, cfg.time, False, streak)
-                    except RunError:
+                    if (halved := control.after(False, cfg.time)) is None:
                         termination = "dt_underflow"
                         break
+                    control = halved
                     continue
 
                 row = self._diagnostics_row(state, cand, step_dt, stats,
@@ -342,7 +324,7 @@ class Simulation:
                 state = cand
                 e_prev = e_new
                 accepted += 1
-                dt, streak = adapt_dt(dt, cfg.time, True, streak)
+                control = control.after(True, cfg.time)
 
                 if rows is not None:
                     rows.append(row)
@@ -350,7 +332,7 @@ class Simulation:
                     csv.write(row.csv_line() + "\n")
                 if cfg.output.snapshot_every and state.step_index % cfg.output.snapshot_every == 0:
                     checkpoint()
-            if written != (state.step_index, dt, streak):
+            if written != (state.step_index, control):
                 checkpoint()
         finally:
             csv.close()

@@ -20,7 +20,3 @@ class NewtonError(RuntimeError):
 
 class ValidationError(ValueError):
     """A run configuration violates the model assumptions."""
-
-
-class RunError(RuntimeError):
-    """A simulation run could not be completed."""

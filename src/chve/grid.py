@@ -267,7 +267,6 @@ class SimState:
     v: StaggeredVectorField
     q: ScalarField
     t: float = 0.0
-    dt: float = 0.0
     step_index: int = 0
 
     def __post_init__(self):

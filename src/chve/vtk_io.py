@@ -20,8 +20,10 @@ The restart file is a lossless fixed-layout little-endian dump:
                  u                           ((nx+1)*ny)
                  w                           (nx*(ny+1))
 
-``dt`` in the header is the step size the driver would use next (after
-adaptation), so resuming reproduces the uninterrupted run bit for bit.
+``dt`` and ``accept_streak`` in the header are the run's
+:class:`~chve.config.StepControl`: the step size the driver would use next
+(after adaptation) and its accept streak, so resuming reproduces the
+uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import StepControl
 from .errors import ValidationError
 from .grid import (GridSpec, PreconditionError, ScalarField, SimState,
                    StaggeredVectorField, TensorField)
@@ -74,9 +77,10 @@ def write_vtk(path: str | Path, state: SimState):
             fh.write(b"\n")
 
 
-def write_restart(path: str | Path, state: SimState, accept_streak: int = 0,
-                  energy_scale: float = 0.0):
-    """Write the restart file atomically: the bytes go to a temporary file in
+def write_restart(path: str | Path, state: SimState, control: StepControl,
+                  energy_scale: float):
+    """Write the restart file of ``state`` and the step control that
+    continues from it, atomically: the bytes go to a temporary file in
     the same directory, which then replaces ``path``, so a crash mid-write
     leaves any previous file at ``path`` intact."""
     path = Path(path)
@@ -84,8 +88,8 @@ def write_restart(path: str | Path, state: SimState, accept_streak: int = 0,
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, g.nx, g.ny, g.lx, g.ly, state.t, state.dt,
-                                  state.step_index, accept_streak, energy_scale))
+            fh.write(_HEADER.pack(MAGIC, g.nx, g.ny, g.lx, g.ly, state.t, control.dt,
+                                  state.step_index, control.streak, energy_scale))
             for arr in (state.phi.values, state.phi_prev.values, state.mu.values,
                         state.q.values, state.F.comps, state.v.u, state.v.w):
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -95,10 +99,10 @@ def write_restart(path: str | Path, state: SimState, accept_streak: int = 0,
         raise
 
 
-def read_restart(path: str | Path) -> tuple[SimState, int, float]:
-    """Load a restart file; raises ValidationError on a file that cannot be
-    read, a wrong magic, a truncated file, trailing bytes or a header value
-    out of range."""
+def read_restart(path: str | Path) -> tuple[SimState, StepControl, float]:
+    """Load a restart file as (state, step control, energy scale); raises
+    ValidationError on a file that cannot be read, a wrong magic, a
+    truncated file, trailing bytes or a header value out of range."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -133,5 +137,5 @@ def read_restart(path: str | Path) -> tuple[SimState, int, float]:
     state = SimState(phi=ScalarField(g, phi), phi_prev=ScalarField(g, phi_prev),
                      mu=ScalarField(g, mu), F=TensorField(g, F),
                      v=StaggeredVectorField(g, u, w), q=ScalarField(g, q),
-                     t=t, dt=dt, step_index=step_index)
-    return state, streak, energy_scale
+                     t=t, step_index=step_index)
+    return state, StepControl(dt, streak), energy_scale

@@ -1,6 +1,6 @@
 """Smoke runs of the benchmark harness on its smallest workload.
 
-``perfbench/run.py`` relies on the package: the ``(state, streak,
+``perfbench/run.py`` relies on the package: the ``(state, control,
 energy_scale)`` tuple of ``read_restart``, its probes on
 ``Simulation.initial_state`` and ``Simulation.coupled_step``, and the
 ``diagnostics.csv`` column names.  A change that breaks any of these fails

@@ -11,7 +11,7 @@ from chve.grid import (GridSpec, ModelParams, ScalarField, SimState,
 def make_state(grid, phi, F, v=None, mu=None):
     z = ScalarField.uniform(grid, 0.0)
     return SimState(phi=phi, phi_prev=phi, mu=mu or z, F=F,
-                    v=v or StaggeredVectorField.zeros(grid), q=z, t=0.0, dt=0.1)
+                    v=v or StaggeredVectorField.zeros(grid), q=z, t=0.0)
 
 
 def test_energy_zero_at_well_identity(grid16, params):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from chve.config import parse_config
+from chve.config import StepControl, TimeConfig, parse_config
 from chve.diagnostics import dissipation, energy_budget, total_energy
-from chve.driver import (Simulation, StepRejected, adapt_dt, old_level_faces,
-                         simulate, sweep_advection)
-from chve.errors import RunError
+from chve.driver import (Simulation, StepRejected, old_level_faces, simulate,
+                         sweep_advection)
 from chve.grid import (GridSpec, ScalarField, SimState, StaggeredVectorField,
                        TensorField)
 from chve.operators import advect_scalar, advect_tensor
@@ -54,38 +53,34 @@ snapshot_every = {kw.get('snapshot_every', 0)}
 
 
 # ---------------------------------------------------------------------------
-# adapt_dt
+# StepControl.after
 
 
 def test_adapt_growth_after_streak():
-    from chve.config import TimeConfig
     rules = TimeConfig(dt0=1e-3, dt_min=1e-6, dt_max=1e-2, grow_factor=1.2,
                        grow_after=3)
-    dt, streak = 1e-3, 0
+    control = StepControl(1e-3)
     for _ in range(2):
-        dt, streak = adapt_dt(dt, rules, True, streak)
-        assert dt == 1e-3
-    dt, streak = adapt_dt(dt, rules, True, streak)
-    assert dt == pytest.approx(1.2e-3)
-    assert streak == 0
+        control = control.after(True, rules)
+        assert control.dt == 1e-3
+    control = control.after(True, rules)
+    assert control.dt == pytest.approx(1.2e-3)
+    assert control.streak == 0
 
 
 def test_adapt_halves_on_rejection_and_clamps():
-    from chve.config import TimeConfig
     rules = TimeConfig(dt0=1e-3, dt_min=1e-6, dt_max=1.1e-3, grow_after=1)
-    dt, streak = adapt_dt(1e-3, rules, False, 5)
-    assert dt == 5e-4 and streak == 0
-    dt, _ = adapt_dt(1e-3, rules, True, 0)
-    assert dt == 1.1e-3  # clamped at dt_max
+    control = StepControl(1e-3, 5).after(False, rules)
+    assert control.dt == 5e-4 and control.streak == 0
+    control = StepControl(1e-3, 0).after(True, rules)
+    assert control.dt == 1.1e-3  # clamped at dt_max
 
 
-def test_adapt_underflow_raises():
-    from chve.config import TimeConfig
+def test_adapt_underflow_returns_none():
     rules = TimeConfig(dt0=1e-3, dt_min=1e-3, dt_max=1e-2)
-    with pytest.raises(RunError):
-        adapt_dt(1e-3, rules, False, 0)
-    with pytest.raises(RunError):  # a NaN dt must not halve forever
-        adapt_dt(np.nan, rules, False, 0)
+    assert StepControl(1e-3).after(False, rules) is None
+    # a NaN dt must not halve forever
+    assert StepControl(np.nan).after(False, rules) is None
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +171,37 @@ def test_restart_reproduces_uninterrupted_run(tmp_path):
         assert np.array_equal(state_full.F.comps, state_resume.F.comps)
 
 
+def test_resume_after_a_rejection_reproduces_uninterrupted_run(tmp_path):
+    # one injected rejection halves dt before step 4; the restart written
+    # after step 4 must carry the halved dt and the reset streak, so that
+    # the resumed run grows dt at the same step as the uninterrupted one
+    from dataclasses import replace
+    kw = dict(adaptive="true", dt_max="4e-4", t_end=1.0, snapshot_every=1)
+    sim = Simulation(spinodal_config(tmp_path, name="full", max_steps=12, **kw))
+    real_step = sim.coupled_step
+    injected = []
+
+    def rejected_once(state, dt):
+        if state.step_index == 3 and not injected:
+            injected.append(dt)
+            raise StepRejected("injected")
+        return real_step(state, dt)
+
+    sim.coupled_step = rejected_once
+    summary, rows_full, _ = sim.run(collect_rows=True)
+    assert summary.steps == 12 and summary.rejected_steps == 1
+    assert rows_full[3].dt == injected[0] / 2
+    assert len({r.dt for r in rows_full}) >= 3
+    restart = tmp_path / "full" / "restart_00000004.chv"
+    assert read_restart(restart)[1] == StepControl(injected[0] / 2, 1)
+
+    cfg = spinodal_config(tmp_path, name="resume", max_steps=8, **kw)
+    simulate(replace(cfg, initial=replace(cfg.initial, restart_file=str(restart))))
+    full = (tmp_path / "full" / "diagnostics.csv").read_bytes().splitlines()
+    resumed = (tmp_path / "resume" / "diagnostics.csv").read_bytes().splitlines()
+    assert resumed[1:] == full[5:] and len(resumed) == 9
+
+
 def test_resume_into_own_directory_rewrites_csv_rows(tmp_path):
     kw = dict(adaptive="true", dt_max="4e-4", t_end=1.0, snapshot_every=6)
     simulate(spinodal_config(tmp_path, name="full", max_steps=12, **kw))
@@ -197,7 +223,7 @@ def test_coupled_step_needs_no_scipy_krylov(tmp_path, monkeypatch):
     monkeypatch.setattr(spla, "gmres", no_scipy_krylov)
     monkeypatch.setattr(spla, "cg", no_scipy_krylov)
     sim = Simulation(spinodal_config(tmp_path))
-    state = sim.initial_state()
+    state, _, _ = sim.initial_state()
     new, _ = sim.coupled_step(state, 1e-4)
     assert new.t == pytest.approx(1e-4)
 
@@ -319,7 +345,7 @@ def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
     cfg = spinodal_config(tmp_path, picard_max=8, picard_tol=1e-10)
     sim = Simulation(cfg)
-    state = sim.initial_state()
+    state, _, _ = sim.initial_state()
     sweeps = []
     for _ in range(10):
         built.clear()
@@ -365,7 +391,7 @@ def test_sweep_advection_is_bitwise_advect_tensor_and_scalar(nx, ny, ly):
 def test_nonfinite_sweep_advection_rejects_the_step(tmp_path, monkeypatch):
     from chve import driver
     sim = Simulation(spinodal_config(tmp_path))
-    state = sim.initial_state()
+    state, _, _ = sim.initial_state()
     real = driver.advect_upwind
 
     def poisoned(v, faces):
@@ -409,9 +435,9 @@ def test_restart_file_roundtrip_lossless(tmp_path):
     cfg = spinodal_config(tmp_path, name="rt", max_steps=3, t_end=1.0)
     _, _, state = simulate(cfg)
     p = tmp_path / "state.chv"
-    write_restart(p, state, accept_streak=4, energy_scale=5.5)
-    loaded, streak, e0 = read_restart(p)
-    assert streak == 4 and e0 == 5.5
+    write_restart(p, state, StepControl(3e-4, 4), 5.5)
+    loaded, control, e0 = read_restart(p)
+    assert control == StepControl(3e-4, 4) and e0 == 5.5
     assert np.array_equal(loaded.phi.values, state.phi.values)
     assert np.array_equal(loaded.phi_prev.values, state.phi_prev.values)
     assert np.array_equal(loaded.mu.values, state.mu.values)
@@ -425,7 +451,7 @@ def test_restart_file_roundtrip_lossless(tmp_path):
 def test_rejected_step_leaves_state_unchanged(tmp_path):
     cfg = spinodal_config(tmp_path, name="rej")
     sim = Simulation(cfg)
-    state = sim.initial_state()
+    state, _, _ = sim.initial_state()
     phi_before = state.phi.values.copy()
     # a huge dt forces a CFL/Newton rejection path somewhere in the sweep
     from chve.driver import StepRejected
@@ -456,8 +482,8 @@ def test_more_picard_sweeps_tighten_coupling(tmp_path):
         e_old, e_new = (total_energy(x.phi, x.F, cfg.params).total for x in (s, c))
         return abs(energy_budget(s, c, 2e-4, e_old, e_new, cfg.params)[1])
 
-    s1 = sim1.initial_state()
-    s8 = sim8.initial_state()
+    s1, _, _ = sim1.initial_state()
+    s8, _, _ = sim8.initial_state()
     gaps8, res1, res8 = [], [], []
     for _ in range(10):
         c1, _ = sim1.coupled_step(s1, 2e-4)
@@ -555,9 +581,9 @@ def _record_checkpoints(monkeypatch):
         snaps.append(state.step_index)
         real_vtk(path, state)
 
-    def restart(path, state, *args):
-        restarts.append((state.step_index, state.dt))
-        real_restart(path, state, *args)
+    def restart(path, state, control, *args):
+        restarts.append((state.step_index, control.dt))
+        real_restart(path, state, control, *args)
 
     monkeypatch.setattr(driver, "write_vtk", vtk)
     monkeypatch.setattr(driver, "write_restart", restart)
@@ -616,8 +642,8 @@ def test_final_checkpoint_after_dt_underflow_carries_halved_dt(tmp_path, monkeyp
     assert snaps == [0, 1, 2, 2]
     # 2e-4 halves 20 times, the 21st rejection would drop it below dt_min
     assert restarts[-2:] == [(2, 2e-4), (2, 2e-4 / 2**20)]
-    state, _, _ = read_restart(tmp_path / "out" / "restart_00000002.chv")
-    assert state.dt == 2e-4 / 2**20
+    _, control, _ = read_restart(tmp_path / "out" / "restart_00000002.chv")
+    assert control.dt == 2e-4 / 2**20
 
 
 def test_vtk_snapshot_structure(tmp_path, rng):
@@ -634,7 +660,7 @@ def test_vtk_snapshot_structure(tmp_path, rng):
                      v=StaggeredVectorField(  # no-slip: wall faces stay 0
                          g, np.pad(rng.standard_normal((4, 7)), ((1, 1), (0, 0))),
                          np.pad(rng.standard_normal((5, 6)), ((0, 0), (1, 1)))),
-                     t=0.125, dt=1e-3, step_index=3)
+                     t=0.125, step_index=3)
     write_vtk(tmp_path / "5x7.vtk", state)
     _check_snapshot(tmp_path / "5x7.vtk", state)
 

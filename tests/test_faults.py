@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg as sla
 
 from chve import cli, constitutive, driver, krylov, vtk_io
-from chve.config import dump_config
+from chve.config import StepControl, dump_config
 from chve.driver import Simulation, StepRejected
 from chve.errors import SolverError, ValidationError
 from chve.grid import GridSpec
@@ -38,7 +38,7 @@ FAULTS = [
 @pytest.mark.parametrize("target,reason", FAULTS)
 def test_nan_inside_a_step_is_rejected(tmp_path, monkeypatch, target, reason):
     sim = Simulation(spinodal_config(tmp_path))
-    state = sim.initial_state()
+    state, _, _ = sim.initial_state()
     monkeypatch.setattr(constitutive, target, _nan_corner(getattr(constitutive, target)))
     with pytest.raises(StepRejected) as exc:
         sim.coupled_step(state, 1e-4)
@@ -52,7 +52,7 @@ def _stalled_cg(A, b, **kwargs):
 
 def test_unconverged_transport_solve_is_rejected(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
-    state = sim.initial_state()
+    state, _, _ = sim.initial_state()
     monkeypatch.setattr(krylov, "pcg", _stalled_cg)
     with pytest.raises(StepRejected) as exc:
         sim.coupled_step(state, 1e-4)
@@ -67,7 +67,7 @@ def _nan_gmres(A, b, **kwargs):
 
 def test_nan_phase_field_krylov_solve_is_rejected(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
-    state = sim.initial_state()
+    state, _, _ = sim.initial_state()
     monkeypatch.setattr(krylov, "gmres", _nan_gmres)
     with pytest.raises(StepRejected) as exc:
         sim.coupled_step(state, 1e-4)
@@ -81,7 +81,7 @@ def _nan_back_solve(factor, b, **kwargs):
 
 def test_nan_stokes_back_solve_is_rejected(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
-    state = sim.initial_state()
+    state, _, _ = sim.initial_state()
     monkeypatch.setattr(sla, "cho_solve", _nan_back_solve)
     with pytest.raises(StepRejected) as exc:
         sim.coupled_step(state, 1e-4)
@@ -104,9 +104,9 @@ def _run_faulty(tmp_path, name, inject):
     setup = sim.initial_state
 
     def setup_then_poison():
-        state = setup()
+        init = setup()
         inject()
-        return state
+        return init
 
     sim.initial_state = setup_then_poison
     summary = sim.run()
@@ -231,9 +231,9 @@ def test_restart_on_another_grid_exits_2(tmp_path, capsys):
 
 def test_crash_mid_restart_write_keeps_previous_file(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
-    state = sim.initial_state()
+    state, _, _ = sim.initial_state()
     path = tmp_path / "restart.chv"
-    write_restart(path, state, accept_streak=2, energy_scale=1.5)
+    write_restart(path, state, StepControl(1e-4, 2), 1.5)
     before = path.read_bytes()
 
     real = np.ascontiguousarray
@@ -248,9 +248,9 @@ def test_crash_mid_restart_write_keeps_previous_file(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(vtk_io.np, "ascontiguousarray", fail_on_fourth_array)
         with pytest.raises(OSError, match="disk full"):
-            write_restart(path, dataclasses.replace(state, t=1.0), accept_streak=3)
+            write_restart(path, dataclasses.replace(state, t=1.0), StepControl(1e-4, 3), 0.0)
     assert len(calls) == 4
     assert path.read_bytes() == before
-    loaded, streak, e_scale = read_restart(path)
-    assert (streak, e_scale, loaded.t) == (2, 1.5, state.t)
+    loaded, control, e_scale = read_restart(path)
+    assert (control, e_scale, loaded.t) == (StepControl(1e-4, 2), 1.5, state.t)
     assert [p.name for p in tmp_path.iterdir()] == ["restart.chv"]

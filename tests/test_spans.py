@@ -61,7 +61,7 @@ def test_ch_step_result_2_is_the_newton_count(grid16, rng, monkeypatch):
 def test_tracer_records_the_layer_spans_of_a_step(tmp_path):
     spans = _spans()
     sim = Simulation(spinodal_config(tmp_path))
-    state = sim.initial_state()
+    state, _, _ = sim.initial_state()
     with spans.Tracer() as tracer:
         sim.coupled_step(state, 1e-4)
     names = {s.name for s in tracer.spans}

@@ -238,7 +238,7 @@ def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, a
     assert solenoidal_residual(v)[0] == pytest.approx(div_max, rel=1e-4)
 
     sim = Simulation(ConfigSpec(grid=grid, params=ModelParams()))
-    state = sim.initial_state()
+    state, _, _ = sim.initial_state()
     monkeypatch.setattr(sim.stokes, "solve",
                         lambda force: (v, ScalarField.uniform(grid, 0.0)))
     dt = 1e-5  # CFL 0.026

@@ -129,9 +129,9 @@ def test_stream_function_field_is_divergence_free(grid8, rng):
 def test_sim_state_replace(grid8):
     phi = ScalarField.uniform(grid8, 0.0)
     s = SimState(phi=phi, phi_prev=phi, mu=phi, F=TensorField.identity(grid8),
-                 v=StaggeredVectorField.zeros(grid8), q=phi, t=0.0, dt=0.1)
+                 v=StaggeredVectorField.zeros(grid8), q=phi, t=0.0)
     s2 = replace(s, t=0.1, step_index=1)
     assert s2.t == 0.1 and s2.step_index == 1 and s2.phi is s.phi
     with pytest.raises(PreconditionError):
         SimState(phi=phi, phi_prev=phi, mu=phi, F=TensorField.identity(grid8),
-                 v=StaggeredVectorField.zeros(grid8), q=phi, t=-1.0, dt=0.1)
+                 v=StaggeredVectorField.zeros(grid8), q=phi, t=-1.0)
