@@ -30,7 +30,8 @@ builds the mobility operator, the warm start and the explicit concave part
 of mu once per step.  Each Picard sweep's :meth:`CHSystem.step` takes that
 level with the sweep's advect(v, phi_n) and dw/dphi(phi_n, F_new), which
 the driver forms once per sweep and shares with transport and with the
-next sweep's force.
+next sweep's force.  The accepted step's mu_new, viscous term included, is
+the mu that the state stores and the next step's first force reads.
 """
 
 from __future__ import annotations
@@ -57,26 +58,24 @@ GMRES_RESTART = 30
 GMRES_MAXITER = 5
 
 
-def static_chemical_potential(phi: ScalarField, dw_dphi: np.ndarray, params: ModelParams,
-                              dphi_dt: np.ndarray | None = None) -> ScalarField:
+def static_chemical_potential(phi: ScalarField, dw_dphi: np.ndarray,
+                              params: ModelParams) -> ScalarField:
     """Chemical potential evaluated on given fields (no time stepping):
 
-        psi'(phi)/eps - eps Lap(phi) + dw/dphi + delta dphi_dt,
+        psi'(phi)/eps - eps Lap(phi) + dw/dphi,
 
     with dw_dphi = (c/2) f'(phi)(F:F-d) of the deformation F at hand
     (:func:`chve.constitutive.neo_hookean_dphi`), which the caller shares
     with the momentum force.  This is the exact gradient of the discrete
-    free energy with respect to the cell values (scaled by the cell area),
-    plus the optional viscous term; the finite-difference check in the
-    verification module leans on that exactness.
+    free energy with respect to the cell values (scaled by the cell area);
+    the finite-difference check in the verification module leans on that
+    exactness.  The initial state's mu is this one; each step then stores
+    the mu of :meth:`CHSystem.step`.
     """
     g = phi.grid
-    vals = (law.psi_prime(phi.values) / params.eps
-            - params.eps * face_divergence(*face_gradient(phi.values, g), g)
-            + dw_dphi)
-    if dphi_dt is not None and params.delta > 0.0:
-        vals = vals + params.delta * dphi_dt
-    return ScalarField(g, vals)
+    return ScalarField(g, law.psi_prime(phi.values) / params.eps
+                       - params.eps * face_divergence(*face_gradient(phi.values, g), g)
+                       + dw_dphi)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,12 @@ depends on (phi_n, F_n, dt) alone is prepared once per step, before the
 first sweep: the upwind face candidates of the stacked (F_n, phi_n)
 (:func:`old_level_faces`), grad phi_n, the transport and Cahn-Hilliard
 levels (the transport level's f(phi_n) also serves every force), and
-dw/dphi at F_n, shared by the static chemical potential and the first
-force.  A sweep redoes only what its velocity changes: one face selection,
-flux and divergence for all five fields (:func:`sweep_advection`), shared
-by transport and Cahn-Hilliard, and dw/dphi at its new F, shared by its
-CH step and the next sweep's force.
+dw/dphi at F_n for the first force.  That force reads mu_n as stored in
+``state.mu``: the last step's Cahn-Hilliard mu, whose delta term is over
+the dt that produced phi_n.  A sweep redoes only what its velocity
+changes: one face selection, flux and divergence for all five fields
+(:func:`sweep_advection`), shared by transport and Cahn-Hilliard, and
+dw/dphi at its new F, shared by its CH step and the next sweep's force.
 
 Step control: a step is rejected when the phase-field Newton fails, a
 linear solve fails, a field turns non-finite, the velocity is not
@@ -196,11 +197,7 @@ class Simulation:
             f_n = transport_level.f.reshape(g.nx, g.ny)
             ch_level = self.ch.prepare(phi_n, state.phi_prev, dt)
             dw_dphi = law.neo_hookean_dphi(phi_n.values, F_n.comps, p)
-            dphi_dt = None
-            if p.delta > 0.0:
-                dphi_dt = (phi_n.values - state.phi_prev.values) / dt
-            mu_force = static_chemical_potential(phi_n, dw_dphi, p, dphi_dt=dphi_dt)
-            F_force = F_n
+            mu_force, F_force = state.mu, F_n
 
             for sweep in range(1, cfg.coupling.picard_max + 1):
                 force = assemble_force(f_n, grad_phi, mu_force, dw_dphi, F_force, p)

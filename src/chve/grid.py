@@ -256,8 +256,9 @@ class ModelParams:
 class SimState:
     """Snapshot of all unknowns advanced by the driver.
 
-    phi_prev is the accepted phase field of the previous step (feeds the
-    delta-regularized chemical potential used in the Stokes forcing).
+    phi_prev is the accepted phase field of the previous step (seeds the
+    Cahn-Hilliard Newton warm start); mu is the chemical potential of the
+    step that produced phi, which the next step's first force reads.
     """
 
     phi: ScalarField

@@ -11,9 +11,9 @@ from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
 from chve.operators import advect_scalar, laplacian_matrix
 
 
-def _mu(phi, F, params, **kw):
+def _mu(phi, F, params):
     return ch.static_chemical_potential(
-        phi, law.neo_hookean_dphi(phi.values, F.comps, params), params, **kw)
+        phi, law.neo_hookean_dphi(phi.values, F.comps, params), params)
 
 
 def _step(system, phi, F, v, dt, initial_guess=None):
@@ -39,12 +39,26 @@ def test_static_mu_uniform_values(grid16):
     assert np.allclose(mu5.values, 0.5 ** 3 - 0.5)
 
 
-def test_static_mu_includes_viscous_term(grid16):
-    params = ModelParams(delta=0.3)
-    F = TensorField.identity(grid16)
-    rate = np.full((16, 16), 2.0)
-    mu = _mu(ScalarField.uniform(grid16, 1.0), F, params, dphi_dt=rate)
-    assert np.allclose(mu.values, 0.3 * 2.0)
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_step_returns_the_split_mu(grid16, rng, delta):
+    # the returned mu is the next step's first force, so it must be the
+    # split formula at the returned phi, viscous term included, although
+    # Newton only moves it by increments
+    params = ModelParams(eps=0.05, b0=0.1, b1=0.1, c_elastic=0.25, delta=delta)
+    phi_n = ScalarField(grid16, rng.uniform(-1.0, 1.0, (16, 16)))
+    F = TensorField(grid16, np.eye(2) + 0.1 * rng.standard_normal((16, 16, 2, 2)))
+    dw_dphi = law.neo_hookean_dphi(phi_n.values, F.comps, params)
+    L = laplacian_matrix(grid16)
+    dt = 1e-3
+    system = ch.CHSystem(grid16, params, L)
+    phi, mu, iters = system.step(system.prepare(phi_n, phi_n, dt), dw_dphi,
+                                 np.zeros((16, 16)))
+    assert iters >= 2
+    p, pn = phi.values, phi_n.values
+    split = (law.psi_plus_prime(p) / params.eps + law.psi_minus_prime(pn) / params.eps
+             - params.eps * (L @ p.ravel()).reshape(16, 16) + dw_dphi
+             + (delta / dt) * (p - pn))
+    assert np.max(np.abs(mu.values - split)) <= 1e-12 * np.max(np.abs(split))
 
 
 def test_static_mu_is_discrete_energy_gradient(grid16, rng):

@@ -146,7 +146,8 @@ def test_deterministic_diagnostics(tmp_path):
 
 def test_restart_reproduces_uninterrupted_run(tmp_path):
     from dataclasses import replace
-    # delta > 0 runs the force's dphi/dt term across the restart while dt grows
+    # delta > 0: the stored mu carries its delta term across the restart
+    # while dt grows
     for delta in (0.0, 0.05):
         tmp = tmp_path / f"delta{delta}"
         kw = dict(adaptive="true", dt_max="4e-4", t_end=1.0, delta=delta)
@@ -226,6 +227,36 @@ def test_coupled_step_needs_no_scipy_krylov(tmp_path, monkeypatch):
     state, _, _ = sim.initial_state()
     new, _ = sim.coupled_step(state, 1e-4)
     assert new.t == pytest.approx(1e-4)
+
+
+def test_first_force_reads_the_stored_mu(tmp_path, monkeypatch):
+    # mu_n as the last step stored it holds delta (phi_n - phi_prev) / dt_n,
+    # over the dt that produced phi_n; the first force of each step must
+    # read it as it is, also on the step after dt grows
+    from chve import driver
+    forces = []
+    real_force = driver.assemble_force
+
+    def spy_force(f, grad_phi, mu, *rest):
+        forces.append(mu)
+        return real_force(f, grad_phi, mu, *rest)
+
+    steps = []
+    real_step = Simulation.coupled_step
+
+    def spy_step(self, state, dt):
+        first = len(forces)
+        out = real_step(self, state, dt)
+        steps.append((state, dt, forces[first]))
+        return out
+
+    monkeypatch.setattr(driver, "assemble_force", spy_force)
+    monkeypatch.setattr(Simulation, "coupled_step", spy_step)
+    simulate(spinodal_config(tmp_path, delta=0.05, adaptive="true", dt_max="4e-4"))
+    grown = [k for k in range(1, len(steps)) if steps[k][1] > steps[k - 1][1]]
+    assert grown
+    for state, _, mu in [steps[grown[0]]] + steps:
+        assert mu.values.tobytes() == state.mu.values.tobytes()
 
 
 def test_simulation_assembles_one_laplacian(tmp_path, monkeypatch):
@@ -335,8 +366,8 @@ def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
 
 def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):
     # over 10 PICARD8-style steps each sweep builds six fields (the force
-    # that the Stokes solve validates, v, q, F_new, phi_new and mu_new) and
-    # the first sweep's static mu one more; every stencil trades arrays
+    # that the Stokes solve validates, v, q, F_new, phi_new and mu_new); the
+    # first force reads the stored mu, and every stencil trades arrays
     built = []
     for cls in (ScalarField, StaggeredVectorField, TensorField):
         def counted(self, real=cls.__post_init__):
@@ -350,7 +381,7 @@ def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):
     for _ in range(10):
         built.clear()
         state, stats = sim.coupled_step(state, cfg.time.dt0)
-        assert len(built) == 6 * stats.picard_iters + 1, built
+        assert len(built) == 6 * stats.picard_iters, built
         sweeps.append(stats.picard_iters)
     assert max(sweeps) > 2
 
