@@ -22,6 +22,9 @@ the dt that produced phi_n.  A sweep redoes only what its velocity
 changes: one face selection, flux and divergence for all five fields
 (:func:`sweep_advection`), shared by transport and Cahn-Hilliard, and
 dw/dphi at its new F, shared by its CH step and the next sweep's force.
+Every sweep after the first starts its transport CG from the pair (G, b)
+that the previous sweep solved (:meth:`TransportSystem.step`); the pair
+lives only inside the step.
 
 Step control: a step is rejected when the phase-field Newton fails, a
 linear solve fails, a field turns non-finite, the velocity is not
@@ -186,6 +189,7 @@ class Simulation:
         g = self.grid
         phi_n, F_n = state.phi, state.F
         guess = None
+        solved = None  # the last sweep's transport CG pair (G, b)
         prev = None
         newton_total = 0
         picard_iters = 0
@@ -214,7 +218,8 @@ class Simulation:
                     raise StepRejected(f"cfl {cfl:.3f} > {cfg.time.cfl_max}")
 
                 adv_F, adv_phi = sweep_advection(v, faces, F_n.d)
-                F_new = self.transport.step(transport_level, v, adv_F)
+                F_new, solved = self.transport.step(transport_level, v, adv_F,
+                                                    start=solved)
                 dw_dphi = law.neo_hookean_dphi(phi_n.values, F_new.comps, p)
                 phi_new, mu_new, n_newton = self.ch.step(
                     ch_level, dw_dphi, adv_phi, initial_guess=guess)

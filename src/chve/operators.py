@@ -16,8 +16,9 @@ Boundary conditions baked in:
 
 * ``face_gradient`` puts 0 on boundary-normal faces (homogeneous Neumann);
 * ``laplacian_matrix`` is a conservative flux form; its rows sum to 0;
-* ``node_shear_gradients``, and through it ``velocity_gradient`` and
-  ``vector_laplacian``, use reflected ghost values (v = 0 on walls);
+* ``node_shear_gradients``, and through it ``velocity_gradient_entries``
+  (which ``velocity_gradient`` stacks) and ``vector_laplacian``, use
+  reflected ghost values (v = 0 on walls);
 * the advection operators use a conservative flux form with a kappa = 1/3
   upwind-biased face reconstruction, falling back to plain upwind on faces
   that lack the second upwind neighbor.  The reconstruction is split in
@@ -180,25 +181,28 @@ def _corner_average(p: np.ndarray) -> np.ndarray:
     return 0.25 * (p[:-1, :-1] + p[1:, :-1] + p[:-1, 1:] + p[1:, 1:])
 
 
-def velocity_gradient(v: StaggeredVectorField) -> np.ndarray:
-    """All four components of grad v interpolated to cell centers, shape
-    (nx, ny, 2, 2).
+def velocity_gradient_entries(v: StaggeredVectorField):
+    """The entries (du/dx, du/dy, dw/dx, dw/dy) of grad v at cell centers,
+    each (nx, ny), row-major as in (grad v)_ij = d v_i / d x_j.
 
     Diagonal entries are native face differences; off-diagonal entries are
     corner (node) differences averaged to the cell, with reflected ghost
-    values enforcing v = 0 on the walls.  trace(output) equals
+    values enforcing v = 0 on the walls.  du/dx + dw/dy equals
     face_divergence(v.u, v.w) exactly.
     """
     g = v.grid
-    nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
-    dudx = (v.u[1:, :] - v.u[:-1, :]) / hx
-    dwdy = (v.w[:, 1:] - v.w[:, :-1]) / hy
-
+    dudx = (v.u[1:, :] - v.u[:-1, :]) / g.hx
+    dwdy = (v.w[:, 1:] - v.w[:, :-1]) / g.hy
     dudy_n, dwdx_n = node_shear_gradients(v)
-    dudy = _corner_average(dudy_n)
-    dwdx = _corner_average(dwdx_n)
+    return dudx, _corner_average(dudy_n), _corner_average(dwdx_n), dwdy
 
-    return np.stack((dudx, dudy, dwdx, dwdy), axis=-1).reshape(nx, ny, 2, 2)
+
+def velocity_gradient(v: StaggeredVectorField) -> np.ndarray:
+    """grad v at cell centers as one (nx, ny, 2, 2) array, the entries of
+    :func:`velocity_gradient_entries`; its trace equals
+    face_divergence(v.u, v.w) exactly."""
+    g = v.grid
+    return np.stack(velocity_gradient_entries(v), axis=-1).reshape(g.nx, g.ny, 2, 2)
 
 
 # ---------------------------------------------------------------------------

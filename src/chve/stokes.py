@@ -35,8 +35,11 @@ assembling nothing:
   of G), through G^T G = -L, L the zero-flux cell Laplacian, diagonal under
   DCT-II; its constant mode is set to zero, so q has zero mean.
 
-A solve costs two DST-I pairs, one capacitance back-solve (the ring has
-2(nx-1) + 2(ny-1) - 4 nodes), one DCT-II pair and the residual check.
+A solve costs one DST-I pair (the forward transform r_hat of the curl and
+the inverse transform of B^-1 (r_hat - S y), S the DST-I), O(n^2) thin
+products with the 1-D DST-I factors that form z on the ring lines and S y
+from them, one capacitance back-solve (the ring has 2(nx-1) + 2(ny-1) - 4
+nodes), one DCT-II pair and the residual check.
 
 No Galilean-invariance check is meaningful here: the no-slip box pins the
 velocity frame, so a uniform velocity shift is not an admissible state.
@@ -118,11 +121,13 @@ def _norm(u: np.ndarray, w: np.ndarray) -> float:
 class StokesSolver:
     """Exact fast MAC Stokes solver for one (grid, nu) pair.
 
-    ``__init__`` builds the DST-I biharmonic symbol, the Cholesky factor of
-    the ring capacitance (whose blocks are separable products of the 1-D
-    DST-I factors, O(n^3) flops, no einsum) and the DCT-II pressure symbol;
-    a solve applies only fast transforms, that factor and the stencils of
-    :mod:`chve.operators`, and checks its own momentum residual."""
+    ``__init__`` builds the DST-I biharmonic symbol, the 1-D DST-I factors,
+    the Cholesky factor of the ring capacitance (whose blocks are separable
+    products of those factors, O(n^3) flops, no einsum) and the DCT-II
+    pressure symbol; a solve applies only fast transforms, thin products
+    with the 1-D factors on the ring lines, that Cholesky factor and the
+    stencils of :mod:`chve.operators`, and checks its own momentum
+    residual."""
 
     def __init__(self, grid: GridSpec, nu: float):
         if nu <= 0.0:
@@ -133,8 +138,10 @@ class StokesSolver:
 
         Sx, lam_x = _dst_basis(nx, hx)
         Sy, lam_y = _dst_basis(ny, hy)
+        self._Sx, self._Sy = Sx, Sy
         self._B_inv = W = 1.0 / (lam_x[:, None] + lam_y[None, :]) ** 2  # B^-1, DST-I basis
         self._ring, K = _ring_capacitance(Sx, Sy, W, hx, hy)
+        self._rows, self._cols = [0, ny - 2], [0, nx - 2]  # the ring's lines
         try:
             self._cap = sla.cho_factor(K)
         except np.linalg.LinAlgError as exc:
@@ -146,19 +153,31 @@ class StokesSolver:
 
     # -- solve ------------------------------------------------------------
 
-    def _biharmonic_inverse(self, r: np.ndarray) -> np.ndarray:
-        """B^-1 r on the interior nodes: one DST-I pair."""
-        return idstn(dstn(r, type=1, norm="ortho") * self._B_inv, type=1, norm="ortho")
-
     def _velocity(self, force: StaggeredVectorField) -> StaggeredVectorField:
-        """The curl of the stream function that solves (B + P) psi = C^T f / nu."""
+        """The curl of the stream function that solves (B + P) psi = C^T f / nu.
+
+        With S the 2-D DST-I (its own inverse), W = B^-1 on its basis and
+        r_hat = S r, psi = z - B^-1 y is S W (r_hat - S y): z = S W r_hat
+        is needed on the ring only, and y = K^-1 z[ring] lives there.  Both
+        are thin products with the 1-D factors: a row line j of z is
+        Sx (W r_hat) Sy[j], a column line i is (Sx[i] W r_hat) Sy, and S y
+        is the sum over the lines of outer products of a transformed line
+        with a basis row."""
         g = self.grid
+        Sx, Sy, rows, cols = self._Sx, self._Sy, self._rows, self._cols
         dudy, dwdx = node_shear_gradients(force)
-        z = self._biharmonic_inverse((dwdx - dudy)[1:-1, 1:-1] / self.nu)
+        r_hat = dstn((dwdx - dudy)[1:-1, 1:-1] / self.nu, type=1, norm="ortho")
+        Wr = self._B_inv * r_hat
+        z = np.zeros_like(r_hat)
+        z[:, rows] = Sx @ (Wr @ Sy[rows].T)
+        z[cols, :] = (Sx[cols] @ Wr) @ Sy
         y = np.zeros_like(z)
         y.flat[self._ring] = sla.cho_solve(self._cap, z.flat[self._ring], check_finite=False)
+        y_cols = y[cols, :]
+        y_cols[:, rows] = 0.0  # a copy: the corners count on the row lines
+        y_hat = (Sx @ y[:, rows]) @ Sy[rows] + Sx[:, cols] @ (y_cols @ Sy)
         psi = np.zeros((g.nx + 1, g.ny + 1))
-        psi[1:-1, 1:-1] = z - self._biharmonic_inverse(y)
+        psi[1:-1, 1:-1] = idstn(self._B_inv * (r_hat - y_hat), type=1, norm="ortho")
         if not np.isfinite(psi).all():
             raise SolverError("stream function is not finite")
         return StaggeredVectorField.from_stream_function(g, psi)

@@ -15,17 +15,23 @@ where L is the zero-flux Laplacian and M_f multiplies by f(phi) cellwise.
 In the unknown G = M_f F_new the operator D/dt - lam L, D = 1/f(phi), is
 symmetric positive definite for dt > 0, lam >= 0, f >= f_min > 0.  All d^2
 components share it, so they are stacked into one block-diagonal system on
-an (n, d^2) block, where each operator product is one sparse matmul, and
-solved by one matrix-free CG (:func:`chve.krylov.pcg`) on that block,
-preconditioned by the operator's own diagonal; then F_new = G / f.  At
-lam = 0 that diagonal is the operator and the start G = f dt rhs is the
-solution, so CG returns at its first residual test: the step is explicit.
+an (n, d^2) block, where each operator product is one sparse matmul by the
+lam L that the system keeps, and solved by one matrix-free CG
+(:func:`chve.krylov.pcg`) on that block, preconditioned by the operator's
+own diagonal; then F_new = G / f.  At lam = 0 that diagonal is the
+operator and the start G = f dt rhs is the solution, so CG returns at its
+first residual test: the step is explicit.
 
 phi_n and F_n are fixed within a time step, so :meth:`TransportSystem.prepare`
-builds f(phi_n), D, that diagonal and F_n/dt once per step; each Picard
-sweep's :meth:`TransportSystem.step` takes that level, the sweep's velocity
-and advect(v, F_n), which the driver forms once per sweep together with
-advect(v, phi_n).
+builds f(phi_n), f dt, D/dt, that diagonal, F_n/dt and F_n's four
+components once per step.  Each Picard sweep's :meth:`TransportSystem.step`
+takes that level, the sweep's velocity and advect(v, F_n), which the driver
+forms once per sweep together with advect(v, phi_n); it writes the stretch
+(grad v) F_n out entrywise from the four velocity-gradient entries.  Only
+the right-hand side b changes between the sweeps of a step, so a sweep
+starts its CG from the previous sweep's solution G' moved by f dt times
+the change of b: at the velocities of a converging Picard iteration that
+start already meets the CG tolerance.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from . import krylov
 from .errors import TOL_LIN, SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
-from .operators import velocity_gradient
+from .operators import velocity_gradient_entries
 
 # One CG on the stacked tensor components; the residual test against TOL_LIN decides.
 CG_RTOL = 1e-12
@@ -50,21 +56,24 @@ CG_MAXITER = 500
 @dataclass(frozen=True)
 class TransportLevel:
     """The old time level of one transport step, from
-    :meth:`TransportSystem.prepare`: F_n, dt, F_n / dt, and as (n, 1)
-    columns the stiffness f(phi_n), D = 1/f and the diagonal
+    :meth:`TransportSystem.prepare`: F_n, dt, F_n / dt, F_n's four
+    components as contiguous (nx, ny) arrays, and as (n, 1) columns the
+    stiffness f(phi_n), f dt, D/dt (D = 1/f) and the diagonal
     D/dt - lam diag(L) of the CG operator."""
     F_n: TensorField
     dt: float
     F_dt: np.ndarray
+    F_entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     f: np.ndarray
-    D: np.ndarray
+    f_dt: np.ndarray
+    D_dt: np.ndarray
     diag: np.ndarray
 
 
 class TransportSystem:
-    """Per-(grid, params) transport stepper; it keeps the grid's zero-flux
-    Laplacian L (:func:`chve.operators.laplacian_matrix`, shared with the
-    Cahn-Hilliard system) and its diagonal.
+    """Per-(grid, params) transport stepper; it keeps lam L, L the grid's
+    zero-flux Laplacian (:func:`chve.operators.laplacian_matrix`, shared
+    with the Cahn-Hilliard system), and its diagonal.
 
     The CG preconditioner divides by the diagonal of D/dt - lam L.  Where
     lam dt / h^2 is small the operator is diagonally dominant and CG takes
@@ -75,8 +84,8 @@ class TransportSystem:
     def __init__(self, grid: GridSpec, params: ModelParams, L: sp.csr_matrix):
         self.grid = grid
         self.params = params
-        self._L = L
-        self._diag_L = self._L.diagonal().reshape(-1, 1)
+        self._lamL = params.lam * L
+        self._diag_lamL = self._lamL.diagonal().reshape(-1, 1)
 
     def prepare(self, F_n: TensorField, phi_n: ScalarField, dt: float) -> TransportLevel:
         """The parts of a step that no velocity changes."""
@@ -84,13 +93,18 @@ class TransportSystem:
             raise PreconditionError("dt must be > 0")
         g = self.grid
         f = law.stiffness_f(phi_n.values, self.params).reshape(g.nx * g.ny, 1)
-        D = 1.0 / f
-        diag = D / dt - self.params.lam * self._diag_L
-        return TransportLevel(F_n, dt, F_n.comps / dt, f, D, diag)
+        f_dt = f * dt
+        D_dt = 1.0 / f_dt
+        c = F_n.comps
+        entries = tuple(np.ascontiguousarray(c[..., i, j]) for i in (0, 1) for j in (0, 1))
+        return TransportLevel(F_n, dt, c / dt, entries, f, f_dt, D_dt,
+                              D_dt - self._diag_lamL)
 
-    def step(self, level: TransportLevel, v: StaggeredVectorField,
-             adv: np.ndarray) -> TensorField:
-        """Advance the deformation gradient one time step.
+    def step(self, level: TransportLevel, v: StaggeredVectorField, adv: np.ndarray,
+             start: tuple[np.ndarray, np.ndarray] | None = None):
+        """Advance the deformation gradient one time step; returns
+        (F_new, (G, b)), the solution and right-hand side of the CG, which
+        a later Picard sweep of the same level passes back as ``start``.
 
         adv is advect(v, F_n), shaped like F_n.comps.  Solves, for every
         tensor component at once,
@@ -98,30 +112,41 @@ class TransportSystem:
             (F_new - F_n)/dt + advect(v, F_n) - (grad v) F_n
                 - lam * Lap( f(phi_n) F_new ) = 0
 
-        with zero-flux boundary imposed on f(phi_n) F_new.  Raises
+        with zero-flux boundary imposed on f(phi_n) F_new.  The CG starts
+        from f dt b, or, given ``start = (G', b')`` from an earlier velocity
+        on this level, from G' + f dt (b - b'): the operator is the same,
+        so only the change of the right-hand side is left to solve.  Raises
         SolverError if the residual in F exceeds TOL_LIN relative to the
         right-hand side or is not finite; the message carries the CG info
         when CG did not converge.
         """
         g = self.grid
-        lam = self.params.lam
         F_n, dt = level.F_n, level.dt
-        stretch = velocity_gradient(v) @ F_n.comps
-        rhs = level.F_dt - adv + stretch
         n, k = g.nx * g.ny, F_n.d * F_n.d
-        f, D, diag = level.f, level.D, level.diag
+        # rhs = F_n/dt - adv + (grad v) F_n, the stretch written out entrywise
+        gxx, gxy, gyx, gyy = velocity_gradient_entries(v)
+        a, b, c, d = level.F_entries
+        rhs = level.F_dt - adv
+        rhs[..., 0, 0] += gxx * a + gxy * c
+        rhs[..., 0, 1] += gxx * b + gxy * d
+        rhs[..., 1, 0] += gyx * a + gyy * c
+        rhs[..., 1, 1] += gyx * b + gyy * d
+        rhs = rhs.reshape(n, k)
+        f, D_dt, diag, lamL = level.f, level.D_dt, level.diag, self._lamL
 
-        def matvec(X):
-            return D * X / dt - lam * (self._L @ X)
-
-        b = rhs.reshape(n, k)
-        G, info = krylov.pcg(matvec, b, x0=f * dt * b, M=lambda r: r / diag,
-                             rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER)
+        if start is None:
+            x0 = level.f_dt * rhs
+        else:
+            G_prev, b_prev = start
+            x0 = G_prev + level.f_dt * (rhs - b_prev)
+        G, info = krylov.pcg(lambda X: D_dt * X - lamL @ X, rhs, x0=x0,
+                             M=lambda r: r / diag, rtol=CG_RTOL, atol=0.0,
+                             maxiter=CG_MAXITER)
 
         x = G / f
-        res = float(np.linalg.norm(b - (x / dt - lam * (self._L @ (f * x)))))
-        bound = TOL_LIN * float(np.linalg.norm(b))
+        res = float(np.linalg.norm(rhs - (x / dt - lamL @ (f * x))))
+        bound = TOL_LIN * float(np.linalg.norm(rhs))
         if not res <= bound:
             why = f", CG did not converge (info {info})" if info else ""
             raise SolverError(f"transport residual {res:.3e} > {bound:.3e}{why}")
-        return TensorField(g, x.reshape(F_n.comps.shape))
+        return TensorField(g, x.reshape(F_n.comps.shape)), (G, rhs)

@@ -536,7 +536,7 @@ def det_transport_deviation(n: int, dt: float, t_end: float, lam: float,
     system = TransportSystem(g, p, ops.laplacian_matrix(g))
     nsteps = int(round(t_end / dt))
     for _ in range(nsteps):
-        F = system.step(system.prepare(F, phi, dt), v, ops.advect_tensor(v, F.comps))
+        F, _ = system.step(system.prepare(F, phi, dt), v, ops.advect_tensor(v, F.comps))
     return float(np.max(np.abs(determinant(F.comps) - 1.0)))
 
 

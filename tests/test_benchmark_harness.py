@@ -1,4 +1,5 @@
-"""Smoke runs of the benchmark harness on its smallest workload.
+"""Smoke runs of the benchmark harness on its smallest workload, and its
+correctness gates on every workload of ``BENCHMARK.json``.
 
 ``perfbench/run.py`` relies on the package: the ``(state, control,
 energy_scale)`` tuple of ``read_restart``, its probes on
@@ -47,3 +48,19 @@ def test_harness_smoke_run(tmp_path, trace, section):
     assert result["correct"] is True and result["failed"] == 0
     missing = {m["name"] for m in BENCHMARK[section]} - set(result["metrics"])
     assert not missing, sorted(missing)
+
+
+def test_reference_gates_pass_on_every_workload(tmp_path):
+    """The benchmark's own correctness gates at seed 1 on each workload of
+    BENCHMARK.json (the 1e-9 E_total gate among them), so that a drift of
+    a 64^2 workload fails here and not first in a benchmark run."""
+    run_py = _harness_copy(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, str(run_py), "--seed", "1", "--seconds", "0"],
+        cwd=tmp_path, stdout=subprocess.PIPE, text=True, timeout=600)
+    assert proc.returncode == 0
+    results = json.loads(proc.stdout.strip().splitlines()[-1])
+    names = [w["name"] for w in BENCHMARK["workloads"]]
+    assert sorted(results) == sorted(names) == ["picard8-64", "snapshots-32", "spinodal-64"]
+    for name in names:
+        assert results[name]["correct"] is True and results[name]["failed"] == 0, name

@@ -273,7 +273,8 @@ def test_simulation_assembles_one_laplacian(tmp_path, monkeypatch):
         monkeypatch.setattr(mod, "laplacian_matrix", counted, raising=False)
     sim = Simulation(spinodal_config(tmp_path))
     assert len(built) == 1
-    assert sim.transport._L is built[0] and sim.ch.L is built[0]
+    assert sim.ch.L is built[0]
+    assert (sim.transport._lamL != sim.params.lam * built[0]).nnz == 0
 
 
 def test_total_energy_evaluated_once_per_accepted_step(tmp_path, monkeypatch):
@@ -477,6 +478,66 @@ def test_restart_file_roundtrip_lossless(tmp_path):
     assert np.array_equal(loaded.v.u, state.v.u)
     assert np.array_equal(loaded.v.w, state.v.w)
     assert loaded.t == state.t and loaded.step_index == state.step_index
+
+
+def test_later_sweeps_warm_start_the_transport_cg(tmp_path, monkeypatch):
+    """Sweep 2 starts its transport CG from sweep 1's pair (G, b), so pcg
+    returns at its first residual test (one operator application) where
+    sweep 1 and a cold start of sweep 2's own solve need two or more; its F
+    equals that cold start within the CG tolerance."""
+    from chve import krylov
+    from chve.transport import TransportSystem
+    applied = []
+    real_pcg = krylov.pcg
+
+    def spied_pcg(A, b, x0, **kwargs):
+        applied.append(0)
+
+        def counted(X):
+            applied[-1] += 1
+            return A(X)
+        return real_pcg(counted, b, x0, **kwargs)
+
+    steps = []
+    real_step = TransportSystem.step
+
+    def recorded_step(self, level, v, adv, start=None):
+        out = real_step(self, level, v, adv, start=start)
+        steps.append((level, v, adv, start, out[0]))
+        return out
+
+    monkeypatch.setattr(krylov, "pcg", spied_pcg)
+    monkeypatch.setattr(TransportSystem, "step", recorded_step)
+    sim = Simulation(spinodal_config(tmp_path, picard_max=2))
+    state, _, _ = sim.initial_state()
+    for _ in range(3):
+        applied.clear()
+        steps.clear()
+        state, stats = sim.coupled_step(state, 1e-5)
+        assert stats.picard_iters == 2
+        [first, second] = steps
+        assert first[3] is None and second[3] is not None
+        level, v, adv, _, F_warm = second
+        F_cold, _ = real_step(sim.transport, level, v, adv)
+        sweep1, sweep2, cold = applied
+        assert sweep1 >= 2 and cold >= 2
+        assert sweep2 == 1
+        err = np.linalg.norm(F_warm.comps - F_cold.comps)
+        assert err <= 1e-11 * np.linalg.norm(F_cold.comps)
+
+
+def test_coupled_step_repeats_bitwise(tmp_path):
+    """The warm start lives inside one step: stepping the same state twice
+    gives bitwise-equal states, as a retry after a rejection needs."""
+    sim = Simulation(spinodal_config(tmp_path, picard_max=4, picard_tol=1e-300))
+    state, _, _ = sim.initial_state()
+    a, stats_a = sim.coupled_step(state, 1e-5)
+    b, stats_b = sim.coupled_step(state, 1e-5)
+    assert stats_a == stats_b and stats_a.picard_iters == 4
+    for x, y in ((a.phi.values, b.phi.values), (a.mu.values, b.mu.values),
+                 (a.F.comps, b.F.comps), (a.v.u, b.v.u), (a.v.w, b.v.w),
+                 (a.q.values, b.q.values)):
+        assert np.array_equal(x, y)
 
 
 def test_rejected_step_leaves_state_unchanged(tmp_path):

@@ -91,14 +91,15 @@ def _transport_system():
     phi = ScalarField(grid, np.tanh((X - 0.5 * grid.lx) / 0.05))
     L = laplacian_matrix(grid)
     level = TransportSystem(grid, params, L).prepare(TensorField.identity(grid), phi, dt)
+    lamL = params.lam * L
 
     def matvec(X):
-        return level.D * X / dt - params.lam * (L @ X)
+        return level.D_dt * X - lamL @ X
 
     def precondition(r):
         return r.reshape(n, k) / level.diag
 
-    return matvec, precondition, level.f * dt, n, k
+    return matvec, precondition, level.f_dt, n, k
 
 
 @pytest.mark.parametrize("warm", [True, False], ids=["warm-start", "zero-start"])

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dstn, idstn
 
 from chve import constitutive as law
-from chve import stokes
+from chve import operators, stokes
 from chve.diagnostics import dissipation
 from chve.config import ConfigSpec
 from chve.driver import Simulation, StepRejected
 from chve.grid import GridSpec, ModelParams, ScalarField, StaggeredVectorField, TensorField
-from chve.operators import (face_divergence, face_gradient, solenoidal_residual,
-                            vector_laplacian, velocity_gradient)
+from chve.operators import (face_divergence, face_gradient, node_shear_gradients,
+                            solenoidal_residual, vector_laplacian, velocity_gradient)
 from chve.verification import DenseOracle, dense_stokes_compare, stokes_mms
 
 
@@ -163,6 +165,49 @@ def test_solve_needs_no_sparse_factorization(grid16, rng, monkeypatch):
     fw[:, 1:-1] = rng.standard_normal((16, 15))
     v, _ = solver.solve(StaggeredVectorField(grid16, fu, fw))
     assert v.max_abs() > 0.0
+
+
+def test_solve_applies_one_dst_pair_and_one_dct_pair(grid16, rng, monkeypatch):
+    solver = stokes.StokesSolver(grid16, 1.0)
+    calls = []
+    for module, name in ((stokes, "dstn"), (stokes, "idstn"),
+                         (operators, "dctn"), (operators, "idctn")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    solver.solve(_random_force(grid16, rng))
+    assert calls == ["dstn", "idstn", "dctn", "idctn"]
+
+
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(24, 40, 2.0, 1.3),
+                                  GridSpec(64, 64), GridSpec(128, 128)],
+                         ids=["16x16", "24x40", "64x64", "128x128"])
+def test_one_pair_solve_matches_two_pair_formula(grid, rng, monkeypatch):
+    """The capacitance solve written with B^-1 applied by a full DST-I pair
+    on each side of the ring solve: z = B^-1 r, y = K^-1 z[ring],
+    psi = z - B^-1 y.  The shipped solve forms z and S y on the ring lines
+    only; (v, q) must agree to rounding."""
+    solver = stokes.StokesSolver(grid, 0.7)
+    force = _random_force(grid, rng)
+    v, q = solver.solve(force)
+
+    def B_inv(r):
+        return idstn(dstn(r, type=1, norm="ortho") * solver._B_inv, type=1, norm="ortho")
+
+    def two_pair_velocity(force):
+        dudy, dwdx = node_shear_gradients(force)
+        z = B_inv((dwdx - dudy)[1:-1, 1:-1] / solver.nu)
+        y = np.zeros_like(z)
+        y.flat[solver._ring] = sla.cho_solve(solver._cap, z.flat[solver._ring])
+        psi = np.zeros((grid.nx + 1, grid.ny + 1))
+        psi[1:-1, 1:-1] = z - B_inv(y)
+        return StaggeredVectorField.from_stream_function(grid, psi)
+
+    monkeypatch.setattr(solver, "_velocity", two_pair_velocity)
+    v_ref, q_ref = solver.solve(force)
+    for x, ref in ((v.u, v_ref.u), (v.w, v_ref.w), (q.values, q_ref.values)):
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _einsum_capacitance(Sx, Sy, W, hx, hy):

@@ -15,9 +15,10 @@ from chve.verification import det_transport_deviation, interior_vortex
 
 
 def _step(system, F, v, phi, dt):
-    """One transport step as a Picard sweep takes it: the level of (F, phi,
-    dt), the advection of F, then the step."""
-    return system.step(system.prepare(F, phi, dt), v, advect_tensor(v, F.comps))
+    """One transport step as a first Picard sweep takes it: the level of
+    (F, phi, dt), the advection of F, then the step from its cold start."""
+    F_new, _ = system.step(system.prepare(F, phi, dt), v, advect_tensor(v, F.comps))
+    return F_new
 
 
 def test_uniform_state_is_exact_fixed_point(grid16):
@@ -75,8 +76,8 @@ def test_stretching_matches_matrix_exponential(grid16, monkeypatch):
     N explicit steps give (I + dt W)^N F0, first-order close to expm(tW)."""
     params = ModelParams(lam=0.0)
     W = np.array([[0.0, 0.8], [-0.8, 0.0]])
-    grad_v = np.tile(W, (16, 16, 1, 1))
-    monkeypatch.setattr(transport, "velocity_gradient", lambda v: grad_v)
+    entries = tuple(np.full((16, 16), W[i, j]) for i in (0, 1) for j in (0, 1))
+    monkeypatch.setattr(transport, "velocity_gradient_entries", lambda v: entries)
     v = StaggeredVectorField.zeros(grid16)
     phi = ScalarField.uniform(grid16, 1.0)
     t_end = 0.5
@@ -115,6 +116,27 @@ def test_lambda_zero_step_is_explicit(grid16, rng, monkeypatch):
     ref = dt * (F.comps / dt - advect_tensor(v, F.comps)
                 + velocity_gradient(v) @ F.comps)
     assert np.max(np.abs(out.comps - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(24, 40, 2.0, 1.3)],
+                         ids=["16x16", "24x40"])
+def test_entrywise_stretch_equals_matrix_product(grid, rng):
+    """With adv = F_n/dt the right-hand side b that step returns is the
+    stretch alone, which must equal velocity_gradient(v) @ F_n."""
+    nx, ny = grid.nx, grid.ny
+    u = np.zeros((nx + 1, ny))
+    w = np.zeros((nx, ny + 1))
+    u[1:-1, :] = rng.standard_normal((nx - 1, ny))
+    w[:, 1:-1] = rng.standard_normal((nx, ny - 1))
+    v = StaggeredVectorField(grid, u, w)
+    F = TensorField(grid, rng.standard_normal((nx, ny, 2, 2)))
+    phi = ScalarField(grid, rng.uniform(-1.0, 1.0, (nx, ny)))
+    system = TransportSystem(grid, ModelParams(lam=1e-2), laplacian_matrix(grid))
+    level = system.prepare(F, phi, 1e-3)
+    _, (_, b) = system.step(level, v, level.F_dt.copy())
+    ref = velocity_gradient(v) @ F.comps
+    err = np.max(np.abs(b.reshape(ref.shape) - ref))
+    assert err <= 4e-16 * np.max(np.abs(ref))
 
 
 def test_step_linear_in_F(grid16, rng):
