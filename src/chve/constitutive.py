@@ -127,12 +127,22 @@ def neo_hookean_piola(phi, F, params: ModelParams):
     return params.c_elastic * fval[..., None, None] * F
 
 
-def neo_hookean_dphi(phi, F, params: ModelParams):
+def neo_hookean_dphi(f_prime, F, params: ModelParams):
     """dw/dphi for the Neo-Hookean density: (c/2) f'(phi) (F:F - d), the
-    elastic term of the chemical potential and of the momentum force."""
+    elastic term of the chemical potential and of the momentum force.
+
+    f_prime is f'(phi) (:func:`stiffness_f_prime`), which the caller
+    evaluates once per time step and shares with every F of the step.  For
+    d = 2, F:F is written out entrywise; d = 3 keeps the einsum.
+    """
     F = np.asarray(F, dtype=float)
     d = F.shape[-1]
-    return 0.5 * params.c_elastic * stiffness_f_prime(phi, params) * (frobenius(F, F) - d)
+    if d == 2:
+        Q = F * F
+        FF = Q[..., 0, 0] + Q[..., 0, 1] + Q[..., 1, 0] + Q[..., 1, 1]
+    else:
+        FF = frobenius(F, F)
+    return 0.5 * params.c_elastic * f_prime * (FF - d)
 
 
 def eulerian_elastic_stress(f, F, params: ModelParams):
@@ -140,20 +150,22 @@ def eulerian_elastic_stress(f, F, params: ModelParams):
     stiffness f(phi), which the caller evaluates once per time step.
 
     Symmetric positive semidefinite by construction (a scaled Gram matrix).
-    For d = 2 the Gram matrix is written out entrywise (same products and
-    sums as the einsum, so bitwise equal, and much cheaper).
+    For d = 2, c f times each Gram entry is written straight into the
+    output (same products and sums as the einsum form, so bitwise equal,
+    and much cheaper); the output is a view whose four component planes
+    S[..., i, j] are each contiguous, as the stencils that difference them
+    want.
     """
     F = np.asarray(F, dtype=float)
-    fval = np.asarray(f, dtype=float)
+    cf = params.c_elastic * np.asarray(f, dtype=float)
     if F.shape[-1] == 2:
         a, b, c, d = F[..., 0, 0], F[..., 0, 1], F[..., 1, 0], F[..., 1, 1]
-        FFt = np.empty_like(F)
-        FFt[..., 0, 0] = a * a + b * b
-        FFt[..., 0, 1] = FFt[..., 1, 0] = a * c + b * d
-        FFt[..., 1, 1] = c * c + d * d
-    else:
-        FFt = np.einsum("...ik,...jk->...ij", F, F)
-    return params.c_elastic * fval[..., None, None] * FFt
+        S = np.empty((2, 2) + np.broadcast_shapes(cf.shape, a.shape))
+        S[0, 0] = cf * (a * a + b * b)
+        S[0, 1] = S[1, 0] = cf * (a * c + b * d)
+        S[1, 1] = cf * (c * c + d * d)
+        return np.moveaxis(S, (0, 1), (-2, -1))
+    return cf[..., None, None] * np.einsum("...ik,...jk->...ij", F, F)
 
 
 def _h_compress(J):

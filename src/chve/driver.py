@@ -15,16 +15,16 @@ Advection is explicit in the old level (phi_n, F_n), so everything that
 depends on (phi_n, F_n, dt) alone is prepared once per step, before the
 first sweep: the upwind face candidates of the stacked (F_n, phi_n)
 (:func:`old_level_faces`), grad phi_n, the transport and Cahn-Hilliard
-levels (the transport level's f(phi_n) also serves every force), and
-dw/dphi at F_n for the first force.  That force reads mu_n as stored in
+levels (the transport level's f(phi_n) also serves every force), f'(phi_n),
+and dw/dphi at F_n for the first force.  That force reads mu_n as stored in
 ``state.mu``: the last step's Cahn-Hilliard mu, whose delta term is over
 the dt that produced phi_n.  A sweep redoes only what its velocity
 changes: one face selection, flux and divergence for all five fields
 (:func:`sweep_advection`), shared by transport and Cahn-Hilliard, and
-dw/dphi at its new F, shared by its CH step and the next sweep's force.
-Every sweep after the first starts its transport CG from the pair (G, b)
-that the previous sweep solved (:meth:`TransportSystem.step`); the pair
-lives only inside the step.
+dw/dphi at its new F from the step's f'(phi_n), shared by its CH step and
+the next sweep's force.  Every sweep after the first starts its transport
+CG from the pair (G, b) that the previous sweep solved
+(:meth:`TransportSystem.step`); the pair lives only inside the step.
 
 Step control: a step is rejected when the phase-field Newton fails, a
 linear solve fails, a field turns non-finite, the velocity is not
@@ -164,7 +164,8 @@ class Simulation:
             return state, StepControl(dt, control.streak), e_scale
         phi = initial_phi(cfg)
         F = initial_F(cfg)
-        dw_dphi = law.neo_hookean_dphi(phi.values, F.comps, self.params)
+        dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, self.params),
+                                       F.comps, self.params)
         mu = static_chemical_potential(phi, dw_dphi, self.params)
         force = assemble_force(law.stiffness_f(phi.values, self.params),
                                face_gradient(phi.values, self.grid),
@@ -178,8 +179,8 @@ class Simulation:
     def coupled_step(self, state: SimState, dt: float):
         """Advance one step of size dt; returns (state_new, StepStats).
 
-        The old level is prepared once, before the first sweep, and
-        dw/dphi(phi_n, F) is evaluated once per F (see the module
+        The old level is prepared once, before the first sweep, f'(phi_n)
+        once per step and dw/dphi(phi_n, F) once per F (see the module
         docstring).  Each sweep admits its Stokes velocity here and only
         here: div v within the solenoidal bound, then CFL.  Raises
         StepRejected on either failure, Newton failure, a failed linear
@@ -200,7 +201,8 @@ class Simulation:
             transport_level = self.transport.prepare(F_n, phi_n, dt)
             f_n = transport_level.f.reshape(g.nx, g.ny)
             ch_level = self.ch.prepare(phi_n, state.phi_prev, dt)
-            dw_dphi = law.neo_hookean_dphi(phi_n.values, F_n.comps, p)
+            f_prime_n = law.stiffness_f_prime(phi_n.values, p)
+            dw_dphi = law.neo_hookean_dphi(f_prime_n, F_n.comps, p)
             mu_force, F_force = state.mu, F_n
 
             for sweep in range(1, cfg.coupling.picard_max + 1):
@@ -220,7 +222,7 @@ class Simulation:
                 adv_F, adv_phi = sweep_advection(v, faces, F_n.d)
                 F_new, solved = self.transport.step(transport_level, v, adv_F,
                                                     start=solved)
-                dw_dphi = law.neo_hookean_dphi(phi_n.values, F_new.comps, p)
+                dw_dphi = law.neo_hookean_dphi(f_prime_n, F_new.comps, p)
                 phi_new, mu_new, n_newton = self.ch.step(
                     ch_level, dw_dphi, adv_phi, initial_guess=guess)
                 newton_total += n_newton
@@ -269,7 +271,8 @@ class Simulation:
 
         state, control, e_scale = self.initial_state()
         e_prev = total_energy(state.phi, state.F, self.params).total
-        e_scale = e_scale or max(abs(e_prev), 1e-30)
+        if e_scale is None:  # a fresh run; a restart carries its scale
+            e_scale = max(abs(e_prev), 1e-30)
         rejected = 0
         accepted = 0
         rows = [] if collect_rows else None

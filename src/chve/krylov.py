@@ -3,7 +3,9 @@
 ``A`` and ``M`` are callables that apply the operator and the
 preconditioner (an approximate inverse of ``A``) to an array shaped like
 ``b`` and return a new array.  Each solver returns ``(x, info)`` with
-``info = 0`` when the tolerance was met and ``info > 0`` when it was not.
+``info = 0`` when the tolerance was met and ``info > 0`` when it was not;
+:func:`pcg` adds a third value, the residual norm of a solve that ended at
+its first test.
 
 - :func:`gmres` is restarted GMRES with right preconditioning in flexible
   form (Saad, SIAM J. Sci. Comput. 14, 1993): it keeps z_k = M v_k, so
@@ -85,28 +87,32 @@ def gmres(A, b: np.ndarray, *, M, rtol: float, atol: float, restart: int,
 
 
 def pcg(A, b: np.ndarray, x0: np.ndarray, *, M, rtol: float, atol: float,
-        maxiter: int) -> tuple[np.ndarray, int]:
+        maxiter: int) -> tuple[np.ndarray, int, float | None]:
     """Solve A x = b, A symmetric positive definite, from x0 until
-    ||b - A x|| < max(rtol ||b||, atol) on the recursively updated residual.
+    ||b - A x|| < max(rtol ||b||, atol) on the recursively updated residual;
+    returns (x, info, r0).
 
     Repeats ``scipy.sparse.linalg.cg`` operation for operation, so for the
-    same operator, preconditioner and starting guess the result is bitwise
-    the same as scipy's on ``b.ravel()``.  x0 is not modified.  ``info`` is
+    same operator, preconditioner and starting guess x is bitwise the same
+    as scipy's on ``b.ravel()``.  x0 is not modified.  ``info`` is
     ``maxiter`` when the loop ran out.  Unlike scipy's, a non-finite
     residual ends the solve after the iteration that meets it, with a
-    non-finite x and ``info`` the number of iterations done.
+    non-finite x and ``info`` the number of iterations done.  r0 is
+    ||b - A x|| of the returned x, formed explicitly, when the solve ended
+    without iterating (x is x0, or 0 when b = 0); it is None whenever CG
+    iterated, since the residual it tested then was the updated one.
     """
     bnrm2 = np.linalg.norm(b)
     atol = max(float(atol), float(rtol) * float(bnrm2))
     if bnrm2 == 0:
-        return b, 0
+        return b, 0, 0.0
     x = x0.copy()
     r = b - A(x) if x.any() else b.copy()
     rho_prev, p = None, None
     for iteration in range(maxiter):
         rnorm = np.linalg.norm(r)
         if rnorm < atol:
-            return x, 0
+            return x, 0, (float(rnorm) if iteration == 0 else None)
         z = M(r)
         rho_cur = np.vdot(r, z)
         if iteration > 0:
@@ -120,5 +126,5 @@ def pcg(A, b: np.ndarray, x0: np.ndarray, *, M, rtol: float, atol: float,
         r -= alpha * q
         rho_prev = rho_cur
         if not np.isfinite(rnorm):  # NaN never meets the test above
-            return x, iteration + 1
-    return x, maxiter
+            return x, iteration + 1, None
+    return x, maxiter, None

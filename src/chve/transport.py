@@ -31,7 +31,10 @@ forms once per sweep together with advect(v, phi_n); it writes the stretch
 the right-hand side b changes between the sweeps of a step, so a sweep
 starts its CG from the previous sweep's solution G' moved by f dt times
 the change of b: at the velocities of a converging Picard iteration that
-start already meets the CG tolerance.
+start already meets the CG tolerance.  The step's TOL_LIN residual check
+then takes the norm of the explicit residual b - A G' that CG tested,
+so such a sweep applies lam L once; after a CG that iterated, the check
+measures the residual in F at one more product with lam L.
 """
 
 from __future__ import annotations
@@ -116,9 +119,12 @@ class TransportSystem:
         from f dt b, or, given ``start = (G', b')`` from an earlier velocity
         on this level, from G' + f dt (b - b'): the operator is the same,
         so only the change of the right-hand side is left to solve.  Raises
-        SolverError if the residual in F exceeds TOL_LIN relative to the
+        SolverError if the residual exceeds TOL_LIN relative to the
         right-hand side or is not finite; the message carries the CG info
-        when CG did not converge.
+        when CG did not converge.  When CG returned at its first test, the
+        residual is the one it formed explicitly there, b - A G, which
+        equals the residual in F up to rounding; otherwise it is measured
+        in F, b - (F_new/dt - lam L f F_new), at one more product with lam L.
         """
         g = self.grid
         F_n, dt = level.F_n, level.dt
@@ -139,12 +145,13 @@ class TransportSystem:
         else:
             G_prev, b_prev = start
             x0 = G_prev + level.f_dt * (rhs - b_prev)
-        G, info = krylov.pcg(lambda X: D_dt * X - lamL @ X, rhs, x0=x0,
-                             M=lambda r: r / diag, rtol=CG_RTOL, atol=0.0,
-                             maxiter=CG_MAXITER)
+        G, info, res = krylov.pcg(lambda X: D_dt * X - lamL @ X, rhs, x0=x0,
+                                  M=lambda r: r / diag, rtol=CG_RTOL, atol=0.0,
+                                  maxiter=CG_MAXITER)
 
         x = G / f
-        res = float(np.linalg.norm(rhs - (x / dt - lamL @ (f * x))))
+        if res is None:  # CG iterated: measure the residual in F
+            res = float(np.linalg.norm(rhs - (x / dt - lamL @ (f * x))))
         bound = TOL_LIN * float(np.linalg.norm(rhs))
         if not res <= bound:
             why = f", CG did not converge (info {info})" if info else ""

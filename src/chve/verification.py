@@ -282,8 +282,9 @@ def fd_check_chemical_potential(phi: ScalarField, F: TensorField,
     if eta is None:
         X, Y = g.cell_centers()
         eta = np.cos(np.pi * X / g.lx) * np.cos(np.pi * Y / g.ly)
-    mu = static_chemical_potential(phi, law.neo_hookean_dphi(phi.values, F.comps, params),
-                                   params)
+    dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, params),
+                                   F.comps, params)
+    mu = static_chemical_potential(phi, dw_dphi, params)
     pairing = float(np.sum(mu.values * eta)) * g.cell_area
 
     def energy_at(s):
@@ -473,7 +474,8 @@ def korteweg_identity_check(phi: ScalarField, F: TensorField,
     force; report the velocity difference and how well the pressure
     difference matches the discrete potential."""
     g = phi.grid
-    dw_dphi = law.neo_hookean_dphi(phi.values, F.comps, params)
+    dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, params),
+                                   F.comps, params)
     mu = static_chemical_potential(phi, dw_dphi, params)
     f = law.stiffness_f(phi.values, params)
     gu, gw = ops.face_gradient(phi.values, g)

@@ -13,7 +13,8 @@ The restart file is a lossless fixed-layout little-endian dump:
     <q           nx, ny
     <d           lx, ly, t, dt
     <q           step_index, accept_streak
-    <d           energy_scale  (|E| of the run's initial state, feeds the
+    <d           energy_scale  (|E| of the run's initial state, floored at
+                                1e-30 so it is > 0; feeds the
                                 energy-rejection threshold on resume)
     <d arrays    phi, phi_prev, mu, q        (nx*ny each, C order)
                  F                           (nx*ny*4, C order, (i,j,a,b))
@@ -118,10 +119,10 @@ def read_restart(path: str | Path) -> tuple[SimState, StepControl, float]:
         g = GridSpec(nx, ny, lx, ly)
     except PreconditionError as exc:
         raise ValidationError(f"{path}: bad grid in restart header: {exc}") from exc
-    if not (0.0 <= t < np.inf and 0.0 < dt < np.inf and 0.0 <= energy_scale < np.inf
+    if not (0.0 <= t < np.inf and 0.0 < dt < np.inf and 0.0 < energy_scale < np.inf
             and step_index >= 0 and streak >= 0):  # NaN fails every comparison
         raise ValidationError(f"{path}: restart header needs finite t >= 0, dt > 0, "
-                              "energy_scale >= 0 and step_index, accept_streak >= 0")
+                              "energy_scale > 0 and step_index, accept_streak >= 0")
     # phi, phi_prev, mu, q, F, u, w: the arrays in file order
     shapes = [(nx, ny)] * 4 + [(nx, ny, 2, 2), (nx + 1, ny), (nx, ny + 1)]
     sizes = [int(np.prod(s)) for s in shapes]

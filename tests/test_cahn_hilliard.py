@@ -13,14 +13,17 @@ from chve.operators import advect_scalar, laplacian_matrix
 
 def _mu(phi, F, params):
     return ch.static_chemical_potential(
-        phi, law.neo_hookean_dphi(phi.values, F.comps, params), params)
+        phi, law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, params),
+                                  F.comps, params), params)
 
 
 def _step(system, phi, F, v, dt, initial_guess=None):
     """One CH step from phi_n = phi_prev = phi as a Picard sweep takes it:
     the level of (phi, dt), dw/dphi at F and the advection of phi."""
     return system.step(system.prepare(phi, phi, dt),
-                       law.neo_hookean_dphi(phi.values, F.comps, system.params),
+                       law.neo_hookean_dphi(
+                           law.stiffness_f_prime(phi.values, system.params),
+                           F.comps, system.params),
                        advect_scalar(v, phi.values), initial_guess=initial_guess)
 
 
@@ -47,7 +50,8 @@ def test_step_returns_the_split_mu(grid16, rng, delta):
     params = ModelParams(eps=0.05, b0=0.1, b1=0.1, c_elastic=0.25, delta=delta)
     phi_n = ScalarField(grid16, rng.uniform(-1.0, 1.0, (16, 16)))
     F = TensorField(grid16, np.eye(2) + 0.1 * rng.standard_normal((16, 16, 2, 2)))
-    dw_dphi = law.neo_hookean_dphi(phi_n.values, F.comps, params)
+    dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi_n.values, params),
+                                   F.comps, params)
     L = laplacian_matrix(grid16)
     dt = 1e-3
     system = ch.CHSystem(grid16, params, L)

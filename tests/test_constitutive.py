@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chve import constitutive as law
-from chve.grid import ModelParams, PreconditionError, determinant
+from chve.grid import ModelParams, PreconditionError, determinant, frobenius
 
 
 def central(f, x, h=1e-6):
@@ -126,8 +126,22 @@ def test_neo_hookean_dphi_matches_central_difference(params, rng):
         F = np.eye(d) + 0.3 * rng.standard_normal((d, d))
         for phi in (-1.3, -0.4, 0.2, 0.7, 1.2):
             fd = central(lambda s: law.neo_hookean_w(s, F, params), phi)
-            assert fd == pytest.approx(law.neo_hookean_dphi(phi, F, params),
-                                       rel=1e-7, abs=1e-9)
+            dw = law.neo_hookean_dphi(law.stiffness_f_prime(phi, params), F, params)
+            assert fd == pytest.approx(dw, rel=1e-7, abs=1e-9)
+
+
+def test_neo_hookean_dphi_from_f_prime_matches_the_phi_formula(params, rng):
+    """Given f'(phi), dw/dphi repeats (c/2) f'(phi) (F:F - d) with F:F from
+    the einsum, to rounding (d = 2 writes F:F out entrywise)."""
+    for d in (2, 3):
+        phi = rng.uniform(-1.5, 1.5, (32, 24))
+        F = np.eye(d) + 0.5 * rng.standard_normal((32, 24, d, d))
+        fp = law.stiffness_f_prime(phi, params)
+        assert np.count_nonzero(fp) > 100
+        ref = 0.5 * params.c_elastic * fp * (frobenius(F, F) - d)
+        dw = law.neo_hookean_dphi(fp, F, params)
+        assert dw.shape == ref.shape
+        assert np.max(np.abs(dw - ref)) <= 1e-15 * np.max(np.abs(ref)), d
 
 
 def test_eulerian_stress_symmetric_psd(params, rng):

@@ -327,10 +327,10 @@ def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
 
 def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
     # over 10 PICARD8-style steps: the upwind face candidates of (F_n, phi_n)
-    # are built once per step, the sweep advection runs once per sweep, and
-    # dw/dphi once at F_n plus once per sweep at its F_new
+    # and f'(phi_n) are built once per step, the sweep advection runs once
+    # per sweep, and dw/dphi once at F_n plus once per sweep at its F_new
     from chve import constitutive, driver
-    counts = dict.fromkeys(("faces", "advect", "dw_dphi"), 0)
+    counts = dict.fromkeys(("faces", "advect", "f_prime", "dw_dphi"), 0)
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -343,6 +343,8 @@ def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
     monkeypatch.setattr(driver, "advect_upwind", counting("advect", driver.advect_upwind))
     monkeypatch.setattr(constitutive, "neo_hookean_dphi",
                         counting("dw_dphi", constitutive.neo_hookean_dphi))
+    monkeypatch.setattr(constitutive, "stiffness_f_prime",
+                        counting("f_prime", constitutive.stiffness_f_prime))
     per_step = []
     real_step = Simulation.coupled_step
 
@@ -362,7 +364,8 @@ def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
     assert [k for k, _ in per_step] == [r.picard_iters for r in rows]
     assert max(r.picard_iters for r in rows) > 2
     for sweeps, n in per_step:
-        assert n == {"faces": 1, "advect": sweeps, "dw_dphi": sweeps + 1}
+        assert n == {"faces": 1, "advect": sweeps, "f_prime": 1,
+                     "dw_dphi": sweeps + 1}
 
 
 def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):

@@ -47,7 +47,7 @@ def test_nan_inside_a_step_is_rejected(tmp_path, monkeypatch, target, reason):
 
 def _stalled_cg(A, b, **kwargs):
     """Krylov solve that stops at the zero vector, reporting no convergence."""
-    return np.zeros_like(b), 1
+    return np.zeros_like(b), 1, None
 
 
 def test_unconverged_transport_solve_is_rejected(tmp_path, monkeypatch):
@@ -185,9 +185,11 @@ def _restart_with(tmp_path, **header):
 @pytest.mark.parametrize("field,value", [
     ("t", np.nan), ("t", -1.0), ("t", np.inf), ("dt", np.nan), ("dt", -1.0),
     ("dt", 0.0), ("dt", np.inf), ("energy_scale", np.nan), ("energy_scale", -1.0),
+    ("energy_scale", 0.0),
     ("step_index", -1), ("accept_streak", -1)])
 def test_bad_restart_header_is_a_validation_error(tmp_path, field, value):
-    # a NaN dt would reject every step forever, a NaN t never reach t_end
+    # a NaN dt would reject every step forever, a NaN t never reach t_end;
+    # a run never writes energy_scale = 0 (it floors |E0| at 1e-30)
     path, _ = _restart_with(tmp_path, **{field: value})
     with pytest.raises(ValidationError, match="restart header needs"):
         read_restart(path)

@@ -108,8 +108,8 @@ def test_pcg_is_bitwise_scipy_cg(warm):
     b = np.random.default_rng(3).standard_normal((n, k))
     x0 = fdt * b if warm else np.zeros((n, k))
     calls = []
-    x, info = krylov.pcg(matvec, b, x0=x0, M=_counted(precondition, calls),
-                         rtol=1e-12, atol=0.0, maxiter=500)
+    x, info, r0 = krylov.pcg(matvec, b, x0=x0, M=_counted(precondition, calls),
+                             rtol=1e-12, atol=0.0, maxiter=500)
     ref, ref_info = spla.cg(
         spla.LinearOperator((n * k, n * k), dtype=float,
                             matvec=lambda x: matvec(x.reshape(n, k)).ravel()),
@@ -118,7 +118,30 @@ def test_pcg_is_bitwise_scipy_cg(warm):
                               matvec=lambda r: precondition(r).ravel()))
     assert len(calls) > 3
     assert info == ref_info == 0
+    assert r0 is None  # CG iterated
     assert np.array_equal(x.ravel(), ref)
+
+
+def test_pcg_returning_at_its_first_test_reports_the_explicit_residual():
+    """From a start that already meets the tolerance pcg applies A once,
+    returns x0 unchanged and reports ||b - A x0|| as formed; b = 0 returns 0
+    with residual 0 and no product."""
+    matvec, precondition, fdt, n, k = _transport_system()
+    b = np.random.default_rng(3).standard_normal((n, k))
+    x0, _, _ = krylov.pcg(matvec, b, x0=fdt * b, M=precondition,
+                          rtol=1e-12, atol=0.0, maxiter=500)
+    products, calls = [], []
+    x, info, r0 = krylov.pcg(_counted(matvec, products), b, x0=x0,
+                             M=_counted(precondition, calls),
+                             rtol=1e-12, atol=0.0, maxiter=500)
+    assert (info, len(products), len(calls)) == (0, 1, 0)
+    assert np.array_equal(x, x0) and x is not x0
+    assert r0 == np.linalg.norm(b - matvec(x0)) < 1e-12 * np.linalg.norm(b)
+    products.clear()
+    x, info, r0 = krylov.pcg(_counted(matvec, products), np.zeros((n, k)), x0=x0,
+                             M=precondition, rtol=1e-12, atol=0.0, maxiter=500)
+    assert (info, r0, len(products)) == (0, 0.0, 0)
+    assert not x.any()
 
 
 def test_pcg_nan_rhs_returns_nonfinite_without_hanging():
@@ -128,8 +151,8 @@ def test_pcg_nan_rhs_returns_nonfinite_without_hanging():
     for x0 in (fdt * b, np.zeros((n, k))):  # the transport's warm start, and none
         calls = []
         with np.errstate(invalid="ignore"):
-            x, info = krylov.pcg(matvec, b, x0=x0, M=_counted(precondition, calls),
-                                 rtol=1e-12, atol=0.0, maxiter=500)
+            x, info, r0 = krylov.pcg(matvec, b, x0=x0, M=_counted(precondition, calls),
+                                     rtol=1e-12, atol=0.0, maxiter=500)
         assert not np.all(np.isfinite(x))
-        assert info > 0
+        assert info > 0 and r0 is None
         assert len(calls) <= 2

@@ -333,9 +333,32 @@ def test_force_assembly_uniform_state_is_zero(grid16, params):
     F = TensorField.identity(grid16)
     force = stokes.assemble_force(law.stiffness_f(phi.values, params),
                                   face_gradient(phi.values, grid16), mu,
-                                  law.neo_hookean_dphi(phi.values, F.comps, params),
+                                  law.neo_hookean_dphi(
+                                      law.stiffness_f_prime(phi.values, params),
+                                      F.comps, params),
                                   F, params)
     assert force.max_abs() <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [GridSpec(24, 40, 2.0, 1.3), GridSpec(64, 64)],
+                         ids=["24x40", "64x64"])
+def test_elastic_force_is_bitwise_the_padded_einsum_form(grid, params, rng):
+    """The stress planes written entrywise and the shear plane edge-padded
+    by slicing give the same bytes as the einsum stress and np.pad."""
+    nx, ny = grid.nx, grid.ny
+    F = TensorField(grid, np.eye(2) + 0.3 * rng.standard_normal((nx, ny, 2, 2)))
+    f = law.stiffness_f(rng.uniform(-1.5, 1.5, (nx, ny)), params)
+    S = params.c_elastic * f[..., None, None] * np.einsum("...ik,...jk->...ij",
+                                                          F.comps, F.comps)
+    Sxy_n = operators._corner_average(np.pad(S[:, :, 0, 1], 1, mode="edge"))
+    ref_u = np.zeros((nx + 1, ny))
+    ref_w = np.zeros((nx, ny + 1))
+    ref_u[1:-1, :] = ((S[1:, :, 0, 0] - S[:-1, :, 0, 0]) / grid.hx
+                      + (Sxy_n[1:-1, 1:] - Sxy_n[1:-1, :-1]) / grid.hy)
+    ref_w[:, 1:-1] = ((Sxy_n[1:, 1:-1] - Sxy_n[:-1, 1:-1]) / grid.hx
+                      + (S[:, 1:, 1, 1] - S[:, :-1, 1, 1]) / grid.hy)
+    fu, fw = stokes.elastic_force(f, F, params)
+    assert np.array_equal(fu, ref_u) and np.array_equal(fw, ref_w)
 
 
 def test_force_identity_stress_is_discrete_gradient(grid16, params, rng):
@@ -361,7 +384,8 @@ def test_force_matches_dense_assembly(grid8, rng):
     p = phi.values
     f = law.stiffness_f(p, params)
     force = stokes.assemble_force(f, face_gradient(p, g), mu,
-                                  law.neo_hookean_dphi(p, F.comps, params),
+                                  law.neo_hookean_dphi(law.stiffness_f_prime(p, params),
+                                                       F.comps, params),
                                   F, params)
 
     m = mu.values - 0.5 * params.c_elastic * law.stiffness_f_prime(p, params) \

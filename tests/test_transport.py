@@ -13,6 +13,8 @@ from chve.operators import advect_tensor, laplacian_matrix, velocity_gradient
 from chve.transport import TransportSystem
 from chve.verification import det_transport_deviation, interior_vortex
 
+from test_cahn_hilliard import _CountedMatrix
+
 
 def _step(system, F, v, phi, dt):
     """One transport step as a first Picard sweep takes it: the level of
@@ -101,9 +103,9 @@ def test_lambda_zero_step_is_explicit(grid16, rng, monkeypatch):
 
     def recorded_pcg(A, b, x0, *, M, **kwargs):
         calls = []
-        x, info = real_pcg(A, b, x0, M=lambda r: calls.append(1) or M(r), **kwargs)
+        x, info, r0 = real_pcg(A, b, x0, M=lambda r: calls.append(1) or M(r), **kwargs)
         runs.append((info, len(calls)))
-        return x, info
+        return x, info, r0
 
     monkeypatch.setattr(krylov, "pcg", recorded_pcg)
     params = ModelParams(lam=0.0)
@@ -191,12 +193,68 @@ def test_step_matches_direct_sparse_solve(ratio, offdiag):
             assert err <= 1e-10 * np.linalg.norm(ref[:, :, a, b]), (a, b)
 
 
+def test_lam_L_products_of_a_cold_and_a_warm_step(monkeypatch):
+    """A step whose CG iterates applies lam L for the CG's start residual,
+    once per iteration and once more for the residual check in F.  A warm
+    step whose CG returns at its first test (a later Picard sweep at an
+    unchanged velocity) applies it once: the check takes the norm of the
+    residual that CG formed, which equals the residual in F to rounding."""
+    runs = []
+    real_pcg = krylov.pcg
+
+    def recorded_pcg(A, b, x0, *, M, **kwargs):
+        calls = []
+        x, info, r0 = real_pcg(A, b, x0, M=lambda r: calls.append(1) or M(r), **kwargs)
+        runs.append((info, len(calls), r0))
+        return x, info, r0
+
+    monkeypatch.setattr(krylov, "pcg", recorded_pcg)
+    n, dt = 32, 1e-3
+    grid = GridSpec(n, n)
+    params = ModelParams(lam=0.4 * grid.hx ** 2 / dt)
+    X, _ = grid.cell_centers()
+    phi = ScalarField(grid, np.tanh((X - 0.5 * grid.lx) / 0.05))
+    F = TensorField(grid, np.eye(2) + 0.3 * np.random.default_rng(7).standard_normal(
+        (n, n, 2, 2)))
+    v = interior_vortex(grid, target_max=0.5)
+    system = TransportSystem(grid, params, laplacian_matrix(grid))
+    products = []
+    system._lamL = _CountedMatrix(system._lamL, products)
+    level = system.prepare(F, phi, dt)
+    adv = advect_tensor(v, F.comps)
+
+    F_cold, solved = system.step(level, v, adv)
+    [(info, iters, r0)] = runs
+    assert info == 0 and iters >= 2 and r0 is None
+    assert len(products) == iters + 2
+
+    runs.clear()
+    products.clear()
+    F_warm, (G, b) = system.step(level, v, adv, start=solved)
+    [(info, iters, r0)] = runs
+    assert (info, iters, len(products)) == (0, 0, 1)
+    assert np.array_equal(F_warm.comps, F_cold.comps)
+    f = level.f
+    x = G / f
+    res_F = np.linalg.norm(b - (x / dt - params.lam * (laplacian_matrix(grid) @ (f * x))))
+    assert r0 < 1e-12 * np.linalg.norm(b)
+    assert abs(r0 - res_F) <= 1e-16 * np.linalg.norm(b)
+
+    runs.clear()
+    products.clear()
+    w = interior_vortex(grid, target_max=1.0)  # warm, but a new velocity
+    system.step(level, w, advect_tensor(w, F.comps), start=solved)
+    [(info, iters, r0)] = runs
+    assert info == 0 and iters >= 1 and r0 is None
+    assert len(products) == iters + 2
+
+
 @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["unconverged", "nan"])
 def test_failed_krylov_solve_raises_solver_error(grid16, monkeypatch, bad):
     system = TransportSystem(grid16, ModelParams(lam=1e-2), laplacian_matrix(grid16))
     phi = ScalarField.uniform(grid16, 0.2)
     v = interior_vortex(grid16, target_max=0.5)
-    monkeypatch.setattr(krylov, "pcg", lambda A, b, **kw: (np.full_like(b, bad), 1))
+    monkeypatch.setattr(krylov, "pcg", lambda A, b, **kw: (np.full_like(b, bad), 1, None))
     with pytest.raises(SolverError, match="transport residual"):
         _step(system, TensorField.identity(grid16), v, phi, 0.01)
 
@@ -232,9 +290,9 @@ def test_jacobi_cg_converges_at_largest_tested_lam_dt(monkeypatch, profile, meas
 
     def recorded_pcg(A, b, x0, *, M, **kwargs):
         calls = []
-        x, info = real_pcg(A, b, x0, M=lambda r: calls.append(1) or M(r), **kwargs)
+        x, info, r0 = real_pcg(A, b, x0, M=lambda r: calls.append(1) or M(r), **kwargs)
         runs.append((info, len(calls)))
-        return x, info
+        return x, info, r0
 
     monkeypatch.setattr(krylov, "pcg", recorded_pcg)
     _step(TransportSystem(grid, ModelParams(lam=1e-2), laplacian_matrix(grid)), F,
