@@ -234,9 +234,8 @@ def test_lam_L_products_of_a_cold_and_a_warm_step(monkeypatch):
     [(info, iters, r0)] = runs
     assert (info, iters, len(products)) == (0, 0, 1)
     assert np.array_equal(F_warm.comps, F_cold.comps)
-    f = level.f
-    x = G / f
-    res_F = np.linalg.norm(b - (x / dt - params.lam * (laplacian_matrix(grid) @ (f * x))))
+    f, x = level.f, G / level.f
+    res_F = np.linalg.norm(b - (x / dt - system._lamL.A @ (f * x)))  # uncounted
     assert r0 < 1e-12 * np.linalg.norm(b)
     assert abs(r0 - res_F) <= 1e-16 * np.linalg.norm(b)
 
