@@ -132,17 +132,11 @@ def neo_hookean_dphi(f_prime, F, params: ModelParams):
     elastic term of the chemical potential and of the momentum force.
 
     f_prime is f'(phi) (:func:`stiffness_f_prime`), which the caller
-    evaluates once per time step and shares with every F of the step.  For
-    d = 2, F:F is written out entrywise; d = 3 keeps the einsum.
+    evaluates once per time step and shares with every F of the step.
     """
     F = np.asarray(F, dtype=float)
     d = F.shape[-1]
-    if d == 2:
-        Q = F * F
-        FF = Q[..., 0, 0] + Q[..., 0, 1] + Q[..., 1, 0] + Q[..., 1, 1]
-    else:
-        FF = frobenius(F, F)
-    return 0.5 * params.c_elastic * f_prime * (FF - d)
+    return 0.5 * params.c_elastic * f_prime * (frobenius(F, F) - d)
 
 
 def eulerian_elastic_stress(f, F, params: ModelParams):

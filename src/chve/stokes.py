@@ -212,11 +212,7 @@ def elastic_force(f: np.ndarray, F: TensorField, params: ModelParams):
     """
     g = F.grid
     S = law.eulerian_elastic_stress(f, F.comps, params)
-    Sxy = np.empty((g.nx + 2, g.ny + 2))  # the shear plane, edge-padded
-    Sxy[1:-1, 1:-1] = S[:, :, 0, 1]
-    Sxy[0, 1:-1], Sxy[-1, 1:-1] = Sxy[1, 1:-1], Sxy[-2, 1:-1]
-    Sxy[:, 0], Sxy[:, -1] = Sxy[:, 1], Sxy[:, -2]
-    Sxy_n = _corner_average(Sxy)
+    Sxy_n = _corner_average(np.pad(S[:, :, 0, 1], 1, mode="edge"))
     fu = np.zeros((g.nx + 1, g.ny))
     fw = np.zeros((g.nx, g.ny + 1))
     fu[1:-1, :] = ((S[1:, :, 0, 0] - S[:-1, :, 0, 0]) / g.hx

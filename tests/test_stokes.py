@@ -343,8 +343,8 @@ def test_force_assembly_uniform_state_is_zero(grid16, params):
 @pytest.mark.parametrize("grid", [GridSpec(24, 40, 2.0, 1.3), GridSpec(64, 64)],
                          ids=["24x40", "64x64"])
 def test_elastic_force_is_bitwise_the_padded_einsum_form(grid, params, rng):
-    """The stress planes written entrywise and the shear plane edge-padded
-    by slicing give the same bytes as the einsum stress and np.pad."""
+    """The stress planes written entrywise give the same force, byte for
+    byte, as the einsum stress."""
     nx, ny = grid.nx, grid.ny
     F = TensorField(grid, np.eye(2) + 0.3 * rng.standard_normal((nx, ny, 2, 2)))
     f = law.stiffness_f(rng.uniform(-1.5, 1.5, (nx, ny)), params)
