@@ -27,7 +27,8 @@ GMRES tolerance.
 
 Within a time step phi_n and phi_prev are fixed, so :meth:`CHSystem.prepare`
 builds the mobility operator, the warm start and the explicit concave part
-of mu once per step.  Each Picard sweep's :meth:`CHSystem.step` takes that
+of mu once per step, from b(phi_n) as the driver's constitutive pass of the
+accepted state formed it.  Each Picard sweep's :meth:`CHSystem.step` takes that
 level with the sweep's advect(v, phi_n) and dw/dphi(phi_n, F_new), which
 the driver forms once per sweep and shares with transport and with the
 next sweep's force.  The accepted step's mu_new, viscous term included, is
@@ -126,14 +127,15 @@ class CHSystem:
         self._eig = laplacian_eigenvalues(grid)  # L on the DCT-II basis
         self._Lb = params.b0 * self.L if params.b0 == params.b1 else None
 
-    def prepare(self, phi_n: ScalarField, phi_prev: ScalarField, dt: float) -> CHLevel:
-        """The parts of a step that no velocity or deformation changes.
+    def prepare(self, phi_n: ScalarField, phi_prev: ScalarField, b: np.ndarray,
+                dt: float) -> CHLevel:
+        """The parts of a step that no velocity or deformation changes; b is
+        the cell array b(phi_n) (:func:`chve.constitutive.mobility_b`).
         phi_prev (the previous accepted field) only seeds the Newton warm
         start, a linear extrapolation through the two accepted states."""
         if dt <= 0.0:
             raise PreconditionError("dt must be > 0")
         p = self.params
-        b = law.mobility_b(phi_n.values, p)
         Lb = self._Lb if self._Lb is not None else laplacian_matrix(self.grid, b)
         return CHLevel(phi_n=phi_n.values.ravel(),
                        warm=(2.0 * phi_n.values - phi_prev.values).ravel(),

@@ -13,8 +13,9 @@ through :class:`~chve.grid.ModelParams` so alternates can be swapped in:
   over the stiffness window; b1 = b0 gives the constant mobility b0 exactly.
 
 The elastic energies: the phase-coupled Neo-Hookean density
-w = (c/2) f(phi) (F:F - d) drives the 2-D solver, and its derivatives
-dw/dF and dw/dphi are the only copies of those formulas; the Mooney-Rivlin
+w = (c/2) f(phi) (F:F - d) drives the 2-D solver.  Its formula and those of
+dw/dF and dw/dphi exist once each; w and dw/dphi read F through the stretch
+invariant F:F - d, which the driver forms once per F.  The Mooney-Rivlin
 density (the Neo-Hookean one plus cofactor and determinant terms, with
 their moduli passed in) and its first Piola stress are evaluation/test
 utilities for d = 3.
@@ -113,11 +114,23 @@ def mobility_b(s, params: ModelParams):
 # elastic energies and stresses
 
 
+def stretch_invariant(F):
+    """F:F - d, the invariant the Neo-Hookean density is linear in; 0 at
+    F = I.  The driver forms it once per deformation gradient and hands it
+    to the density and to dw/dphi."""
+    F = np.asarray(F, dtype=float)
+    return frobenius(F, F) - F.shape[-1]
+
+
+def neo_hookean_density(f, stretch, params: ModelParams):
+    """(c/2) f (F:F - d) from f = f(phi) and stretch = F:F - d
+    (:func:`stretch_invariant`)."""
+    return 0.5 * params.c_elastic * f * stretch
+
+
 def neo_hookean_w(phi, F, params: ModelParams):
     """Phase-coupled Neo-Hookean density (c/2) f(phi) (F:F - d)."""
-    F = np.asarray(F, dtype=float)
-    d = F.shape[-1]
-    return 0.5 * params.c_elastic * stiffness_f(phi, params) * (frobenius(F, F) - d)
+    return neo_hookean_density(stiffness_f(phi, params), stretch_invariant(F), params)
 
 
 def neo_hookean_piola(phi, F, params: ModelParams):
@@ -127,16 +140,15 @@ def neo_hookean_piola(phi, F, params: ModelParams):
     return params.c_elastic * fval[..., None, None] * F
 
 
-def neo_hookean_dphi(f_prime, F, params: ModelParams):
+def neo_hookean_dphi(f_prime, stretch, params: ModelParams):
     """dw/dphi for the Neo-Hookean density: (c/2) f'(phi) (F:F - d), the
     elastic term of the chemical potential and of the momentum force.
 
     f_prime is f'(phi) (:func:`stiffness_f_prime`), which the caller
-    evaluates once per time step and shares with every F of the step.
+    evaluates once per time step and shares with every F of the step, and
+    stretch is F:F - d (:func:`stretch_invariant`) of the F at hand.
     """
-    F = np.asarray(F, dtype=float)
-    d = F.shape[-1]
-    return 0.5 * params.c_elastic * f_prime * (frobenius(F, F) - d)
+    return 0.5 * params.c_elastic * f_prime * stretch
 
 
 def eulerian_elastic_stress(f, F, params: ModelParams):

@@ -14,6 +14,14 @@ reuses the exact quadratic forms of the discrete step operators, so
 (E_new - E_old)/dt + D_new measures the splitting defect of the scheme and
 nothing else.  The defect is O(dt + h^2) and is reported, not enforced; no
 step is rejected on its value or sign.
+
+Both read fields that the step has already formed, never the raw state:
+:func:`state_energy` and :func:`dissipation` take the state's constitutive
+pass (:class:`StateFields`: f(phi), b(phi), F:F - d, grad phi), and
+:func:`dissipation` the derivative pass of its velocity
+(:func:`chve.operators.velocity_derivatives`), the one the Stokes solve
+formed for the accepted sweep.  :func:`total_energy` is the form for a
+caller that holds only (phi, F): it forms their pass itself.
 """
 
 from __future__ import annotations
@@ -23,9 +31,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import constitutive as law
-from .grid import (GridSpec, ModelParams, ScalarField, SimState,
-                   StaggeredVectorField, TensorField)
-from .operators import face_average, face_gradient, node_shear_gradients
+from .grid import ModelParams, ScalarField, SimState, TensorField
+from .operators import VelocityDerivatives, face_average, face_gradient
 
 
 @dataclass(frozen=True)
@@ -66,48 +73,79 @@ class DiagnosticsRow:
 DiagnosticsRow.CSV_HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 
 
-def _grad_energy(q: np.ndarray, grid: GridSpec) -> float:
-    """Face sum of |face_gradient q|^2 for cell data q."""
-    gu, gw = face_gradient(q, grid)
+@dataclass(frozen=True)
+class StateFields:
+    """The constitutive pass of one state (phi, F), from :func:`state_fields`:
+    f(phi), b(phi), the stretch invariant F:F - d and the face gradient of
+    phi.  The driver forms one per accepted state; its energy, its
+    dissipation and the next step's transport and Cahn-Hilliard levels,
+    first force and first dw/dphi all read it."""
+    phi: ScalarField
+    F: TensorField
+    f: np.ndarray
+    b: np.ndarray
+    stretch: np.ndarray
+    grad_phi: tuple[np.ndarray, np.ndarray]
+
+
+def state_fields(phi: ScalarField, F: TensorField, stretch: np.ndarray,
+                 params: ModelParams) -> StateFields:
+    """The constitutive pass of (phi, F); stretch is F:F - d of F
+    (:func:`chve.constitutive.stretch_invariant`), which a step has already
+    formed for its last dw/dphi."""
+    v = phi.values
+    return StateFields(phi, F, law.stiffness_f(v, params), law.mobility_b(v, params),
+                       stretch, face_gradient(v, phi.grid))
+
+
+def _face_sum_sq(faces) -> float:
+    """Face sum of the squares of face data (on_xfaces, on_yfaces)."""
+    gu, gw = faces
     return float(np.sum(gu ** 2)) + float(np.sum(gw ** 2))
 
 
-def total_energy(phi: ScalarField, F: TensorField, params: ModelParams) -> EnergyBreakdown:
-    g = phi.grid
-    a = g.cell_area
-    elastic = float(np.sum(law.neo_hookean_w(phi.values, F.comps, params))) * a
-    interface = 0.5 * params.eps * _grad_energy(phi.values, g) * a
-    bulk = float(np.sum(law.psi(phi.values))) / params.eps * a
+def state_energy(fields: StateFields, params: ModelParams) -> EnergyBreakdown:
+    """The free energy E of the state whose constitutive pass is ``fields``."""
+    a = fields.phi.grid.cell_area
+    elastic = float(np.sum(law.neo_hookean_density(fields.f, fields.stretch, params))) * a
+    interface = 0.5 * params.eps * _face_sum_sq(fields.grad_phi) * a
+    bulk = float(np.sum(law.psi(fields.phi.values))) / params.eps * a
     return EnergyBreakdown(elastic=elastic, interface=interface, bulk=bulk)
 
 
-def dissipation(v: StaggeredVectorField, mu: ScalarField, phi: ScalarField,
-                F: TensorField, dphi_dt: np.ndarray | None,
-                params: ModelParams) -> float:
+def total_energy(phi: ScalarField, F: TensorField, params: ModelParams) -> EnergyBreakdown:
+    """E of (phi, F) for a caller that holds no constitutive pass of them."""
+    return state_energy(state_fields(phi, F, law.stretch_invariant(F.comps), params),
+                        params)
+
+
+def dissipation(dv: VelocityDerivatives, mu: ScalarField, fields: StateFields,
+                dphi_dt: np.ndarray | None, params: ModelParams) -> float:
     """Sum of the four quadratic dissipation forms, each built from the same
-    discrete operators the corresponding step uses."""
-    g = v.grid
+    discrete operators the corresponding step uses; dv is the derivative
+    pass of the velocity and fields the constitutive pass of (phi, F)."""
+    g = dv.v.grid
     a = g.cell_area
 
-    # nu |grad v|^2 with the no-slip ghost convention of the Stokes block
-    du, dw = node_shear_gradients(v)
+    # nu |grad v|^2 with the no-slip ghost convention of the Stokes block;
     # wall entries carry weight 1/2 so the sum reproduces -<Lap_h v, v>,
     # Lap_h = vector_laplacian (the quadratic form of the velocity block),
     # to rounding
-    visc = (float(np.sum(((v.u[1:, :] - v.u[:-1, :]) / g.hx) ** 2))
-            + float(np.sum(((v.w[:, 1:] - v.w[:, :-1]) / g.hy) ** 2))
+    du, dw = dv.dudy, dv.dwdx
+    visc = (float(np.sum(dv.dudx ** 2))
+            + float(np.sum(dv.dwdy ** 2))
             + float(np.sum(du[:, 1:-1] ** 2))
             + 0.5 * (float(np.sum(du[:, 0] ** 2)) + float(np.sum(du[:, -1] ** 2)))
             + float(np.sum(dw[1:-1, :] ** 2))
             + 0.5 * (float(np.sum(dw[0, :] ** 2)) + float(np.sum(dw[-1, :] ** 2))))
     out = params.nu * visc * a
 
-    fvals = law.stiffness_f(phi.values, params)
+    F = fields.F
     for i in range(F.d):
         for j in range(F.d):
-            out += params.lam * _grad_energy(fvals * F.comps[:, :, i, j], g) * a
+            out += params.lam * _face_sum_sq(face_gradient(fields.f * F.comps[:, :, i, j], g)) * a
 
-    bx, by = face_average(law.mobility_b(phi.values, params), g)
+    bx, by = face_average(fields.b, g)
     gu, gw = face_gradient(mu.values, g)
     out += (float(np.sum(bx * gu ** 2)) + float(np.sum(by * gw ** 2))) * a
 
@@ -120,11 +158,13 @@ def total_mass(phi: ScalarField) -> float:
     return float(np.sum(phi.values)) * phi.grid.cell_area
 
 
-def energy_budget(state_n: SimState, state_np1: SimState, dt: float,
-                  e_old: float, e_new: float, params: ModelParams) -> tuple[float, float]:
+def energy_budget(state_n: SimState, state_np1: SimState, dv: VelocityDerivatives,
+                  fields: StateFields, dt: float, e_old: float, e_new: float,
+                  params: ModelParams) -> tuple[float, float]:
     """(D_new, (E_new - E_old)/dt + D_new) with end-of-step fields and
-    dphi/dt = (phi_new - phi_old)/dt in D; e_old, e_new are the two energies."""
+    dphi/dt = (phi_new - phi_old)/dt in D; dv and fields are the derivative
+    pass of state_np1.v and the constitutive pass of state_np1, and e_old,
+    e_new the two energies."""
     dphi_dt = (state_np1.phi.values - state_n.phi.values) / dt
-    d_new = dissipation(state_np1.v, state_np1.mu, state_np1.phi, state_np1.F,
-                        dphi_dt, params)
+    d_new = dissipation(dv, state_np1.mu, fields, dphi_dt, params)
     return d_new, (e_new - e_old) / dt + d_new

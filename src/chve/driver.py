@@ -11,19 +11,40 @@ point of the fully implicit splitting; the sweep count is capped by
 ``picard_max`` and terminated early when the max change across
 (phi, F, v) drops below ``picard_tol``.
 
+Each derived field is formed once and handed to every reader:
+
+* The constitutive pass of a state (:class:`~chve.diagnostics.StateFields`:
+  f(phi), b(phi), the stretch F:F - d and grad phi) is formed once for
+  each state a step makes, and for the initial state.  It feeds the
+  state's energy check and dissipation, and then the next step's transport
+  level (f), its Cahn-Hilliard level (b), every force of the step (f, grad
+  phi) and the first dw/dphi (the stretch).  A candidate's pass takes its
+  stretch from the last sweep's dw/dphi.  The simulation keeps the pass of
+  the newest state it made, the initial one or a candidate
+  (:meth:`Simulation.fields`); a state it did not make (a restored state,
+  or one a caller passes in) gets its pass formed from itself, and a
+  rejected candidate's pass is never read again.
+* The derivative pass of each sweep's Stokes velocity
+  (:func:`~chve.operators.velocity_derivatives`: du/dx, dw/dy, the node
+  du/dy and dw/dx, max|u|, max|w|) is formed once, inside the solve, where
+  it feeds the momentum-residual check; the solver keeps the pass of its
+  latest solve and hands it on (:meth:`~chve.stokes.StokesSolver.derivatives`).
+  The sweep's solenoidal and CFL admission and the transport stretch read
+  it, and for the accepted sweep, the last one solved, the viscous
+  dissipation.
+
 Advection is explicit in the old level (phi_n, F_n), so everything that
 depends on (phi_n, F_n, dt) alone is prepared once per step, before the
 first sweep: the upwind face candidates of the stacked (F_n, phi_n)
-(:func:`old_level_faces`), grad phi_n, the transport and Cahn-Hilliard
-levels (the transport level's f(phi_n) also serves every force), f'(phi_n),
-and dw/dphi at F_n for the first force.  That force reads mu_n as stored in
-``state.mu``: the last step's Cahn-Hilliard mu, whose delta term is over
-the dt that produced phi_n.  A sweep redoes only what its velocity
-changes: one face selection, flux and divergence for all five fields
-(:func:`sweep_advection`), shared by transport and Cahn-Hilliard, and
-dw/dphi at its new F from the step's f'(phi_n), shared by its CH step and
-the next sweep's force.  Every sweep after the first starts its transport
-CG from the pair (G, b) that the previous sweep solved
+(:func:`old_level_faces`), the transport and Cahn-Hilliard levels,
+f'(phi_n), and dw/dphi at F_n for the first force.  That force reads mu_n
+as stored in ``state.mu``: the last step's Cahn-Hilliard mu, whose delta
+term is over the dt that produced phi_n.  A sweep redoes only what its
+velocity changes: one face selection, flux and divergence for all five
+fields (:func:`sweep_advection`), shared by transport and Cahn-Hilliard,
+and the stretch and dw/dphi at its new F, shared by its CH step and the
+next sweep's force.  Every sweep after the first starts its transport CG
+from the pair (G, b) that the previous sweep solved
 (:meth:`TransportSystem.step`); the pair lives only inside the step.
 
 Step control: a step is rejected when the phase-field Newton fails, a
@@ -47,13 +68,13 @@ import numpy as np
 from . import constitutive as law
 from .cahn_hilliard import CHSystem, static_chemical_potential
 from .config import ConfigSpec, StepControl, dump_config
-from .diagnostics import (DiagnosticsRow, EnergyBreakdown, energy_budget,
-                          total_energy, total_mass)
+from .diagnostics import (DiagnosticsRow, EnergyBreakdown, StateFields, energy_budget,
+                          state_energy, state_fields, total_mass)
 from .errors import NewtonError, SolverError, ValidationError
 from .grid import (PreconditionError, ScalarField, SimState,
                    StaggeredVectorField, TensorField)
-from .operators import (advect_upwind, face_gradient, laplacian_matrix,
-                        solenoidal_residual, upwind_candidates)
+from .operators import (advect_upwind, laplacian_matrix, solenoidal_residual,
+                        upwind_candidates)
 from .stokes import StokesSolver, assemble_force
 from .transport import TransportSystem
 from .vtk_io import read_restart, write_restart, write_vtk
@@ -147,6 +168,17 @@ class Simulation:
         L = laplacian_matrix(self.grid)
         self.transport = TransportSystem(self.grid, cfg.params, L)
         self.ch = CHSystem(self.grid, cfg.params, L)
+        self._fields: StateFields | None = None  # of the newest state made here
+
+    def fields(self, state: SimState) -> StateFields:
+        """The constitutive pass of state, which depends on (phi, F) alone:
+        the one kept when this simulation made the state (the initial state
+        or the last candidate), else formed from it."""
+        held = self._fields
+        if held is None or held.phi is not state.phi or held.F is not state.F:
+            held = self._fields = state_fields(
+                state.phi, state.F, law.stretch_invariant(state.F.comps), self.params)
+        return held
 
     # -- state construction -------------------------------------------------
 
@@ -162,14 +194,14 @@ class Simulation:
                                       f"the configured grid {self.grid}")
             dt = min(max(control.dt, cfg.time.dt_min), cfg.time.dt_max)
             return state, StepControl(dt, control.streak), e_scale
+        p = self.params
         phi = initial_phi(cfg)
         F = initial_F(cfg)
-        dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, self.params),
-                                       F.comps, self.params)
-        mu = static_chemical_potential(phi, dw_dphi, self.params)
-        force = assemble_force(law.stiffness_f(phi.values, self.params),
-                               face_gradient(phi.values, self.grid),
-                               mu, dw_dphi, F, self.params)
+        fields = self._fields = state_fields(phi, F, law.stretch_invariant(F.comps), p)
+        dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, p),
+                                       fields.stretch, p)
+        mu = static_chemical_potential(phi, dw_dphi, p)
+        force = assemble_force(fields.f, fields.grad_phi, mu, dw_dphi, F, p)
         v, q = self.stokes.solve(force)
         return (SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q),
                 StepControl(cfg.time.dt0), None)
@@ -179,16 +211,19 @@ class Simulation:
     def coupled_step(self, state: SimState, dt: float):
         """Advance one step of size dt; returns (state_new, StepStats).
 
-        The old level is prepared once, before the first sweep, f'(phi_n)
-        once per step and dw/dphi(phi_n, F) once per F (see the module
-        docstring).  Each sweep admits its Stokes velocity here and only
-        here: div v within the solenoidal bound, then CFL.  Raises
+        The old level is prepared once, before the first sweep, from the
+        constitutive pass of state, f'(phi_n) once per step and dw/dphi(phi_n,
+        F) once per F (see the module docstring).  Each sweep admits its
+        Stokes velocity here and only here, from its derivative pass: div v
+        within the solenoidal bound, then CFL.  The candidate's constitutive
+        pass is kept for the run loop (:meth:`fields`).  Raises
         StepRejected on either failure, Newton failure, a failed linear
         solve or a non-finite field."""
         cfg = self.cfg
         p = self.params
         g = self.grid
         phi_n, F_n = state.phi, state.F
+        fields_n = self.fields(state)
         guess = None
         solved = None  # the last sweep's transport CG pair (G, b)
         prev = None
@@ -197,32 +232,33 @@ class Simulation:
 
         try:
             faces = old_level_faces(F_n, phi_n)
-            grad_phi = face_gradient(phi_n.values, g)
-            transport_level = self.transport.prepare(F_n, phi_n, dt)
-            f_n = transport_level.f.reshape(g.nx, g.ny)
-            ch_level = self.ch.prepare(phi_n, state.phi_prev, dt)
+            transport_level = self.transport.prepare(F_n, fields_n.f, dt)
+            ch_level = self.ch.prepare(phi_n, state.phi_prev, fields_n.b, dt)
             f_prime_n = law.stiffness_f_prime(phi_n.values, p)
-            dw_dphi = law.neo_hookean_dphi(f_prime_n, F_n.comps, p)
+            dw_dphi = law.neo_hookean_dphi(f_prime_n, fields_n.stretch, p)
             mu_force, F_force = state.mu, F_n
 
             for sweep in range(1, cfg.coupling.picard_max + 1):
-                force = assemble_force(f_n, grad_phi, mu_force, dw_dphi, F_force, p)
+                force = assemble_force(fields_n.f, fields_n.grad_phi, mu_force,
+                                       dw_dphi, F_force, p)
                 try:
                     v, q = self.stokes.solve(force)
                 except SolverError as exc:
                     raise StepRejected(f"stokes: {exc}") from exc
+                dv = self.stokes.derivatives(v)
 
-                div_v, div_bound = solenoidal_residual(v)
+                div_v, div_bound = solenoidal_residual(dv)
                 if not div_v <= div_bound:
                     raise StepRejected(f"div residual {div_v:.3e} > {div_bound:.3e}")
-                cfl = dt * (np.max(np.abs(v.u)) / g.hx + np.max(np.abs(v.w)) / g.hy)
+                cfl = dt * (dv.u_max / g.hx + dv.w_max / g.hy)
                 if cfl > cfg.time.cfl_max:
                     raise StepRejected(f"cfl {cfl:.3f} > {cfg.time.cfl_max}")
 
                 adv_F, adv_phi = sweep_advection(v, faces, F_n.d)
-                F_new, solved = self.transport.step(transport_level, v, adv_F,
+                F_new, solved = self.transport.step(transport_level, dv, adv_F,
                                                     start=solved)
-                dw_dphi = law.neo_hookean_dphi(f_prime_n, F_new.comps, p)
+                stretch = law.stretch_invariant(F_new.comps)
+                dw_dphi = law.neo_hookean_dphi(f_prime_n, stretch, p)
                 phi_new, mu_new, n_newton = self.ch.step(
                     ch_level, dw_dphi, adv_phi, initial_guess=guess)
                 newton_total += n_newton
@@ -253,6 +289,7 @@ class Simulation:
         new_state = SimState(phi=phi_new, phi_prev=phi_n, mu=mu_new, F=F_new,
                              v=v, q=q, t=state.t + dt,
                              step_index=state.step_index + 1)
+        self._fields = state_fields(phi_new, F_new, stretch, p)
         stats = StepStats(picard_iters=picard_iters, newton_iters=newton_total,
                           picard_gap=float(change) if np.isfinite(change) else -1.0,
                           div_v_max=div_v)
@@ -270,7 +307,7 @@ class Simulation:
             raise ValidationError(f"cannot create output directory {outdir}: {exc}") from exc
 
         state, control, e_scale = self.initial_state()
-        e_prev = total_energy(state.phi, state.F, self.params).total
+        e_prev = state_energy(self.fields(state), self.params).total
         if e_scale is None:  # a fresh run; a restart carries its scale
             e_scale = max(abs(e_prev), 1e-30)
         rejected = 0
@@ -311,7 +348,8 @@ class Simulation:
                 step_dt = min(control.dt, cfg.time.t_end - state.t)
                 try:
                     cand, stats = self.coupled_step(state, step_dt)
-                    eb_new = total_energy(cand.phi, cand.F, self.params)
+                    fields = self.fields(cand)
+                    eb_new = state_energy(fields, self.params)
                     e_new = eb_new.total
                     bound = e_prev + cfg.time.energy_increase_tol * e_scale
                     if cfg.time.reject_on_energy and e_new > bound:
@@ -325,7 +363,7 @@ class Simulation:
                     continue
 
                 row = self._diagnostics_row(state, cand, step_dt, stats,
-                                            e_prev, eb_new)
+                                            e_prev, eb_new, fields)
                 state = cand
                 e_prev = e_new
                 accepted += 1
@@ -354,12 +392,15 @@ class Simulation:
         return summary
 
     def _diagnostics_row(self, state_n: SimState, state_np1: SimState, dt: float,
-                         stats: StepStats, e_old: float,
-                         eb: EnergyBreakdown) -> DiagnosticsRow:
-        """Row for an accepted step from the step's stats and the energies
-        e_old, eb of state_n, state_np1 that the run loop already holds."""
-        dnew, budget = energy_budget(state_n, state_np1, dt, e_old, eb.total,
-                                     self.params)
+                         stats: StepStats, e_old: float, eb: EnergyBreakdown,
+                         fields: StateFields) -> DiagnosticsRow:
+        """Row for an accepted step from the step's stats, the energies
+        e_old, eb of state_n, state_np1 and the constitutive pass of
+        state_np1, which the run loop already holds, and the derivative pass
+        of its velocity, which the Stokes solver kept."""
+        dnew, budget = energy_budget(state_n, state_np1,
+                                     self.stokes.derivatives(state_np1.v), fields,
+                                     dt, e_old, eb.total, self.params)
         return DiagnosticsRow(
             step=state_np1.step_index, t=state_np1.t, dt=dt,
             E_total=eb.total, E_elastic=eb.elastic, E_interface=eb.interface,

@@ -16,9 +16,8 @@ Boundary conditions baked in:
 
 * ``face_gradient`` puts 0 on boundary-normal faces (homogeneous Neumann);
 * ``laplacian_matrix`` is a conservative flux form; its rows sum to 0;
-* ``node_shear_gradients``, and through it ``velocity_gradient_entries``
-  (which ``velocity_gradient`` stacks) and ``vector_laplacian``, use
-  reflected ghost values (v = 0 on walls);
+* ``node_shear_gradients``, and through it the derivative pass
+  :func:`velocity_derivatives`, use reflected ghost values (v = 0 on walls);
 * the advection operators use a conservative flux form with a kappa = 1/3
   upwind-biased face reconstruction, falling back to plain upwind on faces
   that lack the second upwind neighbor.  The reconstruction is split in
@@ -30,6 +29,13 @@ Boundary conditions baked in:
   :func:`advect_tensor` are that pair.  They assume a solenoidal v and do
   not check it: the driver admits each velocity by :func:`solenoidal_residual`.
 
+:func:`velocity_derivatives` forms, once per velocity, du/dx and dw/dy on
+cells, du/dy and dw/dx on nodes, and max|u|, max|w|.  Every reader of those
+takes the pass, not the velocity: :func:`solenoidal_residual`,
+:func:`vector_laplacian` (the Stokes momentum residual),
+:func:`velocity_gradient_entries` (the transport stretch) and the viscous
+dissipation.
+
 :func:`laplacian_matrix` assembles the zero-flux Laplacian div(coeff grad .),
 which for coeff = 1 is ``face_divergence(*face_gradient(.))``,
 :func:`laplacian_eigenvalues` gives its eigenvalues on the DCT-II basis, and
@@ -39,6 +45,8 @@ Scalars are flattened C-order, index ``i * ny + j``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,18 +72,6 @@ def face_gradient(p: np.ndarray, grid: GridSpec):
 def face_divergence(fx: np.ndarray, fy: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Conservative flux divergence onto cells of face data (fx, fy)."""
     return (fx[1:, :] - fx[:-1, :]) / grid.hx + (fy[:, 1:] - fy[:, :-1]) / grid.hy
-
-
-# A velocity counts as solenoidal when max|div v| <= DIV_RTOL max(|v|, 1) / min(h):
-# the accuracy of a direct saddle solve, scaled like the divergence stencil.
-DIV_RTOL = 1e-10
-
-
-def solenoidal_residual(v: StaggeredVectorField) -> tuple[float, float]:
-    """(max |div v|, the largest value that still counts as solenoidal)."""
-    g = v.grid
-    return (float(np.max(np.abs(face_divergence(v.u, v.w, g)))),
-            DIV_RTOL * max(v.max_abs(), 1.0) / min(g.hx, g.hy))
 
 
 def face_average(p: np.ndarray, grid: GridSpec):
@@ -141,7 +137,7 @@ def dct_diagonal(r: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# velocity gradient and vector Laplacian
+# the velocity derivative pass and its readers
 
 
 def node_shear_gradients(v: StaggeredVectorField) -> tuple[np.ndarray, np.ndarray]:
@@ -159,15 +155,51 @@ def node_shear_gradients(v: StaggeredVectorField) -> tuple[np.ndarray, np.ndarra
     return dudy, dwdx
 
 
-def vector_laplacian(v: StaggeredVectorField):
-    """MAC vector Laplacian of a no-slip face field, as (on_xfaces,
-    on_yfaces) with boundary faces 0: Dirichlet along each component's own
-    axis, the reflected wall ghost of :func:`node_shear_gradients` (diagonal
-    3/h^2) across it.  -nu times this is the Stokes velocity block."""
+@dataclass(frozen=True)
+class VelocityDerivatives:
+    """The derivative pass of one no-slip face velocity v, from
+    :func:`velocity_derivatives`: du/dx and dw/dy on the (nx, ny) cells
+    (native face differences), du/dy and dw/dx on the (nx+1, ny+1) nodes
+    (:func:`node_shear_gradients`), and max|u|, max|w|."""
+    v: StaggeredVectorField
+    dudx: np.ndarray
+    dwdy: np.ndarray
+    dudy: np.ndarray
+    dwdx: np.ndarray
+    u_max: float
+    w_max: float
+
+
+def velocity_derivatives(v: StaggeredVectorField) -> VelocityDerivatives:
+    """Every derivative of v that a step reads, formed once."""
     g = v.grid
     dudy, dwdx = node_shear_gradients(v)
-    dudx = (v.u[1:, :] - v.u[:-1, :]) / g.hx
-    dwdy = (v.w[:, 1:] - v.w[:, :-1]) / g.hy
+    return VelocityDerivatives(v, (v.u[1:, :] - v.u[:-1, :]) / g.hx,
+                               (v.w[:, 1:] - v.w[:, :-1]) / g.hy, dudy, dwdx,
+                               float(np.max(np.abs(v.u))), float(np.max(np.abs(v.w))))
+
+
+# A velocity counts as solenoidal when max|div v| <= DIV_RTOL max(|v|, 1) / min(h):
+# the accuracy of a direct saddle solve, scaled like the divergence stencil.
+DIV_RTOL = 1e-10
+
+
+def solenoidal_residual(dv: VelocityDerivatives) -> tuple[float, float]:
+    """(max |div v|, the largest value that still counts as solenoidal);
+    du/dx + dw/dy is face_divergence(v.u, v.w) bit for bit."""
+    g = dv.v.grid
+    return (float(np.max(np.abs(dv.dudx + dv.dwdy))),
+            DIV_RTOL * max(dv.u_max, dv.w_max, 1.0) / min(g.hx, g.hy))
+
+
+def vector_laplacian(dv: VelocityDerivatives):
+    """MAC vector Laplacian of a no-slip face field, from its derivative
+    pass, as (on_xfaces, on_yfaces) with boundary faces 0: Dirichlet along
+    each component's own axis, the reflected wall ghost of
+    :func:`node_shear_gradients` (diagonal 3/h^2) across it.  -nu times
+    this is the Stokes velocity block."""
+    g = dv.v.grid
+    dudx, dwdy, dudy, dwdx = dv.dudx, dv.dwdy, dv.dudy, dv.dwdx
     lu = np.zeros((g.nx + 1, g.ny))
     lw = np.zeros((g.nx, g.ny + 1))
     lu[1:-1, :] = (dudx[1:, :] - dudx[:-1, :]) / g.hx + (dudy[1:-1, 1:] - dudy[1:-1, :-1]) / g.hy
@@ -181,7 +213,7 @@ def _corner_average(p: np.ndarray) -> np.ndarray:
     return 0.25 * (p[:-1, :-1] + p[1:, :-1] + p[:-1, 1:] + p[1:, 1:])
 
 
-def velocity_gradient_entries(v: StaggeredVectorField):
+def velocity_gradient_entries(dv: VelocityDerivatives):
     """The entries (du/dx, du/dy, dw/dx, dw/dy) of grad v at cell centers,
     each (nx, ny), row-major as in (grad v)_ij = d v_i / d x_j.
 
@@ -190,19 +222,15 @@ def velocity_gradient_entries(v: StaggeredVectorField):
     values enforcing v = 0 on the walls.  du/dx + dw/dy equals
     face_divergence(v.u, v.w) exactly.
     """
-    g = v.grid
-    dudx = (v.u[1:, :] - v.u[:-1, :]) / g.hx
-    dwdy = (v.w[:, 1:] - v.w[:, :-1]) / g.hy
-    dudy_n, dwdx_n = node_shear_gradients(v)
-    return dudx, _corner_average(dudy_n), _corner_average(dwdx_n), dwdy
+    return dv.dudx, _corner_average(dv.dudy), _corner_average(dv.dwdx), dv.dwdy
 
 
-def velocity_gradient(v: StaggeredVectorField) -> np.ndarray:
+def velocity_gradient(dv: VelocityDerivatives) -> np.ndarray:
     """grad v at cell centers as one (nx, ny, 2, 2) array, the entries of
     :func:`velocity_gradient_entries`; its trace equals
     face_divergence(v.u, v.w) exactly."""
-    g = v.grid
-    return np.stack(velocity_gradient_entries(v), axis=-1).reshape(g.nx, g.ny, 2, 2)
+    g = dv.v.grid
+    return np.stack(velocity_gradient_entries(dv), axis=-1).reshape(g.nx, g.ny, 2, 2)
 
 
 # ---------------------------------------------------------------------------

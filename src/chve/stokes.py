@@ -39,7 +39,12 @@ A solve costs one DST-I pair (the forward transform r_hat of the curl and
 the inverse transform of B^-1 (r_hat - S y), S the DST-I), O(n^2) thin
 products with the 1-D DST-I factors that form z on the ring lines and S y
 from them, one capacitance back-solve (the ring has 2(nx-1) + 2(ny-1) - 4
-nodes), one DCT-II pair and the residual check.
+nodes), one DCT-II pair and the residual check.  The curl of the force is
+formed directly on the interior nodes.  The residual check reads the
+velocity's derivative pass (:func:`chve.operators.velocity_derivatives`),
+which the solver keeps and :meth:`StokesSolver.derivatives` hands on: the
+driver's solenoidal and CFL admission, the transport stretch and the
+viscous dissipation read it, so each velocity is differentiated once.
 
 No Galilean-invariance check is meaningful here: the no-slip box pins the
 velocity frame, so a uniform velocity shift is not an admissible state.
@@ -55,9 +60,9 @@ from . import constitutive as law
 from .errors import TOL_LIN, SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
-from .operators import (_corner_average, dct_diagonal, face_average, face_divergence,
-                        face_gradient, laplacian_eigenvalues, node_shear_gradients,
-                        vector_laplacian)
+from .operators import (VelocityDerivatives, _corner_average, dct_diagonal, face_average,
+                        face_divergence, face_gradient, laplacian_eigenvalues,
+                        vector_laplacian, velocity_derivatives)
 
 
 def _dst_basis(n: int, h: float):
@@ -150,6 +155,7 @@ class StokesSolver:
         eig = laplacian_eigenvalues(grid)
         eig[0, 0] = -np.inf  # the constant pressure mode is set to zero
         self._q_inv = -1.0 / eig
+        self._last: VelocityDerivatives | None = None  # of the latest solve
 
     # -- solve ------------------------------------------------------------
 
@@ -165,8 +171,9 @@ class StokesSolver:
         with a basis row."""
         g = self.grid
         Sx, Sy, rows, cols = self._Sx, self._Sy, self._rows, self._cols
-        dudy, dwdx = node_shear_gradients(force)
-        r_hat = dstn((dwdx - dudy)[1:-1, 1:-1] / self.nu, type=1, norm="ortho")
+        u, w = force.u, force.w
+        curl = (w[1:, 1:-1] - w[:-1, 1:-1]) / g.hx - (u[1:-1, 1:] - u[1:-1, :-1]) / g.hy
+        r_hat = dstn(curl / self.nu, type=1, norm="ortho")
         Wr = self._B_inv * r_hat
         z = np.zeros_like(r_hat)
         z[:, rows] = Sx @ (Wr @ Sy[rows].T)
@@ -185,10 +192,12 @@ class StokesSolver:
     def solve(self, force: StaggeredVectorField):
         """(v, q): v, a stream-function curl (its div v is measured by the
         driver), has zero boundary faces and q zero mean.  Raises SolverError
-        if the momentum residual exceeds TOL_LIN relative to the force."""
+        if the momentum residual, formed from the derivative pass of v,
+        exceeds TOL_LIN relative to the force; the solver keeps that pass
+        for :meth:`derivatives`."""
         g = self.grid
-        v = self._velocity(force)
-        lu, lw = vector_laplacian(v)
+        dv = velocity_derivatives(self._velocity(force))
+        lu, lw = vector_laplacian(dv)
         ru, rw = force.u + self.nu * lu, force.w + self.nu * lw
         q = dct_diagonal(-face_divergence(ru, rw, g), self._q_inv)
         q = ScalarField(g, q - q.mean())
@@ -199,7 +208,14 @@ class StokesSolver:
         if not res <= bound:
             raise SolverError(f"stokes residual {res:.3e} > {TOL_LIN:.1e} * |f| "
                               f"= {bound:.3e}")
-        return v, q
+        self._last = dv
+        return dv.v, q
+
+    def derivatives(self, v: StaggeredVectorField) -> VelocityDerivatives:
+        """The derivative pass of v: the one the latest solve formed when v
+        is its velocity, else formed here."""
+        last = self._last
+        return last if last is not None and last.v is v else velocity_derivatives(v)
 
 
 def elastic_force(f: np.ndarray, F: TensorField, params: ModelParams):

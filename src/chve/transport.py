@@ -23,11 +23,16 @@ operator and the start G = f dt rhs is the solution, so CG returns at its
 first residual test: the step is explicit.
 
 phi_n and F_n are fixed within a time step, so :meth:`TransportSystem.prepare`
-builds f(phi_n), f dt, D/dt, that diagonal, F_n/dt and F_n's four
-components once per step.  Each Picard sweep's :meth:`TransportSystem.step`
-takes that level, the sweep's velocity and advect(v, F_n), which the driver
-forms once per sweep together with advect(v, phi_n); it writes the stretch
-(grad v) F_n out entrywise from the four velocity-gradient entries.  Only
+builds f dt, D/dt, that diagonal, F_n/dt and F_n's four components once
+per step, from f(phi_n) as the driver's constitutive pass of the accepted
+state formed it.  f, f dt, D/dt and the diagonal are held at the block's
+full (n, d^2) shape, so no CG, start-vector or F-recovery operation
+broadcasts over the component axis.  Each Picard sweep's
+:meth:`TransportSystem.step` takes that level, the derivative pass of the
+sweep's velocity (:func:`chve.operators.velocity_derivatives`, the one the
+Stokes solve formed) and advect(v, F_n), which the driver forms once per
+sweep together with advect(v, phi_n); it writes the stretch (grad v) F_n
+out entrywise from the four velocity-gradient entries of that pass.  Only
 the right-hand side b changes between the sweeps of a step, so a sweep
 starts its CG from the previous sweep's solution G' moved by f dt times
 the change of b: at the velocities of a converging Picard iteration that
@@ -46,12 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import constitutive as law
 from . import krylov
 from .errors import TOL_LIN, SolverError
-from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
-                   StaggeredVectorField, TensorField)
-from .operators import velocity_gradient_entries
+from .grid import GridSpec, ModelParams, PreconditionError, TensorField
+from .operators import VelocityDerivatives, velocity_gradient_entries
 
 # One CG on the stacked tensor components; the residual test against TOL_LIN decides.
 CG_RTOL = 1e-12
@@ -62,9 +65,9 @@ CG_MAXITER = 500
 class TransportLevel:
     """The old time level of one transport step, from
     :meth:`TransportSystem.prepare`: F_n, dt, F_n / dt, F_n's four
-    components as contiguous (nx, ny) arrays, and as (n, 1) columns the
-    stiffness f(phi_n), f dt, D/dt (D = 1/f) and the diagonal
-    D/dt - lam diag(L) of the CG operator."""
+    components as contiguous (nx, ny) arrays, and at the CG block's
+    (n, d^2) shape the stiffness f(phi_n), f dt, D/dt (D = 1/f) and the
+    diagonal D/dt - lam diag(L) of the CG operator."""
     F_n: TensorField
     dt: float
     F_dt: np.ndarray
@@ -92,12 +95,13 @@ class TransportSystem:
         self._lamL = params.lam * L
         self._diag_lamL = self._lamL.diagonal().reshape(-1, 1)
 
-    def prepare(self, F_n: TensorField, phi_n: ScalarField, dt: float) -> TransportLevel:
-        """The parts of a step that no velocity changes."""
+    def prepare(self, F_n: TensorField, f_n: np.ndarray, dt: float) -> TransportLevel:
+        """The parts of a step that no velocity changes; f_n is the cell
+        array f(phi_n) (:func:`chve.constitutive.stiffness_f`)."""
         if dt <= 0.0:
             raise PreconditionError("dt must be > 0")
         g = self.grid
-        f = law.stiffness_f(phi_n.values, self.params).reshape(g.nx * g.ny, 1)
+        f = np.repeat(f_n.reshape(g.nx * g.ny, 1), F_n.d * F_n.d, axis=1)
         f_dt = f * dt
         D_dt = 1.0 / f_dt
         c = F_n.comps
@@ -105,13 +109,14 @@ class TransportSystem:
         return TransportLevel(F_n, dt, c / dt, entries, f, f_dt, D_dt,
                               D_dt - self._diag_lamL)
 
-    def step(self, level: TransportLevel, v: StaggeredVectorField, adv: np.ndarray,
+    def step(self, level: TransportLevel, dv: VelocityDerivatives, adv: np.ndarray,
              start: tuple[np.ndarray, np.ndarray] | None = None):
         """Advance the deformation gradient one time step; returns
         (F_new, (G, b)), the solution and right-hand side of the CG, which
         a later Picard sweep of the same level passes back as ``start``.
 
-        adv is advect(v, F_n), shaped like F_n.comps.  Solves, for every
+        dv is the derivative pass of the velocity v and adv is
+        advect(v, F_n), shaped like F_n.comps.  Solves, for every
         tensor component at once,
 
             (F_new - F_n)/dt + advect(v, F_n) - (grad v) F_n
@@ -133,7 +138,7 @@ class TransportSystem:
         F_n, dt = level.F_n, level.dt
         n, k = g.nx * g.ny, F_n.d * F_n.d
         # rhs = F_n/dt - adv + (grad v) F_n, the stretch written out entrywise
-        gxx, gxy, gyx, gyy = velocity_gradient_entries(v)
+        gxx, gxy, gyx, gyy = velocity_gradient_entries(dv)
         a, b, c, d = level.F_entries
         rhs = level.F_dt - adv
         rhs[..., 0, 0] += gxx * a + gxy * c

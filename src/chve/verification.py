@@ -283,7 +283,7 @@ def fd_check_chemical_potential(phi: ScalarField, F: TensorField,
         X, Y = g.cell_centers()
         eta = np.cos(np.pi * X / g.lx) * np.cos(np.pi * Y / g.ly)
     dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, params),
-                                   F.comps, params)
+                                   law.stretch_invariant(F.comps), params)
     mu = static_chemical_potential(phi, dw_dphi, params)
     pairing = float(np.sum(mu.values * eta)) * g.cell_area
 
@@ -475,7 +475,7 @@ def korteweg_identity_check(phi: ScalarField, F: TensorField,
     difference matches the discrete potential."""
     g = phi.grid
     dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, params),
-                                   F.comps, params)
+                                   law.stretch_invariant(F.comps), params)
     mu = static_chemical_potential(phi, dw_dphi, params)
     f = law.stiffness_f(phi.values, params)
     gu, gw = ops.face_gradient(phi.values, g)
@@ -536,9 +536,10 @@ def det_transport_deviation(n: int, dt: float, t_end: float, lam: float,
     phi = ScalarField.uniform(g, 1.0)
     F = TensorField.identity(g)
     system = TransportSystem(g, p, ops.laplacian_matrix(g))
+    f, dv = law.stiffness_f(phi.values, p), ops.velocity_derivatives(v)
     nsteps = int(round(t_end / dt))
     for _ in range(nsteps):
-        F, _ = system.step(system.prepare(F, phi, dt), v, ops.advect_tensor(v, F.comps))
+        F, _ = system.step(system.prepare(F, f, dt), dv, ops.advect_tensor(v, F.comps))
     return float(np.max(np.abs(determinant(F.comps) - 1.0)))
 
 

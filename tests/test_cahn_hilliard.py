@@ -14,16 +14,16 @@ from chve.operators import advect_scalar, laplacian_matrix
 def _mu(phi, F, params):
     return ch.static_chemical_potential(
         phi, law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, params),
-                                  F.comps, params), params)
+                                  law.stretch_invariant(F.comps), params), params)
 
 
 def _step(system, phi, F, v, dt, initial_guess=None):
     """One CH step from phi_n = phi_prev = phi as a Picard sweep takes it:
-    the level of (phi, dt), dw/dphi at F and the advection of phi."""
-    return system.step(system.prepare(phi, phi, dt),
-                       law.neo_hookean_dphi(
-                           law.stiffness_f_prime(phi.values, system.params),
-                           F.comps, system.params),
+    the level of (phi, b(phi), dt), dw/dphi at F and the advection of phi."""
+    p = system.params
+    return system.step(system.prepare(phi, phi, law.mobility_b(phi.values, p), dt),
+                       law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, p),
+                                            law.stretch_invariant(F.comps), p),
                        advect_scalar(v, phi.values), initial_guess=initial_guess)
 
 
@@ -51,12 +51,12 @@ def test_step_returns_the_split_mu(grid16, rng, delta):
     phi_n = ScalarField(grid16, rng.uniform(-1.0, 1.0, (16, 16)))
     F = TensorField(grid16, np.eye(2) + 0.1 * rng.standard_normal((16, 16, 2, 2)))
     dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi_n.values, params),
-                                   F.comps, params)
+                                   law.stretch_invariant(F.comps), params)
     L = laplacian_matrix(grid16)
     dt = 1e-3
     system = ch.CHSystem(grid16, params, L)
-    phi, mu, iters = system.step(system.prepare(phi_n, phi_n, dt), dw_dphi,
-                                 np.zeros((16, 16)))
+    level = system.prepare(phi_n, phi_n, law.mobility_b(phi_n.values, params), dt)
+    phi, mu, iters = system.step(level, dw_dphi, np.zeros((16, 16)))
     assert iters >= 2
     p, pn = phi.values, phi_n.values
     split = (law.psi_plus_prime(p) / params.eps + law.psi_minus_prime(pn) / params.eps
@@ -178,7 +178,8 @@ def test_newton_stall_names_unconverged_gmres(grid16, rng, monkeypatch):
 def test_rejects_nonpositive_dt(grid16, params):
     phi = ScalarField.uniform(grid16, 0.0)
     with pytest.raises(PreconditionError):
-        ch.CHSystem(grid16, params, laplacian_matrix(grid16)).prepare(phi, phi, dt=-0.1)
+        ch.CHSystem(grid16, params, laplacian_matrix(grid16)).prepare(
+            phi, phi, law.mobility_b(phi.values, params), dt=-0.1)
 
 
 @pytest.mark.parametrize("b1", [0.1, 1.0])
@@ -215,9 +216,9 @@ def test_prepare_assembles_mobility_operator_only_when_it_varies(
     params = ModelParams(eps=0.05, b0=0.1, b1=b1)
     system = ch.CHSystem(grid16, params, laplacian_matrix(grid16))
     phi = ScalarField(grid16, rng.uniform(-0.9, 0.9, (16, 16)))
-    level = system.prepare(phi, phi, 1e-3)
-    assert len(calls) == assembled
     b = law.mobility_b(phi.values, params)
+    level = system.prepare(phi, phi, b, 1e-3)
+    assert len(calls) == assembled
     ref = laplacian_matrix(grid16, b) if assembled else 0.1 * laplacian_matrix(grid16)
     assert abs(level.Lb - ref).max() == 0.0
 

@@ -2,21 +2,22 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from chve import constitutive as law
 from chve.config import StepControl, TimeConfig, parse_config
-from chve.diagnostics import dissipation, energy_budget, total_energy
+from chve.diagnostics import dissipation, energy_budget, state_fields, total_energy
 from chve.driver import (Simulation, StepRejected, old_level_faces, simulate,
                          sweep_advection)
 from chve.grid import (GridSpec, ScalarField, SimState, StaggeredVectorField,
                        TensorField)
-from chve.operators import advect_scalar, advect_tensor
+from chve.operators import advect_scalar, advect_tensor, velocity_derivatives
 from chve.vtk_io import read_restart, write_restart, write_vtk
 
 
 def spinodal_config(tmp_path, name="out", **kw):
     text = f"""
 [grid]
-nx = 32
-ny = 32
+nx = {kw.get('n', 32)}
+ny = {kw.get('n', 32)}
 
 [params]
 nu = 1.0
@@ -50,6 +51,11 @@ directory = {tmp_path / name}
 snapshot_every = {kw.get('snapshot_every', 0)}
 """
     return parse_config(text)
+
+
+def _fields(state, params):
+    """The constitutive pass of a state, formed as a standalone caller does."""
+    return state_fields(state.phi, state.F, law.stretch_invariant(state.F.comps), params)
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +178,39 @@ def test_restart_reproduces_uninterrupted_run(tmp_path):
         assert np.array_equal(state_full.F.comps, state_resume.F.comps)
 
 
-def test_resume_after_a_rejection_reproduces_uninterrupted_run(tmp_path):
+@pytest.mark.parametrize("where", ["coupled_step", "energy_check"])
+def test_resume_after_a_rejection_reproduces_uninterrupted_run(tmp_path, monkeypatch,
+                                                               where):
     # one injected rejection halves dt before step 4; the restart written
     # after step 4 must carry the halved dt and the reset streak, so that
-    # the resumed run grows dt at the same step as the uninterrupted one
+    # the resumed run grows dt at the same step as the uninterrupted one.
+    # The rejection comes from coupled_step itself, or from the run loop's
+    # energy check once coupled_step has returned, when the candidate's
+    # derived fields already exist and must be discarded.
     from dataclasses import replace
+    from chve import driver
     kw = dict(adaptive="true", dt_max="4e-4", t_end=1.0, snapshot_every=1)
     sim = Simulation(spinodal_config(tmp_path, name="full", max_steps=12, **kw))
-    real_step = sim.coupled_step
-    injected = []
+    real_step, real_energy = sim.coupled_step, driver.state_energy
+    injected, pending = [], []
 
     def rejected_once(state, dt):
         if state.step_index == 3 and not injected:
             injected.append(dt)
-            raise StepRejected("injected")
+            if where == "coupled_step":
+                raise StepRejected("injected")
+            pending.append(1)
         return real_step(state, dt)
 
+    def energy_rejects_once(*args):
+        eb = real_energy(*args)
+        if pending:
+            pending.clear()
+            return replace(eb, bulk=np.inf)
+        return eb
+
     sim.coupled_step = rejected_once
+    monkeypatch.setattr(driver, "state_energy", energy_rejects_once)
     summary, rows_full, _ = sim.run(collect_rows=True)
     assert summary.steps == 12 and summary.rejected_steps == 1
     assert rows_full[3].dt == injected[0] / 2
@@ -278,20 +300,22 @@ def test_simulation_assembles_one_laplacian(tmp_path, monkeypatch):
 
 
 def test_total_energy_evaluated_once_per_accepted_step(tmp_path, monkeypatch):
+    # the run loop's energy reads each state's constitutive pass; it must
+    # equal, bitwise, the energy a standalone caller forms from (phi, F)
     from chve import driver
     calls = []
-    real = driver.total_energy
+    real = driver.state_energy
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(driver, "total_energy", counted)
+    monkeypatch.setattr(driver, "state_energy", counted)
     cfg = spinodal_config(tmp_path, max_steps=10, t_end=1.0)
     summary, rows, state = simulate(cfg)
     assert summary.steps == len(rows) == 10 and summary.rejected_steps == 0
     assert len(calls) <= summary.steps + 1
-    assert summary.final_energy == real(state.phi, state.F, cfg.params).total
+    assert summary.final_energy == total_energy(state.phi, state.F, cfg.params).total
 
 
 def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
@@ -301,9 +325,9 @@ def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
     real = operators.solenoidal_residual
     calls = []
 
-    def counted(v):
+    def counted(dv):
         calls.append(1)
-        return real(v)
+        return real(dv)
 
     for mod in (driver, operators, stokes, transport, cahn_hilliard):
         if hasattr(mod, "solenoidal_residual"):
@@ -322,7 +346,7 @@ def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
     assert summary.rejected_steps == 0
     assert len(calls) == sum(r.picard_iters for r in rows) > len(rows)
     for row, v in zip(rows, accepted_v):
-        assert row.div_v_max == real(v)[0]
+        assert row.div_v_max == real(velocity_derivatives(v))[0]
 
 
 def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
@@ -366,6 +390,34 @@ def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
     for sweeps, n in per_step:
         assert n == {"faces": 1, "advect": sweeps, "f_prime": 1,
                      "dw_dphi": sweeps + 1}
+
+
+def test_each_derived_field_is_formed_once(tmp_path, monkeypatch):
+    # 16^2, two Picard sweeps per step: the velocity-derivative pass is
+    # formed once per Stokes solve (the initial solve and one per sweep), and
+    # f(phi) and b(phi) once per accepted state plus the initial state
+    import sys
+    from chve import constitutive, operators
+    counts = dict.fromkeys(("velocity_derivatives", "stiffness_f", "mobility_b"), 0)
+    chve_modules = [m for k, m in sys.modules.items() if k == "chve" or k.startswith("chve.")]
+    for owner, name in ((operators, "velocity_derivatives"),
+                        (constitutive, "stiffness_f"), (constitutive, "mobility_b")):
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in chve_modules:  # wherever the package looks the function up
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    summary, rows, _ = simulate(spinodal_config(tmp_path, n=16, max_steps=8, t_end=1.0,
+                                                picard_max=2))
+    assert summary.steps == len(rows) == 8 and summary.rejected_steps == 0
+    solves = 1 + sum(r.picard_iters for r in rows)
+    assert solves == 1 + 2 * 8
+    assert counts == {"velocity_derivatives": solves, "stiffness_f": 8 + 1,
+                      "mobility_b": 8 + 1}
 
 
 def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):
@@ -451,10 +503,11 @@ def test_budget_residual_equals_reference_formula(tmp_path, monkeypatch):
         e_old = total_energy(state_n.phi, state_n.F, cfg.params).total
         e_new = total_energy(state_np1.phi, state_np1.F, cfg.params).total
         dphi_dt = (state_np1.phi.values - state_n.phi.values) / dt
-        d_new = dissipation(state_np1.v, state_np1.mu, state_np1.phi, state_np1.F,
-                            dphi_dt, cfg.params)
+        dv, fields = velocity_derivatives(state_np1.v), _fields(state_np1, cfg.params)
+        d_new = dissipation(dv, state_np1.mu, fields, dphi_dt, cfg.params)
         ref = (d_new, (e_new - e_old) / dt + d_new)
-        shared = energy_budget(state_n, state_np1, dt, e_old, e_new, cfg.params)
+        shared = energy_budget(state_n, state_np1, dv, fields, dt, e_old, e_new,
+                               cfg.params)
         seen.append((row, shared, ref))
         return row
 
@@ -575,7 +628,8 @@ def test_more_picard_sweeps_tighten_coupling(tmp_path):
 
     def budget(cfg, s, c):
         e_old, e_new = (total_energy(x.phi, x.F, cfg.params).total for x in (s, c))
-        return abs(energy_budget(s, c, 2e-4, e_old, e_new, cfg.params)[1])
+        return abs(energy_budget(s, c, velocity_derivatives(c.v), _fields(c, cfg.params),
+                                 2e-4, e_old, e_new, cfg.params)[1])
 
     s1, _, _ = sim1.initial_state()
     s8, _, _ = sim8.initial_state()

@@ -138,7 +138,7 @@ def test_persistent_stokes_fault_ends_run_with_dt_underflow(tmp_path, monkeypatc
 
 
 def test_persistent_energy_rise_ends_run_with_dt_underflow(tmp_path, monkeypatch):
-    real = driver.total_energy
+    real = driver.state_energy
     rise = itertools.count(1)
 
     def rising(*args, **kwargs):
@@ -147,7 +147,7 @@ def test_persistent_energy_rise_ends_run_with_dt_underflow(tmp_path, monkeypatch
         return dataclasses.replace(eb, bulk=eb.bulk + next(rise))
 
     _run_faulty(tmp_path, "energy",
-                lambda: monkeypatch.setattr(driver, "total_energy", rising))
+                lambda: monkeypatch.setattr(driver, "state_energy", rising))
 
 
 @pytest.mark.parametrize("keep", [40, -8], ids=["inside-header", "8-bytes-short"])

@@ -90,7 +90,8 @@ def _transport_system():
     X, _ = grid.cell_centers()
     phi = ScalarField(grid, np.tanh((X - 0.5 * grid.lx) / 0.05))
     L = laplacian_matrix(grid)
-    level = TransportSystem(grid, params, L).prepare(TensorField.identity(grid), phi, dt)
+    level = TransportSystem(grid, params, L).prepare(
+        TensorField.identity(grid), law.stiffness_f(phi.values, params), dt)
     lamL = params.lam * L
 
     def matvec(X):

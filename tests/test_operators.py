@@ -175,12 +175,15 @@ def test_laplacian_matrix_equals_loop_assembly(rng, shape):
 
 
 # ---------------------------------------------------------------------------
-# velocity gradient
+# velocity derivative pass: velocity gradient, divergence, vector Laplacian
 
 
 def test_velocity_gradient_zero(grid8):
-    gv = ops.velocity_gradient(StaggeredVectorField.zeros(grid8))
+    dv = ops.velocity_derivatives(StaggeredVectorField.zeros(grid8))
+    gv = ops.velocity_gradient(dv)
     assert gv.shape == (8, 8, 2, 2) and np.all(gv == 0.0)
+    assert dv.u_max == dv.w_max == 0.0
+    assert all(np.all(x == 0.0) for x in ops.vector_laplacian(dv))
 
 
 def test_velocity_gradient_interior_shear_constant():
@@ -191,7 +194,7 @@ def test_velocity_gradient_interior_shear_constant():
     u = np.where((Yu > 0.25) & (Yu < 0.75), 2.0 * Yu, 0.0)
     u[0, :] = u[-1, :] = 0.0
     v = StaggeredVectorField(grid, u, np.zeros((32, 33)))
-    gv = ops.velocity_gradient(v)
+    gv = ops.velocity_gradient(ops.velocity_derivatives(v))
     core = gv[4:-4, 14:18]
     assert np.max(np.abs(core[:, :, 0, 1] - 2.0)) <= 1e-12
     assert np.max(np.abs(core[:, :, 0, 0])) <= 1e-12
@@ -215,7 +218,7 @@ def test_velocity_gradient_smooth_convergence():
         u = bump(Xu) * bump(Yu)
         u[0, :] = u[-1, :] = 0.0
         v = StaggeredVectorField(grid, u, np.zeros((n, n + 1)))
-        gv = ops.velocity_gradient(v)
+        gv = ops.velocity_gradient(ops.velocity_derivatives(v))
         Xc, Yc = grid.cell_centers()
         e = max(np.max(np.abs(gv[:, :, 0, 0] - bump_prime(Xc) * bump(Yc))),
                 np.max(np.abs(gv[:, :, 0, 1] - bump(Xc) * bump_prime(Yc))))
@@ -224,10 +227,18 @@ def test_velocity_gradient_smooth_convergence():
 
 
 def test_velocity_gradient_trace_equals_divergence(grid16, rng):
+    # the admission reads div v from the derivative pass, never from
+    # face_divergence: du/dx + dw/dy must be face_divergence bit for bit
     v = random_noslip(grid16, rng)
-    gv = ops.velocity_gradient(v)
+    dv = ops.velocity_derivatives(v)
+    gv = ops.velocity_gradient(dv)
     tr = gv[:, :, 0, 0] + gv[:, :, 1, 1]
-    assert np.max(np.abs(tr - ops.face_divergence(v.u, v.w, grid16))) <= 1e-12
+    div = ops.face_divergence(v.u, v.w, grid16)
+    assert np.max(np.abs(tr - div)) <= 1e-12
+    assert np.array_equal(dv.dudx + dv.dwdy, div)
+    res, bound = ops.solenoidal_residual(dv)
+    assert res == float(np.max(np.abs(div)))
+    assert bound == ops.DIV_RTOL * max(v.max_abs(), 1.0) / min(grid16.hx, grid16.hy)
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,9 @@ def test_ch_step_result_2_is_the_newton_count(grid16, rng, monkeypatch):
     phi = ScalarField(grid16, rng.uniform(-0.5, 0.5, (16, 16)))
     F = TensorField(grid16, np.eye(2) + 0.1 * rng.standard_normal((16, 16, 2, 2)))
     system = CHSystem(grid16, params, laplacian_matrix(grid16))
-    result = system.step(system.prepare(phi, phi, 1e-3),
+    result = system.step(system.prepare(phi, phi, law.mobility_b(phi.values, params), 1e-3),
                          law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, params),
-                                              F.comps, params),
+                                              law.stretch_invariant(F.comps), params),
                          np.zeros((16, 16)))
     assert isinstance(result[2], int)
     assert result[2] == len(updates) >= 2

@@ -7,12 +7,13 @@ from scipy.fft import dstn, idstn
 
 from chve import constitutive as law
 from chve import operators, stokes
-from chve.diagnostics import dissipation
+from chve.diagnostics import dissipation, state_fields
 from chve.config import ConfigSpec
 from chve.driver import Simulation, StepRejected
 from chve.grid import GridSpec, ModelParams, ScalarField, StaggeredVectorField, TensorField
 from chve.operators import (face_divergence, face_gradient, node_shear_gradients,
-                            solenoidal_residual, vector_laplacian, velocity_gradient)
+                            solenoidal_residual, vector_laplacian, velocity_derivatives,
+                            velocity_gradient)
 from chve.verification import DenseOracle, dense_stokes_compare, stokes_mms
 
 
@@ -87,7 +88,7 @@ def test_pressure_is_mean_zero_and_invariant(grid16, rng, params):
     v, q = solver.solve(force)
     assert abs(np.mean(q.values)) <= 1e-14
     # shifting q by a constant leaves the momentum residual unchanged
-    lu, lw = vector_laplacian(v)
+    lu, lw = vector_laplacian(velocity_derivatives(v))
 
     def residual(qv):
         gu, gw = face_gradient(qv, grid16)
@@ -104,7 +105,7 @@ def test_velocity_block_spd_and_coupling_transpose(params):
     for g in (GridSpec(8, 8), GridSpec(5, 7, 1.0, 1.3)):
         n_v = (g.nx - 1) * g.ny + g.nx * (g.ny - 1)
         # the columns of -nu Lap_h are the A block of the oracle's saddle matrix
-        A = np.array([-nu * _interior(*vector_laplacian(_faces(g, e)))
+        A = np.array([-nu * _interior(*vector_laplacian(velocity_derivatives(_faces(g, e))))
                       for e in np.eye(n_v)]).T
         A_ref = DenseOracle(g).stokes_matrix(nu)[:n_v, :n_v]
         assert np.max(np.abs(A - A_ref)) <= 1e-14 * np.max(np.abs(A_ref))
@@ -261,10 +262,10 @@ def test_solver_output_divergence_free(grid16, rng, params):
     fu[1:-1, :] = rng.standard_normal((15, 16))
     fw[:, 1:-1] = rng.standard_normal((16, 15))
     v, _ = solver.solve(StaggeredVectorField(grid16, fu, fw))
-    assert solenoidal_residual(v)[0] <= 1e-10
+    assert solenoidal_residual(velocity_derivatives(v))[0] <= 1e-10
     # a gradient field is generally not divergence free
     g = StaggeredVectorField(grid16, *face_gradient(rng.standard_normal((16, 16)), grid16))
-    assert solenoidal_residual(g)[0] > 1e-3
+    assert solenoidal_residual(velocity_derivatives(g))[0] > 1e-3
 
 
 @pytest.mark.parametrize("div_max,accepted", [(5e-8, True), (5e-6, False)])
@@ -280,7 +281,8 @@ def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, a
     u[n // 2, n // 2] += div_max * grid.hx  # +-div_max in the two adjacent cells
     v = StaggeredVectorField(grid, u, v.w * (10.0 / v.max_abs()))
     assert v.max_abs() == pytest.approx(10.0, rel=1e-6)
-    assert solenoidal_residual(v)[0] == pytest.approx(div_max, rel=1e-4)
+    dv = velocity_derivatives(v)
+    assert solenoidal_residual(dv)[0] == pytest.approx(div_max, rel=1e-4)
 
     sim = Simulation(ConfigSpec(grid=grid, params=ModelParams()))
     state, _, _ = sim.initial_state()
@@ -290,7 +292,7 @@ def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, a
     if accepted:
         new_state, stats = sim.coupled_step(state, dt)
         assert new_state.v is v
-        assert stats.div_v_max == solenoidal_residual(v)[0]
+        assert stats.div_v_max == solenoidal_residual(dv)[0]
     else:
         with pytest.raises(StepRejected, match="^div residual"):
             sim.coupled_step(state, dt)
@@ -305,10 +307,10 @@ def test_energy_consistency(grid16, rng, params):
     fw[:, 1:-1] = rng.standard_normal((16, 15))
     force = StaggeredVectorField(grid16, fu, fw)
     v, q = solver.solve(force)
-    phi = ScalarField.uniform(grid16, 1.0)
-    visc = dissipation(v, ScalarField.uniform(grid16, 0.0), phi,
-                       TensorField.identity(grid16), None,
-                       ModelParams(nu=params.nu, lam=0.0))
+    phi, F = ScalarField.uniform(grid16, 1.0), TensorField.identity(grid16)
+    p = ModelParams(nu=params.nu, lam=0.0)
+    visc = dissipation(velocity_derivatives(v), ScalarField.uniform(grid16, 0.0),
+                       state_fields(phi, F, law.stretch_invariant(F.comps), p), None, p)
     work = (np.sum(force.u * v.u) + np.sum(force.w * v.w)) * grid16.cell_area
     assert visc == pytest.approx(work, rel=1e-8)
 
@@ -320,9 +322,12 @@ def test_viscous_dissipation_is_velocity_block_form(grid, rng):
     # velocity block: nu |grad v|^2 = -nu <Lap_h v, v> hx hy
     nu = 0.7
     v = _random_force(grid, rng)
-    visc = dissipation(v, ScalarField.uniform(grid, 0.0), ScalarField.uniform(grid, 1.0),
-                       TensorField.identity(grid), None, ModelParams(nu=nu, lam=0.0))
-    lu, lw = vector_laplacian(v)
+    dv = velocity_derivatives(v)
+    phi, F = ScalarField.uniform(grid, 1.0), TensorField.identity(grid)
+    p = ModelParams(nu=nu, lam=0.0)
+    visc = dissipation(dv, ScalarField.uniform(grid, 0.0),
+                       state_fields(phi, F, law.stretch_invariant(F.comps), p), None, p)
+    lu, lw = vector_laplacian(dv)
     form = -nu * (np.sum(lu * v.u) + np.sum(lw * v.w)) * grid.hx * grid.hy
     assert visc == pytest.approx(form, rel=1e-12)
 
@@ -335,7 +340,7 @@ def test_force_assembly_uniform_state_is_zero(grid16, params):
                                   face_gradient(phi.values, grid16), mu,
                                   law.neo_hookean_dphi(
                                       law.stiffness_f_prime(phi.values, params),
-                                      F.comps, params),
+                                      law.stretch_invariant(F.comps), params),
                                   F, params)
     assert force.max_abs() <= 1e-12
 
@@ -385,7 +390,8 @@ def test_force_matches_dense_assembly(grid8, rng):
     f = law.stiffness_f(p, params)
     force = stokes.assemble_force(f, face_gradient(p, g), mu,
                                   law.neo_hookean_dphi(law.stiffness_f_prime(p, params),
-                                                       F.comps, params),
+                                                       law.stretch_invariant(F.comps),
+                                                       params),
                                   F, params)
 
     m = mu.values - 0.5 * params.c_elastic * law.stiffness_f_prime(p, params) \
@@ -425,7 +431,7 @@ def test_elastic_force_pairs_with_velocity_gradient(nx, ny, lx, ly, rng):
     fu, fw = stokes.elastic_force(f, F, params)
     power = (np.sum(fu * v.u) + np.sum(fw * v.w)) * g.cell_area
     stress = law.eulerian_elastic_stress(f, F.comps, params)
-    work = -np.sum(stress * velocity_gradient(v)) * g.cell_area
+    work = -np.sum(stress * velocity_gradient(velocity_derivatives(v))) * g.cell_area
     scale = np.sqrt(np.sum(fu ** 2) + np.sum(fw ** 2)) \
         * np.sqrt(np.sum(v.u ** 2) + np.sum(v.w ** 2)) * g.cell_area
     assert abs(power - work) <= 1e-13 * scale

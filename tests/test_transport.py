@@ -9,7 +9,8 @@ from chve import krylov, transport
 from chve.errors import SolverError
 from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                        StaggeredVectorField, TensorField)
-from chve.operators import advect_tensor, laplacian_matrix, velocity_gradient
+from chve.operators import (advect_tensor, laplacian_matrix, velocity_derivatives,
+                            velocity_gradient)
 from chve.transport import TransportSystem
 from chve.verification import det_transport_deviation, interior_vortex
 
@@ -18,8 +19,9 @@ from test_cahn_hilliard import _CountedMatrix
 
 def _step(system, F, v, phi, dt):
     """One transport step as a first Picard sweep takes it: the level of
-    (F, phi, dt), the advection of F, then the step from its cold start."""
-    F_new, _ = system.step(system.prepare(F, phi, dt), v, advect_tensor(v, F.comps))
+    (F, f(phi), dt), the advection of F, then the step from its cold start."""
+    level = system.prepare(F, law.stiffness_f(phi.values, system.params), dt)
+    F_new, _ = system.step(level, velocity_derivatives(v), advect_tensor(v, F.comps))
     return F_new
 
 
@@ -38,7 +40,8 @@ def test_rejects_nonpositive_dt(grid16, params):
     v = StaggeredVectorField.zeros(grid16)
     phi = ScalarField.uniform(grid16, 1.0)
     with pytest.raises(PreconditionError):
-        TransportSystem(grid16, params, laplacian_matrix(grid16)).prepare(F, phi, dt=0.0)
+        TransportSystem(grid16, params, laplacian_matrix(grid16)).prepare(
+            F, law.stiffness_f(phi.values, params), dt=0.0)
 
 
 def test_diffusion_decay_matches_backward_euler_symbol():
@@ -116,7 +119,7 @@ def test_lambda_zero_step_is_explicit(grid16, rng, monkeypatch):
     out = _step(TransportSystem(grid16, params, laplacian_matrix(grid16)), F, v, phi, dt)
     assert runs == [(0, 0)]
     ref = dt * (F.comps / dt - advect_tensor(v, F.comps)
-                + velocity_gradient(v) @ F.comps)
+                + velocity_gradient(velocity_derivatives(v)) @ F.comps)
     assert np.max(np.abs(out.comps - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
@@ -134,9 +137,10 @@ def test_entrywise_stretch_equals_matrix_product(grid, rng):
     F = TensorField(grid, rng.standard_normal((nx, ny, 2, 2)))
     phi = ScalarField(grid, rng.uniform(-1.0, 1.0, (nx, ny)))
     system = TransportSystem(grid, ModelParams(lam=1e-2), laplacian_matrix(grid))
-    level = system.prepare(F, phi, 1e-3)
-    _, (_, b) = system.step(level, v, level.F_dt.copy())
-    ref = velocity_gradient(v) @ F.comps
+    level = system.prepare(F, law.stiffness_f(phi.values, system.params), 1e-3)
+    dv = velocity_derivatives(v)
+    _, (_, b) = system.step(level, dv, level.F_dt.copy())
+    ref = velocity_gradient(dv) @ F.comps
     err = np.max(np.abs(b.reshape(ref.shape) - ref))
     assert err <= 4e-16 * np.max(np.abs(ref))
 
@@ -183,7 +187,8 @@ def test_step_matches_direct_sparse_solve(ratio, offdiag):
     f = law.stiffness_f(phi.values, params)
     assert f.min() < 1.01 * params.f_min and f.max() > 0.99
     rhs = (F.comps / dt - advect_tensor(v, F.comps)
-           + np.einsum("xyik,xykj->xyij", velocity_gradient(v), F.comps))
+           + np.einsum("xyik,xykj->xyij", velocity_gradient(velocity_derivatives(v)),
+                       F.comps))
     M = sp.eye(n * n) / dt - params.lam * (laplacian_matrix(grid) @ sp.diags(f.ravel()))
     ref = spla.spsolve(M.tocsc(), rhs.reshape(n * n, 4)).reshape(n, n, 2, 2)
     assert np.linalg.norm(out.comps - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -220,17 +225,17 @@ def test_lam_L_products_of_a_cold_and_a_warm_step(monkeypatch):
     system = TransportSystem(grid, params, laplacian_matrix(grid))
     products = []
     system._lamL = _CountedMatrix(system._lamL, products)
-    level = system.prepare(F, phi, dt)
-    adv = advect_tensor(v, F.comps)
+    level = system.prepare(F, law.stiffness_f(phi.values, params), dt)
+    dv, adv = velocity_derivatives(v), advect_tensor(v, F.comps)
 
-    F_cold, solved = system.step(level, v, adv)
+    F_cold, solved = system.step(level, dv, adv)
     [(info, iters, r0)] = runs
     assert info == 0 and iters >= 2 and r0 is None
     assert len(products) == iters + 2
 
     runs.clear()
     products.clear()
-    F_warm, (G, b) = system.step(level, v, adv, start=solved)
+    F_warm, (G, b) = system.step(level, dv, adv, start=solved)
     [(info, iters, r0)] = runs
     assert (info, iters, len(products)) == (0, 0, 1)
     assert np.array_equal(F_warm.comps, F_cold.comps)
@@ -242,7 +247,7 @@ def test_lam_L_products_of_a_cold_and_a_warm_step(monkeypatch):
     runs.clear()
     products.clear()
     w = interior_vortex(grid, target_max=1.0)  # warm, but a new velocity
-    system.step(level, w, advect_tensor(w, F.comps), start=solved)
+    system.step(level, velocity_derivatives(w), advect_tensor(w, F.comps), start=solved)
     [(info, iters, r0)] = runs
     assert info == 0 and iters >= 1 and r0 is None
     assert len(products) == iters + 2
