@@ -140,7 +140,7 @@ def _cmd_energy_report(args) -> int:
     print(f"energy:              {E[0]:.8g} -> {E[-1]:.8g}")
     print(f"energy increases:    {int(np.sum(increases > 0.0))} steps, max increase "
           f"{increases.max() if len(increases) else 0.0:.3e}")
-    print(f"mass drift:          {abs(mass[-1] - mass[0]):.3e}")
+    print(f"mass drift:          {np.abs(mass - mass[0]).max():.3e}")
     print(f"max div residual:    {div.max():.3e}")
     print(f"max |budget resid|:  {np.abs(budget).max():.3e}")
     return 0

@@ -40,13 +40,17 @@ dissipation.
 which for coeff = 1 is ``face_divergence(*face_gradient(.))``,
 :func:`laplacian_eigenvalues` gives its eigenvalues on the DCT-II basis, and
 :func:`dct_diagonal` applies any function of them (the Cahn-Hilliard
-preconditioner and the pressure solve).
+preconditioner and the pressure solve).  On grids of at most
+``DENSE_TRANSFORM_MAX`` cells per axis (:func:`dense_transforms`) a
+separable eigenbasis is applied as two products with its orthonormal 1-D
+factors, which beats pocketfft there; above, pocketfft's O(n^2 log n) wins.
 Scalars are flattened C-order, index ``i * ny + j``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,12 +132,46 @@ def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     return lx[:, None] + ly[None, :]
 
 
+# The largest axis length (cells) whose DCT-II and DST-I eigenbases are
+# applied as dense products with the 1-D factors; pocketfft is faster above
+# it (crossover table in ROADMAP, one BLAS thread).
+DENSE_TRANSFORM_MAX = 96
+
+
+def dense_transforms(nx: int, ny: int) -> bool:
+    """Whether an nx x ny grid applies its eigenbases as dense products."""
+    return max(nx, ny) <= DENSE_TRANSFORM_MAX
+
+
+@lru_cache(maxsize=8)  # a grid uses two lengths
+def _dct_factor(n: int) -> np.ndarray:
+    """The read-only orthonormal DCT-II matrix of length n, shared by every
+    caller, C[k, j] = sqrt((2 - [k = 0]) / n) cos(pi k (2j + 1) / 2n); the
+    angle is reduced mod 2 pi in integers, so every entry is correct to
+    rounding."""
+    k = np.arange(n)
+    C = np.sqrt(2.0 / n) * np.cos(np.pi / (2 * n) * (np.outer(k, 2 * k + 1) % (4 * n)))
+    C[0] *= np.sqrt(0.5)
+    C.setflags(write=False)
+    return C
+
+
+def dct2d(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The orthonormal 2-D DCT-II of the 2-D array x, or its inverse:
+    Cx x Cy^T (Cx^T x Cy) with the 1-D factors C on small grids
+    (:func:`dense_transforms`), pocketfft above."""
+    nx, ny = x.shape
+    if not dense_transforms(nx, ny):
+        return (idctn if inverse else dctn)(x, type=2, norm="ortho")
+    Cx, Cy = _dct_factor(nx), _dct_factor(ny)
+    return (Cx.T @ x) @ Cy if inverse else (Cx @ x) @ Cy.T
+
+
 def dct_diagonal(r: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Apply the operator with the given symbol on the orthonormal DCT-II
-    basis of :func:`laplacian_eigenvalues` to r, over axes (0, 1); symbol
-    broadcasts against the transform of r."""
-    rh = dctn(r, type=2, axes=(0, 1), norm="ortho")
-    return idctn(rh * symbol, type=2, axes=(0, 1), norm="ortho")
+    basis of :func:`laplacian_eigenvalues` to the 2-D array r: one
+    :func:`dct2d` pair around the product with the (nx, ny) symbol."""
+    return dct2d(dct2d(r) * symbol, inverse=True)
 
 
 # ---------------------------------------------------------------------------

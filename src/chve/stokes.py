@@ -39,8 +39,11 @@ A solve costs one DST-I pair (the forward transform r_hat of the curl and
 the inverse transform of B^-1 (r_hat - S y), S the DST-I), O(n^2) thin
 products with the 1-D DST-I factors that form z on the ring lines and S y
 from them, one capacitance back-solve (the ring has 2(nx-1) + 2(ny-1) - 4
-nodes), one DCT-II pair and the residual check.  The curl of the force is
-formed directly on the interior nodes.  The residual check reads the
+nodes), one DCT-II pair and the residual check.  On grids of at most
+``operators.DENSE_TRANSFORM_MAX`` cells per axis each transform of a pair
+is two products with the 1-D factors (the DST-I ones are the ring's
+factors, symmetric and their own inverse); above, pocketfft applies it.
+The curl of the force is formed directly on the interior nodes.  The residual check reads the
 velocity's derivative pass (:func:`chve.operators.velocity_derivatives`),
 which the solver keeps and :meth:`StokesSolver.derivatives` hands on: the
 driver's solenoidal and CFL admission, the transport stretch and the
@@ -54,22 +57,24 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.fft import dstn, idstn
+from scipy.fft import dstn
 
 from . import constitutive as law
 from .errors import TOL_LIN, SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
-from .operators import (VelocityDerivatives, _corner_average, dct_diagonal, face_average,
-                        face_divergence, face_gradient, laplacian_eigenvalues,
-                        vector_laplacian, velocity_derivatives)
+from .operators import (VelocityDerivatives, _corner_average, dct_diagonal,
+                        dense_transforms, face_average, face_divergence,
+                        face_gradient, laplacian_eigenvalues, vector_laplacian,
+                        velocity_derivatives)
 
 
 def _dst_basis(n: int, h: float):
     """Orthonormal DST-I matrix on the n - 1 interior nodes of an axis and
-    the matching eigenvalues of the Dirichlet -d^2/dx^2."""
+    the matching eigenvalues of the Dirichlet -d^2/dx^2.  The angle is
+    reduced mod 2 pi in integers, so every entry is correct to rounding."""
     m = np.arange(1, n)
-    return (np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(m, m) / n),
+    return (np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(m, m) % (2 * n))),
             4.0 / (h * h) * np.sin(0.5 * np.pi * m / n) ** 2)
 
 
@@ -129,7 +134,7 @@ class StokesSolver:
     ``__init__`` builds the DST-I biharmonic symbol, the 1-D DST-I factors,
     the Cholesky factor of the ring capacitance (whose blocks are separable
     products of those factors, O(n^3) flops, no einsum) and the DCT-II
-    pressure symbol; a solve applies only fast transforms, thin products
+    pressure symbol; a solve applies only the two eigenbases, thin products
     with the 1-D factors on the ring lines, that Cholesky factor and the
     stencils of :mod:`chve.operators`, and checks its own momentum
     residual."""
@@ -159,6 +164,14 @@ class StokesSolver:
 
     # -- solve ------------------------------------------------------------
 
+    def _dst(self, x: np.ndarray) -> np.ndarray:
+        """The orthonormal 2-D DST-I of interior-node data x, its own
+        inverse: Sx x Sy on small grids (:func:`dense_transforms`),
+        pocketfft above."""
+        if dense_transforms(self.grid.nx, self.grid.ny):
+            return (self._Sx @ x) @ self._Sy
+        return dstn(x, type=1, norm="ortho")
+
     def _velocity(self, force: StaggeredVectorField) -> StaggeredVectorField:
         """The curl of the stream function that solves (B + P) psi = C^T f / nu.
 
@@ -173,7 +186,7 @@ class StokesSolver:
         Sx, Sy, rows, cols = self._Sx, self._Sy, self._rows, self._cols
         u, w = force.u, force.w
         curl = (w[1:, 1:-1] - w[:-1, 1:-1]) / g.hx - (u[1:-1, 1:] - u[1:-1, :-1]) / g.hy
-        r_hat = dstn(curl / self.nu, type=1, norm="ortho")
+        r_hat = self._dst(curl / self.nu)
         Wr = self._B_inv * r_hat
         z = np.zeros_like(r_hat)
         z[:, rows] = Sx @ (Wr @ Sy[rows].T)
@@ -184,7 +197,7 @@ class StokesSolver:
         y_cols[:, rows] = 0.0  # a copy: the corners count on the row lines
         y_hat = (Sx @ y[:, rows]) @ Sy[rows] + Sx[:, cols] @ (y_cols @ Sy)
         psi = np.zeros((g.nx + 1, g.ny + 1))
-        psi[1:-1, 1:-1] = idstn(self._B_inv * (r_hat - y_hat), type=1, norm="ortho")
+        psi[1:-1, 1:-1] = self._dst(self._B_inv * (r_hat - y_hat))
         if not np.isfinite(psi).all():
             raise SolverError("stream function is not finite")
         return StaggeredVectorField.from_stream_function(g, psi)

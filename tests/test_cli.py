@@ -263,6 +263,12 @@ def test_energy_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mass drift" in out
     assert "max div residual" in out
+    # the drift is the largest excursion from the first row, not last - first
+    path = tmp_path / "excursion.csv"
+    path.write_text("step,t,E_total,mass,div_v_max,budget_residual\n"
+                    "0,0,1.5,0.25,0,0\n1,1,1.4,0.2505,0,0\n2,2,1.3,0.25,0,0\n")
+    assert main(["energy-report", str(path)]) == 0
+    assert "mass drift:          5.000e-04" in capsys.readouterr().out.splitlines()
 
 
 def test_energy_report_missing_file(tmp_path):

@@ -125,19 +125,46 @@ def test_laplacian_eigenvalues_diagonalize_matrix():
     assert np.max(np.abs(dev)) <= 1e-12 * np.max(np.abs(eig))
 
 
-def test_dct_diagonal_with_eigenvalues_applies_laplacian(rng):
-    # a scalar field and a stack of three, on a non-square grid
+def test_dct_diagonal_with_eigenvalues_applies_laplacian(rng, monkeypatch):
+    # a non-square grid, on the dense path and on pocketfft
     grid = GridSpec(5, 7, 1.0, 1.3)
     L = ops.laplacian_matrix(grid)
     eig = ops.laplacian_eigenvalues(grid)
     r = rng.standard_normal((5, 7))
-    np.testing.assert_allclose(ops.dct_diagonal(r, eig).ravel(), L @ r.ravel(),
-                               rtol=0.0, atol=1e-12 * np.max(np.abs(eig)))
-    stack = rng.standard_normal((5, 7, 3))
-    out = ops.dct_diagonal(stack, eig[:, :, None])
-    for k in range(3):
-        np.testing.assert_allclose(out[:, :, k].ravel(), L @ stack[:, :, k].ravel(),
+    for crossover in (7, 6):
+        monkeypatch.setattr(ops, "DENSE_TRANSFORM_MAX", crossover)
+        np.testing.assert_allclose(ops.dct_diagonal(r, eig).ravel(), L @ r.ravel(),
                                    rtol=0.0, atol=1e-12 * np.max(np.abs(eig)))
+
+
+def test_dense_transforms_crossover():
+    n = ops.DENSE_TRANSFORM_MAX
+    assert ops.dense_transforms(n, n) and ops.dense_transforms(1, n)
+    assert not ops.dense_transforms(n + 1, n) and not ops.dense_transforms(n, n + 1)
+
+
+def test_dct_factor_is_the_read_only_orthonormal_dct():
+    C = ops._dct_factor(24)
+    assert ops._dct_factor(24) is C and not C.flags.writeable
+    np.testing.assert_allclose(C, dct(np.eye(24), type=2, norm="ortho", axis=0),
+                               rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (5, 7), (24, 40), "crossover", "above"])
+def test_dct_diagonal_dense_matches_pocketfft(rng, monkeypatch, shape):
+    """The two paths of dct_diagonal, each forced at the same size, agree
+    to 1e-13 relative; lx != ly, and the symbol is a Laplacian's inverse."""
+    n = ops.DENSE_TRANSFORM_MAX
+    shape = {"crossover": (n, n), "above": (n + 1, n)}.get(shape, shape)
+    grid = GridSpec(*shape, 2.0, 1.3)
+    symbol = 1.0 / (1.0 - ops.laplacian_eigenvalues(grid))
+    r = rng.standard_normal(shape)
+    out = {}
+    for dense, crossover in ((True, max(shape)), (False, max(shape) - 1)):
+        monkeypatch.setattr(ops, "DENSE_TRANSFORM_MAX", crossover)
+        assert ops.dense_transforms(*shape) is dense
+        out[dense] = ops.dct_diagonal(r, symbol)
+    assert np.max(np.abs(out[True] - out[False])) <= 1e-13 * np.max(np.abs(out[False]))
 
 
 def test_laplacian_rows_sum_to_zero(grid8, rng):

@@ -169,16 +169,40 @@ def test_solve_needs_no_sparse_factorization(grid16, rng, monkeypatch):
 
 
 def test_solve_applies_one_dst_pair_and_one_dct_pair(grid16, rng, monkeypatch):
-    solver = stokes.StokesSolver(grid16, 1.0)
-    calls = []
-    for module, name in ((stokes, "dstn"), (stokes, "idstn"),
-                         (operators, "dctn"), (operators, "idctn")):
-        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-    solver.solve(_random_force(grid16, rng))
-    assert calls == ["dstn", "idstn", "dctn", "idctn"]
+    # one forward and one inverse application of each eigenbasis per solve,
+    # as dense products below the crossover and through pocketfft above it
+    force = _random_force(grid16, rng)
+    for crossover, pocketfft in ((16, []), (15, ["dstn", "dstn", "dctn", "idctn"])):
+        with monkeypatch.context() as mp:
+            mp.setattr(operators, "DENSE_TRANSFORM_MAX", crossover)
+            solver = stokes.StokesSolver(grid16, 1.0)
+            bases, calls = [], []
+            for owner, name, log in ((stokes, "dstn", calls), (operators, "dctn", calls),
+                                     (operators, "idctn", calls), (solver, "_dst", bases),
+                                     (operators, "dct2d", bases)):
+                def counted(*args, _real=getattr(owner, name), _name=name, _log=log,
+                            **kwargs):
+                    _log.append(f"{_name}, inverse" if kwargs.get("inverse") else _name)
+                    return _real(*args, **kwargs)
+                mp.setattr(owner, name, counted)
+            solver.solve(force)
+        assert bases == ["_dst", "_dst", "dct2d", "dct2d, inverse"]
+        assert calls == pocketfft
+
+
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(24, 40, 2.0, 1.3),
+                                  GridSpec(64, 64)], ids=["16x16", "24x40", "64x64"])
+def test_dense_solve_matches_pocketfft_solve(grid, rng, monkeypatch):
+    """The same solve with both eigenbases applied as dense products and
+    through pocketfft: (v, q) agree to 1e-13 relative."""
+    force = _random_force(grid, rng)
+    out = {}
+    for dense, crossover in ((True, max(grid.nx, grid.ny)), (False, 0)):
+        monkeypatch.setattr(operators, "DENSE_TRANSFORM_MAX", crossover)
+        out[dense] = stokes.StokesSolver(grid, 0.7).solve(force)
+    (v, q), (v_ref, q_ref) = out[True], out[False]
+    for x, ref in ((v.u, v_ref.u), (v.w, v_ref.w), (q.values, q_ref.values)):
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(24, 40, 2.0, 1.3),
