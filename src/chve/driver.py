@@ -19,11 +19,19 @@ Each derived field is formed once and handed to every reader:
   state's energy check and dissipation, and then the next step's transport
   level (f), its Cahn-Hilliard level (b), every force of the step (f, grad
   phi) and the first dw/dphi (the stretch).  A candidate's pass takes its
-  stretch from the last sweep's dw/dphi.  The simulation keeps the pass of
-  the newest state it made, the initial one or a candidate
-  (:meth:`Simulation.fields`); a state it did not make (a restored state,
-  or one a caller passes in) gets its pass formed from itself, and a
-  rejected candidate's pass is never read again.
+  stretch from the last sweep's dw/dphi.
+* The first force of a step reads the state alone (f, grad phi, the stored
+  mu, dw/dphi at (phi_n, F_n), and F_n), so its Stokes solve (v, q and the
+  derivative pass of v) is solved once per state and kept with it: every
+  retry of a rejected step shares it, and step 1 shares the initial
+  state's own solve.  Admission still runs on every sweep of every
+  attempt: div v first, then CFL at that attempt's dt.
+* The simulation keeps this work (the pass and the first solve) for the
+  state the last step started from and the candidate it made
+  (:meth:`Simulation.fields`), so a retry after an energy rejection forms
+  neither again; a step drops the work of every other state.  A state it
+  did not make (a restored state, or one a caller passes in) gets its work
+  formed from itself.
 * The derivative pass of each sweep's Stokes velocity
   (:func:`~chve.operators.velocity_derivatives`: du/dx, dw/dy, the node
   du/dy and dw/dx, max|u|, max|w|) is formed once, inside the solve, where
@@ -35,16 +43,18 @@ Each derived field is formed once and handed to every reader:
 
 Advection is explicit in the old level (phi_n, F_n), so everything that
 depends on (phi_n, F_n, dt) alone is prepared once per step, before the
-first sweep: the upwind face candidates of the stacked (F_n, phi_n)
-(:func:`old_level_faces`), the transport and Cahn-Hilliard levels,
-f'(phi_n), and dw/dphi at F_n for the first force.  That force reads mu_n
-as stored in ``state.mu``: the last step's Cahn-Hilliard mu, whose delta
-term is over the dt that produced phi_n.  A sweep redoes only what its
-velocity changes: one face selection, flux and divergence for all five
-fields (:func:`sweep_advection`), shared by transport and Cahn-Hilliard,
-and the stretch and dw/dphi at its new F, shared by its CH step and the
-next sweep's force.  Every sweep after the first starts its transport CG
-from the pair (G, b) that the previous sweep solved
+first sweep: the upwind face candidates of the stacked (F_n, phi_n) on
+every face, the x faces along the stack and the y faces along its
+transpose (:func:`old_level_faces`), the transport and Cahn-Hilliard
+levels, f'(phi_n), and, unless the state's first solve is kept, dw/dphi at
+F_n for the first force.  That force reads mu_n as stored in
+``state.mu``: the last step's Cahn-Hilliard mu, whose delta term is over
+the dt that produced phi_n.  A sweep redoes only what its velocity
+changes: one face selection, flux and divergence for all five fields
+(:func:`sweep_advection`), shared by transport and Cahn-Hilliard, and the
+stretch and dw/dphi at its new F, shared by its CH step and the next
+sweep's force.  Every sweep after the first starts its transport CG from
+the pair (G, b) that the previous sweep solved
 (:meth:`TransportSystem.step`); the pair lives only inside the step.
 
 Step control: a step is rejected when the phase-field Newton fails, a
@@ -73,8 +83,8 @@ from .diagnostics import (DiagnosticsRow, EnergyBreakdown, StateFields, energy_b
 from .errors import NewtonError, SolverError, ValidationError
 from .grid import (PreconditionError, ScalarField, SimState,
                    StaggeredVectorField, TensorField)
-from .operators import (advect_upwind, laplacian_matrix, solenoidal_residual,
-                        upwind_candidates)
+from .operators import (VelocityDerivatives, advect_upwind, laplacian_matrix,
+                        solenoidal_residual, upwind_candidates)
 from .stokes import StokesSolver, assemble_force
 from .transport import TransportSystem
 from .vtk_io import read_restart, write_restart, write_vtk
@@ -138,7 +148,9 @@ def initial_F(cfg: ConfigSpec) -> TensorField:
 def old_level_faces(F_n: TensorField, phi_n: ScalarField):
     """The upwind face candidates (:func:`chve.operators.upwind_candidates`)
     of the cell fields one velocity carries through a step: the d^2
-    components of F_n, then phi_n, stacked (nx, ny, d^2 + 1)."""
+    components of F_n, then phi_n, stacked (nx, ny, d^2 + 1).  The x-face
+    pair covers all nx + 1 faces, (nx + 1, ny, d^2 + 1); the y-face pair
+    all ny + 1 faces, formed on the stack's transpose, (ny + 1, nx, d^2 + 1)."""
     nx, ny = phi_n.values.shape
     return upwind_candidates(np.concatenate(
         (F_n.comps.reshape(nx, ny, -1), phi_n.values[..., None]), axis=2))
@@ -156,6 +168,19 @@ def sweep_advection(v: StaggeredVectorField, faces, d: int):
     return adv[..., :-1].reshape(nx, ny, d, d), adv[..., -1]
 
 
+@dataclass
+class _StateWork:
+    """The dt-independent work of one state: its constitutive pass, and
+    (v, q, the derivative pass of v) of the first Stokes solve of a step
+    from it, once one is solved.  The first force reads the state alone
+    (f, grad phi, its stored mu, dw/dphi at (phi, F), and F), so every
+    attempt at a step from the state shares that solve, and the initial
+    state's own solve is the first step's."""
+    state: SimState
+    fields: StateFields
+    first_solve: tuple[StaggeredVectorField, ScalarField, VelocityDerivatives] | None = None
+
+
 class Simulation:
     """Owns the per-run solver instances and the output writers.  The
     transport and Cahn-Hilliard systems share one zero-flux Laplacian."""
@@ -168,24 +193,34 @@ class Simulation:
         L = laplacian_matrix(self.grid)
         self.transport = TransportSystem(self.grid, cfg.params, L)
         self.ch = CHSystem(self.grid, cfg.params, L)
-        self._fields: StateFields | None = None  # of the newest state made here
+        # the work of at most two states: the state the last step started
+        # from and the candidate it made, which may yet be rejected
+        self._kept: list[_StateWork] = []
+
+    def _work(self, state: SimState) -> _StateWork:
+        """The kept work of state, else a new record with its constitutive
+        pass formed from the state, kept with the newer of the others."""
+        for work in self._kept:
+            if work.state is state:
+                return work
+        work = _StateWork(state, state_fields(
+            state.phi, state.F, law.stretch_invariant(state.F.comps), self.params))
+        self._kept = self._kept[-1:] + [work]
+        return work
 
     def fields(self, state: SimState) -> StateFields:
         """The constitutive pass of state, which depends on (phi, F) alone:
-        the one kept when this simulation made the state (the initial state
-        or the last candidate), else formed from it."""
-        held = self._fields
-        if held is None or held.phi is not state.phi or held.F is not state.F:
-            held = self._fields = state_fields(
-                state.phi, state.F, law.stretch_invariant(state.F.comps), self.params)
-        return held
+        the one kept when this simulation made or last stepped from the
+        state, else formed from it."""
+        return self._work(state).fields
 
     # -- state construction -------------------------------------------------
 
     def initial_state(self) -> tuple[SimState, StepControl, float | None]:
         """(state, step control, energy scale) to start the run from: read
         from the restart file, with dt clamped to [dt_min, dt_max], or built
-        from the config, with no energy scale yet (the run takes |E0|)."""
+        from the config, with no energy scale yet (the run takes |E0|).  A
+        built state keeps its Stokes solve as the first solve of step 1."""
         cfg = self.cfg
         if cfg.initial.restart_file:
             state, control, e_scale = read_restart(cfg.initial.restart_file)
@@ -197,14 +232,15 @@ class Simulation:
         p = self.params
         phi = initial_phi(cfg)
         F = initial_F(cfg)
-        fields = self._fields = state_fields(phi, F, law.stretch_invariant(F.comps), p)
+        fields = state_fields(phi, F, law.stretch_invariant(F.comps), p)
         dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, p),
                                        fields.stretch, p)
         mu = static_chemical_potential(phi, dw_dphi, p)
         force = assemble_force(fields.f, fields.grad_phi, mu, dw_dphi, F, p)
         v, q = self.stokes.solve(force)
-        return (SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q),
-                StepControl(cfg.time.dt0), None)
+        state = SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q)
+        self._kept = [_StateWork(state, fields, (v, q, self.stokes.derivatives(v)))]
+        return state, StepControl(cfg.time.dt0), None
 
     # -- one coupled step ----------------------------------------------------
 
@@ -213,17 +249,20 @@ class Simulation:
 
         The old level is prepared once, before the first sweep, from the
         constitutive pass of state, f'(phi_n) once per step and dw/dphi(phi_n,
-        F) once per F (see the module docstring).  Each sweep admits its
-        Stokes velocity here and only here, from its derivative pass: div v
-        within the solenoidal bound, then CFL.  The candidate's constitutive
-        pass is kept for the run loop (:meth:`fields`).  Raises
+        F) once per F; the first sweep takes the state's first Stokes solve
+        as kept, once one is solved (see the module docstring).  Each sweep
+        admits its Stokes velocity here and only here, from its derivative
+        pass: div v within the solenoidal bound, then CFL.  The candidate's
+        constitutive pass is kept for the run loop (:meth:`fields`).  Raises
         StepRejected on either failure, Newton failure, a failed linear
         solve or a non-finite field."""
         cfg = self.cfg
         p = self.params
         g = self.grid
         phi_n, F_n = state.phi, state.F
-        fields_n = self.fields(state)
+        work = self._work(state)
+        self._kept = [work]  # a state before it, or a rejected candidate, is done
+        fields_n = work.fields
         guess = None
         solved = None  # the last sweep's transport CG pair (G, b)
         prev = None
@@ -235,17 +274,23 @@ class Simulation:
             transport_level = self.transport.prepare(F_n, fields_n.f, dt)
             ch_level = self.ch.prepare(phi_n, state.phi_prev, fields_n.b, dt)
             f_prime_n = law.stiffness_f_prime(phi_n.values, p)
-            dw_dphi = law.neo_hookean_dphi(f_prime_n, fields_n.stretch, p)
+            dw_dphi = (None if work.first_solve is not None
+                       else law.neo_hookean_dphi(f_prime_n, fields_n.stretch, p))
             mu_force, F_force = state.mu, F_n
 
             for sweep in range(1, cfg.coupling.picard_max + 1):
-                force = assemble_force(fields_n.f, fields_n.grad_phi, mu_force,
-                                       dw_dphi, F_force, p)
-                try:
-                    v, q = self.stokes.solve(force)
-                except SolverError as exc:
-                    raise StepRejected(f"stokes: {exc}") from exc
-                dv = self.stokes.derivatives(v)
+                if sweep == 1 and work.first_solve is not None:
+                    v, q, dv = work.first_solve
+                else:
+                    force = assemble_force(fields_n.f, fields_n.grad_phi, mu_force,
+                                           dw_dphi, F_force, p)
+                    try:
+                        v, q = self.stokes.solve(force)
+                    except SolverError as exc:
+                        raise StepRejected(f"stokes: {exc}") from exc
+                    dv = self.stokes.derivatives(v)
+                    if sweep == 1:
+                        work.first_solve = (v, q, dv)
 
                 div_v, div_bound = solenoidal_residual(dv)
                 if not div_v <= div_bound:
@@ -289,7 +334,7 @@ class Simulation:
         new_state = SimState(phi=phi_new, phi_prev=phi_n, mu=mu_new, F=F_new,
                              v=v, q=q, t=state.t + dt,
                              step_index=state.step_index + 1)
-        self._fields = state_fields(phi_new, F_new, stretch, p)
+        self._kept.append(_StateWork(new_state, state_fields(phi_new, F_new, stretch, p)))
         stats = StepStats(picard_iters=picard_iters, newton_iters=newton_total,
                           picard_gap=float(change) if np.isfinite(change) else -1.0,
                           div_v_max=div_v)

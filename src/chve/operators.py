@@ -22,12 +22,16 @@ Boundary conditions baked in:
   upwind-biased face reconstruction, falling back to plain upwind on faces
   that lack the second upwind neighbor.  The reconstruction is split in
   two: :func:`upwind_candidates` builds the face values for either sign of
-  the face velocity from the cell data alone, and :func:`advect_upwind`
-  selects by the sign of v and forms the flux divergence, so a stack of
-  fields advected by several velocities (the Picard sweeps of one step)
-  builds its candidates once.  :func:`advect_scalar` and
-  :func:`advect_tensor` are that pair.  They assume a solenoidal v and do
-  not check it: the driver admits each velocity by :func:`solenoidal_residual`.
+  the face velocity from the cell data alone, on all n + 1 faces of each
+  axis (0 on the boundary faces), and :func:`advect_upwind` selects by the
+  sign of v and forms the flux divergence, so a stack of fields advected by
+  several velocities (the Picard sweeps of one step) builds its candidates
+  once.  Both run along axis 0, on contiguous rows: the y faces are formed
+  on one transposed copy of the stack, and each face velocity is expanded
+  to its candidates' full shape, so nothing broadcasts over the stack axis.
+  :func:`advect_scalar` and :func:`advect_tensor` are that pair.  They
+  assume a solenoidal v and do not check it: the driver admits each
+  velocity by :func:`solenoidal_residual`.
 
 :func:`velocity_derivatives` forms, once per velocity, du/dx and dw/dy on
 cells, du/dy and dw/dx on nodes, and max|u|, max|w|.  Every reader of those
@@ -275,74 +279,85 @@ def velocity_gradient(dv: VelocityDerivatives) -> np.ndarray:
 # conservative upwind-biased advection
 
 
-def _kappa_third(out, c, w, d, tmp):
-    """out = c + 0.25 ((1 - 1/3)(c - w) + (1 + 1/3)(d - c)), the kappa = 1/3
-    face value between the upwind cell c and the downwind cell d, with w
-    the cell upwind of c; formed in place, in that order, using tmp."""
-    np.subtract(c, w, out=out)
-    out *= 1.0 - 1.0 / 3.0
-    np.subtract(d, c, out=tmp)
-    tmp *= 1.0 + 1.0 / 3.0
-    out += tmp
-    out *= 0.25
-    out += c
+def _axis0_candidates(q):
+    """kappa = 1/3 upwind-biased values of cell data q (n cells along axis
+    0) on all n + 1 faces of that axis, as (for vel >= 0, for vel < 0),
+    with 0 on the two boundary faces.
 
-
-def _face_candidates(q, axis):
-    """kappa = 1/3 upwind-biased values of cell data q on the n - 1 interior
-    faces of ``axis`` (q has n cells there), as (for vel >= 0, for vel < 0).
-
-    They depend on q alone, so one pair serves every velocity.  Faces whose
-    far upwind neighbor would leave the grid fall back to first-order
-    upwind.
+    Face k lies between cells k - 1 and k.  With the jumps
+    d[k] = q[k] - q[k-1] of the interior faces, a = (1 - 1/3) d and
+    b = (1 + 1/3) d, the vel >= 0 value is q[k-1] + 0.25 (a[k-1] + b[k])
+    and the vel < 0 value q[k] + 0.25 (0 - (a[k+1] + b[k])).  Both are bit
+    for bit the direct form c + 0.25 ((1 - 1/3)(c - w) + (1 + 1/3)(d - c))
+    with upwind cell c, far upwind cell w and downwind cell d: IEEE
+    differences, products and sums are sign-symmetric, and 0 - s keeps a
+    zero sum at +0, as the mirrored differences give it.  A face whose far
+    upwind cell would leave the grid (face 1 for vel >= 0, face n - 1 for
+    vel < 0) takes plain upwind.
     """
-    shape = list(q.shape)
-    shape[axis] -= 1
-    hi_pos, hi_neg = np.empty(shape), np.empty(shape)
-    pos, neg, q = (np.moveaxis(a, axis, 0) for a in (hi_pos, hi_neg, q))
-    qc = q[:-1]      # upwind cell when vel >= 0   (faces 1..n-1)
-    qd = q[1:]       # downwind cell when vel >= 0
-    tmp = np.empty_like(pos[1:])
-    # vel >= 0: cells (W, C, D) = q[k-2], q[k-1], q[k] for face k >= 2;
-    # face 1 has no W and falls back to first-order upwind
-    pos[0] = qc[0]
-    _kappa_third(pos[1:], qc[1:], q[:-2], qd[1:], tmp)
-    # vel < 0: mirrored, needs q[k+1] so face k <= n-2; face n-1 is upwind
-    neg[-1] = qd[-1]
-    _kappa_third(neg[:-1], qd[:-1], q[2:], qc[:-1], tmp)
-    return hi_pos, hi_neg
+    n = q.shape[0]
+    pos = np.empty((n + 1,) + q.shape[1:])
+    neg = np.empty_like(pos)
+    pos[0] = pos[n] = neg[0] = neg[n] = 0.0
+    pos[1] = q[0]
+    neg[n - 1] = q[n - 1]
+    d = np.subtract(q[1:], q[:-1])   # the jump of face k at index k - 1
+    p = np.multiply(d[:-1], 1.0 - 1.0 / 3.0, out=pos[2:n])      # a, faces 2 .. n-1
+    m = np.multiply(d[1:], 1.0 - 1.0 / 3.0, out=neg[1:n - 1])   # a, faces 1 .. n-2
+    d *= 1.0 + 1.0 / 3.0                                        # b, in place
+    p += d[1:]
+    p *= 0.25
+    p += q[1:-1]
+    m += d[:-1]
+    np.subtract(0.0, m, out=m)
+    m *= 0.25
+    m += q[1:-1]
+    return pos, neg
 
 
 def upwind_candidates(q: np.ndarray):
     """The face candidates of :func:`advect_upwind` for a stack of cell
-    fields q, shape (nx, ny, ...): ``(x-faces, y-faces)``, each the pair
-    of :func:`_face_candidates` along that axis."""
-    return _face_candidates(q, 0), _face_candidates(q, 1)
+    fields q, shape (nx, ny, ...), as ``(x-faces, y-faces)``: each the pair
+    (for vel >= 0, for vel < 0) of :func:`_axis0_candidates`, on all n + 1
+    faces of its axis.  The x-face pair is formed along axis 0 of q, shape
+    (nx + 1, ny, ...); the y-face pair along axis 0 of one contiguous
+    transposed copy of q, shape (ny + 1, nx, ...), so both run along
+    contiguous rows.  They depend on q alone, so one set serves every
+    velocity."""
+    return (_axis0_candidates(q),
+            _axis0_candidates(np.ascontiguousarray(np.swapaxes(q, 0, 1))))
+
+
+def _expand(vel: np.ndarray, shape) -> np.ndarray:
+    """Face velocity vel, one value per face, repeated over the trailing
+    field axes of shape."""
+    return np.repeat(vel.ravel(), np.prod(shape[2:], dtype=int)).reshape(shape)
 
 
 def advect_upwind(v: StaggeredVectorField, faces) -> np.ndarray:
     """div(v q) for the stack q of :func:`upwind_candidates` ``faces``.
 
-    On each interior face the sign of the normal velocity selects the
-    candidate (``>=`` takes the vel >= 0 one, for -0.0 too); the two
-    boundary faces carry 0, where the normal velocity vanishes anyway.
+    Each face velocity is expanded once to its candidates' full shape, so
+    nothing broadcasts over the stack axis.  The sign of the normal
+    velocity selects the candidate (``>=`` takes the vel >= 0 one, for -0.0
+    too) straight into the flux array; the two boundary faces carry 0,
+    where the normal velocity vanishes anyway.  Both fluxes are differenced
+    along axis 0, and the y part, formed on the transpose, is added through
+    a transposed view.
     """
     g = v.grid
     (xp, xm), (yp, ym) = faces
-    extra = xp.shape[2:]
-    u = v.u.reshape(v.u.shape + (1,) * len(extra))
-    w = v.w.reshape(v.w.shape + (1,) * len(extra))
-    fx = np.zeros((g.nx + 1, g.ny) + extra)
-    fy = np.zeros((g.nx, g.ny + 1) + extra)
-    fx[1:-1] = np.where(u[1:-1] >= 0.0, xp, xm)
-    fy[:, 1:-1] = np.where(w[:, 1:-1] >= 0.0, yp, ym)
+    u = _expand(v.u, xp.shape)
+    w = _expand(v.w.T, yp.shape)
+    fx = np.where(u >= 0.0, xp, xm)
     fx *= u          # face values to fluxes, in place
+    fy = np.where(w >= 0.0, yp, ym)
     fy *= w
-    out = np.subtract(fx[1:, :], fx[:-1, :])
+    out = np.subtract(fx[1:], fx[:-1], out=u[:-1])   # over the spent velocities
     out /= g.hx
-    dy = np.subtract(fy[:, 1:], fy[:, :-1])
+    dy = np.subtract(fy[1:], fy[:-1], out=w[:-1])
     dy /= g.hy
-    out += dy
+    out += np.swapaxes(dy, 0, 1)
     return out
 
 

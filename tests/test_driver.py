@@ -254,7 +254,9 @@ def test_coupled_step_needs_no_scipy_krylov(tmp_path, monkeypatch):
 def test_first_force_reads_the_stored_mu(tmp_path, monkeypatch):
     # mu_n as the last step stored it holds delta (phi_n - phi_prev) / dt_n,
     # over the dt that produced phi_n; the first force of each step must
-    # read it as it is, also on the step after dt grows
+    # read it as it is, also on the step after dt grows.  That force is the
+    # first one formed after the previous step: the initial state's own
+    # force for step 1, whose solve the step keeps
     from chve import driver
     forces = []
     real_force = driver.assemble_force
@@ -265,11 +267,13 @@ def test_first_force_reads_the_stored_mu(tmp_path, monkeypatch):
 
     steps = []
     real_step = Simulation.coupled_step
+    first = 0
 
     def spy_step(self, state, dt):
-        first = len(forces)
+        nonlocal first
         out = real_step(self, state, dt)
         steps.append((state, dt, forces[first]))
+        first = len(forces)
         return out
 
     monkeypatch.setattr(driver, "assemble_force", spy_force)
@@ -352,7 +356,9 @@ def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
 def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
     # over 10 PICARD8-style steps: the upwind face candidates of (F_n, phi_n)
     # and f'(phi_n) are built once per step, the sweep advection runs once
-    # per sweep, and dw/dphi once at F_n plus once per sweep at its F_new
+    # per sweep, and dw/dphi once per sweep at its F_new plus once at F_n
+    # for the first force, except on step 1, which keeps the initial
+    # state's solve of that force
     from chve import constitutive, driver
     counts = dict.fromkeys(("faces", "advect", "f_prime", "dw_dphi"), 0)
 
@@ -387,15 +393,16 @@ def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
     assert summary.rejected_steps == 0
     assert [k for k, _ in per_step] == [r.picard_iters for r in rows]
     assert max(r.picard_iters for r in rows) > 2
-    for sweeps, n in per_step:
+    for k, (sweeps, n) in enumerate(per_step):
         assert n == {"faces": 1, "advect": sweeps, "f_prime": 1,
-                     "dw_dphi": sweeps + 1}
+                     "dw_dphi": sweeps + (k > 0)}
 
 
 def test_each_derived_field_is_formed_once(tmp_path, monkeypatch):
     # 16^2, two Picard sweeps per step: the velocity-derivative pass is
-    # formed once per Stokes solve (the initial solve and one per sweep), and
-    # f(phi) and b(phi) once per accepted state plus the initial state
+    # formed once per Stokes solve, one per sweep (step 1's first sweep
+    # keeps the initial state's solve), and f(phi) and b(phi) once per
+    # accepted state plus the initial state
     import sys
     from chve import constitutive, operators
     counts = dict.fromkeys(("velocity_derivatives", "stiffness_f", "mobility_b"), 0)
@@ -414,16 +421,18 @@ def test_each_derived_field_is_formed_once(tmp_path, monkeypatch):
     summary, rows, _ = simulate(spinodal_config(tmp_path, n=16, max_steps=8, t_end=1.0,
                                                 picard_max=2))
     assert summary.steps == len(rows) == 8 and summary.rejected_steps == 0
-    solves = 1 + sum(r.picard_iters for r in rows)
-    assert solves == 1 + 2 * 8
+    solves = sum(r.picard_iters for r in rows)
+    assert solves == 2 * 8
     assert counts == {"velocity_derivatives": solves, "stiffness_f": 8 + 1,
                       "mobility_b": 8 + 1}
 
 
 def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):
     # over 10 PICARD8-style steps each sweep builds six fields (the force
-    # that the Stokes solve validates, v, q, F_new, phi_new and mu_new); the
-    # first force reads the stored mu, and every stencil trades arrays
+    # that the Stokes solve validates, v, q, F_new, phi_new and mu_new),
+    # except step 1's first sweep, which keeps the initial state's force
+    # solve (v, q); the first force reads the stored mu, and every stencil
+    # trades arrays
     built = []
     for cls in (ScalarField, StaggeredVectorField, TensorField):
         def counted(self, real=cls.__post_init__):
@@ -434,10 +443,10 @@ def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):
     sim = Simulation(cfg)
     state, _, _ = sim.initial_state()
     sweeps = []
-    for _ in range(10):
+    for k in range(10):
         built.clear()
         state, stats = sim.coupled_step(state, cfg.time.dt0)
-        assert len(built) == 6 * stats.picard_iters, built
+        assert len(built) == 6 * stats.picard_iters - 3 * (k == 0), built
         sweeps.append(stats.picard_iters)
     assert max(sweeps) > 2
 
@@ -594,6 +603,67 @@ def test_coupled_step_repeats_bitwise(tmp_path):
                  (a.F.comps, b.F.comps), (a.v.u, b.v.u), (a.v.w, b.v.w),
                  (a.q.values, b.q.values)):
         assert np.array_equal(x, y)
+
+
+def _run_with_one_energy_rejection(tmp_path, monkeypatch, name, keep=True):
+    """A 16^2 run whose third candidate reads an infinite energy, so it is
+    rejected once and retried at dt/2; returns (summary, CSV bytes, the
+    solved forces, the phase fields whose constitutive pass was formed).
+    keep=False forms each state's work afresh whenever a step asks."""
+    import dataclasses
+    from chve import driver
+    forces, passes, energies = [], [], []
+    real_solve, real_fields = driver.StokesSolver.solve, driver.state_fields
+    real_energy = driver.state_energy
+
+    def solve(self, force):
+        forces.append(force.u.tobytes() + force.w.tobytes())
+        return real_solve(self, force)
+
+    def fields(phi, *rest):
+        passes.append(phi)
+        return real_fields(phi, *rest)
+
+    def energy(fields, params):
+        energies.append(real_energy(fields, params))
+        if len(energies) == 4:  # the initial state, then candidate 3
+            return dataclasses.replace(energies[-1], bulk=np.inf)
+        return energies[-1]
+
+    def forgetful(self, state):
+        return driver._StateWork(state, driver.state_fields(
+            state.phi, state.F, law.stretch_invariant(state.F.comps), self.params))
+
+    with monkeypatch.context() as m:
+        m.setattr(driver.StokesSolver, "solve", solve)
+        m.setattr(driver, "state_fields", fields)
+        m.setattr(driver, "state_energy", energy)
+        if not keep:
+            m.setattr(Simulation, "_work", forgetful)
+        cfg = spinodal_config(tmp_path, name=name, n=16, max_steps=6, t_end=1.0)
+        summary = Simulation(cfg).run()
+    csv = (tmp_path / name / "diagnostics.csv").read_bytes()
+    return summary, csv, forces, passes
+
+
+def test_a_retry_forms_no_state_work_again(tmp_path, monkeypatch):
+    # a retry after a rejection solves the state's first force again no
+    # more than step 1 solves the initial state's, and the run loop reads
+    # the accepted state's constitutive pass as kept; the CSV is the one a
+    # run that forms all of it afresh writes
+    summary, csv, forces, passes = _run_with_one_energy_rejection(
+        tmp_path, monkeypatch, "kept")
+    assert (summary.steps, summary.rejected_steps) == (6, 1)
+    assert len(set(forces)) == len(forces)
+    assert all(a is not b for i, a in enumerate(passes) for b in passes[:i])
+    summary_ref, csv_ref, forces_ref, passes_ref = _run_with_one_energy_rejection(
+        tmp_path, monkeypatch, "afresh", keep=False)
+    assert (summary_ref.steps, summary_ref.rejected_steps) == (6, 1)
+    assert csv == csv_ref
+    # afresh, step 1 and the retry each solve a force solved before, and
+    # the state stepped from has its pass formed for the retry again
+    assert len(forces_ref) == len(forces) + 2 == len(set(forces_ref)) + 2
+    assert len(passes_ref) > len(passes)
 
 
 def test_rejected_step_leaves_state_unchanged(tmp_path):
