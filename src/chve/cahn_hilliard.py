@@ -30,9 +30,16 @@ builds the mobility operator, the warm start and the explicit concave part
 of mu once per step, from b(phi_n) as the driver's constitutive pass of the
 accepted state formed it.  Each Picard sweep's :meth:`CHSystem.step` takes that
 level with the sweep's advect(v, phi_n) and dw/dphi(phi_n, F_new), which
-the driver forms once per sweep and shares with transport and with the
-next sweep's force.  The accepted step's mu_new, viscous term included, is
-the mu that the state stores and the next step's first force reads.
+the driver forms once per sweep, from the f'(phi_n) of that pass, and
+shares with transport and with the next sweep's force.  A later sweep
+starts from the previous sweep's (phi, mu) and moves mu by the change of
+dw/dphi alone, the counterpart of the transport's warm-started CG, so a
+sweep whose start already meets the Newton test forms no mu.  The
+accepted step's mu_new, viscous term included, is the mu that the state
+stores and the next step's first force reads.  The zero-flux Laplacian L
+and a varying mobility's L_b are five-diagonal matrices
+(:func:`chve.operators.laplacian_matrix`); the step only multiplies them
+with vectors.
 """
 
 from __future__ import annotations
@@ -88,7 +95,7 @@ class CHLevel:
     phi_n: np.ndarray
     warm: np.ndarray
     mu_minus: np.ndarray
-    Lb: sp.csr_matrix
+    Lb: sp.dia_matrix
     b_mean: float
     dt: float
 
@@ -117,10 +124,13 @@ class CHSystem:
     :meth:`step`; apart from that its DCT eigenvalues and, for constant
     mobility (b0 == b1), b0 L are built once.  L is the grid's zero-flux
     Laplacian (:func:`chve.operators.laplacian_matrix`), which the caller
-    assembles and shares with the transport system.
+    assembles and shares with the transport system; it and a varying
+    mobility's L_b are kept as their five diagonals, whose vector product
+    is bitwise the CSR one and cheaper, and a step makes only vector
+    products with them.
     """
 
-    def __init__(self, grid, params: ModelParams, L: sp.csr_matrix):
+    def __init__(self, grid, params: ModelParams, L: sp.dia_matrix):
         self.grid = grid
         self.params = params
         self.L = L
@@ -143,29 +153,51 @@ class CHSystem:
                        Lb=Lb, b_mean=float(np.mean(b)), dt=dt)
 
     def step(self, level: CHLevel, dw_dphi: np.ndarray, adv: np.ndarray,
-             initial_guess: ScalarField | None = None):
-        """Advance (phi, mu) one step; returns (phi_new, mu_new, newton_iters).
+             start: tuple[ScalarField, ScalarField, np.ndarray] | None = None):
+        """Advance (phi, mu) one step; returns (phi_new, mu_new,
+        newton_iters, gmres_iters).
 
         dw_dphi is dw/dphi(phi_n, F) of this sweep's deformation F and adv
         is advect(v, phi_n), both cell arrays.  The Newton iteration starts
-        from initial_guess, else from the level's warm start; the viscous
-        delta term always differences phi_new against phi_n.  newton_iters
-        counts the Newton updates, and is 1 when none is needed.  Raises
-        NewtonError if MAX_NEWTON iterations do not reach TOL_NEWTON (naming
-        the last GMRES info if it is not 0) or the residual turns non-finite.
+        from the level's warm start, with mu formed from its split formula
+        there.  Given ``start = (phi', mu', dw')``, the result of an earlier
+        sweep on this level and the dw/dphi it was solved with, it starts
+        from phi' instead, with mu' + (dw_dphi - dw'): mu is linear in
+        dw/dphi, so that is the split mu at phi' to rounding, without the
+        sparse product and the psi_plus' pass of forming it again.  The
+        viscous delta term always differences phi_new against phi_n.
+        newton_iters counts the Newton updates, and is 1 when none is
+        needed; gmres_iters is the total number of GMRES iterations, one
+        preconditioner application each.  Raises NewtonError if MAX_NEWTON
+        iterations do not reach TOL_NEWTON (naming the last GMRES info if
+        it is not 0) or the residual turns non-finite.
         """
         p = self.params
         dt, pn, Lb, b_mean = level.dt, level.phi_n, level.Lb, level.b_mean
         adv = adv.ravel()
         coupling = dw_dphi.ravel()
         shape, eig = (self.grid.nx, self.grid.ny), self._eig
-        phi = level.warm if initial_guess is None else initial_guess.values.ravel()
 
         # the split chemical potential at phi_new = phi, formed once here and
-        # then moved by its exact increment, so it holds at every iterate
-        pp = law.psi_plus_prime(phi)
-        mu = (pp / p.eps + level.mu_minus
-              - p.eps * (self.L @ phi) + coupling + (p.delta / dt) * (phi - pn))
+        # then moved by its exact increment, so it holds at every iterate;
+        # pp = psi_plus'(phi), which a warm start forms only if it updates
+        if start is None:
+            phi = level.warm
+            pp = law.psi_plus_prime(phi)
+            mu = (pp / p.eps + level.mu_minus
+                  - p.eps * (self.L @ phi) + coupling + (p.delta / dt) * (phi - pn))
+        else:
+            phi_s, mu_s, coupling_s = start
+            phi = phi_s.values.ravel()
+            pp = None
+            mu = mu_s.values.ravel() + (coupling - coupling_s.ravel())
+
+        gmres_iters = 0
+
+        def precondition(x):
+            nonlocal gmres_iters
+            gmres_iters += 1
+            return dct_diagonal(x.reshape(shape), inv).ravel()
 
         # After an update r is the GMRES residual of the Newton system plus
         # dt L_b times the second-order remainder of psi_plus', so a loose
@@ -187,6 +219,8 @@ class CHSystem:
                     f"phase-field Newton stalled at residual {res:.3e} "
                     f"after {MAX_NEWTON} iterations{why}",
                     residual=res, iterations=MAX_NEWTON)
+            if pp is None:
+                pp = law.psi_plus_prime(phi)
             D = law.psi_plus_second(phi) / p.eps + p.delta / dt
             # exact inverse of I + dt b_mean L (eps L - mean(D)) on
             # mean-zero vectors; the k = 0 mode is mapped to zero
@@ -199,8 +233,7 @@ class CHSystem:
             rhs0 -= np.mean(rhs0)
             z, info = krylov.gmres(
                 lambda x: x + dt * (Lb @ (p.eps * (self.L @ x) - D * x)), rhs0,
-                M=lambda x: dct_diagonal(x.reshape(shape), inv).ravel(),
-                rtol=GMRES_RTOL, atol=0.1 * TOL_NEWTON,
+                M=precondition, rtol=GMRES_RTOL, atol=0.1 * TOL_NEWTON,
                 restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
             dphi = m + (z - np.mean(z))
             phi = phi + dphi
@@ -209,4 +242,4 @@ class CHSystem:
                    + (p.delta / dt) * dphi)
 
         return (ScalarField(self.grid, phi.reshape(shape)),
-                ScalarField(self.grid, mu.reshape(shape)), max(iters, 1))
+                ScalarField(self.grid, mu.reshape(shape)), max(iters, 1), gmres_iters)

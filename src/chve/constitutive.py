@@ -12,6 +12,10 @@ through :class:`~chve.grid.ModelParams` so alternates can be swapped in:
 * mobility     b(s) = b0 + (b1-b0) * S(same argument), a ramp from b0 to b1
   over the stiffness window; b1 = b0 gives the constant mobility b0 exactly.
 
+:func:`phase_profiles` forms f, b and f' of one phase field from a single
+window position and smoothstep, bitwise equal to the three separate laws;
+the driver's constitutive pass of a state calls it once.
+
 The elastic energies: the phase-coupled Neo-Hookean density
 w = (c/2) f(phi) (F:F - d) drives the 2-D solver.  Its formula and those of
 dw/dF and dw/dphi exist once each; w and dw/dphi read F through the stretch
@@ -89,25 +93,40 @@ def _window(s, params: ModelParams):
     return (np.asarray(s, dtype=float) - params.f_lo) / width, width
 
 
-def _ramp(s, lo: float, hi: float, params: ModelParams):
-    """lo + (hi - lo) S over the stiffness window; exactly lo if hi == lo."""
-    x, _ = _window(s, params)
-    return lo + (hi - lo) * _smoothstep(x)
+def _ramp(S, lo: float, hi: float):
+    """lo + (hi - lo) S of the smoothstep S; exactly lo if hi == lo."""
+    return lo + (hi - lo) * S
+
+
+def _f_prime(x, width: float, params: ModelParams):
+    """f' at window position x of a window of the given width."""
+    return (1.0 - params.f_min) * _smoothstep_prime(x) / width
 
 
 def stiffness_f(s, params: ModelParams):
     """Stiffness profile, f_min <= f <= 1, clamped outside the window."""
-    return _ramp(s, params.f_min, 1.0, params)
+    return _ramp(_smoothstep(_window(s, params)[0]), params.f_min, 1.0)
 
 
 def stiffness_f_prime(s, params: ModelParams):
-    x, width = _window(s, params)
-    return (1.0 - params.f_min) * _smoothstep_prime(x) / width
+    return _f_prime(*_window(s, params), params)
 
 
 def mobility_b(s, params: ModelParams):
     """Mobility profile, b0 <= b <= b1, the stiffness ramp between b0 and b1."""
-    return _ramp(s, params.b0, params.b1, params)
+    return _ramp(_smoothstep(_window(s, params)[0]), params.b0, params.b1)
+
+
+def phase_profiles(s, params: ModelParams):
+    """(f, b, f') at the cell array s from one window position and one
+    smoothstep, each bitwise :func:`stiffness_f`, :func:`mobility_b` and
+    :func:`stiffness_f_prime` for finite s.  For constant mobility
+    (b0 == b1) b is filled with b0, which is what the ramp gives."""
+    x, width = _window(s, params)
+    S = _smoothstep(x)
+    b = (np.full(S.shape, params.b0) if params.b0 == params.b1
+         else _ramp(S, params.b0, params.b1))
+    return _ramp(S, params.f_min, 1.0), b, _f_prime(x, width, params)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +163,9 @@ def neo_hookean_dphi(f_prime, stretch, params: ModelParams):
     """dw/dphi for the Neo-Hookean density: (c/2) f'(phi) (F:F - d), the
     elastic term of the chemical potential and of the momentum force.
 
-    f_prime is f'(phi) (:func:`stiffness_f_prime`), which the caller
-    evaluates once per time step and shares with every F of the step, and
+    f_prime is f'(phi) (:func:`stiffness_f_prime`), which the driver
+    takes from the state's constitutive pass (:func:`phase_profiles`) and
+    shares with every F of the step, and
     stretch is F:F - d (:func:`stretch_invariant`) of the F at hand.
     """
     return 0.5 * params.c_elastic * f_prime * stretch

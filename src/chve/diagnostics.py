@@ -17,11 +17,17 @@ step is rejected on its value or sign.
 
 Both read fields that the step has already formed, never the raw state:
 :func:`state_energy` and :func:`dissipation` take the state's constitutive
-pass (:class:`StateFields`: f(phi), b(phi), F:F - d, grad phi), and
-:func:`dissipation` the derivative pass of its velocity
+pass (:class:`StateFields`: f(phi), b(phi), f'(phi), F:F - d, grad phi),
+and :func:`dissipation` the derivative pass of its velocity
 (:func:`chve.operators.velocity_derivatives`), the one the Stokes solve
 formed for the accepted sweep.  :func:`total_energy` is the form for a
-caller that holds only (phi, F): it forms their pass itself.
+caller that holds only (phi, F): it forms their pass itself.  The pass is
+the one place a state's pointwise laws are evaluated: f, b and f' come
+from one window position and one smoothstep
+(:func:`chve.constitutive.phase_profiles`), and the driver forms it once
+per state.  Both functions reduce by dot products over whole arrays, not
+per component or per face set: the quadratic forms are sums of squares,
+and the Neo-Hookean density is bilinear in (f, F:F - d).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from . import constitutive as law
 from .grid import ModelParams, ScalarField, SimState, TensorField
-from .operators import VelocityDerivatives, face_average, face_gradient
+from .operators import VelocityDerivatives, face_gradient
 
 
 @dataclass(frozen=True)
@@ -76,39 +82,44 @@ DiagnosticsRow.CSV_HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 @dataclass(frozen=True)
 class StateFields:
     """The constitutive pass of one state (phi, F), from :func:`state_fields`:
-    f(phi), b(phi), the stretch invariant F:F - d and the face gradient of
-    phi.  The driver forms one per accepted state; its energy, its
-    dissipation and the next step's transport and Cahn-Hilliard levels,
-    first force and first dw/dphi all read it."""
+    f(phi), b(phi), f'(phi), the stretch invariant F:F - d and the face
+    gradient of phi.  The driver forms one per accepted state; its energy,
+    its dissipation and the next step's transport and Cahn-Hilliard levels,
+    forces and every dw/dphi all read it."""
     phi: ScalarField
     F: TensorField
     f: np.ndarray
     b: np.ndarray
+    f_prime: np.ndarray
     stretch: np.ndarray
     grad_phi: tuple[np.ndarray, np.ndarray]
 
 
 def state_fields(phi: ScalarField, F: TensorField, stretch: np.ndarray,
                  params: ModelParams) -> StateFields:
-    """The constitutive pass of (phi, F); stretch is F:F - d of F
-    (:func:`chve.constitutive.stretch_invariant`), which a step has already
-    formed for its last dw/dphi."""
+    """The constitutive pass of (phi, F): f, b and f' from one window
+    position and one smoothstep (:func:`chve.constitutive.phase_profiles`);
+    stretch is F:F - d of F (:func:`chve.constitutive.stretch_invariant`),
+    which a step has already formed for its last dw/dphi."""
     v = phi.values
-    return StateFields(phi, F, law.stiffness_f(v, params), law.mobility_b(v, params),
-                       stretch, face_gradient(v, phi.grid))
+    f, b, f_prime = law.phase_profiles(v, params)
+    return StateFields(phi, F, f, b, f_prime, stretch, face_gradient(v, phi.grid))
 
 
-def _face_sum_sq(faces) -> float:
-    """Face sum of the squares of face data (on_xfaces, on_yfaces)."""
-    gu, gw = faces
-    return float(np.sum(gu ** 2)) + float(np.sum(gw ** 2))
+def _sum_sq(*arrays) -> float:
+    """The sum of the squares of the entries of the arrays, one dot product
+    each."""
+    return sum(float(np.dot(x.ravel(), x.ravel())) for x in arrays)
 
 
 def state_energy(fields: StateFields, params: ModelParams) -> EnergyBreakdown:
-    """The free energy E of the state whose constitutive pass is ``fields``."""
+    """The free energy E of the state whose constitutive pass is ``fields``.
+    The Neo-Hookean density is bilinear in (f, F:F - d), so its cell sum is
+    the density of the dot product of the two."""
     a = fields.phi.grid.cell_area
-    elastic = float(np.sum(law.neo_hookean_density(fields.f, fields.stretch, params))) * a
-    interface = 0.5 * params.eps * _face_sum_sq(fields.grad_phi) * a
+    fs = float(np.dot(fields.f.ravel(), fields.stretch.ravel()))
+    elastic = float(law.neo_hookean_density(1.0, fs, params)) * a
+    interface = 0.5 * params.eps * _sum_sq(*fields.grad_phi) * a
     bulk = float(np.sum(law.psi(fields.phi.values))) / params.eps * a
     return EnergyBreakdown(elastic=elastic, interface=interface, bulk=bulk)
 
@@ -123,35 +134,39 @@ def dissipation(dv: VelocityDerivatives, mu: ScalarField, fields: StateFields,
                 dphi_dt: np.ndarray | None, params: ModelParams) -> float:
     """Sum of the four quadratic dissipation forms, each built from the same
     discrete operators the corresponding step uses; dv is the derivative
-    pass of the velocity and fields the constitutive pass of (phi, F)."""
+    pass of the velocity and fields the constitutive pass of (phi, F).
+    Each form is reduced by dot products over whole arrays: the face
+    differences of the stacked G = f F for all d^2 components at once, and
+    the x- and y-face differences of mu weighted by the half-sums of b,
+    the arithmetic face means of :func:`chve.operators.face_average`."""
     g = dv.v.grid
-    a = g.cell_area
+    hx2, hy2 = g.hx * g.hx, g.hy * g.hy
 
     # nu |grad v|^2 with the no-slip ghost convention of the Stokes block;
     # wall entries carry weight 1/2 so the sum reproduces -<Lap_h v, v>,
     # Lap_h = vector_laplacian (the quadratic form of the velocity block),
-    # to rounding
+    # to rounding: whole node arrays, less half of their wall lines
     du, dw = dv.dudy, dv.dwdx
-    visc = (float(np.sum(dv.dudx ** 2))
-            + float(np.sum(dv.dwdy ** 2))
-            + float(np.sum(du[:, 1:-1] ** 2))
-            + 0.5 * (float(np.sum(du[:, 0] ** 2)) + float(np.sum(du[:, -1] ** 2)))
-            + float(np.sum(dw[1:-1, :] ** 2))
-            + 0.5 * (float(np.sum(dw[0, :] ** 2)) + float(np.sum(dw[-1, :] ** 2))))
-    out = params.nu * visc * a
+    out = params.nu * (_sum_sq(dv.dudx, dv.dwdy, du, dw)
+                       - 0.5 * _sum_sq(du[:, 0], du[:, -1], dw[0], dw[-1]))
 
-    F = fields.F
-    for i in range(F.d):
-        for j in range(F.d):
-            out += params.lam * _face_sum_sq(face_gradient(fields.f * F.comps[:, :, i, j], g)) * a
+    # lam |grad(f F)|^2 over interior faces, boundary faces carrying 0; row
+    # i of G holds the k = d^2 components of each cell (i, j) in turn, so
+    # the y-neighbour of an entry sits k entries on, along the same row
+    G = (fields.f[:, :, None, None] * fields.F.comps).reshape(g.nx, -1)
+    k = G.shape[1] // g.ny
+    out += params.lam * (_sum_sq(G[1:] - G[:-1]) / hx2
+                         + _sum_sq(G[:, k:] - G[:, :-k]) / hy2)
 
-    bx, by = face_average(fields.b, g)
-    gu, gw = face_gradient(mu.values, g)
-    out += (float(np.sum(bx * gu ** 2)) + float(np.sum(by * gw ** 2))) * a
+    # b |grad mu|^2 with b on interior faces
+    b, m = fields.b, mu.values
+    dx, dy = m[1:] - m[:-1], m[:, 1:] - m[:, :-1]
+    out += 0.5 * (float(np.dot((b[1:] + b[:-1]).ravel(), (dx * dx).ravel())) / hx2
+                  + float(np.dot((b[:, 1:] + b[:, :-1]).ravel(), (dy * dy).ravel())) / hy2)
 
     if dphi_dt is not None and params.delta > 0.0:
-        out += params.delta * float(np.sum(dphi_dt ** 2)) * a
-    return out
+        out += params.delta * _sum_sq(dphi_dt)
+    return out * g.cell_area
 
 
 def total_mass(phi: ScalarField) -> float:
@@ -162,9 +177,10 @@ def energy_budget(state_n: SimState, state_np1: SimState, dv: VelocityDerivative
                   fields: StateFields, dt: float, e_old: float, e_new: float,
                   params: ModelParams) -> tuple[float, float]:
     """(D_new, (E_new - E_old)/dt + D_new) with end-of-step fields and
-    dphi/dt = (phi_new - phi_old)/dt in D; dv and fields are the derivative
-    pass of state_np1.v and the constitutive pass of state_np1, and e_old,
-    e_new the two energies."""
-    dphi_dt = (state_np1.phi.values - state_n.phi.values) / dt
+    dphi/dt = (phi_new - phi_old)/dt in D, formed only when delta > 0; dv
+    and fields are the derivative pass of state_np1.v and the constitutive
+    pass of state_np1, and e_old, e_new the two energies."""
+    dphi_dt = ((state_np1.phi.values - state_n.phi.values) / dt
+               if params.delta > 0.0 else None)
     d_new = dissipation(dv, state_np1.mu, fields, dphi_dt, params)
     return d_new, (e_new - e_old) / dt + d_new

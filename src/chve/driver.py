@@ -14,12 +14,15 @@ point of the fully implicit splitting; the sweep count is capped by
 Each derived field is formed once and handed to every reader:
 
 * The constitutive pass of a state (:class:`~chve.diagnostics.StateFields`:
-  f(phi), b(phi), the stretch F:F - d and grad phi) is formed once for
-  each state a step makes, and for the initial state.  It feeds the
-  state's energy check and dissipation, and then the next step's transport
-  level (f), its Cahn-Hilliard level (b), every force of the step (f, grad
-  phi) and the first dw/dphi (the stretch).  A candidate's pass takes its
-  stretch from the last sweep's dw/dphi.
+  f(phi), b(phi), f'(phi), the stretch F:F - d and grad phi) is formed
+  once for each state a step makes, and for the initial state; f, b and
+  f' share one smoothstep.  It feeds the state's energy check and
+  dissipation, and then the next step's transport level (f), its
+  Cahn-Hilliard level (b), every force of the step (f, grad phi) and
+  every dw/dphi of the step (f', and the stretch for the first).  A
+  retry after a rejection reads the same pass, so no attempt evaluates a
+  pointwise law of phi_n.  A candidate's pass takes its stretch from the
+  last sweep's dw/dphi.
 * The first force of a step reads the state alone (f, grad phi, the stored
   mu, dw/dphi at (phi_n, F_n), and F_n), so its Stokes solve (v, q and the
   derivative pass of v) is solved once per state and kept with it: every
@@ -46,8 +49,8 @@ depends on (phi_n, F_n, dt) alone is prepared once per step, before the
 first sweep: the upwind face candidates of the stacked (F_n, phi_n) on
 every face, the x faces along the stack and the y faces along its
 transpose (:func:`old_level_faces`), the transport and Cahn-Hilliard
-levels, f'(phi_n), and, unless the state's first solve is kept, dw/dphi at
-F_n for the first force.  That force reads mu_n as stored in
+levels and, unless the state's first solve is kept, dw/dphi at F_n for
+the first force.  That force reads mu_n as stored in
 ``state.mu``: the last step's Cahn-Hilliard mu, whose delta term is over
 the dt that produced phi_n.  A sweep redoes only what its velocity
 changes: one face selection, flux and divergence for all five fields
@@ -55,7 +58,10 @@ changes: one face selection, flux and divergence for all five fields
 stretch and dw/dphi at its new F, shared by its CH step and the next
 sweep's force.  Every sweep after the first starts its transport CG from
 the pair (G, b) that the previous sweep solved
-(:meth:`TransportSystem.step`); the pair lives only inside the step.
+(:meth:`TransportSystem.step`), and its Cahn-Hilliard Newton from the
+previous sweep's (phi, mu, dw/dphi) (:meth:`CHSystem.step`); both live
+only inside the step.  :class:`StepStats` carries the step's Newton,
+GMRES and CG iteration totals; the CSV reports the Newton count.
 
 Step control: a step is rejected when the phase-field Newton fails, a
 linear solve fails, a field turns non-finite, the velocity is not
@@ -102,6 +108,8 @@ class StepStats:
     newton_iters: int
     picard_gap: float  # max change across (phi, F, v) in the last sweep
     div_v_max: float  # max|div v| of the accepted velocity
+    gmres_iters: int  # GMRES iterations of every Cahn-Hilliard Newton update
+    cg_iters: int  # transport CG iterations over all sweeps
 
 
 @dataclass(frozen=True)
@@ -233,8 +241,7 @@ class Simulation:
         phi = initial_phi(cfg)
         F = initial_F(cfg)
         fields = state_fields(phi, F, law.stretch_invariant(F.comps), p)
-        dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, p),
-                                       fields.stretch, p)
+        dw_dphi = law.neo_hookean_dphi(fields.f_prime, fields.stretch, p)
         mu = static_chemical_potential(phi, dw_dphi, p)
         force = assemble_force(fields.f, fields.grad_phi, mu, dw_dphi, F, p)
         v, q = self.stokes.solve(force)
@@ -248,7 +255,7 @@ class Simulation:
         """Advance one step of size dt; returns (state_new, StepStats).
 
         The old level is prepared once, before the first sweep, from the
-        constitutive pass of state, f'(phi_n) once per step and dw/dphi(phi_n,
+        constitutive pass of state (f'(phi_n) included), and dw/dphi(phi_n,
         F) once per F; the first sweep takes the state's first Stokes solve
         as kept, once one is solved (see the module docstring).  Each sweep
         admits its Stokes velocity here and only here, from its derivative
@@ -263,19 +270,18 @@ class Simulation:
         work = self._work(state)
         self._kept = [work]  # a state before it, or a rejected candidate, is done
         fields_n = work.fields
-        guess = None
         solved = None  # the last sweep's transport CG pair (G, b)
+        ch_start = None  # the last sweep's (phi, mu, dw/dphi)
         prev = None
-        newton_total = 0
+        newton_total = gmres_total = cg_total = 0
         picard_iters = 0
 
         try:
             faces = old_level_faces(F_n, phi_n)
             transport_level = self.transport.prepare(F_n, fields_n.f, dt)
             ch_level = self.ch.prepare(phi_n, state.phi_prev, fields_n.b, dt)
-            f_prime_n = law.stiffness_f_prime(phi_n.values, p)
             dw_dphi = (None if work.first_solve is not None
-                       else law.neo_hookean_dphi(f_prime_n, fields_n.stretch, p))
+                       else law.neo_hookean_dphi(fields_n.f_prime, fields_n.stretch, p))
             mu_force, F_force = state.mu, F_n
 
             for sweep in range(1, cfg.coupling.picard_max + 1):
@@ -300,13 +306,16 @@ class Simulation:
                     raise StepRejected(f"cfl {cfl:.3f} > {cfg.time.cfl_max}")
 
                 adv_F, adv_phi = sweep_advection(v, faces, F_n.d)
-                F_new, solved = self.transport.step(transport_level, dv, adv_F,
-                                                    start=solved)
+                F_new, solved, n_cg = self.transport.step(transport_level, dv, adv_F,
+                                                          start=solved)
                 stretch = law.stretch_invariant(F_new.comps)
-                dw_dphi = law.neo_hookean_dphi(f_prime_n, stretch, p)
-                phi_new, mu_new, n_newton = self.ch.step(
-                    ch_level, dw_dphi, adv_phi, initial_guess=guess)
+                dw_dphi = law.neo_hookean_dphi(fields_n.f_prime, stretch, p)
+                phi_new, mu_new, n_newton, n_gmres = self.ch.step(
+                    ch_level, dw_dphi, adv_phi, start=ch_start)
+                ch_start = (phi_new, mu_new, dw_dphi)
                 newton_total += n_newton
+                gmres_total += n_gmres
+                cg_total += n_cg
                 picard_iters = sweep
 
                 if prev is not None:
@@ -321,7 +330,6 @@ class Simulation:
                 prev = (phi_new, F_new, v)
                 mu_force = mu_new
                 F_force = F_new
-                guess = phi_new
                 if change <= cfg.coupling.picard_tol:
                     break
         except NewtonError as exc:
@@ -337,7 +345,7 @@ class Simulation:
         self._kept.append(_StateWork(new_state, state_fields(phi_new, F_new, stretch, p)))
         stats = StepStats(picard_iters=picard_iters, newton_iters=newton_total,
                           picard_gap=float(change) if np.isfinite(change) else -1.0,
-                          div_v_max=div_v)
+                          div_v_max=div_v, gmres_iters=gmres_total, cg_iters=cg_total)
         return new_state, stats
 
     # -- the run loop ----------------------------------------------------------

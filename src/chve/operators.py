@@ -41,7 +41,13 @@ takes the pass, not the velocity: :func:`solenoidal_residual`,
 dissipation.
 
 :func:`laplacian_matrix` assembles the zero-flux Laplacian div(coeff grad .),
-which for coeff = 1 is ``face_divergence(*face_gradient(.))``,
+which for coeff = 1 is ``face_divergence(*face_gradient(.))``, straight
+from its five diagonals as a ``dia_matrix``: a run builds L once and a
+varying mobility's L_b once per step, and the Cahn-Hilliard Newton makes
+only vector products with them, for which the diagonal form is cheaper
+than CSR and bitwise equal to it.  The transport keeps one CSR copy of
+lam L, since it multiplies whole (n, d^2) blocks (see
+:class:`chve.transport.TransportSystem`).
 :func:`laplacian_eigenvalues` gives its eigenvalues on the DCT-II basis, and
 :func:`dct_diagonal` applies any function of them (the Cahn-Hilliard
 preconditioner and the pressure solve).  On grids of at most
@@ -95,36 +101,40 @@ def face_average(p: np.ndarray, grid: GridSpec):
     return ax, ay
 
 
-def laplacian_matrix(grid: GridSpec, coeff: np.ndarray | None = None) -> sp.csr_matrix:
-    """Assembled zero-flux Laplacian div(coeff grad .), rows summing to 0.
+def laplacian_matrix(grid: GridSpec, coeff: np.ndarray | None = None) -> sp.dia_matrix:
+    """Assembled zero-flux Laplacian div(coeff grad .), rows summing to 0,
+    as its five diagonals.
 
     Each interior face between cells a and b carries the weight
-    w = coeff_face / h^2, coeff_face from :func:`face_average`, and adds w
-    to (a, b) and (b, a) and -w to both diagonals; boundary faces carry no
-    flux.  coeff must be finite and positive.
+    w = coeff_face / h^2, coeff_face the arithmetic mean of the two cells
+    (:func:`face_average`), and adds w to (a, b) and (b, a) and -w to both
+    diagonals; boundary faces carry no flux.  coeff must be finite and
+    positive.  The offsets run -ny, -1, 0, 1, ny, the column order of each
+    row, so a product with a vector sums every row in the order of the
+    row-sorted CSR form of the same matrix, bit for bit (the entries that
+    the stencil does not reach, where a row of cells wraps, are stored as
+    0 and add +0 to finite data).
     """
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    coeff = ScalarField(grid, np.ones((nx, ny)) if coeff is None else coeff)
-    if np.min(coeff.values) <= 0.0:
+    c = ScalarField(grid, np.ones((nx, ny)) if coeff is None else coeff).values
+    if np.min(c) <= 0.0:
         raise PreconditionError("laplacian coefficient must be strictly positive")
-    ax, ay = face_average(coeff.values, grid)
-    wx = ax[1:-1, :] * (1.0 / (hx * hx))   # face between (i, j) and (i+1, j)
-    wy = ay[:, 1:-1] * (1.0 / (hy * hy))   # face between (i, j) and (i, j+1)
+    wx = 0.5 * (c[1:, :] + c[:-1, :]) * (1.0 / (hx * hx))   # face (i, j)-(i+1, j)
+    wy = 0.5 * (c[:, 1:] + c[:, :-1]) * (1.0 / (hy * hy))   # face (i, j)-(i, j+1)
 
-    diag = np.zeros((nx, ny))
+    # data[k] holds column m of diagonal k: entry (m - offset, m)
+    data = np.zeros((5, nx, ny))
+    data[0, :-1, :] = wx      # offset -ny: row of cell (i+1, j), column (i, j)
+    data[1, :, :-1] = wy      # offset -1: row (i, j+1), column (i, j)
+    data[3, :, 1:] = wy       # offset +1: row (i, j-1), column (i, j)
+    data[4, 1:, :] = wx       # offset +ny: row (i-1, j), column (i, j)
+    diag = data[2]
     diag[:-1, :] -= wx
     diag[1:, :] -= wx
     diag[:, :-1] -= wy
     diag[:, 1:] -= wy
-
     n = nx * ny
-    idx = np.arange(n).reshape(nx, ny)
-    rows = np.concatenate([idx[:-1, :].ravel(), idx[1:, :].ravel(),
-                           idx[:, :-1].ravel(), idx[:, 1:].ravel(), idx.ravel()])
-    cols = np.concatenate([idx[1:, :].ravel(), idx[:-1, :].ravel(),
-                           idx[:, 1:].ravel(), idx[:, :-1].ravel(), idx.ravel()])
-    vals = np.concatenate([wx.ravel(), wx.ravel(), wy.ravel(), wy.ravel(), diag.ravel()])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return sp.dia_matrix((data.reshape(5, n), (-ny, -1, 0, 1, ny)), shape=(n, n))
 
 
 def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:

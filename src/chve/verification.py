@@ -539,7 +539,7 @@ def det_transport_deviation(n: int, dt: float, t_end: float, lam: float,
     f, dv = law.stiffness_f(phi.values, p), ops.velocity_derivatives(v)
     nsteps = int(round(t_end / dt))
     for _ in range(nsteps):
-        F, _ = system.step(system.prepare(F, f, dt), dv, ops.advect_tensor(v, F.comps))
+        F, _, _ = system.step(system.prepare(F, f, dt), dv, ops.advect_tensor(v, F.comps))
     return float(np.max(np.abs(determinant(F.comps) - 1.0)))
 
 

@@ -180,12 +180,12 @@ def test_criterion_06_energy_dissipation(picard8_run):
         system = CHSystem(grid, params, laplacian_matrix(grid))
         e = total_energy(phi, F, params).total
         for _ in range(25):
-            phi, _, _ = system.step(system.prepare(phi, phi,
-                                                   law.mobility_b(phi.values, params), dt),
-                                    law.neo_hookean_dphi(
-                                        law.stiffness_f_prime(phi.values, params),
-                                        law.stretch_invariant(F.comps), params),
-                                    advect_scalar(v0, phi.values))
+            phi, *_ = system.step(system.prepare(phi, phi,
+                                                 law.mobility_b(phi.values, params), dt),
+                                  law.neo_hookean_dphi(
+                                      law.stiffness_f_prime(phi.values, params),
+                                      law.stretch_invariant(F.comps), params),
+                                  advect_scalar(v0, phi.values))
             e_new = total_energy(phi, F, params).total
             if e_new > e + 1e-10 * abs(e):
                 ch_violations += 1

@@ -7,7 +7,7 @@ from chve import constitutive as law
 from chve import diagnostics as diag
 from chve.grid import (GridSpec, ModelParams, ScalarField, SimState,
                        StaggeredVectorField, TensorField)
-from chve.operators import velocity_derivatives
+from chve.operators import node_shear_gradients, velocity_derivatives
 
 
 def make_state(grid, phi, F, v=None, mu=None):
@@ -147,3 +147,96 @@ def test_csv_line_full_precision(grid16):
     assert float(parts[6]) == np.e
     assert parts[10] == "2" and parts[11] == "5"
     assert len(parts) == 13
+
+
+# ---------------------------------------------------------------------------
+# the stacked reductions against term-by-term references
+
+
+def _reference_terms(v, mu, phi, F, dphi_dt, params):
+    """The four dissipation forms, each summed face by face and component by
+    component, times the cell area."""
+    g, a = phi.grid, phi.grid.cell_area
+    f, b = law.stiffness_f(phi.values, params), law.mobility_b(phi.values, params)
+    dudx = (v.u[1:] - v.u[:-1]) / g.hx
+    dwdy = (v.w[:, 1:] - v.w[:, :-1]) / g.hy
+    dudy, dwdx = node_shear_gradients(v)
+    wall_u = np.ones(dudy.shape)
+    wall_u[:, [0, -1]] = 0.5   # node lines on the walls y = 0, ly
+    wall_w = np.ones(dwdx.shape)
+    wall_w[[0, -1], :] = 0.5   # x = 0, lx
+    visc = (np.sum(dudx ** 2) + np.sum(dwdy ** 2)
+            + np.sum(wall_u * dudy ** 2) + np.sum(wall_w * dwdx ** 2))
+    lam = 0.0
+    for i in range(2):
+        for j in range(2):
+            G = f * F.comps[:, :, i, j]
+            lam += np.sum(((G[1:] - G[:-1]) / g.hx) ** 2)
+            lam += np.sum(((G[:, 1:] - G[:, :-1]) / g.hy) ** 2)
+    m = mu.values
+    mob = (np.sum(0.5 * (b[1:] + b[:-1]) * ((m[1:] - m[:-1]) / g.hx) ** 2)
+           + np.sum(0.5 * (b[:, 1:] + b[:, :-1]) * ((m[:, 1:] - m[:, :-1]) / g.hy) ** 2))
+    visc_delta = 0.0 if dphi_dt is None else np.sum(dphi_dt ** 2)
+    return {"nu": params.nu * visc * a, "lam": params.lam * lam * a,
+            "b": mob * a, "delta": params.delta * visc_delta * a}
+
+
+@pytest.mark.parametrize("term", ["nu", "lam", "b", "delta", "all"])
+def test_stacked_dissipation_matches_term_by_term_reference(rng, term):
+    """nx != ny, lx != ly, a mobility ramp (b0 != b1) and delta > 0; each
+    form alone (the others switched off by their fields or coefficients),
+    then all four, within 1e-13 relative."""
+    grid = GridSpec(12, 9, 1.0, 1.3)
+    params = ModelParams(nu=1.3, lam=0.04 if term in ("lam", "all") else 0.0,
+                         delta=0.2, eps=0.05, b0=0.1, b1=0.7, f_lo=-0.5, f_hi=0.6)
+    phi = ScalarField(grid, rng.uniform(-1.0, 1.0, (12, 9)))
+    F = TensorField(grid, np.eye(2) + 0.3 * rng.standard_normal((12, 9, 2, 2)))
+    psi = rng.standard_normal((13, 10))
+    psi[[0, -1], :] = psi[:, [0, -1]] = 0.0
+    v = (StaggeredVectorField.from_stream_function(grid, psi) if term in ("nu", "all")
+         else StaggeredVectorField.zeros(grid))
+    mu = ScalarField(grid, rng.standard_normal((12, 9)) if term in ("b", "all")
+                     else np.full((12, 9), 0.4))
+    dphi_dt = rng.standard_normal((12, 9)) if term in ("delta", "all") else None
+    ref = _reference_terms(v, mu, phi, F, dphi_dt, params)
+    expected = sum(ref.values())
+    assert expected > 0.0 and (term == "all" or ref[term] == expected)
+    out = dissipation(v, mu, phi, F, dphi_dt, params)
+    assert abs(out - expected) <= 1e-13 * expected
+
+
+def test_state_energy_matches_term_by_term_reference(rng):
+    grid = GridSpec(12, 9, 1.0, 1.3)
+    params = ModelParams(eps=0.05, c_elastic=0.7, b0=0.1, b1=0.7, delta=0.2,
+                         f_lo=-0.5, f_hi=0.6)
+    phi = ScalarField(grid, rng.uniform(-1.2, 1.2, (12, 9)))
+    F = TensorField(grid, np.eye(2) + 0.3 * rng.standard_normal((12, 9, 2, 2)))
+    a, p = grid.cell_area, phi.values
+    f = law.stiffness_f(p, params)
+    elastic = sum(0.5 * params.c_elastic * f[i, j] * (np.sum(F.comps[i, j] ** 2) - 2.0)
+                  for i in range(12) for j in range(9)) * a
+    interface = 0.5 * params.eps * (np.sum(((p[1:] - p[:-1]) / grid.hx) ** 2)
+                                    + np.sum(((p[:, 1:] - p[:, :-1]) / grid.hy) ** 2)) * a
+    bulk = np.sum(0.25 * (p * p - 1.0) ** 2) / params.eps * a
+    eb = diag.state_energy(fields_of(phi, F, params), params)
+    for got, ref in ((eb.elastic, elastic), (eb.interface, interface), (eb.bulk, bulk)):
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("b1", [0.1, 0.7], ids=["constant-b", "ramp-b"])
+def test_state_pass_profiles_are_bitwise_the_pointwise_laws(b1):
+    """f, b and f' of the one-smoothstep pass against stiffness_f,
+    mobility_b and stiffness_f_prime on a window [0, 0.5]: phi inside,
+    outside, exactly on both edges, and a signed zero on the lower edge."""
+    grid = GridSpec(4, 5)
+    params = ModelParams(b0=0.1, b1=b1, f_min=0.05, f_lo=0.0, f_hi=0.5)
+    vals = np.array([-3.0, -0.0, 0.0, 1e-300, 0.1, 0.25, 1 / 3, 0.49999999999999994,
+                     0.5, 0.5000000000000001, 0.7, 2.0, -1e-17, 0.3, 0.45, 0.05,
+                     0.125, 0.375, 1.0, -1.0])
+    phi = ScalarField(grid, vals.reshape(4, 5))
+    F = TensorField.identity(grid)
+    fields = fields_of(phi, F, params)
+    for got, law_fn in ((fields.f, law.stiffness_f), (fields.b, law.mobility_b),
+                        (fields.f_prime, law.stiffness_f_prime)):
+        assert got.tobytes() == law_fn(phi.values, params).tobytes(), law_fn.__name__
+    assert np.count_nonzero(fields.f_prime) == 10  # the points inside the open window

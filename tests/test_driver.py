@@ -355,12 +355,14 @@ def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
 
 def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
     # over 10 PICARD8-style steps: the upwind face candidates of (F_n, phi_n)
-    # and f'(phi_n) are built once per step, the sweep advection runs once
-    # per sweep, and dw/dphi once per sweep at its F_new plus once at F_n
-    # for the first force, except on step 1, which keeps the initial
-    # state's solve of that force
+    # are built once per step, the sweep advection runs once per sweep, and
+    # dw/dphi once per sweep at its F_new plus once at F_n for the first
+    # force, except on step 1, which keeps the initial state's solve of
+    # that force; one constitutive pass per step forms the candidate's f,
+    # b and f' (the state's own pass is the last step's), and no f' is
+    # evaluated apart from it
     from chve import constitutive, driver
-    counts = dict.fromkeys(("faces", "advect", "f_prime", "dw_dphi"), 0)
+    counts = dict.fromkeys(("faces", "advect", "f_prime", "dw_dphi", "state_pass"), 0)
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -375,6 +377,7 @@ def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
                         counting("dw_dphi", constitutive.neo_hookean_dphi))
     monkeypatch.setattr(constitutive, "stiffness_f_prime",
                         counting("f_prime", constitutive.stiffness_f_prime))
+    monkeypatch.setattr(driver, "state_fields", counting("state_pass", driver.state_fields))
     per_step = []
     real_step = Simulation.coupled_step
 
@@ -394,21 +397,52 @@ def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
     assert [k for k, _ in per_step] == [r.picard_iters for r in rows]
     assert max(r.picard_iters for r in rows) > 2
     for k, (sweeps, n) in enumerate(per_step):
-        assert n == {"faces": 1, "advect": sweeps, "f_prime": 1,
-                     "dw_dphi": sweeps + (k > 0)}
+        assert n == {"faces": 1, "advect": sweeps, "f_prime": 0,
+                     "dw_dphi": sweeps + (k > 0), "state_pass": 1}
+
+
+def test_step_stats_count_the_krylov_iterations(tmp_path, monkeypatch):
+    # every GMRES and CG iteration applies its preconditioner once; the
+    # step reports both totals over all its sweeps, and the CSV keeps its
+    # columns
+    from chve import krylov
+    calls = {"gmres": 0, "pcg": 0}
+
+    def counting(name, real):
+        def solve(*args, M, **kwargs):
+            def counted_M(x):
+                calls[name] += 1
+                return M(x)
+            return real(*args, M=counted_M, **kwargs)
+        return solve
+
+    monkeypatch.setattr(krylov, "gmres", counting("gmres", krylov.gmres))
+    monkeypatch.setattr(krylov, "pcg", counting("pcg", krylov.pcg))
+    cfg = spinodal_config(tmp_path, picard_max=3, picard_tol=1e-10)
+    sim = Simulation(cfg)
+    state, _, _ = sim.initial_state()
+    for _ in range(4):
+        before = dict(calls)
+        state, stats = sim.coupled_step(state, cfg.time.dt0)
+        assert stats.gmres_iters == calls["gmres"] - before["gmres"]
+        assert stats.cg_iters == calls["pcg"] - before["pcg"]
+    assert calls["gmres"] > 0 and calls["pcg"] > 0
 
 
 def test_each_derived_field_is_formed_once(tmp_path, monkeypatch):
     # 16^2, two Picard sweeps per step: the velocity-derivative pass is
     # formed once per Stokes solve, one per sweep (step 1's first sweep
-    # keeps the initial state's solve), and f(phi) and b(phi) once per
-    # accepted state plus the initial state
+    # keeps the initial state's solve), and f(phi), b(phi) and f'(phi) in
+    # one pass per accepted state plus the initial state, with no separate
+    # evaluation of any of them
     import sys
     from chve import constitutive, operators
-    counts = dict.fromkeys(("velocity_derivatives", "stiffness_f", "mobility_b"), 0)
+    names = ("velocity_derivatives", "phase_profiles", "stiffness_f", "mobility_b",
+             "stiffness_f_prime")
+    counts = dict.fromkeys(names, 0)
     chve_modules = [m for k, m in sys.modules.items() if k == "chve" or k.startswith("chve.")]
     for owner, name in ((operators, "velocity_derivatives"),
-                        (constitutive, "stiffness_f"), (constitutive, "mobility_b")):
+                        *((constitutive, name) for name in names[1:])):
         real = getattr(owner, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
@@ -423,8 +457,8 @@ def test_each_derived_field_is_formed_once(tmp_path, monkeypatch):
     assert summary.steps == len(rows) == 8 and summary.rejected_steps == 0
     solves = sum(r.picard_iters for r in rows)
     assert solves == 2 * 8
-    assert counts == {"velocity_derivatives": solves, "stiffness_f": 8 + 1,
-                      "mobility_b": 8 + 1}
+    assert counts == {"velocity_derivatives": solves, "phase_profiles": 8 + 1,
+                      "stiffness_f": 0, "mobility_b": 0, "stiffness_f_prime": 0}
 
 
 def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):
@@ -583,7 +617,7 @@ def test_later_sweeps_warm_start_the_transport_cg(tmp_path, monkeypatch):
         [first, second] = steps
         assert first[3] is None and second[3] is not None
         level, v, adv, _, F_warm = second
-        F_cold, _ = real_step(sim.transport, level, v, adv)
+        F_cold, _, _ = real_step(sim.transport, level, v, adv)
         sweep1, sweep2, cold = applied
         assert sweep1 >= 2 and cold >= 2
         assert sweep2 == 1

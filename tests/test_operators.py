@@ -201,6 +201,46 @@ def test_laplacian_matrix_equals_loop_assembly(rng, shape):
                           _laplacian_matrix_loop(grid, np.ones(shape)))
 
 
+def _laplacian_face_loop(grid, coeff):
+    """Face-by-face dense reference: each interior face between cells a and
+    b, of weight w = mean(coeff_a, coeff_b) / h^2, adds w to (a, b) and
+    (b, a) and -w to (a, a) and (b, b)."""
+    nx, ny = grid.nx, grid.ny
+    L = np.zeros((nx * ny, nx * ny))
+    faces = [((i, j), (i + 1, j), grid.hx) for i in range(nx - 1) for j in range(ny)]
+    faces += [((i, j), (i, j + 1), grid.hy) for i in range(nx) for j in range(ny - 1)]
+    for (ia, ja), (ib, jb), h in faces:
+        a, b = ia * ny + ja, ib * ny + jb
+        w = 0.5 * (coeff[ia, ja] + coeff[ib, jb]) * (1.0 / (h * h))
+        L[a, b] += w
+        L[b, a] += w
+        L[a, a] -= w
+        L[b, b] -= w
+    return L
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (16, 16)], ids=["7x5", "16x16"])
+@pytest.mark.parametrize("coeff", ["unit", "random"])
+def test_laplacian_diagonals_match_face_reference_and_csr_products(rng, shape, coeff):
+    """The five-diagonal L has the entries of the face-by-face assembly (the
+    diagonal sums the same four weights, in another order), and its vector
+    product is bitwise the product of its CSR copy, the transport's form,
+    whose rows hold the same entries in column order."""
+    grid = GridSpec(*shape, lx=1.0, ly=1.3)
+    c = np.ones(shape) if coeff == "unit" else 0.1 + rng.random(shape)
+    L = ops.laplacian_matrix(grid, None if coeff == "unit" else c)
+    assert L.format == "dia" and list(L.offsets) == [-shape[1], -1, 0, 1, shape[1]]
+    dense, ref = L.toarray(), _laplacian_face_loop(grid, c)
+    off = ~np.eye(dense.shape[0], dtype=bool)
+    assert np.array_equal(dense[off], ref[off])
+    np.testing.assert_allclose(np.diag(dense), np.diag(ref), rtol=4e-16, atol=0.0)
+    csr = L.tocsr()
+    assert csr.has_sorted_indices and csr.nnz == np.count_nonzero(ref)
+    for x in (rng.standard_normal(L.shape[0]), rng.uniform(-1e3, 1e3, L.shape[0])):
+        assert (L @ x).tobytes() == (csr @ x).tobytes()
+        assert (0.3 * L @ x).tobytes() == ((0.3 * csr) @ x).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # velocity derivative pass: velocity gradient, divergence, vector Laplacian
 

@@ -21,7 +21,7 @@ def _step(system, F, v, phi, dt):
     """One transport step as a first Picard sweep takes it: the level of
     (F, f(phi), dt), the advection of F, then the step from its cold start."""
     level = system.prepare(F, law.stiffness_f(phi.values, system.params), dt)
-    F_new, _ = system.step(level, velocity_derivatives(v), advect_tensor(v, F.comps))
+    F_new, _, _ = system.step(level, velocity_derivatives(v), advect_tensor(v, F.comps))
     return F_new
 
 
@@ -139,7 +139,7 @@ def test_entrywise_stretch_equals_matrix_product(grid, rng):
     system = TransportSystem(grid, ModelParams(lam=1e-2), laplacian_matrix(grid))
     level = system.prepare(F, law.stiffness_f(phi.values, system.params), 1e-3)
     dv = velocity_derivatives(v)
-    _, (_, b) = system.step(level, dv, level.F_dt.copy())
+    _, (_, b), _ = system.step(level, dv, level.F_dt.copy())
     ref = velocity_gradient(dv) @ F.comps
     err = np.max(np.abs(b.reshape(ref.shape) - ref))
     assert err <= 4e-16 * np.max(np.abs(ref))
@@ -228,14 +228,14 @@ def test_lam_L_products_of_a_cold_and_a_warm_step(monkeypatch):
     level = system.prepare(F, law.stiffness_f(phi.values, params), dt)
     dv, adv = velocity_derivatives(v), advect_tensor(v, F.comps)
 
-    F_cold, solved = system.step(level, dv, adv)
+    F_cold, solved, _ = system.step(level, dv, adv)
     [(info, iters, r0)] = runs
     assert info == 0 and iters >= 2 and r0 is None
     assert len(products) == iters + 2
 
     runs.clear()
     products.clear()
-    F_warm, (G, b) = system.step(level, dv, adv, start=solved)
+    F_warm, (G, b), _ = system.step(level, dv, adv, start=solved)
     [(info, iters, r0)] = runs
     assert (info, iters, len(products)) == (0, 0, 1)
     assert np.array_equal(F_warm.comps, F_cold.comps)
