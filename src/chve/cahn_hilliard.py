@@ -40,6 +40,13 @@ stores and the next step's first force reads.  The zero-flux Laplacian L
 and a varying mobility's L_b are five-diagonal matrices
 (:func:`chve.operators.laplacian_matrix`); the step only multiplies them
 with vectors.
+
+A Newton update forms its preconditioner symbol from two factors kept
+apart from it: eps eig, eig the DCT-II eigenvalues of L, for the run, and
+(dt mean(b)) eig for the level, the products the one-line formula forms
+first, so the symbol is bitwise that formula's.  Each mean of the update
+is ``x.sum() / x.size``, ``np.mean``'s own formula without its argument
+handling, and GMRES takes its norms from :func:`chve.krylov.norm`.
 """
 
 from __future__ import annotations
@@ -91,13 +98,15 @@ class CHLevel:
     """The old time level of one Cahn-Hilliard step, from
     :meth:`CHSystem.prepare`, flattened: phi_n, the warm start
     2 phi_n - phi_prev, the explicit concave part psi_minus'(phi_n)/eps of
-    mu, the mobility operator L_b of b(phi_n) and the mean of b, and dt."""
+    mu, the mobility operator L_b of b(phi_n), dt, and (dt mean(b)) eig,
+    the preconditioner's mobility factor on the DCT-II eigenvalues eig of
+    L."""
     phi_n: np.ndarray
     warm: np.ndarray
     mu_minus: np.ndarray
     Lb: sp.dia_matrix
-    b_mean: float
     dt: float
+    dtb_eig: np.ndarray
 
 
 class CHSystem:
@@ -121,7 +130,8 @@ class CHSystem:
     iterate conserves the cell sum of phi to rounding whatever the GMRES
     tolerance.  What depends on (phi_n, phi_prev, dt) alone is built once
     per time step by :meth:`prepare` and reused by each Picard sweep's
-    :meth:`step`; apart from that its DCT eigenvalues and, for constant
+    :meth:`step`, the preconditioner's factor (dt mean(b)) eig included;
+    apart from that its DCT eigenvalues eig, eps eig and, for constant
     mobility (b0 == b1), b0 L are built once.  L is the grid's zero-flux
     Laplacian (:func:`chve.operators.laplacian_matrix`), which the caller
     assembles and shares with the transport system; it and a varying
@@ -134,7 +144,8 @@ class CHSystem:
         self.grid = grid
         self.params = params
         self.L = L
-        self._eig = laplacian_eigenvalues(grid)  # L on the DCT-II basis
+        eig = laplacian_eigenvalues(grid)  # L on the DCT-II basis
+        self._eig, self._eps_eig = eig, params.eps * eig
         self._Lb = params.b0 * self.L if params.b0 == params.b1 else None
 
     def prepare(self, phi_n: ScalarField, phi_prev: ScalarField, b: np.ndarray,
@@ -147,10 +158,11 @@ class CHSystem:
             raise PreconditionError("dt must be > 0")
         p = self.params
         Lb = self._Lb if self._Lb is not None else laplacian_matrix(self.grid, b)
+        b_mean = float(b.sum() / b.size)  # bitwise np.mean(b)
         return CHLevel(phi_n=phi_n.values.ravel(),
                        warm=(2.0 * phi_n.values - phi_prev.values).ravel(),
                        mu_minus=law.psi_minus_prime(phi_n.values).ravel() / p.eps,
-                       Lb=Lb, b_mean=float(np.mean(b)), dt=dt)
+                       Lb=Lb, dt=dt, dtb_eig=(dt * b_mean) * self._eig)
 
     def step(self, level: CHLevel, dw_dphi: np.ndarray, adv: np.ndarray,
              start: tuple[ScalarField, ScalarField, np.ndarray] | None = None):
@@ -173,10 +185,10 @@ class CHSystem:
         it is not 0) or the residual turns non-finite.
         """
         p = self.params
-        dt, pn, Lb, b_mean = level.dt, level.phi_n, level.Lb, level.b_mean
+        dt, pn, Lb = level.dt, level.phi_n, level.Lb
         adv = adv.ravel()
         coupling = dw_dphi.ravel()
-        shape, eig = (self.grid.nx, self.grid.ny), self._eig
+        shape = (self.grid.nx, self.grid.ny)
 
         # the split chemical potential at phi_new = phi, formed once here and
         # then moved by its exact increment, so it holds at every iterate;
@@ -223,19 +235,21 @@ class CHSystem:
                 pp = law.psi_plus_prime(phi)
             D = law.psi_plus_second(phi) / p.eps + p.delta / dt
             # exact inverse of I + dt b_mean L (eps L - mean(D)) on
-            # mean-zero vectors; the k = 0 mode is mapped to zero
-            inv = 1.0 / (1.0 + dt * b_mean * eig * (p.eps * eig - float(np.mean(D))))
+            # mean-zero vectors, from the factors (dt b_mean) eig and
+            # eps eig kept on the level and the system; the k = 0 mode is
+            # mapped to zero.  Each mean is sum / size, bitwise np.mean.
+            inv = 1.0 / (1.0 + level.dtb_eig * (self._eps_eig - D.sum() / D.size))
             inv[0, 0] = 0.0
             # k = 0 row: the mean of dphi is the mean of -r, exactly;
             # the operator maps the constant m to m - dt m L_b D, as L 1 = 0
-            m = -float(np.mean(r))
+            m = -float(r.sum() / r.size)
             rhs0 = -r - (m - dt * m * (Lb @ D))
-            rhs0 -= np.mean(rhs0)
+            rhs0 -= rhs0.sum() / rhs0.size
             z, info = krylov.gmres(
                 lambda x: x + dt * (Lb @ (p.eps * (self.L @ x) - D * x)), rhs0,
                 M=precondition, rtol=GMRES_RTOL, atol=0.1 * TOL_NEWTON,
                 restart=GMRES_RESTART, maxiter=GMRES_MAXITER)
-            dphi = m + (z - np.mean(z))
+            dphi = m + (z - z.sum() / z.size)
             phi = phi + dphi
             pp, pp_old = law.psi_plus_prime(phi), pp
             mu += ((pp - pp_old) / p.eps - p.eps * (self.L @ dphi)

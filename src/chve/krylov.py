@@ -16,11 +16,28 @@ its first test.
   ``scipy.sparse.linalg.cg`` in the same order.  Its dot products and norms
   run over every entry of ``b``, so an ``(n, k)`` block of k right-hand
   sides that share one operator is one system.
+
+:func:`norm` is the one 2-norm of a step: both solvers, the Stokes
+residual check and the transport residual check take it.  It is the
+square root of the dot product of the flattened entries, the formula
+``np.linalg.norm`` applies to a float array when called without ``ord``
+or ``axis``, so it is bitwise that call without its argument handling.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def norm(x: np.ndarray) -> float:
+    """The 2-norm of a float array over all its entries, bitwise
+    ``float(np.linalg.norm(x))``: the entries are flattened in memory order
+    (a copy only for a non-contiguous view) and sqrt(x . x) is correctly
+    rounded either way.  Non-finite entries give inf or NaN, as there."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def gmres(A, b: np.ndarray, *, M, rtol: float, atol: float, restart: int,
@@ -36,10 +53,10 @@ def gmres(A, b: np.ndarray, *, M, rtol: float, atol: float, restart: int,
     with a non-finite x.  ``info`` is the number of iterations done when the
     tolerance was not met.
     """
-    tol = max(rtol * float(np.linalg.norm(b)), atol)
+    tol = max(rtol * norm(b), atol)
     x = np.zeros_like(b)
     r = b
-    resid = float(np.linalg.norm(r))
+    resid = norm(r)
     iters = 0
     for _ in range(maxiter):
         if resid <= tol:
@@ -54,11 +71,11 @@ def gmres(A, b: np.ndarray, *, M, rtol: float, atol: float, restart: int,
         for j in range(restart):
             Z.append(M(V[j]))
             w = A(Z[j])
-            w_norm = float(np.linalg.norm(w))
+            w_norm = norm(w)
             for i in range(j + 1):           # modified Gram-Schmidt
                 H[i, j] = np.dot(V[i], w)
                 w = w - H[i, j] * V[i]
-            h = float(np.linalg.norm(w))
+            h = norm(w)
             for i in range(j):               # earlier rotations on the new column
                 H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
                                         -sn[i] * H[i, j] + cs[i] * H[i + 1, j])
@@ -82,7 +99,7 @@ def gmres(A, b: np.ndarray, *, M, rtol: float, atol: float, restart: int,
         if not resid > tol:                  # converged, or not finite
             break
         r = b - A(x)
-        resid = float(np.linalg.norm(r))
+        resid = norm(r)
     return x, 0 if resid <= tol else max(iters, 1)
 
 
@@ -102,17 +119,17 @@ def pcg(A, b: np.ndarray, x0: np.ndarray, *, M, rtol: float, atol: float,
     without iterating (x is x0, or 0 when b = 0); it is None whenever CG
     iterated, since the residual it tested then was the updated one.
     """
-    bnrm2 = np.linalg.norm(b)
-    atol = max(float(atol), float(rtol) * float(bnrm2))
+    bnrm2 = norm(b)
+    atol = max(float(atol), float(rtol) * bnrm2)
     if bnrm2 == 0:
         return b, 0, 0.0
     x = x0.copy()
     r = b - A(x) if x.any() else b.copy()
     rho_prev, p = None, None
     for iteration in range(maxiter):
-        rnorm = np.linalg.norm(r)
+        rnorm = norm(r)
         if rnorm < atol:
-            return x, 0, (float(rnorm) if iteration == 0 else None)
+            return x, 0, (rnorm if iteration == 0 else None)
         z = M(r)
         rho_cur = np.vdot(r, z)
         if iteration > 0:
@@ -125,6 +142,6 @@ def pcg(A, b: np.ndarray, x0: np.ndarray, *, M, rtol: float, atol: float,
         x += alpha * p
         r -= alpha * q
         rho_prev = rho_cur
-        if not np.isfinite(rnorm):  # NaN never meets the test above
+        if not math.isfinite(rnorm):  # NaN never meets the test above
             return x, iteration + 1, None
     return x, maxiter, None

@@ -49,6 +49,15 @@ which the solver keeps and :meth:`StokesSolver.derivatives` hands on: the
 driver's solenoidal and CFL admission, the transport stretch and the
 viscous dissipation read it, so each velocity is differentiated once.
 
+A solve's small calls take their direct forms, each bitwise the library
+call it replaces: the capacitance back-solve is LAPACK potrs
+(``scipy.linalg.lapack.dpotrs``) on the factor ``cho_factor`` returns,
+without the batching wrapper of ``cho_solve``; the pressure's mean is
+``q.sum() / q.size`` (``np.mean``'s own formula); the residual check's
+norms are :func:`chve.krylov.norm`.  :func:`elastic_force` edge-pads the
+shear plane by slicing into one array, the values of
+``np.pad(mode="edge")``.
+
 No Galilean-invariance check is meaningful here: the no-slip box pins the
 velocity frame, so a uniform velocity shift is not an admissible state.
 """
@@ -58,11 +67,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 from scipy.fft import dstn
+from scipy.linalg import lapack
 
 from . import constitutive as law
 from .errors import TOL_LIN, SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
+from .krylov import norm
 from .operators import (VelocityDerivatives, _corner_average, dct_diagonal,
                         dense_transforms, face_average, face_divergence,
                         face_gradient, laplacian_eigenvalues, vector_laplacian,
@@ -125,7 +136,7 @@ def _ring_capacitance(Sx: np.ndarray, Sy: np.ndarray, W: np.ndarray,
 
 def _norm(u: np.ndarray, w: np.ndarray) -> float:
     """Euclidean norm of a face field given by its two face arrays."""
-    return float(np.hypot(np.linalg.norm(u), np.linalg.norm(w)))
+    return float(np.hypot(norm(u), norm(w)))
 
 
 class StokesSolver:
@@ -191,8 +202,15 @@ class StokesSolver:
         z = np.zeros_like(r_hat)
         z[:, rows] = Sx @ (Wr @ Sy[rows].T)
         z[cols, :] = (Sx[cols] @ Wr) @ Sy
+        # LAPACK potrs, which sla.cho_solve reaches through its batching
+        # wrapper, on cho_factor's Fortran-ordered factor (no copy) and the
+        # gathered ring values (a copy, so potrs may overwrite it)
+        c, lower = self._cap
+        y_ring, info = lapack.dpotrs(c, z.flat[self._ring], lower=lower, overwrite_b=True)
+        if info != 0:
+            raise SolverError(f"capacitance back-solve failed (potrs info {info})")
         y = np.zeros_like(z)
-        y.flat[self._ring] = sla.cho_solve(self._cap, z.flat[self._ring], check_finite=False)
+        y.flat[self._ring] = y_ring
         y_cols = y[cols, :]
         y_cols[:, rows] = 0.0  # a copy: the corners count on the row lines
         y_hat = (Sx @ y[:, rows]) @ Sy[rows] + Sx[:, cols] @ (y_cols @ Sy)
@@ -213,7 +231,7 @@ class StokesSolver:
         lu, lw = vector_laplacian(dv)
         ru, rw = force.u + self.nu * lu, force.w + self.nu * lw
         q = dct_diagonal(-face_divergence(ru, rw, g), self._q_inv)
-        q = ScalarField(g, q - q.mean())
+        q = ScalarField(g, q - q.sum() / q.size)  # bitwise q.mean()
 
         gu, gw = face_gradient(q.values, g)
         res = _norm(ru - gu, rw - gw)
@@ -236,12 +254,19 @@ def elastic_force(f: np.ndarray, F: TensorField, params: ModelParams):
     as (on_xfaces, on_yfaces) with boundary faces 0.
 
     Diagonal stress components difference natively onto faces; the shear
-    component is averaged to nodes first (one-sided at walls) so that the
-    divergence telescopes.
+    component is averaged to nodes first (one-sided at walls: the cell
+    plane edge-padded, by slicing) so that the divergence telescopes.
     """
     g = F.grid
     S = law.eulerian_elastic_stress(f, F.comps, params)
-    Sxy_n = _corner_average(np.pad(S[:, :, 0, 1], 1, mode="edge"))
+    # the shear plane edge-padded by slicing: np.pad(mode="edge")'s values
+    Sxy = np.empty((g.nx + 2, g.ny + 2))
+    Sxy[1:-1, 1:-1] = S[:, :, 0, 1]
+    Sxy[1:-1, 0] = Sxy[1:-1, 1]
+    Sxy[1:-1, -1] = Sxy[1:-1, -2]
+    Sxy[0] = Sxy[1]
+    Sxy[-1] = Sxy[-2]
+    Sxy_n = _corner_average(Sxy)
     fu = np.zeros((g.nx + 1, g.ny))
     fw = np.zeros((g.nx, g.ny + 1))
     fu[1:-1, :] = ((S[1:, :, 0, 0] - S[:-1, :, 0, 0]) / g.hx

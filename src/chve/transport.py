@@ -174,8 +174,8 @@ class TransportSystem:
 
         x = G / f
         if res is None:  # CG iterated; otherwise res < CG_RTOL |b| already
-            res = float(np.linalg.norm(rhs - (x / dt - lamL @ (f * x))))
-        bound = TOL_LIN * float(np.linalg.norm(rhs))
+            res = krylov.norm(rhs - (x / dt - lamL @ (f * x)))
+        bound = TOL_LIN * krylov.norm(rhs)
         if not res <= bound:
             why = f", CG did not converge (info {info})" if info else ""
             raise SolverError(f"transport residual {res:.3e} > {bound:.3e}{why}")

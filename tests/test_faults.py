@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from chve import cli, constitutive, driver, krylov, vtk_io
 from chve.config import StepControl, dump_config
@@ -74,18 +75,32 @@ def test_nan_phase_field_krylov_solve_is_rejected(tmp_path, monkeypatch):
     assert exc.value.reason.startswith("newton:")
 
 
-def _nan_back_solve(factor, b, **kwargs):
-    """Capacitance back-solve that returns NaN."""
-    return np.full_like(b, np.nan)
+def _nan_back_solve(c, b, **kwargs):
+    """Capacitance back-solve (LAPACK potrs) that returns NaN."""
+    return np.full_like(b, np.nan), 0
+
+
+def _failed_back_solve(c, b, **kwargs):
+    """Capacitance back-solve that reports an illegal argument."""
+    return b, -2
 
 
 def test_nan_stokes_back_solve_is_rejected(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
     state, _, _ = sim.initial_state()
-    monkeypatch.setattr(sla, "cho_solve", _nan_back_solve)
+    monkeypatch.setattr(lapack, "dpotrs", _nan_back_solve)
     with pytest.raises(StepRejected) as exc:
         sim.coupled_step(state, 1e-4)
-    assert exc.value.reason.startswith("stokes:")
+    assert exc.value.reason.startswith("stokes: stream function is not finite")
+
+
+def test_failed_stokes_back_solve_is_rejected(tmp_path, monkeypatch):
+    sim = Simulation(spinodal_config(tmp_path))
+    state, _, _ = sim.initial_state()
+    monkeypatch.setattr(lapack, "dpotrs", _failed_back_solve)
+    with pytest.raises(StepRejected) as exc:
+        sim.coupled_step(state, 1e-4)
+    assert exc.value.reason == "stokes: capacitance back-solve failed (potrs info -2)"
 
 
 def test_failed_capacitance_factorization_is_a_solver_error(monkeypatch):
@@ -134,7 +149,7 @@ def test_persistent_phase_field_krylov_fault_ends_run_with_dt_underflow(tmp_path
 
 
 def test_persistent_stokes_fault_ends_run_with_dt_underflow(tmp_path, monkeypatch):
-    _run_faulty(tmp_path, "stokes", lambda: monkeypatch.setattr(sla, "cho_solve", _nan_back_solve))
+    _run_faulty(tmp_path, "stokes", lambda: monkeypatch.setattr(lapack, "dpotrs", _nan_back_solve))
 
 
 def test_persistent_energy_rise_ends_run_with_dt_underflow(tmp_path, monkeypatch):

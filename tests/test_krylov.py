@@ -157,3 +157,44 @@ def test_pcg_nan_rhs_returns_nonfinite_without_hanging():
         assert not np.all(np.isfinite(x))
         assert info > 0 and r0 is None
         assert len(calls) <= 2
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+def _norm_cases():
+    rng = np.random.default_rng(7)
+    block = rng.standard_normal((64 * 64, 4))
+    with_inf, with_nan = block.copy(), block.copy()
+    with_inf[5, 2] = -np.inf
+    with_nan[9, 0] = np.nan
+    both = with_nan.copy()
+    both[0, 3] = np.inf
+    return {"vector": rng.standard_normal(4096), "block": block,
+            "view": block[::3, 1:],  # neither C- nor F-contiguous
+            "transposed": block.T, "tiny": 1e-200 * block[:, 0],
+            "zero": np.zeros(5), "inf": with_inf, "nan": with_nan, "inf-nan": both}
+
+
+@pytest.mark.parametrize("case", list(_norm_cases()))
+def test_norm_is_bitwise_numpy_norm(case):
+    x = _norm_cases()[case]
+    with np.errstate(invalid="ignore", over="ignore"):
+        ours, ref = krylov.norm(x), np.linalg.norm(x)
+    assert type(ours) is float
+    if np.isnan(ref):
+        assert np.isnan(ours)
+    else:
+        assert _bits(ours) == _bits(ref)
+
+
+@pytest.mark.parametrize("shape", [(4096,), (64, 64), (4096, 4), (12, 9), (1,)])
+def test_sum_over_size_is_bitwise_numpy_mean(shape):
+    """The Cahn-Hilliard update and the Stokes pressure take each mean as
+    x.sum() / x.size."""
+    rng = np.random.default_rng(11)
+    for x in (rng.standard_normal(shape), 1e3 + rng.uniform(-1, 1, shape),
+              rng.standard_normal(shape)[..., ::-1]):
+        assert _bits(x.sum() / x.size) == _bits(np.mean(x))
+        assert _bits(float(x.sum() / x.size)) == _bits(float(np.mean(x)))

@@ -235,6 +235,27 @@ def test_one_pair_solve_matches_two_pair_formula(grid, rng, monkeypatch):
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(12, 9, 1.2, 0.9)],
+                         ids=["16x16", "12x9"])
+def test_ring_back_solve_is_bitwise_cho_solve(grid, rng, monkeypatch):
+    """The solve calls LAPACK potrs on the factor of sla.cho_factor; with
+    sla.cho_solve in its place every velocity face is the same, bit for
+    bit."""
+    solver = stokes.StokesSolver(grid, 0.7)
+    force = _random_force(grid, rng)
+    v = solver._velocity(force)
+    calls = []
+
+    def cho_solve_potrs(c, b, **kwargs):
+        calls.append(b.shape)
+        return sla.cho_solve(solver._cap, b), 0
+
+    monkeypatch.setattr(stokes.lapack, "dpotrs", cho_solve_potrs)
+    v_ref = solver._velocity(force)
+    assert calls == [(len(solver._ring),)]
+    assert np.array_equal(v.u, v_ref.u) and np.array_equal(v.w, v_ref.w)
+
+
 def _einsum_capacitance(Sx, Sy, W, hx, hy):
     """Reference (ring, K) of stokes._ring_capacitance: each block of
     (B^-1)[ring, ring] between two wall lines is one five-operand einsum
@@ -369,11 +390,13 @@ def test_force_assembly_uniform_state_is_zero(grid16, params):
     assert force.max_abs() <= 1e-12
 
 
-@pytest.mark.parametrize("grid", [GridSpec(24, 40, 2.0, 1.3), GridSpec(64, 64)],
-                         ids=["24x40", "64x64"])
+@pytest.mark.parametrize("grid", [GridSpec(24, 40, 2.0, 1.3), GridSpec(64, 64),
+                                  GridSpec(7, 5, 1.4, 1.0), GridSpec(5, 7, 1.0, 1.4)],
+                         ids=["24x40", "64x64", "7x5", "5x7"])
 def test_elastic_force_is_bitwise_the_padded_einsum_form(grid, params, rng):
-    """The stress planes written entrywise give the same force, byte for
-    byte, as the einsum stress."""
+    """The stress planes written entrywise and the shear plane edge-padded
+    by slicing give the same force, byte for byte, as the einsum stress
+    padded by np.pad(mode="edge")."""
     nx, ny = grid.nx, grid.ny
     F = TensorField(grid, np.eye(2) + 0.3 * rng.standard_normal((nx, ny, 2, 2)))
     f = law.stiffness_f(rng.uniform(-1.5, 1.5, (nx, ny)), params)
