@@ -25,31 +25,31 @@ Each derived field is formed once and handed to every reader:
   last sweep's dw/dphi.
 * The first force of a step reads the state alone (f, grad phi, the stored
   mu, dw/dphi at (phi_n, F_n), and F_n), so its Stokes solve (v, q and the
-  derivative pass of v) is solved once per state and kept with it: every
-  retry of a rejected step shares it, and step 1 shares the initial
-  state's own solve.  Admission still runs on every sweep of every
-  attempt: div v first, then CFL at that attempt's dt.
-* The simulation keeps this work (the pass and the first solve) for the
-  state the last step started from and the candidate it made
-  (:meth:`Simulation.fields`), so a retry after an energy rejection forms
-  neither again; a step drops the work of every other state.  A state it
-  did not make (a restored state, or one a caller passes in) gets its work
-  formed from itself.
+  derivative pass of v) is solved once per state: every retry of a
+  rejected step shares it, and step 1 shares the initial state's own
+  solve.  Admission still runs on every sweep of every attempt: div v
+  first, then CFL at that attempt's dt.
 * The derivative pass of each sweep's Stokes velocity
   (:func:`~chve.operators.velocity_derivatives`: du/dx, dw/dy, the node
   du/dy and dw/dx, max|u|, max|w|) is formed once, inside the solve, where
-  it feeds the momentum-residual check; the solver keeps the pass of its
-  latest solve and hands it on (:meth:`~chve.stokes.StokesSolver.derivatives`).
-  The sweep's solenoidal and CFL admission and the transport stretch read
-  it, and for the accepted sweep, the last one solved, the viscous
+  it feeds the momentum-residual check, and the solve returns it.  The
+  sweep's solenoidal and CFL admission and the transport stretch read it,
+  and for the accepted sweep, the last one solved, the viscous
   dissipation.
+* The work of a state travels by argument, in its record
+  (:class:`StateWork`: the state, its constitutive pass, the derivative
+  pass of its velocity and, once made, its first Stokes solve).
+  :meth:`Simulation.initial_state` returns the first record and
+  :meth:`Simulation.coupled_step` maps a record to the candidate's; the
+  run loop holds the record it steps from, so a retry forms none of that
+  work again, and no solver object keeps anything of a step.
 
 Advection is explicit in the old level (phi_n, F_n), so everything that
 depends on (phi_n, F_n, dt) alone is prepared once per step, before the
 first sweep: the upwind face candidates of the stacked (F_n, phi_n) on
 every face, the x faces along the stack and the y faces along its
 transpose (:func:`old_level_faces`), the transport and Cahn-Hilliard
-levels and, unless the state's first solve is kept, dw/dphi at F_n for
+levels and, unless the state's first solve is made, dw/dphi at F_n for
 the first force.  That force reads mu_n as stored in
 ``state.mu``: the last step's Cahn-Hilliard mu, whose delta term is over
 the dt that produced phi_n.  A sweep redoes only what its velocity
@@ -70,7 +70,8 @@ energy increases past ``energy_increase_tol * |E0|``.  The run's
 :class:`~chve.config.StepControl` (the next dt and the accept streak)
 then halves dt, and grows it after ``grow_after`` accepted steps in a
 row; a restart file carries it.  A rejected step never touches the
-accepted state, so a retry reruns identical arithmetic.
+accepted state, so a retry reruns identical arithmetic.  The run ends once
+t_end - t is below dt_min (and 1e-14), so no step is shorter than dt_min.
 """
 
 from __future__ import annotations
@@ -87,10 +88,10 @@ from .config import ConfigSpec, StepControl, dump_config
 from .diagnostics import (DiagnosticsRow, EnergyBreakdown, StateFields, energy_budget,
                           state_energy, state_fields, total_mass)
 from .errors import NewtonError, SolverError, ValidationError
-from .grid import (PreconditionError, ScalarField, SimState,
+from .grid import (ModelParams, PreconditionError, ScalarField, SimState,
                    StaggeredVectorField, TensorField)
 from .operators import (VelocityDerivatives, advect_upwind, laplacian_matrix,
-                        solenoidal_residual, upwind_candidates)
+                        solenoidal_residual, upwind_candidates, velocity_derivatives)
 from .stokes import StokesSolver, assemble_force
 from .transport import TransportSystem
 from .vtk_io import read_restart, write_restart, write_vtk
@@ -120,6 +121,7 @@ class RunSummary:
     final_energy: float
     final_mass: float
     termination: str
+    final_state: SimState
 
 
 def initial_phi(cfg: ConfigSpec) -> ScalarField:
@@ -177,16 +179,23 @@ def sweep_advection(v: StaggeredVectorField, faces, d: int):
 
 
 @dataclass
-class _StateWork:
-    """The dt-independent work of one state: its constitutive pass, and
-    (v, q, the derivative pass of v) of the first Stokes solve of a step
-    from it, once one is solved.  The first force reads the state alone
-    (f, grad phi, its stored mu, dw/dphi at (phi, F), and F), so every
-    attempt at a step from the state shares that solve, and the initial
-    state's own solve is the first step's."""
+class StateWork:
+    """The dt-independent work of one state: its constitutive pass, the
+    derivative pass of its velocity and, once solved, the first Stokes
+    solve (v, q, dv) of a step from it, which every attempt at that step
+    shares (see the module docstring)."""
     state: SimState
     fields: StateFields
+    dv: VelocityDerivatives
     first_solve: tuple[StaggeredVectorField, ScalarField, VelocityDerivatives] | None = None
+
+    @classmethod
+    def of(cls, state: SimState, params: ModelParams) -> StateWork:
+        """The record of a state the run did not make, formed from the
+        state alone."""
+        return cls(state, state_fields(state.phi, state.F,
+                                       law.stretch_invariant(state.F.comps), params),
+                   velocity_derivatives(state.v))
 
 
 class Simulation:
@@ -201,34 +210,22 @@ class Simulation:
         L = laplacian_matrix(self.grid)
         self.transport = TransportSystem(self.grid, cfg.params, L)
         self.ch = CHSystem(self.grid, cfg.params, L)
-        # the work of at most two states: the state the last step started
-        # from and the candidate it made, which may yet be rejected
-        self._kept: list[_StateWork] = []
 
-    def _work(self, state: SimState) -> _StateWork:
-        """The kept work of state, else a new record with its constitutive
-        pass formed from the state, kept with the newer of the others."""
-        for work in self._kept:
-            if work.state is state:
-                return work
-        work = _StateWork(state, state_fields(
-            state.phi, state.F, law.stretch_invariant(state.F.comps), self.params))
-        self._kept = self._kept[-1:] + [work]
-        return work
-
-    def fields(self, state: SimState) -> StateFields:
-        """The constitutive pass of state, which depends on (phi, F) alone:
-        the one kept when this simulation made or last stepped from the
-        state, else formed from it."""
-        return self._work(state).fields
+    def _solve(self, fields: StateFields, mu: ScalarField, dw_dphi: np.ndarray,
+               F: TensorField):
+        """(v, q, dv) of the Stokes solve with the force of (mu, dw/dphi, F)
+        and the f and grad phi of the constitutive pass fields."""
+        return self.stokes.solve(assemble_force(fields.f, fields.grad_phi, mu,
+                                                dw_dphi, F, self.params))
 
     # -- state construction -------------------------------------------------
 
-    def initial_state(self) -> tuple[SimState, StepControl, float | None]:
-        """(state, step control, energy scale) to start the run from: read
-        from the restart file, with dt clamped to [dt_min, dt_max], or built
-        from the config, with no energy scale yet (the run takes |E0|).  A
-        built state keeps its Stokes solve as the first solve of step 1."""
+    def initial_state(self) -> tuple[StateWork, StepControl, float | None]:
+        """(record, step control, energy scale) to start the run from: the
+        state read from the restart file, with dt clamped to [dt_min,
+        dt_max], or built from the config, with no energy scale yet (the
+        run takes |E0|).  A built state's record holds its Stokes solve as
+        the first solve of step 1."""
         cfg = self.cfg
         if cfg.initial.restart_file:
             state, control, e_scale = read_restart(cfg.initial.restart_file)
@@ -236,68 +233,61 @@ class Simulation:
                 raise ValidationError(f"restart grid {state.phi.grid} does not match "
                                       f"the configured grid {self.grid}")
             dt = min(max(control.dt, cfg.time.dt_min), cfg.time.dt_max)
-            return state, StepControl(dt, control.streak), e_scale
+            return (StateWork.of(state, self.params), StepControl(dt, control.streak),
+                    e_scale)
         p = self.params
         phi = initial_phi(cfg)
         F = initial_F(cfg)
         fields = state_fields(phi, F, law.stretch_invariant(F.comps), p)
         dw_dphi = law.neo_hookean_dphi(fields.f_prime, fields.stretch, p)
         mu = static_chemical_potential(phi, dw_dphi, p)
-        force = assemble_force(fields.f, fields.grad_phi, mu, dw_dphi, F, p)
-        v, q = self.stokes.solve(force)
+        v, q, dv = solved = self._solve(fields, mu, dw_dphi, F)
         state = SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q)
-        self._kept = [_StateWork(state, fields, (v, q, self.stokes.derivatives(v)))]
-        return state, StepControl(cfg.time.dt0), None
+        return StateWork(state, fields, dv, solved), StepControl(cfg.time.dt0), None
 
     # -- one coupled step ----------------------------------------------------
 
-    def coupled_step(self, state: SimState, dt: float):
-        """Advance one step of size dt; returns (state_new, StepStats).
+    def coupled_step(self, work: StateWork, dt: float):
+        """Advance the state of record work by one step of size dt; returns
+        (the candidate's record, StepStats).
 
         The old level is prepared once, before the first sweep, from the
-        constitutive pass of state (f'(phi_n) included), and dw/dphi(phi_n,
-        F) once per F; the first sweep takes the state's first Stokes solve
-        as kept, once one is solved (see the module docstring).  Each sweep
-        admits its Stokes velocity here and only here, from its derivative
-        pass: div v within the solenoidal bound, then CFL.  The candidate's
-        constitutive pass is kept for the run loop (:meth:`fields`).  Raises
-        StepRejected on either failure, Newton failure, a failed linear
-        solve or a non-finite field."""
+        constitutive pass of the state (f'(phi_n) included), and
+        dw/dphi(phi_n, F) once per F; the first sweep takes the state's
+        first Stokes solve, made here and put on work when it is not yet
+        there (see the module docstring).  Each sweep admits its Stokes
+        velocity here and only here, from its derivative pass: div v within
+        the solenoidal bound, then CFL.  Raises StepRejected on either
+        failure, Newton failure, a failed linear solve or a non-finite
+        field."""
         cfg = self.cfg
         p = self.params
         g = self.grid
+        state, fields_n = work.state, work.fields
         phi_n, F_n = state.phi, state.F
-        work = self._work(state)
-        self._kept = [work]  # a state before it, or a rejected candidate, is done
-        fields_n = work.fields
         solved = None  # the last sweep's transport CG pair (G, b)
         ch_start = None  # the last sweep's (phi, mu, dw/dphi)
         prev = None
         newton_total = gmres_total = cg_total = 0
         picard_iters = 0
 
+        def solve_stokes(mu, dw_dphi, F):
+            try:
+                return self._solve(fields_n, mu, dw_dphi, F)
+            except SolverError as exc:
+                raise StepRejected(f"stokes: {exc}") from exc
+
         try:
             faces = old_level_faces(F_n, phi_n)
             transport_level = self.transport.prepare(F_n, fields_n.f, dt)
             ch_level = self.ch.prepare(phi_n, state.phi_prev, fields_n.b, dt)
-            dw_dphi = (None if work.first_solve is not None
-                       else law.neo_hookean_dphi(fields_n.f_prime, fields_n.stretch, p))
-            mu_force, F_force = state.mu, F_n
+            if work.first_solve is None:
+                work.first_solve = solve_stokes(state.mu, law.neo_hookean_dphi(
+                    fields_n.f_prime, fields_n.stretch, p), F_n)
 
             for sweep in range(1, cfg.coupling.picard_max + 1):
-                if sweep == 1 and work.first_solve is not None:
-                    v, q, dv = work.first_solve
-                else:
-                    force = assemble_force(fields_n.f, fields_n.grad_phi, mu_force,
-                                           dw_dphi, F_force, p)
-                    try:
-                        v, q = self.stokes.solve(force)
-                    except SolverError as exc:
-                        raise StepRejected(f"stokes: {exc}") from exc
-                    dv = self.stokes.derivatives(v)
-                    if sweep == 1:
-                        work.first_solve = (v, q, dv)
-
+                v, q, dv = (work.first_solve if sweep == 1
+                            else solve_stokes(mu_new, dw_dphi, F_new))
                 div_v, div_bound = solenoidal_residual(dv)
                 if not div_v <= div_bound:
                     raise StepRejected(f"div residual {div_v:.3e} > {div_bound:.3e}")
@@ -328,8 +318,6 @@ class Simulation:
                 else:
                     change = np.inf
                 prev = (phi_new, F_new, v)
-                mu_force = mu_new
-                F_force = F_new
                 if change <= cfg.coupling.picard_tol:
                     break
         except NewtonError as exc:
@@ -342,15 +330,14 @@ class Simulation:
         new_state = SimState(phi=phi_new, phi_prev=phi_n, mu=mu_new, F=F_new,
                              v=v, q=q, t=state.t + dt,
                              step_index=state.step_index + 1)
-        self._kept.append(_StateWork(new_state, state_fields(phi_new, F_new, stretch, p)))
         stats = StepStats(picard_iters=picard_iters, newton_iters=newton_total,
                           picard_gap=float(change) if np.isfinite(change) else -1.0,
                           div_v_max=div_v, gmres_iters=gmres_total, cg_iters=cg_total)
-        return new_state, stats
+        return StateWork(new_state, state_fields(phi_new, F_new, stretch, p), dv), stats
 
     # -- the run loop ----------------------------------------------------------
 
-    def run(self, collect_rows: bool = False):
+    def run(self) -> RunSummary:
         cfg = self.cfg
         t0 = _time.perf_counter()
         outdir = Path(cfg.output.directory)
@@ -359,25 +346,25 @@ class Simulation:
         except OSError as exc:
             raise ValidationError(f"cannot create output directory {outdir}: {exc}") from exc
 
-        state, control, e_scale = self.initial_state()
-        e_prev = state_energy(self.fields(state), self.params).total
+        work, control, e_scale = self.initial_state()
+        e_prev = state_energy(work.fields, self.params).total
         if e_scale is None:  # a fresh run; a restart carries its scale
             e_scale = max(abs(e_prev), 1e-30)
         rejected = 0
         accepted = 0
-        rows = [] if collect_rows else None
         termination = "t_end"
 
         (outdir / "run_config.ini").write_text(dump_config(cfg), encoding="utf-8")
         csv_path = outdir / "diagnostics.csv"
-        fresh = state.step_index == 0
-        kept = [] if fresh else _csv_rows_through(csv_path, state.step_index)
+        fresh = work.state.step_index == 0
+        kept = [] if fresh else _csv_rows_through(csv_path, work.state.step_index)
         written = None  # (step, step control) of the last checkpoint
 
         def checkpoint():
             """Snapshot and restart of the current state; the restart carries
             the step control and the energy scale."""
             nonlocal written
+            state = work.state
             written = (state.step_index, control)
             csv.flush()  # rows up to a restart reach the file before it
             write_vtk(outdir / f"snap_{state.step_index:08d}.vtk", state)
@@ -392,17 +379,16 @@ class Simulation:
                 checkpoint()
 
             while True:
-                if state.t >= cfg.time.t_end - 1e-14:
+                if cfg.time.t_end - work.state.t < max(cfg.time.dt_min, 1e-14):
                     termination = "t_end"
                     break
                 if accepted >= cfg.time.max_steps:
                     termination = "max_steps"
                     break
-                step_dt = min(control.dt, cfg.time.t_end - state.t)
+                step_dt = min(control.dt, cfg.time.t_end - work.state.t)
                 try:
-                    cand, stats = self.coupled_step(state, step_dt)
-                    fields = self.fields(cand)
-                    eb_new = state_energy(fields, self.params)
+                    cand, stats = self.coupled_step(work, step_dt)
+                    eb_new = state_energy(cand.fields, self.params)
                     e_new = eb_new.total
                     bound = e_prev + cfg.time.energy_increase_tol * e_scale
                     if cfg.time.reject_on_energy and e_new > bound:
@@ -415,44 +401,40 @@ class Simulation:
                     control = halved
                     continue
 
-                row = self._diagnostics_row(state, cand, step_dt, stats,
-                                            e_prev, eb_new, fields)
-                state = cand
+                row = self._diagnostics_row(work.state, cand, step_dt, stats,
+                                            e_prev, eb_new)
+                work = cand
                 e_prev = e_new
                 accepted += 1
                 control = control.after(True, cfg.time)
 
-                if rows is not None:
-                    rows.append(row)
-                if state.step_index % cfg.output.diagnostics_every == 0:
+                if work.state.step_index % cfg.output.diagnostics_every == 0:
                     csv.write(row.csv_line() + "\n")
-                if cfg.output.snapshot_every and state.step_index % cfg.output.snapshot_every == 0:
+                if (cfg.output.snapshot_every
+                        and work.state.step_index % cfg.output.snapshot_every == 0):
                     checkpoint()
-            if written != (state.step_index, control):
+            if written != (work.state.step_index, control):
                 checkpoint()
         finally:
             csv.close()
 
-        summary = RunSummary(
+        return RunSummary(
             steps=accepted, rejected_steps=rejected,
             wall_time=_time.perf_counter() - t0,
             final_energy=e_prev,
-            final_mass=total_mass(state.phi),
+            final_mass=total_mass(work.state.phi),
             termination=termination,
+            final_state=work.state,
         )
-        if rows is not None:
-            return summary, rows, state
-        return summary
 
-    def _diagnostics_row(self, state_n: SimState, state_np1: SimState, dt: float,
-                         stats: StepStats, e_old: float, eb: EnergyBreakdown,
-                         fields: StateFields) -> DiagnosticsRow:
-        """Row for an accepted step from the step's stats, the energies
-        e_old, eb of state_n, state_np1 and the constitutive pass of
-        state_np1, which the run loop already holds, and the derivative pass
-        of its velocity, which the Stokes solver kept."""
-        dnew, budget = energy_budget(state_n, state_np1,
-                                     self.stokes.derivatives(state_np1.v), fields,
+    def _diagnostics_row(self, state_n: SimState, cand: StateWork, dt: float,
+                         stats: StepStats, e_old: float,
+                         eb: EnergyBreakdown) -> DiagnosticsRow:
+        """Row for an accepted step from state_n to the candidate of record
+        cand: the step's stats, the energies e_old, eb of state_n and the
+        candidate, and the candidate's constitutive and derivative passes."""
+        state_np1 = cand.state
+        dnew, budget = energy_budget(state_n, state_np1, cand.dv, cand.fields,
                                      dt, e_old, eb.total, self.params)
         return DiagnosticsRow(
             step=state_np1.step_index, t=state_np1.t, dt=dt,
@@ -477,7 +459,3 @@ def _csv_rows_through(path: Path, step: int) -> list[str]:
             kept.append(line)
     return kept
 
-
-def simulate(cfg: ConfigSpec):
-    """Testing entry: returns (summary, diagnostics rows, final state)."""
-    return Simulation(cfg).run(collect_rows=True)

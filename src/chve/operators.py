@@ -50,10 +50,11 @@ lam L, since it multiplies whole (n, d^2) blocks (see
 :class:`chve.transport.TransportSystem`).
 :func:`laplacian_eigenvalues` gives its eigenvalues on the DCT-II basis, and
 :func:`dct_diagonal` applies any function of them (the Cahn-Hilliard
-preconditioner and the pressure solve).  On grids of at most
-``DENSE_TRANSFORM_MAX`` cells per axis (:func:`dense_transforms`) a
-separable eigenbasis is applied as two products with its orthonormal 1-D
-factors, which beats pocketfft there; above, pocketfft's O(n^2 log n) wins.
+preconditioner and the pressure solve).  :func:`dst2d` applies the DST-I
+basis of the Stokes stream function on the interior nodes.  On grids of
+at most ``DENSE_TRANSFORM_MAX`` cells per axis (:func:`dense_transforms`)
+both are two products with their cached orthonormal 1-D factors, which
+beats pocketfft there; above, pocketfft's O(n^2 log n) wins.
 Scalars are flattened C-order, index ``i * ny + j``.
 """
 
@@ -64,7 +65,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dctn, idctn
+from scipy.fft import dctn, dstn, idctn
 
 from .grid import GridSpec, PreconditionError, ScalarField, StaggeredVectorField
 
@@ -179,6 +180,27 @@ def dct2d(x: np.ndarray, inverse: bool = False) -> np.ndarray:
         return (idctn if inverse else dctn)(x, type=2, norm="ortho")
     Cx, Cy = _dct_factor(nx), _dct_factor(ny)
     return (Cx.T @ x) @ Cy if inverse else (Cx @ x) @ Cy.T
+
+
+@lru_cache(maxsize=8)  # a grid uses two lengths
+def _dst_factor(n: int) -> np.ndarray:
+    """The read-only orthonormal DST-I matrix on the n - 1 interior nodes of
+    an axis of n cells, shared by every caller: symmetric, its own inverse,
+    and correct to rounding in every entry, as :func:`_dct_factor`."""
+    m = np.arange(1, n)
+    S = np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(m, m) % (2 * n)))
+    S.setflags(write=False)
+    return S
+
+
+def dst2d(x: np.ndarray) -> np.ndarray:
+    """The orthonormal 2-D DST-I of the (nx - 1, ny - 1) interior-node data
+    x of nx x ny cells, its own inverse: Sx x Sy on small grids
+    (:func:`dense_transforms` on the cell counts), pocketfft above."""
+    nx, ny = x.shape[0] + 1, x.shape[1] + 1
+    if not dense_transforms(nx, ny):
+        return dstn(x, type=1, norm="ortho")
+    return (_dst_factor(nx) @ x) @ _dst_factor(ny)
 
 
 def dct_diagonal(r: np.ndarray, symbol: np.ndarray) -> np.ndarray:

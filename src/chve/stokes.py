@@ -39,15 +39,16 @@ A solve costs one DST-I pair (the forward transform r_hat of the curl and
 the inverse transform of B^-1 (r_hat - S y), S the DST-I), O(n^2) thin
 products with the 1-D DST-I factors that form z on the ring lines and S y
 from them, one capacitance back-solve (the ring has 2(nx-1) + 2(ny-1) - 4
-nodes), one DCT-II pair and the residual check.  On grids of at most
-``operators.DENSE_TRANSFORM_MAX`` cells per axis each transform of a pair
-is two products with the 1-D factors (the DST-I ones are the ring's
-factors, symmetric and their own inverse); above, pocketfft applies it.
-The curl of the force is formed directly on the interior nodes.  The residual check reads the
-velocity's derivative pass (:func:`chve.operators.velocity_derivatives`),
-which the solver keeps and :meth:`StokesSolver.derivatives` hands on: the
-driver's solenoidal and CFL admission, the transport stretch and the
-viscous dissipation read it, so each velocity is differentiated once.
+nodes), one DCT-II pair and the residual check.  :func:`chve.operators.dst2d`
+and :func:`chve.operators.dct2d` apply each pair as two products with the
+1-D factors (the DST-I ones are the ring's) on grids of at most
+``operators.DENSE_TRANSFORM_MAX`` cells per axis, and by pocketfft above.
+The curl of the force is formed directly on the interior nodes.  The
+residual check forms the velocity's derivative pass
+(:func:`chve.operators.velocity_derivatives`), and :meth:`StokesSolver.solve`
+returns it with (v, q): the driver's solenoidal and CFL admission, the
+transport stretch and the viscous dissipation read it, so each velocity is
+differentiated once.
 
 A solve's small calls take their direct forms, each bitwise the library
 call it replaces: the capacitance back-solve is LAPACK potrs
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.fft import dstn
 from scipy.linalg import lapack
 
 from . import constitutive as law
@@ -74,19 +74,16 @@ from .errors import TOL_LIN, SolverError
 from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                    StaggeredVectorField, TensorField)
 from .krylov import norm
-from .operators import (VelocityDerivatives, _corner_average, dct_diagonal,
-                        dense_transforms, face_average, face_divergence,
-                        face_gradient, laplacian_eigenvalues, vector_laplacian,
+from .operators import (_corner_average, _dst_factor, dct_diagonal, dst2d,
+                        face_average, face_divergence, face_gradient,
+                        laplacian_eigenvalues, vector_laplacian,
                         velocity_derivatives)
 
 
-def _dst_basis(n: int, h: float):
-    """Orthonormal DST-I matrix on the n - 1 interior nodes of an axis and
-    the matching eigenvalues of the Dirichlet -d^2/dx^2.  The angle is
-    reduced mod 2 pi in integers, so every entry is correct to rounding."""
-    m = np.arange(1, n)
-    return (np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(m, m) % (2 * n))),
-            4.0 / (h * h) * np.sin(0.5 * np.pi * m / n) ** 2)
+def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
+    """Eigenvalues of the Dirichlet -d^2/dx^2 on the n - 1 interior nodes
+    of an axis, on the DST-I basis of :func:`chve.operators._dst_factor`."""
+    return 4.0 / (h * h) * np.sin(0.5 * np.pi * np.arange(1, n) / n) ** 2
 
 
 def _ring_capacitance(Sx: np.ndarray, Sy: np.ndarray, W: np.ndarray,
@@ -94,11 +91,11 @@ def _ring_capacitance(Sx: np.ndarray, Sy: np.ndarray, W: np.ndarray,
     """(ring, K): the flat indices i*(ny-1) + j of the interior nodes next to
     a wall, and the capacitance K = diag(1/P_ring) + (B^-1)[ring, ring].
 
-    Sx, Sy are the DST-I matrices of :func:`_dst_basis` and W = B^-1 on
-    their basis.  The ring is four node lines: the rows j = 0, ny-2 and the
-    columns i = 0, nx-2.  A line's nodes are products of one basis row of
-    one axis with the whole basis of the other, so each block of (B^-1)
-    between two lines is a product of 1-D factors, O(n^3) flops:
+    Sx, Sy are the DST-I factors (:func:`chve.operators._dst_factor`) and
+    W = B^-1 on their basis.  The ring is four node lines: the rows j = 0,
+    ny-2 and the columns i = 0, nx-2.  A line's nodes are products of one
+    basis row of one axis with the whole basis of the other, so each block
+    of (B^-1) between two lines is a product of 1-D factors, O(n^3) flops:
 
         row j, row j':       (Sx * (W @ (Sy[j] * Sy[j']))) @ Sx
         column i, column i': (Sy * ((Sx[i] * Sx[i']) @ W)) @ Sy
@@ -157,9 +154,8 @@ class StokesSolver:
         self.nu = nu
         nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
 
-        Sx, lam_x = _dst_basis(nx, hx)
-        Sy, lam_y = _dst_basis(ny, hy)
-        self._Sx, self._Sy = Sx, Sy
+        self._Sx, self._Sy = Sx, Sy = _dst_factor(nx), _dst_factor(ny)
+        lam_x, lam_y = _dirichlet_eigenvalues(nx, hx), _dirichlet_eigenvalues(ny, hy)
         self._B_inv = W = 1.0 / (lam_x[:, None] + lam_y[None, :]) ** 2  # B^-1, DST-I basis
         self._ring, K = _ring_capacitance(Sx, Sy, W, hx, hy)
         self._rows, self._cols = [0, ny - 2], [0, nx - 2]  # the ring's lines
@@ -171,17 +167,8 @@ class StokesSolver:
         eig = laplacian_eigenvalues(grid)
         eig[0, 0] = -np.inf  # the constant pressure mode is set to zero
         self._q_inv = -1.0 / eig
-        self._last: VelocityDerivatives | None = None  # of the latest solve
 
     # -- solve ------------------------------------------------------------
-
-    def _dst(self, x: np.ndarray) -> np.ndarray:
-        """The orthonormal 2-D DST-I of interior-node data x, its own
-        inverse: Sx x Sy on small grids (:func:`dense_transforms`),
-        pocketfft above."""
-        if dense_transforms(self.grid.nx, self.grid.ny):
-            return (self._Sx @ x) @ self._Sy
-        return dstn(x, type=1, norm="ortho")
 
     def _velocity(self, force: StaggeredVectorField) -> StaggeredVectorField:
         """The curl of the stream function that solves (B + P) psi = C^T f / nu.
@@ -197,7 +184,7 @@ class StokesSolver:
         Sx, Sy, rows, cols = self._Sx, self._Sy, self._rows, self._cols
         u, w = force.u, force.w
         curl = (w[1:, 1:-1] - w[:-1, 1:-1]) / g.hx - (u[1:-1, 1:] - u[1:-1, :-1]) / g.hy
-        r_hat = self._dst(curl / self.nu)
+        r_hat = dst2d(curl / self.nu)
         Wr = self._B_inv * r_hat
         z = np.zeros_like(r_hat)
         z[:, rows] = Sx @ (Wr @ Sy[rows].T)
@@ -215,17 +202,17 @@ class StokesSolver:
         y_cols[:, rows] = 0.0  # a copy: the corners count on the row lines
         y_hat = (Sx @ y[:, rows]) @ Sy[rows] + Sx[:, cols] @ (y_cols @ Sy)
         psi = np.zeros((g.nx + 1, g.ny + 1))
-        psi[1:-1, 1:-1] = self._dst(self._B_inv * (r_hat - y_hat))
+        psi[1:-1, 1:-1] = dst2d(self._B_inv * (r_hat - y_hat))
         if not np.isfinite(psi).all():
             raise SolverError("stream function is not finite")
         return StaggeredVectorField.from_stream_function(g, psi)
 
     def solve(self, force: StaggeredVectorField):
-        """(v, q): v, a stream-function curl (its div v is measured by the
-        driver), has zero boundary faces and q zero mean.  Raises SolverError
-        if the momentum residual, formed from the derivative pass of v,
-        exceeds TOL_LIN relative to the force; the solver keeps that pass
-        for :meth:`derivatives`."""
+        """(v, q, dv): v, a stream-function curl (its div v is measured by
+        the driver), has zero boundary faces, q zero mean, and dv is the
+        derivative pass of v (:func:`chve.operators.velocity_derivatives`)
+        that the momentum residual check forms.  Raises SolverError if that
+        residual exceeds TOL_LIN relative to the force."""
         g = self.grid
         dv = velocity_derivatives(self._velocity(force))
         lu, lw = vector_laplacian(dv)
@@ -239,14 +226,7 @@ class StokesSolver:
         if not res <= bound:
             raise SolverError(f"stokes residual {res:.3e} > {TOL_LIN:.1e} * |f| "
                               f"= {bound:.3e}")
-        self._last = dv
-        return dv.v, q
-
-    def derivatives(self, v: StaggeredVectorField) -> VelocityDerivatives:
-        """The derivative pass of v: the one the latest solve formed when v
-        is its velocity, else formed here."""
-        last = self._last
-        return last if last is not None and last.v is v else velocity_derivatives(v)
+        return dv.v, q, dv
 
 
 def elastic_force(f: np.ndarray, F: TensorField, params: ModelParams):

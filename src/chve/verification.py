@@ -255,7 +255,7 @@ def dense_stokes_compare(grid: GridSpec, nu: float = 1.0, n_fields: int = 5,
         fu[1:-1, :] = rng.standard_normal((grid.nx - 1, grid.ny))
         fw[:, 1:-1] = rng.standard_normal((grid.nx, grid.ny - 1))
         force = StaggeredVectorField(grid, fu, fw)
-        v1, q1 = solver.solve(force)
+        v1, q1, _ = solver.solve(force)
         v2, q2 = oracle.solve_stokes(nu, force)
         dev_v = max(dev_v, float(np.max(np.abs(v1.u - v2.u))),
                     float(np.max(np.abs(v1.w - v2.w))))
@@ -417,7 +417,7 @@ def stokes_mms(levels=(32, 64, 128), nu: float = 1.0) -> dict:
         fu[0, :] = fu[-1, :] = 0.0
         fw[:, 0] = fw[:, -1] = 0.0
         solver = StokesSolver(g, nu)
-        v, q = solver.solve(StaggeredVectorField(g, fu, fw))
+        v, q, _ = solver.solve(StaggeredVectorField(g, fu, fw))
         eu = v.u - fns["u"](Xu, Yu)
         ew = v.w - fns["w"](Xw, Yw)
         eu[0, :] = eu[-1, :] = 0.0
@@ -485,8 +485,8 @@ def korteweg_identity_check(phi: ScalarField, F: TensorField,
     f_kw = StaggeredVectorField(g, ku + eu, kw + ew)
 
     solver = StokesSolver(g, params.nu)
-    v_mu, q_mu = solver.solve(f_mu)
-    v_kw, q_kw = solver.solve(f_kw)
+    v_mu, q_mu, _ = solver.solve(f_mu)
+    v_kw, q_kw, _ = solver.solve(f_kw)
     v_diff = max(float(np.max(np.abs(v_mu.u - v_kw.u))),
                  float(np.max(np.abs(v_mu.w - v_kw.w))))
 

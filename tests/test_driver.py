@@ -1,11 +1,15 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from chve import constitutive as law
 from chve.config import StepControl, TimeConfig, parse_config
-from chve.diagnostics import dissipation, energy_budget, state_fields, total_energy
-from chve.driver import (Simulation, StepRejected, old_level_faces, simulate,
+from chve.diagnostics import (DiagnosticsRow, dissipation, energy_budget, state_fields,
+                              total_energy)
+from chve.driver import (Simulation, StateWork, StepRejected, old_level_faces,
                          sweep_advection)
 from chve.grid import (GridSpec, ScalarField, SimState, StaggeredVectorField,
                        TensorField)
@@ -51,6 +55,24 @@ directory = {tmp_path / name}
 snapshot_every = {kw.get('snapshot_every', 0)}
 """
     return parse_config(text)
+
+
+def csv_rows(directory) -> list[DiagnosticsRow]:
+    """The rows of the diagnostics CSV in directory.  Every float is written
+    at 17 significant digits, so each reads back as the value written."""
+    lines = (Path(directory) / "diagnostics.csv").read_text().splitlines()[1:]
+    columns = dataclasses.fields(DiagnosticsRow)
+    return [DiagnosticsRow(*(int(x) if f.type == "int" else float(x)
+                             for f, x in zip(columns, line.split(","))))
+            for line in lines]
+
+
+def simulate(cfg):
+    """(summary, the CSV rows of the steps this run took, final state)."""
+    summary = Simulation(cfg).run()
+    first = summary.final_state.step_index - summary.steps
+    rows = [r for r in csv_rows(cfg.output.directory) if r.step > first]
+    return summary, rows, summary.final_state
 
 
 def _fields(state, params):
@@ -194,13 +216,13 @@ def test_resume_after_a_rejection_reproduces_uninterrupted_run(tmp_path, monkeyp
     real_step, real_energy = sim.coupled_step, driver.state_energy
     injected, pending = [], []
 
-    def rejected_once(state, dt):
-        if state.step_index == 3 and not injected:
+    def rejected_once(work, dt):
+        if work.state.step_index == 3 and not injected:
             injected.append(dt)
             if where == "coupled_step":
                 raise StepRejected("injected")
             pending.append(1)
-        return real_step(state, dt)
+        return real_step(work, dt)
 
     def energy_rejects_once(*args):
         eb = real_energy(*args)
@@ -211,7 +233,8 @@ def test_resume_after_a_rejection_reproduces_uninterrupted_run(tmp_path, monkeyp
 
     sim.coupled_step = rejected_once
     monkeypatch.setattr(driver, "state_energy", energy_rejects_once)
-    summary, rows_full, _ = sim.run(collect_rows=True)
+    summary = sim.run()
+    rows_full = csv_rows(tmp_path / "full")
     assert summary.steps == 12 and summary.rejected_steps == 1
     assert rows_full[3].dt == injected[0] / 2
     assert len({r.dt for r in rows_full}) >= 3
@@ -246,9 +269,9 @@ def test_coupled_step_needs_no_scipy_krylov(tmp_path, monkeypatch):
     monkeypatch.setattr(spla, "gmres", no_scipy_krylov)
     monkeypatch.setattr(spla, "cg", no_scipy_krylov)
     sim = Simulation(spinodal_config(tmp_path))
-    state, _, _ = sim.initial_state()
-    new, _ = sim.coupled_step(state, 1e-4)
-    assert new.t == pytest.approx(1e-4)
+    work, _, _ = sim.initial_state()
+    new, _ = sim.coupled_step(work, 1e-4)
+    assert new.state.t == pytest.approx(1e-4)
 
 
 def test_first_force_reads_the_stored_mu(tmp_path, monkeypatch):
@@ -269,10 +292,10 @@ def test_first_force_reads_the_stored_mu(tmp_path, monkeypatch):
     real_step = Simulation.coupled_step
     first = 0
 
-    def spy_step(self, state, dt):
+    def spy_step(self, work, dt):
         nonlocal first
-        out = real_step(self, state, dt)
-        steps.append((state, dt, forces[first]))
+        out = real_step(self, work, dt)
+        steps.append((work.state, dt, forces[first]))
         first = len(forces)
         return out
 
@@ -339,10 +362,10 @@ def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
     accepted_v = []
     real_step = Simulation.coupled_step
 
-    def spy(self, state, dt):
-        new_state, stats = real_step(self, state, dt)
-        accepted_v.append(new_state.v)
-        return new_state, stats
+    def spy(self, work, dt):
+        new, stats = real_step(self, work, dt)
+        accepted_v.append(new.state.v)
+        return new, stats
 
     monkeypatch.setattr(Simulation, "coupled_step", spy)
     summary, rows, _ = simulate(spinodal_config(tmp_path, max_steps=10, t_end=1.0))
@@ -381,12 +404,12 @@ def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
     per_step = []
     real_step = Simulation.coupled_step
 
-    def spy(self, state, dt):
+    def spy(self, work, dt):
         before = dict(counts)
-        new_state, stats = real_step(self, state, dt)
+        new, stats = real_step(self, work, dt)
         per_step.append((stats.picard_iters,
                          {k: counts[k] - before[k] for k in counts}))
-        return new_state, stats
+        return new, stats
 
     monkeypatch.setattr(Simulation, "coupled_step", spy)
     cfg = spinodal_config(tmp_path, max_steps=10, t_end=1.0, picard_max=8,
@@ -420,10 +443,10 @@ def test_step_stats_count_the_krylov_iterations(tmp_path, monkeypatch):
     monkeypatch.setattr(krylov, "pcg", counting("pcg", krylov.pcg))
     cfg = spinodal_config(tmp_path, picard_max=3, picard_tol=1e-10)
     sim = Simulation(cfg)
-    state, _, _ = sim.initial_state()
+    work, _, _ = sim.initial_state()
     for _ in range(4):
         before = dict(calls)
-        state, stats = sim.coupled_step(state, cfg.time.dt0)
+        work, stats = sim.coupled_step(work, cfg.time.dt0)
         assert stats.gmres_iters == calls["gmres"] - before["gmres"]
         assert stats.cg_iters == calls["pcg"] - before["pcg"]
     assert calls["gmres"] > 0 and calls["pcg"] > 0
@@ -475,11 +498,11 @@ def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
     cfg = spinodal_config(tmp_path, picard_max=8, picard_tol=1e-10)
     sim = Simulation(cfg)
-    state, _, _ = sim.initial_state()
+    work, _, _ = sim.initial_state()
     sweeps = []
     for k in range(10):
         built.clear()
-        state, stats = sim.coupled_step(state, cfg.time.dt0)
+        work, stats = sim.coupled_step(work, cfg.time.dt0)
         assert len(built) == 6 * stats.picard_iters - 3 * (k == 0), built
         sweeps.append(stats.picard_iters)
     assert max(sweeps) > 2
@@ -521,7 +544,7 @@ def test_sweep_advection_is_bitwise_advect_tensor_and_scalar(nx, ny, ly):
 def test_nonfinite_sweep_advection_rejects_the_step(tmp_path, monkeypatch):
     from chve import driver
     sim = Simulation(spinodal_config(tmp_path))
-    state, _, _ = sim.initial_state()
+    work, _, _ = sim.initial_state()
     real = driver.advect_upwind
 
     def poisoned(v, faces):
@@ -531,7 +554,7 @@ def test_nonfinite_sweep_advection_rejects_the_step(tmp_path, monkeypatch):
 
     monkeypatch.setattr(driver, "advect_upwind", poisoned)
     with pytest.raises(StepRejected, match="^precondition: advection term"):
-        sim.coupled_step(state, 1e-4)
+        sim.coupled_step(work, 1e-4)
 
 
 def test_budget_residual_equals_reference_formula(tmp_path, monkeypatch):
@@ -540,8 +563,9 @@ def test_budget_residual_equals_reference_formula(tmp_path, monkeypatch):
     seen = []
     real = Simulation._diagnostics_row
 
-    def spy(self, state_n, state_np1, dt, *rest):
-        row = real(self, state_n, state_np1, dt, *rest)
+    def spy(self, state_n, cand, dt, *rest):
+        row = real(self, state_n, cand, dt, *rest)
+        state_np1 = cand.state
         # the budget written out inline, with both energies evaluated afresh
         e_old = total_energy(state_n.phi, state_n.F, cfg.params).total
         e_new = total_energy(state_np1.phi, state_np1.F, cfg.params).total
@@ -608,11 +632,11 @@ def test_later_sweeps_warm_start_the_transport_cg(tmp_path, monkeypatch):
     monkeypatch.setattr(krylov, "pcg", spied_pcg)
     monkeypatch.setattr(TransportSystem, "step", recorded_step)
     sim = Simulation(spinodal_config(tmp_path, picard_max=2))
-    state, _, _ = sim.initial_state()
+    work, _, _ = sim.initial_state()
     for _ in range(3):
         applied.clear()
         steps.clear()
-        state, stats = sim.coupled_step(state, 1e-5)
+        work, stats = sim.coupled_step(work, 1e-5)
         assert stats.picard_iters == 2
         [first, second] = steps
         assert first[3] is None and second[3] is not None
@@ -629,9 +653,10 @@ def test_coupled_step_repeats_bitwise(tmp_path):
     """The warm start lives inside one step: stepping the same state twice
     gives bitwise-equal states, as a retry after a rejection needs."""
     sim = Simulation(spinodal_config(tmp_path, picard_max=4, picard_tol=1e-300))
-    state, _, _ = sim.initial_state()
-    a, stats_a = sim.coupled_step(state, 1e-5)
-    b, stats_b = sim.coupled_step(state, 1e-5)
+    work, _, _ = sim.initial_state()
+    a, stats_a = sim.coupled_step(work, 1e-5)
+    b, stats_b = sim.coupled_step(work, 1e-5)
+    a, b = a.state, b.state
     assert stats_a == stats_b and stats_a.picard_iters == 4
     for x, y in ((a.phi.values, b.phi.values), (a.mu.values, b.mu.values),
                  (a.F.comps, b.F.comps), (a.v.u, b.v.u), (a.v.w, b.v.w),
@@ -643,8 +668,8 @@ def _run_with_one_energy_rejection(tmp_path, monkeypatch, name, keep=True):
     """A 16^2 run whose third candidate reads an infinite energy, so it is
     rejected once and retried at dt/2; returns (summary, CSV bytes, the
     solved forces, the phase fields whose constitutive pass was formed).
-    keep=False forms each state's work afresh whenever a step asks."""
-    import dataclasses
+    keep=False steps each state from a record formed afresh from the state
+    alone (StateWork.of), so no attempt reuses any earlier work."""
     from chve import driver
     forces, passes, energies = [], [], []
     real_solve, real_fields = driver.StokesSolver.solve, driver.state_fields
@@ -664,16 +689,17 @@ def _run_with_one_energy_rejection(tmp_path, monkeypatch, name, keep=True):
             return dataclasses.replace(energies[-1], bulk=np.inf)
         return energies[-1]
 
-    def forgetful(self, state):
-        return driver._StateWork(state, driver.state_fields(
-            state.phi, state.F, law.stretch_invariant(state.F.comps), self.params))
+    real_step = Simulation.coupled_step
+
+    def afresh(self, work, dt):
+        return real_step(self, StateWork.of(work.state, self.params), dt)
 
     with monkeypatch.context() as m:
         m.setattr(driver.StokesSolver, "solve", solve)
         m.setattr(driver, "state_fields", fields)
         m.setattr(driver, "state_energy", energy)
         if not keep:
-            m.setattr(Simulation, "_work", forgetful)
+            m.setattr(Simulation, "coupled_step", afresh)
         cfg = spinodal_config(tmp_path, name=name, n=16, max_steps=6, t_end=1.0)
         summary = Simulation(cfg).run()
     csv = (tmp_path / name / "diagnostics.csv").read_bytes()
@@ -683,8 +709,8 @@ def _run_with_one_energy_rejection(tmp_path, monkeypatch, name, keep=True):
 def test_a_retry_forms_no_state_work_again(tmp_path, monkeypatch):
     # a retry after a rejection solves the state's first force again no
     # more than step 1 solves the initial state's, and the run loop reads
-    # the accepted state's constitutive pass as kept; the CSV is the one a
-    # run that forms all of it afresh writes
+    # the accepted state's constitutive pass from its record; the CSV is
+    # the one a run that forms all of it afresh writes
     summary, csv, forces, passes = _run_with_one_energy_rejection(
         tmp_path, monkeypatch, "kept")
     assert (summary.steps, summary.rejected_steps) == (6, 1)
@@ -700,22 +726,56 @@ def test_a_retry_forms_no_state_work_again(tmp_path, monkeypatch):
     assert len(passes_ref) > len(passes)
 
 
+def test_steps_leave_nothing_on_the_simulation(tmp_path, monkeypatch):
+    # a step's work travels in the records the run loop holds: after three
+    # steps and one rejected candidate the simulation and its solvers hold
+    # the very objects they held when built
+    from chve import driver
+    energies = []
+    real_energy = driver.state_energy
+
+    def energy(fields, params):
+        energies.append(real_energy(fields, params))
+        if len(energies) == 3:  # the initial state, then candidate 2
+            return dataclasses.replace(energies[-1], bulk=np.inf)
+        return energies[-1]
+
+    monkeypatch.setattr(driver, "state_energy", energy)
+    sim = Simulation(spinodal_config(tmp_path, n=16, max_steps=3, t_end=1.0))
+    owners = (sim, sim.stokes, sim.ch, sim.transport)
+    before = [dict(vars(owner)) for owner in owners]
+    summary = sim.run()
+    assert (summary.steps, summary.rejected_steps) == (3, 1)
+    for owner, held in zip(owners, before):
+        assert vars(owner).keys() == held.keys(), type(owner).__name__
+        assert all(vars(owner)[k] is v for k, v in held.items()), type(owner).__name__
+
+
+def test_fixed_dt_run_takes_no_step_below_dt_min(tmp_path):
+    # 250 steps of 0.02 sum to t_end = 5 less about 1.9e-14; that remainder
+    # lies below dt_min and is not stepped
+    cfg = spinodal_config(tmp_path, n=8, t_end=5.0, dt0=0.02, dt_max=0.02)
+    summary, rows, _ = simulate(cfg)
+    assert (summary.steps, summary.termination) == (250, "t_end")
+    assert len(rows) == 250
+    assert min(r.dt for r in rows) >= cfg.time.dt_min
+
+
 def test_rejected_step_leaves_state_unchanged(tmp_path):
     cfg = spinodal_config(tmp_path, name="rej")
     sim = Simulation(cfg)
-    state, _, _ = sim.initial_state()
-    phi_before = state.phi.values.copy()
+    work, _, _ = sim.initial_state()
+    phi_before = work.state.phi.values.copy()
     # a huge dt forces a CFL/Newton rejection path somewhere in the sweep
-    from chve.driver import StepRejected
     try:
-        sim.coupled_step(state, 1e6)
+        sim.coupled_step(work, 1e6)
     except StepRejected:
         pass
-    assert np.array_equal(state.phi.values, phi_before)
+    assert np.array_equal(work.state.phi.values, phi_before)
     # retry with a sane dt works and reproduces identical arithmetic
-    s1, _ = sim.coupled_step(state, 1e-4)
-    s2, _ = sim.coupled_step(state, 1e-4)
-    assert np.array_equal(s1.phi.values, s2.phi.values)
+    s1, _ = sim.coupled_step(work, 1e-4)
+    s2, _ = sim.coupled_step(work, 1e-4)
+    assert np.array_equal(s1.state.phi.values, s2.state.phi.values)
 
 
 def test_more_picard_sweeps_tighten_coupling(tmp_path):
@@ -731,6 +791,7 @@ def test_more_picard_sweeps_tighten_coupling(tmp_path):
     sim1, sim8 = Simulation(cfg1), Simulation(cfg8)
 
     def budget(cfg, s, c):
+        s, c = s.state, c.state
         e_old, e_new = (total_energy(x.phi, x.F, cfg.params).total for x in (s, c))
         return abs(energy_budget(s, c, velocity_derivatives(c.v), _fields(c, cfg.params),
                                  2e-4, e_old, e_new, cfg.params)[1])
@@ -884,10 +945,10 @@ def test_final_checkpoint_after_dt_underflow_carries_halved_dt(tmp_path, monkeyp
     sim = Simulation(spinodal_config(tmp_path, snapshot_every=1, t_end=1.0))
     real_step = sim.coupled_step
 
-    def rejected_after_two(state, dt):
-        if state.step_index >= 2:
+    def rejected_after_two(work, dt):
+        if work.state.step_index >= 2:
             raise StepRejected("injected")
-        return real_step(state, dt)
+        return real_step(work, dt)
 
     sim.coupled_step = rejected_after_two
     summary = sim.run()

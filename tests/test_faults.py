@@ -39,10 +39,10 @@ FAULTS = [
 @pytest.mark.parametrize("target,reason", FAULTS)
 def test_nan_inside_a_step_is_rejected(tmp_path, monkeypatch, target, reason):
     sim = Simulation(spinodal_config(tmp_path))
-    state, _, _ = sim.initial_state()
+    work, _, _ = sim.initial_state()
     monkeypatch.setattr(constitutive, target, _nan_corner(getattr(constitutive, target)))
     with pytest.raises(StepRejected) as exc:
-        sim.coupled_step(state, 1e-4)
+        sim.coupled_step(work, 1e-4)
     assert exc.value.reason.startswith(reason)
 
 
@@ -53,10 +53,10 @@ def _stalled_cg(A, b, **kwargs):
 
 def test_unconverged_transport_solve_is_rejected(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
-    state, _, _ = sim.initial_state()
+    work, _, _ = sim.initial_state()
     monkeypatch.setattr(krylov, "pcg", _stalled_cg)
     with pytest.raises(StepRejected) as exc:
-        sim.coupled_step(state, 1e-4)
+        sim.coupled_step(work, 1e-4)
     assert exc.value.reason.startswith("linear solve: transport residual")
     assert exc.value.reason.endswith("CG did not converge (info 1)")
 
@@ -68,10 +68,10 @@ def _nan_gmres(A, b, **kwargs):
 
 def test_nan_phase_field_krylov_solve_is_rejected(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
-    state, _, _ = sim.initial_state()
+    work, _, _ = sim.initial_state()
     monkeypatch.setattr(krylov, "gmres", _nan_gmres)
     with pytest.raises(StepRejected) as exc:
-        sim.coupled_step(state, 1e-4)
+        sim.coupled_step(work, 1e-4)
     assert exc.value.reason.startswith("newton:")
 
 
@@ -87,19 +87,19 @@ def _failed_back_solve(c, b, **kwargs):
 
 def test_nan_stokes_back_solve_is_rejected(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
-    state, _, _ = sim.initial_state()
+    work, _, _ = sim.initial_state()
     monkeypatch.setattr(lapack, "dpotrs", _nan_back_solve)
     with pytest.raises(StepRejected) as exc:
-        sim.coupled_step(state, 1e-4)
+        sim.coupled_step(work, 1e-4)
     assert exc.value.reason.startswith("stokes: stream function is not finite")
 
 
 def test_failed_stokes_back_solve_is_rejected(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
-    state, _, _ = sim.initial_state()
+    work, _, _ = sim.initial_state()
     monkeypatch.setattr(lapack, "dpotrs", _failed_back_solve)
     with pytest.raises(StepRejected) as exc:
-        sim.coupled_step(state, 1e-4)
+        sim.coupled_step(work, 1e-4)
     assert exc.value.reason == "stokes: capacitance back-solve failed (potrs info -2)"
 
 
@@ -248,8 +248,9 @@ def test_restart_on_another_grid_exits_2(tmp_path, capsys):
 
 def test_crash_mid_restart_write_keeps_previous_file(tmp_path, monkeypatch):
     sim = Simulation(spinodal_config(tmp_path))
-    state, _, _ = sim.initial_state()
+    work, _, _ = sim.initial_state()
     path = tmp_path / "restart.chv"
+    state = work.state
     write_restart(path, state, StepControl(1e-4, 2), 1.5)
     before = path.read_bytes()
 

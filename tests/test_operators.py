@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.fft import dct
+from scipy.fft import dct, dst, dstn
 from scipy.integrate import solve_ivp
 
 from chve import operators as ops
@@ -148,6 +148,38 @@ def test_dct_factor_is_the_read_only_orthonormal_dct():
     assert ops._dct_factor(24) is C and not C.flags.writeable
     np.testing.assert_allclose(C, dct(np.eye(24), type=2, norm="ortho", axis=0),
                                rtol=0.0, atol=1e-15)
+
+
+def test_dst_factor_is_the_read_only_orthonormal_dst():
+    # 24 cells have 23 interior nodes
+    S = ops._dst_factor(24)
+    assert ops._dst_factor(24) is S and not S.flags.writeable
+    np.testing.assert_allclose(S, dst(np.eye(23), type=1, norm="ortho", axis=0),
+                               rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("cells", [(8, 8), (5, 7), "crossover", "above"],
+                         ids=["8x8", "5x7", "crossover", "above"])
+def test_dst2d_decides_on_the_cell_counts(rng, monkeypatch, cells):
+    """dst2d of the (nx - 1, ny - 1) interior-node data of nx x ny cells
+    takes pocketfft exactly when the cells are above the crossover, agrees
+    with pocketfft to 1e-13 relative and is its own inverse."""
+    n = ops.DENSE_TRANSFORM_MAX
+    cells = {"crossover": (n, n), "above": (n + 1, n)}.get(cells, cells)
+    x = rng.standard_normal((cells[0] - 1, cells[1] - 1))
+    calls = []
+    real = ops.dstn
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "dstn", counted)
+    y = ops.dst2d(x)
+    assert (len(calls) == 1) is not ops.dense_transforms(*cells)
+    ref = dstn(x, type=1, norm="ortho")
+    assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(ops.dst2d(y) - x)) <= 1e-13 * np.max(np.abs(x))
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (5, 7), (24, 40), "crossover", "above"])
