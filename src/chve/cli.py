@@ -62,6 +62,10 @@ def _verify_rows(suite: str):
         rep = ver.dense_stokes_compare(GridSpec(8, 8))
         add("dense oracle (stokes)", rep["passed"],
             f"max dev {rep['max_dev_velocity']:.2e}")
+        # odd cell counts and hx != hy: the capacitance's centre-node sectors
+        rep = ver.dense_stokes_compare(GridSpec(7, 9, 1.0, 1.3))
+        add("dense oracle (stokes, 7x9)", rep["passed"],
+            f"max dev {rep['max_dev_velocity']:.2e}")
 
     if suite in ("all", "stokes"):
         rep = ver.stokes_mms(levels=(16, 32, 64))

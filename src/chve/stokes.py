@@ -25,12 +25,16 @@ assembling nothing:
   next to a node, so it is nonzero only on the ring of nodes along the walls.
 * The ring term is removed by the capacitance-matrix method (Buzbee, Dorr,
   George & Golub 1971; Bjorstad 1983).  With B = Delta_D^2,
-  (B + P) psi = r is z = B^-1 r, y = K^-1 z[ring], psi = z - B^-1 y, where
-  the dense SPD capacitance K = diag(1/P_ring) + (B^-1)[ring, ring] is
-  Cholesky-factored once per (grid, nu).  The ring is four node lines, and
-  B^-1 between two lines is a closed-form product of the separable 1-D
-  DST-I factors (:func:`_ring_capacitance`): O(n^3) flops for all of K,
-  with no einsum over the 2-D basis.
+  (B + P) psi = r is z = B^-1 r, y = K^-1 z[ring], psi = z - B^-1 y, with
+  the dense SPD capacitance K = diag(1/P_ring) + (B^-1)[ring, ring].  The
+  mirror flips i -> nx-2-i and j -> ny-2-j of the box both commute with K,
+  so K splits into four parity sectors, and each sector's block is built
+  from the DST-I modes of its own parities, at most half of each axis's
+  (:func:`_capacitance_sectors`).  The ring is four node lines, B^-1
+  between two lines is a closed-form product of the separable 1-D DST-I
+  factors, so a block costs O(n^3) flops with no einsum over the 2-D basis;
+  each is Cholesky-factored by LAPACK potrf once per (grid, nu), and the
+  whole K is never formed.
 * The pressure solves G q = r, r = f + nu Delta_h v (r lies in the range
   of G), through G^T G = -L, L the zero-flux cell Laplacian, diagonal under
   DCT-II; its constant mode is set to zero, so q has zero mean.
@@ -39,8 +43,10 @@ A solve costs one DST-I pair (the forward transform r_hat of the curl and
 the inverse transform of B^-1 (r_hat - S y), S the DST-I), O(n^2) thin
 products with the 1-D DST-I factors that form z on the ring lines and S y
 from them, one capacitance back-solve (the ring has 2(nx-1) + 2(ny-1) - 4
-nodes), one DCT-II pair and the residual check.  :func:`chve.operators.dst2d`
-and :func:`chve.operators.dct2d` apply each pair as two products with the
+nodes: one gather with signs and weights into the sectors' coordinates,
+one potrs per sector and one gather back onto the ring), one DCT-II pair
+and the residual check.  :func:`chve.operators.dst2d` and
+:func:`chve.operators.dct2d` apply each pair as two products with the
 1-D factors (the DST-I ones are the ring's) on grids of at most
 ``operators.DENSE_TRANSFORM_MAX`` cells per axis, and by pocketfft above.
 The curl of the force is formed directly on the interior nodes.  The
@@ -51,9 +57,9 @@ transport stretch and the viscous dissipation read it, so each velocity is
 differentiated once.
 
 A solve's small calls take their direct forms, each bitwise the library
-call it replaces: the capacitance back-solve is LAPACK potrs
-(``scipy.linalg.lapack.dpotrs``) on the factor ``cho_factor`` returns,
-without the batching wrapper of ``cho_solve``; the pressure's mean is
+call it replaces: each sector's back-solve is LAPACK potrs
+(``scipy.linalg.lapack.dpotrs``) on the factor potrf returns, without the
+batching wrapper of ``cho_solve``; the pressure's mean is
 ``q.sum() / q.size`` (``np.mean``'s own formula); the residual check's
 norms are :func:`chve.krylov.norm`.  :func:`elastic_force` edge-pads the
 shear plane by slicing into one array, the values of
@@ -66,7 +72,6 @@ velocity frame, so a uniform velocity shift is not an admissible state.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from . import constitutive as law
@@ -86,49 +91,86 @@ def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
     return 4.0 / (h * h) * np.sin(0.5 * np.pi * np.arange(1, n) / n) ** 2
 
 
-def _ring_capacitance(Sx: np.ndarray, Sy: np.ndarray, W: np.ndarray,
-                      hx: float, hy: float):
-    """(ring, K): the flat indices i*(ny-1) + j of the interior nodes next to
-    a wall, and the capacitance K = diag(1/P_ring) + (B^-1)[ring, ring].
+def _capacitance_sectors(Sx: np.ndarray, Sy: np.ndarray, W: np.ndarray,
+                         hx: float, hy: float):
+    """(blocks, gather, scatter): the capacitance K = diag(1/P_ring) +
+    (B^-1)[ring, ring] split into the four sectors of the mirror flips
+    Jx: i -> nx-2-i and Jy: j -> ny-2-j, without forming K.
 
     Sx, Sy are the DST-I factors (:func:`chve.operators._dst_factor`) and
-    W = B^-1 on their basis.  The ring is four node lines: the rows j = 0,
-    ny-2 and the columns i = 0, nx-2.  A line's nodes are products of one
-    basis row of one axis with the whole basis of the other, so each block
-    of (B^-1) between two lines is a product of 1-D factors, O(n^3) flops:
+    W = B^-1 on their basis.  Both flips commute with K, so K is
+    block-diagonal on the sectors s = 2 px + py of the functions with
+    parities (-1)^px under Jx and (-1)^py under Jy.  A sector's orthonormal
+    basis has one vector per orbit of the flips on the ring, with its
+    representative on the row j = 0 (nodes (i, 0), the corner first) or on
+    the column i = 0 (nodes (0, j), j > 0): the orbit's nodes, signed by
+    the sector's parities, over the square root of the orbit size (4, or 2
+    for a centre node fixed by its flip, which lies in the even sectors of
+    that flip only).  DST-I row k obeys S[k, m-1-i] = (-1)^k S[k, i], so
+    the sector's block is diag(1/P) at the representatives plus, with
+    x0 = Sx[px::2, 0], y0 = Sy[py::2, 0] and W_s = W[px::2, py::2], the
+    separable products over the modes of the sector's parities only:
 
-        row j, row j':       (Sx * (W @ (Sy[j] * Sy[j']))) @ Sx
-        column i, column i': (Sy * ((Sx[i] * Sx[i']) @ W)) @ Sy
-        row j, column i:     ((Sx * Sx[i]) @ (W * Sy[j])) @ Sy
+        rows, rows:       X^T ((W_s @ y0^2) * X)
+        columns, columns: Y^T ((x0^2 @ W_s) * Y)
+        rows, columns:    X^T ((x0 * W_s * y0) @ Y)
 
-    and a column-row block is the transpose of its row-column block.
+    X, Y are the x, y factor columns of the representatives, each scaled
+    by the square root of its orbit size.  ``blocks[s]`` is Fortran-ordered,
+    so LAPACK potrf factors it in place.
+
+    The ring is read and written in ring order: the row lines j = 0 and
+    ny-2 node by node (index 2 i + (j > 0)), then the columns i = 0 and
+    nx-2 without their corners.  ``gather`` = (index, weight), both (4, R),
+    R = 2(nx-1) + 2(ny-1) - 4, takes ring values z to the stacked sector
+    coordinates (weight * z[index]).sum(0): row g = 2a + b holds each
+    representative's image under Jx^a Jy^b, weighted by the sign and the
+    square root of the orbit size over 4 (a centre node's two images each
+    appear twice).  ``scatter`` takes stacked coordinates c back to ring
+    values (weight * c[index]).sum(0): row s holds each node's coordinate
+    in sector s, weighted by the sign over the square root of the orbit
+    size (weight 0 where the node's orbit has none).
     """
-    nx, m = Sx.shape[0] + 1, Sy.shape[0]
-    P = np.zeros((nx - 1, m))
-    P[:, [0, -1]] += 2.0 / hy ** 4  # corner nodes get both terms
-    P[[0, -1], :] += 2.0 / hx ** 4
+    mx, my = W.shape
+    parities = ((0, 0), (0, 1), (1, 0), (1, 1))  # (px, py) of sector s = 2 px + py
+    # each sector's orbit representatives: the rows' (i, 0), then the columns' (0, j)
+    reps = [(np.arange((mx + 1 - px) // 2), np.arange(1, (my + 1 - py) // 2))
+            for px, py in parities]
+    sizes = [i.size + j.size for i, j in reps]
+    # the representative (ri, rj) of each stacked coordinate, sector by sector
+    ri = np.concatenate([np.r_[i, 0 * j] for i, j in reps])
+    rj = np.concatenate([np.r_[0 * i, j] for i, j in reps])
+    sector = np.repeat(np.arange(4), sizes)
+    w = np.where((2 * ri == mx - 1) | (2 * rj == my - 1), np.sqrt(2.0), 2.0)
+    P = 2.0 / hy ** 4 * (rj == 0) + 2.0 / hx ** 4 * (ri == 0)
 
-    # (x factor, y factor) of each line; None stands for the whole basis
-    factors = ([(None, Sy[j]) for j in (0, m - 1)]
-               + [(Sx[i], None) for i in (0, nx - 2)])
+    blocks, start = [], 0
+    for (px, py), (i, _), n in zip(parities, reps, sizes):
+        r = i.size
+        X = Sx[px::2, :r] * w[start:start + r]
+        Y = Sy[py::2, 1:n - r + 1] * w[start + r:start + n]
+        x0, y0, Ws = Sx[px::2, 0], Sy[py::2, 0], W[px::2, py::2]
+        K = np.empty((n, n), order="F")
+        K[:r, :r] = X.T @ ((Ws @ (y0 * y0))[:, None] * X)
+        K[r:, r:] = Y.T @ (((x0 * x0) @ Ws)[:, None] * Y)
+        K[:r, r:] = X.T @ ((x0[:, None] * Ws * y0) @ Y)
+        K[r:, :r] = K[:r, r:].T
+        K.flat[::n + 1] += 1.0 / P[start:start + n]
+        blocks.append(K)
+        start += n
 
-    def block(a, b):
-        (xa, ya), (xb, yb) = factors[a], factors[b]
-        if xa is None and xb is None:
-            return (Sx * (W @ (ya * yb))) @ Sx
-        if ya is None and yb is None:
-            return (Sy * ((xa * xb) @ W)) @ Sy
-        return ((Sx * xb) @ (W * ya)) @ Sy  # a is a row, b a column
-
-    blocks = [[None] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(4):  # lines 0, 1 are the rows, 2, 3 the columns
-            blocks[a][b] = blocks[b][a].T if b < 2 <= a else block(a, b)
-    K = np.block(blocks)
-    lines = ([np.arange(nx - 1) * m + j for j in (0, m - 1)]
-             + [i * m + np.arange(m) for i in (0, nx - 2)])
-    ring, first = np.unique(np.concatenate(lines), return_index=True)
-    return ring, K[np.ix_(first, first)] + np.diag(1.0 / P.ravel()[ring])
+    # the representatives' images under Jx^a Jy^b, row g = 2a + b, as ring
+    # positions, and each sector's parity sign of that flip
+    a, b = np.array([[0], [0], [1], [1]]), np.array([[0], [1], [0], [1]])
+    ni = np.where(a, mx - 1 - ri, ri)
+    nj = np.where(b, my - 1 - rj, rj)
+    node = np.where((nj == 0) | (nj == my - 1), 2 * ni + (nj > 0),
+                    2 * mx + (ni > 0) * (my - 2) + nj - 1)
+    sign = 1.0 - 2.0 * ((a * (sector // 2) + b * (sector % 2)) % 2)
+    scatter = np.zeros((4, ri.size), dtype=np.intp), np.zeros((4, ri.size))
+    scatter[0][sector, node] = np.arange(ri.size)
+    scatter[1][sector, node] = sign / w
+    return blocks, (node, sign * w / 4.0), scatter
 
 
 def _norm(u: np.ndarray, w: np.ndarray) -> float:
@@ -140,12 +182,14 @@ class StokesSolver:
     """Exact fast MAC Stokes solver for one (grid, nu) pair.
 
     ``__init__`` builds the DST-I biharmonic symbol, the 1-D DST-I factors,
-    the Cholesky factor of the ring capacitance (whose blocks are separable
-    products of those factors, O(n^3) flops, no einsum) and the DCT-II
-    pressure symbol; a solve applies only the two eigenbases, thin products
-    with the 1-D factors on the ring lines, that Cholesky factor and the
-    stencils of :mod:`chve.operators`, and checks its own momentum
-    residual."""
+    the Cholesky factors of the ring capacitance's four mirror-parity
+    sectors (each of at most ceil((nx-1)/2) + ceil((ny-1)/2) - 1 rows, its
+    blocks separable products of the factors' rows of one parity, O(n^3)
+    flops, no einsum) with the gathers between the ring and the sectors'
+    coordinates, and the DCT-II pressure symbol; a solve applies only the
+    two eigenbases, thin products with the 1-D factors on the ring lines,
+    those gathers and Cholesky factors and the stencils of
+    :mod:`chve.operators`, and checks its own momentum residual."""
 
     def __init__(self, grid: GridSpec, nu: float):
         if nu <= 0.0:
@@ -154,15 +198,21 @@ class StokesSolver:
         self.nu = nu
         nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
 
-        self._Sx, self._Sy = Sx, Sy = _dst_factor(nx), _dst_factor(ny)
+        self._Sx = Sx = _dst_factor(nx)
+        Sy = _dst_factor(ny)
         lam_x, lam_y = _dirichlet_eigenvalues(nx, hx), _dirichlet_eigenvalues(ny, hy)
         self._B_inv = W = 1.0 / (lam_x[:, None] + lam_y[None, :]) ** 2  # B^-1, DST-I basis
-        self._ring, K = _ring_capacitance(Sx, Sy, W, hx, hy)
-        self._rows, self._cols = [0, ny - 2], [0, nx - 2]  # the ring's lines
-        try:
-            self._cap = sla.cho_factor(K)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"capacitance factorization failed: {exc}") from exc
+        # the basis rows of the ring's lines: rows j = 0, ny-2, columns
+        # i = 0, nx-2, and the columns' inner nodes
+        self._Sy_rows, self._Sx_cols, self._Sy_inner = Sy[[0, -1]], Sx[:, [0, -1]], Sy[1:-1]
+        blocks, self._gather, self._scatter = _capacitance_sectors(Sx, Sy, W, hx, hy)
+        self._sectors, start = [], 0
+        for K in blocks:
+            cap, info = lapack.dpotrf(K, overwrite_a=True)
+            if info != 0:
+                raise SolverError(f"capacitance factorization failed (potrf info {info})")
+            self._sectors.append((slice(start, start + len(cap)), cap))
+            start += len(cap)
 
         eig = laplacian_eigenvalues(grid)
         eig[0, 0] = -np.inf  # the constant pressure mode is set to zero
@@ -179,28 +229,33 @@ class StokesSolver:
         are thin products with the 1-D factors: a row line j of z is
         Sx (W r_hat) Sy[j], a column line i is (Sx[i] W r_hat) Sy, and S y
         is the sum over the lines of outer products of a transformed line
-        with a basis row."""
+        with a basis row.  K^-1 is applied sector by sector: z[ring] is
+        gathered into the sectors' coordinates, each sector back-solved
+        with its Cholesky factor, and the result gathered back onto the
+        ring (:func:`_capacitance_sectors`)."""
         g = self.grid
-        Sx, Sy, rows, cols = self._Sx, self._Sy, self._rows, self._cols
+        Sx, Sy_rows, Sx_cols, Sy_inner = self._Sx, self._Sy_rows, self._Sx_cols, self._Sy_inner
         u, w = force.u, force.w
         curl = (w[1:, 1:-1] - w[:-1, 1:-1]) / g.hx - (u[1:-1, 1:] - u[1:-1, :-1]) / g.hy
         r_hat = dst2d(curl / self.nu)
         Wr = self._B_inv * r_hat
-        z = np.zeros_like(r_hat)
-        z[:, rows] = Sx @ (Wr @ Sy[rows].T)
-        z[cols, :] = (Sx[cols] @ Wr) @ Sy
-        # LAPACK potrs, which sla.cho_solve reaches through its batching
-        # wrapper, on cho_factor's Fortran-ordered factor (no copy) and the
-        # gathered ring values (a copy, so potrs may overwrite it)
-        c, lower = self._cap
-        y_ring, info = lapack.dpotrs(c, z.flat[self._ring], lower=lower, overwrite_b=True)
-        if info != 0:
-            raise SolverError(f"capacitance back-solve failed (potrs info {info})")
-        y = np.zeros_like(z)
-        y.flat[self._ring] = y_ring
-        y_cols = y[cols, :]
-        y_cols[:, rows] = 0.0  # a copy: the corners count on the row lines
-        y_hat = (Sx @ y[:, rows]) @ Sy[rows] + Sx[:, cols] @ (y_cols @ Sy)
+        z = np.concatenate(((Sx @ (Wr @ Sy_rows.T)).ravel(),
+                            ((Sx_cols.T @ Wr) @ Sy_inner.T).ravel()))  # ring order
+        index, weight = self._gather
+        c = (weight * z[index]).sum(axis=0)
+        for part, cap in self._sectors:
+            # LAPACK potrs, which scipy.linalg.cho_solve reaches through its
+            # batching wrapper, on the sector's Fortran-ordered factor; it may
+            # solve in place, and the copy back is then onto itself
+            x, info = lapack.dpotrs(cap, c[part], overwrite_b=True)
+            if info != 0:
+                raise SolverError(f"capacitance back-solve failed (potrs info {info})")
+            c[part] = x
+        index, weight = self._scatter
+        y = (weight * c[index]).sum(axis=0)
+        mx = g.nx - 1
+        y_hat = ((Sx @ y[:2 * mx].reshape(mx, 2)) @ Sy_rows
+                 + Sx_cols @ (y[2 * mx:].reshape(2, -1) @ Sy_inner))
         psi = np.zeros((g.nx + 1, g.ny + 1))
         psi[1:-1, 1:-1] = dst2d(self._B_inv * (r_hat - y_hat))
         if not np.isfinite(psi).all():

@@ -241,10 +241,10 @@ def dense_oracle_compare(grid: GridSpec, n_fields: int = 50, seed: int = 0) -> d
 
 def dense_stokes_compare(grid: GridSpec, nu: float = 1.0, n_fields: int = 5,
                          seed: int = 3) -> dict:
-    """StokesSolver (stream function, DST-I, ring capacitance) vs. a dense
-    solve of the bordered saddle system that the oracle assembles on its
-    own.  The pressure deviation is reported; ``passed`` judges the
-    velocity only."""
+    """StokesSolver (stream function, DST-I, the ring capacitance's
+    mirror-parity sectors) vs. a dense solve of the bordered saddle system
+    that the oracle assembles on its own.  The pressure deviation is
+    reported; ``passed`` judges the velocity only."""
     rng = np.random.default_rng(seed)
     oracle = DenseOracle(grid)
     solver = StokesSolver(grid, nu)

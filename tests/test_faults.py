@@ -7,7 +7,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from chve import cli, constitutive, driver, krylov, vtk_io
@@ -104,10 +103,11 @@ def test_failed_stokes_back_solve_is_rejected(tmp_path, monkeypatch):
 
 
 def test_failed_capacitance_factorization_is_a_solver_error(monkeypatch):
-    def not_positive_definite(K, **kwargs):
-        raise np.linalg.LinAlgError("not positive definite")
+    def not_positive_definite(a, **kwargs):
+        """LAPACK potrf: the leading minor of order 1 is not positive definite."""
+        return a, 1
 
-    monkeypatch.setattr(sla, "cho_factor", not_positive_definite)
+    monkeypatch.setattr(lapack, "dpotrf", not_positive_definite)
     with pytest.raises(SolverError, match="capacitance"):
         StokesSolver(GridSpec(8, 8), 1.0)
 

@@ -205,68 +205,12 @@ def test_dense_solve_matches_pocketfft_solve(grid, rng, monkeypatch):
         assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(24, 40, 2.0, 1.3),
-                                  GridSpec(64, 64), GridSpec(128, 128)],
-                         ids=["16x16", "24x40", "64x64", "128x128"])
-def test_one_pair_solve_matches_two_pair_formula(grid, rng, monkeypatch):
-    """The capacitance solve written with B^-1 applied by a full DST-I pair
-    on each side of the ring solve: z = B^-1 r, y = K^-1 z[ring],
-    psi = z - B^-1 y.  The shipped solve forms z and S y on the ring lines
-    only; (v, q) must agree to rounding."""
-    solver = stokes.StokesSolver(grid, 0.7)
-    force = _random_force(grid, rng)
-    v, q, _ = solver.solve(force)
-
-    def B_inv(r):
-        return idstn(dstn(r, type=1, norm="ortho") * solver._B_inv, type=1, norm="ortho")
-
-    def two_pair_velocity(force):
-        dudy, dwdx = node_shear_gradients(force)
-        z = B_inv((dwdx - dudy)[1:-1, 1:-1] / solver.nu)
-        y = np.zeros_like(z)
-        y.flat[solver._ring] = sla.cho_solve(solver._cap, z.flat[solver._ring])
-        psi = np.zeros((grid.nx + 1, grid.ny + 1))
-        psi[1:-1, 1:-1] = z - B_inv(y)
-        return StaggeredVectorField.from_stream_function(grid, psi)
-
-    monkeypatch.setattr(solver, "_velocity", two_pair_velocity)
-    v_ref, q_ref, _ = solver.solve(force)
-    for x, ref in ((v.u, v_ref.u), (v.w, v_ref.w), (q.values, q_ref.values)):
-        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(12, 9, 1.2, 0.9)],
-                         ids=["16x16", "12x9"])
-def test_ring_back_solve_is_bitwise_cho_solve(grid, rng, monkeypatch):
-    """The solve calls LAPACK potrs on the factor of sla.cho_factor; with
-    sla.cho_solve in its place every velocity face is the same, bit for
-    bit.  The derivative pass the solve returns is, bit for bit, the pass
-    of its velocity."""
-    solver = stokes.StokesSolver(grid, 0.7)
-    force = _random_force(grid, rng)
-    v, _, dv = solver.solve(force)
-    ref = velocity_derivatives(v)
-    assert dv.v is v
-    for name in ("dudx", "dwdy", "dudy", "dwdx"):
-        assert getattr(dv, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert (dv.u_max, dv.w_max) == (ref.u_max, ref.w_max)
-    v = solver._velocity(force)
-    calls = []
-
-    def cho_solve_potrs(c, b, **kwargs):
-        calls.append(b.shape)
-        return sla.cho_solve(solver._cap, b), 0
-
-    monkeypatch.setattr(stokes.lapack, "dpotrs", cho_solve_potrs)
-    v_ref = solver._velocity(force)
-    assert calls == [(len(solver._ring),)]
-    assert np.array_equal(v.u, v_ref.u) and np.array_equal(v.w, v_ref.w)
-
-
 def _einsum_capacitance(Sx, Sy, W, hx, hy):
-    """Reference (ring, K) of stokes._ring_capacitance: each block of
-    (B^-1)[ring, ring] between two wall lines is one five-operand einsum
-    over the line's x and y basis rows."""
+    """The whole ring capacitance (ring, K) the solver never forms:
+    K = diag(1/P_ring) + (B^-1)[ring, ring] on the flat indices
+    i*(ny-1) + j of the nodes next to a wall, each block of (B^-1)[ring,
+    ring] between two wall lines one five-operand einsum over the line's x
+    and y basis rows."""
     nx, m = Sx.shape[0] + 1, Sy.shape[0]
     P = np.zeros((nx - 1, m))
     P[:, [0, -1]] += 2.0 / hy ** 4
@@ -280,22 +224,172 @@ def _einsum_capacitance(Sx, Sy, W, hx, hy):
     return ring, K[np.ix_(first, first)] + np.diag(1.0 / P.ravel()[ring])
 
 
+def _full_capacitance(grid, solver):
+    return _einsum_capacitance(operators._dst_factor(grid.nx), operators._dst_factor(grid.ny),
+                               solver._B_inv, grid.hx, grid.hy)
+
+
+def _sector_bases(grid, ring):
+    """The orthonormal bases (R x n_s, s = 2 px + py) of the mirror-parity
+    sectors on the ring: the flips i -> nx-2-i and j -> ny-2-j applied to
+    each representative, (i, 0) for 2i <= nx-2 and then (0, j) for
+    1 <= j, 2j <= ny-2, summed with the signs (-1)^(px a + py b) of the
+    sector; a representative whose sum vanishes has no orbit vector there."""
+    mx, my = grid.nx - 1, grid.ny - 1
+    position = {node: k for k, node in enumerate(ring)}
+    reps = ([(i, 0) for i in range(mx) if 2 * i <= mx - 1]
+            + [(0, j) for j in range(1, my) if 2 * j <= my - 1])
+    bases = []
+    for px in (0, 1):
+        for py in (0, 1):
+            columns = []
+            for i, j in reps:
+                v = np.zeros(len(ring))
+                for a in (0, 1):
+                    for b in (0, 1):
+                        node = (mx - 1 - i if a else i) * my + (my - 1 - j if b else j)
+                        v[position[node]] += (-1.0) ** (px * a + py * b)
+                if np.any(v):
+                    columns.append(v / np.linalg.norm(v))
+            bases.append(np.array(columns).T)
+    return bases
+
+
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(24, 40, 2.0, 1.3),
+                                  GridSpec(9, 12, 1.0, 1.3), GridSpec(64, 64),
+                                  GridSpec(128, 128)],
+                         ids=["16x16", "24x40", "9x12", "64x64", "128x128"])
+def test_one_pair_solve_matches_two_pair_formula(grid, rng, monkeypatch):
+    """The capacitance solve written with B^-1 applied by a full DST-I pair
+    on each side of a ring solve with the whole capacitance K, formed and
+    Cholesky-factored here: z = B^-1 r, y = K^-1 z[ring], psi = z - B^-1 y.
+    The shipped solve forms z and S y on the ring lines only and solves
+    with K's mirror-parity sectors; (v, q) must agree to rounding."""
+    solver = stokes.StokesSolver(grid, 0.7)
+    force = _random_force(grid, rng)
+    v, q, _ = solver.solve(force)
+    ring, K = _full_capacitance(grid, solver)
+    cap = sla.cho_factor(K)
+
+    def B_inv(r):
+        return idstn(dstn(r, type=1, norm="ortho") * solver._B_inv, type=1, norm="ortho")
+
+    def two_pair_velocity(force):
+        dudy, dwdx = node_shear_gradients(force)
+        z = B_inv((dwdx - dudy)[1:-1, 1:-1] / solver.nu)
+        y = np.zeros_like(z)
+        y.flat[ring] = sla.cho_solve(cap, z.flat[ring])
+        psi = np.zeros((grid.nx + 1, grid.ny + 1))
+        psi[1:-1, 1:-1] = z - B_inv(y)
+        return StaggeredVectorField.from_stream_function(grid, psi)
+
+    monkeypatch.setattr(solver, "_velocity", two_pair_velocity)
+    v_ref, q_ref, _ = solver.solve(force)
+    for x, ref in ((v.u, v_ref.u), (v.w, v_ref.w), (q.values, q_ref.values)):
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(12, 9, 1.2, 0.9)],
+                         ids=["16x16", "12x9"])
+def test_ring_back_solve_is_bitwise_cho_solve(grid, rng, monkeypatch):
+    """The solve calls LAPACK potrs once per sector on the factor of LAPACK
+    potrf; with sla.cho_solve on that (upper) factor in its place every
+    velocity face is the same, bit for bit.  The derivative pass the solve
+    returns is, bit for bit, the pass of its velocity."""
+    solver = stokes.StokesSolver(grid, 0.7)
+    force = _random_force(grid, rng)
+    v, _, dv = solver.solve(force)
+    ref = velocity_derivatives(v)
+    assert dv.v is v
+    for name in ("dudx", "dwdy", "dudy", "dwdx"):
+        assert getattr(dv, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert (dv.u_max, dv.w_max) == (ref.u_max, ref.w_max)
+    v = solver._velocity(force)
+    calls = []
+
+    def cho_solve_potrs(c, b, **kwargs):
+        calls.append((c, b.shape))
+        return sla.cho_solve((c, False), b), 0
+
+    monkeypatch.setattr(stokes.lapack, "dpotrs", cho_solve_potrs)
+    v_ref = solver._velocity(force)
+    assert len(calls) == len(solver._sectors) == 4
+    for (c, shape), (_, cap) in zip(calls, solver._sectors):
+        assert c is cap and shape == (len(cap),)
+    assert np.array_equal(v.u, v_ref.u) and np.array_equal(v.w, v_ref.w)
+
+
 @pytest.mark.parametrize("grid", [GridSpec(4, 4), GridSpec(5, 7), GridSpec(16, 16),
                                   GridSpec(24, 40, 2.0, 1.3), GridSpec(64, 64)],
                          ids=["4x4", "5x7", "16x16", "24x40", "64x64"])
 def test_ring_capacitance_matches_einsum_blocks(grid):
+    """Each sector block equals the whole capacitance of the einsum
+    reference projected onto that sector's orbit basis, and the four bases
+    together are an orthonormal basis of the ring on which K has no
+    coupling between sectors."""
     solver = stokes.StokesSolver(grid, 1.0)
-    args = (operators._dst_factor(grid.nx), operators._dst_factor(grid.ny),
-            solver._B_inv, grid.hx, grid.hy)
-    ring, K = stokes._ring_capacitance(*args)
-    ring_ref, K_ref = _einsum_capacitance(*args)
+    ring, K_ref = _full_capacitance(grid, solver)
+    blocks, _, _ = stokes._capacitance_sectors(
+        operators._dst_factor(grid.nx), operators._dst_factor(grid.ny),
+        solver._B_inv, grid.hx, grid.hy)
 
     wall = np.zeros((grid.nx - 1, grid.ny - 1), dtype=bool)
     wall[[0, -1], :] = wall[:, [0, -1]] = True
-    assert np.array_equal(ring, ring_ref)
     assert np.array_equal(ring, np.flatnonzero(wall))
-    assert np.array_equal(solver._ring, ring)
-    assert np.max(np.abs(K - K_ref)) <= 1e-14 * np.max(np.abs(K_ref))
+    bases = _sector_bases(grid, ring)
+    V = np.hstack(bases)
+    assert np.max(np.abs(V.T @ V - np.eye(len(ring)))) <= 1e-15 * len(ring)
+    scale = np.max(np.abs(K_ref))
+    assert [len(K) for K in blocks] == [V_s.shape[1] for V_s in bases]
+    for s, (K, V_s) in enumerate(zip(blocks, bases)):
+        assert np.max(np.abs(K - V_s.T @ K_ref @ V_s)) <= 1e-14 * scale
+        for V_t in bases[s + 1:]:
+            assert np.max(np.abs(V_s.T @ K_ref @ V_t)) <= 1e-14 * scale
+
+
+def test_sector_sizes_sum_to_the_ring():
+    for nx in range(4, 8):
+        for ny in range(4, 8):
+            solver = stokes.StokesSolver(GridSpec(nx, ny), 1.0)
+            sizes = [len(cap) for _, cap in solver._sectors]
+            assert sum(sizes) == 2 * (nx - 1) + 2 * (ny - 1) - 4, (nx, ny)
+            assert [(part.start, part.stop) for part, _ in solver._sectors] \
+                == [(sum(sizes[:s]), sum(sizes[:s + 1])) for s in range(4)]
+
+
+def _held_arrays(obj):
+    """Every array an object holds, through its attributes, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _held_arrays(item)]
+    if hasattr(obj, "__dict__"):
+        return _held_arrays(list(vars(obj).values()))
+    return []
+
+
+@pytest.mark.parametrize("grid", [GridSpec(16, 16), GridSpec(7, 9, 1.0, 1.3),
+                                  GridSpec(24, 40, 2.0, 1.3)],
+                         ids=["16x16", "7x9", "24x40"])
+def test_solver_factors_no_more_than_a_sector(grid, monkeypatch):
+    """Every factorization the solver asks LAPACK potrf for, and every
+    factor it holds, has at most ceil((nx-1)/2) + ceil((ny-1)/2) - 1 rows
+    (the largest sector), and it holds no array of R^2 entries or more, R
+    the ring's size: an O(R^3) full-ring factorization cannot come back."""
+    bound = -(-(grid.nx - 1) // 2) + -(-(grid.ny - 1) // 2) - 1
+    ring_size = 2 * (grid.nx - 1) + 2 * (grid.ny - 1) - 4
+    factored = []
+    real_potrf = stokes.lapack.dpotrf
+
+    def recorded_potrf(a, **kwargs):
+        factored.append(a.shape)
+        return real_potrf(a, **kwargs)
+
+    monkeypatch.setattr(stokes.lapack, "dpotrf", recorded_potrf)
+    solver = stokes.StokesSolver(grid, 1.0)
+    assert len(factored) == 4 and max(n for n, _ in factored) == bound
+    assert max(len(cap) for _, cap in solver._sectors) == bound
+    assert max(a.size for a in _held_arrays(solver)) < ring_size ** 2
 
 
 def test_solver_setup_calls_no_einsum(monkeypatch):
