@@ -76,6 +76,7 @@ t_end - t is below dt_min (and 1e-14), so no step is shorter than dt_min.
 
 from __future__ import annotations
 
+import os
 import time as _time
 from dataclasses import dataclass
 from pathlib import Path
@@ -357,7 +358,8 @@ class Simulation:
         (outdir / "run_config.ini").write_text(dump_config(cfg), encoding="utf-8")
         csv_path = outdir / "diagnostics.csv"
         fresh = work.state.step_index == 0
-        kept = [] if fresh else _csv_rows_through(csv_path, work.state.step_index)
+        if not fresh:
+            _keep_csv_rows_through(csv_path, work.state.step_index)
         written = None  # (step, step control) of the last checkpoint
 
         def checkpoint():
@@ -371,11 +373,10 @@ class Simulation:
             write_restart(outdir / f"restart_{state.step_index:08d}.chv",
                           state, control, e_scale)
 
-        csv = open(csv_path, "w", encoding="utf-8", newline="\n")
+        csv = open(csv_path, "w" if fresh else "a", encoding="utf-8", newline="\n")
         try:
-            csv.write(DiagnosticsRow.CSV_HEADER + "\n")
-            csv.writelines(kept)
             if fresh:
+                csv.write(DiagnosticsRow.CSV_HEADER + "\n")
                 checkpoint()
 
             while True:
@@ -446,16 +447,24 @@ class Simulation:
         )
 
 
-def _csv_rows_through(path: Path, step: int) -> list[str]:
-    """Complete data rows of an existing diagnostics CSV with step <= step.
-    A run resumed from the restart at `step` rewrites the file with these,
-    so no step appears twice."""
-    if not path.exists():
-        return []
-    kept = []
-    for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+def _keep_csv_rows_through(path: Path, step: int):
+    """Cut an existing diagnostics CSV down to its header and its complete
+    data rows with step <= step, the rows before the restart at `step`, so
+    that a resumed run appends no step twice.  The cut file is written to a
+    temporary file in the same directory, which then replaces ``path``, so
+    a crash at any point leaves either the old file or the cut one."""
+    lines = (path.read_text(encoding="utf-8").splitlines(keepends=True)
+             if path.exists() else [])
+    kept = [DiagnosticsRow.CSV_HEADER + "\n"]
+    for line in lines:
         head = line.split(",", 1)[0]
         if line.endswith("\n") and head.isdigit() and int(head) <= step:
             kept.append(line)
-    return kept
-
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(kept)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

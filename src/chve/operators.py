@@ -54,7 +54,10 @@ preconditioner and the pressure solve).  :func:`dst2d` applies the DST-I
 basis of the Stokes stream function on the interior nodes.  On grids of
 at most ``DENSE_TRANSFORM_MAX`` cells per axis (:func:`dense_transforms`)
 both are two products with their cached orthonormal 1-D factors, which
-beats pocketfft there; above, pocketfft's O(n^2 log n) wins.
+beats pocketfft there; above, pocketfft's O(n^2 log n) wins.  ``scipy.fft``
+(pocketfft, and with it ``scipy.special``) is imported by the first
+transform above the crossover, not with this module, so a run on a smaller
+grid never loads it.
 Scalars are flattened C-order, index ``i * ny + j``.
 """
 
@@ -65,7 +68,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dctn, dstn, idctn
 
 from .grid import GridSpec, PreconditionError, ScalarField, StaggeredVectorField
 
@@ -177,7 +179,8 @@ def dct2d(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     (:func:`dense_transforms`), pocketfft above."""
     nx, ny = x.shape
     if not dense_transforms(nx, ny):
-        return (idctn if inverse else dctn)(x, type=2, norm="ortho")
+        from scipy import fft
+        return (fft.idctn if inverse else fft.dctn)(x, type=2, norm="ortho")
     Cx, Cy = _dct_factor(nx), _dct_factor(ny)
     return (Cx.T @ x) @ Cy if inverse else (Cx @ x) @ Cy.T
 
@@ -199,7 +202,8 @@ def dst2d(x: np.ndarray) -> np.ndarray:
     (:func:`dense_transforms` on the cell counts), pocketfft above."""
     nx, ny = x.shape[0] + 1, x.shape[1] + 1
     if not dense_transforms(nx, ny):
-        return dstn(x, type=1, norm="ortho")
+        from scipy import fft
+        return fft.dstn(x, type=1, norm="ortho")
     return (_dst_factor(nx) @ x) @ _dst_factor(ny)
 
 

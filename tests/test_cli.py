@@ -223,6 +223,36 @@ def test_module_runs_without_installing():
     assert proc.stdout.startswith("usage: chve")
 
 
+_LOADS_POCKETFFT = """
+import sys
+import numpy, scipy.sparse, scipy.linalg
+import chve.cli
+from chve.config import parse_config
+from chve.driver import Simulation
+from chve.operators import dst2d
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    Simulation(parse_config(fh.read())).run()
+print(sorted({"scipy.fft", "scipy.special"} & set(sys.modules)))
+dst2d(numpy.zeros((96, 95)))  # 97 x 96 cells, above the crossover
+print(sorted({"scipy.fft"} & set(sys.modules)))
+"""
+
+
+def test_dense_grids_never_load_pocketfft(tmp_path):
+    # in a fresh interpreter, after the imports a caller of its own makes,
+    # the CLI and a 16^2 run load neither scipy.fft nor scipy.special; the
+    # first transform above the crossover loads scipy.fft
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("PLACEHOLDER", str(tmp_path / "out")))
+    src = Path(chve.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _LOADS_POCKETFFT, str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['scipy.fft']"]
+
+
 def test_verify_operators_suite(capsys):
     rc = main(["verify", "operators"])
     assert rc == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,54 @@ def test_resume_into_own_directory_rewrites_csv_rows(tmp_path):
     cfg = replace(cfg, initial=replace(cfg.initial, restart_file=str(restart)))
     simulate(cfg)
     assert (tmp_path / "run" / "diagnostics.csv").read_bytes() == expected
+
+
+_DIES_AT_STEP_12 = """
+import os, sys
+from chve.config import parse_config
+from chve.driver import Simulation
+
+class DiesAtStep12(Simulation):
+    def coupled_step(self, work, dt):
+        if work.state.step_index == 12:  # step 12 is accepted: die at once
+            os._exit(3)
+        return super().coupled_step(work, dt)
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    DiesAtStep12(parse_config(fh.read())).run()
+"""
+
+
+def test_resume_killed_before_its_first_checkpoint_keeps_the_csv(tmp_path):
+    # a resume into the run's own directory that dies before it writes a
+    # checkpoint leaves the CSV rows before the restart on disk, so a second
+    # resume from the same restart still rebuilds the uninterrupted CSV
+    import subprocess
+    import sys
+    from dataclasses import replace
+    import chve
+    from chve.config import dump_config
+    kw = dict(n=16, t_end=1.0, snapshot_every=5)
+    simulate(spinodal_config(tmp_path, name="run", max_steps=20, **kw))
+    csv = tmp_path / "run" / "diagnostics.csv"
+    expected = csv.read_bytes()
+    assert len(expected.splitlines()) == 21
+
+    cfg = spinodal_config(tmp_path, name="run", max_steps=10, **kw)
+    restart = tmp_path / "run" / "restart_00000010.chv"
+    cfg = replace(cfg, initial=replace(cfg.initial, restart_file=str(restart)))
+    ini = tmp_path / "resume.ini"
+    ini.write_text(dump_config(cfg), encoding="utf-8")
+    src = Path(chve.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _DIES_AT_STEP_12, str(ini)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert csv.read_bytes().splitlines() == expected.splitlines()[:11]
+    assert not csv.with_name(csv.name + ".tmp").exists()
+
+    simulate(cfg)
+    assert csv.read_bytes() == expected
 
 
 def test_coupled_step_needs_no_scipy_krylov(tmp_path, monkeypatch):
@@ -662,6 +711,101 @@ def test_coupled_step_repeats_bitwise(tmp_path):
                  (a.F.comps, b.F.comps), (a.v.u, b.v.u), (a.v.w, b.v.w),
                  (a.q.values, b.q.values)):
         assert np.array_equal(x, y)
+
+
+def _flip(axis):
+    return lambda a: np.ascontiguousarray(np.flip(a, axis))
+
+
+def _swap(a):
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+
+
+# R F R for R = diag(-1, 1) or diag(1, -1): the off-diagonal entries negate
+_RFR = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+# name -> (cell data, F, (u, w)) of a symmetry of the box
+_SYMMETRIES = {
+    # x -> lx - x: F -> RFR with R = diag(-1, 1), the mirrored u negated
+    "mirror-x": (_flip(0), lambda F: _flip(0)(F) * _RFR,
+                 lambda u, w: (-_flip(0)(u), _flip(0)(w))),
+    # y -> ly - y: F -> RFR with R = diag(1, -1), the mirrored w negated
+    "mirror-y": (_flip(1), lambda F: _flip(1)(F) * _RFR,
+                 lambda u, w: (_flip(1)(u), -_flip(1)(w))),
+    # x <-> y on a square grid: F -> PFP with P the swap, (u, w) -> (w^T, u^T)
+    "transpose": (_swap, lambda F: _swap(F)[:, :, ::-1, ::-1].copy(),
+                  lambda u, w: (_swap(w), _swap(u))),
+}
+
+
+def _transformed(state, symmetry):
+    cells, tensor, faces = _SYMMETRIES[symmetry]
+    g = state.phi.grid
+    return SimState(phi=ScalarField(g, cells(state.phi.values)),
+                    phi_prev=ScalarField(g, cells(state.phi_prev.values)),
+                    mu=ScalarField(g, cells(state.mu.values)),
+                    F=TensorField(g, tensor(state.F.comps)),
+                    v=StaggeredVectorField(g, *faces(state.v.u, state.v.w)),
+                    q=ScalarField(g, cells(state.q.values)),
+                    t=state.t, step_index=state.step_index)
+
+
+def _unknowns(state):
+    """phi, mu, q, F, u and w of a state."""
+    return (state.phi.values, state.mu.values, state.q.values, state.F.comps,
+            state.v.u, state.v.w)
+
+
+def _stepped(sim, state, steps, dt):
+    """state after steps coupled steps of size dt from its own record, and
+    the (Picard, Newton) counts of each."""
+    work, counts = StateWork.of(state, sim.params), []
+    for _ in range(steps):
+        work, stats = sim.coupled_step(work, dt)
+        counts.append((stats.picard_iters, stats.newton_iters))
+    return work.state, counts
+
+
+@pytest.mark.parametrize("symmetry,grid", [
+    ("mirror-x", GridSpec(13, 10, 1.3, 1.0)),
+    ("mirror-y", GridSpec(13, 10, 1.3, 1.0)),
+    ("transpose", GridSpec(11, 11)),
+])
+def test_coupled_step_keeps_the_box_symmetries(tmp_path, symmetry, grid):
+    """Stepping a state and then mirroring or transposing it equals
+    transforming it and then stepping, to 1e-12 of each field's max-norm,
+    with equal Picard and Newton counts: the discretization is equivariant
+    under the box's symmetries."""
+    cfg = dataclasses.replace(spinodal_config(tmp_path), grid=grid)
+    sim = Simulation(cfg)
+    work, _, _ = sim.initial_state()
+    noise = np.random.default_rng(7).standard_normal((grid.nx, grid.ny, 2, 2))
+    F0 = TensorField(grid, TensorField.identity(grid).comps + 0.2 * noise)
+    state = dataclasses.replace(work.state, F=F0)
+    a, counts_a = _stepped(sim, state, 10, 1e-5)
+    b, counts_b = _stepped(sim, _transformed(state, symmetry), 10, 1e-5)
+    a = _transformed(a, symmetry)
+    assert counts_a == counts_b
+    for x, y in zip(_unknowns(a), _unknowns(b)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_coupled_run_through_pocketfft_matches_the_dense_run(tmp_path, monkeypatch):
+    # 12^2 SPINODAL to t = 2e-4 with every eigenbasis applied as dense
+    # products, then through pocketfft (crossover patched to 8 cells): the
+    # same steps, Picard and Newton counts, and final fields
+    from chve import operators
+    kw = dict(n=12, t_end=2e-4, dt0=1e-5, adaptive="true", picard_tol=1e-8)
+    runs = {}
+    for name, crossover in (("dense", 12), ("pocketfft", 8)):
+        monkeypatch.setattr(operators, "DENSE_TRANSFORM_MAX", crossover)
+        runs[name] = simulate(spinodal_config(tmp_path, name=name, **kw))
+    (summary_a, rows_a, a), (summary_b, rows_b, b) = runs["dense"], runs["pocketfft"]
+    assert summary_a.steps == summary_b.steps == 17
+    assert [(r.picard_iters, r.newton_iters) for r in rows_a] == \
+        [(r.picard_iters, r.newton_iters) for r in rows_b]
+    for x, y in zip(_unknowns(a), _unknowns(b)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
 
 
 def _run_with_one_energy_rejection(tmp_path, monkeypatch, name, keep=True):
