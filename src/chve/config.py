@@ -174,7 +174,7 @@ def parse_config(text: str) -> ConfigSpec:
         if section not in _KEYS:
             raise ValidationError(f"unknown config section [{section}]")
         body = values[section] = {}
-        for key, raw in cp[section].items():
+        for key, raw in cp.items(section, raw=True):
             if key not in _KEYS[section]:
                 raise ValidationError(f"[{section}]: unknown key {key!r}")
             name, typ = _KEYS[section][key]

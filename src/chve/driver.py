@@ -38,7 +38,8 @@ Each derived field is formed once and handed to every reader:
   dissipation.
 * The work of a state travels by argument, in its record
   (:class:`StateWork`: the state, its constitutive pass, the derivative
-  pass of its velocity and, once made, its first Stokes solve).
+  pass of its velocity where a solve made it and, once made, its first
+  Stokes solve).
   :meth:`Simulation.initial_state` returns the first record and
   :meth:`Simulation.coupled_step` maps a record to the candidate's; the
   run loop holds the record it steps from, so a retry forms none of that
@@ -92,7 +93,7 @@ from .errors import NewtonError, SolverError, ValidationError
 from .grid import (ModelParams, PreconditionError, ScalarField, SimState,
                    StaggeredVectorField, TensorField)
 from .operators import (VelocityDerivatives, advect_upwind, laplacian_matrix,
-                        solenoidal_residual, upwind_candidates, velocity_derivatives)
+                        solenoidal_residual, upwind_candidates)
 from .stokes import StokesSolver, assemble_force
 from .transport import TransportSystem
 from .vtk_io import read_restart, write_restart, write_vtk
@@ -127,7 +128,6 @@ class RunSummary:
 
 def initial_phi(cfg: ConfigSpec) -> ScalarField:
     g, ini = cfg.grid, cfg.initial
-    X, Y = g.cell_centers()
     if ini.phi == "uniform":
         vals = np.full((g.nx, g.ny), ini.phi_value)
     elif ini.phi == "random-uniform":
@@ -139,9 +139,11 @@ def initial_phi(cfg: ConfigSpec) -> ScalarField:
         vals = vals + 0.125 * ((p[:-2, 1:-1] - 2 * vals + p[2:, 1:-1])
                                + (p[1:-1, :-2] - 2 * vals + p[1:-1, 2:]))
     elif ini.phi == "tanh-x":
+        X, _ = g.cell_centers()
         vals = ini.phi_value + ini.phi_amplitude * np.tanh(
             (X - 0.5 * g.lx) / ini.phi_width)
     else:  # "tanh-y", the last profile InitialConfig admits
+        _, Y = g.cell_centers()
         vals = ini.phi_value + ini.phi_amplitude * np.tanh(
             (Y - 0.5 * g.ly) / ini.phi_width)
     return ScalarField(g, vals)
@@ -150,9 +152,10 @@ def initial_phi(cfg: ConfigSpec) -> ScalarField:
 def initial_F(cfg: ConfigSpec) -> TensorField:
     """F0 = I + F_amplitude cos(pi x / lx) e1 (x) e1, the identity at amplitude 0."""
     g = cfg.grid
-    X, _ = g.cell_centers()
-    c = TensorField.identity(g).comps.copy()
-    c[:, :, 0, 0] += cfg.initial.F_amplitude * np.cos(np.pi * X / g.lx)
+    x = (np.arange(g.nx) + 0.5) * g.hx  # the cell centers' x, as in cell_centers()
+    c = np.zeros((g.nx, g.ny, 2, 2))
+    c[..., 0, 0] = (1.0 + cfg.initial.F_amplitude * np.cos(np.pi * x / g.lx))[:, None]
+    c[..., 1, 1] = 1.0
     return TensorField(g, c)
 
 
@@ -182,12 +185,13 @@ def sweep_advection(v: StaggeredVectorField, faces, d: int):
 @dataclass
 class StateWork:
     """The dt-independent work of one state: its constitutive pass, the
-    derivative pass of its velocity and, once solved, the first Stokes
-    solve (v, q, dv) of a step from it, which every attempt at that step
-    shares (see the module docstring)."""
+    derivative pass of its velocity where a solve made it (None for a
+    state read back; only a candidate's is read, by its diagnostics row)
+    and, once solved, the first Stokes solve (v, q, dv) of a step from it,
+    which every attempt at that step shares (see the module docstring)."""
     state: SimState
     fields: StateFields
-    dv: VelocityDerivatives
+    dv: VelocityDerivatives | None
     first_solve: tuple[StaggeredVectorField, ScalarField, VelocityDerivatives] | None = None
 
     @classmethod
@@ -196,7 +200,7 @@ class StateWork:
         state alone."""
         return cls(state, state_fields(state.phi, state.F,
                                        law.stretch_invariant(state.F.comps), params),
-                   velocity_derivatives(state.v))
+                   None)
 
 
 class Simulation:

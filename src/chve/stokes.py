@@ -138,8 +138,8 @@ def _capacitance_sectors(Sx: np.ndarray, Sy: np.ndarray, W: np.ndarray,
             for px, py in parities]
     sizes = [i.size + j.size for i, j in reps]
     # the representative (ri, rj) of each stacked coordinate, sector by sector
-    ri = np.concatenate([np.r_[i, 0 * j] for i, j in reps])
-    rj = np.concatenate([np.r_[0 * i, j] for i, j in reps])
+    ri = np.concatenate([a for i, j in reps for a in (i, 0 * j)])
+    rj = np.concatenate([a for i, j in reps for a in (0 * i, j)])
     sector = np.repeat(np.arange(4), sizes)
     w = np.where((2 * ri == mx - 1) | (2 * rj == my - 1), np.sqrt(2.0), 2.0)
     P = 2.0 / hy ** 4 * (rj == 0) + 2.0 / hx ** 4 * (ri == 0)

@@ -46,14 +46,18 @@ _HEADER = struct.Struct("<5sqqddddqqd")
 
 
 def write_vtk(path: str | Path, state: SimState):
-    """Write the binary snapshot of ``state``; layout in the module docstring."""
+    """Write the binary snapshot of ``state``; layout in the module docstring.
+    Each data block is built once, already in file order (ny, nx, ...) and
+    big-endian, and written from its own buffer."""
     g = state.phi.grid
     nx, ny = g.nx, g.ny
-    velocity = np.zeros((nx, ny, 3))
-    velocity[..., 0] = 0.5 * (state.v.u[1:, :] + state.v.u[:-1, :])
-    velocity[..., 1] = 0.5 * (state.v.w[:, 1:] + state.v.w[:, :-1])
-    F = np.zeros((nx, ny, 3, 3))
-    F[..., :2, :2] = state.F.comps
+    # (nx, ny, ...) -> (ny, nx, ...) in C order: x runs fastest
+    u, w = state.v.u, state.v.w
+    velocity = np.zeros((ny, nx, 3), dtype=">f8")
+    velocity[..., 0] = (0.5 * (u[1:, :] + u[:-1, :])).T
+    velocity[..., 1] = (0.5 * (w[:, 1:] + w[:, :-1])).T
+    F = np.zeros((ny, nx, 3, 3), dtype=">f8")
+    F[..., :2, :2] = state.F.comps.swapaxes(0, 1)
 
     header = "\n".join([
         "# vtk DataFile Version 3.0",
@@ -65,16 +69,16 @@ def write_vtk(path: str | Path, state: SimState):
         f"SPACING {g.hx:.17g} {g.hy:.17g} 1",
         f"CELL_DATA {nx * ny}",
     ])
-    blocks = [(f"SCALARS {name} double 1\nLOOKUP_TABLE default", fld.values)
+    blocks = [(f"SCALARS {name} double 1\nLOOKUP_TABLE default",
+               fld.values.T.astype(">f8", order="C"))
               for name, fld in (("phi", state.phi), ("mu", state.mu), ("q", state.q))]
     blocks += [("VECTORS velocity double", velocity), ("TENSORS F double", F)]
 
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        for line, a in blocks:
+        for line, block in blocks:
             fh.write(line.encode("ascii") + b"\n")
-            # (nx, ny, ...) -> (ny, nx, ...) in C order: x runs fastest
-            fh.write(np.ascontiguousarray(np.swapaxes(a, 0, 1), dtype=">f8").tobytes())
+            fh.write(block)
             fh.write(b"\n")
 
 
@@ -93,7 +97,7 @@ def write_restart(path: str | Path, state: SimState, control: StepControl,
                                   state.step_index, control.streak, energy_scale))
             for arr in (state.phi.values, state.phi_prev.values, state.mu.values,
                         state.q.values, state.F.comps, state.v.u, state.v.w):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

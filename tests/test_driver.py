@@ -501,29 +501,38 @@ def test_step_stats_count_the_krylov_iterations(tmp_path, monkeypatch):
     assert calls["gmres"] > 0 and calls["pcg"] > 0
 
 
+def _count_calls(monkeypatch, *functions):
+    """Count the calls of each (owner, name) function, wherever the package
+    looks it up; returns the live dict name -> count."""
+    import sys
+    counts = {}
+    chve_modules = [m for k, m in sys.modules.items() if k == "chve" or k.startswith("chve.")]
+    for owner, name in functions:
+        real = getattr(owner, name)
+        counts[name] = 0
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        for mod in chve_modules:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
 def test_each_derived_field_is_formed_once(tmp_path, monkeypatch):
     # 16^2, two Picard sweeps per step: the velocity-derivative pass is
     # formed once per Stokes solve, one per sweep (step 1's first sweep
     # keeps the initial state's solve), and f(phi), b(phi) and f'(phi) in
     # one pass per accepted state plus the initial state, with no separate
     # evaluation of any of them
-    import sys
     from chve import constitutive, operators
-    names = ("velocity_derivatives", "phase_profiles", "stiffness_f", "mobility_b",
-             "stiffness_f_prime")
-    counts = dict.fromkeys(names, 0)
-    chve_modules = [m for k, m in sys.modules.items() if k == "chve" or k.startswith("chve.")]
-    for owner, name in ((operators, "velocity_derivatives"),
-                        *((constitutive, name) for name in names[1:])):
-        real = getattr(owner, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-
-        for mod in chve_modules:  # wherever the package looks the function up
-            if getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, counted)
+    counts = _count_calls(monkeypatch, (operators, "velocity_derivatives"),
+                          *((constitutive, name) for name in (
+                              "phase_profiles", "stiffness_f", "mobility_b",
+                              "stiffness_f_prime")))
     summary, rows, _ = simulate(spinodal_config(tmp_path, n=16, max_steps=8, t_end=1.0,
                                                 picard_max=2))
     assert summary.steps == len(rows) == 8 and summary.rejected_steps == 0
@@ -531,6 +540,26 @@ def test_each_derived_field_is_formed_once(tmp_path, monkeypatch):
     assert solves == 2 * 8
     assert counts == {"velocity_derivatives": solves, "phase_profiles": 8 + 1,
                       "stiffness_f": 0, "mobility_b": 0, "stiffness_f_prime": 0}
+
+
+def test_a_resumed_run_forms_one_derivative_pass_per_stokes_solve(tmp_path, monkeypatch):
+    # nothing reads the velocity derivatives of a state read back from a
+    # restart (only a candidate's, for its diagnostics row), so a resumed
+    # run forms the derivative pass inside its Stokes solves only
+    from dataclasses import replace
+    from chve import operators
+    from chve.stokes import StokesSolver
+    kw = dict(n=16, t_end=1.0, snapshot_every=4)
+    simulate(spinodal_config(tmp_path, name="run", max_steps=4, **kw))
+    cfg = spinodal_config(tmp_path, name="resume", max_steps=4, **kw)
+    restart = tmp_path / "run" / "restart_00000004.chv"
+    cfg = replace(cfg, initial=replace(cfg.initial, restart_file=str(restart)))
+    counts = _count_calls(monkeypatch, (operators, "velocity_derivatives"),
+                          (StokesSolver, "solve"))
+    summary, rows, _ = simulate(cfg)
+    assert summary.steps == len(rows) == 4 and summary.rejected_steps == 0
+    solves = sum(r.picard_iters for r in rows)
+    assert counts == {"velocity_derivatives": solves, "solve": solves}
 
 
 def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):

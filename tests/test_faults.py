@@ -1,9 +1,14 @@
 """Fault injection: a failure inside a step becomes a rejected step, a
-damaged restart file becomes a validation error (CLI exit 2), and a crash
-while writing a restart leaves the previous one intact."""
+damaged restart file becomes a validation error (CLI exit 2), a crash
+while writing a restart leaves the previous one intact, and a run killed
+at any point and resumed from its newest restart ends with the files of
+the uninterrupted run."""
 
 import dataclasses
 import itertools
+import os
+import time
+import traceback
 
 import numpy as np
 import pytest
@@ -272,3 +277,174 @@ def test_crash_mid_restart_write_keeps_previous_file(tmp_path, monkeypatch):
     loaded, control, e_scale = read_restart(path)
     assert (control, e_scale, loaded.t) == (StepControl(1e-4, 2), 1.5, state.t)
     assert [p.name for p in tmp_path.iterdir()] == ["restart.chv"]
+
+
+# -- killed anywhere, resumed from the newest restart -------------------------
+
+KILLED = 86  # the exit code of a child that died at its kill point
+
+
+def _in_child(body, timeout=60.0) -> int:
+    """Run body() in a forked child and return its exit code: 0 when body
+    returns, 1 when it raises, whatever os._exit it calls otherwise."""
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the test
+        code = 1
+        try:
+            body()
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + timeout
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail(f"child {pid} ran over {timeout} s")
+        time.sleep(0.001)
+
+
+class _DiesAfterFirstBlock:
+    """A file that writes through to fh until a write of at least `block`
+    bytes, a data block, has reached the disk, and then kills the process."""
+
+    def __init__(self, fh, block: int):
+        self.fh, self.block = fh, block
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        n = self.fh.write(data)
+        if memoryview(data).nbytes >= self.block:
+            self.fh.flush()
+            os._exit(KILLED)
+        return n
+
+
+def _arm(point):
+    """In a child: make the run die by os._exit(KILLED) at point (kind, step).
+    Kinds, in the order a checkpoint of `step` meets them: "vtk" (inside its
+    snapshot, after the first data block), "restart" (after csv.flush() and
+    the snapshot, before write_restart), "replace" (inside write_restart,
+    before its os.replace); then "step", the boundary where the step from
+    state `step` begins."""
+    kind, at = point
+    if kind == "step":
+        real_step = Simulation.coupled_step
+
+        def coupled_step(self, work, dt):
+            if work.state.step_index == at:
+                os._exit(KILLED)
+            return real_step(self, work, dt)
+
+        Simulation.coupled_step = coupled_step
+    elif kind == "vtk":
+        real_vtk = driver.write_vtk
+
+        def write_vtk(path, state):
+            if state.step_index == at:
+                n = state.phi.grid.nx * state.phi.grid.ny
+                vtk_io.open = lambda p, mode: _DiesAfterFirstBlock(open(p, mode), 8 * n)
+            real_vtk(path, state)
+
+        driver.write_vtk = write_vtk
+    elif kind == "restart":
+        real_restart = driver.write_restart
+
+        def write_restart(path, state, *args):
+            if state.step_index == at:
+                os._exit(KILLED)
+            real_restart(path, state, *args)
+
+        driver.write_restart = write_restart
+    else:  # "replace"
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == f"restart_{at:08d}.chv":
+                os._exit(KILLED)
+            real_replace(src, dst)
+
+        os.replace = replace
+
+
+def _kill_points(checkpoints, steps):
+    """Every kill point of a run of `steps` steps that checkpoints at the
+    given steps, in the order the run meets them."""
+    points = []
+    for step in range(steps + 1):
+        if step in checkpoints:
+            points += [("vtk", step), ("restart", step), ("replace", step)]
+        if step < steps:
+            points.append(("step", step))
+    return points
+
+
+def _newest_restart(out):
+    restarts = sorted(out.glob("restart_*.chv"))
+    return restarts[-1] if restarts else None
+
+
+def _files(out):
+    """name -> bytes of every file in out, run_config.ini aside (it names
+    its own directory and the restart the run started from)."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.name != "run_config.ini"}
+
+
+def test_run_killed_anywhere_resumes_to_the_uninterrupted_files(tmp_path):
+    # 16^2, adaptive dt with a clipped last step, a checkpoint every 3
+    # steps.  One chain of processes: each dies at the next kill point it
+    # has not died at yet, and the next resumes from the newest restart on
+    # disk (or starts afresh before the first), so resumed runs are killed
+    # at every point too.  After each kill the CSV on disk is a prefix of
+    # the uninterrupted CSV that holds every row up to the newest restart;
+    # the chain ends with the uninterrupted run's files, byte for byte, and
+    # no stray temporary file.
+    kw = dict(n=16, adaptive="true", dt0="1e-4", dt_max="4e-4", t_end=1.4e-3,
+              snapshot_every=3)
+    full = Simulation(spinodal_config(tmp_path, name="full", **kw)).run()
+    assert full.steps == 13 and full.rejected_steps == 0
+    expected = _files(tmp_path / "full")
+    checkpoints = {0, 3, 6, 9, 12, 13}
+    assert {n for n in expected if n.startswith("restart_")} == {
+        f"restart_{k:08d}.chv" for k in checkpoints}
+
+    out = tmp_path / "chain"
+    fresh = spinodal_config(tmp_path, name="chain", **kw)
+
+    def config():
+        restart = _newest_restart(out) if out.exists() else None
+        if restart is None:
+            return fresh
+        return dataclasses.replace(fresh, initial=dataclasses.replace(
+            fresh.initial, restart_file=str(restart)))
+
+    def run(cfg, point=None):
+        def body():
+            if point is not None:
+                _arm(point)
+            Simulation(cfg).run()
+        return _in_child(body)
+
+    points = _kill_points(checkpoints, full.steps)
+    assert len(points) == 3 * len(checkpoints) + full.steps
+    for point in points:
+        assert run(config(), point) == KILLED, point
+        csv = (out / "diagnostics.csv").read_bytes()
+        assert expected["diagnostics.csv"].startswith(csv), point
+        restart = _newest_restart(out)
+        kept = int(restart.name[8:16]) if restart else 0
+        assert csv.count(b"\n") >= kept + 1, point
+    assert run(config()) == 0
+    assert _files(out).keys() == expected.keys()
+    assert _files(out) == expected
