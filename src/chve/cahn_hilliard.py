@@ -79,9 +79,8 @@ def static_chemical_potential(phi: ScalarField, dw_dphi: np.ndarray,
 
         psi'(phi)/eps - eps Lap(phi) + dw/dphi,
 
-    with dw_dphi = (c/2) f'(phi)(F:F-d) of the deformation F at hand
-    (:func:`chve.constitutive.neo_hookean_dphi`), which the caller shares
-    with the momentum force.  This is the exact gradient of the discrete
+    with dw_dphi the elastic term of the deformation F at hand
+    (:func:`chve.constitutive.elastic_response`).  This is the exact gradient of the discrete
     free energy with respect to the cell values (scaled by the cell area);
     the finite-difference check in the verification module leans on that
     exactness.  The initial state's mu is this one; each step then stores

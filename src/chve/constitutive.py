@@ -12,17 +12,19 @@ through :class:`~chve.grid.ModelParams` so alternates can be swapped in:
 * mobility     b(s) = b0 + (b1-b0) * S(same argument), a ramp from b0 to b1
   over the stiffness window; b1 = b0 gives the constant mobility b0 exactly.
 
-:func:`phase_profiles` forms f, b and f' of one phase field from a single
-window position and smoothstep, bitwise equal to the three separate laws;
-the driver's constitutive pass of a state calls it once.
+:func:`phase_profiles` forms f, b and f' from one window position and one
+smoothstep, bitwise equal to the three separate laws.
 
-The elastic energies: the phase-coupled Neo-Hookean density
-w = (c/2) f(phi) (F:F - d) drives the 2-D solver.  Its formula and those of
-dw/dF and dw/dphi exist once each; w and dw/dphi read F through the stretch
-invariant F:F - d, which the driver forms once per F.  The Mooney-Rivlin
-density (the Neo-Hookean one plus cofactor and determinant terms, with
-their moduli passed in) and its first Piola stress are evaluation/test
-utilities for d = 3.
+The elastic law: the phase-coupled Neo-Hookean density
+w = (c/2) f(phi) (F:F - d) drives the 2-D solver, and only this module
+knows its form.  :func:`elastic_response` gives the stretch F:F - d of a
+deformation with dw/dphi, :func:`elastic_energy` the cell sum of w from
+f and the stretch, and :func:`eulerian_elastic_stress` the stress
+(dw/dF) F^T of the momentum balance; :func:`neo_hookean_w` and
+:func:`neo_hookean_piola` are the pointwise w and dw/dF that checks
+difference.  The Mooney-Rivlin density (the Neo-Hookean one plus cofactor
+and determinant terms, with their moduli passed in) and its first Piola
+stress are evaluation/test utilities for d = 3.
 """
 
 from __future__ import annotations
@@ -133,23 +135,15 @@ def phase_profiles(s, params: ModelParams):
 # elastic energies and stresses
 
 
-def stretch_invariant(F):
-    """F:F - d, the invariant the Neo-Hookean density is linear in; 0 at
-    F = I.  The driver forms it once per deformation gradient and hands it
-    to the density and to dw/dphi."""
+def _stretch(F):
+    """F:F - d, the invariant the Neo-Hookean density is linear in; 0 at F = I."""
     F = np.asarray(F, dtype=float)
     return frobenius(F, F) - F.shape[-1]
 
 
-def neo_hookean_density(f, stretch, params: ModelParams):
-    """(c/2) f (F:F - d) from f = f(phi) and stretch = F:F - d
-    (:func:`stretch_invariant`)."""
-    return 0.5 * params.c_elastic * f * stretch
-
-
 def neo_hookean_w(phi, F, params: ModelParams):
     """Phase-coupled Neo-Hookean density (c/2) f(phi) (F:F - d)."""
-    return neo_hookean_density(stiffness_f(phi, params), stretch_invariant(F), params)
+    return 0.5 * params.c_elastic * stiffness_f(phi, params) * _stretch(F)
 
 
 def neo_hookean_piola(phi, F, params: ModelParams):
@@ -159,16 +153,22 @@ def neo_hookean_piola(phi, F, params: ModelParams):
     return params.c_elastic * fval[..., None, None] * F
 
 
-def neo_hookean_dphi(f_prime, stretch, params: ModelParams):
-    """dw/dphi for the Neo-Hookean density: (c/2) f'(phi) (F:F - d), the
-    elastic term of the chemical potential and of the momentum force.
+def elastic_response(f_prime, F, params: ModelParams, stretch=None):
+    """(stretch, dw/dphi) of the deformation F: stretch = F:F - d and
+    dw/dphi = (c/2) f'(phi) (F:F - d), the elastic term of the chemical
+    potential and of the momentum force, with f_prime = f'(phi).
+    A caller that holds the stretch of F already passes it, and F is not
+    read."""
+    if stretch is None:
+        stretch = _stretch(F)
+    return stretch, 0.5 * params.c_elastic * f_prime * stretch
 
-    f_prime is f'(phi) (:func:`stiffness_f_prime`), which the driver
-    takes from the state's constitutive pass (:func:`phase_profiles`) and
-    shares with every F of the step, and
-    stretch is F:F - d (:func:`stretch_invariant`) of the F at hand.
-    """
-    return 0.5 * params.c_elastic * f_prime * stretch
+
+def elastic_energy(f, stretch, params: ModelParams) -> float:
+    """(c/2) <f, F:F - d>, the cell sum of the Neo-Hookean density with
+    f = f(phi) and stretch from :func:`elastic_response`: the density is
+    bilinear in (f, stretch), so one dot product reduces it."""
+    return 0.5 * params.c_elastic * float(np.dot(f.ravel(), stretch.ravel()))
 
 
 def eulerian_elastic_stress(f, F, params: ModelParams):

@@ -15,19 +15,12 @@ reuses the exact quadratic forms of the discrete step operators, so
 nothing else.  The defect is O(dt + h^2) and is reported, not enforced; no
 step is rejected on its value or sign.
 
-Both read fields that the step has already formed, never the raw state:
-:func:`state_energy` and :func:`dissipation` take the state's constitutive
-pass (:class:`StateFields`: f(phi), b(phi), f'(phi), F:F - d, grad phi),
-and :func:`dissipation` the derivative pass of its velocity
-(:func:`chve.operators.velocity_derivatives`), the one the Stokes solve
-formed for the accepted sweep.  :func:`total_energy` is the form for a
-caller that holds only (phi, F): it forms their pass itself.  The pass is
-the one place a state's pointwise laws are evaluated: f, b and f' come
-from one window position and one smoothstep
-(:func:`chve.constitutive.phase_profiles`), and the driver forms it once
-per state.  Both functions reduce by dot products over whole arrays, not
-per component or per face set: the quadratic forms are sums of squares,
-and the Neo-Hookean density is bilinear in (f, F:F - d).
+:func:`state_energy` and :func:`dissipation` read a state's constitutive
+pass (:class:`StateFields`), and :func:`dissipation` also the derivative
+pass of its velocity (:func:`chve.operators.velocity_derivatives`);
+:func:`total_energy` forms the pass of (phi, F) itself.  Each reduces by dot products over whole
+arrays: the quadratic forms are sums of squares, and the elastic energy
+is one dot product (:func:`chve.constitutive.elastic_energy`).
 """
 
 from __future__ import annotations
@@ -82,28 +75,29 @@ DiagnosticsRow.CSV_HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 @dataclass(frozen=True)
 class StateFields:
     """The constitutive pass of one state (phi, F), from :func:`state_fields`:
-    f(phi), b(phi), f'(phi), the stretch invariant F:F - d and the face
-    gradient of phi.  The driver forms one per accepted state; its energy,
-    its dissipation and the next step's transport and Cahn-Hilliard levels,
-    forces and every dw/dphi all read it."""
+    f(phi), b(phi), f'(phi), the stretch F:F - d, dw/dphi and the face
+    gradient of phi."""
     phi: ScalarField
     F: TensorField
     f: np.ndarray
     b: np.ndarray
     f_prime: np.ndarray
     stretch: np.ndarray
+    dw_dphi: np.ndarray
     grad_phi: tuple[np.ndarray, np.ndarray]
 
 
-def state_fields(phi: ScalarField, F: TensorField, stretch: np.ndarray,
-                 params: ModelParams) -> StateFields:
+def state_fields(phi: ScalarField, F: TensorField, params: ModelParams,
+                 stretch: np.ndarray | None = None) -> StateFields:
     """The constitutive pass of (phi, F): f, b and f' from one window
-    position and one smoothstep (:func:`chve.constitutive.phase_profiles`);
-    stretch is F:F - d of F (:func:`chve.constitutive.stretch_invariant`),
-    which a step has already formed for its last dw/dphi."""
+    position and one smoothstep (:func:`chve.constitutive.phase_profiles`),
+    and the stretch and dw/dphi (:func:`chve.constitutive.elastic_response`),
+    which takes the stretch of F when the caller passes it."""
     v = phi.values
     f, b, f_prime = law.phase_profiles(v, params)
-    return StateFields(phi, F, f, b, f_prime, stretch, face_gradient(v, phi.grid))
+    stretch, dw_dphi = law.elastic_response(f_prime, F.comps, params, stretch)
+    return StateFields(phi, F, f, b, f_prime, stretch, dw_dphi,
+                       face_gradient(v, phi.grid))
 
 
 def _sum_sq(*arrays) -> float:
@@ -113,12 +107,9 @@ def _sum_sq(*arrays) -> float:
 
 
 def state_energy(fields: StateFields, params: ModelParams) -> EnergyBreakdown:
-    """The free energy E of the state whose constitutive pass is ``fields``.
-    The Neo-Hookean density is bilinear in (f, F:F - d), so its cell sum is
-    the density of the dot product of the two."""
+    """The free energy E of the state whose constitutive pass is ``fields``."""
     a = fields.phi.grid.cell_area
-    fs = float(np.dot(fields.f.ravel(), fields.stretch.ravel()))
-    elastic = float(law.neo_hookean_density(1.0, fs, params)) * a
+    elastic = law.elastic_energy(fields.f, fields.stretch, params) * a
     interface = 0.5 * params.eps * _sum_sq(*fields.grad_phi) * a
     bulk = float(np.sum(law.psi(fields.phi.values))) / params.eps * a
     return EnergyBreakdown(elastic=elastic, interface=interface, bulk=bulk)
@@ -126,8 +117,7 @@ def state_energy(fields: StateFields, params: ModelParams) -> EnergyBreakdown:
 
 def total_energy(phi: ScalarField, F: TensorField, params: ModelParams) -> EnergyBreakdown:
     """E of (phi, F) for a caller that holds no constitutive pass of them."""
-    return state_energy(state_fields(phi, F, law.stretch_invariant(F.comps), params),
-                        params)
+    return state_energy(state_fields(phi, F, params), params)
 
 
 def dissipation(dv: VelocityDerivatives, mu: ScalarField, fields: StateFields,

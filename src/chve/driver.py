@@ -11,58 +11,24 @@ point of the fully implicit splitting; the sweep count is capped by
 ``picard_max`` and terminated early when the max change across
 (phi, F, v) drops below ``picard_tol``.
 
-Each derived field is formed once and handed to every reader:
+A state's dt-independent work travels with it in its record
+(:class:`StateWork`): the state, its constitutive pass
+(:class:`~chve.diagnostics.StateFields`), the derivative pass of its
+velocity where a solve made it and, once made, the first Stokes solve of
+a step from it.  The first force reads the state alone (f, grad phi,
+dw/dphi, F_n and the stored mu: the last step's Cahn-Hilliard mu, whose
+delta term is over the dt that produced phi_n), so every attempt at a
+step shares that solve.
 
-* The constitutive pass of a state (:class:`~chve.diagnostics.StateFields`:
-  f(phi), b(phi), f'(phi), the stretch F:F - d and grad phi) is formed
-  once for each state a step makes, and for the initial state; f, b and
-  f' share one smoothstep.  It feeds the state's energy check and
-  dissipation, and then the next step's transport level (f), its
-  Cahn-Hilliard level (b), every force of the step (f, grad phi) and
-  every dw/dphi of the step (f', and the stretch for the first).  A
-  retry after a rejection reads the same pass, so no attempt evaluates a
-  pointwise law of phi_n.  A candidate's pass takes its stretch from the
-  last sweep's dw/dphi.
-* The first force of a step reads the state alone (f, grad phi, the stored
-  mu, dw/dphi at (phi_n, F_n), and F_n), so its Stokes solve (v, q and the
-  derivative pass of v) is solved once per state: every retry of a
-  rejected step shares it, and step 1 shares the initial state's own
-  solve.  Admission still runs on every sweep of every attempt: div v
-  first, then CFL at that attempt's dt.
-* The derivative pass of each sweep's Stokes velocity
-  (:func:`~chve.operators.velocity_derivatives`: du/dx, dw/dy, the node
-  du/dy and dw/dx, max|u|, max|w|) is formed once, inside the solve, where
-  it feeds the momentum-residual check, and the solve returns it.  The
-  sweep's solenoidal and CFL admission and the transport stretch read it,
-  and for the accepted sweep, the last one solved, the viscous
-  dissipation.
-* The work of a state travels by argument, in its record
-  (:class:`StateWork`: the state, its constitutive pass, the derivative
-  pass of its velocity where a solve made it and, once made, its first
-  Stokes solve).
-  :meth:`Simulation.initial_state` returns the first record and
-  :meth:`Simulation.coupled_step` maps a record to the candidate's; the
-  run loop holds the record it steps from, so a retry forms none of that
-  work again, and no solver object keeps anything of a step.
-
-Advection is explicit in the old level (phi_n, F_n), so everything that
-depends on (phi_n, F_n, dt) alone is prepared once per step, before the
-first sweep: the upwind face candidates of the stacked (F_n, phi_n) on
-every face, the x faces along the stack and the y faces along its
-transpose (:func:`old_level_faces`), the transport and Cahn-Hilliard
-levels and, unless the state's first solve is made, dw/dphi at F_n for
-the first force.  That force reads mu_n as stored in
-``state.mu``: the last step's Cahn-Hilliard mu, whose delta term is over
-the dt that produced phi_n.  A sweep redoes only what its velocity
-changes: one face selection, flux and divergence for all five fields
-(:func:`sweep_advection`), shared by transport and Cahn-Hilliard, and the
-stretch and dw/dphi at its new F, shared by its CH step and the next
-sweep's force.  Every sweep after the first starts its transport CG from
-the pair (G, b) that the previous sweep solved
-(:meth:`TransportSystem.step`), and its Cahn-Hilliard Newton from the
-previous sweep's (phi, mu, dw/dphi) (:meth:`CHSystem.step`); both live
-only inside the step.  :class:`StepStats` carries the step's Newton,
-GMRES and CG iteration totals; the CSV reports the Newton count.
+Advection is explicit in the old level (phi_n, F_n), so the upwind face
+candidates (:func:`old_level_faces`) and the transport and Cahn-Hilliard
+levels are prepared once per attempt; a sweep redoes only what its
+velocity changes: one advection of all five fields
+(:func:`sweep_advection`), the transport step, the stretch and dw/dphi
+at its new F (one call of the constitutive law, with f'(phi_n)) and the
+Cahn-Hilliard step.  Every sweep after the first warm-starts its
+transport CG and its Newton from the previous sweep's.  No solver object
+keeps anything of a step.
 
 Step control: a step is rejected when the phase-field Newton fails, a
 linear solve fails, a field turns non-finite, the velocity is not
@@ -198,9 +164,7 @@ class StateWork:
     def of(cls, state: SimState, params: ModelParams) -> StateWork:
         """The record of a state the run did not make, formed from the
         state alone."""
-        return cls(state, state_fields(state.phi, state.F,
-                                       law.stretch_invariant(state.F.comps), params),
-                   None)
+        return cls(state, state_fields(state.phi, state.F, params), None)
 
 
 class Simulation:
@@ -243,10 +207,9 @@ class Simulation:
         p = self.params
         phi = initial_phi(cfg)
         F = initial_F(cfg)
-        fields = state_fields(phi, F, law.stretch_invariant(F.comps), p)
-        dw_dphi = law.neo_hookean_dphi(fields.f_prime, fields.stretch, p)
-        mu = static_chemical_potential(phi, dw_dphi, p)
-        v, q, dv = solved = self._solve(fields, mu, dw_dphi, F)
+        fields = state_fields(phi, F, p)
+        mu = static_chemical_potential(phi, fields.dw_dphi, p)
+        v, q, dv = solved = self._solve(fields, mu, fields.dw_dphi, F)
         state = SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q)
         return StateWork(state, fields, dv, solved), StepControl(cfg.time.dt0), None
 
@@ -257,12 +220,11 @@ class Simulation:
         (the candidate's record, StepStats).
 
         The old level is prepared once, before the first sweep, from the
-        constitutive pass of the state (f'(phi_n) included), and
-        dw/dphi(phi_n, F) once per F; the first sweep takes the state's
+        constitutive pass of the state; the first sweep takes the state's
         first Stokes solve, made here and put on work when it is not yet
-        there (see the module docstring).  Each sweep admits its Stokes
-        velocity here and only here, from its derivative pass: div v within
-        the solenoidal bound, then CFL.  Raises StepRejected on either
+        there.  Each sweep admits its Stokes velocity here and only here,
+        from its derivative pass: div v within the solenoidal bound, then
+        CFL.  Raises StepRejected on either
         failure, Newton failure, a failed linear solve or a non-finite
         field."""
         cfg = self.cfg
@@ -287,8 +249,7 @@ class Simulation:
             transport_level = self.transport.prepare(F_n, fields_n.f, dt)
             ch_level = self.ch.prepare(phi_n, state.phi_prev, fields_n.b, dt)
             if work.first_solve is None:
-                work.first_solve = solve_stokes(state.mu, law.neo_hookean_dphi(
-                    fields_n.f_prime, fields_n.stretch, p), F_n)
+                work.first_solve = solve_stokes(state.mu, fields_n.dw_dphi, F_n)
 
             for sweep in range(1, cfg.coupling.picard_max + 1):
                 v, q, dv = (work.first_solve if sweep == 1
@@ -303,8 +264,7 @@ class Simulation:
                 adv_F, adv_phi = sweep_advection(v, faces, F_n.d)
                 F_new, solved, n_cg = self.transport.step(transport_level, dv, adv_F,
                                                           start=solved)
-                stretch = law.stretch_invariant(F_new.comps)
-                dw_dphi = law.neo_hookean_dphi(fields_n.f_prime, stretch, p)
+                stretch, dw_dphi = law.elastic_response(fields_n.f_prime, F_new.comps, p)
                 phi_new, mu_new, n_newton, n_gmres = self.ch.step(
                     ch_level, dw_dphi, adv_phi, start=ch_start)
                 ch_start = (phi_new, mu_new, dw_dphi)
@@ -338,7 +298,7 @@ class Simulation:
         stats = StepStats(picard_iters=picard_iters, newton_iters=newton_total,
                           picard_gap=float(change) if np.isfinite(change) else -1.0,
                           div_v_max=div_v, gmres_iters=gmres_total, cg_iters=cg_total)
-        return StateWork(new_state, state_fields(phi_new, F_new, stretch, p), dv), stats
+        return StateWork(new_state, state_fields(phi_new, F_new, p, stretch), dv), stats
 
     # -- the run loop ----------------------------------------------------------
 

@@ -317,13 +317,11 @@ def assemble_force(f: np.ndarray, grad_phi, mu: ScalarField,
     """Right-hand side of the momentum balance sampled on faces.
 
     The capillary part mu grad(phi) and the coupling part
-    -(c/2) f'(phi)(F:F-d) grad(phi) multiply face-averaged cell scalars
-    with the face pair grad_phi = face_gradient(phi); dw_dphi is
-    (c/2) f'(phi)(F:F-d) (:func:`chve.constitutive.neo_hookean_dphi`).
-    The elastic part is the conservative divergence of the cell stress
-    c f F F^T, f = f(phi).  The caller computes grad_phi, f and dw_dphi
-    once and shares them: grad_phi and f with every force of a step,
-    dw_dphi with the chemical potential of the same F.  Boundary faces
+    -(dw/dphi) grad(phi) multiply face-averaged cell scalars with the face
+    pair grad_phi = face_gradient(phi); dw_dphi is the elastic term of mu
+    (:func:`chve.constitutive.elastic_response`).  The elastic part is the
+    conservative divergence of the cell stress c f F F^T, f = f(phi)
+    (:func:`chve.constitutive.eulerian_elastic_stress`).  Boundary faces
     carry 0, because face_average, face_gradient and elastic_force all
     leave them at 0.  The returned field is the one check that the force
     is finite.

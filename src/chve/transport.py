@@ -103,7 +103,7 @@ class TransportSystem:
 
     def prepare(self, F_n: TensorField, f_n: np.ndarray, dt: float) -> TransportLevel:
         """The parts of a step that no velocity changes; f_n is the cell
-        array f(phi_n) (:func:`chve.constitutive.stiffness_f`)."""
+        array f(phi_n) of the stiffness."""
         if dt <= 0.0:
             raise PreconditionError("dt must be > 0")
         g = self.grid

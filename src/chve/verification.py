@@ -24,7 +24,7 @@ import numpy as np
 from . import constitutive as law
 from . import operators as ops
 from .cahn_hilliard import static_chemical_potential
-from .diagnostics import total_energy
+from .diagnostics import state_fields, total_energy
 from .grid import (GridSpec, ModelParams, ScalarField, StaggeredVectorField,
                    TensorField, cofactor, determinant, frobenius)
 from .stokes import StokesSolver, assemble_force, elastic_force
@@ -282,9 +282,7 @@ def fd_check_chemical_potential(phi: ScalarField, F: TensorField,
     if eta is None:
         X, Y = g.cell_centers()
         eta = np.cos(np.pi * X / g.lx) * np.cos(np.pi * Y / g.ly)
-    dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, params),
-                                   law.stretch_invariant(F.comps), params)
-    mu = static_chemical_potential(phi, dw_dphi, params)
+    mu = static_chemical_potential(phi, state_fields(phi, F, params).dw_dphi, params)
     pairing = float(np.sum(mu.values * eta)) * g.cell_area
 
     def energy_at(s):
@@ -474,13 +472,11 @@ def korteweg_identity_check(phi: ScalarField, F: TensorField,
     force; report the velocity difference and how well the pressure
     difference matches the discrete potential."""
     g = phi.grid
-    dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, params),
-                                   law.stretch_invariant(F.comps), params)
-    mu = static_chemical_potential(phi, dw_dphi, params)
-    f = law.stiffness_f(phi.values, params)
-    gu, gw = ops.face_gradient(phi.values, g)
-    f_mu = assemble_force(f, (gu, gw), mu, dw_dphi, F, params)
-    eu, ew = elastic_force(f, F, params)
+    fields = state_fields(phi, F, params)
+    gu, gw = fields.grad_phi
+    mu = static_chemical_potential(phi, fields.dw_dphi, params)
+    f_mu = assemble_force(fields.f, fields.grad_phi, mu, fields.dw_dphi, F, params)
+    eu, ew = elastic_force(fields.f, F, params)
     ku, kw = korteweg_force(phi, params)
     f_kw = StaggeredVectorField(g, ku + eu, kw + ew)
 

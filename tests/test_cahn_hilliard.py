@@ -4,7 +4,7 @@ import pytest
 from chve import cahn_hilliard as ch
 from chve import constitutive as law
 from chve import krylov
-from chve.diagnostics import total_energy
+from chve.diagnostics import state_fields, total_energy
 from chve.errors import NewtonError
 from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
                        StaggeredVectorField, TensorField)
@@ -12,9 +12,7 @@ from chve.operators import advect_scalar, laplacian_matrix
 
 
 def _mu(phi, F, params):
-    return ch.static_chemical_potential(
-        phi, law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, params),
-                                  law.stretch_invariant(F.comps), params), params)
+    return ch.static_chemical_potential(phi, state_fields(phi, F, params).dw_dphi, params)
 
 
 def _step(system, phi, F, v, dt, phi_prev=None):
@@ -25,9 +23,7 @@ def _step(system, phi, F, v, dt, phi_prev=None):
     p = system.params
     level = system.prepare(phi, phi if phi_prev is None else phi_prev,
                            law.mobility_b(phi.values, p), dt)
-    return system.step(level, law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, p),
-                                                    law.stretch_invariant(F.comps), p),
-                       advect_scalar(v, phi.values))[:3]
+    return system.step(level, state_fields(phi, F, p).dw_dphi, advect_scalar(v, phi.values))[:3]
 
 
 def test_static_mu_vanishes_at_well(grid16, params):
@@ -53,8 +49,7 @@ def test_step_returns_the_split_mu(grid16, rng, delta):
     params = ModelParams(eps=0.05, b0=0.1, b1=0.1, c_elastic=0.25, delta=delta)
     phi_n = ScalarField(grid16, rng.uniform(-1.0, 1.0, (16, 16)))
     F = TensorField(grid16, np.eye(2) + 0.1 * rng.standard_normal((16, 16, 2, 2)))
-    dw_dphi = law.neo_hookean_dphi(law.stiffness_f_prime(phi_n.values, params),
-                                   law.stretch_invariant(F.comps), params)
+    dw_dphi = state_fields(phi_n, F, params).dw_dphi
     L = laplacian_matrix(grid16)
     dt = 1e-3
     system = ch.CHSystem(grid16, params, L)
@@ -312,8 +307,8 @@ def test_warm_start_continues_from_an_earlier_sweep(grid16, rng, monkeypatch):
     adv = advect_scalar(StaggeredVectorField.from_stream_function(grid16, 0.1 * psi),
                         phi_n.values)
     f_prime = law.stiffness_f_prime(phi_n.values, params)
-    dw1 = law.neo_hookean_dphi(f_prime, law.stretch_invariant(F.comps), params)
-    dw2 = law.neo_hookean_dphi(f_prime, law.stretch_invariant(1.1 * F.comps), params)
+    _, dw1 = law.elastic_response(f_prime, F.comps, params)
+    _, dw2 = law.elastic_response(f_prime, 1.1 * F.comps, params)
     dt = 1e-3
     system = ch.CHSystem(grid16, params, laplacian_matrix(grid16))
     level = system.prepare(phi_n, phi_n, law.mobility_b(phi_n.values, params), dt)

@@ -120,28 +120,42 @@ def test_neo_hookean_fd_gradient(params, rng):
                 assert fd == pytest.approx(P[a, b], rel=1e-7, abs=1e-9)
 
 
-def test_neo_hookean_dphi_matches_central_difference(params, rng):
+def test_elastic_response_dw_dphi_matches_central_difference(params, rng):
     # phi inside and outside the stiffness window, d = 2 and 3
     for d in (2, 3):
         F = np.eye(d) + 0.3 * rng.standard_normal((d, d))
         for phi in (-1.3, -0.4, 0.2, 0.7, 1.2):
             fd = central(lambda s: law.neo_hookean_w(s, F, params), phi)
-            dw = law.neo_hookean_dphi(law.stiffness_f_prime(phi, params),
-                                      law.stretch_invariant(F), params)
+            _, dw = law.elastic_response(law.stiffness_f_prime(phi, params), F, params)
             assert fd == pytest.approx(dw, rel=1e-7, abs=1e-9)
 
 
-def test_neo_hookean_dphi_from_f_prime_matches_the_phi_formula(params, rng):
-    """Given f'(phi), dw/dphi repeats (c/2) f'(phi) (F:F - d) bitwise."""
+def test_elastic_response_repeats_the_phi_formula(params, rng):
+    """Given f'(phi), the stretch is F:F - d and dw/dphi repeats
+    (c/2) f'(phi) (F:F - d) bitwise, also from a stretch passed in."""
     for d in (2, 3):
         phi = rng.uniform(-1.5, 1.5, (32, 24))
         F = np.eye(d) + 0.5 * rng.standard_normal((32, 24, d, d))
         fp = law.stiffness_f_prime(phi, params)
         assert np.count_nonzero(fp) > 100
-        ref = 0.5 * params.c_elastic * fp * (frobenius(F, F) - d)
-        dw = law.neo_hookean_dphi(fp, law.stretch_invariant(F), params)
+        stretch = frobenius(F, F) - d
+        ref = 0.5 * params.c_elastic * fp * stretch
+        got, dw = law.elastic_response(fp, F, params)
         assert dw.shape == ref.shape
-        assert np.array_equal(dw, ref), d
+        assert np.array_equal(got, stretch) and np.array_equal(dw, ref), d
+        assert np.array_equal(law.elastic_response(fp, None, params, stretch)[1], ref)
+
+
+def test_eulerian_stress_is_the_derivative_of_the_density(params, rng):
+    """The step's stress c f F F^T is P F^T, P the central-difference
+    gradient in F of the Neo-Hookean density."""
+    for phi in (-1.3, -0.4, 0.2, 0.7, 1.2):
+        F = np.eye(2) + 0.4 * rng.standard_normal((2, 2))
+        P = np.array([[central(lambda t: law.neo_hookean_w(phi, F + t * np.outer(ea, eb),
+                                                           params), 0.0)
+                       for eb in np.eye(2)] for ea in np.eye(2)])
+        S = law.eulerian_elastic_stress(law.stiffness_f(phi, params), F, params)
+        np.testing.assert_allclose(S, P @ F.T, rtol=1e-6, atol=0.0)
 
 
 def test_eulerian_stress_symmetric_psd(params, rng):

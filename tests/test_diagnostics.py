@@ -16,14 +16,9 @@ def make_state(grid, phi, F, v=None, mu=None):
                     v=v or StaggeredVectorField.zeros(grid), q=z, t=0.0)
 
 
-def fields_of(phi, F, params):
-    """The constitutive pass of (phi, F), formed as a standalone caller does."""
-    return diag.state_fields(phi, F, law.stretch_invariant(F.comps), params)
-
-
 def dissipation(v, mu, phi, F, dphi_dt, params):
     """diag.dissipation of (v, mu, phi, F), with both passes formed here."""
-    return diag.dissipation(velocity_derivatives(v), mu, fields_of(phi, F, params),
+    return diag.dissipation(velocity_derivatives(v), mu, diag.state_fields(phi, F, params),
                             dphi_dt, params)
 
 
@@ -120,7 +115,7 @@ def test_budget_residual_zero_on_stationary_state(grid16, params):
     F = TensorField.identity(grid16)
     s = make_state(grid16, phi, F)
     e = diag.total_energy(phi, F, params).total
-    assert diag.energy_budget(s, s, velocity_derivatives(s.v), fields_of(phi, F, params),
+    assert diag.energy_budget(s, s, velocity_derivatives(s.v), diag.state_fields(phi, F, params),
                               0.1, e, e, params) == (0.0, 0.0)
 
 
@@ -218,7 +213,7 @@ def test_state_energy_matches_term_by_term_reference(rng):
     interface = 0.5 * params.eps * (np.sum(((p[1:] - p[:-1]) / grid.hx) ** 2)
                                     + np.sum(((p[:, 1:] - p[:, :-1]) / grid.hy) ** 2)) * a
     bulk = np.sum(0.25 * (p * p - 1.0) ** 2) / params.eps * a
-    eb = diag.state_energy(fields_of(phi, F, params), params)
+    eb = diag.state_energy(diag.state_fields(phi, F, params), params)
     for got, ref in ((eb.elastic, elastic), (eb.interface, interface), (eb.bulk, bulk)):
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
@@ -235,7 +230,7 @@ def test_state_pass_profiles_are_bitwise_the_pointwise_laws(b1):
                      0.125, 0.375, 1.0, -1.0])
     phi = ScalarField(grid, vals.reshape(4, 5))
     F = TensorField.identity(grid)
-    fields = fields_of(phi, F, params)
+    fields = diag.state_fields(phi, F, params)
     for got, law_fn in ((fields.f, law.stiffness_f), (fields.b, law.mobility_b),
                         (fields.f_prime, law.stiffness_f_prime)):
         assert got.tobytes() == law_fn(phi.values, params).tobytes(), law_fn.__name__

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from chve import constitutive as law
 from chve.config import StepControl, TimeConfig, parse_config
 from chve.diagnostics import (DiagnosticsRow, dissipation, energy_budget, state_fields,
                               total_energy)
@@ -74,11 +73,6 @@ def simulate(cfg):
     first = summary.final_state.step_index - summary.steps
     rows = [r for r in csv_rows(cfg.output.directory) if r.step > first]
     return summary, rows, summary.final_state
-
-
-def _fields(state, params):
-    """The constitutive pass of a state, formed as a standalone caller does."""
-    return state_fields(state.phi, state.F, law.stretch_invariant(state.F.comps), params)
 
 
 # ---------------------------------------------------------------------------
@@ -428,28 +422,16 @@ def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
 def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
     # over 10 PICARD8-style steps: the upwind face candidates of (F_n, phi_n)
     # are built once per step, the sweep advection runs once per sweep, and
-    # dw/dphi once per sweep at its F_new plus once at F_n for the first
-    # force, except on step 1, which keeps the initial state's solve of
-    # that force; one constitutive pass per step forms the candidate's f,
-    # b and f' (the state's own pass is the last step's), and no f' is
-    # evaluated apart from it
-    from chve import constitutive, driver
-    counts = dict.fromkeys(("faces", "advect", "f_prime", "dw_dphi", "state_pass"), 0)
-
-    def counting(key, fn):
-        def counted(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    monkeypatch.setattr(driver, "upwind_candidates",
-                        counting("faces", driver.upwind_candidates))
-    monkeypatch.setattr(driver, "advect_upwind", counting("advect", driver.advect_upwind))
-    monkeypatch.setattr(constitutive, "neo_hookean_dphi",
-                        counting("dw_dphi", constitutive.neo_hookean_dphi))
-    monkeypatch.setattr(constitutive, "stiffness_f_prime",
-                        counting("f_prime", constitutive.stiffness_f_prime))
-    monkeypatch.setattr(driver, "state_fields", counting("state_pass", driver.state_fields))
+    # the elastic law once per sweep at its F_new (its stretch and dw/dphi)
+    # plus once in the candidate's constitutive pass (its dw/dphi, from the
+    # last sweep's stretch); the state's own pass is the last step's, it
+    # carries the first force's dw/dphi, and no f' is evaluated apart from
+    # a pass
+    from chve import constitutive, diagnostics, operators
+    counts = _count_calls(monkeypatch, (operators, "upwind_candidates"),
+                          (operators, "advect_upwind"), (diagnostics, "state_fields"),
+                          *((constitutive, name) for name in (
+                              "stiffness_f_prime", "elastic_response", "_stretch")))
     per_step = []
     real_step = Simulation.coupled_step
 
@@ -468,9 +450,10 @@ def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
     assert summary.rejected_steps == 0
     assert [k for k, _ in per_step] == [r.picard_iters for r in rows]
     assert max(r.picard_iters for r in rows) > 2
-    for k, (sweeps, n) in enumerate(per_step):
-        assert n == {"faces": 1, "advect": sweeps, "f_prime": 0,
-                     "dw_dphi": sweeps + (k > 0), "state_pass": 1}
+    for sweeps, n in per_step:
+        assert n == {"upwind_candidates": 1, "advect_upwind": sweeps, "state_fields": 1,
+                     "stiffness_f_prime": 0, "elastic_response": sweeps + 1,
+                     "_stretch": sweeps}
 
 
 def test_step_stats_count_the_krylov_iterations(tmp_path, monkeypatch):
@@ -525,21 +508,23 @@ def _count_calls(monkeypatch, *functions):
 def test_each_derived_field_is_formed_once(tmp_path, monkeypatch):
     # 16^2, two Picard sweeps per step: the velocity-derivative pass is
     # formed once per Stokes solve, one per sweep (step 1's first sweep
-    # keeps the initial state's solve), and f(phi), b(phi) and f'(phi) in
-    # one pass per accepted state plus the initial state, with no separate
-    # evaluation of any of them
+    # keeps the initial state's solve), f(phi), b(phi) and f'(phi) in one
+    # pass per accepted state plus the initial state, with no separate
+    # evaluation of any of them, dw/dphi once per sweep and once per pass,
+    # and the stretch once per sweep and for the initial state only
     from chve import constitutive, operators
     counts = _count_calls(monkeypatch, (operators, "velocity_derivatives"),
                           *((constitutive, name) for name in (
                               "phase_profiles", "stiffness_f", "mobility_b",
-                              "stiffness_f_prime")))
+                              "stiffness_f_prime", "elastic_response", "_stretch")))
     summary, rows, _ = simulate(spinodal_config(tmp_path, n=16, max_steps=8, t_end=1.0,
                                                 picard_max=2))
     assert summary.steps == len(rows) == 8 and summary.rejected_steps == 0
     solves = sum(r.picard_iters for r in rows)
     assert solves == 2 * 8
     assert counts == {"velocity_derivatives": solves, "phase_profiles": 8 + 1,
-                      "stiffness_f": 0, "mobility_b": 0, "stiffness_f_prime": 0}
+                      "stiffness_f": 0, "mobility_b": 0, "stiffness_f_prime": 0,
+                      "elastic_response": solves + 8 + 1, "_stretch": solves + 1}
 
 
 def test_a_resumed_run_forms_one_derivative_pass_per_stokes_solve(tmp_path, monkeypatch):
@@ -648,7 +633,8 @@ def test_budget_residual_equals_reference_formula(tmp_path, monkeypatch):
         e_old = total_energy(state_n.phi, state_n.F, cfg.params).total
         e_new = total_energy(state_np1.phi, state_np1.F, cfg.params).total
         dphi_dt = (state_np1.phi.values - state_n.phi.values) / dt
-        dv, fields = velocity_derivatives(state_np1.v), _fields(state_np1, cfg.params)
+        dv = velocity_derivatives(state_np1.v)
+        fields = state_fields(state_np1.phi, state_np1.F, cfg.params)
         d_new = dissipation(dv, state_np1.mu, fields, dphi_dt, cfg.params)
         ref = (d_new, (e_new - e_old) / dt + d_new)
         shared = energy_budget(state_n, state_np1, dv, fields, dt, e_old, e_new,
@@ -966,7 +952,8 @@ def test_more_picard_sweeps_tighten_coupling(tmp_path):
     def budget(cfg, s, c):
         s, c = s.state, c.state
         e_old, e_new = (total_energy(x.phi, x.F, cfg.params).total for x in (s, c))
-        return abs(energy_budget(s, c, velocity_derivatives(c.v), _fields(c, cfg.params),
+        return abs(energy_budget(s, c, velocity_derivatives(c.v),
+                                 state_fields(c.phi, c.F, cfg.params),
                                  2e-4, e_old, e_new, cfg.params)[1])
 
     s1, _, _ = sim1.initial_state()

@@ -11,6 +11,7 @@ import numpy as np
 from chve import constitutive as law
 from chve import driver, krylov, stokes
 from chve.cahn_hilliard import CHSystem
+from chve.diagnostics import state_fields
 from chve.driver import Simulation
 from chve.grid import ModelParams, ScalarField, TensorField
 from chve.operators import laplacian_matrix
@@ -52,9 +53,7 @@ def test_ch_step_result_2_is_the_newton_count(grid16, rng, monkeypatch):
     F = TensorField(grid16, np.eye(2) + 0.1 * rng.standard_normal((16, 16, 2, 2)))
     system = CHSystem(grid16, params, laplacian_matrix(grid16))
     result = system.step(system.prepare(phi, phi, law.mobility_b(phi.values, params), 1e-3),
-                         law.neo_hookean_dphi(law.stiffness_f_prime(phi.values, params),
-                                              law.stretch_invariant(F.comps), params),
-                         np.zeros((16, 16)))
+                         state_fields(phi, F, params).dw_dphi, np.zeros((16, 16)))
     assert isinstance(result[2], int)
     assert result[2] == len(updates) >= 2
 

@@ -456,7 +456,7 @@ def test_energy_consistency(grid16, rng, params):
     phi, F = ScalarField.uniform(grid16, 1.0), TensorField.identity(grid16)
     p = ModelParams(nu=params.nu, lam=0.0)
     visc = dissipation(velocity_derivatives(v), ScalarField.uniform(grid16, 0.0),
-                       state_fields(phi, F, law.stretch_invariant(F.comps), p), None, p)
+                       state_fields(phi, F, p), None, p)
     work = (np.sum(force.u * v.u) + np.sum(force.w * v.w)) * grid16.cell_area
     assert visc == pytest.approx(work, rel=1e-8)
 
@@ -472,7 +472,7 @@ def test_viscous_dissipation_is_velocity_block_form(grid, rng):
     phi, F = ScalarField.uniform(grid, 1.0), TensorField.identity(grid)
     p = ModelParams(nu=nu, lam=0.0)
     visc = dissipation(dv, ScalarField.uniform(grid, 0.0),
-                       state_fields(phi, F, law.stretch_invariant(F.comps), p), None, p)
+                       state_fields(phi, F, p), None, p)
     lu, lw = vector_laplacian(dv)
     form = -nu * (np.sum(lu * v.u) + np.sum(lw * v.w)) * grid.hx * grid.hy
     assert visc == pytest.approx(form, rel=1e-12)
@@ -482,12 +482,8 @@ def test_force_assembly_uniform_state_is_zero(grid16, params):
     phi = ScalarField.uniform(grid16, 0.4)
     mu = ScalarField.uniform(grid16, 1.3)
     F = TensorField.identity(grid16)
-    force = stokes.assemble_force(law.stiffness_f(phi.values, params),
-                                  face_gradient(phi.values, grid16), mu,
-                                  law.neo_hookean_dphi(
-                                      law.stiffness_f_prime(phi.values, params),
-                                      law.stretch_invariant(F.comps), params),
-                                  F, params)
+    fields = state_fields(phi, F, params)
+    force = stokes.assemble_force(fields.f, fields.grad_phi, mu, fields.dw_dphi, F, params)
     assert force.max_abs() <= 1e-12
 
 
@@ -537,10 +533,7 @@ def test_force_matches_dense_assembly(grid8, rng):
     p = phi.values
     f = law.stiffness_f(p, params)
     force = stokes.assemble_force(f, face_gradient(p, g), mu,
-                                  law.neo_hookean_dphi(law.stiffness_f_prime(p, params),
-                                                       law.stretch_invariant(F.comps),
-                                                       params),
-                                  F, params)
+                                  state_fields(phi, F, params).dw_dphi, F, params)
 
     m = mu.values - 0.5 * params.c_elastic * law.stiffness_f_prime(p, params) \
         * (frobenius(F.comps, F.comps) - 2.0)

@@ -8,7 +8,7 @@ from chve import constitutive as law
 from chve import krylov, transport
 from chve.errors import SolverError
 from chve.grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
-                       StaggeredVectorField, TensorField)
+                       StaggeredVectorField, TensorField, determinant)
 from chve.operators import (advect_tensor, laplacian_matrix, velocity_derivatives,
                             velocity_gradient)
 from chve.transport import TransportSystem
@@ -275,6 +275,28 @@ def test_regularization_breaks_determinant_transport():
     dev0 = det_transport_deviation(64, dt=2e-3, t_end=0.25, lam=0.0)
     dev_lam = det_transport_deviation(64, dt=2e-3, t_end=0.25, lam=1e-2)
     assert dev_lam > 1.5 * dev0
+
+
+def test_regularization_drifts_det_f_in_proportion_to_lam():
+    # v = 0, F0 = I across a tanh interface: diffusing G = f(phi) F moves
+    # det F off 1 by O(lam t), independent of dt
+    g = GridSpec(32, 32)
+    _, Y = g.cell_centers()
+    phi = ScalarField(g, np.tanh((Y - 0.5 * g.ly) / 0.1))
+    v = StaggeredVectorField.zeros(g)
+
+    def drift(lam, dt, t=0.01):
+        system = TransportSystem(g, ModelParams(lam=lam), laplacian_matrix(g))
+        F = TensorField.identity(g)
+        for _ in range(round(t / dt)):
+            F = _step(system, F, v, phi, dt)
+        return float(np.max(np.abs(determinant(F.comps) - 1.0)))
+
+    dev = {(lam, dt): drift(lam, dt) for lam in (1e-4, 2e-4) for dt in (2e-4, 1e-4)}
+    for dt in (2e-4, 1e-4):
+        assert 1.99 <= dev[2e-4, dt] / dev[1e-4, dt] <= 2.01
+    for lam in (1e-4, 2e-4):
+        assert dev[lam, 2e-4] == pytest.approx(dev[lam, 1e-4], rel=1e-3)
 
 
 @pytest.mark.parametrize("profile, measured", [("tanh", 98), ("random", 59)])
