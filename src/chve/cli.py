@@ -81,6 +81,11 @@ def _verify_rows(suite: str):
         rep = ver.korteweg_identity_check(phi, TensorField.identity(g), params)
         add("capillary force equivalence", rep["v_diff"] <= 1e-8,
             f"v diff {rep['v_diff']:.2e}")
+        # a 2-D state, where both forms drive a flow and agree to O(h^2)
+        rep = ver.korteweg_convergence()
+        add("capillary force convergence (2-D)",
+            all(3.5 <= r <= 4.5 for r in rep["ratios"]) and min(rep["v_mu_max"]) >= 0.05,
+            f"ratios {['%.2f' % r for r in rep['ratios']]}")
         # acceptance criterion 10's state: F off I, so mu has an elastic term
         g12 = GridSpec(12, 12)
         rng = np.random.default_rng(5)

@@ -1,48 +1,35 @@
 """Coupled time loop: Stokes -> deformation transport -> Cahn-Hilliard,
 with optional Picard sweeps, adaptive step control and file output.
 
-One sweep of :meth:`Simulation.coupled_step` solves the quasi-static
-momentum balance with forcing assembled from the freshest available
-(mu, F), admits the velocity (div v within the solenoidal bound, then
-CFL; nothing downstream measures it again), transports F with it, then
-advances the phase field with the new velocity and the new F.  Repeating
-the sweep while refreshing mu and F tightens the coupling to a fixed
-point of the fully implicit splitting; the sweep count is capped by
-``picard_max`` and terminated early when the max change across
-(phi, F, v) drops below ``picard_tol``.
+A sweep of :meth:`Simulation.coupled_step` solves the quasi-static
+momentum balance with the force of the freshest (mu, F), transports F
+with that velocity, then advances phi with the new velocity and F.  The
+sweeps approach the fixed point of the fully implicit splitting; they
+stop after ``picard_max`` or once the max change across (phi, F, v)
+drops below ``picard_tol``.  The first force reads the state alone (its
+stored mu carries the delta term over the dt that produced phi_n), so
+every attempt at a step shares its solve.
 
-A state's dt-independent work travels with it in its record
-(:class:`StateWork`): the state, its constitutive pass
-(:class:`~chve.diagnostics.StateFields`), the derivative pass of its
-velocity where a solve made it and, once made, the first Stokes solve of
-a step from it.  The first force reads the state alone (f, grad phi,
-dw/dphi, F_n and the stored mu: the last step's Cahn-Hilliard mu, whose
-delta term is over the dt that produced phi_n), so every attempt at a
-step shares that solve.
+A state's record (:class:`StateWork`) carries its dt-independent work:
+the constitutive pass, the energy and, once made, the first solve of a
+step from it.  No solver object keeps anything of a step.
 
-Advection is explicit in the old level (phi_n, F_n), so the upwind face
-candidates (:func:`old_level_faces`) and the transport and Cahn-Hilliard
-levels are prepared once per attempt; a sweep redoes only what its
-velocity changes: one advection of all five fields
-(:func:`sweep_advection`), the transport step, the stretch and dw/dphi
-at its new F (one call of the constitutive law, with f'(phi_n)) and the
-Cahn-Hilliard step.  Every sweep after the first warm-starts its
-transport CG and its Newton from the previous sweep's.  No solver object
-keeps anything of a step.
-
-Step control: a step is rejected when the phase-field Newton fails, a
-linear solve fails, a field turns non-finite, the velocity is not
-solenoidal, the advective CFL number exceeds its bound, or the total
-energy increases past ``energy_increase_tol * |E0|``.  The run's
-:class:`~chve.config.StepControl` (the next dt and the accept streak)
-then halves dt, and grows it after ``grow_after`` accepted steps in a
-row; a restart file carries it.  A rejected step never touches the
-accepted state, so a retry reruns identical arithmetic.  The run ends once
-t_end - t is below dt_min (and 1e-14), so no step is shorter than dt_min.
+:meth:`Simulation.coupled_step` alone decides a step.  It rejects it when
+the phase-field Newton fails, a linear solve fails, a field turns
+non-finite, the velocity is not solenoidal, the advective CFL number
+exceeds its bound, or the candidate's energy exceeds the bound it is
+given.  A rejected step never touches the accepted state, so a retry
+reruns identical arithmetic.  The run loop sets that bound (E_n +
+``energy_increase_tol * |E0|``, or none), and its
+:class:`~chve.config.StepControl` halves dt on a rejection and grows it
+after ``grow_after`` accepted steps in a row; a restart file carries it.
+The run ends once t_end - t is below dt_min (and 1e-14), so no step is
+shorter than dt_min.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time as _time
 from dataclasses import dataclass
@@ -77,6 +64,8 @@ class StepStats:
     newton_iters: int
     picard_gap: float  # max change across (phi, F, v) in the last sweep
     div_v_max: float  # max|div v| of the accepted velocity
+    dissipation: float  # D of the candidate
+    budget_residual: float  # (E_new - E_old)/dt + D
     gmres_iters: int  # GMRES iterations of every Cahn-Hilliard Newton update
     cg_iters: int  # transport CG iterations over all sweeps
 
@@ -150,21 +139,21 @@ def sweep_advection(v: StaggeredVectorField, faces, d: int):
 
 @dataclass
 class StateWork:
-    """The dt-independent work of one state: its constitutive pass, the
-    derivative pass of its velocity where a solve made it (None for a
-    state read back; only a candidate's is read, by its diagnostics row)
-    and, once solved, the first Stokes solve (v, q, dv) of a step from it,
-    which every attempt at that step shares (see the module docstring)."""
+    """The dt-independent work of one state: its constitutive pass, its
+    energy and, once solved, the first Stokes solve (v, q, dv) of a step
+    from it, which every attempt at that step shares."""
     state: SimState
     fields: StateFields
-    dv: VelocityDerivatives | None
+    energy: EnergyBreakdown
     first_solve: tuple[StaggeredVectorField, ScalarField, VelocityDerivatives] | None = None
 
     @classmethod
-    def of(cls, state: SimState, params: ModelParams) -> StateWork:
-        """The record of a state the run did not make, formed from the
-        state alone."""
-        return cls(state, state_fields(state.phi, state.F, params), None)
+    def of(cls, state: SimState, params: ModelParams, fields: StateFields | None = None,
+           first_solve=None) -> StateWork:
+        """The record of state, with its constitutive pass formed from the
+        state alone unless given, and the energy of that pass."""
+        fields = state_fields(state.phi, state.F, params) if fields is None else fields
+        return cls(state, fields, state_energy(fields, params), first_solve)
 
 
 class Simulation:
@@ -189,12 +178,12 @@ class Simulation:
 
     # -- state construction -------------------------------------------------
 
-    def initial_state(self) -> tuple[StateWork, StepControl, float | None]:
+    def initial_state(self) -> tuple[StateWork, StepControl, float]:
         """(record, step control, energy scale) to start the run from: the
         state read from the restart file, with dt clamped to [dt_min,
-        dt_max], or built from the config, with no energy scale yet (the
-        run takes |E0|).  A built state's record holds its Stokes solve as
-        the first solve of step 1."""
+        dt_max] and the scale the file carries, or built from the config,
+        with the scale |E0| floored at 1e-30.  A built state's record holds
+        its Stokes solve as the first solve of step 1."""
         cfg = self.cfg
         if cfg.initial.restart_file:
             state, control, e_scale = read_restart(cfg.initial.restart_file)
@@ -209,13 +198,14 @@ class Simulation:
         F = initial_F(cfg)
         fields = state_fields(phi, F, p)
         mu = static_chemical_potential(phi, fields.dw_dphi, p)
-        v, q, dv = solved = self._solve(fields, mu, fields.dw_dphi, F)
-        state = SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q)
-        return StateWork(state, fields, dv, solved), StepControl(cfg.time.dt0), None
+        v, q, _ = solved = self._solve(fields, mu, fields.dw_dphi, F)
+        work = StateWork.of(SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q), p,
+                            fields, solved)
+        return work, StepControl(cfg.time.dt0), max(abs(work.energy.total), 1e-30)
 
     # -- one coupled step ----------------------------------------------------
 
-    def coupled_step(self, work: StateWork, dt: float):
+    def coupled_step(self, work: StateWork, dt: float, energy_bound: float):
         """Advance the state of record work by one step of size dt; returns
         (the candidate's record, StepStats).
 
@@ -224,9 +214,10 @@ class Simulation:
         first Stokes solve, made here and put on work when it is not yet
         there.  Each sweep admits its Stokes velocity here and only here,
         from its derivative pass: div v within the solenoidal bound, then
-        CFL.  Raises StepRejected on either
-        failure, Newton failure, a failed linear solve or a non-finite
-        field."""
+        CFL.  Raises StepRejected on either failure, Newton failure, a
+        failed linear solve, a non-finite field or a candidate energy above
+        energy_bound; the stats carry the candidate's dissipation and
+        energy-budget residual."""
         cfg = self.cfg
         p = self.params
         g = self.grid
@@ -295,10 +286,18 @@ class Simulation:
         new_state = SimState(phi=phi_new, phi_prev=phi_n, mu=mu_new, F=F_new,
                              v=v, q=q, t=state.t + dt,
                              step_index=state.step_index + 1)
+        cand = StateWork.of(new_state, p, state_fields(phi_new, F_new, p, stretch))
+        e_new = cand.energy.total
+        if e_new > energy_bound:
+            raise StepRejected(f"energy {e_new:.17g} > {energy_bound:.17g}")
+        dissipation, budget = energy_budget(state, new_state, dv, cand.fields, dt,
+                                            work.energy.total, e_new, p)
         stats = StepStats(picard_iters=picard_iters, newton_iters=newton_total,
                           picard_gap=float(change) if np.isfinite(change) else -1.0,
-                          div_v_max=div_v, gmres_iters=gmres_total, cg_iters=cg_total)
-        return StateWork(new_state, state_fields(phi_new, F_new, p, stretch), dv), stats
+                          div_v_max=div_v, dissipation=dissipation,
+                          budget_residual=budget, gmres_iters=gmres_total,
+                          cg_iters=cg_total)
+        return cand, stats
 
     # -- the run loop ----------------------------------------------------------
 
@@ -312,9 +311,6 @@ class Simulation:
             raise ValidationError(f"cannot create output directory {outdir}: {exc}") from exc
 
         work, control, e_scale = self.initial_state()
-        e_prev = state_energy(work.fields, self.params).total
-        if e_scale is None:  # a fresh run; a restart carries its scale
-            e_scale = max(abs(e_prev), 1e-30)
         rejected = 0
         accepted = 0
         termination = "t_end"
@@ -351,13 +347,10 @@ class Simulation:
                     termination = "max_steps"
                     break
                 step_dt = min(control.dt, cfg.time.t_end - work.state.t)
+                bound = (work.energy.total + cfg.time.energy_increase_tol * e_scale
+                         if cfg.time.reject_on_energy else math.inf)
                 try:
-                    cand, stats = self.coupled_step(work, step_dt)
-                    eb_new = state_energy(cand.fields, self.params)
-                    e_new = eb_new.total
-                    bound = e_prev + cfg.time.energy_increase_tol * e_scale
-                    if cfg.time.reject_on_energy and e_new > bound:
-                        raise StepRejected(f"energy {e_new:.17g} > {bound:.17g}")
+                    work, stats = self.coupled_step(work, step_dt, bound)
                 except StepRejected:
                     rejected += 1
                     if (halved := control.after(False, cfg.time)) is None:
@@ -366,17 +359,20 @@ class Simulation:
                     control = halved
                     continue
 
-                row = self._diagnostics_row(work.state, cand, step_dt, stats,
-                                            e_prev, eb_new)
-                work = cand
-                e_prev = e_new
                 accepted += 1
                 control = control.after(True, cfg.time)
 
-                if work.state.step_index % cfg.output.diagnostics_every == 0:
-                    csv.write(row.csv_line() + "\n")
+                state, e = work.state, work.energy
+                if state.step_index % cfg.output.diagnostics_every == 0:
+                    csv.write(DiagnosticsRow(
+                        step=state.step_index, t=state.t, dt=step_dt, E_total=e.total,
+                        E_elastic=e.elastic, E_interface=e.interface, E_bulk=e.bulk,
+                        dissipation=stats.dissipation, mass=total_mass(state.phi),
+                        div_v_max=stats.div_v_max, picard_iters=stats.picard_iters,
+                        newton_iters=stats.newton_iters,
+                        budget_residual=stats.budget_residual).csv_line() + "\n")
                 if (cfg.output.snapshot_every
-                        and work.state.step_index % cfg.output.snapshot_every == 0):
+                        and state.step_index % cfg.output.snapshot_every == 0):
                     checkpoint()
             if written != (work.state.step_index, control):
                 checkpoint()
@@ -386,28 +382,10 @@ class Simulation:
         return RunSummary(
             steps=accepted, rejected_steps=rejected,
             wall_time=_time.perf_counter() - t0,
-            final_energy=e_prev,
+            final_energy=work.energy.total,
             final_mass=total_mass(work.state.phi),
             termination=termination,
             final_state=work.state,
-        )
-
-    def _diagnostics_row(self, state_n: SimState, cand: StateWork, dt: float,
-                         stats: StepStats, e_old: float,
-                         eb: EnergyBreakdown) -> DiagnosticsRow:
-        """Row for an accepted step from state_n to the candidate of record
-        cand: the step's stats, the energies e_old, eb of state_n and the
-        candidate, and the candidate's constitutive and derivative passes."""
-        state_np1 = cand.state
-        dnew, budget = energy_budget(state_n, state_np1, cand.dv, cand.fields,
-                                     dt, e_old, eb.total, self.params)
-        return DiagnosticsRow(
-            step=state_np1.step_index, t=state_np1.t, dt=dt,
-            E_total=eb.total, E_elastic=eb.elastic, E_interface=eb.interface,
-            E_bulk=eb.bulk, dissipation=dnew, mass=total_mass(state_np1.phi),
-            div_v_max=stats.div_v_max,
-            picard_iters=stats.picard_iters, newton_iters=stats.newton_iters,
-            budget_residual=budget,
         )
 
 

@@ -300,6 +300,17 @@ def test_criterion_11_korteweg_equivalence():
     _report(11, "capillary force equivalence", f"v diff {rep['v_diff']:.2e}")
 
 
+def test_supplementary_korteweg_forms_converge_on_a_2d_state():
+    """Criterion 11's 1-D profile makes both capillary forces exact
+    discrete gradients, so its solves return v = 0; on a 2-D drop state
+    both forms drive a flow, and their velocities agree to O(h^2)."""
+    rep = ver.korteweg_convergence(levels=(32, 64, 128))
+    assert all(3.5 <= r <= 4.5 for r in rep["ratios"]), rep
+    assert min(rep["v_mu_max"]) >= 0.05, rep
+    _report(0, "capillary force convergence (supplementary)",
+            f"v diff ratios {', '.join(f'{r:.2f}' for r in rep['ratios'])}")
+
+
 def test_criterion_12_determinism(spinodal_run, outdir):
     cfg_a, _, _, _, csv_a = spinodal_run
     cfg_b = replace(cfg_a, output=replace(cfg_a.output,

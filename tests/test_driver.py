@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 from pathlib import Path
 
@@ -201,9 +202,9 @@ def test_resume_after_a_rejection_reproduces_uninterrupted_run(tmp_path, monkeyp
     # one injected rejection halves dt before step 4; the restart written
     # after step 4 must carry the halved dt and the reset streak, so that
     # the resumed run grows dt at the same step as the uninterrupted one.
-    # The rejection comes from coupled_step itself, or from the run loop's
-    # energy check once coupled_step has returned, when the candidate's
-    # derived fields already exist and must be discarded.
+    # The rejection is injected before coupled_step, or comes from its
+    # energy check, when the candidate's derived fields already exist and
+    # must be discarded.
     from dataclasses import replace
     from chve import driver
     kw = dict(adaptive="true", dt_max="4e-4", t_end=1.0, snapshot_every=1)
@@ -211,13 +212,13 @@ def test_resume_after_a_rejection_reproduces_uninterrupted_run(tmp_path, monkeyp
     real_step, real_energy = sim.coupled_step, driver.state_energy
     injected, pending = [], []
 
-    def rejected_once(work, dt):
+    def rejected_once(work, dt, energy_bound):
         if work.state.step_index == 3 and not injected:
             injected.append(dt)
             if where == "coupled_step":
                 raise StepRejected("injected")
             pending.append(1)
-        return real_step(work, dt)
+        return real_step(work, dt, energy_bound)
 
     def energy_rejects_once(*args):
         eb = real_energy(*args)
@@ -263,10 +264,10 @@ from chve.config import parse_config
 from chve.driver import Simulation
 
 class DiesAtStep12(Simulation):
-    def coupled_step(self, work, dt):
+    def coupled_step(self, work, dt, energy_bound):
         if work.state.step_index == 12:  # step 12 is accepted: die at once
             os._exit(3)
-        return super().coupled_step(work, dt)
+        return super().coupled_step(work, dt, energy_bound)
 
 with open(sys.argv[1], encoding="utf-8") as fh:
     DiesAtStep12(parse_config(fh.read())).run()
@@ -313,7 +314,7 @@ def test_coupled_step_needs_no_scipy_krylov(tmp_path, monkeypatch):
     monkeypatch.setattr(spla, "cg", no_scipy_krylov)
     sim = Simulation(spinodal_config(tmp_path))
     work, _, _ = sim.initial_state()
-    new, _ = sim.coupled_step(work, 1e-4)
+    new, _ = sim.coupled_step(work, 1e-4, math.inf)
     assert new.state.t == pytest.approx(1e-4)
 
 
@@ -335,9 +336,9 @@ def test_first_force_reads_the_stored_mu(tmp_path, monkeypatch):
     real_step = Simulation.coupled_step
     first = 0
 
-    def spy_step(self, work, dt):
+    def spy_step(self, work, dt, energy_bound):
         nonlocal first
-        out = real_step(self, work, dt)
+        out = real_step(self, work, dt, energy_bound)
         steps.append((work.state, dt, forces[first]))
         first = len(forces)
         return out
@@ -405,8 +406,8 @@ def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
     accepted_v = []
     real_step = Simulation.coupled_step
 
-    def spy(self, work, dt):
-        new, stats = real_step(self, work, dt)
+    def spy(self, work, dt, energy_bound):
+        new, stats = real_step(self, work, dt, energy_bound)
         accepted_v.append(new.state.v)
         return new, stats
 
@@ -435,9 +436,9 @@ def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
     per_step = []
     real_step = Simulation.coupled_step
 
-    def spy(self, work, dt):
+    def spy(self, work, dt, energy_bound):
         before = dict(counts)
-        new, stats = real_step(self, work, dt)
+        new, stats = real_step(self, work, dt, energy_bound)
         per_step.append((stats.picard_iters,
                          {k: counts[k] - before[k] for k in counts}))
         return new, stats
@@ -478,7 +479,7 @@ def test_step_stats_count_the_krylov_iterations(tmp_path, monkeypatch):
     work, _, _ = sim.initial_state()
     for _ in range(4):
         before = dict(calls)
-        work, stats = sim.coupled_step(work, cfg.time.dt0)
+        work, stats = sim.coupled_step(work, cfg.time.dt0, math.inf)
         assert stats.gmres_iters == calls["gmres"] - before["gmres"]
         assert stats.cg_iters == calls["pcg"] - before["pcg"]
     assert calls["gmres"] > 0 and calls["pcg"] > 0
@@ -529,8 +530,9 @@ def test_each_derived_field_is_formed_once(tmp_path, monkeypatch):
 
 def test_a_resumed_run_forms_one_derivative_pass_per_stokes_solve(tmp_path, monkeypatch):
     # nothing reads the velocity derivatives of a state read back from a
-    # restart (only a candidate's, for its diagnostics row), so a resumed
-    # run forms the derivative pass inside its Stokes solves only
+    # restart (coupled_step reads the last sweep's, for the candidate's
+    # dissipation), so a resumed run forms the derivative pass inside its
+    # Stokes solves only
     from dataclasses import replace
     from chve import operators
     from chve.stokes import StokesSolver
@@ -565,7 +567,7 @@ def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):
     sweeps = []
     for k in range(10):
         built.clear()
-        work, stats = sim.coupled_step(work, cfg.time.dt0)
+        work, stats = sim.coupled_step(work, cfg.time.dt0, math.inf)
         assert len(built) == 6 * stats.picard_iters - 3 * (k == 0), built
         sweeps.append(stats.picard_iters)
     assert max(sweeps) > 2
@@ -617,18 +619,18 @@ def test_nonfinite_sweep_advection_rejects_the_step(tmp_path, monkeypatch):
 
     monkeypatch.setattr(driver, "advect_upwind", poisoned)
     with pytest.raises(StepRejected, match="^precondition: advection term"):
-        sim.coupled_step(work, 1e-4)
+        sim.coupled_step(work, 1e-4, math.inf)
 
 
 def test_budget_residual_equals_reference_formula(tmp_path, monkeypatch):
     cfg = spinodal_config(tmp_path, max_steps=6, t_end=1.0, adaptive="true",
                           dt_max="4e-4")
     seen = []
-    real = Simulation._diagnostics_row
+    real = Simulation.coupled_step
 
-    def spy(self, state_n, cand, dt, *rest):
-        row = real(self, state_n, cand, dt, *rest)
-        state_np1 = cand.state
+    def spy(self, work, dt, energy_bound):
+        cand, stats = real(self, work, dt, energy_bound)
+        state_n, state_np1 = work.state, cand.state
         # the budget written out inline, with both energies evaluated afresh
         e_old = total_energy(state_n.phi, state_n.F, cfg.params).total
         e_new = total_energy(state_np1.phi, state_np1.F, cfg.params).total
@@ -639,14 +641,15 @@ def test_budget_residual_equals_reference_formula(tmp_path, monkeypatch):
         ref = (d_new, (e_new - e_old) / dt + d_new)
         shared = energy_budget(state_n, state_np1, dv, fields, dt, e_old, e_new,
                                cfg.params)
-        seen.append((row, shared, ref))
-        return row
+        seen.append((stats, shared, ref))
+        return cand, stats
 
-    monkeypatch.setattr(Simulation, "_diagnostics_row", spy)
+    monkeypatch.setattr(Simulation, "coupled_step", spy)
     _, rows, _ = simulate(cfg)
     assert len(seen) == len(rows) == 6
-    for row, shared, ref in seen:
+    for row, (stats, shared, ref) in zip(rows, seen):
         assert shared == ref
+        assert (stats.dissipation, stats.budget_residual) == ref
         assert (row.dissipation, row.budget_residual) == ref
 
 
@@ -700,7 +703,7 @@ def test_later_sweeps_warm_start_the_transport_cg(tmp_path, monkeypatch):
     for _ in range(3):
         applied.clear()
         steps.clear()
-        work, stats = sim.coupled_step(work, 1e-5)
+        work, stats = sim.coupled_step(work, 1e-5, math.inf)
         assert stats.picard_iters == 2
         [first, second] = steps
         assert first[3] is None and second[3] is not None
@@ -718,8 +721,8 @@ def test_coupled_step_repeats_bitwise(tmp_path):
     gives bitwise-equal states, as a retry after a rejection needs."""
     sim = Simulation(spinodal_config(tmp_path, picard_max=4, picard_tol=1e-300))
     work, _, _ = sim.initial_state()
-    a, stats_a = sim.coupled_step(work, 1e-5)
-    b, stats_b = sim.coupled_step(work, 1e-5)
+    a, stats_a = sim.coupled_step(work, 1e-5, math.inf)
+    b, stats_b = sim.coupled_step(work, 1e-5, math.inf)
     a, b = a.state, b.state
     assert stats_a == stats_b and stats_a.picard_iters == 4
     for x, y in ((a.phi.values, b.phi.values), (a.mu.values, b.mu.values),
@@ -776,7 +779,7 @@ def _stepped(sim, state, steps, dt):
     the (Picard, Newton) counts of each."""
     work, counts = StateWork.of(state, sim.params), []
     for _ in range(steps):
-        work, stats = sim.coupled_step(work, dt)
+        work, stats = sim.coupled_step(work, dt, math.inf)
         counts.append((stats.picard_iters, stats.newton_iters))
     return work.state, counts
 
@@ -828,7 +831,8 @@ def _run_with_one_energy_rejection(tmp_path, monkeypatch, name, keep=True):
     rejected once and retried at dt/2; returns (summary, CSV bytes, the
     solved forces, the phase fields whose constitutive pass was formed).
     keep=False steps each state from a record formed afresh from the state
-    alone (StateWork.of), so no attempt reuses any earlier work."""
+    alone (StateWork.of, which forms its energy too), so no attempt reuses
+    any earlier work."""
     from chve import driver
     forces, passes, energies = [], [], []
     real_solve, real_fields = driver.StokesSolver.solve, driver.state_fields
@@ -842,16 +846,20 @@ def _run_with_one_energy_rejection(tmp_path, monkeypatch, name, keep=True):
         passes.append(phi)
         return real_fields(phi, *rest)
 
+    # the initial state, then candidate 3; afresh, each candidate's energy
+    # follows that of its state's fresh record
+    rejected = 4 if keep else 7
+
     def energy(fields, params):
         energies.append(real_energy(fields, params))
-        if len(energies) == 4:  # the initial state, then candidate 3
+        if len(energies) == rejected:
             return dataclasses.replace(energies[-1], bulk=np.inf)
         return energies[-1]
 
     real_step = Simulation.coupled_step
 
-    def afresh(self, work, dt):
-        return real_step(self, StateWork.of(work.state, self.params), dt)
+    def afresh(self, work, dt, energy_bound):
+        return real_step(self, StateWork.of(work.state, self.params), dt, energy_bound)
 
     with monkeypatch.context() as m:
         m.setattr(driver.StokesSolver, "solve", solve)
@@ -927,14 +935,46 @@ def test_rejected_step_leaves_state_unchanged(tmp_path):
     phi_before = work.state.phi.values.copy()
     # a huge dt forces a CFL/Newton rejection path somewhere in the sweep
     try:
-        sim.coupled_step(work, 1e6)
+        sim.coupled_step(work, 1e6, math.inf)
     except StepRejected:
         pass
     assert np.array_equal(work.state.phi.values, phi_before)
     # retry with a sane dt works and reproduces identical arithmetic
-    s1, _ = sim.coupled_step(work, 1e-4)
-    s2, _ = sim.coupled_step(work, 1e-4)
+    s1, _ = sim.coupled_step(work, 1e-4, math.inf)
+    s2, _ = sim.coupled_step(work, 1e-4, math.inf)
     assert np.array_equal(s1.state.phi.values, s2.state.phi.values)
+
+
+def test_energy_rejection_comes_from_coupled_step(tmp_path):
+    # coupled_step judges the candidate's energy against the bound it is
+    # given; the rejection leaves the record stepped from as it was, and a
+    # retry without a bound accepts the very energy the message names
+    sim = Simulation(spinodal_config(tmp_path))
+    work, _, _ = sim.initial_state()
+    held = dict(vars(work))
+    with pytest.raises(StepRejected) as info:
+        sim.coupled_step(work, 1e-4, -math.inf)
+    assert info.value.reason.startswith("energy ")
+    assert all(vars(work)[k] is v for k, v in held.items())
+    cand, _ = sim.coupled_step(work, 1e-4, math.inf)
+    assert info.value.reason == f"energy {cand.energy.total:.17g} > -inf"
+
+
+def test_records_carry_their_state_energy(tmp_path):
+    # a built state's record carries E0 and the run's scale |E0|; a restored
+    # one carries the energy of (phi, F), with the scale its file holds
+    from dataclasses import replace
+    cfg = spinodal_config(tmp_path, name="run", max_steps=3, t_end=1.0, snapshot_every=1)
+    work, _, scale = Simulation(cfg).initial_state()
+    assert work.energy == total_energy(work.state.phi, work.state.F, cfg.params)
+    assert scale == abs(work.energy.total) > 0.0
+    simulate(cfg)
+    restart = tmp_path / "run" / "restart_00000002.chv"
+    cfg = replace(cfg, initial=replace(cfg.initial, restart_file=str(restart)))
+    work, _, restored_scale = Simulation(cfg).initial_state()
+    assert work.state.step_index == 2 and restored_scale == scale
+    ref = total_energy(work.state.phi, work.state.F, cfg.params)
+    assert work.energy == ref and work.energy.total == ref.total
 
 
 def test_more_picard_sweeps_tighten_coupling(tmp_path):
@@ -960,8 +1000,8 @@ def test_more_picard_sweeps_tighten_coupling(tmp_path):
     s8, _, _ = sim8.initial_state()
     gaps8, res1, res8 = [], [], []
     for _ in range(10):
-        c1, _ = sim1.coupled_step(s1, 2e-4)
-        c8, st8 = sim8.coupled_step(s8, 2e-4)
+        c1, _ = sim1.coupled_step(s1, 2e-4, math.inf)
+        c8, st8 = sim8.coupled_step(s8, 2e-4, math.inf)
         res1.append(budget(cfg1, s1, c1))
         res8.append(budget(cfg8, s8, c8))
         gaps8.append(st8.picard_gap)
@@ -969,7 +1009,7 @@ def test_more_picard_sweeps_tighten_coupling(tmp_path):
     # a single sweep lands this far from the fixed point (measured by a
     # two-sweep probe step); tight sweeps close the gap by orders of magnitude
     probe = Simulation(spinodal_config(tmp_path, name="probe", picard_max=2))
-    _, st_probe = probe.coupled_step(s1, 2e-4)
+    _, st_probe = probe.coupled_step(s1, 2e-4, math.inf)
     assert st_probe.picard_gap > 100.0 * max(gaps8)
     assert np.mean(res8) <= 1.05 * np.mean(res1)
 
@@ -1105,10 +1145,10 @@ def test_final_checkpoint_after_dt_underflow_carries_halved_dt(tmp_path, monkeyp
     sim = Simulation(spinodal_config(tmp_path, snapshot_every=1, t_end=1.0))
     real_step = sim.coupled_step
 
-    def rejected_after_two(work, dt):
+    def rejected_after_two(work, dt, energy_bound):
         if work.state.step_index >= 2:
             raise StepRejected("injected")
-        return real_step(work, dt)
+        return real_step(work, dt, energy_bound)
 
     sim.coupled_step = rejected_after_two
     summary = sim.run()

@@ -6,6 +6,7 @@ the uninterrupted run."""
 
 import dataclasses
 import itertools
+import math
 import os
 import time
 import traceback
@@ -46,7 +47,7 @@ def test_nan_inside_a_step_is_rejected(tmp_path, monkeypatch, target, reason):
     work, _, _ = sim.initial_state()
     monkeypatch.setattr(constitutive, target, _nan_corner(getattr(constitutive, target)))
     with pytest.raises(StepRejected) as exc:
-        sim.coupled_step(work, 1e-4)
+        sim.coupled_step(work, 1e-4, math.inf)
     assert exc.value.reason.startswith(reason)
 
 
@@ -60,7 +61,7 @@ def test_unconverged_transport_solve_is_rejected(tmp_path, monkeypatch):
     work, _, _ = sim.initial_state()
     monkeypatch.setattr(krylov, "pcg", _stalled_cg)
     with pytest.raises(StepRejected) as exc:
-        sim.coupled_step(work, 1e-4)
+        sim.coupled_step(work, 1e-4, math.inf)
     assert exc.value.reason.startswith("linear solve: transport residual")
     assert exc.value.reason.endswith("CG did not converge (info 1)")
 
@@ -75,7 +76,7 @@ def test_nan_phase_field_krylov_solve_is_rejected(tmp_path, monkeypatch):
     work, _, _ = sim.initial_state()
     monkeypatch.setattr(krylov, "gmres", _nan_gmres)
     with pytest.raises(StepRejected) as exc:
-        sim.coupled_step(work, 1e-4)
+        sim.coupled_step(work, 1e-4, math.inf)
     assert exc.value.reason.startswith("newton:")
 
 
@@ -94,7 +95,7 @@ def test_nan_stokes_back_solve_is_rejected(tmp_path, monkeypatch):
     work, _, _ = sim.initial_state()
     monkeypatch.setattr(lapack, "dpotrs", _nan_back_solve)
     with pytest.raises(StepRejected) as exc:
-        sim.coupled_step(work, 1e-4)
+        sim.coupled_step(work, 1e-4, math.inf)
     assert exc.value.reason.startswith("stokes: stream function is not finite")
 
 
@@ -103,7 +104,7 @@ def test_failed_stokes_back_solve_is_rejected(tmp_path, monkeypatch):
     work, _, _ = sim.initial_state()
     monkeypatch.setattr(lapack, "dpotrs", _failed_back_solve)
     with pytest.raises(StepRejected) as exc:
-        sim.coupled_step(work, 1e-4)
+        sim.coupled_step(work, 1e-4, math.inf)
     assert exc.value.reason == "stokes: capacitance back-solve failed (potrs info -2)"
 
 
@@ -341,10 +342,10 @@ def _arm(point):
     if kind == "step":
         real_step = Simulation.coupled_step
 
-        def coupled_step(self, work, dt):
+        def coupled_step(self, work, dt, energy_bound):
             if work.state.step_index == at:
                 os._exit(KILLED)
-            return real_step(self, work, dt)
+            return real_step(self, work, dt, energy_bound)
 
         Simulation.coupled_step = coupled_step
     elif kind == "vtk":

@@ -86,8 +86,8 @@ class _Recording(Simulation):
         super().__init__(cfg)
         self.candidates = {}
 
-    def coupled_step(self, work, dt):
-        cand, stats = super().coupled_step(work, dt)
+    def coupled_step(self, work, dt, energy_bound):
+        cand, stats = super().coupled_step(work, dt, energy_bound)
         self.candidates[cand.state.step_index] = cand.state
         return cand, stats
 

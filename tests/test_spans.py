@@ -3,6 +3,7 @@ names it patches, so a refactor that renames one fails here rather than in
 a traced benchmark run.  spans.py is read as it is, never edited."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -63,7 +64,7 @@ def test_tracer_records_the_layer_spans_of_a_step(tmp_path):
     sim = Simulation(spinodal_config(tmp_path))
     work, _, _ = sim.initial_state()
     with spans.Tracer() as tracer:
-        sim.coupled_step(work, 1e-4)
+        sim.coupled_step(work, 1e-4, math.inf)
     names = {s.name for s in tracer.spans}
     assert {"driver.coupled_step", "stokes.assemble_force", "stokes.solve",
             "transport.step", "cahn_hilliard.step"} <= names

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -436,12 +438,12 @@ def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, a
                         lambda force: (v, ScalarField.uniform(grid, 0.0), dv))
     dt = 1e-5  # CFL 0.026
     if accepted:
-        new, stats = sim.coupled_step(work, dt)
+        new, stats = sim.coupled_step(work, dt, math.inf)
         assert new.state.v is v
         assert stats.div_v_max == solenoidal_residual(dv)[0]
     else:
         with pytest.raises(StepRejected, match="^div residual"):
-            sim.coupled_step(work, dt)
+            sim.coupled_step(work, dt, math.inf)
 
 
 def test_energy_consistency(grid16, rng, params):
