@@ -148,12 +148,12 @@ class StateWork:
     first_solve: tuple[StaggeredVectorField, ScalarField, VelocityDerivatives] | None = None
 
     @classmethod
-    def of(cls, state: SimState, params: ModelParams, fields: StateFields | None = None,
-           first_solve=None) -> StateWork:
+    def of(cls, state: SimState, params: ModelParams,
+           fields: StateFields | None = None) -> StateWork:
         """The record of state, with its constitutive pass formed from the
         state alone unless given, and the energy of that pass."""
         fields = state_fields(state.phi, state.F, params) if fields is None else fields
-        return cls(state, fields, state_energy(fields, params), first_solve)
+        return cls(state, fields, state_energy(fields, params))
 
 
 class Simulation:
@@ -199,8 +199,8 @@ class Simulation:
         fields = state_fields(phi, F, p)
         mu = static_chemical_potential(phi, fields.dw_dphi, p)
         v, q, _ = solved = self._solve(fields, mu, fields.dw_dphi, F)
-        work = StateWork.of(SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q), p,
-                            fields, solved)
+        work = StateWork.of(SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q), p, fields)
+        work.first_solve = solved
         return work, StepControl(cfg.time.dt0), max(abs(work.energy.total), 1e-30)
 
     # -- one coupled step ----------------------------------------------------

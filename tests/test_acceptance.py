@@ -304,7 +304,7 @@ def test_supplementary_korteweg_forms_converge_on_a_2d_state():
     """Criterion 11's 1-D profile makes both capillary forces exact
     discrete gradients, so its solves return v = 0; on a 2-D drop state
     both forms drive a flow, and their velocities agree to O(h^2)."""
-    rep = ver.korteweg_convergence(levels=(32, 64, 128))
+    rep = ver.korteweg_convergence()
     assert all(3.5 <= r <= 4.5 for r in rep["ratios"]), rep
     assert min(rep["v_mu_max"]) >= 0.05, rep
     _report(0, "capillary force convergence (supplementary)",
