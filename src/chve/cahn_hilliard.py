@@ -10,43 +10,14 @@ One step solves the coupled pair
              + delta * (phi_new - phi_n)/dt
 
 mu_new is a function of phi_new alone, so Newton runs on phi_new only, with
-the first equation as its residual.  Treating the convex part of the double
-well implicitly and the concave part explicitly makes the step
-unconditionally well posed and, for v = 0 and frozen coupling, strictly
-dissipative in the phase-field energy for any dt.  Advection is explicit
-(conservative flux form of phi_n) and every operator row sums to zero, so
-the cell sum of phi is conserved to rounding at every accepted step.
-
-Each Newton update is solved matrix-free (Newton-Krylov): right-
-preconditioned flexible GMRES (:func:`chve.krylov.gmres`) on the Jacobian
-of the residual, preconditioned by the constant-coefficient splitting
-operator, which the DCT diagonalizes exactly, so each GMRES iteration costs
-one DCT pair.  The mean (k = 0 mode) of each update is set exactly rather
-than by the Krylov solve, which keeps the mass identity independent of the
-GMRES tolerance.
-
-Within a time step phi_n and phi_prev are fixed, so :meth:`CHSystem.prepare`
-builds the mobility operator, the warm start and the explicit concave part
-of mu once per step, from b(phi_n) as the driver's constitutive pass of the
-accepted state formed it.  Each Picard sweep's :meth:`CHSystem.step` takes that
-level with the sweep's advect(v, phi_n) and dw/dphi(phi_n, F_new), which
-the driver forms once per sweep, from the f'(phi_n) of that pass, and
-shares with transport and with the next sweep's force.  A later sweep
-starts from the previous sweep's (phi, mu) and moves mu by the change of
-dw/dphi alone, the counterpart of the transport's warm-started CG, so a
-sweep whose start already meets the Newton test forms no mu.  The
-accepted step's mu_new, viscous term included, is the mu that the state
-stores and the next step's first force reads.  The zero-flux Laplacian L
-and a varying mobility's L_b are five-diagonal matrices
-(:func:`chve.operators.laplacian_matrix`); the step only multiplies them
-with vectors.
-
-A Newton update forms its preconditioner symbol from two factors kept
-apart from it: eps eig, eig the DCT-II eigenvalues of L, for the run, and
-(dt mean(b)) eig for the level, the products the one-line formula forms
-first, so the symbol is bitwise that formula's.  Each mean of the update
-is ``x.sum() / x.size``, ``np.mean``'s own formula without its argument
-handling, and GMRES takes its norms from :func:`chve.krylov.norm`.
+the first equation as its residual.  For v = 0 and frozen coupling the
+convex splitting makes the step well posed and dissipative in the
+phase-field energy for any dt.  Every operator row sums to zero, so the
+cell sum of phi is conserved to rounding.  Each Newton update is solved
+matrix-free by right-preconditioned flexible GMRES
+(:func:`chve.krylov.gmres`), preconditioned by the constant-coefficient
+splitting operator, which the DCT-II diagonalizes; the mean of each
+update is set exactly, whatever the GMRES tolerance.
 """
 
 from __future__ import annotations
@@ -75,17 +46,11 @@ GMRES_MAXITER = 5
 
 def static_chemical_potential(phi: ScalarField, dw_dphi: np.ndarray,
                               params: ModelParams) -> ScalarField:
-    """Chemical potential evaluated on given fields (no time stepping):
-
-        psi'(phi)/eps - eps Lap(phi) + dw/dphi,
-
-    with dw_dphi the elastic term of the deformation F at hand
-    (:func:`chve.constitutive.elastic_response`).  This is the exact gradient of the discrete
-    free energy with respect to the cell values (scaled by the cell area);
-    the finite-difference check in the verification module leans on that
-    exactness.  The initial state's mu is this one; each step then stores
-    the mu of :meth:`CHSystem.step`.
-    """
+    """Chemical potential of given fields, psi'(phi)/eps - eps Lap(phi) +
+    dw/dphi, with dw_dphi the elastic term of the deformation at hand
+    (:func:`chve.constitutive.elastic_response`): the exact gradient of the
+    discrete free energy with respect to the cell values, scaled by the
+    cell area."""
     g = phi.grid
     return ScalarField(g, law.psi_prime(phi.values) / params.eps
                        - params.eps * face_divergence(*face_gradient(phi.values, g), g)
@@ -94,12 +59,9 @@ def static_chemical_potential(phi: ScalarField, dw_dphi: np.ndarray,
 
 @dataclass(frozen=True)
 class CHLevel:
-    """The old time level of one Cahn-Hilliard step, from
-    :meth:`CHSystem.prepare`, flattened: phi_n, the warm start
-    2 phi_n - phi_prev, the explicit concave part psi_minus'(phi_n)/eps of
-    mu, the mobility operator L_b of b(phi_n), dt, and (dt mean(b)) eig,
-    the preconditioner's mobility factor on the DCT-II eigenvalues eig of
-    L."""
+    """The old time level of one step, flattened: phi_n, the warm start
+    2 phi_n - phi_prev, psi_minus'(phi_n)/eps, the mobility operator L_b of
+    b(phi_n), dt, and (dt mean(b)) eig, eig the DCT-II eigenvalues of L."""
     phi_n: np.ndarray
     warm: np.ndarray
     mu_minus: np.ndarray
@@ -109,8 +71,7 @@ class CHLevel:
 
 
 class CHSystem:
-    """Newton-Krylov solver of the Cahn-Hilliard step, on phi_new alone, for
-    one grid/params pair.
+    """Newton-Krylov solver of the Cahn-Hilliard step on phi_new alone.
 
     mu is kept on the split formula of the current iterate, and Newton
     drives r = (phi - phi_n) + dt (advect(v, phi_n) - L_b mu) to zero.
@@ -118,25 +79,11 @@ class CHSystem:
 
         (I + dt L_b (eps L - D)) dphi = -r,   D = psi_plus''(phi)/eps + delta/dt,
 
-    by GMRES, and mu then moves by its exact increment.  GMRES is
-    preconditioned on the right by the same operator with D replaced by its
-    mean and L_b by (mean mobility) L: the constant-coefficient
-    convex-splitting operator, which DCT-II diagonalizes exactly on the
-    zero-flux grid, applied once per GMRES iteration.
-
-    The mean of dphi is fixed exactly by the k = 0 row (1^T L_b = 0), and
-    the Krylov solve runs on the mean-zero complement only, so every
-    iterate conserves the cell sum of phi to rounding whatever the GMRES
-    tolerance.  What depends on (phi_n, phi_prev, dt) alone is built once
-    per time step by :meth:`prepare` and reused by each Picard sweep's
-    :meth:`step`, the preconditioner's factor (dt mean(b)) eig included;
-    apart from that its DCT eigenvalues eig, eps eig and, for constant
-    mobility (b0 == b1), b0 L are built once.  L is the grid's zero-flux
-    Laplacian (:func:`chve.operators.laplacian_matrix`), which the caller
-    assembles and shares with the transport system; it and a varying
-    mobility's L_b are kept as their five diagonals, whose vector product
-    is bitwise the CSR one and cheaper, and a step makes only vector
-    products with them.
+    by GMRES on the mean-zero complement, right-preconditioned by the same
+    operator with D replaced by its mean and L_b by mean(b) L, and mu then
+    moves by its exact increment.  The mean of dphi is fixed exactly by the
+    k = 0 row (1^T L_b = 0).  L is the grid's zero-flux Laplacian
+    (:func:`chve.operators.laplacian_matrix`).
     """
 
     def __init__(self, grid, params: ModelParams, L: sp.dia_matrix):
@@ -149,10 +96,9 @@ class CHSystem:
 
     def prepare(self, phi_n: ScalarField, phi_prev: ScalarField, b: np.ndarray,
                 dt: float) -> CHLevel:
-        """The parts of a step that no velocity or deformation changes; b is
-        the cell array b(phi_n) (:func:`chve.constitutive.mobility_b`).
-        phi_prev (the previous accepted field) only seeds the Newton warm
-        start, a linear extrapolation through the two accepted states."""
+        """The level of a step from phi_n; b is the cell array b(phi_n)
+        (:func:`chve.constitutive.mobility_b`).  phi_prev, the previous
+        accepted field, only seeds the warm start."""
         if dt <= 0.0:
             raise PreconditionError("dt must be > 0")
         p = self.params
@@ -168,20 +114,15 @@ class CHSystem:
         """Advance (phi, mu) one step; returns (phi_new, mu_new,
         newton_iters, gmres_iters).
 
-        dw_dphi is dw/dphi(phi_n, F) of this sweep's deformation F and adv
-        is advect(v, phi_n), both cell arrays.  The Newton iteration starts
-        from the level's warm start, with mu formed from its split formula
-        there.  Given ``start = (phi', mu', dw')``, the result of an earlier
-        sweep on this level and the dw/dphi it was solved with, it starts
-        from phi' instead, with mu' + (dw_dphi - dw'): mu is linear in
-        dw/dphi, so that is the split mu at phi' to rounding, without the
-        sparse product and the psi_plus' pass of forming it again.  The
-        viscous delta term always differences phi_new against phi_n.
-        newton_iters counts the Newton updates, and is 1 when none is
-        needed; gmres_iters is the total number of GMRES iterations, one
-        preconditioner application each.  Raises NewtonError if MAX_NEWTON
-        iterations do not reach TOL_NEWTON (naming the last GMRES info if
-        it is not 0) or the residual turns non-finite.
+        dw_dphi is dw/dphi(phi_n, F) and adv is advect(v, phi_n), both cell
+        arrays.  Newton starts from the level's warm start, or, given
+        ``start = (phi', mu', dw')`` of an earlier solve on this level, from
+        phi' with mu' + (dw_dphi - dw'), the split mu at phi' to rounding
+        (mu is linear in dw/dphi).  newton_iters counts the updates (1 when
+        none is needed), gmres_iters the GMRES iterations of all of them.
+        Raises NewtonError if MAX_NEWTON iterations do not reach TOL_NEWTON
+        (naming the last GMRES info if it is not 0) or the residual turns
+        non-finite.
         """
         p = self.params
         dt, pn, Lb = level.dt, level.phi_n, level.Lb

@@ -11,8 +11,9 @@ stored mu carries the delta term over the dt that produced phi_n), so
 every attempt at a step shares its solve.
 
 A state's record (:class:`StateWork`) carries its dt-independent work:
-the constitutive pass, the energy and, once made, the first solve of a
-step from it.  No solver object keeps anything of a step.
+the constitutive pass, the energy and the state's own Stokes solve, the
+first solve of a step from it.  It is whole when it is built, and no
+step adds to it.  No solver object keeps anything of a step.
 
 :meth:`Simulation.coupled_step` alone decides a step.  It rejects it when
 the phase-field Newton fails, a linear solve fails, a field turns
@@ -43,8 +44,8 @@ from .config import ConfigSpec, StepControl, dump_config
 from .diagnostics import (DiagnosticsRow, EnergyBreakdown, StateFields, energy_budget,
                           state_energy, state_fields, total_mass)
 from .errors import NewtonError, SolverError, ValidationError
-from .grid import (ModelParams, PreconditionError, ScalarField, SimState,
-                   StaggeredVectorField, TensorField)
+from .grid import (PreconditionError, ScalarField, SimState, StaggeredVectorField,
+                   TensorField)
 from .operators import (VelocityDerivatives, advect_upwind, laplacian_matrix,
                         solenoidal_residual, upwind_candidates)
 from .stokes import StokesSolver, assemble_force
@@ -137,23 +138,16 @@ def sweep_advection(v: StaggeredVectorField, faces, d: int):
     return adv[..., :-1].reshape(nx, ny, d, d), adv[..., -1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateWork:
     """The dt-independent work of one state: its constitutive pass, its
-    energy and, once solved, the first Stokes solve (v, q, dv) of a step
-    from it, which every attempt at that step shares."""
+    energy and its own Stokes solve (v, q, dv), with the force of its
+    stored mu, which the first sweep of every attempt at a step from it
+    takes."""
     state: SimState
     fields: StateFields
     energy: EnergyBreakdown
-    first_solve: tuple[StaggeredVectorField, ScalarField, VelocityDerivatives] | None = None
-
-    @classmethod
-    def of(cls, state: SimState, params: ModelParams,
-           fields: StateFields | None = None) -> StateWork:
-        """The record of state, with its constitutive pass formed from the
-        state alone unless given, and the energy of that pass."""
-        fields = state_fields(state.phi, state.F, params) if fields is None else fields
-        return cls(state, fields, state_energy(fields, params))
+    first_solve: tuple[StaggeredVectorField, ScalarField, VelocityDerivatives]
 
 
 class Simulation:
@@ -178,12 +172,19 @@ class Simulation:
 
     # -- state construction -------------------------------------------------
 
+    def record(self, state: SimState) -> StateWork:
+        """The record of state, formed from the state alone.  Raises
+        SolverError if its own Stokes solve fails."""
+        fields = state_fields(state.phi, state.F, self.params)
+        return StateWork(state, fields, state_energy(fields, self.params),
+                         self._solve(fields, state.mu, fields.dw_dphi, state.F))
+
     def initial_state(self) -> tuple[StateWork, StepControl, float]:
         """(record, step control, energy scale) to start the run from: the
         state read from the restart file, with dt clamped to [dt_min,
         dt_max] and the scale the file carries, or built from the config,
-        with the scale |E0| floored at 1e-30.  A built state's record holds
-        its Stokes solve as the first solve of step 1."""
+        with the scale |E0| floored at 1e-30.  A built state's v and q are
+        its own Stokes solve.  Raises SolverError if that solve fails."""
         cfg = self.cfg
         if cfg.initial.restart_file:
             state, control, e_scale = read_restart(cfg.initial.restart_file)
@@ -191,16 +192,15 @@ class Simulation:
                 raise ValidationError(f"restart grid {state.phi.grid} does not match "
                                       f"the configured grid {self.grid}")
             dt = min(max(control.dt, cfg.time.dt_min), cfg.time.dt_max)
-            return (StateWork.of(state, self.params), StepControl(dt, control.streak),
-                    e_scale)
+            return self.record(state), StepControl(dt, control.streak), e_scale
         p = self.params
         phi = initial_phi(cfg)
         F = initial_F(cfg)
         fields = state_fields(phi, F, p)
         mu = static_chemical_potential(phi, fields.dw_dphi, p)
         v, q, _ = solved = self._solve(fields, mu, fields.dw_dphi, F)
-        work = StateWork.of(SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q), p, fields)
-        work.first_solve = solved
+        work = StateWork(SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q), fields,
+                         state_energy(fields, p), solved)
         return work, StepControl(cfg.time.dt0), max(abs(work.energy.total), 1e-30)
 
     # -- one coupled step ----------------------------------------------------
@@ -211,13 +211,14 @@ class Simulation:
 
         The old level is prepared once, before the first sweep, from the
         constitutive pass of the state; the first sweep takes the state's
-        first Stokes solve, made here and put on work when it is not yet
-        there.  Each sweep admits its Stokes velocity here and only here,
-        from its derivative pass: div v within the solenoidal bound, then
-        CFL.  Raises StepRejected on either failure, Newton failure, a
-        failed linear solve, a non-finite field or a candidate energy above
-        energy_bound; the stats carry the candidate's dissipation and
-        energy-budget residual."""
+        own Stokes solve from work.  Each sweep admits its Stokes velocity
+        here and only here, from its derivative pass: div v within the
+        solenoidal bound, then CFL.  A candidate whose energy is within
+        energy_bound gets its own Stokes solve.  Raises StepRejected on
+        either admission failure, Newton failure, a failed linear solve, a
+        non-finite field or a candidate energy above energy_bound; the
+        stats carry the candidate's dissipation and energy-budget
+        residual."""
         cfg = self.cfg
         p = self.params
         g = self.grid
@@ -229,9 +230,9 @@ class Simulation:
         newton_total = gmres_total = cg_total = 0
         picard_iters = 0
 
-        def solve_stokes(mu, dw_dphi, F):
+        def solve_stokes(fields, mu, dw_dphi, F):
             try:
-                return self._solve(fields_n, mu, dw_dphi, F)
+                return self._solve(fields, mu, dw_dphi, F)
             except SolverError as exc:
                 raise StepRejected(f"stokes: {exc}") from exc
 
@@ -239,12 +240,10 @@ class Simulation:
             faces = old_level_faces(F_n, phi_n)
             transport_level = self.transport.prepare(F_n, fields_n.f, dt)
             ch_level = self.ch.prepare(phi_n, state.phi_prev, fields_n.b, dt)
-            if work.first_solve is None:
-                work.first_solve = solve_stokes(state.mu, fields_n.dw_dphi, F_n)
 
             for sweep in range(1, cfg.coupling.picard_max + 1):
                 v, q, dv = (work.first_solve if sweep == 1
-                            else solve_stokes(mu_new, dw_dphi, F_new))
+                            else solve_stokes(fields_n, mu_new, dw_dphi, F_new))
                 div_v, div_bound = solenoidal_residual(dv)
                 if not div_v <= div_bound:
                     raise StepRejected(f"div residual {div_v:.3e} > {div_bound:.3e}")
@@ -276,6 +275,16 @@ class Simulation:
                 prev = (phi_new, F_new, v)
                 if change <= cfg.coupling.picard_tol:
                     break
+
+            new_state = SimState(phi=phi_new, phi_prev=phi_n, mu=mu_new, F=F_new,
+                                 v=v, q=q, t=state.t + dt,
+                                 step_index=state.step_index + 1)
+            fields = state_fields(phi_new, F_new, p, stretch)
+            energy = state_energy(fields, p)
+            if energy.total > energy_bound:
+                raise StepRejected(f"energy {energy.total:.17g} > {energy_bound:.17g}")
+            cand = StateWork(new_state, fields, energy,
+                             solve_stokes(fields, mu_new, fields.dw_dphi, F_new))
         except NewtonError as exc:
             raise StepRejected(f"newton: {exc}") from exc
         except SolverError as exc:
@@ -283,15 +292,8 @@ class Simulation:
         except PreconditionError as exc:  # a non-finite field
             raise StepRejected(f"precondition: {exc}") from exc
 
-        new_state = SimState(phi=phi_new, phi_prev=phi_n, mu=mu_new, F=F_new,
-                             v=v, q=q, t=state.t + dt,
-                             step_index=state.step_index + 1)
-        cand = StateWork.of(new_state, p, state_fields(phi_new, F_new, p, stretch))
-        e_new = cand.energy.total
-        if e_new > energy_bound:
-            raise StepRejected(f"energy {e_new:.17g} > {energy_bound:.17g}")
-        dissipation, budget = energy_budget(state, new_state, dv, cand.fields, dt,
-                                            work.energy.total, e_new, p)
+        dissipation, budget = energy_budget(state, new_state, dv, fields, dt,
+                                            work.energy.total, energy.total, p)
         stats = StepStats(picard_iters=picard_iters, newton_iters=newton_total,
                           picard_gap=float(change) if np.isfinite(change) else -1.0,
                           div_v_max=div_v, dissipation=dissipation,

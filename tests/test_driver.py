@@ -322,8 +322,9 @@ def test_first_force_reads_the_stored_mu(tmp_path, monkeypatch):
     # mu_n as the last step stored it holds delta (phi_n - phi_prev) / dt_n,
     # over the dt that produced phi_n; the first force of each step must
     # read it as it is, also on the step after dt grows.  That force is the
-    # first one formed after the previous step: the initial state's own
-    # force for step 1, whose solve the step keeps
+    # state's own, the last one formed before the first attempt at the
+    # step: by initial_state for step 1, else by the step that made the
+    # state, after its energy test
     from chve import driver
     forces = []
     real_force = driver.assemble_force
@@ -334,13 +335,14 @@ def test_first_force_reads_the_stored_mu(tmp_path, monkeypatch):
 
     steps = []
     real_step = Simulation.coupled_step
-    first = 0
+    before = None  # len(forces) at the first attempt at the step
 
     def spy_step(self, work, dt, energy_bound):
-        nonlocal first
+        nonlocal before
+        before = len(forces) if before is None else before
         out = real_step(self, work, dt, energy_bound)
-        steps.append((work.state, dt, forces[first]))
-        first = len(forces)
+        steps.append((work.state, dt, forces[before - 1]))
+        before = None
         return out
 
     monkeypatch.setattr(driver, "assemble_force", spy_force)
@@ -508,8 +510,8 @@ def _count_calls(monkeypatch, *functions):
 
 def test_each_derived_field_is_formed_once(tmp_path, monkeypatch):
     # 16^2, two Picard sweeps per step: the velocity-derivative pass is
-    # formed once per Stokes solve, one per sweep (step 1's first sweep
-    # keeps the initial state's solve), f(phi), b(phi) and f'(phi) in one
+    # formed once per Stokes solve, one per sweep after the first and one
+    # per state of its own (the first sweep takes it), f(phi), b(phi) and f'(phi) in one
     # pass per accepted state plus the initial state, with no separate
     # evaluation of any of them, dw/dphi once per sweep and once per pass,
     # and the stretch once per sweep and for the initial state only
@@ -523,7 +525,7 @@ def test_each_derived_field_is_formed_once(tmp_path, monkeypatch):
     assert summary.steps == len(rows) == 8 and summary.rejected_steps == 0
     solves = sum(r.picard_iters for r in rows)
     assert solves == 2 * 8
-    assert counts == {"velocity_derivatives": solves, "phase_profiles": 8 + 1,
+    assert counts == {"velocity_derivatives": solves + 1, "phase_profiles": 8 + 1,
                       "stiffness_f": 0, "mobility_b": 0, "stiffness_f_prime": 0,
                       "elastic_response": solves + 8 + 1, "_stretch": solves + 1}
 
@@ -532,7 +534,8 @@ def test_a_resumed_run_forms_one_derivative_pass_per_stokes_solve(tmp_path, monk
     # nothing reads the velocity derivatives of a state read back from a
     # restart (coupled_step reads the last sweep's, for the candidate's
     # dissipation), so a resumed run forms the derivative pass inside its
-    # Stokes solves only
+    # Stokes solves only: one per sweep after the first and one per state
+    # of its own, the restored state's included
     from dataclasses import replace
     from chve import operators
     from chve.stokes import StokesSolver
@@ -546,15 +549,15 @@ def test_a_resumed_run_forms_one_derivative_pass_per_stokes_solve(tmp_path, monk
     summary, rows, _ = simulate(cfg)
     assert summary.steps == len(rows) == 4 and summary.rejected_steps == 0
     solves = sum(r.picard_iters for r in rows)
-    assert counts == {"velocity_derivatives": solves, "solve": solves}
+    assert counts == {"velocity_derivatives": solves + 1, "solve": solves + 1}
 
 
 def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):
-    # over 10 PICARD8-style steps each sweep builds six fields (the force
-    # that the Stokes solve validates, v, q, F_new, phi_new and mu_new),
-    # except step 1's first sweep, which keeps the initial state's force
-    # solve (v, q); the first force reads the stored mu, and every stencil
-    # trades arrays
+    # over 10 PICARD8-style steps each sweep builds six fields: the force
+    # that the Stokes solve validates, v, q, F_new, phi_new and mu_new.  The
+    # first sweep takes the state's own solve, and the candidate's own
+    # solve builds its force, v and q in their place; every stencil trades
+    # arrays
     built = []
     for cls in (ScalarField, StaggeredVectorField, TensorField):
         def counted(self, real=cls.__post_init__):
@@ -568,7 +571,7 @@ def test_step_builds_a_field_only_where_a_value_is_kept(tmp_path, monkeypatch):
     for k in range(10):
         built.clear()
         work, stats = sim.coupled_step(work, cfg.time.dt0, math.inf)
-        assert len(built) == 6 * stats.picard_iters - 3 * (k == 0), built
+        assert len(built) == 6 * stats.picard_iters, built
         sweeps.append(stats.picard_iters)
     assert max(sweeps) > 2
 
@@ -777,7 +780,7 @@ def _unknowns(state):
 def _stepped(sim, state, steps, dt):
     """state after steps coupled steps of size dt from its own record, and
     the (Picard, Newton) counts of each."""
-    work, counts = StateWork.of(state, sim.params), []
+    work, counts = sim.record(state), []
     for _ in range(steps):
         work, stats = sim.coupled_step(work, dt, math.inf)
         counts.append((stats.picard_iters, stats.newton_iters))
@@ -831,8 +834,8 @@ def _run_with_one_energy_rejection(tmp_path, monkeypatch, name, keep=True):
     rejected once and retried at dt/2; returns (summary, CSV bytes, the
     solved forces, the phase fields whose constitutive pass was formed).
     keep=False steps each state from a record formed afresh from the state
-    alone (StateWork.of, which forms its energy too), so no attempt reuses
-    any earlier work."""
+    alone (Simulation.record, which forms its energy and its own solve
+    too), so no attempt reuses any earlier work."""
     from chve import driver
     forces, passes, energies = [], [], []
     real_solve, real_fields = driver.StokesSolver.solve, driver.state_fields
@@ -859,7 +862,7 @@ def _run_with_one_energy_rejection(tmp_path, monkeypatch, name, keep=True):
     real_step = Simulation.coupled_step
 
     def afresh(self, work, dt, energy_bound):
-        return real_step(self, StateWork.of(work.state, self.params), dt, energy_bound)
+        return real_step(self, self.record(work.state), dt, energy_bound)
 
     with monkeypatch.context() as m:
         m.setattr(driver.StokesSolver, "solve", solve)
@@ -887,9 +890,10 @@ def test_a_retry_forms_no_state_work_again(tmp_path, monkeypatch):
         tmp_path, monkeypatch, "afresh", keep=False)
     assert (summary_ref.steps, summary_ref.rejected_steps) == (6, 1)
     assert csv == csv_ref
-    # afresh, step 1 and the retry each solve a force solved before, and
-    # the state stepped from has its pass formed for the retry again
-    assert len(forces_ref) == len(forces) + 2 == len(set(forces_ref)) + 2
+    # afresh, each of the 7 attempts solves its state's own force, solved
+    # before by initial_state or by the step that made the state, and the
+    # state stepped from has its pass formed for the retry again
+    assert len(forces_ref) == len(forces) + 7 == len(set(forces_ref)) + 7
     assert len(passes_ref) > len(passes)
 
 
@@ -975,6 +979,25 @@ def test_records_carry_their_state_energy(tmp_path):
     assert work.state.step_index == 2 and restored_scale == scale
     ref = total_energy(work.state.phi, work.state.F, cfg.params)
     assert work.energy == ref and work.energy.total == ref.total
+
+
+def test_a_record_is_whole_when_built(tmp_path):
+    # a record needs its state's own Stokes solve and takes no field after
+    # it is built; the record coupled_step builds for its candidate is, bit
+    # for bit, the one Simulation.record forms from the candidate alone
+    sim = Simulation(spinodal_config(tmp_path, n=16))
+    work, _, _ = sim.initial_state()
+    with pytest.raises(TypeError):
+        StateWork(work.state, work.fields, work.energy)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        work.first_solve = None
+    cand, _ = sim.coupled_step(work, 1e-4, math.inf)
+    ref = sim.record(cand.state)
+    assert cand.energy == ref.energy
+    for (v, q, _), (v_ref, q_ref, _) in ((cand.first_solve, ref.first_solve),
+                                         (work.first_solve, sim.record(work.state).first_solve)):
+        assert v.u.tobytes() == v_ref.u.tobytes() and v.w.tobytes() == v_ref.w.tobytes()
+        assert q.values.tobytes() == q_ref.values.tobytes()
 
 
 def test_more_picard_sweeps_tighten_coupling(tmp_path):

@@ -171,6 +171,54 @@ def test_persistent_energy_rise_ends_run_with_dt_underflow(tmp_path, monkeypatch
                 lambda: monkeypatch.setattr(driver, "state_energy", rising))
 
 
+def test_a_failed_own_solve_rejects_only_its_candidate(tmp_path, monkeypatch):
+    # a state's own Stokes solve (the force of its stored mu and of its
+    # pass's dw/dphi) is made by the step that produces the state, after the
+    # energy test.  When state 3's fails, that candidate is rejected once
+    # and the retry at dt/2 makes another state 3, so the run reaches
+    # max_steps; it does not retry the same dt-independent solve until dt
+    # underflows.  15 solves: the initial state's, two per accepted step
+    # and two in the rejected attempt
+    owners, solves = [], []  # the stored mu of each state, by first own solve
+    real = Simulation._solve
+
+    def solve(self, fields, mu, dw_dphi, F):
+        solves.append(mu)
+        if dw_dphi is fields.dw_dphi:  # a state's own force
+            key = mu.values.tobytes()
+            if key not in owners:
+                owners.append(key)
+            if owners.index(key) == 3:
+                raise SolverError("injected")
+        return real(self, fields, mu, dw_dphi, F)
+
+    monkeypatch.setattr(Simulation, "_solve", solve)
+    summary = Simulation(spinodal_config(tmp_path, n=16, max_steps=6, t_end=1.0)).run()
+    assert (summary.steps, summary.rejected_steps, summary.termination) == \
+        (6, 1, "max_steps")
+    assert len(owners) == 1 + 6 + 1 and len(solves) == 1 + 2 * 6 + 2
+
+
+def test_a_restored_state_whose_own_solve_fails_ends_the_run(tmp_path, monkeypatch, capsys):
+    # initial_state makes a restored state's own Stokes solve, as it does a
+    # built state's, so its failure raises the same SolverError before any
+    # step, and chve run exits 3
+    cfg = spinodal_config(tmp_path, name="full", t_end=0.0)
+    Simulation(cfg).run()
+    restart = tmp_path / "full" / "restart_00000000.chv"
+    restored = dataclasses.replace(cfg, initial=dataclasses.replace(
+        cfg.initial, restart_file=str(restart)))
+    monkeypatch.setattr(lapack, "dpotrs", _failed_back_solve)
+    errors = []
+    for c in (cfg, restored):
+        with pytest.raises(SolverError) as info:
+            Simulation(c).initial_state()
+        errors.append(str(info.value))
+    assert errors == ["capacitance back-solve failed (potrs info -2)"] * 2
+    assert cli.main(["run", str(_resume_config(tmp_path, restart))]) == 3
+    assert capsys.readouterr().err == f"runtime failure: {errors[0]}\n"
+
+
 @pytest.mark.parametrize("keep", [40, -8], ids=["inside-header", "8-bytes-short"])
 def test_truncated_restart_is_a_validation_error(tmp_path, keep):
     cfg = spinodal_config(tmp_path, name="full", t_end=0.0)
