@@ -122,13 +122,11 @@ def mobility_b(s, params: ModelParams):
 def phase_profiles(s, params: ModelParams):
     """(f, b, f') at the cell array s from one window position and one
     smoothstep, each bitwise :func:`stiffness_f`, :func:`mobility_b` and
-    :func:`stiffness_f_prime` for finite s.  For constant mobility
-    (b0 == b1) b is filled with b0, which is what the ramp gives."""
+    :func:`stiffness_f_prime` for finite s."""
     x, width = _window(s, params)
     S = _smoothstep(x)
-    b = (np.full(S.shape, params.b0) if params.b0 == params.b1
-         else _ramp(S, params.b0, params.b1))
-    return _ramp(S, params.f_min, 1.0), b, _f_prime(x, width, params)
+    return (_ramp(S, params.f_min, 1.0), _ramp(S, params.b0, params.b1),
+            _f_prime(x, width, params))
 
 
 # ---------------------------------------------------------------------------

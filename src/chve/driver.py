@@ -8,7 +8,10 @@ sweeps approach the fixed point of the fully implicit splitting; they
 stop after ``picard_max`` or once the max change across (phi, F, v)
 drops below ``picard_tol``.  The first force reads the state alone (its
 stored mu carries the delta term over the dt that produced phi_n), so
-every attempt at a step shares its solve.
+every attempt at a step shares its solve.  Every Stokes velocity is
+admitted as solenoidal where it is solved, so no retry judges a state's
+own velocity again; each attempt admits it only by the CFL bound, which
+depends on dt.
 
 A state's record (:class:`StateWork`) carries its dt-independent work:
 the constitutive pass, the energy and the state's own Stokes solve, the
@@ -17,13 +20,14 @@ step adds to it.  No solver object keeps anything of a step.
 
 :meth:`Simulation.coupled_step` alone decides a step.  It rejects it when
 the phase-field Newton fails, a linear solve fails, a field turns
-non-finite, the velocity is not solenoidal, the advective CFL number
-exceeds its bound, or the candidate's energy exceeds the bound it is
-given.  A rejected step never touches the accepted state, so a retry
-reruns identical arithmetic.  The run loop sets that bound (E_n +
-``energy_increase_tol * |E0|``, or none), and its
-:class:`~chve.config.StepControl` halves dt on a rejection and grows it
-after ``grow_after`` accepted steps in a row; a restart file carries it.
+non-finite, a Stokes velocity of the step (the candidate's own too) is
+not solenoidal, the advective CFL number exceeds its bound, or the
+candidate's energy exceeds the bound it is given.  A rejected step never
+touches the accepted state, so a retry reruns identical arithmetic.  The
+run loop sets that bound (E_n + ``energy_increase_tol * |E0|``, or
+none), and its :class:`~chve.config.StepControl` halves dt on a
+rejection and grows it after ``grow_after`` accepted steps in a row; a
+restart file carries it.
 The run ends once t_end - t is below dt_min (and 1e-14), so no step is
 shorter than dt_min.
 """
@@ -141,13 +145,13 @@ def sweep_advection(v: StaggeredVectorField, faces, d: int):
 @dataclass(frozen=True)
 class StateWork:
     """The dt-independent work of one state: its constitutive pass, its
-    energy and its own Stokes solve (v, q, dv), with the force of its
-    stored mu, which the first sweep of every attempt at a step from it
-    takes."""
+    energy and its own admitted Stokes solve (v, q, dv, max|div v|), with
+    the force of its stored mu, which the first sweep of every attempt at
+    a step from it takes."""
     state: SimState
     fields: StateFields
     energy: EnergyBreakdown
-    first_solve: tuple[StaggeredVectorField, ScalarField, VelocityDerivatives]
+    first_solve: tuple[StaggeredVectorField, ScalarField, VelocityDerivatives, float]
 
 
 class Simulation:
@@ -165,16 +169,23 @@ class Simulation:
 
     def _solve(self, fields: StateFields, mu: ScalarField, dw_dphi: np.ndarray,
                F: TensorField):
-        """(v, q, dv) of the Stokes solve with the force of (mu, dw/dphi, F)
-        and the f and grad phi of the constitutive pass fields."""
-        return self.stokes.solve(assemble_force(fields.f, fields.grad_phi, mu,
-                                                dw_dphi, F, self.params))
+        """(v, q, dv, max|div v|) of the Stokes solve with the force of
+        (mu, dw/dphi, F) and the f and grad phi of the constitutive pass
+        fields.  Raises SolverError if the solve fails or if max|div v|, from
+        dv, exceeds the bound of :func:`~chve.operators.solenoidal_residual`."""
+        v, q, dv = self.stokes.solve(assemble_force(fields.f, fields.grad_phi, mu,
+                                                    dw_dphi, F, self.params))
+        div_v, bound = solenoidal_residual(dv)
+        if not div_v <= bound:
+            raise SolverError(f"div residual {div_v:.3e} > {bound:.3e}")
+        return v, q, dv, div_v
 
     # -- state construction -------------------------------------------------
 
     def record(self, state: SimState) -> StateWork:
         """The record of state, formed from the state alone.  Raises
-        SolverError if its own Stokes solve fails."""
+        SolverError if its own Stokes solve fails or its velocity is not
+        solenoidal."""
         fields = state_fields(state.phi, state.F, self.params)
         return StateWork(state, fields, state_energy(fields, self.params),
                          self._solve(fields, state.mu, fields.dw_dphi, state.F))
@@ -184,7 +195,8 @@ class Simulation:
         state read from the restart file, with dt clamped to [dt_min,
         dt_max] and the scale the file carries, or built from the config,
         with the scale |E0| floored at 1e-30.  A built state's v and q are
-        its own Stokes solve.  Raises SolverError if that solve fails."""
+        its own Stokes solve.  Raises SolverError if the state's own solve
+        fails or its velocity is not solenoidal."""
         cfg = self.cfg
         if cfg.initial.restart_file:
             state, control, e_scale = read_restart(cfg.initial.restart_file)
@@ -198,7 +210,7 @@ class Simulation:
         F = initial_F(cfg)
         fields = state_fields(phi, F, p)
         mu = static_chemical_potential(phi, fields.dw_dphi, p)
-        v, q, _ = solved = self._solve(fields, mu, fields.dw_dphi, F)
+        v, q, _, _ = solved = self._solve(fields, mu, fields.dw_dphi, F)
         work = StateWork(SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q), fields,
                          state_energy(fields, p), solved)
         return work, StepControl(cfg.time.dt0), max(abs(work.energy.total), 1e-30)
@@ -211,14 +223,13 @@ class Simulation:
 
         The old level is prepared once, before the first sweep, from the
         constitutive pass of the state; the first sweep takes the state's
-        own Stokes solve from work.  Each sweep admits its Stokes velocity
-        here and only here, from its derivative pass: div v within the
-        solenoidal bound, then CFL.  A candidate whose energy is within
-        energy_bound gets its own Stokes solve.  Raises StepRejected on
-        either admission failure, Newton failure, a failed linear solve, a
-        non-finite field or a candidate energy above energy_bound; the
-        stats carry the candidate's dissipation and energy-budget
-        residual."""
+        own Stokes solve from work.  Every solve admits its velocity as
+        solenoidal (:meth:`_solve`); each sweep then admits it by the CFL
+        bound of dt.  A candidate whose energy is within energy_bound gets
+        its own Stokes solve.  Raises StepRejected on a failed admission,
+        Newton failure, a failed linear solve, a non-finite field or a
+        candidate energy above energy_bound; the stats carry the
+        candidate's dissipation and energy-budget residual."""
         cfg = self.cfg
         p = self.params
         g = self.grid
@@ -242,11 +253,8 @@ class Simulation:
             ch_level = self.ch.prepare(phi_n, state.phi_prev, fields_n.b, dt)
 
             for sweep in range(1, cfg.coupling.picard_max + 1):
-                v, q, dv = (work.first_solve if sweep == 1
-                            else solve_stokes(fields_n, mu_new, dw_dphi, F_new))
-                div_v, div_bound = solenoidal_residual(dv)
-                if not div_v <= div_bound:
-                    raise StepRejected(f"div residual {div_v:.3e} > {div_bound:.3e}")
+                v, q, dv, div_v = (work.first_solve if sweep == 1
+                                   else solve_stokes(fields_n, mu_new, dw_dphi, F_new))
                 cfl = dt * (dv.u_max / g.hx + dv.w_max / g.hy)
                 if cfl > cfg.time.cfl_max:
                     raise StepRejected(f"cfl {cfl:.3f} > {cfg.time.cfl_max}")

@@ -202,10 +202,9 @@ class TensorField:
         return self.comps.shape[2]
 
     @classmethod
-    def identity(cls, grid: GridSpec, d: int = 2) -> "TensorField":
-        c = np.zeros((grid.nx, grid.ny, d, d))
-        for k in range(d):
-            c[:, :, k, k] = 1.0
+    def identity(cls, grid: GridSpec) -> "TensorField":
+        c = np.zeros((grid.nx, grid.ny, 2, 2))
+        c[..., 0, 0] = c[..., 1, 1] = 1.0
         return cls(grid, c)
 
 

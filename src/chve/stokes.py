@@ -9,61 +9,26 @@ The momentum balance has no inertia: the velocity is slaved to the current
     div(v) = 0,   v = 0 on the boundary.
 
 On the MAC grid the velocity block is A = -nu Delta_h, Delta_h the vector
-Laplacian of :mod:`chve.operators` (Dirichlet on boundary-normal faces,
-reflected ghosts for the tangential component), and the pressure gradient
-is G = face_gradient (G^T = -face_divergence).  Every stencil comes from
-there; this module solves A v + G q = f, G^T v = 0 exactly on face arrays,
-assembling nothing:
+Laplacian of :mod:`chve.operators`, and the pressure gradient is
+G = face_gradient (G^T = -face_divergence).  This module solves
+A v + G q = f, G^T v = 0 exactly on face arrays, assembling nothing:
 
 * With no-slip walls the discretely divergence-free fields are exactly the
   curls v = C psi of stream functions on the interior nodes (psi = 0 on the
-  boundary, see StaggeredVectorField.from_stream_function), and C^T G = 0.
-  So psi solves the SPD system C^T A C psi = C^T f, where C^T f is the node
-  curl of the force and C^T A C = nu (Delta_D^2 + P) holds exactly.
-  Delta_D is the Dirichlet node Laplacian, diagonal under DST-I.  P is
-  diagonal: the reflected-ghost rows (diagonal 3/h^2) add 2/h^4 per wall
-  next to a node, so it is nonzero only on the ring of nodes along the walls.
+  boundary), and C^T G = 0.  So psi solves the SPD system
+  C^T A C psi = C^T f, and C^T A C = nu (Delta_D^2 + P) holds exactly:
+  Delta_D is the Dirichlet node Laplacian, diagonal under DST-I, and P is
+  diagonal, 2/h^4 per wall next to a node, nonzero only on the ring of
+  nodes along the walls.
 * The ring term is removed by the capacitance-matrix method (Buzbee, Dorr,
   George & Golub 1971; Bjorstad 1983).  With B = Delta_D^2,
   (B + P) psi = r is z = B^-1 r, y = K^-1 z[ring], psi = z - B^-1 y, with
-  the dense SPD capacitance K = diag(1/P_ring) + (B^-1)[ring, ring].  The
-  mirror flips i -> nx-2-i and j -> ny-2-j of the box both commute with K,
-  so K splits into four parity sectors, and each sector's block is built
-  from the DST-I modes of its own parities, at most half of each axis's
-  (:func:`_capacitance_sectors`).  The ring is four node lines, B^-1
-  between two lines is a closed-form product of the separable 1-D DST-I
-  factors, so a block costs O(n^3) flops with no einsum over the 2-D basis;
-  each is Cholesky-factored by LAPACK potrf once per (grid, nu), and the
-  whole K is never formed.
+  the dense SPD capacitance K = diag(1/P_ring) + (B^-1)[ring, ring], which
+  the box's mirror flips split into four sectors
+  (:func:`_capacitance_sectors`).
 * The pressure solves G q = r, r = f + nu Delta_h v (r lies in the range
   of G), through G^T G = -L, L the zero-flux cell Laplacian, diagonal under
-  DCT-II; its constant mode is set to zero, so q has zero mean.
-
-A solve costs one DST-I pair (the forward transform r_hat of the curl and
-the inverse transform of B^-1 (r_hat - S y), S the DST-I), O(n^2) thin
-products with the 1-D DST-I factors that form z on the ring lines and S y
-from them, one capacitance back-solve (the ring has 2(nx-1) + 2(ny-1) - 4
-nodes: one gather with signs and weights into the sectors' coordinates,
-one potrs per sector and one gather back onto the ring), one DCT-II pair
-and the residual check.  :func:`chve.operators.dst2d` and
-:func:`chve.operators.dct2d` apply each pair as two products with the
-1-D factors (the DST-I ones are the ring's) on grids of at most
-``operators.DENSE_TRANSFORM_MAX`` cells per axis, and by pocketfft above.
-The curl of the force is formed directly on the interior nodes.  The
-residual check forms the velocity's derivative pass
-(:func:`chve.operators.velocity_derivatives`), and :meth:`StokesSolver.solve`
-returns it with (v, q): the driver's solenoidal and CFL admission, the
-transport stretch and the viscous dissipation read it, so each velocity is
-differentiated once.
-
-A solve's small calls take their direct forms, each bitwise the library
-call it replaces: each sector's back-solve is LAPACK potrs
-(``scipy.linalg.lapack.dpotrs``) on the factor potrf returns, without the
-batching wrapper of ``cho_solve``; the pressure's mean is
-``q.sum() / q.size`` (``np.mean``'s own formula); the residual check's
-norms are :func:`chve.krylov.norm`.  :func:`elastic_force` edge-pads the
-shear plane by slicing into one array, the values of
-``np.pad(mode="edge")``.
+  DCT-II; q has zero mean.
 
 No Galilean-invariance check is meaningful here: the no-slip box pins the
 velocity frame, so a uniform velocity shift is not an admissible state.
@@ -87,7 +52,7 @@ from .operators import (_corner_average, _dst_factor, dct_diagonal, dst2d,
 
 def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
     """Eigenvalues of the Dirichlet -d^2/dx^2 on the n - 1 interior nodes
-    of an axis, on the DST-I basis of :func:`chve.operators._dst_factor`."""
+    of an axis, on the DST-I basis."""
     return 4.0 / (h * h) * np.sin(0.5 * np.pi * np.arange(1, n) / n) ** 2
 
 
@@ -116,20 +81,14 @@ def _capacitance_sectors(Sx: np.ndarray, Sy: np.ndarray, W: np.ndarray,
         rows, columns:    X^T ((x0 * W_s * y0) @ Y)
 
     X, Y are the x, y factor columns of the representatives, each scaled
-    by the square root of its orbit size.  ``blocks[s]`` is Fortran-ordered,
-    so LAPACK potrf factors it in place.
+    by the square root of its orbit size.  ``blocks[s]`` is Fortran-ordered.
 
-    The ring is read and written in ring order: the row lines j = 0 and
-    ny-2 node by node (index 2 i + (j > 0)), then the columns i = 0 and
-    nx-2 without their corners.  ``gather`` = (index, weight), both (4, R),
-    R = 2(nx-1) + 2(ny-1) - 4, takes ring values z to the stacked sector
-    coordinates (weight * z[index]).sum(0): row g = 2a + b holds each
-    representative's image under Jx^a Jy^b, weighted by the sign and the
-    square root of the orbit size over 4 (a centre node's two images each
-    appear twice).  ``scatter`` takes stacked coordinates c back to ring
-    values (weight * c[index]).sum(0): row s holds each node's coordinate
-    in sector s, weighted by the sign over the square root of the orbit
-    size (weight 0 where the node's orbit has none).
+    Ring order is the row lines j = 0 and ny-2 node by node (index
+    2 i + (j > 0)), then the columns i = 0 and nx-2 without their corners.
+    ``gather`` = (index, weight), both (4, R), R = 2(nx-1) + 2(ny-1) - 4,
+    takes ring values z to the stacked sector coordinates
+    (weight * z[index]).sum(0); ``scatter`` takes stacked coordinates c
+    back to ring values (weight * c[index]).sum(0).
     """
     mx, my = W.shape
     parities = ((0, 0), (0, 1), (1, 0), (1, 1))  # (px, py) of sector s = 2 px + py
@@ -179,17 +138,9 @@ def _norm(u: np.ndarray, w: np.ndarray) -> float:
 
 
 class StokesSolver:
-    """Exact fast MAC Stokes solver for one (grid, nu) pair.
-
-    ``__init__`` builds the DST-I biharmonic symbol, the 1-D DST-I factors,
-    the Cholesky factors of the ring capacitance's four mirror-parity
-    sectors (each of at most ceil((nx-1)/2) + ceil((ny-1)/2) - 1 rows, its
-    blocks separable products of the factors' rows of one parity, O(n^3)
-    flops, no einsum) with the gathers between the ring and the sectors'
-    coordinates, and the DCT-II pressure symbol; a solve applies only the
-    two eigenbases, thin products with the 1-D factors on the ring lines,
-    those gathers and Cholesky factors and the stencils of
-    :mod:`chve.operators`, and checks its own momentum residual."""
+    """Exact MAC Stokes solver for one (grid, nu) pair: the DST-I
+    biharmonic symbol, the Cholesky factors of the four capacitance
+    sectors and the DCT-II pressure symbol, built once."""
 
     def __init__(self, grid: GridSpec, nu: float):
         if nu <= 0.0:
@@ -224,15 +175,9 @@ class StokesSolver:
         """The curl of the stream function that solves (B + P) psi = C^T f / nu.
 
         With S the 2-D DST-I (its own inverse), W = B^-1 on its basis and
-        r_hat = S r, psi = z - B^-1 y is S W (r_hat - S y): z = S W r_hat
-        is needed on the ring only, and y = K^-1 z[ring] lives there.  Both
-        are thin products with the 1-D factors: a row line j of z is
-        Sx (W r_hat) Sy[j], a column line i is (Sx[i] W r_hat) Sy, and S y
-        is the sum over the lines of outer products of a transformed line
-        with a basis row.  K^-1 is applied sector by sector: z[ring] is
-        gathered into the sectors' coordinates, each sector back-solved
-        with its Cholesky factor, and the result gathered back onto the
-        ring (:func:`_capacitance_sectors`)."""
+        r_hat = S r, psi = z - B^-1 y is S W (r_hat - S y), z = S W r_hat,
+        y = K^-1 z[ring].  A row line j of z is Sx (W r_hat) Sy[j], a column
+        line i is (Sx[i] W r_hat) Sy."""
         g = self.grid
         Sx, Sy_rows, Sx_cols, Sy_inner = self._Sx, self._Sy_rows, self._Sx_cols, self._Sy_inner
         u, w = force.u, force.w
@@ -263,11 +208,10 @@ class StokesSolver:
         return StaggeredVectorField.from_stream_function(g, psi)
 
     def solve(self, force: StaggeredVectorField):
-        """(v, q, dv): v, a stream-function curl (its div v is measured by
-        the driver), has zero boundary faces, q zero mean, and dv is the
-        derivative pass of v (:func:`chve.operators.velocity_derivatives`)
-        that the momentum residual check forms.  Raises SolverError if that
-        residual exceeds TOL_LIN relative to the force."""
+        """(v, q, dv): v a stream-function curl with zero boundary faces, q
+        of zero mean, and dv the derivative pass of v
+        (:func:`chve.operators.velocity_derivatives`).  Raises SolverError
+        if the momentum residual exceeds TOL_LIN relative to the force."""
         g = self.grid
         dv = velocity_derivatives(self._velocity(force))
         lu, lw = vector_laplacian(dv)
@@ -286,12 +230,9 @@ class StokesSolver:
 
 def elastic_force(f: np.ndarray, F: TensorField, params: ModelParams):
     """Conservative face divergence of the cell stress c f F F^T, f = f(phi),
-    as (on_xfaces, on_yfaces) with boundary faces 0.
-
-    Diagonal stress components difference natively onto faces; the shear
-    component is averaged to nodes first (one-sided at walls: the cell
-    plane edge-padded, by slicing) so that the divergence telescopes.
-    """
+    as (on_xfaces, on_yfaces) with boundary faces 0; the shear component
+    is averaged to nodes (the cell plane edge-padded) so that the
+    divergence telescopes."""
     g = F.grid
     S = law.eulerian_elastic_stress(f, F.comps, params)
     # the shear plane edge-padded by slicing: np.pad(mode="edge")'s values
@@ -314,17 +255,11 @@ def elastic_force(f: np.ndarray, F: TensorField, params: ModelParams):
 def assemble_force(f: np.ndarray, grad_phi, mu: ScalarField,
                    dw_dphi: np.ndarray, F: TensorField,
                    params: ModelParams) -> StaggeredVectorField:
-    """Right-hand side of the momentum balance sampled on faces.
-
-    The capillary part mu grad(phi) and the coupling part
-    -(dw/dphi) grad(phi) multiply face-averaged cell scalars with the face
-    pair grad_phi = face_gradient(phi); dw_dphi is the elastic term of mu
-    (:func:`chve.constitutive.elastic_response`).  The elastic part is the
-    conservative divergence of the cell stress c f F F^T, f = f(phi)
-    (:func:`chve.constitutive.eulerian_elastic_stress`).  Boundary faces
-    carry 0, because face_average, face_gradient and elastic_force all
-    leave them at 0.  The returned field is the one check that the force
-    is finite.
+    """Right-hand side of the momentum balance on faces, boundary faces 0:
+    (mu - dw/dphi) face-averaged times grad_phi = face_gradient(phi), plus
+    :func:`elastic_force`.  dw_dphi is the elastic term of mu
+    (:func:`chve.constitutive.elastic_response`).  The returned field is
+    the one check that the force is finite.
     """
     if mu.grid != F.grid:
         raise PreconditionError("force inputs must share one grid")

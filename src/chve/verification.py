@@ -18,8 +18,6 @@ intrinsic; trend data is returned for the caller to judge.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import constitutive as law
@@ -188,10 +186,10 @@ class DenseOracle:
         return StaggeredVectorField(g, u, w), ScalarField(g, p - p.mean())
 
 
-def dense_oracle_compare(grid: GridSpec, n_fields: int = 50, seed: int = 0) -> dict:
+def dense_oracle_compare(grid: GridSpec, n_fields: int = 50) -> dict:
     """Sparse kernels vs. dense oracle on random fields, plus adjointness
     and the Neumann null space via a dense eigen-decomposition."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     oracle = DenseOracle(grid)
     nx, ny = grid.nx, grid.ny
     dev_grad = dev_div = dev_lap = dev_lapc = adj = 0.0
@@ -240,17 +238,16 @@ def dense_oracle_compare(grid: GridSpec, n_fields: int = 50, seed: int = 0) -> d
     }
 
 
-def dense_stokes_compare(grid: GridSpec, nu: float = 1.0, n_fields: int = 5,
-                         seed: int = 3) -> dict:
+def dense_stokes_compare(grid: GridSpec, nu: float = 1.0) -> dict:
     """StokesSolver (stream function, DST-I, the ring capacitance's
     mirror-parity sectors) vs. a dense solve of the bordered saddle system
     that the oracle assembles on its own.  The pressure deviation is
     reported; ``passed`` judges the velocity only."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     oracle = DenseOracle(grid)
     solver = StokesSolver(grid, nu)
     dev_v = dev_q = 0.0
-    for _ in range(n_fields):
+    for _ in range(5):
         fu = np.zeros((grid.nx + 1, grid.ny))
         fw = np.zeros((grid.nx, grid.ny + 1))
         fu[1:-1, :] = rng.standard_normal((grid.nx - 1, grid.ny))
@@ -270,19 +267,18 @@ def dense_stokes_compare(grid: GridSpec, nu: float = 1.0, n_fields: int = 5,
 
 
 def fd_check_chemical_potential(phi: ScalarField, F: TensorField,
-                                params: ModelParams,
-                                h_list=(2e-2, 1e-2, 5e-3),
-                                eta: np.ndarray | None = None) -> dict:
+                                params: ModelParams) -> dict:
     """Compare <mu_static, eta> with central differences of the free energy
-    along a smooth direction eta; the observed order should be 2.
+    along a smooth direction eta at steps 2e-2, 1e-2 and 5e-3; the observed
+    order should be 2.
 
-    The default direction is a zero-mean product cosine whose odd powers
-    integrate to zero, so a uniform well state yields exact zeros on both
-    sides at every step size."""
+    eta is a zero-mean product cosine whose odd powers integrate to zero,
+    so a uniform well state yields exact zeros on both sides at every step
+    size."""
     g = phi.grid
-    if eta is None:
-        X, Y = g.cell_centers()
-        eta = np.cos(np.pi * X / g.lx) * np.cos(np.pi * Y / g.ly)
+    h_list = (2e-2, 1e-2, 5e-3)
+    X, Y = g.cell_centers()
+    eta = np.cos(np.pi * X / g.lx) * np.cos(np.pi * Y / g.ly)
     mu = static_chemical_potential(phi, state_fields(phi, F, params).dw_dphi, params)
     pairing = float(np.sum(mu.values * eta)) * g.cell_area
 
@@ -302,24 +298,25 @@ def fd_check_chemical_potential(phi: ScalarField, F: TensorField,
             "observed_order": observed, "plateau_error": min(errors)}
 
 
-def _random_tensors(rng, n, d, det_range=(0.5, 2.0)):
+def _random_tensors(rng, n, d):
+    """n random d x d tensors I + 0.4 N(0, 1) with det in [0.5, 2]."""
     out = []
     while len(out) < n:
         F = np.eye(d) + 0.4 * rng.standard_normal((d, d))
-        J = determinant(F)
-        if det_range[0] <= J <= det_range[1]:
+        if 0.5 <= determinant(F) <= 2.0:
             out.append(F)
     return out
 
 
-def fd_check_elastic_stress(params: ModelParams, n_samples: int = 50,
-                            seed: int = 7, h: float = 1e-5) -> dict:
-    """Analytic stresses vs. central-difference gradients of the energies.
+def fd_check_elastic_stress(params: ModelParams, n_samples: int = 50) -> dict:
+    """Analytic stresses vs. central-difference gradients (step 1e-5) of
+    the energies.
 
     Covers the phase-coupled Neo-Hookean law in d = 2, 3 and the full
     Mooney-Rivlin law in d = 3 (random F with det in [0.5, 2]).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
+    h = 1e-5
     c2, c3 = 0.7, 0.9  # moduli of the cofactor and determinant terms
 
     def fd_gradient(wfun, F):
@@ -354,13 +351,13 @@ def fd_check_elastic_stress(params: ModelParams, n_samples: int = 50,
     return report
 
 
-def fd_check_det_derivative(seed: int = 11) -> dict:
+def fd_check_det_derivative() -> dict:
     """Directional derivative of det F against frobenius(cof F, H).
 
     d = 2 is quadratic, so the central difference is exact to rounding;
     d = 3 shows clean second order in the step size.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     rel2 = 0.0
     for _ in range(20):
         F = np.eye(2) + 0.4 * rng.standard_normal((2, 2))
@@ -403,9 +400,10 @@ def stokes_mms_fields(nu: float = 1.0) -> dict:
                                 + pi * sin(pi * x) * cos(pi * y))}
 
 
-def stokes_mms(levels=(32, 64, 128), nu: float = 1.0) -> dict:
-    """Convergence of the Stokes solve against :func:`stokes_mms_fields`."""
-    fns = stokes_mms_fields(nu)
+def stokes_mms(levels=(32, 64, 128)) -> dict:
+    """Convergence of the Stokes solve (nu = 1) against
+    :func:`stokes_mms_fields`."""
+    fns = stokes_mms_fields()
     err_v, err_q = [], []
     for n in levels:
         g = GridSpec(n, n)
@@ -415,7 +413,7 @@ def stokes_mms(levels=(32, 64, 128), nu: float = 1.0) -> dict:
         fw = fns["fw"](Xw, Yw)
         fu[0, :] = fu[-1, :] = 0.0
         fw[:, 0] = fw[:, -1] = 0.0
-        solver = StokesSolver(g, nu)
+        solver = StokesSolver(g, 1.0)
         v, q, _ = solver.solve(StaggeredVectorField(g, fu, fw))
         eu = v.u - fns["u"](Xu, Yu)
         ew = v.w - fns["w"](Xw, Yw)
@@ -523,14 +521,14 @@ def korteweg_convergence() -> dict:
 # determinant transport under a prescribed vortex
 
 
-def interior_vortex(grid: GridSpec, target_max: float = 1.0,
-                    box=(0.2, 0.8)) -> StaggeredVectorField:
-    """Divergence-free (to rounding) vortex supported inside ``box``.
+def interior_vortex(grid: GridSpec, target_max: float = 1.0) -> StaggeredVectorField:
+    """Divergence-free (to rounding) vortex supported inside the middle
+    0.2 < x/lx, y/ly < 0.8 of the box.
 
     The stream function is a C^2 bump, so the velocity vanishes with two
     derivatives at the support edge and is identically zero near the walls.
     """
-    a, b = box
+    a, b = 0.2, 0.8
 
     def bump(s):
         t = (s - a) * (b - s)
@@ -546,11 +544,11 @@ def interior_vortex(grid: GridSpec, target_max: float = 1.0,
     return StaggeredVectorField.from_stream_function(grid, psi)
 
 
-def det_transport_deviation(n: int, dt: float, t_end: float, lam: float,
-                            params: ModelParams | None = None) -> float:
-    """Max-cell |det F(T) - 1| for F0 = I transported by the interior vortex."""
+def det_transport_deviation(n: int, dt: float, t_end: float, lam: float) -> float:
+    """Max-cell |det F(T) - 1| for F0 = I transported by the interior vortex,
+    with the default model constants and the given lam."""
     g = GridSpec(n, n)
-    p = replace(params or ModelParams(), lam=lam)
+    p = ModelParams(lam=lam)
     v = interior_vortex(g)
     phi = ScalarField.uniform(g, 1.0)
     F = TensorField.identity(g)

@@ -14,7 +14,8 @@ from chve.driver import (Simulation, StateWork, StepRejected, old_level_faces,
                          sweep_advection)
 from chve.grid import (GridSpec, ScalarField, SimState, StaggeredVectorField,
                        TensorField)
-from chve.operators import advect_scalar, advect_tensor, velocity_derivatives
+from chve.operators import (advect_scalar, advect_tensor, solenoidal_residual,
+                            velocity_derivatives)
 from chve.vtk_io import read_restart, write_restart, write_vtk
 
 
@@ -392,8 +393,11 @@ def test_total_energy_evaluated_once_per_accepted_step(tmp_path, monkeypatch):
 
 
 def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
-    # div v is measured once per sweep, in coupled_step, and the CSV column
-    # reuses that measurement; Stokes and advection do not measure it again
+    # div v is measured once per Stokes solve, where the velocity is solved,
+    # and the CSV column reuses the last sweep's measurement; coupled_step,
+    # Stokes and advection do not measure it again.  Each step solves once
+    # per sweep after the first and once for its candidate, and the run once
+    # for its initial state: 1 + sum(picard_iters) solves and admissions
     from chve import cahn_hilliard, driver, operators, stokes, transport
     real = operators.solenoidal_residual
     calls = []
@@ -405,6 +409,7 @@ def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
     for mod in (driver, operators, stokes, transport, cahn_hilliard):
         if hasattr(mod, "solenoidal_residual"):
             monkeypatch.setattr(mod, "solenoidal_residual", counted)
+    solves = _count_calls(monkeypatch, (driver.StokesSolver, "solve"))
     accepted_v = []
     real_step = Simulation.coupled_step
 
@@ -417,7 +422,7 @@ def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
     summary, rows, _ = simulate(spinodal_config(tmp_path, max_steps=10, t_end=1.0))
     assert summary.steps == len(rows) == len(accepted_v) == 10
     assert summary.rejected_steps == 0
-    assert len(calls) == sum(r.picard_iters for r in rows) > len(rows)
+    assert len(calls) == solves["solve"] == 1 + sum(r.picard_iters for r in rows) == 21
     for row, v in zip(rows, accepted_v):
         assert row.div_v_max == real(velocity_derivatives(v))[0]
 
@@ -982,9 +987,10 @@ def test_records_carry_their_state_energy(tmp_path):
 
 
 def test_a_record_is_whole_when_built(tmp_path):
-    # a record needs its state's own Stokes solve and takes no field after
-    # it is built; the record coupled_step builds for its candidate is, bit
-    # for bit, the one Simulation.record forms from the candidate alone
+    # a record needs its state's own Stokes solve, with the max|div v| its
+    # admission measured, and takes no field after it is built; the record
+    # coupled_step builds for its candidate is, bit for bit, the one
+    # Simulation.record forms from the candidate alone
     sim = Simulation(spinodal_config(tmp_path, n=16))
     work, _, _ = sim.initial_state()
     with pytest.raises(TypeError):
@@ -994,10 +1000,12 @@ def test_a_record_is_whole_when_built(tmp_path):
     cand, _ = sim.coupled_step(work, 1e-4, math.inf)
     ref = sim.record(cand.state)
     assert cand.energy == ref.energy
-    for (v, q, _), (v_ref, q_ref, _) in ((cand.first_solve, ref.first_solve),
-                                         (work.first_solve, sim.record(work.state).first_solve)):
+    for (v, q, dv, div), (v_ref, q_ref, _, div_ref) in (
+            (cand.first_solve, ref.first_solve),
+            (work.first_solve, sim.record(work.state).first_solve)):
         assert v.u.tobytes() == v_ref.u.tobytes() and v.w.tobytes() == v_ref.w.tobytes()
         assert q.values.tobytes() == q_ref.values.tobytes()
+        assert div == div_ref == solenoidal_residual(dv)[0]
 
 
 def test_more_picard_sweeps_tighten_coupling(tmp_path):

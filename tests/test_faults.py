@@ -199,6 +199,65 @@ def test_a_failed_own_solve_rejects_only_its_candidate(tmp_path, monkeypatch):
     assert len(owners) == 1 + 6 + 1 and len(solves) == 1 + 2 * 6 + 2
 
 
+def test_a_non_solenoidal_own_velocity_rejects_only_its_candidate(tmp_path, monkeypatch):
+    # a Stokes velocity is admitted as solenoidal where it is solved, so
+    # when state 3's own velocity fails the continuity test, the step that
+    # makes state 3 rejects it once and the retry at dt/2 makes another
+    # state 3; no attempt at the next step judges that velocity again,
+    # which would fail at every dt until dt underflows
+    owners, poisoned, poisoning = [], [], [False]
+    real_solve, real_stokes = Simulation._solve, StokesSolver.solve
+    real_residual = driver.solenoidal_residual
+
+    def solve(self, fields, mu, dw_dphi, F):
+        poisoning[0] = False
+        if dw_dphi is fields.dw_dphi:  # a state's own force
+            key = mu.values.tobytes()
+            if key not in owners:
+                owners.append(key)
+            poisoning[0] = owners.index(key) == 3
+        return real_solve(self, fields, mu, dw_dphi, F)
+
+    def stokes_solve(self, force):
+        v, q, dv = real_stokes(self, force)
+        if poisoning[0]:
+            poisoned.append(dv)
+        return v, q, dv
+
+    def residual(dv):
+        div, bound = real_residual(dv)
+        return (2.0 * bound if any(dv is p for p in poisoned) else div), bound
+
+    monkeypatch.setattr(Simulation, "_solve", solve)
+    monkeypatch.setattr(StokesSolver, "solve", stokes_solve)
+    monkeypatch.setattr(driver, "solenoidal_residual", residual)
+    summary = Simulation(spinodal_config(tmp_path, n=16, max_steps=6, t_end=1.0)).run()
+    assert (summary.steps, summary.rejected_steps, summary.termination) == \
+        (6, 1, "max_steps")
+    assert len(poisoned) == 1 and len(owners) == 1 + 6 + 1
+
+
+def test_a_state_whose_own_velocity_is_not_solenoidal_ends_the_run(tmp_path, monkeypatch,
+                                                                   capsys):
+    # initial_state admits a built and a restored state's own velocity
+    # where it solves it, so a failed continuity test raises the same
+    # SolverError before any step, and chve run exits 3
+    cfg = spinodal_config(tmp_path, name="full", t_end=0.0)
+    Simulation(cfg).run()
+    restart = tmp_path / "full" / "restart_00000000.chv"
+    restored = dataclasses.replace(cfg, initial=dataclasses.replace(
+        cfg.initial, restart_file=str(restart)))
+    monkeypatch.setattr(driver, "solenoidal_residual", lambda dv: (1.0, 0.5))
+    errors = []
+    for c in (cfg, restored):
+        with pytest.raises(SolverError) as info:
+            Simulation(c).initial_state()
+        errors.append(str(info.value))
+    assert errors == ["div residual 1.000e+00 > 5.000e-01"] * 2
+    assert cli.main(["run", str(_resume_config(tmp_path, restart))]) == 3
+    assert capsys.readouterr().err == f"runtime failure: {errors[0]}\n"
+
+
 def test_a_restored_state_whose_own_solve_fails_ends_the_run(tmp_path, monkeypatch, capsys):
     # initial_state makes a restored state's own Stokes solve, as it does a
     # built state's, so its failure raises the same SolverError before any

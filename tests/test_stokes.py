@@ -418,8 +418,8 @@ def test_solver_output_divergence_free(grid16, rng, params):
 
 @pytest.mark.parametrize("div_max,accepted", [(5e-8, True), (5e-6, False)])
 def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, accepted):
-    # |v| = 10 at 128^2: the Picard sweep admits a Stokes velocity by the one
-    # solenoidal bound before transport and Cahn-Hilliard advect with it
+    # |v| = 10 at 128^2: the step's Stokes solve admits its velocity by the
+    # one solenoidal bound before transport and Cahn-Hilliard advect with it
     n = 128
     grid = GridSpec(n, n)
     psi = np.random.default_rng(3).standard_normal((n + 1, n + 1))
@@ -442,7 +442,7 @@ def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, a
         assert new.state.v is v
         assert stats.div_v_max == solenoidal_residual(dv)[0]
     else:
-        with pytest.raises(StepRejected, match="^div residual"):
+        with pytest.raises(StepRejected, match="^stokes: div residual"):
             sim.coupled_step(work, dt, math.inf)
 
 
