@@ -111,10 +111,13 @@ def _cmd_verify(args) -> int:
 
 
 def _grid_sizes(text: str) -> tuple[int, ...]:
-    """argparse type of ``--levels``: comma-separated grid sizes, each >= 4."""
+    """argparse type of ``--levels``: comma-separated grid sizes, each >= 4,
+    strictly increasing."""
     sizes = tuple(int(s) if s.strip().isdecimal() else 0 for s in text.split(","))
     if min(sizes) < 4:
         raise argparse.ArgumentTypeError(f"want integers >= 4, got {text!r}")
+    if any(n0 >= n1 for n0, n1 in zip(sizes, sizes[1:])):
+        raise argparse.ArgumentTypeError(f"want increasing sizes, got {text!r}")
     return sizes
 
 

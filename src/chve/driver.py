@@ -8,9 +8,9 @@ sweeps approach the fixed point of the fully implicit splitting; they
 stop after ``picard_max`` or once the max change across (phi, F, v)
 drops below ``picard_tol``.  The first force reads the state alone (its
 stored mu carries the delta term over the dt that produced phi_n), so
-every attempt at a step shares its solve.  Every Stokes velocity is
-admitted as solenoidal where it is solved, so no retry judges a state's
-own velocity again; each attempt admits it only by the CFL bound, which
+every attempt at a step shares its solve.  The Stokes solver admits every
+velocity it returns as solenoidal, so no retry judges a state's own
+velocity again; each attempt admits it only by the CFL bound, which
 depends on dt.
 
 A state's record (:class:`StateWork`) carries its dt-independent work:
@@ -51,7 +51,7 @@ from .errors import NewtonError, SolverError, ValidationError
 from .grid import (PreconditionError, ScalarField, SimState, StaggeredVectorField,
                    TensorField)
 from .operators import (VelocityDerivatives, advect_upwind, laplacian_matrix,
-                        solenoidal_residual, upwind_candidates)
+                        upwind_candidates)
 from .stokes import StokesSolver, assemble_force
 from .transport import TransportSystem
 from .vtk_io import read_restart, write_restart, write_vtk
@@ -145,13 +145,13 @@ def sweep_advection(v: StaggeredVectorField, faces, d: int):
 @dataclass(frozen=True)
 class StateWork:
     """The dt-independent work of one state: its constitutive pass, its
-    energy and its own admitted Stokes solve (v, q, dv, max|div v|), with
-    the force of its stored mu, which the first sweep of every attempt at
-    a step from it takes."""
+    energy and its own Stokes solve (v, q, dv), with the force of its
+    stored mu, which the first sweep of every attempt at a step from it
+    takes."""
     state: SimState
     fields: StateFields
     energy: EnergyBreakdown
-    first_solve: tuple[StaggeredVectorField, ScalarField, VelocityDerivatives, float]
+    first_solve: tuple[StaggeredVectorField, ScalarField, VelocityDerivatives]
 
 
 class Simulation:
@@ -169,16 +169,12 @@ class Simulation:
 
     def _solve(self, fields: StateFields, mu: ScalarField, dw_dphi: np.ndarray,
                F: TensorField):
-        """(v, q, dv, max|div v|) of the Stokes solve with the force of
-        (mu, dw/dphi, F) and the f and grad phi of the constitutive pass
-        fields.  Raises SolverError if the solve fails or if max|div v|, from
-        dv, exceeds the bound of :func:`~chve.operators.solenoidal_residual`."""
-        v, q, dv = self.stokes.solve(assemble_force(fields.f, fields.grad_phi, mu,
-                                                    dw_dphi, F, self.params))
-        div_v, bound = solenoidal_residual(dv)
-        if not div_v <= bound:
-            raise SolverError(f"div residual {div_v:.3e} > {bound:.3e}")
-        return v, q, dv, div_v
+        """(v, q, dv) of the Stokes solve with the force of (mu, dw/dphi, F)
+        and the f and grad phi of the constitutive pass fields.  Raises
+        SolverError if the solve fails or its velocity is not solenoidal
+        (:meth:`~chve.stokes.StokesSolver.solve`)."""
+        return self.stokes.solve(assemble_force(fields.f, fields.grad_phi, mu,
+                                                dw_dphi, F, self.params))
 
     # -- state construction -------------------------------------------------
 
@@ -210,7 +206,7 @@ class Simulation:
         F = initial_F(cfg)
         fields = state_fields(phi, F, p)
         mu = static_chemical_potential(phi, fields.dw_dphi, p)
-        v, q, _, _ = solved = self._solve(fields, mu, fields.dw_dphi, F)
+        v, q, _ = solved = self._solve(fields, mu, fields.dw_dphi, F)
         work = StateWork(SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q), fields,
                          state_energy(fields, p), solved)
         return work, StepControl(cfg.time.dt0), max(abs(work.energy.total), 1e-30)
@@ -224,12 +220,12 @@ class Simulation:
         The old level is prepared once, before the first sweep, from the
         constitutive pass of the state; the first sweep takes the state's
         own Stokes solve from work.  Every solve admits its velocity as
-        solenoidal (:meth:`_solve`); each sweep then admits it by the CFL
-        bound of dt.  A candidate whose energy is within energy_bound gets
-        its own Stokes solve.  Raises StepRejected on a failed admission,
-        Newton failure, a failed linear solve, a non-finite field or a
-        candidate energy above energy_bound; the stats carry the
-        candidate's dissipation and energy-budget residual."""
+        solenoidal (:meth:`~chve.stokes.StokesSolver.solve`); each sweep
+        then admits it by the CFL bound of dt.  A candidate whose energy is
+        within energy_bound gets its own Stokes solve.  Raises StepRejected
+        on a failed admission, Newton failure, a failed linear solve, a
+        non-finite field or a candidate energy above energy_bound; the stats
+        carry the candidate's dissipation and energy-budget residual."""
         cfg = self.cfg
         p = self.params
         g = self.grid
@@ -253,8 +249,8 @@ class Simulation:
             ch_level = self.ch.prepare(phi_n, state.phi_prev, fields_n.b, dt)
 
             for sweep in range(1, cfg.coupling.picard_max + 1):
-                v, q, dv, div_v = (work.first_solve if sweep == 1
-                                   else solve_stokes(fields_n, mu_new, dw_dphi, F_new))
+                v, q, dv = (work.first_solve if sweep == 1
+                            else solve_stokes(fields_n, mu_new, dw_dphi, F_new))
                 cfl = dt * (dv.u_max / g.hx + dv.w_max / g.hy)
                 if cfl > cfg.time.cfl_max:
                     raise StepRejected(f"cfl {cfl:.3f} > {cfg.time.cfl_max}")
@@ -304,7 +300,7 @@ class Simulation:
                                             work.energy.total, energy.total, p)
         stats = StepStats(picard_iters=picard_iters, newton_iters=newton_total,
                           picard_gap=float(change) if np.isfinite(change) else -1.0,
-                          div_v_max=div_v, dissipation=dissipation,
+                          div_v_max=dv.div_max, dissipation=dissipation,
                           budget_residual=budget, gmres_iters=gmres_total,
                           cg_iters=cg_total)
         return cand, stats

@@ -190,7 +190,8 @@ def node_shear_gradients(v: StaggeredVectorField) -> tuple[np.ndarray, np.ndarra
 class VelocityDerivatives:
     """The derivative pass of one no-slip face velocity v: du/dx and dw/dy
     on the (nx, ny) cells, du/dy and dw/dx on the (nx+1, ny+1) nodes
-    (:func:`node_shear_gradients`), and max|u|, max|w|."""
+    (:func:`node_shear_gradients`), max|u|, max|w| and max|du/dx + dw/dy|,
+    the last face_divergence(v.u, v.w) bit for bit."""
     v: StaggeredVectorField
     dudx: np.ndarray
     dwdy: np.ndarray
@@ -198,15 +199,16 @@ class VelocityDerivatives:
     dwdx: np.ndarray
     u_max: float
     w_max: float
+    div_max: float
 
 
 def velocity_derivatives(v: StaggeredVectorField) -> VelocityDerivatives:
     """The :class:`VelocityDerivatives` of v."""
     g = v.grid
     dudy, dwdx = node_shear_gradients(v)
-    return VelocityDerivatives(v, (v.u[1:, :] - v.u[:-1, :]) / g.hx,
-                               (v.w[:, 1:] - v.w[:, :-1]) / g.hy, dudy, dwdx,
-                               float(np.max(np.abs(v.u))), float(np.max(np.abs(v.w))))
+    dudx, dwdy = (v.u[1:, :] - v.u[:-1, :]) / g.hx, (v.w[:, 1:] - v.w[:, :-1]) / g.hy
+    return VelocityDerivatives(v, dudx, dwdy, dudy, dwdx, float(np.max(np.abs(v.u))),
+                               float(np.max(np.abs(v.w))), float(np.max(np.abs(dudx + dwdy))))
 
 
 # A velocity counts as solenoidal when max|div v| <= DIV_RTOL max(|v|, 1) / min(h):
@@ -215,11 +217,9 @@ DIV_RTOL = 1e-10
 
 
 def solenoidal_residual(dv: VelocityDerivatives) -> tuple[float, float]:
-    """(max |div v|, the largest value that still counts as solenoidal);
-    du/dx + dw/dy is face_divergence(v.u, v.w) bit for bit."""
+    """(max |div v|, the largest value that still counts as solenoidal)."""
     g = dv.v.grid
-    return (float(np.max(np.abs(dv.dudx + dv.dwdy))),
-            DIV_RTOL * max(dv.u_max, dv.w_max, 1.0) / min(g.hx, g.hy))
+    return dv.div_max, DIV_RTOL * max(dv.u_max, dv.w_max, 1.0) / min(g.hx, g.hy)
 
 
 def vector_laplacian(dv: VelocityDerivatives):

@@ -46,7 +46,7 @@ from .grid import (GridSpec, ModelParams, PreconditionError, ScalarField,
 from .krylov import norm
 from .operators import (_corner_average, _dst_factor, dct_diagonal, dst2d,
                         face_average, face_divergence, face_gradient,
-                        laplacian_eigenvalues, vector_laplacian,
+                        laplacian_eigenvalues, solenoidal_residual, vector_laplacian,
                         velocity_derivatives)
 
 
@@ -211,7 +211,9 @@ class StokesSolver:
         """(v, q, dv): v a stream-function curl with zero boundary faces, q
         of zero mean, and dv the derivative pass of v
         (:func:`chve.operators.velocity_derivatives`).  Raises SolverError
-        if the momentum residual exceeds TOL_LIN relative to the force."""
+        if the momentum residual exceeds TOL_LIN relative to the force, or
+        if v is not solenoidal: dv.div_max above the bound of
+        :func:`chve.operators.solenoidal_residual`."""
         g = self.grid
         dv = velocity_derivatives(self._velocity(force))
         lu, lw = vector_laplacian(dv)
@@ -225,6 +227,9 @@ class StokesSolver:
         if not res <= bound:
             raise SolverError(f"stokes residual {res:.3e} > {TOL_LIN:.1e} * |f| "
                               f"= {bound:.3e}")
+        div_v, bound = solenoidal_residual(dv)
+        if not div_v <= bound:
+            raise SolverError(f"div residual {div_v:.3e} > {bound:.3e}")
         return dv.v, q, dv
 
 

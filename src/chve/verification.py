@@ -402,7 +402,8 @@ def stokes_mms_fields(nu: float = 1.0) -> dict:
 
 def stokes_mms(levels=(32, 64, 128)) -> dict:
     """Convergence of the Stokes solve (nu = 1) against
-    :func:`stokes_mms_fields`."""
+    :func:`stokes_mms_fields` on strictly increasing sizes ``levels``; each
+    order is observed between neighbouring levels, over their size ratio."""
     fns = stokes_mms_fields()
     err_v, err_q = [], []
     for n in levels:
@@ -425,10 +426,12 @@ def stokes_mms(levels=(32, 64, 128)) -> dict:
         q_ex = q_ex - q_ex.mean()
         err_q.append(float(np.sqrt(g.cell_area * np.sum((q.values - q_ex) ** 2))))
 
-    order_v = [float(np.log2(err_v[k] / err_v[k + 1])) for k in range(len(levels) - 1)]
-    order_q = [float(np.log2(err_q[k] / err_q[k + 1])) for k in range(len(levels) - 1)]
+    def orders(err):  # observed orders log(e_k / e_k+1) / log(n_k+1 / n_k)
+        return [float(np.log2(e0 / e1) / np.log2(n1 / n0))
+                for e0, e1, n0, n1 in zip(err, err[1:], levels, levels[1:])]
+
     return {"levels": list(levels), "err_v": err_v, "err_q": err_q,
-            "order_v": order_v, "order_q": order_q}
+            "order_v": orders(err_v), "order_q": orders(err_q)}
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,8 @@ def write_restart(path: str | Path, state: SimState, control: StepControl,
 def read_restart(path: str | Path) -> tuple[SimState, StepControl, float]:
     """Load a restart file as (state, step control, energy scale); raises
     ValidationError on a file that cannot be read, a wrong magic, a
-    truncated file, trailing bytes or a header value out of range."""
+    truncated file, trailing bytes, a header value out of range, a
+    non-finite array entry or a nonzero wall-normal velocity face."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -139,8 +140,11 @@ def read_restart(path: str | Path) -> tuple[SimState, StepControl, float]:
     flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     phi, phi_prev, mu, q, F, u, w = (
         a.reshape(s).copy() for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
-    state = SimState(phi=ScalarField(g, phi), phi_prev=ScalarField(g, phi_prev),
-                     mu=ScalarField(g, mu), F=TensorField(g, F),
-                     v=StaggeredVectorField(g, u, w), q=ScalarField(g, q),
-                     t=t, step_index=step_index)
+    try:
+        state = SimState(phi=ScalarField(g, phi), phi_prev=ScalarField(g, phi_prev),
+                         mu=ScalarField(g, mu), F=TensorField(g, F),
+                         v=StaggeredVectorField(g, u, w), q=ScalarField(g, q),
+                         t=t, step_index=step_index)
+    except PreconditionError as exc:
+        raise ValidationError(f"{path}: bad array in restart file: {exc}") from exc
     return state, StepControl(dt, streak), energy_scale

@@ -274,14 +274,20 @@ def test_stokes_mms_subcommand(capsys):
     assert "16" in out and "32" in out
 
 
-@pytest.mark.parametrize("levels", ["3,x", "2"])
-def test_stokes_mms_bad_levels_exit_2(capsys, levels):
+@pytest.mark.parametrize("levels,want", [
+    pytest.param("3,x", "integers >= 4", id="3,x"),
+    pytest.param("2", "integers >= 4", id="2"),
+    # an order is observed over the size ratio of neighbouring levels,
+    # which is no ratio when a level does not grow
+    pytest.param("8,8", "increasing sizes", id="8,8"),
+    pytest.param("32,16", "increasing sizes", id="32,16")])
+def test_stokes_mms_bad_levels_exit_2(capsys, levels, want):
     with pytest.raises(SystemExit) as exc:
         main(["stokes-mms", "--levels", levels])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")
-    assert f"argument --levels: want integers >= 4, got '{levels}'" in err
+    assert f"argument --levels: want {want}, got '{levels}'" in err
 
 
 def test_energy_report(tmp_path, capsys):

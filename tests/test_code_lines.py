@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
@@ -41,3 +42,31 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["1", "2", "3"]
     assert lines[-1].split()[1] == "total"
+
+
+def test_against_a_revision_prints_both_counts(tmp_path, monkeypatch, capsys):
+    # a.py changes, b.py is new and gone.py is deleted since the commit;
+    # a file absent at one side counts 0 there
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("x = 1\n")
+    (pkg / "gone.py").write_text("y = 2\nz = 3\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    (pkg / "a.py").write_text('"""doc"""\nx = 1\ny = 2\n')
+    (pkg / "gone.py").unlink()
+    (pkg / "b.py").write_text("w = 4\n")
+    monkeypatch.chdir(tmp_path)
+    assert _tool().main(["--against", "HEAD", "pkg"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["1", "2", "pkg/a.py"], ["0", "1", "pkg/b.py"],
+                    ["2", "0", "pkg/gone.py"], ["3", "3", "total"]]
+    assert _tool().main(["--against", "HEAD", "pkg/a.py", "pkg/b.py"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["1", "2", "pkg/a.py"], ["0", "1", "pkg/b.py"], ["1", "3", "total"]]
+    assert _tool().main(["--against", "no-such-rev", "pkg"]) == 2

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from chve import cli, constitutive, driver, krylov, vtk_io
+from chve import cli, constitutive, driver, krylov, stokes, vtk_io
 from chve.config import StepControl, dump_config
 from chve.driver import Simulation, StepRejected
 from chve.errors import SolverError, ValidationError
@@ -200,14 +200,13 @@ def test_a_failed_own_solve_rejects_only_its_candidate(tmp_path, monkeypatch):
 
 
 def test_a_non_solenoidal_own_velocity_rejects_only_its_candidate(tmp_path, monkeypatch):
-    # a Stokes velocity is admitted as solenoidal where it is solved, so
-    # when state 3's own velocity fails the continuity test, the step that
-    # makes state 3 rejects it once and the retry at dt/2 makes another
-    # state 3; no attempt at the next step judges that velocity again,
-    # which would fail at every dt until dt underflows
+    # the Stokes solver admits its velocity as solenoidal, so when state
+    # 3's own velocity fails the continuity test, the step that makes state
+    # 3 rejects it once and the retry at dt/2 makes another state 3; no
+    # attempt at the next step judges that velocity again, which would fail
+    # at every dt until dt underflows
     owners, poisoned, poisoning = [], [], [False]
-    real_solve, real_stokes = Simulation._solve, StokesSolver.solve
-    real_residual = driver.solenoidal_residual
+    real_solve, real_residual = Simulation._solve, stokes.solenoidal_residual
 
     def solve(self, fields, mu, dw_dphi, F):
         poisoning[0] = False
@@ -218,19 +217,15 @@ def test_a_non_solenoidal_own_velocity_rejects_only_its_candidate(tmp_path, monk
             poisoning[0] = owners.index(key) == 3
         return real_solve(self, fields, mu, dw_dphi, F)
 
-    def stokes_solve(self, force):
-        v, q, dv = real_stokes(self, force)
-        if poisoning[0]:
-            poisoned.append(dv)
-        return v, q, dv
-
     def residual(dv):
         div, bound = real_residual(dv)
-        return (2.0 * bound if any(dv is p for p in poisoned) else div), bound
+        if poisoning[0]:  # the derivative pass of state 3's own solve
+            poisoned.append(dv)
+            return 2.0 * bound, bound
+        return div, bound
 
     monkeypatch.setattr(Simulation, "_solve", solve)
-    monkeypatch.setattr(StokesSolver, "solve", stokes_solve)
-    monkeypatch.setattr(driver, "solenoidal_residual", residual)
+    monkeypatch.setattr(stokes, "solenoidal_residual", residual)
     summary = Simulation(spinodal_config(tmp_path, n=16, max_steps=6, t_end=1.0)).run()
     assert (summary.steps, summary.rejected_steps, summary.termination) == \
         (6, 1, "max_steps")
@@ -239,15 +234,15 @@ def test_a_non_solenoidal_own_velocity_rejects_only_its_candidate(tmp_path, monk
 
 def test_a_state_whose_own_velocity_is_not_solenoidal_ends_the_run(tmp_path, monkeypatch,
                                                                    capsys):
-    # initial_state admits a built and a restored state's own velocity
-    # where it solves it, so a failed continuity test raises the same
-    # SolverError before any step, and chve run exits 3
+    # the Stokes solver admits a built and a restored state's own velocity,
+    # so a failed continuity test raises the same SolverError from
+    # initial_state before any step, and chve run exits 3
     cfg = spinodal_config(tmp_path, name="full", t_end=0.0)
     Simulation(cfg).run()
     restart = tmp_path / "full" / "restart_00000000.chv"
     restored = dataclasses.replace(cfg, initial=dataclasses.replace(
         cfg.initial, restart_file=str(restart)))
-    monkeypatch.setattr(driver, "solenoidal_residual", lambda dv: (1.0, 0.5))
+    monkeypatch.setattr(stokes, "solenoidal_residual", lambda dv: (1.0, 0.5))
     errors = []
     for c in (cfg, restored):
         with pytest.raises(SolverError) as info:
@@ -329,6 +324,28 @@ def test_nan_time_in_restart_exits_2(tmp_path):
     assert "restart_file = \n" in text
     ini.write_text(text.replace("restart_file = \n", f"restart_file = {path}\n"))
     assert cli.main(["run", str(ini), "--output-dir", str(tmp_path / "resumed")]) == 2
+
+
+@pytest.mark.parametrize("offset,value,reason", [
+    (0, np.nan, "scalar field has non-finite entries"),
+    (4 * 32 * 32, np.nan, "tensor field has non-finite entries"),
+    (8 * 32 * 32, 1.0, "no-slip: boundary faces must be exactly 0")],
+    ids=["phi", "F", "u"])
+def test_bad_restart_array_exits_2(tmp_path, capsys, offset, value, reason):
+    # the arrays of a restart file are input as its header is: a non-finite
+    # entry (phi's first, F's first) or a nonzero wall-normal face (u's
+    # first, on the wall x = 0) is a validation error naming the file
+    path, _ = _restart_with(tmp_path)
+    raw = bytearray(path.read_bytes())
+    at = vtk_io._HEADER.size + 8 * offset  # the array's first entry, in float64s
+    raw[at:at + 8] = np.float64(value).astype("<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    message = f"{path}: bad array in restart file: {reason}"
+    with pytest.raises(ValidationError) as info:
+        read_restart(path)
+    assert str(info.value) == message
+    assert cli.main(["run", str(_resume_config(tmp_path, path))]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 def _resume_config(tmp_path, restart, nx=32):

@@ -336,6 +336,7 @@ def test_velocity_gradient_trace_equals_divergence(grid16, rng):
     div = ops.face_divergence(v.u, v.w, grid16)
     assert np.max(np.abs(tr - div)) <= 1e-12
     assert np.array_equal(dv.dudx + dv.dwdy, div)
+    assert dv.div_max == np.max(np.abs(ops.face_divergence(v.u, v.w, grid16)))
     res, bound = ops.solenoidal_residual(dv)
     assert res == float(np.max(np.abs(div)))
     assert bound == ops.DIV_RTOL * max(v.max_abs(), 1.0) / min(grid16.hx, grid16.hy)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.fft
@@ -11,8 +9,7 @@ from scipy.fft import dstn, idstn
 from chve import constitutive as law
 from chve import operators, stokes
 from chve.diagnostics import dissipation, state_fields
-from chve.config import ConfigSpec
-from chve.driver import Simulation, StepRejected
+from chve.errors import SolverError
 from chve.grid import GridSpec, ModelParams, ScalarField, StaggeredVectorField, TensorField
 from chve.operators import (face_divergence, face_gradient, node_shear_gradients,
                             solenoidal_residual, vector_laplacian, velocity_derivatives,
@@ -417,9 +414,10 @@ def test_solver_output_divergence_free(grid16, rng, params):
 
 
 @pytest.mark.parametrize("div_max,accepted", [(5e-8, True), (5e-6, False)])
-def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, accepted):
-    # |v| = 10 at 128^2: the step's Stokes solve admits its velocity by the
-    # one solenoidal bound before transport and Cahn-Hilliard advect with it
+def test_stokes_solve_admits_by_the_solenoidal_bound(monkeypatch, div_max, accepted):
+    # |v| = 10 at 128^2: the solve admits its velocity by the one solenoidal
+    # bound, 1.28e-7 here, after its momentum residual; the force
+    # -nu Delta_h v of the crafted v makes that residual exactly 0
     n = 128
     grid = GridSpec(n, n)
     psi = np.random.default_rng(3).standard_normal((n + 1, n + 1))
@@ -430,20 +428,35 @@ def test_stokes_and_advection_share_the_solenoidal_bound(monkeypatch, div_max, a
     v = StaggeredVectorField(grid, u, v.w * (10.0 / v.max_abs()))
     assert v.max_abs() == pytest.approx(10.0, rel=1e-6)
     dv = velocity_derivatives(v)
-    assert solenoidal_residual(dv)[0] == pytest.approx(div_max, rel=1e-4)
+    assert dv.div_max == pytest.approx(div_max, rel=1e-4)
 
-    sim = Simulation(ConfigSpec(grid=grid, params=ModelParams()))
-    work, _, _ = sim.initial_state()
-    monkeypatch.setattr(sim.stokes, "solve",
-                        lambda force: (v, ScalarField.uniform(grid, 0.0), dv))
-    dt = 1e-5  # CFL 0.026
+    nu = ModelParams().nu
+    solver = stokes.StokesSolver(grid, nu)
+    monkeypatch.setattr(solver, "_velocity", lambda force: v)
+    force = StaggeredVectorField(grid, *(-nu * c for c in vector_laplacian(dv)))
     if accepted:
-        new, stats = sim.coupled_step(work, dt, math.inf)
-        assert new.state.v is v
-        assert stats.div_v_max == solenoidal_residual(dv)[0]
+        v_out, q, dv_out = solver.solve(force)
+        assert v_out is v and dv_out.div_max == dv.div_max
+        assert not q.values.any()  # the momentum residual is exactly 0
     else:
-        with pytest.raises(StepRejected, match="^stokes: div residual"):
-            sim.coupled_step(work, dt, math.inf)
+        with pytest.raises(SolverError, match="^div residual"):
+            solver.solve(force)
+
+
+def test_a_direct_solve_rejects_a_non_solenoidal_velocity(grid16, rng, params, monkeypatch):
+    # the continuity test is the solver's own: a plain StokesSolver.solve
+    # call, outside any run, raises when its velocity is a gradient field,
+    # whose force -nu Delta_h v leaves no momentum residual
+    solver = stokes.StokesSolver(grid16, params.nu)
+    v = StaggeredVectorField(grid16, *face_gradient(rng.standard_normal((16, 16)), grid16))
+    dv = velocity_derivatives(v)
+    div, bound = solenoidal_residual(dv)
+    assert div > 1e3 * bound
+    monkeypatch.setattr(solver, "_velocity", lambda force: v)
+    force = StaggeredVectorField(grid16, *(-params.nu * c for c in vector_laplacian(dv)))
+    with pytest.raises(SolverError) as info:
+        solver.solve(force)
+    assert str(info.value) == f"div residual {div:.3e} > {bound:.3e}"
 
 
 def test_energy_consistency(grid16, rng, params):

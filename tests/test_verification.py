@@ -134,6 +134,17 @@ def test_stokes_mms_table_shape():
     assert rep["order_v"][0] >= 1.9
 
 
+def test_stokes_mms_orders_on_levels_that_do_not_double():
+    # 24 -> 32 is a size ratio of 4/3: the order is log(e1/e2) / log(32/24),
+    # second order for both fields, not log2(e1/e2)
+    rep = ver.stokes_mms(levels=(24, 32))
+    for key in ("order_v", "order_q"):
+        assert 1.9 <= rep[key][0] <= 2.1, rep
+    ratio = np.log(32 / 24)
+    assert rep["order_v"][0] == pytest.approx(
+        np.log(rep["err_v"][0] / rep["err_v"][1]) / ratio, rel=1e-12)
+
+
 def test_stokes_mms_fields_match_central_differences():
     """The hand-written u, w, fu, fw against central differences of psi and q
     at random interior points.  The k-th derivative of sin^2(pi s) is bounded
