@@ -13,10 +13,14 @@ velocity it returns as solenoidal, so no retry judges a state's own
 velocity again; each attempt admits it only by the CFL bound, which
 depends on dt.
 
+The velocity is slaved to (phi, mu, F), so a state holds one velocity:
+its v and q are the Stokes solve with the force of its own fields, at
+any ``picard_max``.  The sweeps' solves serve the step and are dropped.
 A state's record (:class:`StateWork`) carries its dt-independent work:
-the constitutive pass, the energy and the state's own Stokes solve, the
-first solve of a step from it.  It is whole when it is built, and no
-step adds to it.  No solver object keeps anything of a step.
+the constitutive pass, the energy and the derivative pass of the state's
+own velocity, which the first sweep of a step from it takes.  It is
+whole when it is built, and no step adds to it.  No solver object keeps
+anything of a step.
 
 :meth:`Simulation.coupled_step` alone decides a step.  It rejects it when
 the phase-field Newton fails, a linear solve fails, a field turns
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +72,7 @@ class StepStats:
     picard_iters: int
     newton_iters: int
     picard_gap: float  # max change across (phi, F, v) in the last sweep
-    div_v_max: float  # max|div v| of the accepted velocity
+    div_v_max: float  # max|div v| of the candidate's own velocity
     dissipation: float  # D of the candidate
     budget_residual: float  # (E_new - E_old)/dt + D
     gmres_iters: int  # GMRES iterations of every Cahn-Hilliard Newton update
@@ -145,13 +149,13 @@ def sweep_advection(v: StaggeredVectorField, faces, d: int):
 @dataclass(frozen=True)
 class StateWork:
     """The dt-independent work of one state: its constitutive pass, its
-    energy and its own Stokes solve (v, q, dv), with the force of its
-    stored mu, which the first sweep of every attempt at a step from it
-    takes."""
+    energy and the derivative pass dv of its v (``dv.v is state.v``), the
+    state's own Stokes solve with the force of its stored mu, which the
+    first sweep of every attempt at a step from it takes."""
     state: SimState
     fields: StateFields
     energy: EnergyBreakdown
-    first_solve: tuple[StaggeredVectorField, ScalarField, VelocityDerivatives]
+    dv: VelocityDerivatives
 
 
 class Simulation:
@@ -179,12 +183,14 @@ class Simulation:
     # -- state construction -------------------------------------------------
 
     def record(self, state: SimState) -> StateWork:
-        """The record of state, formed from the state alone.  Raises
-        SolverError if its own Stokes solve fails or its velocity is not
-        solenoidal."""
+        """The record of state, formed from its (phi, mu, F) alone; the
+        record's state is state with v and q replaced by its own Stokes
+        solve.  Raises SolverError if that solve fails or its velocity is
+        not solenoidal."""
         fields = state_fields(state.phi, state.F, self.params)
-        return StateWork(state, fields, state_energy(fields, self.params),
-                         self._solve(fields, state.mu, fields.dw_dphi, state.F))
+        v, q, dv = self._solve(fields, state.mu, fields.dw_dphi, state.F)
+        return StateWork(replace(state, v=v, q=q), fields,
+                         state_energy(fields, self.params), dv)
 
     def initial_state(self) -> tuple[StateWork, StepControl, float]:
         """(record, step control, energy scale) to start the run from: the
@@ -206,9 +212,9 @@ class Simulation:
         F = initial_F(cfg)
         fields = state_fields(phi, F, p)
         mu = static_chemical_potential(phi, fields.dw_dphi, p)
-        v, q, _ = solved = self._solve(fields, mu, fields.dw_dphi, F)
+        v, q, dv = self._solve(fields, mu, fields.dw_dphi, F)
         work = StateWork(SimState(phi=phi, phi_prev=phi, mu=mu, F=F, v=v, q=q), fields,
-                         state_energy(fields, p), solved)
+                         state_energy(fields, p), dv)
         return work, StepControl(cfg.time.dt0), max(abs(work.energy.total), 1e-30)
 
     # -- one coupled step ----------------------------------------------------
@@ -219,13 +225,14 @@ class Simulation:
 
         The old level is prepared once, before the first sweep, from the
         constitutive pass of the state; the first sweep takes the state's
-        own Stokes solve from work.  Every solve admits its velocity as
+        own velocity from work.  Every solve admits its velocity as
         solenoidal (:meth:`~chve.stokes.StokesSolver.solve`); each sweep
         then admits it by the CFL bound of dt.  A candidate whose energy is
-        within energy_bound gets its own Stokes solve.  Raises StepRejected
-        on a failed admission, Newton failure, a failed linear solve, a
-        non-finite field or a candidate energy above energy_bound; the stats
-        carry the candidate's dissipation and energy-budget residual."""
+        within energy_bound gets its own Stokes solve, its v and q.  Raises
+        StepRejected on a failed admission, Newton failure, a failed linear
+        solve, a non-finite field or a candidate energy above energy_bound;
+        the stats carry the candidate's max|div v|, dissipation and
+        energy-budget residual, all of its own velocity."""
         cfg = self.cfg
         p = self.params
         g = self.grid
@@ -249,13 +256,13 @@ class Simulation:
             ch_level = self.ch.prepare(phi_n, state.phi_prev, fields_n.b, dt)
 
             for sweep in range(1, cfg.coupling.picard_max + 1):
-                v, q, dv = (work.first_solve if sweep == 1
-                            else solve_stokes(fields_n, mu_new, dw_dphi, F_new))
+                dv = (work.dv if sweep == 1
+                      else solve_stokes(fields_n, mu_new, dw_dphi, F_new)[2])
                 cfl = dt * (dv.u_max / g.hx + dv.w_max / g.hy)
                 if cfl > cfg.time.cfl_max:
                     raise StepRejected(f"cfl {cfl:.3f} > {cfg.time.cfl_max}")
 
-                adv_F, adv_phi = sweep_advection(v, faces, F_n.d)
+                adv_F, adv_phi = sweep_advection(dv.v, faces, F_n.d)
                 F_new, solved, n_cg = self.transport.step(transport_level, dv, adv_F,
                                                           start=solved)
                 stretch, dw_dphi = law.elastic_response(fields_n.f_prime, F_new.comps, p)
@@ -271,24 +278,23 @@ class Simulation:
                     change = max(
                         float(np.max(np.abs(phi_new.values - prev[0].values))),
                         float(np.max(np.abs(F_new.comps - prev[1].comps))),
-                        float(np.max(np.abs(v.u - prev[2].u))),
-                        float(np.max(np.abs(v.w - prev[2].w))),
+                        float(np.max(np.abs(dv.v.u - prev[2].u))),
+                        float(np.max(np.abs(dv.v.w - prev[2].w))),
                     )
                 else:
                     change = np.inf
-                prev = (phi_new, F_new, v)
+                prev = (phi_new, F_new, dv.v)
                 if change <= cfg.coupling.picard_tol:
                     break
 
-            new_state = SimState(phi=phi_new, phi_prev=phi_n, mu=mu_new, F=F_new,
-                                 v=v, q=q, t=state.t + dt,
-                                 step_index=state.step_index + 1)
             fields = state_fields(phi_new, F_new, p, stretch)
             energy = state_energy(fields, p)
             if energy.total > energy_bound:
                 raise StepRejected(f"energy {energy.total:.17g} > {energy_bound:.17g}")
-            cand = StateWork(new_state, fields, energy,
-                             solve_stokes(fields, mu_new, fields.dw_dphi, F_new))
+            v, q, dv = solve_stokes(fields, mu_new, fields.dw_dphi, F_new)
+            new_state = SimState(phi=phi_new, phi_prev=phi_n, mu=mu_new, F=F_new,
+                                 v=v, q=q, t=state.t + dt,
+                                 step_index=state.step_index + 1)
         except NewtonError as exc:
             raise StepRejected(f"newton: {exc}") from exc
         except SolverError as exc:
@@ -303,7 +309,7 @@ class Simulation:
                           div_v_max=dv.div_max, dissipation=dissipation,
                           budget_residual=budget, gmres_iters=gmres_total,
                           cg_iters=cg_total)
-        return cand, stats
+        return StateWork(new_state, fields, energy, dv), stats
 
     # -- the run loop ----------------------------------------------------------
 

@@ -172,12 +172,20 @@ def test_deterministic_diagnostics(tmp_path):
 def test_restart_reproduces_uninterrupted_run(tmp_path):
     from dataclasses import replace
     # delta > 0: the stored mu carries its delta term across the restart
-    # while dt grows
+    # while dt grows.  A restart's v and q are its state's own Stokes solve,
+    # so the record a resumed run forms re-derives exactly what was written
     for delta in (0.0, 0.05):
         tmp = tmp_path / f"delta{delta}"
         kw = dict(adaptive="true", dt_max="4e-4", t_end=1.0, delta=delta)
-        _, rows_full, state_full = simulate(
-            spinodal_config(tmp, name="full", max_steps=12, **kw))
+        cfg_full = spinodal_config(tmp, name="full", max_steps=12, **kw)
+        _, rows_full, state_full = simulate(cfg_full)
+        written = read_restart(tmp / "full" / "restart_00000012.chv")[0]
+        resumed = Simulation(cfg_full).record(written)
+        own = resumed.state
+        assert resumed.dv.v is own.v
+        assert own.v.u.tobytes() == written.v.u.tobytes()
+        assert own.v.w.tobytes() == written.v.w.tobytes()
+        assert own.q.values.tobytes() == written.q.values.tobytes()
         assert len(rows_full) == 12
         assert len({r.dt for r in rows_full}) > 1
 
@@ -394,10 +402,12 @@ def test_total_energy_evaluated_once_per_accepted_step(tmp_path, monkeypatch):
 
 def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
     # div v is measured once per Stokes solve, where the velocity is solved,
-    # and the CSV column reuses the last sweep's measurement; coupled_step,
-    # Stokes and advection do not measure it again.  Each step solves once
-    # per sweep after the first and once for its candidate, and the run once
-    # for its initial state: 1 + sum(picard_iters) solves and admissions
+    # and the CSV column reuses the measurement of the accepted state's own
+    # velocity; coupled_step, Stokes and advection do not measure it again.
+    # Each step solves once per sweep after the first and once for its
+    # candidate, and the run once for its initial state: 1 + sum(picard_iters)
+    # solves and admissions, 21 over 10 steps of two sweeps, and 11 with one
+    # sweep, one per accepted step
     from chve import cahn_hilliard, driver, operators, stokes, transport
     real = operators.solenoidal_residual
     calls = []
@@ -419,12 +429,19 @@ def test_velocity_admitted_once_per_picard_sweep(tmp_path, monkeypatch):
         return new, stats
 
     monkeypatch.setattr(Simulation, "coupled_step", spy)
-    summary, rows, _ = simulate(spinodal_config(tmp_path, max_steps=10, t_end=1.0))
-    assert summary.steps == len(rows) == len(accepted_v) == 10
-    assert summary.rejected_steps == 0
-    assert len(calls) == solves["solve"] == 1 + sum(r.picard_iters for r in rows) == 21
-    for row, v in zip(rows, accepted_v):
-        assert row.div_v_max == real(velocity_derivatives(v))[0]
+    for picard_max, expected in ((2, 21), (1, 11)):
+        calls.clear()
+        accepted_v.clear()
+        solves["solve"] = 0
+        summary, rows, _ = simulate(spinodal_config(
+            tmp_path, name=f"p{picard_max}", max_steps=10, t_end=1.0,
+            picard_max=picard_max))
+        assert summary.steps == len(rows) == len(accepted_v) == 10
+        assert summary.rejected_steps == 0
+        assert (len(calls) == solves["solve"] == 1 + sum(r.picard_iters for r in rows)
+                == expected)
+        for row, v in zip(rows, accepted_v):
+            assert row.div_v_max == real(velocity_derivatives(v))[0]
 
 
 def test_old_level_prepared_once_per_step(tmp_path, monkeypatch):
@@ -536,11 +553,12 @@ def test_each_derived_field_is_formed_once(tmp_path, monkeypatch):
 
 
 def test_a_resumed_run_forms_one_derivative_pass_per_stokes_solve(tmp_path, monkeypatch):
-    # nothing reads the velocity derivatives of a state read back from a
-    # restart (coupled_step reads the last sweep's, for the candidate's
-    # dissipation), so a resumed run forms the derivative pass inside its
-    # Stokes solves only: one per sweep after the first and one per state
-    # of its own, the restored state's included
+    # nothing differentiates the velocity a restart holds (the record of a
+    # restored state solves its own velocity again, and coupled_step reads
+    # the candidate's own pass for its dissipation), so a resumed run forms
+    # the derivative pass inside its Stokes solves only: one per sweep
+    # after the first and one per state of its own, the restored state's
+    # included
     from dataclasses import replace
     from chve import operators
     from chve.stokes import StokesSolver
@@ -986,29 +1004,40 @@ def test_records_carry_their_state_energy(tmp_path):
     assert work.energy == ref and work.energy.total == ref.total
 
 
-def test_a_record_is_whole_when_built(tmp_path):
-    # a record needs its state's own Stokes solve, whose derivative pass
+@pytest.mark.parametrize("picard_max", [1, 2, 8])
+def test_a_record_is_whole_when_built(tmp_path, picard_max):
+    # a record needs the derivative pass of its state's own velocity, which
     # carries the max|div v| the solver's admission read, and takes no
-    # field after it is built; the record
-    # coupled_step builds for its candidate is, bit for bit, the one
-    # Simulation.record forms from the candidate alone
-    sim = Simulation(spinodal_config(tmp_path, n=16))
+    # field after it is built; every state's v and q are its own Stokes
+    # solve, with the force of its fields, stored mu and F, at any
+    # picard_max, and the record coupled_step builds for its candidate is,
+    # bit for bit, the one Simulation.record forms from the candidate alone
+    from chve.stokes import assemble_force
+    sim = Simulation(spinodal_config(tmp_path, n=16, picard_max=picard_max))
     work, _, _ = sim.initial_state()
+    assert [f.name for f in dataclasses.fields(StateWork)] == [
+        "state", "fields", "energy", "dv"]
     with pytest.raises(TypeError):
         StateWork(work.state, work.fields, work.energy)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        work.first_solve = None
-    cand, _ = sim.coupled_step(work, 1e-4, math.inf)
-    ref = sim.record(cand.state)
-    assert cand.energy == ref.energy
-    for (v, q, dv), (v_ref, q_ref, dv_ref) in (
-            (cand.first_solve, ref.first_solve),
-            (work.first_solve, sim.record(work.state).first_solve)):
-        assert v.u.tobytes() == v_ref.u.tobytes() and v.w.tobytes() == v_ref.w.tobytes()
-        assert q.values.tobytes() == q_ref.values.tobytes()
-        assert dv.v is v
-        div = np.max(np.abs(face_divergence(v.u, v.w, sim.grid)))
-        assert dv.div_max == dv_ref.div_max == div
+        work.dv = None
+    for _ in range(3):
+        cand, _ = sim.coupled_step(work, 1e-4, math.inf)
+        ref = sim.record(cand.state)
+        assert cand.energy == ref.energy
+        for rec, rec_ref in ((cand, ref), (work, sim.record(work.state))):
+            s, s_ref = rec.state, rec_ref.state
+            v, q, dv = sim.stokes.solve(assemble_force(
+                rec.fields.f, rec.fields.grad_phi, s.mu, rec.fields.dw_dphi, s.F,
+                sim.params))
+            for x in (s, s_ref):
+                assert x.v.u.tobytes() == v.u.tobytes()
+                assert x.v.w.tobytes() == v.w.tobytes()
+                assert x.q.values.tobytes() == q.values.tobytes()
+            assert rec.dv.v is s.v and rec_ref.dv.v is s_ref.v
+            div = np.max(np.abs(face_divergence(s.v.u, s.v.w, sim.grid)))
+            assert rec.dv.div_max == rec_ref.dv.div_max == dv.div_max == div
+        work = cand
 
 
 def test_more_picard_sweeps_tighten_coupling(tmp_path):
